@@ -25,13 +25,26 @@ for speed and verified acceptable by the differential tests
 
 Cycle accounting is bit-identical to the interpreter's, which the
 differential tests also assert.
+
+The block engine
+----------------
+:class:`KernelCodegen` holds the emission both generated engines share;
+:class:`ThreadCodegen` (here) produces the per-thread function and
+:class:`repro.gpu.blockgen.BlockCodegen` one *block function* that runs
+a whole thread block with registers as numpy lane vectors. The block
+generator and its runtime (:mod:`repro.gpu.blockrt`) are imported only
+when a launch first asks for a block function.
+
+Generated code is cached by kernel *content* (:func:`kernel_code`).
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from typing import Callable
+import types
+import weakref
+from typing import Optional
 
 from repro.errors import ExecutionError, MemoryFault
 from repro.gpu.latency import SHARED_ACCESS_CYCLES, CostModel
@@ -40,6 +53,7 @@ from repro.ptx import isa
 from repro.ptx.ast import (
     Immediate,
     MemRef,
+    RegDecl,
     Register,
     SpecialReg,
     Symbol,
@@ -256,6 +270,8 @@ def make_memory_helpers(memory: GlobalMemory, hierarchy,
         return old, cycles
 
     env["_atom"] = atom
+    # The block engine replays its access log through the same walk.
+    env["_resolve"] = resolve
     return env
 
 
@@ -287,6 +303,13 @@ _BASE_ENV = {
     "_sU32": struct.Struct("<I"), "_sS32": struct.Struct("<i"),
     "_sU64": struct.Struct("<Q"), "_sS64": struct.Struct("<q"),
 }
+
+
+def thread_env(memory_env: dict, local_buffer) -> dict:
+    """Globals of one executor's per-thread functions: the helpers of
+    :func:`make_memory_helpers` plus the executor's ``.local`` buffer
+    accessor."""
+    return {**_BASE_ENV, **memory_env, "_local": local_buffer}
 
 
 # --------------------------------------------------------------------------
@@ -321,9 +344,64 @@ _SPECIAL_LOCALS = {
     "%laneid": "_lane", "%warpid": "_warp", "%clock": "_cycles",
 }
 
+#: Scalar formulas of the special-function unit. The per-thread JIT
+#: inlines this text; the block engine builds its lane helpers from it,
+#: so both call the same libm entry points.
+SFU_FORMULAS = {
+    "sqrt": "_math.sqrt({0})",
+    "rsqrt": "1.0 / _math.sqrt({0})",
+    "rcp": "1.0 / {0}",
+    "ex2": "2.0 ** {0}",
+    "lg2": "_math.log2({0})",
+    "sin": "_math.sin({0})",
+    "cos": "_math.cos({0})",
+    "tanh": "_math.tanh({0})",
+}
+
+_SFU_OPS = tuple(SFU_FORMULAS)
+
+
+def basic_blocks(instructions) -> tuple[list[int], dict[int, int]]:
+    """Leaders of a decoded body (0, every branch target, every
+    instruction after a control transfer or barrier, and the end) and
+    the leader -> block id map."""
+    leaders = {0, len(instructions)}
+    for index, ins in enumerate(instructions):
+        if ins.op == "bra":
+            leaders.add(ins.branch_target)
+            if ins.guard_reg is not None:
+                leaders.add(index + 1)
+        elif ins.op == "brx":
+            leaders.update(ins.brx_targets)
+            leaders.add(index + 1)
+        elif ins.op in ("ret", "exit"):
+            leaders.add(index + 1)
+        elif ins.op == "bar":
+            # Resume point directly after the yield.
+            leaders.add(index + 1)
+    ordered = sorted(leader for leader in leaders
+                     if leader <= len(instructions))
+    return ordered, {leader: bid for bid, leader in enumerate(ordered)}
+
 
 class KernelCodegen:
-    """Generates the thread function of one compiled kernel."""
+    """Emission shared by both generated engines: operand and
+    expression source, instruction dispatch and basic-block layout.
+
+    :class:`ThreadCodegen` turns a kernel into the per-thread generator
+    function; :class:`BlockCodegen` turns it into the block function.
+    The expression text of an instruction is the same for both (a lane
+    vector and a Python scalar answer to the same operators); the
+    subclasses differ in the helpers they name where Python has no
+    polymorphic spelling, in how a result is bound to its register,
+    and in memory access and control flow.
+    """
+
+    #: Helper names where a builtin only works on scalars.
+    FLOAT = "float"
+    INT = "int"
+    MIN = "min"
+    MAX = "max"
 
     def __init__(self, compiled, cost_model: CostModel):
         self.ck = compiled
@@ -353,23 +431,15 @@ class KernelCodegen:
 
     def _address(self, memref: MemRef) -> str:
         base = memref.base
-        if isinstance(base, Register):
+        if isinstance(base, (Register, Symbol)):
             expr = self._expr(base)
-        elif isinstance(base, Symbol):
-            name = base.name
-            if name in self.ck.shared_layout:
-                expr = repr(self.ck.shared_layout[name])
-            elif name not in self.ck.global_symbols:
-                raise ExecutionError(f"unresolved symbol {name!r}")
-            else:
-                expr = f"_gsyms[{name!r}]"
         else:
             raise ExecutionError(f"bad memory base {base!r}")
         if memref.offset:
             return f"({expr} + {memref.offset})"
         return expr
 
-    # -- instruction emission ------------------------------------------------------
+    # -- result binding ------------------------------------------------------------
 
     def _wrap_int(self, expr: str, dtype: str) -> str:
         """Truncate an integer expression to its register convention.
@@ -387,46 +457,31 @@ class KernelCodegen:
             return f"(({expr}) & {_MASK64})"
         return expr
 
+    def _set(self, dest, expr: str) -> None:
+        """Bind ``expr`` to the register operand ``dest``."""
+        self.gen.emit(f"{self._expr(dest)} = {expr}")
+
     def _assign(self, dest, expr: str, dtype: str) -> None:
-        name = self._expr(dest)
         if dtype and not isa.is_float(dtype) and dtype != "pred":
             expr = self._wrap_int(expr, dtype)
-        self.gen.emit(f"{name} = {expr}")
+        self._set(dest, expr)
 
-    def _emit_instruction(self, ins) -> None:
-        gen = self.gen
-        if ins.guard_reg is not None:
-            want = "not " if ins.guard_negated else ""
-            guard_name = _mangle(ins.guard_reg)
-            self._declared.add(guard_name)
-            gen.emit(f"if {want}{guard_name}:")
-            gen.indent += 1
-            self._emit_body(ins)
-            gen.indent -= 1
-        else:
-            self._emit_body(ins)
+    # -- instruction emission ------------------------------------------------------
 
     def _emit_body(self, ins) -> None:
         op = ins.op
         operands = ins.operands
         dtype = ins.dtype
-        gen = self.gen
         e = self._expr
 
         if op == "ld":
             self._emit_load(ins)
         elif op == "st":
             self._emit_store(ins)
-        elif op == "mov":
-            self._assign(operands[0], e(operands[1]), dtype)
-        elif op == "cvta":
+        elif op in ("mov", "cvta"):
             self._assign(operands[0], e(operands[1]), dtype)
         elif op == "cvt":
-            src = e(operands[1])
-            if dtype and isa.is_float(dtype):
-                self._assign(operands[0], f"float({src})", dtype)
-            else:
-                self._assign(operands[0], f"int({src})", dtype)
+            self._emit_cvt(ins)
         elif op == "add":
             self._assign(operands[0],
                          f"{e(operands[1])} + {e(operands[2])}", dtype)
@@ -440,11 +495,7 @@ class KernelCodegen:
         elif op == "div":
             self._emit_div(ins)
         elif op == "rem":
-            a, b = e(operands[1]), e(operands[2])
-            if dtype and isa.is_signed(dtype):
-                self._assign(operands[0], f"_truncrem({a}, {b})", dtype)
-            else:
-                self._assign(operands[0], f"({a}) % ({b})", dtype)
+            self._emit_rem(ins)
         elif op == "and":
             self._assign(operands[0],
                          f"{e(operands[1])} & {e(operands[2])}", dtype)
@@ -457,26 +508,17 @@ class KernelCodegen:
         elif op == "not":
             self._assign(operands[0], f"~({e(operands[1])})", dtype)
         elif op == "shl":
-            self._assign(operands[0],
-                         f"({e(operands[1])}) << ({e(operands[2])})",
-                         dtype)
+            self._emit_shl(ins)
         elif op == "shr":
-            source = self._wrap_int(e(operands[1]), dtype or "u32")
-            if dtype and isa.is_signed(dtype):
-                # Arithmetic shift on the sign-corrected value.
-                bits = isa.type_width(dtype) * 8
-                half = 1 << (bits - 1)
-                full = 1 << bits
-                source = (f"(({source}) - {full} "
-                          f"if ({source}) >= {half} else ({source}))")
-            self._assign(operands[0],
-                         f"({source}) >> ({e(operands[2])})", dtype)
+            self._emit_shr(ins)
         elif op == "min":
-            self._assign(operands[0],
-                         f"min({e(operands[1])}, {e(operands[2])})", dtype)
+            self._assign(
+                operands[0],
+                f"{self.MIN}({e(operands[1])}, {e(operands[2])})", dtype)
         elif op == "max":
-            self._assign(operands[0],
-                         f"max({e(operands[1])}, {e(operands[2])})", dtype)
+            self._assign(
+                operands[0],
+                f"{self.MAX}({e(operands[1])}, {e(operands[2])})", dtype)
         elif op == "neg":
             self._assign(operands[0], f"-({e(operands[1])})", dtype)
         elif op == "abs":
@@ -484,23 +526,24 @@ class KernelCodegen:
         elif op == "setp":
             self._emit_setp(ins)
         elif op == "selp":
-            self._assign(
-                operands[0],
-                f"({e(operands[1])}) if {e(operands[3])} "
-                f"else ({e(operands[2])})",
-                dtype,
-            )
-        elif op in ("sqrt", "rsqrt", "rcp", "ex2", "lg2", "sin", "cos",
-                    "tanh"):
+            self._emit_selp(ins)
+        elif op in _SFU_OPS:
             self._emit_sfu(ins)
         elif op == "atom":
             self._emit_atomic(ins)
         elif op == "nop":
-            gen.emit("pass")
+            self.gen.emit("pass")
         else:
             raise ExecutionError(
                 f"codegen: unimplemented opcode {ins.opcode!r}"
             )
+
+    def _emit_cvt(self, ins) -> None:
+        src = self._expr(ins.operands[1])
+        if ins.dtype and isa.is_float(ins.dtype):
+            self._assign(ins.operands[0], f"{self.FLOAT}({src})", ins.dtype)
+        else:
+            self._assign(ins.operands[0], f"{self.INT}({src})", ins.dtype)
 
     def _emit_mul(self, ins) -> None:
         e = self._expr
@@ -511,15 +554,17 @@ class KernelCodegen:
             self._assign(ins.operands[0], f"({a}) * ({b})", wide)
             return
         if "hi" in ins.opcode:
-            dtype = ins.dtype or "u32"
-            bits = isa.type_width(dtype) * 8
-            masked_a = self._wrap_int(a, dtype)
-            masked_b = self._wrap_int(b, dtype)
-            self._assign(ins.operands[0],
-                         f"(({masked_a}) * ({masked_b})) >> {bits}",
-                         dtype)
+            self._emit_mul_hi(ins, a, b)
             return
         self._assign(ins.operands[0], f"({a}) * ({b})", ins.dtype)
+
+    def _emit_mul_hi(self, ins, a: str, b: str) -> None:
+        dtype = ins.dtype or "u32"
+        bits = isa.type_width(dtype) * 8
+        masked_a = self._wrap_int(a, dtype)
+        masked_b = self._wrap_int(b, dtype)
+        self._assign(ins.operands[0],
+                     f"(({masked_a}) * ({masked_b})) >> {bits}", dtype)
 
     def _emit_mad(self, ins) -> None:
         e = self._expr
@@ -544,43 +589,122 @@ class KernelCodegen:
         else:
             self._assign(ins.operands[0], f"({a}) // ({b})", dtype)
 
+    def _emit_rem(self, ins) -> None:
+        e = self._expr
+        a, b = e(ins.operands[1]), e(ins.operands[2])
+        if ins.dtype and isa.is_signed(ins.dtype):
+            self._assign(ins.operands[0], f"_truncrem({a}, {b})",
+                         ins.dtype)
+        else:
+            self._assign(ins.operands[0], f"({a}) % ({b})", ins.dtype)
+
+    def _emit_shl(self, ins) -> None:
+        e = self._expr
+        self._assign(ins.operands[0],
+                     f"({e(ins.operands[1])}) << ({e(ins.operands[2])})",
+                     ins.dtype)
+
+    def _emit_shr(self, ins) -> None:
+        e = self._expr
+        dtype = ins.dtype
+        source = self._wrap_int(e(ins.operands[1]), dtype or "u32")
+        if dtype and isa.is_signed(dtype):
+            # Arithmetic shift on the sign-corrected value.
+            bits = isa.type_width(dtype) * 8
+            half = 1 << (bits - 1)
+            full = 1 << bits
+            source = (f"(({source}) - {full} "
+                      f"if ({source}) >= {half} else ({source}))")
+        self._assign(ins.operands[0],
+                     f"({source}) >> ({e(ins.operands[2])})", dtype)
+
     _COMPARES = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=",
                  "gt": ">", "ge": ">="}
 
+    def _compare_view(self, expr: str, dtype: str) -> str:
+        """The reading of ``expr`` that ``setp.<dtype>`` compares."""
+        if isa.is_float(dtype):
+            return expr
+        if isa.is_signed(dtype):
+            return f"_sv{isa.type_width(dtype) * 8}({expr})"
+        return self._wrap_int(expr, dtype)
+
     def _emit_setp(self, ins) -> None:
-        e = self._expr
         dtype = ins.dtype or "u32"
-        a, b = e(ins.operands[1]), e(ins.operands[2])
-        if not isa.is_float(dtype):
-            if isa.is_signed(dtype):
-                bits = isa.type_width(dtype) * 8
-                a = f"_sv{bits}({a})"
-                b = f"_sv{bits}({b})"
-            else:
-                a = self._wrap_int(a, dtype)
-                b = self._wrap_int(b, dtype)
+        a = self._compare_view(self._expr(ins.operands[1]), dtype)
+        b = self._compare_view(self._expr(ins.operands[2]), dtype)
         symbol = self._COMPARES[ins.compare]
-        name = self._expr(ins.operands[0])
-        self.gen.emit(f"{name} = ({a}) {symbol} ({b})")
+        self._set(ins.operands[0], f"({a}) {symbol} ({b})")
+
+    def _emit_selp(self, ins) -> None:
+        e = self._expr
+        operands = ins.operands
+        self._assign(
+            operands[0],
+            f"({e(operands[1])}) if {e(operands[3])} "
+            f"else ({e(operands[2])})",
+            ins.dtype,
+        )
+
+    # -- basic blocks ------------------------------------------------------------------
+
+    def _emit_block(self, instructions, start: int, end: int,
+                    block_of: dict) -> None:
+        static_cycles = 0
+        count = 0
+        for index in range(start, end):
+            ins = instructions[index]
+            static_cycles += ins.compute_cycles
+            count += 1
+            if ins.op in ("bra", "brx", "ret", "exit", "bar"):
+                self._flush_static(static_cycles, count)
+                static_cycles = count = 0
+                if ins.op == "bra":
+                    self._emit_branch(ins, block_of[ins.branch_target])
+                elif ins.op == "brx":
+                    self._emit_indirect_branch(
+                        ins, tuple(block_of[t] for t in ins.brx_targets))
+                elif ins.op == "bar":
+                    self._emit_barrier(block_of[index + 1])
+                else:
+                    self._emit_return()
+            elif ins.op == "call":
+                raise ExecutionError(
+                    "device-function calls are not executed by the "
+                    "simulator"
+                )
+            else:
+                self._emit_instruction(ins)
+        self._flush_static(static_cycles, count)
+        if end < len(instructions):
+            # Fall through to the next block.
+            self.gen.emit(f"_pc = {block_of[end]}; continue")
+        else:
+            self._emit_return()
+
+
+class ThreadCodegen(KernelCodegen):
+    """Generates the per-thread generator function of one kernel."""
+
+    def _emit_instruction(self, ins) -> None:
+        gen = self.gen
+        if ins.guard_reg is not None:
+            want = "not " if ins.guard_negated else ""
+            guard_name = _mangle(ins.guard_reg)
+            self._declared.add(guard_name)
+            gen.emit(f"if {want}{guard_name}:")
+            gen.indent += 1
+            self._emit_body(ins)
+            gen.indent -= 1
+        else:
+            self._emit_body(ins)
 
     def _emit_sfu(self, ins) -> None:
-        e = self._expr
-        source = f"float({e(ins.operands[1])})"
-        op = ins.op
-        formulas = {
-            "sqrt": f"_math.sqrt({source})",
-            "rsqrt": f"1.0 / _math.sqrt({source})",
-            "rcp": f"1.0 / {source}",
-            "ex2": f"2.0 ** {source}",
-            "lg2": f"_math.log2({source})",
-            "sin": f"_math.sin({source})",
-            "cos": f"_math.cos({source})",
-            "tanh": f"_math.tanh({source})",
-        }
+        source = f"float({self._expr(ins.operands[1])})"
         name = self._expr(ins.operands[0])
         self.gen.emit("try:")
         self.gen.indent += 1
-        self.gen.emit(f"{name} = {formulas[op]}")
+        self.gen.emit(f"{name} = {SFU_FORMULAS[ins.op].format(source)}")
         self.gen.indent -= 1
         self.gen.emit("except (ValueError, ZeroDivisionError, "
                       "OverflowError):")
@@ -683,32 +807,50 @@ class KernelCodegen:
         )
         gen.emit("_cycles += _mc")
 
+    # -- control flow ------------------------------------------------------------------
+
+    def _flush_static(self, cycles: int, count: int) -> None:
+        if count:
+            self.gen.emit(f"_cycles += {cycles}; _instr += {count}")
+
+    def _emit_branch(self, ins, target: int) -> None:
+        gen = self.gen
+        if ins.guard_reg is not None:
+            want = "not " if ins.guard_negated else ""
+            guard_name = _mangle(ins.guard_reg)
+            self._declared.add(guard_name)
+            gen.emit(f"if {want}{guard_name}:")
+            gen.indent += 1
+            gen.emit(f"_pc = {target}; continue")
+            gen.indent -= 1
+        else:
+            gen.emit(f"_pc = {target}; continue")
+
+    def _emit_indirect_branch(self, ins, targets: tuple) -> None:
+        gen = self.gen
+        gen.emit(f"_brx_i = {self._expr(ins.operands[0])}")
+        gen.emit(f"if not 0 <= _brx_i < {len(targets)}:")
+        gen.indent += 1
+        gen.emit("raise ExecutionError("
+                 "'brx.idx index %d out of range' % _brx_i)")
+        gen.indent -= 1
+        gen.emit(f"_pc = {targets}[_brx_i]; continue")
+
+    def _emit_barrier(self, next_block: int) -> None:
+        self.gen.emit("yield")
+        self.gen.emit(f"_pc = {next_block}; continue")
+
+    def _emit_return(self) -> None:
+        self.gen.emit("break")
+
     # -- whole-kernel generation -------------------------------------------------------
 
     def generate(self) -> str:
         instructions = self.ck.instructions
-        # Leaders: 0, every branch target, every instruction after a
-        # control transfer, and every barrier boundary.
-        leaders = {0, len(instructions)}
-        for index, ins in enumerate(instructions):
-            if ins.op == "bra":
-                leaders.add(ins.branch_target)
-                if ins.guard_reg is not None:
-                    leaders.add(index + 1)
-            elif ins.op == "brx":
-                leaders.update(ins.brx_targets)
-                leaders.add(index + 1)
-            elif ins.op in ("ret", "exit"):
-                leaders.add(index + 1)
-            elif ins.op == "bar":
-                # Resume point directly after the yield.
-                leaders.add(index + 1)
-        ordered = sorted(leader for leader in leaders
-                         if leader <= len(instructions))
-        block_of = {leader: bid for bid, leader in enumerate(ordered)}
+        ordered, block_of = basic_blocks(instructions)
 
         gen = self.gen
-        gen.emit("def _thread(t, params, shared):")
+        gen.emit("def _thread(t, params, shared, _gsyms):")
         gen.indent += 1
         gen.emit("_cycles = 0; _instr = 0; _loads = 0; _stores = 0")
         gen.emit("_steps = 0")
@@ -721,32 +863,23 @@ class KernelCodegen:
         gen.emit("_pc = 0")
         gen.emit("while True:")
         gen.indent += 1
-        gen.emit(f"_steps += 1")
+        gen.emit("_steps += 1")
         gen.emit(f"if _steps > {MAX_BLOCK_STEPS}:")
         gen.indent += 1
         gen.emit("raise ExecutionError('runaway kernel "
                  f"{self.ck.name}')")
         gen.indent -= 1
 
-        first = True
         for block_id, leader in enumerate(ordered[:-1]):
-            end = ordered[block_id + 1]
-            keyword = "if" if first else "elif"
-            first = False
-            gen.emit(f"{keyword} _pc == {block_id}:")
+            gen.emit(f"{'elif' if block_id else 'if'} _pc == {block_id}:")
             gen.indent += 1
-            self._emit_block(instructions, leader, end, block_of)
+            self._emit_block(instructions, leader, ordered[block_id + 1],
+                             block_of)
             gen.indent -= 1
-        if first:
-            gen.emit("if True:")
-            gen.indent += 1
-            gen.emit("break")
-            gen.indent -= 1
-        else:
-            gen.emit("else:")
-            gen.indent += 1
-            gen.emit("break")
-            gen.indent -= 1
+        gen.emit("else:" if len(ordered) > 1 else "if True:")
+        gen.indent += 1
+        gen.emit("break")
+        gen.indent -= 1
         gen.indent -= 1
         gen.emit("t.cycles += _cycles; t.instructions += _instr")
         gen.emit("t.loads += _loads; t.stores += _stores")
@@ -764,85 +897,102 @@ class KernelCodegen:
             gen.lines.insert(body_start, "    " + init)
         return gen.source()
 
-    def _emit_block(self, instructions, start: int, end: int,
-                    block_of: dict) -> None:
-        gen = self.gen
-        static_cycles = 0
-        count = 0
-        for index in range(start, end):
-            ins = instructions[index]
-            static_cycles += ins.compute_cycles
-            count += 1
-            if ins.op == "bra":
-                self._flush_static(static_cycles, count)
-                static_cycles = count = 0
-                target = block_of[ins.branch_target]
-                if ins.guard_reg is not None:
-                    want = "not " if ins.guard_negated else ""
-                    guard_name = _mangle(ins.guard_reg)
-                    self._declared.add(guard_name)
-                    gen.emit(f"if {want}{guard_name}:")
-                    gen.indent += 1
-                    gen.emit(f"_pc = {target}; continue")
-                    gen.indent -= 1
-                else:
-                    gen.emit(f"_pc = {target}; continue")
-            elif ins.op == "brx":
-                self._flush_static(static_cycles, count)
-                static_cycles = count = 0
-                index_expr = self._expr(ins.operands[0])
-                targets = tuple(block_of[t] for t in ins.brx_targets)
-                gen.emit(f"_brx_i = {index_expr}")
-                gen.emit(f"if not 0 <= _brx_i < {len(targets)}:")
-                gen.indent += 1
-                gen.emit("raise ExecutionError("
-                         "'brx.idx index %d out of range' % _brx_i)")
-                gen.indent -= 1
-                gen.emit(f"_pc = {targets}[_brx_i]; continue")
-            elif ins.op in ("ret", "exit"):
-                self._flush_static(static_cycles, count)
-                static_cycles = count = 0
-                gen.emit("break")
-            elif ins.op == "bar":
-                self._flush_static(static_cycles, count)
-                static_cycles = count = 0
-                next_block = block_of[index + 1]
-                gen.emit("yield")
-                gen.emit(f"_pc = {next_block}; continue")
-            elif ins.op == "call":
-                raise ExecutionError(
-                    "device-function calls are not executed by the "
-                    "simulator"
-                )
-            else:
-                self._emit_instruction(ins)
-        self._flush_static(static_cycles, count)
-        if end < len(instructions):
-            # Fall through to the next block.
-            gen.emit(f"_pc = {block_of[end]}; continue")
-        else:
-            gen.emit("break")
 
-    def _flush_static(self, cycles: int, count: int) -> None:
-        if count:
-            self.gen.emit(f"_cycles += {cycles}; _instr += {count}")
+# --------------------------------------------------------------------------
+# Generated code, shared by content
+# --------------------------------------------------------------------------
 
 
-def compile_thread_function(compiled, cost_model: CostModel,
-                            memory_env: dict) -> Callable:
-    """Generate and exec one kernel's thread function.
+class KernelCode:
+    """The generated code of one kernel *content*.
 
-    ``memory_env`` comes from :func:`make_memory_helpers` (bound to the
-    executing device). The result is a generator function
-    ``_thread(t, params, shared)``.
+    Two :class:`~repro.gpu.executor.CompiledKernel` objects with equal
+    instructions, layout and costs (the same library loaded by another
+    tenant, module or swap-in) share one instance, so the source is
+    generated and compiled once per process. Code objects hold no
+    device or module state: helpers arrive through the function's
+    globals (one function object per executor, built by
+    :meth:`bind_thread` / :meth:`bind_block`) and module-scope symbol
+    addresses through the ``_gsyms`` argument at call time.
     """
-    source = KernelCodegen(compiled, cost_model).generate()
-    env = dict(_BASE_ENV)
-    env.update(memory_env)
-    env["_gsyms"] = compiled.global_symbols
-    from repro.gpu.executor import _local as local_buffer
 
-    env["_local"] = local_buffer
-    code = compile(source, f"<guardian-jit:{compiled.name}>", "exec")
-    exec(code, env)
-    return env["_thread"]
+    def __init__(self):
+        self._thread = None
+        #: ``(code, exits, access shifts)``, or the Unsupported reason.
+        self._block = None
+
+    def bind_thread(self, compiled, cost_model: CostModel, env: dict):
+        if self._thread is None:
+            source = ThreadCodegen(compiled, cost_model).generate()
+            self._thread = _function_code(
+                source, f"<guardian-jit:{compiled.name}>", "_thread")
+        return types.FunctionType(self._thread, env, "_thread")
+
+    def bind_block(self, compiled, cost_model: CostModel, env: dict):
+        """``(block function, exits, access shifts)``, or None when
+        the kernel stays on the per-thread engine."""
+        if self._block is None:
+            # Imported on first use: a process that only ever launches
+            # small blocks never loads the block engine.
+            from repro.gpu.blockgen import BlockCodegen, Unsupported
+
+            generator = BlockCodegen(compiled, cost_model)
+            try:
+                source, exits = generator.generate()
+            except Unsupported as reason:
+                self._block = str(reason)
+            else:
+                code = _function_code(
+                    source, f"<guardian-block:{compiled.name}>", "_block")
+                self._block = (code, exits, generator.access_shifts)
+        if isinstance(self._block, str):
+            return None
+        code, exits, shifts = self._block
+        return types.FunctionType(code, env, "_block"), exits, shifts
+
+    @property
+    def block_unsupported_reason(self) -> Optional[str]:
+        return self._block if isinstance(self._block, str) else None
+
+
+def _function_code(source: str, filename: str, name: str):
+    scope: dict = {}
+    exec(compile(source, filename, "exec"), scope)
+    return scope[name].__code__
+
+
+#: content key -> KernelCode. Weak: an entry lives exactly as long as
+#: some CompiledKernel (which holds its KernelCode) does.
+_CODE_BY_CONTENT: "weakref.WeakValueDictionary" = (
+    weakref.WeakValueDictionary())
+
+
+def kernel_code(compiled, cost_model: CostModel) -> KernelCode:
+    """The shared :class:`KernelCode` of ``compiled`` (looked up once
+    per kernel object, then held by it)."""
+    code = compiled.code
+    if code is None:
+        key = (
+            compiled.name,
+            tuple(
+                (ins.opcode, ins.operands, ins.guard_reg,
+                 ins.guard_negated, ins.compute_cycles, ins.branch_target,
+                 ins.brx_targets)
+                for ins in compiled.instructions
+            ),
+            tuple(compiled.param_index.items()),
+            tuple(compiled.shared_layout.items()),
+            compiled.shared_bytes,
+            frozenset(compiled.global_symbols),
+            tuple(
+                (s.prefix, s.reg_type, s.count)
+                for s in compiled.kernel.body if isinstance(s, RegDecl)
+            ),
+            cost_model.memory_cost("param"),
+            cost_model.memory_cost("local"),
+        )
+        code = _CODE_BY_CONTENT.get(key)
+        if code is None:
+            code = _CODE_BY_CONTENT[key] = KernelCode()
+        compiled.code = code
+    return code

@@ -73,6 +73,9 @@ class Device:
         #: tasks the timeline just resolved. None = stock device.
         self.telemetry = None
         self._pending: list[GpuTask] = []
+        #: Unresolved tasks per stream key (what ``stream_pending``
+        #: answers): counted at submit, cleared with ``_pending``.
+        self._pending_by_stream: dict = {}
         self._keep_launch_results = keep_launch_results
         #: Sampling knob for large grids (None = execute every block).
         self.max_blocks_per_launch: Optional[int] = None
@@ -127,7 +130,7 @@ class Device:
             compiled, grid, block, params,
             max_blocks=self.max_blocks_per_launch,
         )
-        stream.note_submit(release_cycles)
+        self._note_pending(stream, release_cycles)
         self.metrics.kernels_launched += 1
         if self._keep_launch_results:
             self.metrics.launch_results.append(result)
@@ -185,10 +188,17 @@ class Device:
             release_cycles,
         ))
 
+    def _note_pending(self, stream: Stream, release_cycles: float) -> None:
+        """Every submit path passes here once, before it queues its
+        task on ``_pending``."""
+        stream.note_submit(release_cycles)
+        counts = self._pending_by_stream
+        counts[stream.key] = counts.get(stream.key, 0) + 1
+
     def _copy_task(self, kind: str, stream: Stream, size: int,
                    bw_gbps: float, tag: str,
                    release_cycles: float = 0.0) -> GpuTask:
-        stream.note_submit(release_cycles)
+        self._note_pending(stream, release_cycles)
         cycles = size * self.spec.clock_ghz / bw_gbps
         return GpuTask(
             kind=kind,
@@ -219,6 +229,7 @@ class Device:
         resolved = self._pending
         result = timeline.run(resolved, start_cycles=base)
         self._pending = []
+        self._pending_by_stream = {}
         self.clock_cycles += result.makespan_cycles
         self.metrics.total_cycles += result.makespan_cycles
         self.metrics.context_switches += result.context_switches
@@ -260,9 +271,7 @@ class Device:
         submission, and the wait itself is resolved by the next
         :meth:`synchronize` timeline pass.
         """
-        return sum(
-            1 for task in self._pending if task.stream_key == stream.key
-        )
+        return self._pending_by_stream.get(stream.key, 0)
 
     def elapsed_seconds(self) -> float:
         return self.spec.cycles_to_seconds(self.clock_cycles)

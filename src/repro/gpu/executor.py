@@ -20,6 +20,19 @@ a latency-style model: absolute times are approximate, but the *added*
 cycles of Guardian's instrumentation — the paper's target metric — are
 exact under the cost model of :mod:`repro.gpu.latency`.
 
+Engines
+-------
+Three engines produce the same memory effects and the same cycle
+accounting: the reference interpreter in this module (the oracle;
+``use_codegen=False``), the per-thread JIT of
+:mod:`repro.gpu.codegen` (one generated generator per thread) and the
+block engine (one generated function per thread block, registers as
+numpy lane vectors; :mod:`repro.gpu.blockrt`). With ``use_codegen``
+the executor runs a block on the block engine when the block is large
+enough to pay for it and the kernel is admitted, and on the per-thread
+JIT otherwise - including as the exact fallback whenever the block
+engine gives a block up.
+
 Sampled mode
 ------------
 Large grids can be executed in sampled mode (``max_blocks``): only a
@@ -33,10 +46,12 @@ from __future__ import annotations
 
 import math
 import struct
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from repro.errors import ExecutionError, LaunchError
+from repro.errors import ExecutionError, LaunchError, MemoryFault
+from repro.gpu import codegen
 from repro.gpu.cache import MemoryHierarchy
 from repro.gpu.latency import SHARED_ACCESS_CYCLES, CostModel
 from repro.gpu.memory import GlobalMemory, wrap_int
@@ -65,6 +80,11 @@ LAUNCH_OVERHEAD_CYCLES = 500
 
 #: Default per-thread local-memory (spill space) size in bytes.
 LOCAL_MEMORY_BYTES = 4096
+
+#: Smallest block the block engine takes. A lane-vector operation costs
+#: about what five scalar ones do, whatever its width, so below one
+#: warp the per-thread functions win (measured in DESIGN.md section 9).
+BLOCK_ENGINE_MIN_THREADS = 32
 
 
 # --------------------------------------------------------------------------
@@ -102,6 +122,9 @@ class CompiledKernel:
     allocation_o0: RegisterAllocation
     #: Filled by the module loader with module-scope .global addresses.
     global_symbols: dict[str, int] = field(default_factory=dict)
+    #: The generated code of this kernel's content, shared with every
+    #: equal kernel (set by :func:`repro.gpu.codegen.kernel_code`).
+    code: Optional[object] = field(default=None, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -251,14 +274,26 @@ class _Thread:
 # --------------------------------------------------------------------------
 
 
+class _Engines:
+    """One executor's functions for one kernel content, each built
+    when a launch first needs it."""
+
+    __slots__ = ("thread", "block")
+
+    def __init__(self):
+        self.thread = None
+        #: False until asked for; then None (kernel not admitted) or
+        #: ``(block function, exit-only blocks, access shifts)``.
+        self.block = False
+
+
 class KernelExecutor:
     """Executes compiled kernels on one device's memory system.
 
-    Two execution engines share identical semantics and cycle
-    accounting: the reference *interpreter* (this module) and the
-    *codegen JIT* (:mod:`repro.gpu.codegen`), which is ~20-50x faster
-    and used by default. ``use_codegen=False`` forces the interpreter —
-    the differential tests run both and assert equal results.
+    ``use_codegen=False`` forces the reference interpreter; otherwise
+    blocks run on generated code (block engine or per-thread JIT, see
+    the module docstring). The differential tests run all three and
+    assert equal results.
     """
 
     def __init__(self, spec: DeviceSpec, memory: GlobalMemory,
@@ -269,8 +304,18 @@ class KernelExecutor:
         self.hierarchy = hierarchy or MemoryHierarchy.for_spec(spec)
         self.cost_model = CostModel(spec)
         self.use_codegen = use_codegen
-        self._codegen_env: Optional[dict] = None
-        self._thread_functions: dict[int, object] = {}
+        #: Blocks run per engine, and blocks the block engine started
+        #: but handed to the per-thread JIT ("fallback", also counted
+        #: under "thread").
+        self.engine_blocks = {"block": 0, "thread": 0, "fallback": 0}
+        self._thread_env: Optional[dict] = None
+        #: repro.gpu.blockrt.BlockRuntime, built (and the block engine
+        #: imported) with the first block function.
+        self._block_runtime = None
+        #: KernelCode -> _Engines; an entry lives as long as some
+        #: kernel with that content does.
+        self._engines: "weakref.WeakKeyDictionary" = (
+            weakref.WeakKeyDictionary())
 
     # -- public API -----------------------------------------------------------
 
@@ -309,6 +354,11 @@ class KernelExecutor:
         block_ids = _select_blocks(total_blocks, max_blocks)
         scale = total_blocks / len(block_ids)
 
+        engines = self._engines_for(compiled)
+        block_engine = None
+        if (engines is not None
+                and threads_per_block >= BLOCK_ENGINE_MIN_THREADS):
+            block_engine = self._block_engine(compiled, engines)
         total_warp_cycles = 0.0
         instructions = 0
         loads = 0
@@ -316,7 +366,7 @@ class KernelExecutor:
         for linear_block in block_ids:
             block_metrics = self._run_block(
                 compiled, _unlinearise(linear_block, grid), grid, block,
-                params,
+                params, engines, block_engine,
             )
             total_warp_cycles += block_metrics[0]
             instructions += block_metrics[1]
@@ -363,7 +413,18 @@ class KernelExecutor:
         grid: tuple[int, int, int],
         block: tuple[int, int, int],
         params: list,
+        engines: Optional[_Engines],
+        block_engine: Optional[tuple],
     ) -> tuple[float, int, int, int]:
+        if block_engine is not None:
+            metrics = self._block_runtime.run(
+                block_engine, compiled, ctaid, grid, block, params)
+            if metrics is not None:
+                self.engine_blocks["block"] += 1
+                return metrics
+            self.engine_blocks["fallback"] += 1
+        self.engine_blocks["thread"] += 1
+
         bx, by, bz = block
         shared = bytearray(max(compiled.shared_bytes, 1))
         threads: list[_Thread] = []
@@ -384,10 +445,12 @@ class KernelExecutor:
                         )
                     )
 
-        thread_fn = self._thread_fn(compiled)
-        if thread_fn is not None:
+        if engines is not None:
+            thread_fn = self._thread_function(compiled, engines)
+            symbols = compiled.global_symbols
             runners = [
-                thread_fn(thread, params, shared) for thread in threads
+                thread_fn(thread, params, shared, symbols)
+                for thread in threads
             ]
         else:
             runners = [
@@ -424,24 +487,48 @@ class KernelExecutor:
             stores,
         )
 
-    def _thread_fn(self, compiled: CompiledKernel):
-        """The kernel's JIT-generated thread function (None when the
-        interpreter is forced)."""
+    def _engines_for(self, compiled: CompiledKernel) -> Optional[_Engines]:
+        """The generated functions of ``compiled`` on this executor
+        (None when the interpreter is forced). Keyed by the kernel's
+        shared :class:`~repro.gpu.codegen.KernelCode`, so equal
+        kernels of any module share them and an entry goes when the
+        last such kernel does."""
         if not self.use_codegen:
             return None
-        cached = self._thread_functions.get(id(compiled))
-        if cached is None:
-            from repro.gpu import codegen
+        code = compiled.code or codegen.kernel_code(compiled,
+                                                    self.cost_model)
+        engines = self._engines.get(code)
+        if engines is None:
+            engines = self._engines[code] = _Engines()
+        return engines
 
-            if self._codegen_env is None:
-                self._codegen_env = codegen.make_memory_helpers(
-                    self.memory, self.hierarchy, self.cost_model
-                )
-            cached = codegen.compile_thread_function(
-                compiled, self.cost_model, self._codegen_env
-            )
-            self._thread_functions[id(compiled)] = cached
-        return cached
+    def _memory_env(self) -> dict:
+        if self._thread_env is None:
+            self._thread_env = codegen.thread_env(
+                codegen.make_memory_helpers(
+                    self.memory, self.hierarchy, self.cost_model),
+                _local)
+        return self._thread_env
+
+    def _thread_function(self, compiled: CompiledKernel,
+                         engines: _Engines):
+        if engines.thread is None:
+            engines.thread = compiled.code.bind_thread(
+                compiled, self.cost_model, self._memory_env())
+        return engines.thread
+
+    def _block_engine(self, compiled: CompiledKernel, engines: _Engines):
+        if engines.block is False:
+            if self._block_runtime is None:
+                from repro.gpu import blockrt
+
+                self._block_runtime = blockrt.BlockRuntime(
+                    self.memory, self.hierarchy,
+                    self._memory_env()["_resolve"],
+                    self.cost_model.memory_cost("l1"), self.spec.warp_size)
+            engines.block = compiled.code.bind_block(
+                compiled, self.cost_model, self._block_runtime.env)
+        return engines.block
 
     def _run_thread(self, compiled: CompiledKernel, thread: _Thread,
                     params: list) -> Iterator[None]:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -45,6 +48,33 @@ def make_guardian_tenant(server, app_id: str, max_bytes: int = 1 << 20):
     loader = DynamicLoader()
     client = preload_guardian(loader, server, app_id, max_bytes)
     return client, CudaRuntime(loader)
+
+
+# --------------------------------------------------------------------------
+# Execution engines
+# --------------------------------------------------------------------------
+
+#: The simulator's three engines (see repro.gpu.executor).
+ENGINES = ("interpreter", "jit", "block")
+
+
+@contextlib.contextmanager
+def forced_engine(engine: str):
+    """Yield a ``KernelExecutor`` factory pinned to one engine.
+
+    ``"jit"`` keeps every block on the per-thread functions and
+    ``"block"`` sends every block, however small, to the block engine,
+    by moving the one constant that chooses between them."""
+    from repro.gpu import executor
+
+    threshold = 1 if engine == "block" else 1 << 30
+
+    def factory(spec, memory, **kwargs):
+        return executor.KernelExecutor(
+            spec, memory, use_codegen=engine != "interpreter", **kwargs)
+
+    with mock.patch.object(executor, "BLOCK_ENGINE_MIN_THREADS", threshold):
+        yield factory
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Device facade tests: contexts, allocation, submission, sync."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,18 @@ class TestSubmission:
                              [addr, addr, 1.0, 16])
         assert device.metrics.kernels_launched == 1
 
+    def test_stream_pending_counts_per_stream(self, device):
+        first = device.create_context("a").default_stream
+        second = device.create_context("b").default_stream
+        for _ in range(3):
+            device.submit_memset(first, device.memory.base, 0, 64)
+        device.submit_memset(second, device.memory.base, 0, 64)
+        assert device.stream_pending(first) == 3
+        assert device.stream_pending(second) == 1
+        device.synchronize()
+        assert device.stream_pending(first) == 0
+        assert device.stream_pending(second) == 0
+
     def test_memset(self, device):
         context = device.create_context("a")
         addr = device.allocate(context, 128)
@@ -75,6 +89,44 @@ class TestSubmission:
         context = device.create_context("a")
         with pytest.raises(AllocationError):
             device.allocate(context, device.spec.global_memory_bytes + 1)
+
+
+class TestStreamPendingScaling:
+    """``stream_pending`` is a counter lookup, not a scan of every
+    unresolved task: a tenant that never drains the device must not
+    pay more per call the longer it runs.
+
+    Same methodology as the allocator's churn tests: pin the
+    complexity class with a min-of-5 ratio, not a wall-clock number.
+    The scan measured ~4x per call here (62 -> 245 us in the ledger's
+    launch storm) for the same 20x longer run.
+    """
+
+    @staticmethod
+    def _undrained_storm(iterations, probes=2000):
+        """Per-call cost of ``stream_pending`` behind a backlog of
+        ``iterations`` undrained submits (each followed by the tenant's
+        own ``stream_pending``, as a launch storm does)."""
+        device = Device(QUADRO_RTX_A4000)
+        stream = device.create_context("a").default_stream
+        address = device.memory.base
+        for _ in range(iterations):
+            device.submit_memset(stream, address, 0, 64)
+            device.stream_pending(stream)
+        begin = time.perf_counter()
+        for _ in range(probes):
+            device.stream_pending(stream)
+        elapsed = time.perf_counter() - begin
+        assert device.stream_pending(stream) == iterations
+        return elapsed / probes
+
+    def test_per_call_cost_does_not_grow_with_backlog(self):
+        short = min(self._undrained_storm(200) for _ in range(5))
+        long = min(self._undrained_storm(4000) for _ in range(5))
+        assert long / short < 1.5, (
+            f"per-call cost grew {long / short:.1f}x from 200 to 4000 "
+            f"undrained iterations - stream_pending scans again"
+        )
 
 
 class TestSpecs:

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ExecutionError, LaunchError, MemoryFault
 from repro.gpu.executor import (
     EFFECTIVE_WARPS_PER_SM,
-    KernelExecutor,
     LAUNCH_OVERHEAD_CYCLES,
     compile_kernel,
 )
@@ -15,19 +14,22 @@ from repro.gpu.specs import QUADRO_RTX_A4000
 from repro.ptx.ast import Immediate
 from repro.ptx.builder import KernelBuilder, build_module
 
-from tests.conftest import saxpy_kernel, writer_kernel
+from tests.conftest import (
+    ENGINES,
+    forced_engine,
+    saxpy_kernel,
+    writer_kernel,
+)
 
 SPEC = QUADRO_RTX_A4000
 BASE = 0x7F_A000_0000_00
 
 
-@pytest.fixture(params=[False, True], ids=["interpreter", "jit"])
+@pytest.fixture(params=ENGINES)
 def executor_factory(request):
-    """Both engines run every test in this module."""
-    def factory(memory):
-        return KernelExecutor(SPEC, memory, use_codegen=request.param)
-
-    return factory
+    """All three engines run every test in this module."""
+    with forced_engine(request.param) as make:
+        yield lambda memory: make(SPEC, memory)
 
 
 def run_kernel(executor_factory, kernel, grid, block, params,
@@ -88,6 +90,15 @@ class TestFunctional:
             run_kernel(
                 executor_factory, writer_kernel(), (1, 1, 1), (1, 1, 1),
                 [BASE, 1 << 40, 7],
+            )
+
+    def test_misaligned_global_access_faults(self, executor_factory):
+        """A global access off its natural alignment is a contained
+        fault on every engine, not an engine-specific error."""
+        with pytest.raises(MemoryFault, match="misaligned f32"):
+            run_kernel(
+                executor_factory, saxpy_kernel(), (1, 1, 1), (64, 1, 1),
+                [BASE + 2, BASE + 4096, 3.0, 50],
             )
 
     def test_integer_ops(self, executor_factory):

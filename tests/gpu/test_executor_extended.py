@@ -1,34 +1,36 @@
 """Extended executor coverage: f64, atomics variants, local memory,
-division semantics, special registers — run on both engines."""
+division semantics, special registers — run on all three engines."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.gpu.executor import KernelExecutor, compile_kernel
+from repro.gpu.executor import compile_kernel
 from repro.gpu.memory import GlobalMemory
 from repro.gpu.specs import QUADRO_RTX_A4000
 from repro.ptx.ast import Immediate, MemRef
 from repro.ptx.builder import KernelBuilder
 
+from tests.conftest import ENGINES, forced_engine
+
 SPEC = QUADRO_RTX_A4000
 BASE = 0x7F_A000_0000_00
 
 
-@pytest.fixture(params=[False, True], ids=["interpreter", "jit"])
+@pytest.fixture(params=ENGINES)
 def run(request):
     def runner(kernel, grid, block, params, setup=None):
         memory = GlobalMemory(1 << 22)
         if setup:
             setup(memory)
-        executor = KernelExecutor(SPEC, memory,
-                                  use_codegen=request.param)
+        executor = make(SPEC, memory)
         compiled = compile_kernel(kernel, SPEC)
         result = executor.launch(compiled, grid, block, params)
         return memory, result
 
-    return runner
+    with forced_engine(request.param) as make:
+        yield runner
 
 
 class TestFloat64:
