@@ -33,6 +33,15 @@ from repro.ptx import isa
 from repro.ptx.ast import Immediate, RegDecl, Register, SpecialReg, Symbol
 
 
+#: Dispatch-loop steps one block attempt may take. A step costs about
+#: ten times a per-thread step (numpy calls against scalar bytecodes),
+#: and a runaway kernel is only *reported* by the per-thread engine's
+#: own watchdog, so the attempt before it is kept to a fraction of that
+#: watchdog's time. Twelve times the longest block of the bench suite
+#: (10 312 steps); a longer one simply runs per-thread.
+ATTEMPT_STEPS = MAX_BLOCK_STEPS >> 4
+
+
 class Unsupported(Exception):
     """The kernel stays on the per-thread engine (the message says
     which static property kept it there)."""
@@ -615,9 +624,9 @@ class BlockCodegen(KernelCodegen):
         gen.emit("while True:")
         gen.indent += 1
         gen.emit("_steps += 1")
-        gen.emit(f"if _steps > {MAX_BLOCK_STEPS}:")
+        gen.emit(f"if _steps > {ATTEMPT_STEPS}:")
         gen.indent += 1
-        gen.emit("raise _Bail('runaway')")
+        gen.emit("raise _Bail('step budget spent')")
         gen.indent -= 1
         # Lanes retired under a mask: compact every lane vector.
         gen.emit("if _keep is not None:")

@@ -80,6 +80,15 @@ class Bail(Exception):
     executor re-runs it on the per-thread JIT."""
 
 
+#: What ends a vectorised attempt: :class:`Bail` (a fault, a lane
+#: leaving its invariant, a cross-thread access, a budget), the numpy
+#: events of ``ERRSTATE`` and the errors the scalar expressions share
+#: with the JIT (``ZeroDivisionError``, ``OverflowError``). Anything
+#: else is a bug in this engine and propagates rather than hiding as a
+#: slow launch.
+GIVE_UP = (Bail, ArithmeticError, MemoryError)
+
+
 def _cnz(mask) -> int:
     """Lanes set in ``mask``, as a Python int: counts flow into launch
     results and cache statistics, which callers serialise."""
@@ -158,7 +167,10 @@ def _flt(x):
 def _int(x):
     if type(x) is _nd:
         return x if x.dtype is _I8 else x.astype(_I8)
-    return int(x)
+    try:
+        return int(x)
+    except ValueError:  # NaN; lanes raise FloatingPointError for it
+        raise Bail("NaN converted to an integer") from None
 
 
 def _pre32(x):
@@ -407,7 +419,7 @@ class BlockRun:
         "tid0", "tid1", "tid2", "lane", "warp", "lanes", "width",
         "ntid", "ctaid", "nctaid", "threads", "exits", "out",
         "pend", "parked", "shared", "_shared_views",
-        "glog", "gphases", "unfolded", "slog", "sphases", "undo", "created",
+        "glog", "gphases", "slog", "sphases", "logged", "undo", "created",
     )
 
     def __init__(self, geometry: tuple, ctaid, grid, block,
@@ -429,12 +441,12 @@ class BlockRun:
         self.shared = shared
         self._shared_views: dict = {}
         #: Access logs of the current barrier phase, then of all
-        #: finished phases, see :func:`_log_global`.
+        #: finished phases, see :func:`_log`.
         self.glog: list = []
         self.gphases: list = []
-        self.unfolded = 0
         self.slog: list = []
         self.sphases: list = []
+        self.logged = 0
         #: ``(view, index, old values)`` of every global scatter.
         self.undo: list = []
         self.created: list = []
@@ -516,7 +528,6 @@ class BlockRun:
     def phase(self) -> None:
         self.gphases.append(self.glog)
         self.glog = []
-        self.unfolded = 0
         self.sphases.append(self.slog)
         self.slog = []
 
@@ -615,48 +626,29 @@ def _span(addresses, width: int, low: int, high: int):
     return lo, hi
 
 
-#: Global-log entries folded at a time. A reduction block logs
-#: thousands of loads, each a fresh int64 lane vector; folding a run of
-#: them into one narrow matrix keeps the log a quarter the size (and
-#: hands the commit step its rows pre-stacked).
-LOG_FOLD = 256
+#: Lane accesses (global and shared together) one block may log before
+#: the attempt is given up. The logs and the undo log grow with every
+#: executed access, and a tenant's infinite loop executes them until a
+#: watchdog fires; this keeps such a block's footprint to tens of
+#: megabytes and hands it to the per-thread engine, whose memory use is
+#: constant. Five times the largest block of the bench suite (410 k).
+LOG_CAP = 1 << 21
 
 
-def _log_global(run, lanes, addresses, is_store: bool) -> None:
-    """Log one global access of the lanes ``lanes``.
-
-    Entries are ``(thread ids, addresses - origin, is_store, origin)``;
-    ``addresses`` is one row per access (2-D) once folded."""
-    log = run.glog
-    log.append((lanes, addresses, is_store, 0))
-    run.unfolded += 1
-    if run.unfolded == LOG_FOLD:
-        run.unfolded = 0
-        tail = log[-LOG_FOLD:]
-        if all(entry[0] is lanes and not entry[2] for entry in tail):
-            block = np.concatenate([entry[1] for entry in tail]).reshape(
-                LOG_FOLD, len(lanes))
-            origin = int(block.min())
-            span = int(block.max()) - origin
-            if span <= 0xFFFFFFFF:
-                narrow = np.uint16 if span <= 0xFFFF else np.uint32
-                del log[-LOG_FOLD:]
-                log.append((lanes, (block - origin).astype(narrow), False,
-                            origin))
+def _log(run, log: list, lanes, addresses, is_store: bool) -> None:
+    """Log one access of the lanes ``lanes``: entries are
+    ``(thread ids, addresses, is_store)``."""
+    run.logged += len(lanes)
+    if run.logged > LOG_CAP:
+        raise Bail("access log full")
+    log.append((lanes, addresses, is_store))
 
 
 def _logged(entries: list):
-    """``(threads, absolute addresses)`` of some log entries, flat, in
-    log order."""
-    threads = []
-    addresses = []
-    for lanes, offsets, _, origin in entries:
-        if offsets.ndim == 2:
-            lanes = np.tile(lanes, len(offsets))
-            offsets = offsets.reshape(-1)
-        threads.append(lanes)
-        addresses.append(offsets.astype(_I8) + origin if origin else offsets)
-    return np.concatenate(threads), np.concatenate(addresses)
+    """``(threads, addresses)`` of some log entries, flat, in log
+    order."""
+    return (np.concatenate([entry[0] for entry in entries]),
+            np.concatenate([entry[1] for entry in entries]))
 
 
 def make_block_memory_helpers(memory) -> tuple:
@@ -747,25 +739,25 @@ def make_block_memory_helpers(memory) -> tuple:
         if values is None:
             lo, hi = _span(address, width, base, limit)
             values = gather(run, address, lo, hi, dtype, shift)
-        _log_global(run, lanes, address, False)
+        _log(run, run.glog, lanes, address, False)
         return values
 
     def write_global(run, lanes, address, dtype, width: int, shift: int,
                      values) -> None:
         lo, hi = _span(address, width, base, limit)
+        _log(run, run.glog, lanes, address, True)
         scatter(run, address, lo, hi, dtype, shift, values)
-        _log_global(run, lanes, address, True)
 
     def read_shared(run, lanes, address, dtype, width: int, shift: int):
         _span(address, width, 0, len(run.shared))
-        run.slog.append((lanes, address, False, 0))
+        _log(run, run.slog, lanes, address, False)
         return run.shared_view(dtype)[address >> shift]
 
     def write_shared(run, lanes, address, dtype, width: int, shift: int,
                      values) -> None:
         _span(address, width, 0, len(run.shared))
         run.shared_view(dtype)[address >> shift] = values
-        run.slog.append((lanes, address, True, 0))
+        _log(run, run.slog, lanes, address, True)
 
     def make_accessors(name: str, read, write):
         """``(load, store)`` of one PTX type in one state space; the
@@ -832,7 +824,7 @@ def make_block_memory_helpers(memory) -> tuple:
 # --------------------------------------------------------------------------
 
 #: Accesses ordered, checked and filtered at a time. Bounds the commit's
-#: working memory: one block of a reduction kernel logs over a million.
+#: working memory: a block may log up to ``LOG_CAP`` of them.
 COMMIT_CHUNK = 1 << 14
 
 
@@ -846,18 +838,12 @@ def _thread_major(entries: list):
         # Every access was made by the same full group: the log is an
         # (accesses x lanes) matrix and the order is its transpose,
         # taken a few lane columns at a time.
-        blocks = [entry[1] if entry[1].ndim == 2 else entry[1][None, :]
-                  for entry in entries]
-        origins = np.repeat(
-            np.array([entry[3] for entry in entries]),
-            [len(block) for block in blocks])[:, None]
-        rows = len(origins)
+        matrix = np.array([entry[1] for entry in entries])
+        rows = len(matrix)
         step = max(1, COMMIT_CHUNK // rows)
         for start in range(0, len(lanes), step):
-            block = np.concatenate(
-                [block[:, start:start + step] for block in blocks])
             yield (np.repeat(lanes[start:start + step], rows),
-                   (block + origins).T.reshape(-1))
+                   matrix[:, start:start + step].T.reshape(-1))
         return
     threads, addresses = _logged(entries)
     order = np.argsort(threads, kind="stable")  # radix on uint16
@@ -1016,10 +1002,9 @@ class BlockRuntime:
                     run, params, compiled.global_symbols)
                 warp_cycles = self._commit(
                     run, global_shift, shared_shift, self._warp_size)
-        except Exception:
-            # Anything at all - a fault, a lane leaving its invariant,
-            # a cross-thread access: the per-thread JIT re-runs the
-            # block from clean memory and owns the outcome.
+        except GIVE_UP:
+            # The per-thread JIT re-runs the block from clean memory
+            # and owns the outcome.
             self._rollback(run)
             return None
         return warp_cycles, instructions, loads, stores

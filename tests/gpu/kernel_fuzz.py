@@ -12,6 +12,8 @@ inside an ``if`` or loop body leave it only through the accumulators
 declared up front), which is what the block engine admits.
 """
 
+import struct
+
 from repro.ptx.ast import Guard, Immediate, MemRef
 from repro.ptx.builder import KernelBuilder
 
@@ -22,6 +24,15 @@ WIDE_IMMEDIATES = [0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9,
 #: u32 words each thread writes at ``out + 32 * gid``; the u64 mix goes
 #: to ``out + 32 KiB + 32 * gid``.
 WORDS_PER_THREAD = 8
+
+
+def _f32(rng, low: float, high: float) -> Immediate:
+    """A drawn ``.f32`` immediate that is an f32, as PTX's ``0f``
+    literals are: the interpreter rounds a register on every write, the
+    JIT only on store, and an unrepresentable constant compared with
+    itself would tell them apart."""
+    value = rng.uniform(low, high)
+    return Immediate(struct.unpack("<f", struct.pack("<f", value))[0])
 
 
 class _Draw:
@@ -43,7 +54,7 @@ class _Draw:
         self.ints = [b.mov("u32", self.gid),
                      b.mov("u32", Immediate(rng.randrange(1, 100)))]
         self.floats = [b.mov("f32", scale),
-                       b.mov("f32", Immediate(rng.uniform(-2, 2)))]
+                       b.mov("f32", _f32(rng, -2, 2))]
         self.signed = [b.mov("s32", Immediate(rng.randrange(-50, 50)))]
         self.wides = [b.cvt("u64", "u32", self.gid),
                       b.load_param("seed", "u64")]
@@ -103,7 +114,7 @@ class _Draw:
                            "neg", "div", "sqrt", "sfu", "load", "cvt",
                            "selp"])
         a = rng.choice(floats)
-        c = rng.choice([rng.choice(floats), Immediate(rng.uniform(-3, 3))])
+        c = rng.choice([rng.choice(floats), _f32(rng, -3, 3)])
         if kind in ("add", "sub", "mul"):
             return getattr(b, kind)("f32", a, c)
         if kind == "fma":
@@ -255,7 +266,7 @@ class _Draw:
             return b.setp(rng.choice(COMPARES), "s32", rng.choice(signed),
                           Immediate(rng.randrange(-20, 20)))
         return b.setp(rng.choice(COMPARES), "f32", rng.choice(floats),
-                      Immediate(rng.uniform(-1, 1)))
+                      _f32(rng, -1, 1))
 
     def predicated(self, ints, floats, wides):
         """A guarded non-branch instruction."""

@@ -13,6 +13,7 @@ round-trip property tests.
 """
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -565,6 +566,20 @@ class TestFaultsAndFallback:
                                engines=("jit", "block"))
         assert isinstance(outcomes["jit"].error, OverflowError)
         assert_identical(outcomes["jit"], outcomes["block"])
+
+    def test_engine_bugs_propagate(self):
+        """Only the expected ways out of an attempt fall back; a
+        programming error in the engine must not hide as a slow
+        launch."""
+        from repro.gpu import blockrt
+
+        with mock.patch.object(blockrt, "_phase_stores",
+                               side_effect=TypeError("engine bug")):
+            outcome = Outcome("block", saxpy_kernel(), (1, 1, 1),
+                              (64, 1, 1), [BASE, BASE + 65536, 2.0, 64],
+                              library_setup)
+        assert isinstance(outcome.error, TypeError)
+        assert outcome.executor.engine_blocks["fallback"] == 0
 
     def test_statically_unsupported_kernels_stay_on_the_jit(self):
         b = KernelBuilder("atomic", params=[("out", "u64")])

@@ -1,5 +1,8 @@
 """Executor tests: functional semantics and cycle accounting."""
 
+import resource
+import time
+
 import numpy as np
 import pytest
 
@@ -213,6 +216,37 @@ class TestFunctional:
         with pytest.raises(ExecutionError, match="runaway"):
             run_kernel(executor_factory, b.build(),
                        (1, 1, 1), (1, 1, 1), [])
+
+    @pytest.mark.parametrize("access", ["load", "store", "shared"])
+    def test_runaway_kernel_with_memory_accesses_stays_bounded(self, access):
+        """A tenant's infinite loop must cost the shared server a
+        bounded amount of time and memory before the watchdog reports
+        it: a block attempt logs every access it executes, so it has a
+        budget. (Unbounded, this took 18-120 s and 1-12 GB.)"""
+        b = KernelBuilder("spin", params=[("p", "u64")])
+        pointer = b.load_param_ptr("p")
+        buf = b.shared_array("buf", "u32", 64)
+        total = b.mov("u32", 0)
+        forever = b.fresh_label("forever")
+        b.label(forever)
+        if access == "load":
+            b.emit("add.u32", total, total, b.ld_global("u32", pointer))
+        elif access == "store":
+            b.st_global("u32", pointer, total)
+        else:
+            b.emit("add.u32", total, total,
+                   b.ld_shared("u32", b.mov("u32", buf)))
+        b.bra(forever)
+        rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        started = time.process_time()
+        with forced_engine("block") as make, pytest.raises(
+                ExecutionError, match="runaway"):
+            run_kernel(lambda memory: make(SPEC, memory), b.build(),
+                       (1, 1, 1), (256, 1, 1), [BASE])
+        assert time.process_time() - started < 15  # 1-2 s, noisy box
+        grown_kib = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                     - rss_before)
+        assert grown_kib < 192 << 10
 
 
 class TestLaunchValidation:

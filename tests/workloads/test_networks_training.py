@@ -74,13 +74,18 @@ class TestForwardShapes:
 
 
 class TestTraining:
-    def test_lenet_loss_decreases(self, libs_exact):
+    def test_lenet_loss_decreases(self, libs_exact, native_stack):
         libs = libs_exact
         model = MODEL_ZOO["lenet"](libs)
         data = dataset_for(model.input_shape, samples=16)
         result = train(model, data, epochs=3, batch_size=8, lr=0.1)
         assert result.batches == 6
         assert result.final_loss < result.first_loss
+        # A block handed back to the per-thread engine is still exact,
+        # so an engine bug would only show as a slower launch: pin that
+        # none of LeNet's blocks is.
+        counts = native_stack[0].executor.engine_blocks
+        assert counts["block"] > 0 and counts["fallback"] == 0
 
     def test_rnn_trains_output_layer(self, libs_exact):
         libs = libs_exact
