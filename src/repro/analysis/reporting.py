@@ -252,13 +252,36 @@ def render_failure_report(metrics, title: str = "Tenant failures") -> str:
     return "\n".join(lines)
 
 
+def _deploy_path_rows(snapshot: dict) -> list[list]:
+    """How much of the deploy path was a bind: per kind (``module``
+    loads, charged ``patch`` es) the results the process computed, the
+    ones it already had, and the latter's share."""
+    totals: dict[str, dict[str, float]] = {}
+    for family in snapshot.get("metrics", []):
+        if family["name"] != "guardian_deploy_images_total":
+            continue
+        for series in family["series"]:
+            labels = series["labels"]
+            totals.setdefault(labels["kind"], {})[labels["outcome"]] = (
+                series["value"])
+    rows = []
+    for kind, counts in sorted(totals.items()):
+        built = counts.get("built", 0)
+        shared = counts.get("shared", 0)
+        rows.append([kind, _quantity(built), _quantity(shared),
+                     percent(shared / (built + shared))])
+    return rows
+
+
 def render_telemetry_report(snapshot: dict,
                             title: str = "Telemetry") -> str:
     """Render a dumped :meth:`repro.telemetry.Telemetry.snapshot`.
 
     This is what ``python -m repro report <snapshot.json>`` prints:
     the histogram families with their p50/p99/p999 quantiles, the
-    counter and gauge series, and a span summary by category.
+    counter and gauge series, the driver's deploy path (how many module
+    loads and patches were binds of a result the process already had)
+    and a span summary by category.
     """
     lines = [title]
     meta = snapshot.get("meta") or {}
@@ -306,6 +329,12 @@ def render_telemetry_report(snapshot: dict,
     if gauge_rows:
         lines.append(render_table(
             ["gauge", "labels", "value"], gauge_rows, title="Gauges",
+        ))
+    deploy_rows = _deploy_path_rows(snapshot)
+    if deploy_rows:
+        lines.append(render_table(
+            ["what", "built", "shared", "shared share"], deploy_rows,
+            title="Driver: deploy path (host work, not modelled cycles)",
         ))
     spans = snapshot.get("spans", [])
     if spans:

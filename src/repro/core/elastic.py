@@ -404,8 +404,8 @@ class ElasticMemoryEngine:
             list(image.heap_free), list(image.heap_live),
         )
         tenant = server._tenants[app_id]
-        for module_image in image.modules:
-            server._restore_module(tenant, partition, module_image)
+        for load in image.modules:
+            server._restore_module(tenant, partition, load)
         server._charge(self._swap_cycles(image.size), critical=True)
         server.stats.swaps_in += 1
         server.stats.bytes_swapped_in += image.size

@@ -50,7 +50,9 @@ import tempfile
 import threading
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 from repro.errors import PatcherError, ReproError
 from repro.core.policy import FencingMode
@@ -71,6 +73,7 @@ from repro.ptx.ast import (
 )
 from repro.ptx.parser import parse_module
 from repro.ptx.emitter import emit_module
+from repro.ptx.textcache import TextCache
 
 #: Register names the patcher introduces (its private bank prefixes).
 _B64_PREFIX = "%grd"
@@ -125,11 +128,12 @@ class PatchCache:
     ``FatBinary`` objects still share one entry — and bounded by an LRU
     policy.
 
-    The cached value is ``(patched_text, reports)``. Report objects are
-    shared by reference between tenants; they are never mutated after
-    patching, so sharing is safe (and is exactly what makes the cache a
-    win: per-tenant state stays limited to the partition-bound launch
-    parameters, which are *not* baked into the patched text).
+    The cached value is ``(patched_text, reports)``, the reports a
+    tuple. Report objects are shared by reference between tenants;
+    they are never mutated after patching, so sharing is safe (and is
+    exactly what makes the cache a win: per-tenant state stays limited
+    to the partition-bound launch parameters, which are *not* baked
+    into the patched text).
     """
 
     def __init__(self, capacity: int = 64):
@@ -137,7 +141,7 @@ class PatchCache:
             raise PatcherError(f"bad patch-cache capacity {capacity}")
         self.capacity = capacity
         self._entries: OrderedDict[
-            tuple[str, FencingMode], tuple[str, list[PatchReport]]
+            tuple[str, FencingMode], tuple[str, tuple[PatchReport, ...]]
         ] = OrderedDict()
 
     @staticmethod
@@ -147,7 +151,7 @@ class PatchCache:
         return (digest, mode)
 
     def get(self, ptx_text: str, mode: FencingMode
-            ) -> tuple[str, list[PatchReport]] | None:
+            ) -> tuple[str, tuple[PatchReport, ...]] | None:
         """Probe the cache; refreshes LRU recency on a hit."""
         key = self.key_for(ptx_text, mode)
         entry = self._entries.get(key)
@@ -156,7 +160,7 @@ class PatchCache:
         return entry
 
     def put(self, ptx_text: str, mode: FencingMode,
-            patched_text: str, reports: list[PatchReport]) -> int:
+            patched_text: str, reports: tuple[PatchReport, ...]) -> int:
         """Insert an entry; returns how many entries were evicted."""
         if self.capacity == 0:
             return 0
@@ -191,12 +195,12 @@ class ThreadSafePatchCache(PatchCache):
         self._mutex = threading.RLock()
 
     def get(self, ptx_text: str, mode: FencingMode
-            ) -> tuple[str, list[PatchReport]] | None:
+            ) -> tuple[str, tuple[PatchReport, ...]] | None:
         with self._mutex:
             return super().get(ptx_text, mode)
 
     def put(self, ptx_text: str, mode: FencingMode,
-            patched_text: str, reports: list[PatchReport]) -> int:
+            patched_text: str, reports: tuple[PatchReport, ...]) -> int:
         with self._mutex:
             return super().put(ptx_text, mode, patched_text, reports)
 
@@ -267,13 +271,13 @@ class DiskPatchCache(ThreadSafePatchCache):
     # -- probe/insert -------------------------------------------------------
 
     def get(self, ptx_text: str, mode: FencingMode
-            ) -> tuple[str, list[PatchReport]] | None:
+            ) -> tuple[str, tuple[PatchReport, ...]] | None:
         entry, _ = self.get_with_source(ptx_text, mode)
         return entry
 
     def get_with_source(self, ptx_text: str, mode: FencingMode
                         ) -> tuple[
-                            tuple[str, list[PatchReport]] | None,
+                            tuple[str, tuple[PatchReport, ...]] | None,
                             str | None,
                         ]:
         """Probe both tiers; returns ``(entry, "memory"|"disk"|None)``.
@@ -295,7 +299,7 @@ class DiskPatchCache(ThreadSafePatchCache):
             return entry, "disk"
 
     def put(self, ptx_text: str, mode: FencingMode,
-            patched_text: str, reports: list[PatchReport]) -> int:
+            patched_text: str, reports: tuple[PatchReport, ...]) -> int:
         with self._mutex:
             evicted = PatchCache.put(
                 self, ptx_text, mode, patched_text, reports
@@ -308,7 +312,7 @@ class DiskPatchCache(ThreadSafePatchCache):
     # -- serialisation ------------------------------------------------------
 
     def _store(self, path: str, patched_text: str,
-               reports: list[PatchReport]) -> None:
+               reports: tuple[PatchReport, ...]) -> None:
         serialised = []
         for report in reports:
             record = dataclasses.asdict(report)
@@ -335,7 +339,7 @@ class DiskPatchCache(ThreadSafePatchCache):
 
     @staticmethod
     def _load(path: str, mode: FencingMode
-              ) -> tuple[str, list[PatchReport]] | None:
+              ) -> tuple[str, tuple[PatchReport, ...]] | None:
         try:
             with open(path, "r", encoding="utf-8") as stream:
                 payload = json.load(stream)
@@ -349,10 +353,92 @@ class DiskPatchCache(ThreadSafePatchCache):
                 record = dict(record)
                 record["mode"] = FencingMode(record["mode"])
                 reports.append(PatchReport(**record))
-            return patched_text, reports
+            return patched_text, tuple(reports)
         except (OSError, ValueError, TypeError, KeyError):
             # Missing, torn, corrupt, or future-format file: a miss.
             return None
+
+
+# --------------------------------------------------------------------------
+# The deploy front end: patched texts, computed once per process
+# --------------------------------------------------------------------------
+
+#: Source plus patched bytes whose patch results stay cached (the same
+#: rule, and about the same worst-case memory, as
+#: :data:`repro.driver.jit.IMAGE_CACHE_BYTES`).
+PATCHED_CACHE_BYTES = 2 * 1024 * 1024
+
+
+class PatchedText(NamedTuple):
+    """What one PTX text patches to in one fencing mode.
+
+    Tenant-independent - base and mask are kernel *parameters*, not
+    text - and immutable, so every tenant's deployment shares it.
+    """
+
+    patched_text: str
+    reports: tuple[PatchReport, ...]
+    #: The parse of the input text the patch was made from; the
+    #: driver compiles the native variant from it instead of parsing
+    #: the text a second time.
+    source: Module
+
+
+_PATCHED = TextCache(PATCHED_CACHE_BYTES)
+
+
+@contextmanager
+def _contained():
+    """The patcher's containment boundary. Its input is attacker-
+    controlled (it came out of a tenant's binary), so *any* failure -
+    including a parser or patcher bug tripped by truncated/garbage
+    text - must surface as a :class:`ReproError` the server can reject
+    cleanly, never as a raw ``IndexError``/``RecursionError`` that
+    would take the trusted process down with it."""
+    try:
+        yield
+    except ReproError:
+        raise
+    except Exception as failure:  # noqa: BLE001 — containment boundary
+        raise PatcherError(
+            f"malformed PTX crashed the patcher "
+            f"({type(failure).__name__}: {failure})"
+        ) from failure
+
+
+def clear_patched() -> None:
+    """Forget every shared patch result (tests that want a cold one)."""
+    _PATCHED.clear()
+
+
+def patch_shared(patcher: PTXPatcher, ptx_text: str
+                 ) -> tuple[PatchedText, bool]:
+    """``patcher.patch_text(ptx_text)``, run once per process for each
+    distinct ``(text, mode)``; returns the result and whether it was
+    found already made.
+
+    This sits *under* :class:`PatchCache` and :class:`ParallelPatcher`:
+    they decide what a deployment is charged (and count hits, misses
+    and single-flight joins exactly as before), this decides whether
+    the host does the work again. A failing text is not kept, so it
+    raises the same error on every submission.
+    """
+    key = (ptx_text, patcher.mode)
+    found = _PATCHED.get(key)
+    if found is not None:
+        return found, True
+    with _contained():
+        source = parse_module(ptx_text)
+    patched_text, reports = patcher.patch_text(ptx_text, source)
+    made = PatchedText(patched_text, tuple(reports), source)
+    return _PATCHED.put(key, made, len(ptx_text) + len(patched_text)), False
+
+
+def patched_source(ptx_text: str, mode: FencingMode) -> Optional[Module]:
+    """The parse :func:`patch_shared` kept of ``ptx_text``, if it has
+    patched that text in ``mode`` and still holds the result."""
+    found = _PATCHED.get((ptx_text, mode))
+    return None if found is None else found.source
 
 
 @dataclass(frozen=True)
@@ -364,12 +450,15 @@ class PatchOutcome:
     on-disk store — charged as a disk lookup, not a patch), ``"join"``
     (another worker was patching the same content hash; we waited on
     its result — no second patch ran, no second patch is charged) or
-    ``"patched"`` (this call ran the patcher).
+    ``"patched"`` (this call is charged a patch). ``shared`` says, for
+    a ``"patched"`` outcome, that the process had the result already
+    (:func:`patch_shared`) - a host-side fact the charge ignores.
     """
 
     patched_text: str
-    reports: list[PatchReport]
+    reports: tuple[PatchReport, ...]
     source: str
+    shared: bool = False
 
 
 class ParallelPatcher:
@@ -403,7 +492,7 @@ class ParallelPatcher:
         self._pool: ThreadPoolExecutor | None = None
         self._mutex = threading.Lock()
         self._inflight: dict[tuple[str, FencingMode], Future] = {}
-        #: How many parse+patch passes actually ran (the thread-safety
+        #: How many parse+patch passes were charged (the thread-safety
         #: tests pin this to 1 for N concurrent same-hash misses).
         self.patches_run = 0
         #: Cumulative LRU evictions caused by this front-end's inserts;
@@ -413,10 +502,11 @@ class ParallelPatcher:
     def patch(self, ptx_text: str) -> PatchOutcome:
         """Patch one text through the cache with single-flight misses."""
         if self.cache is None:
-            patched_text, reports = self.patcher.patch_text(ptx_text)
+            made, shared = patch_shared(self.patcher, ptx_text)
             with self._mutex:
                 self.patches_run += 1
-            return PatchOutcome(patched_text, reports, "patched")
+            return PatchOutcome(made.patched_text, made.reports,
+                                "patched", shared)
         key = PatchCache.key_for(ptx_text, self.patcher.mode)
         probe = getattr(self.cache, "get_with_source", None)
         with self._mutex:
@@ -440,12 +530,13 @@ class ParallelPatcher:
             patched_text, reports = pending.result()
             return PatchOutcome(patched_text, reports, "join")
         try:
-            patched_text, reports = self.patcher.patch_text(ptx_text)
+            made, shared = patch_shared(self.patcher, ptx_text)
         except BaseException as failure:
             pending.set_exception(failure)
             with self._mutex:
                 self._inflight.pop(key, None)
             raise
+        patched_text, reports = made.patched_text, made.reports
         evicted = self.cache.put(
             ptx_text, self.patcher.mode, patched_text, reports
         )
@@ -454,7 +545,7 @@ class ParallelPatcher:
             self.evictions += evicted
             self._inflight.pop(key, None)
         pending.set_result((patched_text, reports))
-        return PatchOutcome(patched_text, reports, "patched")
+        return PatchOutcome(patched_text, reports, "patched", shared)
 
     def patch_many(self, ptx_texts: list[str]) -> list[PatchOutcome]:
         """Patch a batch of texts, fanning cold ones across the pool.
@@ -493,26 +584,20 @@ class PTXPatcher:
 
     # -- public API --------------------------------------------------------------
 
-    def patch_text(self, ptx_text: str) -> tuple[str, list[PatchReport]]:
+    def patch_text(self, ptx_text: str, parsed: Optional[Module] = None
+                   ) -> tuple[str, list[PatchReport]]:
         """Patch PTX text (the cuobjdump output) and re-emit text.
 
-        The input is attacker-controlled (it came out of a tenant's
-        binary), so *any* failure — including a parser or patcher bug
-        tripped by truncated/garbage text — must surface as a
-        :class:`ReproError` the server can reject cleanly, never as a
-        raw ``IndexError``/``RecursionError`` that would take the
-        trusted process down with it.
+        Pure: nothing is remembered between calls (sharing results is
+        :func:`patch_shared`'s job). ``parsed``, when given, must be
+        ``parse_module(ptx_text)``, made by a caller that also needs
+        the parse. Failures surface as :func:`_contained` describes.
         """
-        try:
-            module, reports = self.patch_module(parse_module(ptx_text))
+        with _contained():
+            if parsed is None:
+                parsed = parse_module(ptx_text)
+            module, reports = self.patch_module(parsed)
             return emit_module(module), reports
-        except ReproError:
-            raise
-        except Exception as failure:  # noqa: BLE001 — containment boundary
-            raise PatcherError(
-                f"malformed PTX crashed the patcher "
-                f"({type(failure).__name__}: {failure})"
-            ) from failure
 
     def patch_module(self, module: Module
                      ) -> tuple[Module, list[PatchReport]]:

@@ -66,6 +66,8 @@ from repro.core.patcher import (
     PatchReport,
     PTXPatcher,
     ThreadSafePatchCache,
+    patch_shared,
+    patched_source,
 )
 from repro.core.tracecache import (
     TraceEngine,
@@ -314,6 +316,13 @@ class ServerStats:
     kernels_patched: int = 0
     modules_loaded: int = 0
     kernels_killed: int = 0
+    # Host-side facts, not model values (so not part of equality, which
+    # is how tests pin two runs of the model against each other):
+    # charged patches the process had to compute, and charged patches
+    # it already had the result of. DriverStats.images_built /
+    # images_shared is the pair for module loads.
+    patch_images_built: int = field(default=0, compare=False)
+    patch_images_shared: int = field(default=0, compare=False)
     # Hot-path cache counters (all zero when the knobs are off).
     patch_cache_hits: int = 0
     patch_cache_misses: int = 0
@@ -361,7 +370,7 @@ class ServerStats:
 
 
 @dataclass(frozen=True)
-class _ModuleImage:
+class _ModuleLoad:
     """Everything needed to replay one module load on another node.
 
     ``handles`` are the client handles this load handed out (reused
@@ -404,7 +413,7 @@ class TenantSnapshot:
     data: bytes
     heap_free: tuple[tuple[int, int], ...]
     heap_live: tuple[tuple[int, int], ...]
-    modules: tuple[_ModuleImage, ...]
+    modules: tuple[_ModuleLoad, ...]
     next_handle: int
     #: Launch fast-path memo state (epoch it was memoised at, or None).
     #: Recorded for completeness; restore starts the memo cold because
@@ -435,7 +444,7 @@ class _Tenant:
     #: Stale whenever the epoch no longer matches the table's.
     fast_launch: Optional[tuple[int, list]] = None
     #: Replayable module loads, in load order (migration feedstock).
-    modules: list[_ModuleImage] = field(default_factory=list)
+    modules: list[_ModuleLoad] = field(default_factory=list)
     #: Monotone per-app_id attach generation; a quarantine request
     #: carrying a stale incarnation is a no-op (the tenant it targeted
     #: is already gone and a new instance took the name).
@@ -888,11 +897,11 @@ class GuardianServer:
         self.stats.extract_cache_misses += 1
         return ptx_texts, self._patch_charge(self.costs.extract)
 
-    def _patch_text(self, ptx_text: str) -> tuple[str, list, float]:
+    def _patch_text(self, ptx_text: str) -> tuple[str, tuple, float]:
         """Patch one PTX text, through the content-addressed cache when
         enabled. Returns (patched text, reports, charged cycles).
 
-        A cache hit shares the patched text *and* the report list by
+        A cache hit shares the patched text *and* the report tuple by
         reference across tenants — both are immutable once produced.
         """
         if self._parallel_patcher is not None:
@@ -919,7 +928,7 @@ class GuardianServer:
                 return patched_text, reports, self._patch_charge(
                     self.costs.patch_lookup
                 )
-            patched_text, reports = self.patcher.patch_text(ptx_text)
+            patched_text, reports = self._patch_computed(ptx_text)
             writes_before = getattr(self._patch_cache, "disk_writes", 0)
             self.stats.patch_cache_evictions += self._patch_cache.put(
                 ptx_text, self.mode, patched_text, reports
@@ -931,12 +940,26 @@ class GuardianServer:
             return patched_text, reports, self._patch_charge(
                 self.costs.patch_module
             )
-        patched_text, reports = self.patcher.patch_text(ptx_text)
+        patched_text, reports = self._patch_computed(ptx_text)
         return patched_text, reports, self._patch_charge(
             self.costs.patch_module
         )
 
-    def _patch_one_pooled(self, ptx_text: str) -> tuple[str, list, float]:
+    def _patch_computed(self, ptx_text: str) -> tuple[str, tuple]:
+        """The patch of a text the model charges a patch for. The
+        charge is the caller's; whether the host patches or finds the
+        process already has the result is :func:`patch_shared`'s."""
+        made, shared = patch_shared(self.patcher, ptx_text)
+        self._note_patch_images(built=not shared, shared=shared)
+        return made.patched_text, made.reports
+
+    def _note_patch_images(self, built: int, shared: int) -> None:
+        self.stats.patch_images_built += built
+        self.stats.patch_images_shared += shared
+        if self.telemetry is not None:
+            self.telemetry.record_deploy_images("patch", built, shared)
+
+    def _patch_one_pooled(self, ptx_text: str) -> tuple[str, tuple, float]:
         """One text through the single-flight parallel patch front-end
         (concurrency mode). Same stats/charging contract as the serial
         cache path; an in-flight join counts as a hit — one patch ran
@@ -952,6 +975,8 @@ class GuardianServer:
             getattr(self._patch_cache, "disk_writes", 0) - writes_before
         )
         if outcome.source == "patched":
+            self._note_patch_images(built=not outcome.shared,
+                                    shared=outcome.shared)
             if self._patch_cache is not None:
                 self.stats.patch_cache_misses += 1
             charged = self._patch_charge(
@@ -969,7 +994,7 @@ class GuardianServer:
         return outcome.patched_text, outcome.reports, charged
 
     def _patch_texts(self, ptx_texts: list[str]
-                     ) -> tuple[list[tuple[str, list]], float]:
+                     ) -> tuple[list[tuple[str, tuple]], float]:
         """Patch one deployment's texts; returns ``([(patched_text,
         reports), ...], charged cycles)`` in input order.
 
@@ -982,7 +1007,7 @@ class GuardianServer:
         """
         patcher = self._parallel_patcher
         if patcher is None or len(ptx_texts) <= 1:
-            results: list[tuple[str, list]] = []
+            results: list[tuple[str, tuple]] = []
             charged = 0.0
             for ptx_text in ptx_texts:
                 patched_text, reports, cycles = self._patch_text(ptx_text)
@@ -1001,9 +1026,11 @@ class GuardianServer:
         hits = 0
         disk_hits = 0
         cold = 0
+        cold_shared = 0
         for outcome in outcomes:
             if outcome.source == "patched":
                 cold += 1
+                cold_shared += outcome.shared
                 if self._patch_cache is not None:
                     self.stats.patch_cache_misses += 1
             elif outcome.source == "disk":
@@ -1023,6 +1050,8 @@ class GuardianServer:
                 self.costs.patch_disk_lookup * disk_hits
             )
         if cold:
+            self._note_patch_images(built=cold - cold_shared,
+                                    shared=cold_shared)
             rounds = -(-cold // patcher.workers)
             charged += self._patch_charge(
                 self.costs.patch_module * rounds,
@@ -1048,7 +1077,7 @@ class GuardianServer:
         return handles, patch_cycles
 
     def _load_modules(self, tenant: _Tenant, ptx_text: str,
-                      patched_text: str, reports: list
+                      patched_text: str, reports: tuple
                       ) -> dict[str, int]:
         """Load the sandboxed/native module pair for one already-patched
         text and hand out client handles."""
@@ -1061,19 +1090,8 @@ class GuardianServer:
         self.stats.kernels_patched += sum(
             1 for report in reports if report.is_entry
         )
-        sandboxed = self.driver.cuModuleLoadData(
-            self.context, patched_text,
-            allocate_global=allocate_in_partition,
-        )
-        # The native variant shares the sandboxed module's .global
-        # arrays, so a tenant flipping between them keeps its statics.
-        native = self.driver.cuModuleLoadData(
-            self.context, ptx_text,
-            allocate_global=lambda name, size: (
-                sandboxed.global_addresses[name]
-            ),
-        )
-        self.stats.modules_loaded += 2
+        sandboxed, native = self._load_pair(
+            ptx_text, patched_text, allocate_in_partition)
 
         handles: dict[str, int] = {}
         for name in sandboxed.kernel_names():
@@ -1086,7 +1104,7 @@ class GuardianServer:
         # Record the load so live migration can replay it on another
         # node: same handles, same patched text, globals pinned at the
         # same partition-relative offsets.
-        tenant.modules.append(_ModuleImage(
+        tenant.modules.append(_ModuleLoad(
             ptx_text=ptx_text,
             patched_text=patched_text,
             reports=tuple(reports),
@@ -1097,6 +1115,33 @@ class GuardianServer:
             ),
         ))
         return handles
+
+    def _load_pair(self, ptx_text: str, patched_text: str,
+                   place_global) -> tuple:
+        """Load one text's sandboxed and native modules; ``place_global
+        (name, size) -> address`` puts the sandboxed module's ``.global``
+        arrays. Each load binds the text's module image, compiling it
+        only the first time the process sees the text."""
+        sandboxed = self.driver.cuModuleLoadData(
+            self.context, patched_text, allocate_global=place_global,
+        )
+        # The native variant shares the sandboxed module's .global
+        # arrays, so a tenant flipping between them keeps its statics.
+        # Compiled, when it has to be, from the parse the patch was
+        # made from.
+        native = self.driver.cuModuleLoadData(
+            self.context, ptx_text,
+            allocate_global=lambda name, size: (
+                sandboxed.global_addresses[name]
+            ),
+            parsed=patched_source(ptx_text, self.mode),
+        )
+        self.stats.modules_loaded += 2
+        if self.telemetry is not None:
+            shared = (sandboxed.compiled.image_shared
+                      + native.compiled.image_shared)
+            self.telemetry.record_deploy_images("module", 2 - shared, shared)
+        return sandboxed, native
 
     # -- kernel launch (§4.2.3) -------------------------------------------------------
 
@@ -1404,8 +1449,8 @@ class GuardianServer:
             incarnation=self._next_incarnation(snapshot.app_id),
         )
         tenant.handle_counter = itertools.count(snapshot.next_handle)
-        for image in snapshot.modules:
-            self._restore_module(tenant, partition, image)
+        for load in snapshot.modules:
+            self._restore_module(tenant, partition, load)
         self._tenants[snapshot.app_id] = tenant
         if self.elastic is not None:
             self.elastic.note_use(snapshot.app_id)
@@ -1418,34 +1463,30 @@ class GuardianServer:
         return partition.base
 
     def _restore_module(self, tenant: _Tenant, partition,
-                        image: _ModuleImage) -> None:
+                        load: _ModuleLoad) -> None:
         """Replay one recorded module load with pinned global placement.
 
-        No re-patching: the image carries the already-patched text
+        No re-patching: the record carries the already-patched text
         (same text, same mode — the restore precondition), and the
         globals' *contents* arrived with the partition bytes, so the
-        loader only needs to agree on their addresses.
+        loader only needs to agree on their addresses. No re-compiling
+        either while the process still holds the texts' images: a
+        compaction, swap-in or migration reload is two binds.
         """
         pinned = {
             name: partition.base + offset
-            for name, offset in image.global_offsets
+            for name, offset in load.global_offsets
         }
-        tenant.patch_reports.extend(image.reports)
-        sandboxed = self.driver.cuModuleLoadData(
-            self.context, image.patched_text,
-            allocate_global=lambda name, size: pinned[name],
-        )
-        native = self.driver.cuModuleLoadData(
-            self.context, image.ptx_text,
-            allocate_global=lambda name, size: pinned[name],
-        )
-        self.stats.modules_loaded += 2
-        for name, handle in image.handles:
+        tenant.patch_reports.extend(load.reports)
+        sandboxed, native = self._load_pair(
+            load.ptx_text, load.patched_text,
+            lambda name, size: pinned[name])
+        for name, handle in load.handles:
             tenant.functions[handle] = (
                 self.driver.cuModuleGetFunction(sandboxed, name),
                 self.driver.cuModuleGetFunction(native, name),
             )
-        tenant.modules.append(image)
+        tenant.modules.append(load)
 
     def evacuate(self, app_id: str, scrub: bool = True) -> int:
         """Source-side epilogue of a completed migration: the tenant

@@ -8,7 +8,8 @@ that driver level for the simulator:
   entries per the paper's Table 1, plus the ``cuobjdump`` extraction
   tool the offline patcher uses;
 - :mod:`repro.driver.jit` — the PTX just-in-time compiler
-  (parse → validate → register-allocate → decode);
+  (parse → validate → register-allocate → decode), run once per
+  distinct text: the result is a shared module image, a load binds it;
 - :mod:`repro.driver.module` — ``CUmodule``/``CUfunction`` handles;
 - :mod:`repro.driver.api` — the ``cu*`` call surface bound to one
   simulated device.

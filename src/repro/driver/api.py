@@ -12,8 +12,9 @@ variable: when set, fatBIN loads ignore embedded cuBINs and JIT the PTX
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+import dataclasses
+from dataclasses import dataclass, field
+from typing import Optional, Union
 
 from repro.errors import DriverError
 from repro.driver.fatbin import ARCHITECTURES, FatBinary
@@ -35,6 +36,11 @@ class DriverStats:
     modules_from_cubin: int = 0
     kernels_launched: int = 0
     jit_cycles: int = 0
+    #: Host-side facts, not model values (so not part of equality):
+    #: loads whose module image had to be compiled, and loads that
+    #: were a bind of one the process already had.
+    images_built: int = field(default=0, compare=False)
+    images_shared: int = field(default=0, compare=False)
 
 
 class DriverAPI:
@@ -73,15 +79,17 @@ class DriverAPI:
 
     def cuModuleLoadData(self, context: Context,
                          ptx_text: Union[str, Module],
-                         allocate_global=None) -> CUmodule:
+                         allocate_global=None,
+                         parsed: Optional[Module] = None) -> CUmodule:
         """JIT-compile PTX and load it into the context.
 
         ``allocate_global(name, size) -> address`` overrides where the
         module's ``.global`` arrays are placed — the GuardianServer
         uses it to keep a tenant's statics inside the tenant's own
         partition, so fenced addresses remain valid for them.
+        ``parsed`` is :func:`~repro.driver.jit.jit_compile`'s.
         """
-        compiled = jit_compile(ptx_text, self.device.spec)
+        compiled = jit_compile(ptx_text, self.device.spec, parsed)
         return self._load_compiled(context, compiled,
                                    allocate_global=allocate_global)
 
@@ -101,8 +109,11 @@ class DriverAPI:
             # decode them; extraction tools cannot.
             _, _, compressed = cubin.payload.partition(b"\x00" + arch.encode() + b"\x00")
             ptx_text = zlib.decompress(compressed).decode("utf-8")
-            compiled = jit_compile(ptx_text, self.device.spec)
-            compiled.jit_cycles = 0  # native code: no JIT cost
+            # Native code: this load is charged no JIT. The image it
+            # binds is shared with JIT loads of the same text, so the
+            # charge is dropped on the load, never on the image.
+            compiled = dataclasses.replace(
+                jit_compile(ptx_text, self.device.spec), jit_cycles=0)
             module = self._load_compiled(context, compiled)
             self.stats.modules_from_cubin += 1
             return module
@@ -126,6 +137,10 @@ class DriverAPI:
         compiled.bind_globals(module.global_addresses)
         self.stats.modules_loaded += 1
         self.stats.jit_cycles += compiled.jit_cycles
+        if compiled.image_shared:
+            self.stats.images_shared += 1
+        else:
+            self.stats.images_built += 1
         return module
 
     def cuModuleGetFunction(self, module: CUmodule, name: str) -> CUfunction:

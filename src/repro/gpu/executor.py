@@ -48,7 +48,8 @@ import math
 import struct
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional
 
 from repro.errors import ExecutionError, LaunchError, MemoryFault
 from repro.gpu import codegen
@@ -92,7 +93,7 @@ BLOCK_ENGINE_MIN_THREADS = 32
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecodedInstr:
     """One pre-decoded instruction (labels resolved to indices)."""
 
@@ -111,17 +112,23 @@ class DecodedInstr:
 
 @dataclass
 class CompiledKernel:
-    """A kernel after 'JIT': decoded body plus register allocation."""
+    """A kernel after 'JIT': decoded body plus register allocation.
+
+    Everything but ``global_symbols`` is a function of the kernel's
+    text and is read-only, so the loads of every tenant share it by
+    reference (:class:`repro.driver.jit.ModuleImage`); the symbol
+    addresses are the one thing a load owns.
+    """
 
     kernel: Kernel
-    instructions: list[DecodedInstr]
-    param_index: dict[str, int]
-    shared_layout: dict[str, int]
+    instructions: tuple[DecodedInstr, ...]
+    param_index: Mapping[str, int]
+    shared_layout: Mapping[str, int]
     shared_bytes: int
     allocation: RegisterAllocation
     allocation_o0: RegisterAllocation
     #: Filled by the module loader with module-scope .global addresses.
-    global_symbols: dict[str, int] = field(default_factory=dict)
+    global_symbols: Mapping[str, int] = field(default_factory=dict)
     #: The generated code of this kernel's content, shared with every
     #: equal kernel (set by :func:`repro.gpu.codegen.kernel_code`).
     code: Optional[object] = field(default=None, repr=False, compare=False)
@@ -162,17 +169,18 @@ def compile_kernel(kernel: Kernel, spec: DeviceSpec,
             shared_layout[statement.name] = shared_bytes
             shared_bytes += statement.size_bytes
 
-    decoded: list[DecodedInstr] = []
-    for statement in kernel.body:
-        if not isinstance(statement, Instruction):
-            continue
-        decoded.append(_decode(statement, label_index, cost_model))
+    decoded = tuple(
+        _decode(statement, label_index, cost_model)
+        for statement in kernel.body
+        if isinstance(statement, Instruction)
+    )
 
     return CompiledKernel(
         kernel=kernel,
         instructions=decoded,
-        param_index={p.name: i for i, p in enumerate(kernel.params)},
-        shared_layout=shared_layout,
+        param_index=MappingProxyType(
+            {p.name: i for i, p in enumerate(kernel.params)}),
+        shared_layout=MappingProxyType(shared_layout),
         shared_bytes=shared_bytes,
         allocation=allocate(kernel, spec.registers_per_thread, "O3"),
         allocation_o0=allocate(kernel, spec.registers_per_thread, "O0"),

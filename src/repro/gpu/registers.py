@@ -43,7 +43,7 @@ _SLOTS_PER_TYPE = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegisterAllocation:
     """Result of allocating one kernel's virtual registers.
 

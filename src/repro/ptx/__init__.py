@@ -16,7 +16,10 @@ This package implements a faithful subset of the PTX 7.x text format:
 - :mod:`repro.ptx.validator` — structural validation (declared
   registers, resolvable labels, parameter consistency);
 - :mod:`repro.ptx.builder` — a programmatic construction helper used by
-  the simulated accelerated libraries to author their kernels.
+  the simulated accelerated libraries to author their kernels;
+- :mod:`repro.ptx.textcache` — the byte-bounded, whole-text-keyed cache
+  under which the driver JIT and the patch front end keep what a text
+  compiles and patches to.
 """
 
 from repro.ptx.ast import (

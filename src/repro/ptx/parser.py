@@ -40,7 +40,7 @@ from repro.ptx.ast import (
 
 _LINE_COMMENT = re.compile(r"//[^\n]*")
 _BLOCK_COMMENT = re.compile(r"/\*.*?\*/", re.DOTALL)
-_LABEL = re.compile(r"^\s*([$%\w.]+)\s*:\s*")
+_LABEL = re.compile(r"\s*([$%\w.]+)\s*:\s*")
 _HEX_INT = re.compile(r"^[+-]?0[xX][0-9a-fA-F]+$")
 _DEC_INT = re.compile(r"^[+-]?\d+$")
 _DEC_FLOAT = re.compile(
@@ -54,6 +54,22 @@ _HEX_F64 = re.compile(r"^0[dD]([0-9a-fA-F]{16})$")
 # the JIT later — fault injection relies on parse-time rejection.
 _REGISTER_TOKEN = re.compile(r"^%[A-Za-z_$][\w$]*$")
 _SYMBOL_TOKEN = re.compile(r"^[A-Za-z_$.][\w$.]*$")
+_BRACE = re.compile(r"[{}]")
+_BRACE_OR_SEMICOLON = re.compile(r"[{};]")
+_GLOBAL_DECL = re.compile(
+    r"(?:\.visible\s+)?\.global\s+(?:\.align\s+(\d+)\s+)?"
+    r"\.(\w+)\s+([\w$]+)\s*(?:\[(\d+)\])?$"
+)
+_PARAM_DECL = re.compile(
+    r"\.param\s+(?:\.align\s+\d+\s+)?\.(\w+)\s+([\w$]+)"
+)
+_REG_DECL = re.compile(r"\.reg\s+\.(\w+)\s+([%\w$]+)<(\d+)>$")
+_SHARED_DECL = re.compile(
+    r"\.shared\s+(?:\.align\s+(\d+)\s+)?\.(\w+)\s+([\w$]+)\[(\d+)\]$"
+)
+_GUARD = re.compile(r"@(!?)([%\w]+)\s+(.*)$", re.DOTALL)
+_INSTRUCTION = re.compile(r"([\w.]+)\s*(.*)$", re.DOTALL)
+_MEMREF = re.compile(r"([%\w$.]+)\s*(?:([+-])\s*(\d+))?$")
 
 
 def _strip_comments(text: str) -> str:
@@ -108,13 +124,13 @@ class _ModuleParser:
             raise self._error("expected '{'")
         depth = 0
         start = self._pos + 1
-        for index in range(self._pos, len(self._text)):
-            char = self._text[index]
-            if char == "{":
+        for brace in _BRACE.finditer(self._text, self._pos):
+            if brace.group() == "{":
                 depth += 1
-            elif char == "}":
+            else:
                 depth -= 1
                 if depth == 0:
+                    index = brace.start()
                     self._pos = index + 1
                     return self._text[start:index]
         raise self._error("unbalanced '{'")
@@ -196,11 +212,7 @@ class _ModuleParser:
 
 
 def _parse_global(statement: str) -> GlobalDecl:
-    match = re.match(
-        r"(?:\.visible\s+)?\.global\s+(?:\.align\s+(\d+)\s+)?"
-        r"\.(\w+)\s+([\w$]+)\s*(?:\[(\d+)\])?$",
-        statement.strip(),
-    )
+    match = _GLOBAL_DECL.match(statement.strip())
     if not match:
         raise PTXParseError(f"bad .global declaration: {statement!r}")
     align, elem_type, name, count = match.groups()
@@ -218,9 +230,7 @@ def _parse_params(text: str) -> list[Param]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        match = re.match(
-            r"\.param\s+(?:\.align\s+\d+\s+)?\.(\w+)\s+([\w$]+)", chunk
-        )
+        match = _PARAM_DECL.match(chunk)
         if not match:
             raise PTXParseError(f"bad parameter declaration: {chunk!r}")
         params.append(Param(name=match.group(2), param_type=match.group(1)))
@@ -243,23 +253,23 @@ def _parse_body(text: str) -> list:
         if pos >= length:
             break
         # Labels: identifier followed by ':' (but not a directive).
-        label_match = _LABEL.match(text[pos:])
+        label_match = _LABEL.match(text, pos)
         if label_match and not label_match.group(1).startswith("."):
             statements.append(Label(label_match.group(1)))
-            pos += label_match.end()
+            pos = label_match.end()
             continue
         # One statement up to ';', tracking braces for brx target lists.
-        end = pos
+        end = length
         depth = 0
-        while end < length:
-            char = text[end]
+        for mark in _BRACE_OR_SEMICOLON.finditer(text, pos):
+            char = mark.group()
             if char == "{":
                 depth += 1
             elif char == "}":
                 depth -= 1
-            elif char == ";" and depth == 0:
+            elif depth == 0:
+                end = mark.start()
                 break
-            end += 1
         if end >= length:
             raise PTXParseError(f"missing ';' after {text[pos:pos+40]!r}")
         statement_text = text[pos:end].strip()
@@ -271,7 +281,7 @@ def _parse_body(text: str) -> list:
 
 def _parse_statement(text: str):
     if text.startswith(".reg"):
-        match = re.match(r"\.reg\s+\.(\w+)\s+([%\w$]+)<(\d+)>$", text)
+        match = _REG_DECL.match(text)
         if not match:
             raise PTXParseError(f"bad .reg declaration: {text!r}")
         return RegDecl(
@@ -280,10 +290,7 @@ def _parse_statement(text: str):
             count=int(match.group(3)),
         )
     if text.startswith(".shared"):
-        match = re.match(
-            r"\.shared\s+(?:\.align\s+(\d+)\s+)?\.(\w+)\s+([\w$]+)\[(\d+)\]$",
-            text,
-        )
+        match = _SHARED_DECL.match(text)
         if not match:
             raise PTXParseError(f"bad .shared declaration: {text!r}")
         align, elem_type, name, count = match.groups()
@@ -299,13 +306,13 @@ def _parse_statement(text: str):
 def _parse_instruction(text: str) -> Instruction:
     guard = None
     if text.startswith("@"):
-        match = re.match(r"@(!?)([%\w]+)\s+(.*)$", text, re.DOTALL)
+        match = _GUARD.match(text)
         if not match:
             raise PTXParseError(f"bad guard: {text!r}")
         guard = Guard(register=match.group(2), negated=bool(match.group(1)))
         text = match.group(3).strip()
 
-    match = re.match(r"([\w.]+)\s*(.*)$", text, re.DOTALL)
+    match = _INSTRUCTION.match(text)
     if not match:
         raise PTXParseError(f"bad instruction: {text!r}")
     opcode, rest = match.group(1), match.group(2).strip()
@@ -366,7 +373,7 @@ def _parse_operand(text: str) -> Operand:
 
 def _parse_memref(text: str) -> MemRef:
     inner = text[1:-1].strip()
-    match = re.match(r"([%\w$.]+)\s*(?:([+-])\s*(\d+))?$", inner)
+    match = _MEMREF.match(inner)
     if not match:
         raise PTXParseError(f"bad memory operand: {text!r}")
     base_text, sign, offset_text = match.groups()

@@ -123,6 +123,14 @@ class Telemetry:
             "guardian_swapped_bytes",
             "bytes currently swapped out to host memory",
         )
+        # The deploy front end (DESIGN.md §9): how much of the deploy
+        # path was a bind. Host-side facts, on no modelled clock.
+        self.deploy_images = self.registry.counter(
+            "guardian_deploy_images_total",
+            "module loads (kind=module) and charged patches (kind=patch)"
+            " by whether the process computed the result (built) or"
+            " already had it (shared)",
+        )
 
     # -- hook-point helpers -------------------------------------------------------
 
@@ -167,6 +175,15 @@ class Telemetry:
         """One elastic memory operation (the engine's hook)."""
         self.elastic_ops.inc(op=op)
         self.elastic_bytes.inc(nbytes, op=op)
+
+    def record_deploy_images(self, kind: str, built: int,
+                             shared: int) -> None:
+        """The server's deploy-path hook: ``kind`` is ``module`` (one
+        per driver load) or ``patch`` (one per charged patch)."""
+        if built:
+            self.deploy_images.inc(built, kind=kind, outcome="built")
+        if shared:
+            self.deploy_images.inc(shared, kind=kind, outcome="shared")
 
     def record_elastic_state(self, score: float,
                              swapped_bytes: int) -> None:

@@ -18,6 +18,18 @@ from repro.runtime.backend import NativeBackend
 from repro.runtime.interpose import LIBCUDA, DynamicLoader
 
 
+@pytest.fixture(autouse=True)
+def cold_deploy_caches():
+    """Every test starts with no module image and no shared patch
+    result, so what a test computes never depends on which tests ran
+    before it in the process."""
+    from repro.core.patcher import clear_patched
+    from repro.driver.jit import clear_images
+
+    clear_images()
+    clear_patched()
+
+
 @pytest.fixture
 def device():
     """A fresh Quadro RTX A4000-class simulated device."""
