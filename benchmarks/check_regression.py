@@ -5,7 +5,8 @@ Usage::
     python benchmarks/check_regression.py [BENCH_DIR]
 
 Reads the ``BENCH_*.json`` files the benchmark run emitted into
-``BENCH_DIR`` (default: current directory) and compares them against
+``BENCH_DIR`` (default: ``GUARDIAN_BENCH_DIR``, else ``bench-results/``,
+where the benchmarks write them) and compares them against
 ``benchmarks/bench_baseline.json``:
 
 - ``hotpath_caching``: the cached-vs-default host-cycle ratio may not
@@ -52,6 +53,7 @@ Exit status 0 on pass, 1 on regression or missing inputs.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -288,7 +290,8 @@ CHECKS = (
 
 
 def main(argv: list[str]) -> int:
-    bench_dir = Path(argv[1]) if len(argv) > 1 else Path(".")
+    bench_dir = Path(argv[1] if len(argv) > 1 else os.environ.get(
+        "GUARDIAN_BENCH_DIR", "bench-results"))
     baseline = json.loads(BASELINE.read_text())
     missing = [section for section, _ in CHECKS
                if section not in baseline]

@@ -33,17 +33,21 @@ MIX_SAMPLES = 16
 MIX_BATCH = 16
 
 
-def emit_bench_json(name: str, payload: dict) -> Path:
-    """Write ``BENCH_<name>.json`` for the CI bench-smoke job.
+def bench_dir() -> Path:
+    """Where the run's ``BENCH_*`` files go: ``GUARDIAN_BENCH_DIR``
+    (the CI jobs point it at their artifact upload path), or the
+    gitignored ``bench-results/`` - never the checkout itself."""
+    directory = Path(os.environ.get("GUARDIAN_BENCH_DIR", "bench-results"))
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory
 
-    The output directory is ``GUARDIAN_BENCH_DIR`` (the CI job points
-    it at the artifact upload path) or the working directory. CI diffs
+
+def emit_bench_json(name: str, payload: dict) -> Path:
+    """Write ``BENCH_<name>.json`` into :func:`bench_dir`. CI diffs
     the emitted numbers against ``benchmarks/bench_baseline.json`` via
     ``benchmarks/check_regression.py``.
     """
-    directory = Path(os.environ.get("GUARDIAN_BENCH_DIR", "."))
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"BENCH_{name}.json"
+    path = bench_dir() / f"BENCH_{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 

@@ -18,8 +18,6 @@ Perfetto / chrome://tracing).
 from __future__ import annotations
 
 import json
-import os
-from pathlib import Path
 
 import numpy as np
 
@@ -33,7 +31,7 @@ from repro.gpu.specs import QUADRO_RTX_A4000
 from repro.telemetry import SERVER_TRACK
 from repro.telemetry.export import write_chrome_trace
 
-from benchmarks.conftest import emit_bench_json, print_table
+from benchmarks.conftest import bench_dir, emit_bench_json, print_table
 from tests.conftest import make_guardian_tenant, saxpy_module
 
 TENANTS = 6
@@ -127,9 +125,7 @@ class TestTelemetryOverhead:
             title="Telemetry (fig7 workload, 6 tenants)"))
 
         # Export the trace for the CI artifact and validate its shape.
-        directory = Path(os.environ.get("GUARDIAN_BENCH_DIR", "."))
-        directory.mkdir(parents=True, exist_ok=True)
-        trace_path = directory / "BENCH_telemetry_trace.json"
+        trace_path = bench_dir() / "BENCH_telemetry_trace.json"
         write_chrome_trace(trace_path, telemetry.tracer.spans())
         trace = json.loads(trace_path.read_text())
         events = trace["traceEvents"]

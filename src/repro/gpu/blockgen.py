@@ -1,12 +1,14 @@
 """Source generation for the block engine.
 
 :class:`BlockCodegen` compiles a kernel's decoded instructions into one
-*block function* that executes a whole thread block, every register a
-numpy lane vector over the live threads (or a Python scalar while its
-value is uniform). It reuses :class:`repro.gpu.codegen.KernelCodegen`'s
-operand and expression emission - an instruction's expression text is
-the same whether its operands are scalars or lane vectors - and
-:mod:`repro.gpu.blockrt` is what the generated code runs against.
+*block function* that executes a whole thread block - or a span of
+them, which to the function is only more lanes and a ``%ctaid`` that
+may vary - every register a numpy lane vector over the live threads
+(or a Python scalar while its value is uniform). It reuses
+:class:`repro.gpu.codegen.KernelCodegen`'s operand and expression
+emission - an instruction's expression text is the same whether its
+operands are scalars or lane vectors - and :mod:`repro.gpu.blockrt` is
+what the generated code runs against.
 
 The block function's results are not close to the per-thread JIT's,
 they are the same. What it cannot reproduce exactly it refuses here,
@@ -33,12 +35,13 @@ from repro.ptx import isa
 from repro.ptx.ast import Immediate, RegDecl, Register, SpecialReg, Symbol
 
 
-#: Dispatch-loop steps one block attempt may take. A step costs about
-#: ten times a per-thread step (numpy calls against scalar bytecodes),
-#: and a runaway kernel is only *reported* by the per-thread engine's
-#: own watchdog, so the attempt before it is kept to a fraction of that
-#: watchdog's time. Twelve times the longest block of the bench suite
-#: (10 312 steps); a longer one simply runs per-thread.
+#: Dispatch-loop steps one attempt (a block, or a span of them in
+#: lockstep) may take. A step costs about ten times a per-thread step
+#: (numpy calls against scalar bytecodes), and a runaway kernel is only
+#: *reported* by the per-thread engine's own watchdog, so the attempt
+#: before it is kept to a fraction of that watchdog's time. Twelve
+#: times the longest block of the bench suite (10 312 steps); a longer
+#: one simply runs per-thread.
 ATTEMPT_STEPS = MAX_BLOCK_STEPS >> 4
 
 
@@ -605,7 +608,9 @@ class BlockCodegen(KernelCodegen):
         self._mask = None
 
         gen = self.gen = _Gen()
-        specials = ("_tid0", "_tid1", "_tid2", "_lane", "_warp")
+        # %ctaid is a lane value where the blocks of a span differ.
+        specials = ("_tid0", "_tid1", "_tid2", "_lane", "_warp",
+                    "_ctaid0", "_ctaid1", "_ctaid2")
         registers = sorted(self._declared)
         gen.emit("def _block(_R, params, _gsyms):")
         gen.indent += 1

@@ -1,10 +1,13 @@
 """Runtime of the block-vectorised kernel engine.
 
 :class:`repro.gpu.codegen.BlockCodegen` compiles a kernel into one
-*block function* that executes a whole thread block at once: every PTX
-register is either a Python scalar (the value is uniform across the
-live threads) or a numpy *lane vector* with one element per live
-thread. This module is what that generated code runs against:
+*block function* that executes a *span* at once - one thread block, or
+several blocks of one launch when the kernel keeps no per-block state
+(no ``.shared``, no ``bar``): every PTX register is either a Python
+scalar (the value is uniform across the live threads) or a numpy *lane
+vector* with one element per live thread, the span's blocks laid out
+one after the other. This module is what that generated code runs
+against:
 
 - the value helpers that make one emitted expression mean the same
   thing for a Python scalar and for a lane vector;
@@ -13,7 +16,7 @@ thread. This module is what that generated code runs against:
   they meet;
 - checked gathers/scatters over the sparse global memory and the
   block's shared memory, with an undo log;
-- the commit step: conflict detection, then the replay of the block's
+- the commit step: conflict detection, then the replay of the span's
   global accesses through the L1/L2 tag lists *in the per-thread
   engine's order*;
 - :class:`BlockRuntime`, which binds all of it to one device.
@@ -40,9 +43,9 @@ Whatever would leave an invariant, and every event the per-thread
 engine reports as an exception, raises inside the block function
 (:class:`Bail` or the numpy/Python error itself).
 :meth:`BlockRuntime.run` then rolls global memory back and the executor
-re-runs the block on the per-thread JIT, which produces the reference
-outcome - including the exception and the partial memory state of a
-faulting kernel.
+re-runs the span's blocks one at a time, a single block on the
+per-thread JIT, which produces the reference outcome - including the
+exception and the partial memory state of a faulting kernel.
 """
 
 from __future__ import annotations
@@ -76,8 +79,9 @@ ERRSTATE = dict(over="raise", divide="raise", invalid="raise",
 
 
 class Bail(Exception):
-    """The block engine cannot reproduce this block exactly; the
-    executor re-runs it on the per-thread JIT."""
+    """The block engine cannot reproduce this attempt exactly; the
+    executor re-runs a span block by block, a block on the per-thread
+    JIT."""
 
 
 #: What ends a vectorised attempt: :class:`Bail` (a fault, a lane
@@ -392,21 +396,44 @@ VALUE_ENV = {
 # --------------------------------------------------------------------------
 
 
-def lane_geometry(block: tuple[int, int, int], warp_size: int) -> tuple:
-    """Per-lane special registers of a block shape (shared, read-only).
+def lane_geometry(block: tuple[int, int, int], warp_size: int,
+                  span: int) -> tuple:
+    """Per-lane special registers of ``span`` blocks of one shape
+    (shared, read-only), lanes numbered across the span, block-major.
 
     An axis of extent 1 stays the scalar 0: uniform."""
     bx, by, bz = block
-    linear = np.arange(bx * by * bz, dtype=np.int64)
+    threads = bx * by * bz
+    assert threads * span <= 1 << 16  # lane ids are uint16
+    lanes = np.arange(threads * span, dtype=np.int64)
+    linear = lanes % threads
     tid0 = linear % bx if bx > 1 else 0
     tid1 = (linear // bx) % by if by > 1 else 0
     tid2 = linear // (bx * by) if bz > 1 else 0
+    # A warp never straddles two blocks: the last one of a block whose
+    # size is not a multiple of the warp size is short.
+    warp_starts = lanes[linear % warp_size == 0]
+    lane_ids = lanes.astype(np.uint16)
     return (tid0, tid1, tid2, linear % warp_size, linear // warp_size,
-            linear.astype(np.uint16))
+            lane_ids, warp_starts, lane_ids[threads::threads])
+
+
+def span_ctaid(block_ids: list, grid: tuple[int, int, int], threads: int):
+    """``%ctaid`` of a span's lanes: per axis a scalar while the
+    span's blocks agree on it, else one value per lane."""
+    gx, gy, _ = grid
+    linear = block_ids[0] if len(block_ids) == 1 else np.array(block_ids)
+    axes = (linear % gx, (linear // gx) % gy, linear // (gx * gy))
+    if len(block_ids) == 1:
+        return axes
+    return tuple(
+        int(axis[0]) if (axis == axis[0]).all() else np.repeat(axis, threads)
+        for axis in axes
+    )
 
 
 class BlockRun:
-    """State of one block while its block function runs.
+    """State of one span while its block function runs.
 
     Groups are ``(mask, lane count)`` pairs over the *live* lanes (the
     register file is compacted whenever lanes retire), keyed by the
@@ -417,6 +444,7 @@ class BlockRun:
 
     __slots__ = (
         "tid0", "tid1", "tid2", "lane", "warp", "lanes", "width",
+        "warp_starts", "block_bounds",
         "ntid", "ctaid", "nctaid", "threads", "exits", "out",
         "pend", "parked", "shared", "_shared_views",
         "glog", "gphases", "slog", "sphases", "logged", "undo", "created",
@@ -425,7 +453,7 @@ class BlockRun:
     def __init__(self, geometry: tuple, ctaid, grid, block,
                  shared: bytearray, exits: frozenset):
         (self.tid0, self.tid1, self.tid2, self.lane, self.warp,
-         self.lanes) = geometry
+         self.lanes, self.warp_starts, self.block_bounds) = geometry
         self.threads = self.width = len(self.lanes)
         self.ntid = block
         self.ctaid = ctaid
@@ -626,12 +654,13 @@ def _span(addresses, width: int, low: int, high: int):
     return lo, hi
 
 
-#: Lane accesses (global and shared together) one block may log before
-#: the attempt is given up. The logs and the undo log grow with every
-#: executed access, and a tenant's infinite loop executes them until a
-#: watchdog fires; this keeps such a block's footprint to tens of
-#: megabytes and hands it to the per-thread engine, whose memory use is
-#: constant. Five times the largest block of the bench suite (410 k).
+#: Lane accesses (global and shared together) one attempt - a block or
+#: a span of them - may log before it is given up. The logs and the
+#: undo log grow with every executed access, and a tenant's infinite
+#: loop executes them until a watchdog fires; this keeps such an
+#: attempt's footprint to tens of megabytes and hands the block to the
+#: per-thread engine, whose memory use is constant. Five times the
+#: largest block of the bench suite (410 k).
 LOG_CAP = 1 << 21
 
 
@@ -824,15 +853,20 @@ def make_block_memory_helpers(memory) -> tuple:
 # --------------------------------------------------------------------------
 
 #: Accesses ordered, checked and filtered at a time. Bounds the commit's
-#: working memory: a block may log up to ``LOG_CAP`` of them.
+#: working memory: an attempt may log up to ``LOG_CAP`` of them. (A
+#: divergent phase is sorted in pieces of about this many, cut between
+#: blocks: one block's accesses are sorted at once whatever their
+#: number, so a span's commit needs the memory one block's did.)
 COMMIT_CHUNK = 1 << 14
 
 
-def _thread_major(entries: list):
+def _thread_major(entries: list, block_bounds):
     """Yield one phase's accesses as ``(threads, addresses)`` chunks in
-    the per-thread engine's order: thread-major, program order within
-    a thread (log order *is* program order for any one thread). Chunks
-    are whole threads, ascending."""
+    the per-thread engine's order: block after block, thread-major
+    within a block, program order within a thread (log order *is*
+    program order for any one thread, and lanes are numbered
+    block-major, so for a barrier-free span that is a sort by lane).
+    Chunks are whole threads, ascending."""
     lanes = entries[0][0]
     if all(entry[0] is lanes for entry in entries):
         # Every access was made by the same full group: the log is an
@@ -845,9 +879,32 @@ def _thread_major(entries: list):
             yield (np.repeat(lanes[start:start + step], rows),
                    matrix[:, start:start + step].T.reshape(-1))
         return
-    threads, addresses = _logged(entries)
-    order = np.argsort(threads, kind="stable")  # radix on uint16
-    yield threads[order], addresses[order]
+    logged = sum(len(entry[0]) for entry in entries)
+    blocks_per_sort = -(-(len(block_bounds) + 1) * COMMIT_CHUNK // logged)
+    for part in _split_at(entries,
+                          block_bounds[blocks_per_sort - 1::blocks_per_sort]):
+        threads, addresses = _logged(part)
+        order = np.argsort(threads, kind="stable")  # radix on uint16
+        yield threads[order], addresses[order]
+
+
+def _split_at(entries: list, bounds):
+    """Cut log entries at the lane ids ``bounds`` (lanes ascend within
+    an entry): one non-empty entry list per lane range."""
+    if not len(bounds):
+        yield entries
+        return
+    cuts = [(0, *entry[0].searchsorted(bounds).tolist(), len(entry[0]))
+            for entry in entries]
+    for piece in range(len(bounds) + 1):
+        part = [
+            (entry[0][cut[piece]:cut[piece + 1]],
+             entry[1][cut[piece]:cut[piece + 1]])
+            for entry, cut in zip(entries, cuts)
+            if cut[piece] != cut[piece + 1]
+        ]
+        if part:
+            yield part
 
 
 class _Stores:
@@ -922,10 +979,9 @@ def make_commit(hierarchy, resolve, cost_l1: int):
         mask[order] = repeat
         return mask
 
-    def commit(run: BlockRun, global_shift: int, shared_shift: int,
-               warp_size: int) -> float:
-        """Validate the finished block, replay its global accesses
-        through the caches and return the block's summed warp cycles.
+    def commit(run: BlockRun, global_shift: int, shared_shift: int) -> float:
+        """Validate the finished span, replay its global accesses
+        through the caches and return its summed warp cycles.
 
         Raises :class:`Bail` before touching any cache state."""
         run.phase()
@@ -941,7 +997,8 @@ def make_commit(hierarchy, resolve, cost_l1: int):
             if not entries:
                 continue
             stores = _phase_stores(entries, global_shift)
-            for threads, addresses in _thread_major(entries):
+            for threads, addresses in _thread_major(
+                    entries, run.block_bounds):
                 if stores is not None and stores.touched_by_others(
                         threads, addresses):
                     raise Bail("cross-thread global access in one phase")
@@ -960,8 +1017,7 @@ def make_commit(hierarchy, resolve, cost_l1: int):
                                        addresses.tolist()):
                 cycles[thread] += resolve(address)
         # A warp runs in lockstep: it costs its slowest lane.
-        starts = np.arange(0, run.threads, warp_size)
-        return float(int(np.maximum.reduceat(cycles, starts).sum()))
+        return float(int(np.maximum.reduceat(cycles, run.warp_starts).sum()))
 
     return commit
 
@@ -969,6 +1025,13 @@ def make_commit(hierarchy, resolve, cost_l1: int):
 # --------------------------------------------------------------------------
 # One device's block engine
 # --------------------------------------------------------------------------
+
+
+#: Lane geometries one runtime keeps. The key is tenant-chosen (block
+#: shape and span: tens of thousands of combinations, up to ~90 KB
+#: each), so the table is emptied when full rather than left to grow;
+#: LeNet training uses 13, and building one costs less than a pass.
+GEOMETRY_SLOTS = 32
 
 
 class BlockRuntime:
@@ -985,26 +1048,33 @@ class BlockRuntime:
         self._warp_size = warp_size
         self._geometry: dict[tuple, tuple] = {}
 
-    def run(self, engine: tuple, compiled, ctaid, grid, block, params):
-        """One block: ``(warp cycles, instructions, loads, stores)``,
-        or None when the block was given up - global memory is then as
-        it was before the attempt and no cache state has moved."""
+    def run(self, engine: tuple, compiled, block_ids: list, grid, block,
+            params):
+        """One pass over the blocks ``block_ids`` of a launch (more
+        than one only for a kernel without ``.shared`` and ``bar``):
+        ``(warp cycles, instructions, loads, stores)`` summed over
+        them, or None when the attempt was given up - global memory is
+        then as it was before it and no cache state has moved."""
         block_fn, exits, (global_shift, shared_shift) = engine
-        geometry = self._geometry.get(block)
+        key = (block, len(block_ids))
+        geometry = self._geometry.get(key)
         if geometry is None:
-            geometry = self._geometry[block] = lane_geometry(
-                block, self._warp_size)
+            if len(self._geometry) >= GEOMETRY_SLOTS:
+                self._geometry.clear()
+            geometry = self._geometry[key] = lane_geometry(
+                block, self._warp_size, len(block_ids))
+        ctaid = span_ctaid(block_ids, grid, block[0] * block[1] * block[2])
         run = BlockRun(geometry, ctaid, grid, block,
                        bytearray(max(compiled.shared_bytes, 1)), exits)
         try:
             with np.errstate(**ERRSTATE):
                 instructions, loads, stores = block_fn(
                     run, params, compiled.global_symbols)
-                warp_cycles = self._commit(
-                    run, global_shift, shared_shift, self._warp_size)
+                warp_cycles = self._commit(run, global_shift, shared_shift)
         except GIVE_UP:
-            # The per-thread JIT re-runs the block from clean memory
-            # and owns the outcome.
+            # The executor re-runs the blocks from clean memory, one
+            # at a time, and a single block on the per-thread JIT,
+            # which owns the outcome.
             self._rollback(run)
             return None
         return warp_cycles, instructions, loads, stores

@@ -916,10 +916,14 @@ class KernelCode:
     addresses through the ``_gsyms`` argument at call time.
     """
 
-    def __init__(self):
+    def __init__(self, spannable: bool):
         self._thread = None
         #: ``(code, exits, access shifts)``, or the Unsupported reason.
         self._block = None
+        #: No ``.shared`` and no ``bar``: a thread's only tie to its
+        #: block is ``%ctaid``, so the block engine may run several
+        #: blocks of a launch in one pass.
+        self.spannable = spannable
 
     def bind_thread(self, compiled, cost_model: CostModel, env: dict):
         if self._thread is None:
@@ -993,6 +997,9 @@ def kernel_code(compiled, cost_model: CostModel) -> KernelCode:
         )
         code = _CODE_BY_CONTENT.get(key)
         if code is None:
-            code = _CODE_BY_CONTENT[key] = KernelCode()
+            code = _CODE_BY_CONTENT[key] = KernelCode(
+                spannable=not compiled.shared_bytes and not any(
+                    ins.op == "bar" or ins.space == "shared"
+                    for ins in compiled.instructions))
         compiled.code = code
     return code

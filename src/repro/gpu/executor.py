@@ -26,12 +26,15 @@ Three engines produce the same memory effects and the same cycle
 accounting: the reference interpreter in this module (the oracle;
 ``use_codegen=False``), the per-thread JIT of
 :mod:`repro.gpu.codegen` (one generated generator per thread) and the
-block engine (one generated function per thread block, registers as
-numpy lane vectors; :mod:`repro.gpu.blockrt`). With ``use_codegen``
-the executor runs a block on the block engine when the block is large
-enough to pay for it and the kernel is admitted, and on the per-thread
-JIT otherwise - including as the exact fallback whenever the block
-engine gives a block up.
+block engine (one generated function per kernel that runs a *span* of
+thread blocks at once, registers as numpy lane vectors;
+:mod:`repro.gpu.blockrt`). With ``use_codegen`` the executor cuts a
+launch's blocks into spans - ``SPAN_LANES`` lanes of consecutive
+blocks for a kernel without ``.shared`` and ``bar``, else one block -
+and runs them on the block engine when a pass is wide enough to pay
+for it and the kernel is admitted, on the per-thread JIT otherwise. A
+span the block engine gives up is re-run block by block, and a single
+block it gives up on the per-thread JIT: the exact fallback.
 
 Sampled mode
 ------------
@@ -82,10 +85,19 @@ LAUNCH_OVERHEAD_CYCLES = 500
 #: Default per-thread local-memory (spill space) size in bytes.
 LOCAL_MEMORY_BYTES = 4096
 
-#: Smallest block the block engine takes. A lane-vector operation costs
-#: about what five scalar ones do, whatever its width, so below one
-#: warp the per-thread functions win (measured in DESIGN.md section 9).
-BLOCK_ENGINE_MIN_THREADS = 32
+#: Fewest lanes the block engine takes in one pass. A lane-vector
+#: operation costs about what five scalar ones do, whatever its width,
+#: so below one warp the per-thread functions win (measured in
+#: DESIGN.md section 9).
+BLOCK_ENGINE_MIN_LANES = 32
+
+#: Lanes one pass of the block engine covers: a launch's blocks run
+#: ``SPAN_LANES // threads per block`` at a time when the kernel keeps
+#: no per-block state. A pass costs ~130 us plus ~1 us per vector
+#: instruction whatever its width, so wider is cheaper per lane until
+#: the vectors leave the cache (table in DESIGN.md section 9). Lane ids
+#: are uint16, so at most 65 536. Constants, not knobs.
+SPAN_LANES = 2048
 
 
 # --------------------------------------------------------------------------
@@ -316,6 +328,12 @@ class KernelExecutor:
         #: but handed to the per-thread JIT ("fallback", also counted
         #: under "thread").
         self.engine_blocks = {"block": 0, "thread": 0, "fallback": 0}
+        #: Block-function invocations (a pass runs a span of one or
+        #: more blocks), and spans of several blocks that were rolled
+        #: back and re-run block by block. Host-side facts like
+        #: ``engine_blocks``: no launch result depends on them.
+        self.engine_passes = 0
+        self.span_bails = 0
         self._thread_env: Optional[dict] = None
         #: repro.gpu.blockrt.BlockRuntime, built (and the block engine
         #: imported) with the first block function.
@@ -364,22 +382,34 @@ class KernelExecutor:
 
         engines = self._engines_for(compiled)
         block_engine = None
-        if (engines is not None
-                and threads_per_block >= BLOCK_ENGINE_MIN_THREADS):
-            block_engine = self._block_engine(compiled, engines)
+        span = 1  # blocks per pass
+        if engines is not None:
+            if len(block_ids) > 1 and compiled.code.spannable:
+                span = min(max(1, SPAN_LANES // threads_per_block),
+                           len(block_ids))
+            if span * threads_per_block >= BLOCK_ENGINE_MIN_LANES:
+                block_engine = self._block_engine(compiled, engines)
+            if block_engine is None:
+                span = 1
         total_warp_cycles = 0.0
         instructions = 0
         loads = 0
         stores = 0
-        for linear_block in block_ids:
-            block_metrics = self._run_block(
-                compiled, _unlinearise(linear_block, grid), grid, block,
-                params, engines, block_engine,
-            )
-            total_warp_cycles += block_metrics[0]
-            instructions += block_metrics[1]
-            loads += block_metrics[2]
-            stores += block_metrics[3]
+        done = 0
+        while done < len(block_ids):
+            ids = block_ids[done:done + span]
+            metrics = self._run_span(compiled, ids, grid, block, params,
+                                     engines, block_engine)
+            if metrics is None:
+                # The span was rolled back whole; its blocks and the
+                # rest of the launch run one at a time.
+                span = 1
+                continue
+            done += len(ids)
+            total_warp_cycles += metrics[0]
+            instructions += metrics[1]
+            loads += metrics[2]
+            stores += metrics[3]
 
         total_warp_cycles *= scale
         instructions = int(instructions * scale)
@@ -414,25 +444,33 @@ class KernelExecutor:
 
     # -- block / thread execution -------------------------------------------
 
-    def _run_block(
+    def _run_span(
         self,
         compiled: CompiledKernel,
-        ctaid: tuple[int, int, int],
+        block_ids: list[int],
         grid: tuple[int, int, int],
         block: tuple[int, int, int],
         params: list,
         engines: Optional[_Engines],
         block_engine: Optional[tuple],
-    ) -> tuple[float, int, int, int]:
+    ) -> Optional[tuple[float, int, int, int]]:
+        """Run the blocks ``block_ids`` in one pass and return their
+        summed metrics. None when a span of several blocks was given
+        up: memory and caches are then as before it."""
         if block_engine is not None:
+            self.engine_passes += 1
             metrics = self._block_runtime.run(
-                block_engine, compiled, ctaid, grid, block, params)
+                block_engine, compiled, block_ids, grid, block, params)
             if metrics is not None:
-                self.engine_blocks["block"] += 1
+                self.engine_blocks["block"] += len(block_ids)
                 return metrics
+            if len(block_ids) > 1:
+                self.span_bails += 1
+                return None
             self.engine_blocks["fallback"] += 1
         self.engine_blocks["thread"] += 1
 
+        ctaid = _unlinearise(block_ids[0], grid)
         bx, by, bz = block
         shared = bytearray(max(compiled.shared_bytes, 1))
         threads: list[_Thread] = []

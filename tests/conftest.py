@@ -76,16 +76,18 @@ def forced_engine(engine: str):
 
     ``"jit"`` keeps every block on the per-thread functions and
     ``"block"`` sends every block, however small, to the block engine,
-    by moving the one constant that chooses between them."""
+    by moving the one constant that chooses between them; ``"stock"``
+    leaves the choice to the executor."""
     from repro.gpu import executor
 
-    threshold = 1 if engine == "block" else 1 << 30
+    threshold = {"block": 1,
+                 "stock": executor.BLOCK_ENGINE_MIN_LANES}.get(engine, 1 << 30)
 
     def factory(spec, memory, **kwargs):
         return executor.KernelExecutor(
             spec, memory, use_codegen=engine != "interpreter", **kwargs)
 
-    with mock.patch.object(executor, "BLOCK_ENGINE_MIN_THREADS", threshold):
+    with mock.patch.object(executor, "BLOCK_ENGINE_MIN_LANES", threshold):
         yield factory
 
 

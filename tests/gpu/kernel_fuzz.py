@@ -331,7 +331,10 @@ class _Draw:
         return b.build()
 
 
-def structured_kernel(rng):
+def structured_kernel(rng, use_shared=None):
     """``fuzz(out, inp, n, s, seed)``: threads ``gid < n`` run a random
-    structured body and store their accumulators."""
-    return _Draw(rng, use_shared=rng.random() < 0.4).finish()
+    structured body and store their accumulators. ``use_shared=False``
+    draws no shared-memory exchange (and so no barrier)."""
+    if use_shared is None:
+        use_shared = rng.random() < 0.4
+    return _Draw(rng, use_shared=use_shared).finish()

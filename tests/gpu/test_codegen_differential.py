@@ -13,6 +13,8 @@ round-trip property tests.
 """
 
 import json
+import resource
+import time
 from unittest import mock
 
 import numpy as np
@@ -21,12 +23,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.patcher import PTXPatcher
 from repro.core.policy import FencingMode
-from repro.errors import MemoryFault
-from repro.gpu.executor import compile_kernel
+from repro.errors import ExecutionError, MemoryFault
+from repro.gpu import blockrt
+from repro.gpu.executor import SPAN_LANES, compile_kernel
 from repro.gpu.memory import GlobalMemory
 from repro.gpu.specs import QUADRO_RTX_A4000
 from repro.libs.kernels import blas, dnn, fft, rand as rand_kernels
-from repro.ptx.ast import Immediate
+from repro.ptx.ast import Guard, Immediate, Instruction, MemRef, SharedDecl
 from repro.ptx.builder import KernelBuilder, build_module
 
 from tests.conftest import (
@@ -54,7 +57,7 @@ class Outcome:
     """Everything observable about one launch on one engine."""
 
     def __init__(self, engine, kernel, grid, block, params, setup,
-                 memory_bytes=MEMORY_BYTES):
+                 memory_bytes=MEMORY_BYTES, max_blocks=None):
         self.memory = GlobalMemory(memory_bytes)
         if setup:
             setup(self.memory)
@@ -65,7 +68,7 @@ class Outcome:
             self.compiled = compile_kernel(kernel, SPEC)
             try:
                 self.result = self.executor.launch(
-                    self.compiled, grid, block, params)
+                    self.compiled, grid, block, params, max_blocks)
             except Exception as error:  # compared, not swallowed
                 self.error = error
         self.bytes = self.memory.read(BASE, memory_bytes)
@@ -129,6 +132,11 @@ def vectorised(outcome) -> bool:
     """Every block ran on the block engine, none was handed back."""
     counts = outcome.executor.engine_blocks
     return counts["block"] > 0 and counts["thread"] == 0
+
+
+def spans(outcome) -> tuple:
+    """``(block-function passes, spans rolled back)`` of a launch."""
+    return outcome.executor.engine_passes, outcome.executor.span_bails
 
 
 def library_setup(memory):
@@ -285,8 +293,6 @@ def collatz_kernel():
 
 def predicated_kernel():
     """Guarded non-branch instructions: @p st / @!p mov."""
-    from repro.ptx.ast import Guard, MemRef
-
     b = KernelBuilder("predicated", params=[("out", "u64"), ("n", "u32")])
     out = b.load_param_ptr("out")
     n = b.load_param("n", "u32")
@@ -432,11 +438,10 @@ class TestFencedKernels:
         memory.write(VICTIM, b"\x33" * 4096)
         memory.write_array(BASE + 8192, np.arange(64, dtype=np.float32))
 
-    @pytest.mark.parametrize("mode", MODES, ids=lambda mode: mode.value)
-    def test_writer_out_of_partition(self, mode):
+    def _writer_out_of_partition(self, mode, blocks):
         offset = PART_SIZE + 1024  # aimed into the victim partition
         outcomes = run_engines(
-            fenced(writer_kernel(), mode), (1, 1, 1), (64, 1, 1),
+            fenced(writer_kernel(), mode), (blocks, 1, 1), (64, 1, 1),
             [BASE, offset, 0xF00D] + extra_params(mode),
             self._victim_setup, memory_bytes=1 << 24,
             engines=("jit", "block"))
@@ -449,12 +454,12 @@ class TestFencedKernels:
             assert wrapped == 0  # suppressed
         else:
             assert wrapped == 0xF00D  # wrapped inside the offender
+        return block
 
-    @pytest.mark.parametrize("mode", MODES, ids=lambda mode: mode.value)
-    def test_saxpy_out_of_partition(self, mode):
+    def _saxpy_out_of_partition(self, mode, blocks):
         """y aimed at the victim: every lane's load and store wraps."""
         outcomes = run_engines(
-            fenced(saxpy_kernel(), mode), (2, 1, 1), (64, 1, 1),
+            fenced(saxpy_kernel(), mode), (blocks, 1, 1), (64, 1, 1),
             [VICTIM + 256, BASE + 8192, 2.0, 100] + extra_params(mode),
             self._victim_setup, memory_bytes=1 << 24,
             engines=("jit", "block"))
@@ -468,6 +473,29 @@ class TestFencedKernels:
         else:
             assert np.array_equal(
                 landed, 2.0 * np.arange(64, dtype=np.float32))
+        return block
+
+    @pytest.mark.parametrize("mode", MODES, ids=lambda mode: mode.value)
+    def test_writer_out_of_partition(self, mode):
+        self._writer_out_of_partition(mode, 1)
+
+    @pytest.mark.parametrize("mode", MODES, ids=lambda mode: mode.value)
+    def test_saxpy_out_of_partition(self, mode):
+        self._saxpy_out_of_partition(mode, 2)
+
+    @pytest.mark.parametrize("mode", MODES, ids=lambda mode: mode.value)
+    def test_attacks_across_a_span(self, mode):
+        """The same two attacks on a 4-block grid. The saxpy is one
+        span, every lane of every block through every mask op; the
+        writer's blocks all store one cell, so its span is given up
+        and the blocks land one after the other as on the JIT."""
+        block = self._saxpy_out_of_partition(mode, 4)
+        assert spans(block) == (1, 0)
+        block = self._writer_out_of_partition(mode, 4)
+        if mode is FencingMode.CHECKING:
+            assert spans(block) == (1, 0)  # nothing is stored
+        else:
+            assert spans(block) == (5, 1)
 
     @pytest.mark.parametrize("mode", MODES, ids=lambda mode: mode.value)
     def test_legal_saxpy_vectorises(self, mode):
@@ -571,8 +599,6 @@ class TestFaultsAndFallback:
         """Only the expected ways out of an attempt fall back; a
         programming error in the engine must not hide as a slow
         launch."""
-        from repro.gpu import blockrt
-
         with mock.patch.object(blockrt, "_phase_stores",
                                side_effect=TypeError("engine bug")):
             outcome = Outcome("block", saxpy_kernel(), (1, 1, 1),
@@ -592,3 +618,428 @@ class TestFaultsAndFallback:
         assert counts == {"block": 0, "thread": 1, "fallback": 0}
         assert outcomes["block"].memory.load_scalar(BASE, "u32") == 64
         assert "atom" in outcomes["block"].compiled.code.block_unsupported_reason
+
+
+# --------------------------------------------------------------------------
+# Grid spans: several blocks of a launch in one pass
+# --------------------------------------------------------------------------
+
+
+def spannable(kernel) -> bool:
+    return not any(
+        isinstance(statement, SharedDecl)
+        or (isinstance(statement, Instruction)
+            and (statement.base_op == "bar" or statement.space == "shared"))
+        for statement in kernel.body)
+
+
+def multi_block(launch):
+    """A library launch as a grid of several blocks: one-block launches
+    (all 1-D, indexed by global thread id) are cut into four."""
+    grid, block, params = launch
+    if grid == (1, 1, 1):
+        assert block[1:] == (1, 1) and block[0] % 4 == 0
+        grid, block = (4, 1, 1), (block[0] // 4, 1, 1)
+    return grid, block, params
+
+
+def where_kernel():
+    """out[global linear thread] = ctaid.x | ctaid.y << 8 | ctaid.z <<
+    16 | tid.x << 24: reads every ``%ctaid`` and ``%nctaid`` axis."""
+    b = KernelBuilder("where", params=[("out", "u64")])
+    out = b.load_param_ptr("out")
+    x, y, z = (b.special(f"%ctaid.{axis}") for axis in "xyz")
+    tid = b.special("%tid.x")
+    linear = b.mad_lo(
+        "u32", b.mad_lo("u32", z, b.special("%nctaid.y"), y),
+        b.special("%nctaid.x"), x)
+    slot = b.mad_lo("u32", linear, b.special("%ntid.x"), tid)
+    value = b.or_("b32", b.or_("b32", x, b.shl("b32", y, Immediate(8))),
+                  b.or_("b32", b.shl("b32", z, Immediate(16)),
+                        b.shl("b32", tid, Immediate(24))))
+    b.st_global("u32", b.element_addr(out, slot, 4), value)
+    return b.build()
+
+
+def chain_kernel():
+    """buf[gid] = buf[gid - ntid] + 1 for every block but the first:
+    block i+1 loads what block i stored, no thread of a block touches
+    another's cell."""
+    b = KernelBuilder("chain", params=[("buf", "u64")])
+    buf = b.load_param_ptr("buf")
+    ctaid = b.special("%ctaid.x")
+    ntid = b.special("%ntid.x")
+    gid = b.global_thread_id()
+    value = b.mov("u32", Immediate(0))
+    first = b.fresh_label("first")
+    b.bra(first, guard_reg=b.setp("eq", "u32", ctaid, Immediate(0)))
+    before = b.ld_global("u32", b.element_addr(buf, b.sub("u32", gid, ntid),
+                                               4))
+    b.emit("mov.u32", value, before)
+    b.label(first)
+    b.st_global("u32", b.element_addr(buf, gid, 4),
+                b.add("u32", value, Immediate(1)))
+    return b.build()
+
+
+def stamp_kernel():
+    """out[tid] = ctaid + 1: every block stores the same cells."""
+    b = KernelBuilder("stamp", params=[("out", "u64")])
+    out = b.load_param_ptr("out")
+    b.st_global("u32", b.element_addr(out, b.special("%tid.x"), 4),
+                b.add("u32", b.special("%ctaid.x"), Immediate(1)))
+    return b.build()
+
+
+def trouble_kernel(kind):
+    """out[gid] = gid + 1, with block 2 doing what ``kind`` says: its
+    lanes from 40 on store past the mapping (``bad`` is the distance
+    to it), store two bytes off, or store a double f32 cannot hold."""
+    b = KernelBuilder(f"trouble_{kind}", params=[("out", "u64"),
+                                                 ("bad", "u32")])
+    out = b.load_param_ptr("out")
+    bad = b.load_param("bad", "u32")
+    gid = b.global_thread_id()
+    in_block_2 = b.setp("eq", "u32", b.special("%ctaid.x"), Immediate(2))
+    address = b.element_addr(out, gid, 4)
+    if kind == "overflow":
+        huge = b.reg("f32")
+        b.emit("selp.f32", huge, Immediate(1e38), Immediate(1.0), in_block_2)
+        b.st_global("f32", address, b.mul("f32", huge, Immediate(1e3)))
+        return b.build()
+    late = b.setp("ge", "u32", b.special("%tid.x"), Immediate(40))
+    hit = b.reg("pred")
+    b.emit("and.pred", hit, in_block_2, late)
+    skew = b.reg("u32")
+    b.emit("selp.b32", skew, bad, Immediate(0), hit)
+    b.st_global("u32", b.add("s64", address, b.cvt("u64", "u32", skew)),
+                b.add("u32", gid, Immediate(1)))
+    return b.build()
+
+
+def spin_kernel(access):
+    """``top: [ld.global;] add; bra top``"""
+    b = KernelBuilder(f"spin_{access}", params=[("p", "u64")])
+    pointer = b.load_param_ptr("p")
+    total = b.mov("u32", 0)
+    forever = b.fresh_label("forever")
+    b.label(forever)
+    b.emit("add.u32", total, total,
+           b.ld_global("u32", pointer) if access == "load" else Immediate(1))
+    b.bra(forever)
+    return b.build()
+
+
+class TestGridSpans:
+    """A kernel without ``.shared`` and ``bar`` runs several blocks of
+    a launch in one pass of its block function. Nothing observable may
+    tell: bytes, counters, cycles and cache lines are the per-thread
+    JIT's, and whatever lockstep across blocks cannot reproduce is
+    rolled back and re-run block by block."""
+
+    @pytest.mark.parametrize("kernel_name", sorted(LIBRARY_LAUNCHES))
+    def test_every_library_kernel_on_a_multi_block_grid(self, kernel_name):
+        kernel = LIBRARY[kernel_name]
+        grid, block, params = multi_block(LIBRARY_LAUNCHES[kernel_name])
+        blocks = grid[0] * grid[1] * grid[2]
+        assert blocks > 1
+        outcomes = run_engines(kernel, grid, block, params, library_setup)
+        assert_equivalent(outcomes["interpreter"], outcomes["jit"])
+        assert_identical(outcomes["jit"], outcomes["block"])
+        counts = outcomes["block"].executor.engine_blocks
+        assert counts == {"block": blocks, "thread": 0, "fallback": 0}
+        # One pass for the whole grid, or one per block where shared
+        # memory or a barrier ties a thread to its block.
+        expected = 1 if spannable(kernel) else blocks
+        assert spans(outcomes["block"]) == (expected, 0)
+        assert outcomes["block"].compiled.code.spannable == spannable(kernel)
+
+    @pytest.mark.parametrize("grid", [(3, 4, 1), (3, 2, 2), (1, 5, 1),
+                                      (2, 1, 3)])
+    def test_ctaid_is_a_lane_value_on_every_axis(self, grid):
+        outcomes = run_engines(where_kernel(), grid, (32, 1, 1), [BASE])
+        assert_equivalent(outcomes["interpreter"], outcomes["jit"])
+        assert_identical(outcomes["jit"], outcomes["block"])
+        assert spans(outcomes["block"]) == (1, 0)
+        gx, gy, gz = grid
+        out = outcomes["block"].memory.read_array(
+            BASE, 32 * gx * gy * gz, dtype="u32").reshape(gz, gy, gx, 32)
+        z, y, x, tid = np.indices(out.shape)
+        assert np.array_equal(out, x | y << 8 | z << 16 | tid << 24)
+
+    @pytest.mark.parametrize("threads", [48, 80])
+    def test_warp_boundary_inside_a_span(self, threads):
+        """A block that is not a multiple of 32 ends in a short warp;
+        the next block's first warp must not absorb its lanes (the
+        walks differ per lane, so a wrong warp maximum would show)."""
+        def setup(memory):
+            memory.write_array(
+                BASE + 65536,
+                np.arange(1, 401, dtype=np.uint32) * 7 % 97, dtype="u32")
+
+        outcomes = run_engines(
+            collatz_kernel(), (5, 1, 1), (threads, 1, 1),
+            [BASE, BASE + 65536, 5 * threads - 9], setup)
+        assert_equivalent(outcomes["interpreter"], outcomes["jit"])
+        assert_identical(outcomes["jit"], outcomes["block"])
+        assert vectorised(outcomes["block"])
+        assert spans(outcomes["block"]) == (1, 0)
+
+    @pytest.mark.parametrize("chunk,sorts", [(1, 5), (150, 2), (1 << 14, 1)])
+    def test_divergent_commit_is_sorted_a_few_blocks_at_a_time(
+            self, chunk, sorts):
+        """Accesses made under a mask are put in thread order by a
+        sort; a span sorts about ``COMMIT_CHUNK`` of them at once, cut
+        between blocks, so its commit needs the memory a block's did."""
+        b = KernelBuilder("odd_store", params=[("out", "u64"),
+                                               ("inp", "u64")])
+        out = b.load_param_ptr("out")
+        inp = b.load_param_ptr("inp")
+        gid = b.global_thread_id()
+        value = b.ld_global("u32", b.element_addr(inp, gid, 4))
+        odd = b.setp("eq", "u32", b.and_("b32", gid, Immediate(1)),
+                     Immediate(1))
+        b.emit("st.global.u32", MemRef(b.element_addr(out, gid, 4)), value,
+               guard=Guard(odd.name))
+
+        parts_sorted = []
+        split_at = blockrt._split_at
+
+        def spy(entries, bounds):
+            parts = list(split_at(entries, bounds))
+            parts_sorted.append(len(parts))
+            return parts
+
+        # 5 x (48 loads + 24 stores) = 360 logged accesses.
+        launch = (b.build(), (5, 1, 1), (48, 1, 1), [BASE, IDX],
+                  library_setup)
+        jit = Outcome("jit", *launch)
+        with mock.patch.object(blockrt, "COMMIT_CHUNK", chunk), \
+                mock.patch.object(blockrt, "_split_at", spy):
+            block = Outcome("block", *launch)
+        assert_identical(jit, block)
+        assert spans(block) == (1, 0)
+        assert parts_sorted == [sorts]
+
+    @pytest.mark.parametrize("count", [200, 100, 1])
+    def test_tail_blocks_retire_their_idle_lanes(self, count):
+        """n = 200: the last block keeps 8 lanes; 100: two blocks are
+        idle altogether; 1: one lane of the whole span survives."""
+        outcomes = run_engines(
+            saxpy_kernel(), (4, 1, 1), (64, 1, 1),
+            [F2, F1, 2.0, count], library_setup)
+        assert_equivalent(outcomes["interpreter"], outcomes["jit"])
+        assert_identical(outcomes["jit"], outcomes["block"])
+        assert spans(outcomes["block"]) == (1, 0)
+
+    def test_sampled_blocks_share_a_span(self):
+        """``max_blocks`` picks blocks 0, 4, 8, 12 of 16: %ctaid is
+        whatever the selected blocks say, not a range."""
+        outcomes = run_engines(
+            LIBRARY["cublas_sgemm"], (16, 1, 1), (64, 1, 1),
+            [OUT, F1, F2, 32, 30, 9, 9, 1, 30, 1, 0.5, 2.0],
+            library_setup, max_blocks=4)
+        assert_equivalent(outcomes["interpreter"], outcomes["jit"])
+        assert_identical(outcomes["jit"], outcomes["block"])
+        block = outcomes["block"]
+        assert block.result.sampled_fraction == 0.25
+        assert block.executor.engine_blocks["block"] == 4
+        assert spans(block) == (1, 0)
+
+    def test_grid_longer_than_the_lane_budget(self):
+        blocks = SPAN_LANES // 256 + 1
+        outcomes = run_engines(
+            saxpy_kernel(), (blocks, 1, 1), (256, 1, 1),
+            [F2, F1, 2.0, 256 * blocks - 3], library_setup)
+        assert_equivalent(outcomes["interpreter"], outcomes["jit"])
+        assert_identical(outcomes["jit"], outcomes["block"])
+        counts = outcomes["block"].executor.engine_blocks
+        assert counts == {"block": blocks, "thread": 0, "fallback": 0}
+        assert spans(outcomes["block"]) == (2, 0)  # full span + remainder
+
+    def test_sub_warp_blocks_are_vectorised_together(self):
+        """64 x 16: no block is a warp, the pass is 1024 lanes - by the
+        executor's own choice. One such block alone stays per-thread."""
+        outcomes = run_engines(
+            saxpy_kernel(), (64, 1, 1), (16, 1, 1), [F2, F1, 2.0, 1000],
+            library_setup, engines=("jit", "stock"))
+        assert_identical(outcomes["jit"], outcomes["stock"])
+        executor = outcomes["stock"].executor
+        assert executor.engine_blocks == {
+            "block": 64, "thread": 0, "fallback": 0}
+        assert spans(outcomes["stock"]) == (1, 0)
+        alone = Outcome("stock", saxpy_kernel(), (1, 1, 1), (16, 1, 1),
+                        [F2, F1, 2.0, 16], library_setup)
+        assert alone.executor.engine_blocks == {
+            "block": 0, "thread": 1, "fallback": 0}
+        assert spans(alone) == (0, 0)
+
+    def test_block_loading_what_the_previous_block_stored(self):
+        outcomes = run_engines(chain_kernel(), (5, 1, 1), (64, 1, 1),
+                               [BASE])
+        assert_equivalent(outcomes["interpreter"], outcomes["jit"])
+        assert_identical(outcomes["jit"], outcomes["block"])
+        block = outcomes["block"]
+        # The span is rolled back whole; each block then vectorises.
+        assert block.executor.engine_blocks == {
+            "block": 5, "thread": 0, "fallback": 0}
+        assert spans(block) == (6, 1)
+        out = block.memory.read_array(BASE, 320, dtype="u32")
+        assert list(out.reshape(5, 64)[:, 0]) == [1, 2, 3, 4, 5]
+
+    def test_two_blocks_storing_one_cell(self):
+        outcomes = run_engines(stamp_kernel(), (3, 1, 1), (64, 1, 1),
+                               [BASE])
+        assert_equivalent(outcomes["interpreter"], outcomes["jit"])
+        assert_identical(outcomes["jit"], outcomes["block"])
+        block = outcomes["block"]
+        assert block.executor.engine_blocks == {
+            "block": 3, "thread": 0, "fallback": 0}
+        assert spans(block) == (4, 1)
+        out = block.memory.read_array(BASE, 64, dtype="u32")
+        assert (out == 3).all()  # the last block's stamp
+
+    @pytest.mark.parametrize("kind,error", [
+        ("fault", MemoryFault), ("misaligned", MemoryFault),
+        ("overflow", OverflowError)])
+    def test_trouble_in_block_2_of_5(self, kind, error):
+        """Same exception, same partial memory: blocks 0 and 1
+        committed, block 2 up to the offending thread, nothing of
+        blocks 3 and 4."""
+        bad = {"fault": MEMORY_BYTES, "misaligned": 2, "overflow": 0}[kind]
+        outcomes = run_engines(trouble_kernel(kind), (5, 1, 1), (64, 1, 1),
+                               [BASE, bad])
+        for outcome in outcomes.values():
+            assert isinstance(outcome.error, error)
+        assert (str(outcomes["interpreter"].error)
+                == str(outcomes["jit"].error))
+        assert_identical(outcomes["jit"], outcomes["block"])
+        block = outcomes["block"]
+        assert block.executor.engine_blocks == {
+            "block": 2, "thread": 1, "fallback": 1}
+        assert spans(block) == (4, 1)
+        if kind != "overflow":
+            out = block.memory.read_array(BASE, 320, dtype="u32")
+            assert list(out[:168]) == list(range(1, 169))
+            assert not out[168:].any()
+
+    def test_span_over_the_log_cap(self):
+        """Budgets are per attempt: four blocks together log more
+        accesses than one attempt may, each alone does not."""
+        with mock.patch.object(blockrt, "LOG_CAP", 500):
+            outcomes = run_engines(
+                saxpy_kernel(), (4, 1, 1), (64, 1, 1),
+                [F2, F1, 2.0, 256], library_setup,
+                engines=("jit", "block"))
+        assert_identical(outcomes["jit"], outcomes["block"])
+        block = outcomes["block"]
+        assert block.executor.engine_blocks == {
+            "block": 4, "thread": 0, "fallback": 0}
+        assert spans(block) == (5, 1)
+
+    @pytest.mark.parametrize("access", ["load", "none"])
+    def test_runaway_span_stays_bounded(self, access):
+        """8 x 256 lanes of a tenant's infinite loop: the span spends
+        one attempt's budget (``LOG_CAP`` with the load, without it
+        ``ATTEMPT_STEPS``), block 0 a second one, then the per-thread
+        watchdog reports it. Measured with the load: 2.5 s and 57 MB
+        peak RSS, what one block of 256 costs (2.5 s, 57 MB; the JIT
+        alone 1.7 s, 40 MB) - the span's own attempt ends after 1 024
+        iterations. Without it 0.35 s and 41 MB either way."""
+        rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        started = time.process_time()
+        block = Outcome("block", spin_kernel(access), (8, 1, 1),
+                        (256, 1, 1), [BASE], None)
+        assert isinstance(block.error, ExecutionError)
+        assert "runaway" in str(block.error)
+        assert time.process_time() - started < 15  # noisy box
+        grown_kib = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                     - rss_before)
+        assert grown_kib < 192 << 10
+        assert block.executor.engine_blocks == {
+            "block": 0, "thread": 1, "fallback": 1}
+        assert spans(block) == (2, 1)
+
+    def test_shared_memory_and_barriers_stay_at_span_1(self):
+        """Either one alone ties a thread to its block."""
+        b = KernelBuilder("own_slot", params=[("out", "u64")])
+        out = b.load_param_ptr("out")
+        buf = b.shared_array("buf", "u32", 64)
+        tid = b.special("%tid.x")
+        slot = b.add("u64", b.mov("u64", buf),
+                     b.mul_wide("u32", tid, Immediate(4)))
+        b.st_shared("u32", slot, b.global_thread_id())
+        b.st_global("u32", b.element_addr(out, b.global_thread_id(), 4),
+                    b.ld_shared("u32", slot))
+        shared_only = b.build()
+
+        b = KernelBuilder("meet", params=[("out", "u64")])
+        out = b.load_param_ptr("out")
+        gid = b.global_thread_id()
+        b.barrier()
+        b.st_global("u32", b.element_addr(out, gid, 4), gid)
+        barrier_only = b.build()
+
+        for kernel in (shared_only, barrier_only):
+            outcomes = run_engines(kernel, (3, 1, 1), (64, 1, 1), [BASE])
+            assert_equivalent(outcomes["interpreter"], outcomes["jit"])
+            assert_identical(outcomes["jit"], outcomes["block"])
+            block = outcomes["block"]
+            assert not block.compiled.code.spannable
+            assert vectorised(block)
+            assert spans(block) == (3, 0)
+            out = block.memory.read_array(BASE, 192, dtype="u32")
+            assert list(out) == list(range(192))
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_structured_kernels_across_a_span(self, rng):
+        kernel = structured_kernel(rng, use_shared=False)
+        threads = rng.choice([32, 48, 64, 96])
+        blocks = rng.randrange(1, 7)
+        count = rng.randrange(1, threads * blocks + 1)
+        outcomes = run_engines(
+            kernel, (blocks, 1, 1), (threads, 1, 1),
+            [BASE + (1 << 20), F1, count, rng.uniform(-2, 2),
+             rng.getrandbits(64)],
+            library_setup, engines=("jit", "block"))
+        jit, block = outcomes["jit"], outcomes["block"]
+        assert_identical(jit, block)
+        stored = np.frombuffer(jit.bytes, dtype=np.float32)
+        if jit.error is None and np.isfinite(stored).all():
+            assert vectorised(block)
+            assert spans(block) == (1, 0)
+
+
+class TestLaneGeometryIsBounded:
+    def test_distinct_block_shapes_do_not_grow_the_process(self):
+        """The geometry table is keyed by what a tenant chooses."""
+        b = KernelBuilder("shape", params=[("out", "u64")])
+        out = b.load_param_ptr("out")
+        x, y, z = (b.special(f"%tid.{axis}") for axis in "xyz")
+        linear = b.mad_lo(
+            "u32", b.mad_lo("u32", z, b.special("%ntid.y"), y),
+            b.special("%ntid.x"), x)
+        b.st_global(
+            "u32", b.element_addr(out, linear, 4),
+            b.or_("b32", x, b.or_("b32", b.shl("b32", y, Immediate(10)),
+                                  b.shl("b32", z, Immediate(20)))))
+        kernel = b.build()
+        shapes = [(bx, by, bz)
+                  for bx in range(1, 301) for by in range(1, 300 // bx + 1)
+                  for bz in range(1, 300 // (bx * by) + 1)][:5000]
+        assert len(set(shapes)) == 5000
+        memory = GlobalMemory(1 << 16)
+        with forced_engine("block") as make:
+            executor = make(SPEC, memory)
+            compiled = compile_kernel(kernel, SPEC)
+            for shape in shapes:
+                executor.launch(compiled, (1, 1, 1), shape, [BASE])
+                geometry = executor._block_runtime._geometry
+                assert len(geometry) <= blockrt.GEOMETRY_SLOTS
+                threads = shape[0] * shape[1] * shape[2]
+                stored = memory.read_array(BASE, threads, dtype="u32")
+                z, y, x = np.indices(shape[::-1]).reshape(3, -1)
+                assert np.array_equal(stored, x | y << 10 | z << 20), shape
+        assert executor.engine_blocks == {
+            "block": 5000, "thread": 0, "fallback": 0}

@@ -81,11 +81,20 @@ class TestTraining:
         result = train(model, data, epochs=3, batch_size=8, lr=0.1)
         assert result.batches == 6
         assert result.final_loss < result.first_loss
-        # A block handed back to the per-thread engine is still exact,
-        # so an engine bug would only show as a slower launch: pin that
-        # none of LeNet's blocks is.
-        counts = native_stack[0].executor.engine_blocks
-        assert counts["block"] > 0 and counts["fallback"] == 0
+        # A block handed back to the per-thread engine, or a span
+        # re-run block by block, is still exact, so an engine bug would
+        # only show as a slower launch: pin that every block of LeNet
+        # is vectorised, and a whole grid at a time (counts, not
+        # timing: no launch of LeNet needs more than two passes).
+        device = native_stack[0]
+        executor = device.executor
+        assert executor.engine_blocks["block"] > 0
+        assert executor.engine_blocks["thread"] == 0
+        assert executor.engine_blocks["fallback"] == 0
+        assert executor.span_bails == 0
+        launches = device.metrics.kernels_launched
+        assert launches < executor.engine_blocks["block"]
+        assert executor.engine_passes <= 2 * launches
 
     def test_rnn_trains_output_layer(self, libs_exact):
         libs = libs_exact
