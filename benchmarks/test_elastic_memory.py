@@ -67,7 +67,7 @@ def fence_mask_ops(config: ServerConfig) -> tuple[str, float]:
     instrumented site."""
     server = GuardianServer(Device(SMALL), config=config)
     ptx = emit_module(build_module([saxpy_kernel()]))
-    patched, reports, _ = server._patch_text(ptx)
+    ((patched, reports),), _ = server._patch_texts((ptx,))
     sites = sum(report.sites for report in reports)
     # The fence pair works on the injected guardian registers (%grd*):
     # AND with the mask param, OR with the base param.

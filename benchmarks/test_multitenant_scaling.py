@@ -7,34 +7,19 @@ the lane critical path). Independent tenants overlap everywhere except
 the shared critical section (allocator mutations, bounds writes,
 patch-cache misses), so the curve should climb toward the lane count
 and must clear **2.5x at 8 tenants** (the CI regression floor).
-
-A second experiment measures *wall-clock* time on a cold-patch
-workload: eight tenant threads deploying the same cold PTX texts
-through the single-flight parallel patch front-end versus each tenant
-patching privately. The win is deduplication — concurrent same-hash
-misses run one patch — so the speedup survives the GIL.
 """
 
 from __future__ import annotations
-
-import threading
-import time
 
 import numpy as np
 
 from repro.analysis.metrics import collect_all
 from repro.analysis.reporting import render_lane_report
-from repro.core.patcher import (
-    ParallelPatcher,
-    PTXPatcher,
-    ThreadSafePatchCache,
-)
 from repro.core.policy import FencingMode
 from repro.core.server import GuardianServer, ServerConfig
 from repro.driver.fatbin import build_fatbin
 from repro.gpu.device import Device
 from repro.gpu.specs import QUADRO_RTX_A4000
-from repro.ptx.emitter import emit_module
 
 from benchmarks.conftest import emit_bench_json, print_table
 from tests.conftest import make_guardian_tenant, saxpy_module
@@ -47,10 +32,6 @@ PARTITION = 1 << 20
 #: The CI gate (mirrored in bench_baseline.json): 8 independent
 #: tenants must overlap to at least this modelled speedup.
 SPEEDUP_FLOOR_8_TENANTS = 2.5
-
-#: Cold-patch wall-clock floor: single-flight dedup must beat
-#: per-tenant private patching even with thread overhead.
-PATCH_WALLCLOCK_FLOOR = 1.5
 
 
 def run_sharing_workload(tenants: int, config: ServerConfig):
@@ -79,51 +60,6 @@ def run_sharing_workload(tenants: int, config: ServerConfig):
                 client.synchronize()
     device.synchronize(spatial=True)
     return server
-
-
-def cold_patch_arms(tenants: int = 8, texts: int = 3, repeats: int = 3):
-    """Wall-clock seconds for ``tenants`` deployments of the same cold
-    texts: (private per-tenant patching, shared single-flight pool)."""
-    base = emit_module(saxpy_module())
-    sources = [base + f"\n// cold variant {index}\n"
-               for index in range(texts)]
-
-    def private_arm() -> float:
-        patcher = PTXPatcher(FencingMode.BITWISE)
-        start = time.perf_counter()
-        for _ in range(tenants):
-            for source in sources:
-                patcher.patch_text(source)
-        return time.perf_counter() - start
-
-    def pooled_arm() -> tuple[float, int]:
-        pool = ParallelPatcher(
-            PTXPatcher(FencingMode.BITWISE),
-            cache=ThreadSafePatchCache(16),
-            workers=4,
-        )
-        barrier = threading.Barrier(tenants)
-
-        def deploy():
-            barrier.wait()
-            pool.patch_many(sources)
-
-        threads = [threading.Thread(target=deploy)
-                   for _ in range(tenants)]
-        start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - start
-        pool.shutdown()
-        return elapsed, pool.patches_run
-
-    private = min(private_arm() for _ in range(repeats))
-    pooled_runs = [pooled_arm() for _ in range(repeats)]
-    pooled = min(elapsed for elapsed, _ in pooled_runs)
-    patches_run = max(runs for _, runs in pooled_runs)
-    return private, pooled, patches_run
 
 
 class TestMultiTenantScaling:
@@ -193,31 +129,4 @@ class TestMultiTenantScaling:
         assert speedups[8] >= SPEEDUP_FLOOR_8_TENANTS, (
             f"8-tenant modelled speedup {speedups[8]:.2f}x below the "
             f"{SPEEDUP_FLOOR_8_TENANTS}x floor"
-        )
-
-    def test_cold_patch_wallclock_speedup(self, once):
-        private, pooled, patches_run = once(cold_patch_arms)
-        speedup = private / pooled
-        print_table(
-            "Cold-patch deployment: wall-clock",
-            ["arm", "seconds", "patches run"],
-            [
-                ["private per-tenant", f"{private:.4f}", 8 * 3],
-                ["shared single-flight", f"{pooled:.4f}", patches_run],
-            ],
-        )
-        print(f"wall-clock speedup: {speedup:.2f}x")
-
-        emit_bench_json("multitenant_coldpatch", {
-            "private_seconds": private,
-            "pooled_seconds": pooled,
-            "wallclock_speedup": speedup,
-            "patches_run": patches_run,
-        })
-
-        # Single-flight dedup: 8 racing tenants x 3 texts -> 3 patches.
-        assert patches_run == 3
-        assert speedup >= PATCH_WALLCLOCK_FLOOR, (
-            f"cold-patch wall-clock speedup {speedup:.2f}x below the "
-            f"{PATCH_WALLCLOCK_FLOOR}x floor"
         )

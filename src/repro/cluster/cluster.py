@@ -228,8 +228,7 @@ class GuardianCluster:
         #: of modelled transfer time, not server cycles). Follows the
         #: same ServerConfig knob so one switch lights up every layer.
         self.telemetry: Optional[Telemetry] = (
-            Telemetry(self.config.server_config.telemetry_capacity)
-            if self.config.server_config.telemetry else None
+            Telemetry() if self.config.server_config.telemetry else None
         )
         #: Per-node cursor into supervisor.records already fed to the
         #: health monitor.

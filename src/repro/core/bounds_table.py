@@ -95,11 +95,11 @@ class PartitionRecord:
 
         One sweep evaluates the same three-clause predicate
         :meth:`contains` applies per range — lower bound, non-negative
-        length, upper bound — across the whole batch. This is the
-        trace-specialization prologue's one-shot bounds check
-        (``enable_vectorized_bounds``): the per-range predicate stays
-        the flat GPUArmor-style comparison; only the loop over ranges
-        is vectorized.
+        length, upper bound — across the whole batch. This is how a
+        replayed trace block's transfer ranges are checked, once per
+        replay at block entry: the per-range predicate stays the flat
+        GPUArmor-style comparison; only the loop over ranges is
+        vectorized.
         """
         return bool(np.all(
             (starts >= self.base)

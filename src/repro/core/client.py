@@ -46,7 +46,6 @@ class GuardianClient(GpuBackend):
         max_bytes: int,
         ipc_costs: Optional[IPCCostModel] = None,
         batching: Optional[bool] = None,
-        max_batch: Optional[int] = None,
         queue_limit: Optional[int] = None,
         shed_overflow: Optional[bool] = None,
         fault_plan: Optional[FaultPlan] = None,
@@ -63,14 +62,12 @@ class GuardianClient(GpuBackend):
         # explicit arguments override per client.
         if batching is None:
             batching = server.config.enable_ipc_batching
-        if max_batch is None:
-            max_batch = server.config.ipc_max_batch
         if queue_limit is None:
             queue_limit = server.config.ipc_queue_limit
         if shed_overflow is None:
             shed_overflow = server.config.ipc_shed_overflow
         self.channel = IPCChannel(server, app_id, costs=ipc_costs,
-                                  batching=batching, max_batch=max_batch,
+                                  batching=batching,
                                   queue_limit=queue_limit,
                                   shed_overflow=shed_overflow)
         self.profile = BackendProfile()
@@ -242,7 +239,6 @@ def preload_guardian(
     max_bytes: int,
     ipc_costs: Optional[IPCCostModel] = None,
     batching: Optional[bool] = None,
-    max_batch: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
 ) -> GuardianClient:
     """Install the Guardian shim into a process (the LD_PRELOAD moment).
@@ -252,7 +248,6 @@ def preload_guardian(
     hold the real driver binding.
     """
     client = GuardianClient(server, app_id, max_bytes, ipc_costs=ipc_costs,
-                            batching=batching, max_batch=max_batch,
-                            fault_plan=fault_plan)
+                            batching=batching, fault_plan=fault_plan)
     loader.preload(LIBCUDA, client)
     return client

@@ -94,12 +94,7 @@ class ElasticMemoryEngine:
         self.oversubscription_enabled = config.enable_oversubscription
         self.oversubscription_ratio = config.oversubscription_ratio
         self.min_partition_bytes = config.min_partition_bytes
-        if config.defrag_policy == "threshold":
-            self.policy = defrag_policy(
-                "threshold", threshold=config.defrag_threshold
-            )
-        else:
-            self.policy = defrag_policy(config.defrag_policy)
+        self.policy = defrag_policy(config.defrag_policy)
         #: app_id -> host-side image of a swapped-out partition.
         self._swapped: dict[str, _SwapImage] = {}
         #: app_id -> monotone recency tick (LRU victim picker input).

@@ -49,7 +49,6 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -136,6 +135,10 @@ class PatchCache:
     into the patched text).
     """
 
+    #: Entries written to a persistent store; a memory-only cache has
+    #: none, so the server's stats diff reads 0 around every ``put``.
+    disk_writes = 0
+
     def __init__(self, capacity: int = 64):
         if capacity < 0:
             raise PatcherError(f"bad patch-cache capacity {capacity}")
@@ -159,6 +162,17 @@ class PatchCache:
             self._entries.move_to_end(key)
         return entry
 
+    def get_with_source(self, ptx_text: str, mode: FencingMode
+                        ) -> tuple[
+                            tuple[str, tuple[PatchReport, ...]] | None,
+                            str | None,
+                        ]:
+        """Probe the cache; returns ``(entry, tier)`` where ``tier``
+        names what the probe is charged as: ``"memory"``, ``"disk"``
+        (:class:`DiskPatchCache` only) or None on a miss."""
+        entry = self.get(ptx_text, mode)
+        return entry, (None if entry is None else "memory")
+
     def put(self, ptx_text: str, mode: FencingMode,
             patched_text: str, reports: tuple[PatchReport, ...]) -> int:
         """Insert an entry; returns how many entries were evicted."""
@@ -180,39 +194,6 @@ class PatchCache:
         return key in self._entries
 
 
-class ThreadSafePatchCache(PatchCache):
-    """A :class:`PatchCache` safe to share across patcher threads.
-
-    Every operation (probe, insert, len, contains) holds one mutex, so
-    the LRU bookkeeping — ``move_to_end`` + eviction — can never be
-    interleaved by two workers of the server's patch pool. The values
-    themselves stay immutable, so hits may still be returned by
-    reference without copying.
-    """
-
-    def __init__(self, capacity: int = 64):
-        super().__init__(capacity)
-        self._mutex = threading.RLock()
-
-    def get(self, ptx_text: str, mode: FencingMode
-            ) -> tuple[str, tuple[PatchReport, ...]] | None:
-        with self._mutex:
-            return super().get(ptx_text, mode)
-
-    def put(self, ptx_text: str, mode: FencingMode,
-            patched_text: str, reports: tuple[PatchReport, ...]) -> int:
-        with self._mutex:
-            return super().put(ptx_text, mode, patched_text, reports)
-
-    def __len__(self) -> int:
-        with self._mutex:
-            return super().__len__()
-
-    def __contains__(self, key: tuple[str, FencingMode]) -> bool:
-        with self._mutex:
-            return super().__contains__(key)
-
-
 #: Bump when the on-disk entry layout (or anything baked into a cached
 #: patched text, e.g. the patcher's instrumentation sequences) changes
 #: incompatibly. The version is part of every entry's file name, so old
@@ -221,7 +202,7 @@ class ThreadSafePatchCache(PatchCache):
 DISK_FORMAT_VERSION = 1
 
 
-class DiskPatchCache(ThreadSafePatchCache):
+class DiskPatchCache(PatchCache):
     """A patch cache persisted to a content-addressed on-disk store.
 
     The in-memory LRU (inherited) stays the first-level cache; misses
@@ -245,13 +226,14 @@ class DiskPatchCache(ThreadSafePatchCache):
       is ignored (counted in ``disk_misses``); the patcher simply runs
       and the next ``put`` rewrites the entry.
 
-    Thread safety comes from the inherited mutex: every probe/insert —
-    including the disk round-trip — runs under it, which also keeps the
-    ``disk_*`` counters exact for the server's stats diffs.
+    Every probe/insert — including the disk round-trip — runs under
+    one mutex, which also keeps the ``disk_*`` counters exact for the
+    server's stats diffs.
     """
 
     def __init__(self, directory: str, capacity: int = 64):
         super().__init__(capacity)
+        self._mutex = threading.RLock()
         self.directory = os.path.expanduser(directory)
         os.makedirs(self.directory, exist_ok=True)
         #: Probes answered from disk (after an in-memory miss).
@@ -417,11 +399,11 @@ def patch_shared(patcher: PTXPatcher, ptx_text: str
     distinct ``(text, mode)``; returns the result and whether it was
     found already made.
 
-    This sits *under* :class:`PatchCache` and :class:`ParallelPatcher`:
-    they decide what a deployment is charged (and count hits, misses
-    and single-flight joins exactly as before), this decides whether
-    the host does the work again. A failing text is not kept, so it
-    raises the same error on every submission.
+    This sits *under* :class:`PatchCache`: the server's cache decides
+    what a deployment is charged (and counts hits and misses), this
+    decides whether the host does the work again - it is the dedup
+    across tenants and servers in one process. A failing text is not
+    kept, so it raises the same error on every submission.
     """
     key = (ptx_text, patcher.mode)
     found = _PATCHED.get(key)
@@ -439,139 +421,6 @@ def patched_source(ptx_text: str, mode: FencingMode) -> Optional[Module]:
     patched that text in ``mode`` and still holds the result."""
     found = _PATCHED.get((ptx_text, mode))
     return None if found is None else found.source
-
-
-@dataclass(frozen=True)
-class PatchOutcome:
-    """One text's trip through the parallel patch front-end.
-
-    ``source`` is one of ``"hit"`` (already in the in-memory cache),
-    ``"disk"`` (missed memory but found in a :class:`DiskPatchCache`'s
-    on-disk store — charged as a disk lookup, not a patch), ``"join"``
-    (another worker was patching the same content hash; we waited on
-    its result — no second patch ran, no second patch is charged) or
-    ``"patched"`` (this call is charged a patch). ``shared`` says, for
-    a ``"patched"`` outcome, that the process had the result already
-    (:func:`patch_shared`) - a host-side fact the charge ignores.
-    """
-
-    patched_text: str
-    reports: tuple[PatchReport, ...]
-    source: str
-    shared: bool = False
-
-
-class ParallelPatcher:
-    """Thread-pooled, single-flight front-end over a :class:`PTXPatcher`.
-
-    The patcher is pure CPU and the patch cache is content-addressed,
-    which makes cold patches *mergeable*: two tenants deploying the
-    same library concurrently need one parse+patch, not two. This
-    class provides
-
-    - **single-flight misses**: concurrent :meth:`patch` calls on the
-      same ``sha256(text)`` collapse onto one in-flight patch; the
-      losers block on a :class:`~concurrent.futures.Future` and report
-      ``source="join"`` so the caller charges a probe, not a patch;
-    - **a worker pool** (:meth:`patch_many`): distinct cold texts of
-      one deployment are patched on up to ``workers`` threads.
-
-    All cache traffic goes through the (thread-safe) cache the caller
-    supplies; with ``cache=None`` the front-end degrades to plain
-    patching (every call reports ``"patched"``).
-    """
-
-    def __init__(self, patcher: PTXPatcher,
-                 cache: PatchCache | None = None,
-                 workers: int = 1):
-        if workers < 1:
-            raise PatcherError(f"bad patch worker count {workers}")
-        self.patcher = patcher
-        self.cache = cache
-        self.workers = workers
-        self._pool: ThreadPoolExecutor | None = None
-        self._mutex = threading.Lock()
-        self._inflight: dict[tuple[str, FencingMode], Future] = {}
-        #: How many parse+patch passes were charged (the thread-safety
-        #: tests pin this to 1 for N concurrent same-hash misses).
-        self.patches_run = 0
-        #: Cumulative LRU evictions caused by this front-end's inserts;
-        #: the server diffs it around a batch to keep its stats exact.
-        self.evictions = 0
-
-    def patch(self, ptx_text: str) -> PatchOutcome:
-        """Patch one text through the cache with single-flight misses."""
-        if self.cache is None:
-            made, shared = patch_shared(self.patcher, ptx_text)
-            with self._mutex:
-                self.patches_run += 1
-            return PatchOutcome(made.patched_text, made.reports,
-                                "patched", shared)
-        key = PatchCache.key_for(ptx_text, self.patcher.mode)
-        probe = getattr(self.cache, "get_with_source", None)
-        with self._mutex:
-            if probe is not None:
-                cached, tier = probe(ptx_text, self.patcher.mode)
-                if cached is not None:
-                    source = "hit" if tier == "memory" else "disk"
-                    return PatchOutcome(cached[0], cached[1], source)
-            else:
-                cached = self.cache.get(ptx_text, self.patcher.mode)
-                if cached is not None:
-                    return PatchOutcome(cached[0], cached[1], "hit")
-            pending = self._inflight.get(key)
-            if pending is None:
-                pending = Future()
-                self._inflight[key] = pending
-                owner = True
-            else:
-                owner = False
-        if not owner:
-            patched_text, reports = pending.result()
-            return PatchOutcome(patched_text, reports, "join")
-        try:
-            made, shared = patch_shared(self.patcher, ptx_text)
-        except BaseException as failure:
-            pending.set_exception(failure)
-            with self._mutex:
-                self._inflight.pop(key, None)
-            raise
-        patched_text, reports = made.patched_text, made.reports
-        evicted = self.cache.put(
-            ptx_text, self.patcher.mode, patched_text, reports
-        )
-        with self._mutex:
-            self.patches_run += 1
-            self.evictions += evicted
-            self._inflight.pop(key, None)
-        pending.set_result((patched_text, reports))
-        return PatchOutcome(patched_text, reports, "patched", shared)
-
-    def patch_many(self, ptx_texts: list[str]) -> list[PatchOutcome]:
-        """Patch a batch of texts, fanning cold ones across the pool.
-
-        Results come back in input order. Duplicate texts inside one
-        batch resolve through the single-flight path: the first
-        occurrence patches, the rest join.
-        """
-        if len(ptx_texts) <= 1 or self.workers == 1:
-            return [self.patch(text) for text in ptx_texts]
-        pool = self._ensure_pool()
-        futures = [pool.submit(self.patch, text) for text in ptx_texts]
-        return [future.result() for future in futures]
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="guardian-patch",
-            )
-        return self._pool
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
 
 class PTXPatcher:

@@ -308,8 +308,7 @@ def defrag_policy(name: str, **kwargs) -> DefragPolicy:
     """Resolve a ``ServerConfig.defrag_policy`` string.
 
     ``kwargs`` forward to the policy constructor (the server passes
-    ``threshold=config.defrag_threshold``; policies without that knob
-    simply don't accept it).
+    none, so ``"threshold"`` runs at its default of 0.5).
     """
     try:
         cls = _DEFRAG_POLICIES[name]

@@ -61,11 +61,9 @@ from repro.errors import (
 from repro.core.allocator import GuardianAllocator
 from repro.core.patcher import (
     DiskPatchCache,
-    ParallelPatcher,
     PatchCache,
     PatchReport,
     PTXPatcher,
-    ThreadSafePatchCache,
     patch_shared,
     patched_source,
 )
@@ -76,14 +74,30 @@ from repro.core.tracecache import (
     launch_signature,
     memset_signature,
 )
-from repro.core.policy import FencingMode, lane_scheduling_policy
+from repro.core.policy import (
+    FencingMode,
+    defrag_policy,
+    lane_scheduling_policy,
+)
 from repro.driver.api import DriverAPI
 from repro.driver.fatbin import FatBinary, cuobjdump
 from repro.gpu.allocator import FirstFitAllocator
 from repro.gpu.device import Device
 from repro.gpu.stream import Stream
+from repro.ptx.textcache import TextCache
 from repro.runtime.backend import CPU_GHZ, DriverCostModel
 from repro.telemetry import Telemetry, maybe_span
+
+
+#: Bound on the ``cuobjdump`` memo, in fatBIN payload bytes - what an
+#: entry keeps alive is its key, the whole binary. Least recently used
+#: first, as :data:`repro.core.patcher.PATCHED_CACHE_BYTES`.
+EXTRACT_CACHE_BYTES = 2 * 1024 * 1024
+
+#: Width of the patch pool the concurrency-mode charge models. No
+#: threads run - the patcher is pure Python under the GIL and every
+#: handler is serial - the model needs the number, not the pool.
+PATCH_POOL_WIDTH = 4
 
 
 @dataclass(frozen=True)
@@ -153,9 +167,9 @@ class ServerConfig:
       parameter tuple; steady-state launches pay ``lookup_cached``
       instead of ``lookup + augment``. Invalidated by the bounds
       table's per-tenant epoch (bumped on partition grow/release).
-    - ``enable_ipc_batching`` / ``ipc_max_batch``: clients coalesce
-      consecutive asynchronous calls into one flush-on-sync batch
-      (picked up by :class:`~repro.core.ipc.IPCChannel` at attach).
+    - ``enable_ipc_batching``: clients coalesce consecutive
+      asynchronous calls into one flush-on-sync batch (picked up by
+      :class:`~repro.core.ipc.IPCChannel` at attach).
     - ``charge_patch_cycles``: account the offline patch/extract work
       in server cycles. Off by default because the paper reports
       patching as an offline phase outside the launch path; benchmarks
@@ -167,9 +181,6 @@ class ServerConfig:
     - ``lane_policy``: which tenant's lane enters the shared critical
       section first at each ordering point (``"fifo"`` or ``"fair"``,
       resolved by :func:`~repro.core.policy.lane_scheduling_policy`).
-    - ``patch_workers``: thread-pool width for cold-PTX patching in
-      concurrency mode; single-flight dedup means concurrent same-hash
-      misses still run (and charge) exactly one patch.
     - ``coalesce_transfer_checks``: contiguous chunked
       ``memcpy_*``/``memset`` ranges collapse into one charged
       ``_check_range`` per run (the containment predicate itself is
@@ -180,18 +191,15 @@ class ServerConfig:
       only: no hook charges cycles, so every modelled total is
       bit-identical with the knob on or off — the stock default stays
       the paper's numbers *and* so does the instrumented run.
-      ``telemetry_capacity`` bounds the span ring buffer.
     - ``enable_trace_specialization``: record a tenant's steady-state
       sync-to-sync call sequence and, once it repeats
       ``trace_hot_threshold`` consecutive times, replay it as one
       guarded fused block (:mod:`repro.core.tracecache`, DESIGN.md
       §12). Any guard failure or epoch bump falls back to the
-      interpreted path bit-identically. ``trace_max_ops`` bounds how
-      long a block the recorder will consider.
-    - ``enable_vectorized_bounds``: range-check a replayed block's
-      pre-validated transfer ranges in one numpy sweep at block entry
-      instead of one flat check per op (only consulted by the trace
-      replay path — the interpreted path's checks are untouched).
+      interpreted path bit-identically. A replayed block's
+      pre-validated transfer ranges are range-checked in one numpy
+      sweep at block entry (the interpreted path's flat per-op checks
+      are untouched).
     - ``patch_cache_dir``: back the content-addressed patch cache with
       an on-disk store (atomic writes, versioned keys) so cold-start
       patch cost amortizes across server processes. Implies the patch
@@ -221,27 +229,21 @@ class ServerConfig:
       (the default) no engine is constructed and the server is the
       stock server. ``oversubscription_ratio`` hard-caps total declared
       bytes (resident + swapped) at that multiple of physical capacity;
-      ``defrag_policy``/``defrag_threshold`` select the
+      ``defrag_policy`` selects the
       :class:`~repro.core.policy.DefragPolicy`;
       ``min_partition_bytes`` floors how far a shrink may go.
     """
 
     enable_patch_cache: bool = False
-    patch_cache_capacity: int = 64
     enable_launch_fast_path: bool = False
     enable_ipc_batching: bool = False
-    ipc_max_batch: int = 64
     charge_patch_cycles: bool = False
     concurrency: bool = False
     lane_policy: str = "fifo"
-    patch_workers: int = 4
     coalesce_transfer_checks: bool = False
     telemetry: bool = False
-    telemetry_capacity: int = 65_536
     enable_trace_specialization: bool = False
     trace_hot_threshold: int = 2
-    trace_max_ops: int = 512
-    enable_vectorized_bounds: bool = False
     patch_cache_dir: Optional[str] = None
     max_resident_tenants: Optional[int] = None
     ipc_queue_limit: Optional[int] = None
@@ -251,8 +253,33 @@ class ServerConfig:
     enable_oversubscription: bool = False
     oversubscription_ratio: float = 2.0
     defrag_policy: str = "threshold"
-    defrag_threshold: float = 0.5
     min_partition_bytes: int = 4096
+
+    def __post_init__(self):
+        """Refuse a config that cannot do what it says: one
+        ``ValueError`` names every offender and the field to change."""
+        offenders = []
+        for name, resolve in (("lane_policy", lane_scheduling_policy),
+                              ("defrag_policy", defrag_policy)):
+            try:
+                resolve(getattr(self, name))
+            except ValueError as failure:
+                offenders.append(f"{name}: {failure}")
+        if self.ipc_shed_overflow and self.ipc_queue_limit is None:
+            offenders.append(
+                "ipc_shed_overflow=True sheds nothing while the queue "
+                "is unbounded (ipc_queue_limit=None); set ipc_queue_limit"
+            )
+        for name in ("oversubscription_ratio", "trace_hot_threshold",
+                     "min_partition_bytes"):
+            if getattr(self, name) < 1:
+                offenders.append(
+                    f"{name}={getattr(self, name)!r} must be at least 1"
+                )
+        if offenders:
+            raise ValueError(
+                "invalid ServerConfig:\n  " + "\n  ".join(offenders)
+            )
 
     @classmethod
     def hotpath(cls, **overrides) -> "ServerConfig":
@@ -280,14 +307,13 @@ class ServerConfig:
 
     @classmethod
     def traced(cls, **overrides) -> "ServerConfig":
-        """Every hot-path cache plus steady-state trace specialization
-        and the vectorized bounds prologue."""
+        """Every hot-path cache plus steady-state trace
+        specialization."""
         values = dict(
             enable_patch_cache=True,
             enable_launch_fast_path=True,
             enable_ipc_batching=True,
             enable_trace_specialization=True,
-            enable_vectorized_bounds=True,
         )
         values.update(overrides)
         return cls(**values)
@@ -343,7 +369,6 @@ class ServerStats:
     tenants_migrated_out: int = 0
     # Concurrent-dispatch counters (zero unless the knobs are on).
     checks_coalesced: int = 0
-    patch_inflight_joins: int = 0
     lanes_retired: int = 0
     # Trace-specialization counters (zero unless the knob is on).
     traces_compiled: int = 0
@@ -493,36 +518,27 @@ class GuardianServer:
         # resolve this attribute, so one deployment shares one tracer
         # clock and one registry.
         self.telemetry: Optional[Telemetry] = (
-            Telemetry(self.config.telemetry_capacity)
-            if self.config.telemetry else None
+            Telemetry() if self.config.telemetry else None
         )
         if self.telemetry is not None:
             device.telemetry = self.telemetry
-        # Hot-path caches (None = knob off, seed behaviour). In
-        # concurrency mode the cache is the thread-safe variant because
-        # the patch pool's workers share it; a configured
-        # ``patch_cache_dir`` backs the cache with the on-disk store
-        # (itself lock-protected, so it serves both modes) and implies
-        # the cache even if ``enable_patch_cache`` wasn't set.
-        patch_caching = (
-            self.config.enable_patch_cache
-            or self.config.patch_cache_dir is not None
-        )
-        if not patch_caching:
-            self._patch_cache: Optional[PatchCache] = None
-        elif self.config.patch_cache_dir is not None:
-            self._patch_cache = DiskPatchCache(
-                self.config.patch_cache_dir,
-                self.config.patch_cache_capacity,
+        # Hot-path caches (None = knob off, seed behaviour). A
+        # configured ``patch_cache_dir`` backs the cache with the
+        # on-disk store and implies the cache even if
+        # ``enable_patch_cache`` wasn't set.
+        if self.config.patch_cache_dir is not None:
+            self._patch_cache: Optional[PatchCache] = DiskPatchCache(
+                self.config.patch_cache_dir
             )
-        elif self.config.concurrency:
-            self._patch_cache = ThreadSafePatchCache(
-                self.config.patch_cache_capacity
-            )
+        elif self.config.enable_patch_cache:
+            self._patch_cache = PatchCache()
         else:
-            self._patch_cache = PatchCache(self.config.patch_cache_capacity)
-        self._extract_cache: Optional[dict] = (
-            {} if patch_caching else None
+            self._patch_cache = None
+        # fatBIN content -> extracted texts; the key is a tenant's
+        # whole binary, so byte-bounded like the other text caches.
+        self._extract_cache: Optional[TextCache] = (
+            TextCache(EXTRACT_CACHE_BYTES)
+            if self._patch_cache is not None else None
         )
         # The trace-specialization engine (None = knob off). Exposed as
         # a public attribute so the IPC channel — possibly through a
@@ -560,17 +576,6 @@ class GuardianServer:
             or mode is FencingMode.NONE,
         )
         self.patcher = PTXPatcher(mode)
-        # The parallel patch front-end exists only in concurrency mode;
-        # it shares the (thread-safe) patch cache so its results are
-        # visible to every tenant's later registrations.
-        self._parallel_patcher: Optional[ParallelPatcher] = (
-            ParallelPatcher(
-                self.patcher,
-                cache=self._patch_cache,
-                workers=self.config.patch_workers,
-            )
-            if self._concurrent else None
-        )
         self._tenants: dict[str, _Tenant] = {}
         #: app_id -> attach generation (see _Tenant.incarnation).
         self._incarnations: dict[str, int] = {}
@@ -860,25 +865,29 @@ class GuardianServer:
                 f"fatbin {fatbin.name!r} carries no PTX; Guardian "
                 f"cannot sandbox cuBIN-only binaries"
             )
-        with maybe_span(self.telemetry, "patch_ptx", "patch", app_id,
-                        texts=len(ptx_texts)):
-            patched, patch_cycles = self._patch_texts(ptx_texts)
-        cycles += patch_cycles
+        handles, patch_cycles = self._deploy(tenant, ptx_texts)
+        return handles, self.costs.dispatch + cycles + patch_cycles
+
+    def load_module_ptx(self, app_id: str, ptx_text: str):
+        """Explicit PTX load (the driver-API path some apps use): a
+        deployment of one text."""
+        self._enter(app_id)
+        handles, cycles = self._deploy(self._tenant(app_id), (ptx_text,))
+        return handles, self.costs.dispatch + cycles
+
+    def _deploy(self, tenant: _Tenant, ptx_texts
+                ) -> tuple[dict[str, int], float]:
+        """Patch one deployment's texts and load each one's module
+        pair; returns (kernel-name -> client handle, charged cycles)."""
+        with maybe_span(self.telemetry, "patch_ptx", "patch",
+                        tenant.app_id, texts=len(ptx_texts)):
+            patched, cycles = self._patch_texts(ptx_texts)
         handles: dict[str, int] = {}
         for ptx_text, (patched_text, reports) in zip(ptx_texts, patched):
             handles.update(
                 self._load_modules(tenant, ptx_text, patched_text, reports)
             )
-        return handles, self.costs.dispatch + cycles
-
-    def load_module_ptx(self, app_id: str, ptx_text: str):
-        """Explicit PTX load (the driver-API path some apps use)."""
-        self._enter(app_id)
-        tenant = self._tenant(app_id)
-        with maybe_span(self.telemetry, "patch_ptx", "patch", app_id,
-                        texts=1):
-            handles, cycles = self._load_ptx_pair(tenant, ptx_text)
-        return handles, self.costs.dispatch + cycles
+        return handles, cycles
 
     def _extract_ptx(self, fatbin: FatBinary) -> tuple[list[str], float]:
         """``cuobjdump`` extraction, memoised on fatBIN content when
@@ -893,174 +902,88 @@ class GuardianServer:
                 self.costs.extract_lookup
             )
         ptx_texts = cuobjdump(fatbin)
-        self._extract_cache[key] = tuple(ptx_texts)
+        self._extract_cache.put(
+            key, tuple(ptx_texts),
+            sum(len(entry.payload) + 1 for entry in key),
+        )
         self.stats.extract_cache_misses += 1
         return ptx_texts, self._patch_charge(self.costs.extract)
 
-    def _patch_text(self, ptx_text: str) -> tuple[str, tuple, float]:
-        """Patch one PTX text, through the content-addressed cache when
-        enabled. Returns (patched text, reports, charged cycles).
+    def _patch_texts(self, ptx_texts
+                     ) -> tuple[list[tuple[str, tuple]], float]:
+        """Patch one deployment's texts, through the content-addressed
+        cache when enabled; returns ``([(patched_text, reports), ...],
+        charged cycles)`` in input order.
 
         A cache hit shares the patched text *and* the report tuple by
         reference across tenants — both are immutable once produced.
+
+        Serial mode charges each text as it is resolved. Concurrency
+        mode models a ``PATCH_POOL_WIDTH``-wide patch pool: the
+        *charged span* of the cold texts is the pool's critical path —
+        ``ceil(cold / width)`` rounds of ``patch_module`` through the
+        shared critical section — while ``stats.cycles`` still absorbs
+        the full ``cold × patch_module`` of work (work is conserved;
+        only the lane clock advances by the shorter span).
         """
-        if self._parallel_patcher is not None:
-            return self._patch_one_pooled(ptx_text)
-        if self._patch_cache is not None:
-            probe = getattr(self._patch_cache, "get_with_source", None)
-            if probe is not None:
-                cached, tier = probe(ptx_text, self.mode)
-            else:
-                cached, tier = (
-                    self._patch_cache.get(ptx_text, self.mode), "memory"
-                )
-            if cached is not None:
-                self.stats.patch_cache_hits += 1
-                patched_text, reports = cached
-                if tier == "disk":
-                    # Found in the persistent store: charged as a disk
-                    # lookup (deserialize + promote), still far cheaper
-                    # than a parse+patch pass.
-                    self.stats.patch_disk_hits += 1
-                    return patched_text, reports, self._patch_charge(
-                        self.costs.patch_disk_lookup
-                    )
-                return patched_text, reports, self._patch_charge(
-                    self.costs.patch_lookup
-                )
-            patched_text, reports = self._patch_computed(ptx_text)
-            writes_before = getattr(self._patch_cache, "disk_writes", 0)
-            self.stats.patch_cache_evictions += self._patch_cache.put(
-                ptx_text, self.mode, patched_text, reports
-            )
-            self.stats.patch_disk_writes += (
-                getattr(self._patch_cache, "disk_writes", 0) - writes_before
-            )
-            self.stats.patch_cache_misses += 1
-            return patched_text, reports, self._patch_charge(
-                self.costs.patch_module
-            )
-        patched_text, reports = self._patch_computed(ptx_text)
-        return patched_text, reports, self._patch_charge(
-            self.costs.patch_module
-        )
-
-    def _patch_computed(self, ptx_text: str) -> tuple[str, tuple]:
-        """The patch of a text the model charges a patch for. The
-        charge is the caller's; whether the host patches or finds the
-        process already has the result is :func:`patch_shared`'s."""
-        made, shared = patch_shared(self.patcher, ptx_text)
-        self._note_patch_images(built=not shared, shared=shared)
-        return made.patched_text, made.reports
-
-    def _note_patch_images(self, built: int, shared: int) -> None:
-        self.stats.patch_images_built += built
-        self.stats.patch_images_shared += shared
-        if self.telemetry is not None:
-            self.telemetry.record_deploy_images("patch", built, shared)
-
-    def _patch_one_pooled(self, ptx_text: str) -> tuple[str, tuple, float]:
-        """One text through the single-flight parallel patch front-end
-        (concurrency mode). Same stats/charging contract as the serial
-        cache path; an in-flight join counts as a hit — one patch ran
-        somewhere, and only that one is charged a ``patch_module``."""
-        patcher = self._parallel_patcher
-        evictions_before = patcher.evictions
-        writes_before = getattr(self._patch_cache, "disk_writes", 0)
-        outcome = patcher.patch(ptx_text)
-        self.stats.patch_cache_evictions += (
-            patcher.evictions - evictions_before
-        )
-        self.stats.patch_disk_writes += (
-            getattr(self._patch_cache, "disk_writes", 0) - writes_before
-        )
-        if outcome.source == "patched":
-            self._note_patch_images(built=not outcome.shared,
-                                    shared=outcome.shared)
-            if self._patch_cache is not None:
-                self.stats.patch_cache_misses += 1
-            charged = self._patch_charge(
-                self.costs.patch_module, critical=True
-            )
-        elif outcome.source == "disk":
-            self.stats.patch_cache_hits += 1
-            self.stats.patch_disk_hits += 1
-            charged = self._patch_charge(self.costs.patch_disk_lookup)
-        else:
-            self.stats.patch_cache_hits += 1
-            if outcome.source == "join":
-                self.stats.patch_inflight_joins += 1
-            charged = self._patch_charge(self.costs.patch_lookup)
-        return outcome.patched_text, outcome.reports, charged
-
-    def _patch_texts(self, ptx_texts: list[str]
-                     ) -> tuple[list[tuple[str, tuple]], float]:
-        """Patch one deployment's texts; returns ``([(patched_text,
-        reports), ...], charged cycles)`` in input order.
-
-        Serial mode delegates to :meth:`_patch_text` per text. In
-        concurrency mode cold texts fan out across the patch pool: the
-        *charged span* is the pool's critical path — ``ceil(cold /
-        workers)`` rounds of ``patch_module`` — while ``stats.cycles``
-        still absorbs the full ``cold × patch_module`` of work (work is
-        conserved; only the lane clock advances by the shorter span).
-        """
-        patcher = self._parallel_patcher
-        if patcher is None or len(ptx_texts) <= 1:
-            results: list[tuple[str, tuple]] = []
-            charged = 0.0
-            for ptx_text in ptx_texts:
-                patched_text, reports, cycles = self._patch_text(ptx_text)
-                results.append((patched_text, reports))
-                charged += cycles
-            return results, charged
-        evictions_before = patcher.evictions
-        writes_before = getattr(self._patch_cache, "disk_writes", 0)
-        outcomes = patcher.patch_many(ptx_texts)
-        self.stats.patch_cache_evictions += (
-            patcher.evictions - evictions_before
-        )
-        self.stats.patch_disk_writes += (
-            getattr(self._patch_cache, "disk_writes", 0) - writes_before
-        )
-        hits = 0
-        disk_hits = 0
-        cold = 0
-        cold_shared = 0
-        for outcome in outcomes:
-            if outcome.source == "patched":
-                cold += 1
-                cold_shared += outcome.shared
-                if self._patch_cache is not None:
-                    self.stats.patch_cache_misses += 1
-            elif outcome.source == "disk":
-                disk_hits += 1
-                self.stats.patch_cache_hits += 1
-                self.stats.patch_disk_hits += 1
-            else:
-                hits += 1
-                self.stats.patch_cache_hits += 1
-                if outcome.source == "join":
-                    self.stats.patch_inflight_joins += 1
+        cache = self._patch_cache
+        stats = self.stats
+        costs = self.costs
+        results: list[tuple[str, tuple]] = []
         charged = 0.0
-        if hits:
-            charged += self._patch_charge(self.costs.patch_lookup * hits)
-        if disk_hits:
-            charged += self._patch_charge(
-                self.costs.patch_disk_lookup * disk_hits
+        hits = disk_hits = cold = 0
+        for ptx_text in ptx_texts:
+            entry, tier = (
+                cache.get_with_source(ptx_text, self.mode)
+                if cache is not None else (None, None)
             )
-        if cold:
-            self._note_patch_images(built=cold - cold_shared,
-                                    shared=cold_shared)
-            rounds = -(-cold // patcher.workers)
-            charged += self._patch_charge(
-                self.costs.patch_module * rounds,
-                critical=True,
-                work=self.costs.patch_module * cold,
-            )
-        return [
-            (outcome.patched_text, outcome.reports) for outcome in outcomes
-        ], charged
+            if entry is None:
+                made, shared = patch_shared(self.patcher, ptx_text)
+                stats.patch_images_built += not shared
+                stats.patch_images_shared += shared
+                if self.telemetry is not None:
+                    self.telemetry.record_deploy_images(
+                        "patch", not shared, shared
+                    )
+                entry = (made.patched_text, made.reports)
+                if cache is not None:
+                    writes_before = cache.disk_writes
+                    stats.patch_cache_evictions += cache.put(
+                        ptx_text, self.mode, *entry
+                    )
+                    stats.patch_disk_writes += (
+                        cache.disk_writes - writes_before
+                    )
+                    stats.patch_cache_misses += 1
+                cold += 1
+                price = costs.patch_module
+            elif tier == "disk":
+                stats.patch_cache_hits += 1
+                stats.patch_disk_hits += 1
+                disk_hits += 1
+                price = costs.patch_disk_lookup
+            else:
+                stats.patch_cache_hits += 1
+                hits += 1
+                price = costs.patch_lookup
+            results.append(entry)
+            if not self._concurrent:
+                charged += self._patch_charge(price)
+        if self._concurrent:
+            if hits:
+                charged += self._patch_charge(costs.patch_lookup * hits)
+            if disk_hits:
+                charged += self._patch_charge(
+                    costs.patch_disk_lookup * disk_hits
+                )
+            if cold:
+                rounds = -(-cold // PATCH_POOL_WIDTH)
+                charged += self._patch_charge(
+                    costs.patch_module * rounds,
+                    critical=True,
+                    work=costs.patch_module * cold,
+                )
+        return results, charged
 
     def _patch_charge(self, cycles: float, critical: bool = False,
                       work: Optional[float] = None) -> float:
@@ -1069,12 +992,6 @@ class GuardianServer:
         if not self.config.charge_patch_cycles:
             return 0.0
         return self._charge(cycles, critical=critical, work=work)
-
-    def _load_ptx_pair(self, tenant: _Tenant, ptx_text: str
-                       ) -> tuple[dict[str, int], float]:
-        patched_text, reports, patch_cycles = self._patch_text(ptx_text)
-        handles = self._load_modules(tenant, ptx_text, patched_text, reports)
-        return handles, patch_cycles
 
     def _load_modules(self, tenant: _Tenant, ptx_text: str,
                       patched_text: str, reports: tuple

@@ -44,13 +44,11 @@ Replay
     ``trace_replay_op`` per operation, instead of per-call dispatch,
     lookups and driver-issue work. Every driver call still executes
     (functional effects are bit-identical); only the modelled host
-    cycles shrink. With ``enable_vectorized_bounds`` the block's
-    pre-validated transfer ranges are range-checked **in one numpy
-    shot** against the guarded bounds record at block entry; with the
-    knob off each replayed transfer charges (and evaluates) the flat
-    per-op check. Either way the containment predicate is evaluated —
-    GPUArmor's lesson is that the check stays flat, not that it
-    disappears.
+    cycles shrink. The block's pre-validated transfer ranges are
+    range-checked **in one numpy shot** against the guarded bounds
+    record at block entry: the containment predicate is evaluated for
+    every range on every replay — GPUArmor's lesson is that the check
+    stays flat, not that it disappears.
 
 Invalidation lattice
     Any guard failure, any mid-block signature deviation, a shorter or
@@ -80,6 +78,10 @@ import numpy as np
 from repro.errors import BoundsViolation, ExecutionError, GuardianError
 from repro.core.policy import FencingMode
 from repro.telemetry import maybe_span
+
+#: The longest sync-delimited block the recorder will consider; bounds
+#: recorder memory per tenant.
+TRACE_MAX_OPS = 512
 
 #: Methods the recorder traces (the asynchronous submission surface).
 TRACEABLE_METHODS = frozenset(
@@ -285,7 +287,7 @@ class TraceEngine:
             return
         block = tuple(state.recording)
         state.recording.clear()
-        if not block or len(block) > server.config.trace_max_ops:
+        if not block or len(block) > TRACE_MAX_OPS:
             state.last_block = None
             state.stable_repeats = 0
             return
@@ -427,7 +429,7 @@ class TraceEngine:
             pairs=tuple(pairs),
             ranges=tuple(ranges),
         )
-        if server.config.enable_vectorized_bounds and ranges:
+        if ranges:
             trace.starts = np.fromiter(
                 (start for start, _ in ranges), dtype=np.int64,
                 count=len(ranges),
@@ -478,16 +480,12 @@ class TraceEngine:
     def _enter_block(self, app_id: str, trace: SpecializedTrace) -> float:
         """Charge the fused block's prologue: the guard evaluation plus
         one batched submit (the CUDA-Graphs-style single syscall that
-        replaces per-launch driver issuance), plus — with vectorized
-        bounds on — the one-shot numpy range check of every transfer
-        range the block carries."""
+        replaces per-launch driver issuance), plus the one-shot numpy
+        range check of every transfer range the block carries."""
         server = self.server
         costs = server.costs
         cycles = float(costs.trace_guard + costs.trace_submit)
-        vectorized = (
-            server.config.enable_vectorized_bounds and trace.ranges
-        )
-        if vectorized:
+        if trace.ranges:
             cycles += (
                 costs.vector_check_base
                 + costs.vector_check_per_range * len(trace.ranges)
@@ -496,7 +494,7 @@ class TraceEngine:
                         app_id, ops=len(trace.ops),
                         ranges=len(trace.ranges)):
             server._charge(cycles)
-        if vectorized:
+        if trace.ranges:
             record = trace.record
             server.stats.transfers_checked += len(trace.ranges)
             server.stats.trace_ranges_prechecked += len(trace.ranges)
@@ -521,27 +519,14 @@ class TraceEngine:
         same function, same bytes, same stream — so functional results
         are bit-identical; the per-op model cost is ``trace_replay_op``
         (command-buffer cursor bump + payload pointer patch) instead of
-        lookup/augment/issue, plus the flat per-range check when the
-        vectorized prologue didn't already cover it.
+        lookup/augment/issue. A transfer's ranges were checked by the
+        block-entry sweep (:meth:`_enter_block`).
         """
         server = self.server
         costs = server.costs
         tenant = server._tenants[app_id]
         stats = server.stats
         cycles = float(costs.trace_replay_op)
-        if plan.ranges and not server.config.enable_vectorized_bounds:
-            record = server.allocator.bounds.read(app_id)
-            for start, size in plan.ranges:
-                stats.transfers_checked += 1
-                cycles += costs.transfer_check
-                if not record.contains(start, size):
-                    stats.transfers_rejected += 1
-                    server._charge(cycles)
-                    state = self._states.get(app_id)
-                    if state is not None:
-                        self._drop(state)
-                    raise BoundsViolation(app_id, start, size,
-                                          detail="trace replay")
         server._charge(cycles)
         stats.trace_replay_ops += 1
         if plan.kind == "launch":

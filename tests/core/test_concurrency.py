@@ -10,22 +10,16 @@ Covers the three contracts the concurrency work must keep:
    critical path — shorter than the serial sum for independent
    tenants, never shorter than any single lane.
 3. **Safety is config-independent**: coalesced transfer checks still
-   fence every out-of-bounds chunk; the thread-pooled patcher runs —
-   and charges — exactly one patch per distinct content hash.
+   fence every out-of-bounds chunk; a deployment is charged exactly one
+   patch per distinct content hash, on the modelled pool's critical
+   path.
 """
-
-import threading
 
 import pytest
 
 from repro.analysis.metrics import collect_hotpath, collect_lanes
 from repro.analysis.reporting import render_lane_report
 from repro.core.ipc import IPCChannel, IPCStats
-from repro.core.patcher import (
-    ParallelPatcher,
-    PTXPatcher,
-    ThreadSafePatchCache,
-)
 from repro.core.policy import (
     FairShareLanePolicy,
     FencingMode,
@@ -33,6 +27,7 @@ from repro.core.policy import (
     lane_scheduling_policy,
 )
 from repro.core.server import GuardianServer, ServerConfig, _Lane
+from repro.driver.fatbin import FatBinary, FatbinEntry
 from repro.errors import BoundsViolation, PartitionError
 from repro.gpu.device import Device
 from repro.gpu.specs import QUADRO_RTX_A4000
@@ -76,7 +71,6 @@ class TestSerialBitIdentity:
         spelled = run_workload(ServerConfig(
             concurrency=False,
             lane_policy="fifo",
-            patch_workers=8,
             coalesce_transfer_checks=False,
         ))
         assert spelled.stats == stock.stats
@@ -211,38 +205,110 @@ class TestCoalescedTransferChecks:
         assert "a" not in server._check_runs
 
 
+def deploy(server, app_id, texts):
+    """One deployment of ``texts``: returns what it added to the
+    tenant's lane clock (None in serial mode) and to ``stats.cycles``,
+    less the one ``cuobjdump`` charge every deployment pays first."""
+    fatbin = FatBinary("lib", [
+        FatbinEntry("ptx", "ampere", text.encode()) for text in texts
+    ])
+    extracts = server.stats.extract_cache_hits
+    lane = server.lane_view(app_id)
+    clock = lane.clock if lane is not None else None
+    cycles = server.stats.cycles
+    server.register_fatbin(app_id, fatbin)
+    extract = (server.costs.extract_lookup
+               if server.stats.extract_cache_hits > extracts
+               else server.costs.extract)
+    return (
+        None if lane is None else lane.clock - clock - extract,
+        server.stats.cycles - cycles - extract,
+    )
+
+
+def variants(count):
+    base = emit_module(saxpy_module())
+    return [base + f"\n// variant {index}\n" for index in range(count)]
+
+
 class TestParallelPatching:
-    def test_concurrent_same_hash_misses_run_one_patch(self):
-        """N threads racing the same cold text produce one patch: the
-        single-flight owner patches, every loser joins its Future."""
-        patcher = ParallelPatcher(
-            PTXPatcher(FencingMode.BITWISE),
-            cache=ThreadSafePatchCache(8),
-            workers=4,
+    """The concurrency-mode patch charge: a four-wide pool's critical
+    path on the lane, every patch's work in ``stats.cycles``."""
+
+    def test_six_cold_texts_are_two_rounds_on_the_lane(self):
+        server = make_server(
+            ServerConfig.concurrent(charge_patch_cycles=True)
         )
-        ptx = emit_module(saxpy_module())
-        barrier = threading.Barrier(8)
-        outcomes = []
-        lock = threading.Lock()
+        costs = server.costs
+        server.attach("a", PARTITION)
+        server.attach("b", PARTITION)
+        texts = variants(6)
+        assert deploy(server, "a", texts) == (
+            2 * costs.patch_module, 6 * costs.patch_module
+        )
+        assert server.stats.patch_cache_misses == 6
+        # The second tenant's deployment is six probes handing back
+        # the first one's patched texts.
+        assert deploy(server, "b", texts) == (
+            6 * costs.patch_lookup, 6 * costs.patch_lookup
+        )
+        assert server.stats.patch_cache_hits == 6
+        assert server.stats.patch_cache_misses == 6
+        for mine, theirs in zip(server._tenants["a"].modules,
+                                server._tenants["b"].modules):
+            assert mine.patched_text is theirs.patched_text
 
-        def race():
-            barrier.wait()
-            outcome = patcher.patch(ptx)
-            with lock:
-                outcomes.append(outcome)
+    def test_copies_of_one_text_are_one_miss_and_repeat_exactly(self):
+        def run():
+            server = make_server(
+                ServerConfig.concurrent(charge_patch_cycles=True)
+            )
+            server.attach("a", PARTITION)
+            spans = deploy(server, "a", variants(1) * 6)
+            return server, spans
 
-        threads = [threading.Thread(target=race) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        server, spans = run()
+        costs = server.costs
+        work = costs.patch_module + 5 * costs.patch_lookup
+        assert spans == (work, work)
+        assert server.stats.patch_cache_misses == 1
+        assert server.stats.patch_cache_hits == 5
+        assert run()[0].stats == server.stats
 
-        assert patcher.patches_run == 1
-        assert len(outcomes) == 8
-        assert sum(1 for o in outcomes if o.source == "patched") == 1
-        assert {o.patched_text for o in outcomes} == {
-            outcomes[0].patched_text
-        }
+    @pytest.mark.parametrize("preset", [ServerConfig,
+                                        ServerConfig.concurrent])
+    def test_restart_on_a_cache_dir_charges_disk_lookups(self, preset,
+                                                         tmp_path):
+        config = preset(patch_cache_dir=str(tmp_path),
+                        charge_patch_cycles=True)
+        texts = variants(3)
+        first = make_server(config)
+        first.attach("a", PARTITION)
+        deploy(first, "a", texts)
+        assert first.stats.patch_cache_misses == 3
+        assert first.stats.patch_disk_writes == 3
+        assert first.stats.patch_disk_hits == 0
+        restarted = make_server(config)
+        restarted.attach("a", PARTITION)
+        lane, work = deploy(restarted, "a", texts)
+        assert work == 3 * restarted.costs.patch_disk_lookup
+        assert lane == (work if config.concurrency else None)
+        assert restarted.stats.patch_cache_hits == 3
+        assert restarted.stats.patch_disk_hits == 3
+        assert restarted.stats.patch_cache_misses == 0
+        assert restarted.stats.patch_disk_writes == 0
+
+    def test_without_a_cache_every_text_is_a_patch(self):
+        server = make_server(
+            ServerConfig(concurrency=True, charge_patch_cycles=True)
+        )
+        server.attach("a", PARTITION)
+        texts = variants(2)
+        assert deploy(server, "a", texts + texts[:1]) == (
+            server.costs.patch_module, 3 * server.costs.patch_module
+        )
+        assert server.stats.patch_cache_hits == 0
+        assert server.stats.patch_cache_misses == 0
 
     def test_one_patch_one_charge_across_tenants(self):
         """Two tenants deploying the same text: one miss charged a full
@@ -263,32 +329,6 @@ class TestParallelPatching:
         assert server.stats.patch_cache_hits == 1
         assert first >= server.costs.patch_module
         assert second == server.costs.patch_lookup
-
-    def test_patch_many_preserves_order_and_patches_each_once(self):
-        patcher = ParallelPatcher(
-            PTXPatcher(FencingMode.BITWISE),
-            cache=ThreadSafePatchCache(8),
-            workers=4,
-        )
-        base = emit_module(saxpy_module())
-        texts = [base + f"\n// variant {index}\n" for index in range(4)]
-        outcomes = patcher.patch_many(texts)
-        assert patcher.patches_run == 4
-        assert [o.source for o in outcomes] == ["patched"] * 4
-        repeat = patcher.patch_many(texts)
-        assert patcher.patches_run == 4
-        assert [o.source for o in repeat] == ["hit"] * 4
-
-    def test_duplicates_inside_one_batch_merge(self):
-        patcher = ParallelPatcher(
-            PTXPatcher(FencingMode.BITWISE),
-            cache=ThreadSafePatchCache(8),
-            workers=4,
-        )
-        ptx = emit_module(saxpy_module())
-        outcomes = patcher.patch_many([ptx] * 6)
-        assert patcher.patches_run == 1
-        assert sum(1 for o in outcomes if o.source == "patched") == 1
 
 
 class TestLaneQuarantine:

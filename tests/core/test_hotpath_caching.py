@@ -10,8 +10,12 @@ import pytest
 from repro.errors import PatcherError
 from repro.core.patcher import PatchCache, PTXPatcher
 from repro.core.policy import FencingMode
-from repro.core.server import GuardianServer, ServerConfig
-from repro.driver.fatbin import build_fatbin
+from repro.core.server import (
+    EXTRACT_CACHE_BYTES,
+    GuardianServer,
+    ServerConfig,
+)
+from repro.driver.fatbin import FatBinary, FatbinEntry, build_fatbin
 from repro.gpu.device import Device
 from repro.gpu.specs import QUADRO_RTX_A4000
 from repro.ptx.emitter import emit_module
@@ -134,6 +138,38 @@ class TestSharedPatchCache:
             "bob", build_fatbin(saxpy_module(), "lib", "11.7"))
         assert server.stats.extract_cache_misses == 1
         assert server.stats.extract_cache_hits == 1
+
+    def test_extract_memo_is_bounded_by_bytes(self, device):
+        """Tenant-chosen keys must not grow the trusted process: 5 000
+        distinct fatBINs evict, and an evicted one is extracted — and
+        charged — again."""
+        server = make_server(device, charge_patch_cycles=True)
+        costs = server.costs
+        server.attach("alice", 1 << 20)
+
+        def fatbin(index):
+            text = f"{SAXPY_TEXT}\n// variant {index}\n"
+            return FatBinary(
+                "lib", [FatbinEntry("ptx", "ampere", text.encode())]
+            )
+
+        first = fatbin(0)
+        handles, _ = server.register_fatbin("alice", first)
+        for index in range(1, 5_000):
+            server._extract_ptx(fatbin(index))
+        memo = server._extract_cache
+        assert 0 < memo.bytes <= EXTRACT_CACHE_BYTES
+        assert len(memo) < 5_000
+        assert first.content_key() not in memo
+        assert server.stats.extract_cache_misses == 5_000
+        before = server.stats.cycles
+        again, _ = server.register_fatbin("alice", first)
+        assert again.keys() == handles.keys()
+        assert server.stats.extract_cache_misses == 5_001
+        assert server.stats.extract_cache_hits == 0
+        assert server.stats.cycles - before == (
+            costs.extract + costs.patch_lookup
+        )
 
     def test_disabled_cache_counts_nothing(self, device):
         server = GuardianServer(device, FencingMode.BITWISE)

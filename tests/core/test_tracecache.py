@@ -115,21 +115,6 @@ class TestCompileAndReplay:
         assert server.stats.trace_replays == 1
         assert server.stats.trace_ranges_prechecked == 2
 
-    def test_flat_checks_without_vectorized_bounds(self):
-        """With ``enable_vectorized_bounds`` off each replayed transfer
-        pays (and evaluates) the flat per-range check instead of the
-        prologue's one-shot numpy sweep."""
-        server = traced_server(enable_vectorized_bounds=False)
-        costs = server.costs
-        handle, buf = deploy(server)
-        heat(server, "alice", handle, buf)
-        before = server.stats.cycles
-        _, cycles = server.memcpy_h2d("alice", buf, PAYLOAD)
-        assert cycles == server.stats.cycles - before
-        assert cycles == (costs.trace_guard + costs.trace_submit
-                          + costs.trace_replay_op + costs.transfer_check)
-        assert server.stats.trace_ranges_prechecked == 0
-
     def test_stock_config_never_traces(self):
         server = GuardianServer(Device(QUADRO_RTX_A4000),
                                 FencingMode.BITWISE)

@@ -91,7 +91,8 @@ class _Script:
         elif phase == 1 and self.buf is not None:
             data = np.full(32, value, dtype=np.float32).tobytes()
             self._run(lambda: runtime.cudaMemcpyH2D(self.buf + 256, data))
-        elif phase == 2 and self.buf is not None:
+        elif phase == 2 and self.buf is not None and "saxpy" in self.handles:
+            # (a corrupted PTX can register under a mangled kernel name)
             self._run(
                 lambda: runtime.cudaLaunchKernel(
                     self.handles["saxpy"],
