@@ -47,7 +47,7 @@ class GuardianClient(GpuBackend):
         ipc_costs: Optional[IPCCostModel] = None,
         batching: Optional[bool] = None,
         queue_limit: Optional[int] = None,
-        shed_overflow: Optional[bool] = None,
+        shed_overflow: bool = False,
         fault_plan: Optional[FaultPlan] = None,
         attach: bool = True,
     ):
@@ -57,15 +57,11 @@ class GuardianClient(GpuBackend):
         # happens on the far side of the message queue.
         self._faults = fault_plan
         self.crashed = False
-        # Batching defaults come from the server's hot-path config, so
-        # enabling it in one place configures every attaching tenant;
-        # explicit arguments override per client.
+        # The batching default comes from the server's hot-path
+        # switch, so enabling it in one place configures every
+        # attaching tenant; an explicit argument overrides per client.
         if batching is None:
-            batching = server.config.enable_ipc_batching
-        if queue_limit is None:
-            queue_limit = server.config.ipc_queue_limit
-        if shed_overflow is None:
-            shed_overflow = server.config.ipc_shed_overflow
+            batching = server.config.enable_hot_path
         self.channel = IPCChannel(server, app_id, costs=ipc_costs,
                                   batching=batching,
                                   queue_limit=queue_limit,
@@ -149,7 +145,7 @@ class GuardianClient(GpuBackend):
 
         All existing device pointers remain valid (the base address is
         unchanged; only the fence mask narrows). Requires
-        ``ServerConfig.enable_shrink`` on the server.
+        ``ServerConfig.enable_elastic_memory`` on the server.
         """
         return self._call("shrink_partition")
 

@@ -153,6 +153,11 @@ class IPCChannel:
             raise IPCError(f"bad max_batch {max_batch}")
         if queue_limit is not None and queue_limit < 1:
             raise IPCError(f"bad queue_limit {queue_limit}")
+        if shed_overflow and queue_limit is None:
+            raise IPCError(
+                "shed_overflow=True sheds nothing while the queue is "
+                "unbounded; set queue_limit"
+            )
         self._target = target
         self.app_id = app_id
         self.costs = costs or IPCCostModel()

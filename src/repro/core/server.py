@@ -33,8 +33,8 @@ every charge onto the calling tenant's *dispatch lane*: lane-local
 work (range checks, launch lookup/augment/syscall, driver work)
 advances only that tenant's lane clock, while host-side serialization
 points — bounds-table writes, allocator mutations, patch-cache
-misses — pass through one shared critical section arbitrated by a
-pluggable :class:`~repro.core.policy.LaneSchedulingPolicy`. Aggregate
+misses — pass through one shared critical section, granted first
+come, first served. Aggregate
 host makespan (:meth:`GuardianServer.makespan_cycles`) then becomes
 the critical path across lanes instead of the serial sum, and stream
 releases are driven by the lane clock, so independent tenants' device
@@ -74,11 +74,7 @@ from repro.core.tracecache import (
     launch_signature,
     memset_signature,
 )
-from repro.core.policy import (
-    FencingMode,
-    defrag_policy,
-    lane_scheduling_policy,
-)
+from repro.core.policy import FencingMode
 from repro.driver.api import DriverAPI
 from repro.driver.fatbin import FatBinary, cuobjdump
 from repro.gpu.allocator import FirstFitAllocator
@@ -152,24 +148,25 @@ class ServerCostModel:
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Hot-path optimisation knobs.
+    """The server's switches: nine fields, the table in DESIGN.md §15.
 
     Everything defaults **off** so the stock server reproduces the
     paper's per-operation costs bit-for-bit (Table 5, Figure 7). The
-    optimisations are this repo's beyond-the-paper work:
+    optimisations are this repo's beyond-the-paper work, and every
+    combination of them is valid.
 
-    - ``enable_patch_cache``: content-addressed PTX patch cache keyed
-      on ``(sha256(text), mode)`` and shared across tenants, plus a
-      ``cuobjdump`` extraction memo keyed on fatBIN content. A tenant
+    - ``enable_hot_path``: the three optimisations every preset and
+      benchmark turns on together. A content-addressed PTX patch cache
+      keyed on ``(sha256(text), mode)`` and shared across tenants, plus
+      a ``cuobjdump`` extraction memo keyed on fatBIN content (a tenant
       deploying a library some other tenant already deployed pays a
-      cache probe instead of a full parse + patch.
-    - ``enable_launch_fast_path``: memoise each tenant's fencing
-      parameter tuple; steady-state launches pay ``lookup_cached``
-      instead of ``lookup + augment``. Invalidated by the bounds
-      table's per-tenant epoch (bumped on partition grow/release).
-    - ``enable_ipc_batching``: clients coalesce consecutive
-      asynchronous calls into one flush-on-sync batch (picked up by
-      :class:`~repro.core.ipc.IPCChannel` at attach).
+      probe instead of a full parse + patch); the launch fast path
+      (each tenant's fencing parameter tuple is memoised against the
+      bounds table's per-tenant epoch, so steady-state launches pay
+      ``lookup_cached`` instead of ``lookup + augment``); and attaching
+      clients default to batched submission (consecutive asynchronous
+      calls coalesce into one flush-on-sync batch,
+      ``GuardianClient(batching=)`` overrides per client).
     - ``charge_patch_cycles``: account the offline patch/extract work
       in server cycles. Off by default because the paper reports
       patching as an offline phase outside the launch path; benchmarks
@@ -178,9 +175,6 @@ class ServerConfig:
       cycle accounting (module docstring, DESIGN.md §7). ``stats``
       totals are unchanged; :meth:`GuardianServer.makespan_cycles` and
       stream release instants become lane-local.
-    - ``lane_policy``: which tenant's lane enters the shared critical
-      section first at each ordering point (``"fifo"`` or ``"fair"``,
-      resolved by :func:`~repro.core.policy.lane_scheduling_policy`).
     - ``coalesce_transfer_checks``: contiguous chunked
       ``memcpy_*``/``memset`` ranges collapse into one charged
       ``_check_range`` per run (the containment predicate itself is
@@ -193,13 +187,13 @@ class ServerConfig:
       the paper's numbers *and* so does the instrumented run.
     - ``enable_trace_specialization``: record a tenant's steady-state
       sync-to-sync call sequence and, once it repeats
-      ``trace_hot_threshold`` consecutive times, replay it as one
-      guarded fused block (:mod:`repro.core.tracecache`, DESIGN.md
-      §12). Any guard failure or epoch bump falls back to the
-      interpreted path bit-identically. A replayed block's
-      pre-validated transfer ranges are range-checked in one numpy
-      sweep at block entry (the interpreted path's flat per-op checks
-      are untouched).
+      :data:`~repro.core.tracecache.TRACE_HOT_THRESHOLD` consecutive
+      times, replay it as one guarded fused block
+      (:mod:`repro.core.tracecache`, DESIGN.md §12). Any guard failure
+      or epoch bump falls back to the interpreted path bit-identically.
+      A replayed block's pre-validated transfer ranges are
+      range-checked in one numpy sweep at block entry (the interpreted
+      path's flat per-op checks are untouched).
     - ``patch_cache_dir``: back the content-addressed patch cache with
       an on-disk store (atomic writes, versioned keys) so cold-start
       patch cost amortizes across server processes. Implies the patch
@@ -214,81 +208,29 @@ class ServerConfig:
       behaviour. Live-migration restores are *not* gated: the cluster's
       placement already decided the move, and bouncing a mid-flight
       tenant would strand it.
-    - ``ipc_queue_limit`` / ``ipc_shed_overflow``: bound every
-      attaching client's batched-call queue (picked up like the
-      batching defaults). A full queue either forces an early flush
-      (default — the producer stalls, hardware-ring backpressure) or
-      sheds the call (:class:`~repro.errors.QueueSaturated`). ``None``
-      keeps the queue unbounded and both paths dead code.
-    - ``enable_shrink`` / ``enable_compaction`` /
-      ``enable_oversubscription``: the elastic memory engine
+    - ``enable_elastic_memory``: the elastic memory engine
       (:mod:`repro.core.elastic`, DESIGN.md §14) — buddy-half shrink of
-      over-provisioned partitions, policy-driven intra-node compaction
-      reusing the migration machinery, and swap-to-host
-      oversubscription with modelled PCIe costs. With all three off
-      (the default) no engine is constructed and the server is the
-      stock server. ``oversubscription_ratio`` hard-caps total declared
-      bytes (resident + swapped) at that multiple of physical capacity;
-      ``defrag_policy`` selects the
-      :class:`~repro.core.policy.DefragPolicy`;
-      ``min_partition_bytes`` floors how far a shrink may go.
+      over-provisioned partitions, intra-node compaction reusing the
+      migration machinery, and swap-to-host oversubscription with
+      modelled PCIe costs. Off (the default) constructs no engine and
+      the server is the stock server; ``server.elastic is None`` is the
+      one refusal.
     """
 
-    enable_patch_cache: bool = False
-    enable_launch_fast_path: bool = False
-    enable_ipc_batching: bool = False
+    enable_hot_path: bool = False
     charge_patch_cycles: bool = False
     concurrency: bool = False
-    lane_policy: str = "fifo"
     coalesce_transfer_checks: bool = False
     telemetry: bool = False
     enable_trace_specialization: bool = False
-    trace_hot_threshold: int = 2
     patch_cache_dir: Optional[str] = None
     max_resident_tenants: Optional[int] = None
-    ipc_queue_limit: Optional[int] = None
-    ipc_shed_overflow: bool = False
-    enable_shrink: bool = False
-    enable_compaction: bool = False
-    enable_oversubscription: bool = False
-    oversubscription_ratio: float = 2.0
-    defrag_policy: str = "threshold"
-    min_partition_bytes: int = 4096
-
-    def __post_init__(self):
-        """Refuse a config that cannot do what it says: one
-        ``ValueError`` names every offender and the field to change."""
-        offenders = []
-        for name, resolve in (("lane_policy", lane_scheduling_policy),
-                              ("defrag_policy", defrag_policy)):
-            try:
-                resolve(getattr(self, name))
-            except ValueError as failure:
-                offenders.append(f"{name}: {failure}")
-        if self.ipc_shed_overflow and self.ipc_queue_limit is None:
-            offenders.append(
-                "ipc_shed_overflow=True sheds nothing while the queue "
-                "is unbounded (ipc_queue_limit=None); set ipc_queue_limit"
-            )
-        for name in ("oversubscription_ratio", "trace_hot_threshold",
-                     "min_partition_bytes"):
-            if getattr(self, name) < 1:
-                offenders.append(
-                    f"{name}={getattr(self, name)!r} must be at least 1"
-                )
-        if offenders:
-            raise ValueError(
-                "invalid ServerConfig:\n  " + "\n  ".join(offenders)
-            )
+    enable_elastic_memory: bool = False
 
     @classmethod
     def hotpath(cls, **overrides) -> "ServerConfig":
         """All hot-path optimisations on."""
-        values = dict(
-            enable_patch_cache=True,
-            enable_launch_fast_path=True,
-            enable_ipc_batching=True,
-        )
+        values = dict(enable_hot_path=True)
         values.update(overrides)
         return cls(**values)
 
@@ -296,9 +238,7 @@ class ServerConfig:
     def concurrent(cls, **overrides) -> "ServerConfig":
         """Concurrent multi-tenant dispatch plus every hot-path cache."""
         values = dict(
-            enable_patch_cache=True,
-            enable_launch_fast_path=True,
-            enable_ipc_batching=True,
+            enable_hot_path=True,
             concurrency=True,
             coalesce_transfer_checks=True,
         )
@@ -310,9 +250,7 @@ class ServerConfig:
         """Every hot-path cache plus steady-state trace
         specialization."""
         values = dict(
-            enable_patch_cache=True,
-            enable_launch_fast_path=True,
-            enable_ipc_batching=True,
+            enable_hot_path=True,
             enable_trace_specialization=True,
         )
         values.update(overrides)
@@ -320,12 +258,8 @@ class ServerConfig:
 
     @classmethod
     def elastic(cls, **overrides) -> "ServerConfig":
-        """All three elastic memory mechanisms on (DESIGN.md §14)."""
-        values = dict(
-            enable_shrink=True,
-            enable_compaction=True,
-            enable_oversubscription=True,
-        )
+        """The elastic memory engine on (DESIGN.md §14)."""
+        values = dict(enable_elastic_memory=True)
         values.update(overrides)
         return cls(**values)
 
@@ -475,6 +409,16 @@ class _Tenant:
     #: is already gone and a new instance took the name).
     incarnation: int = 0
 
+    def drop_device_bindings(self) -> None:
+        """Forget everything bound to the partition's current place:
+        function handles, patch reports, recorded module loads and the
+        launch memo. Teardown drops them for good; a swap-out replays
+        the loads it captured first at swap-in."""
+        self.functions.clear()
+        self.patch_reports.clear()
+        self.modules.clear()
+        self.fast_launch = None
+
 
 @dataclass
 class _Lane:
@@ -525,12 +469,12 @@ class GuardianServer:
         # Hot-path caches (None = knob off, seed behaviour). A
         # configured ``patch_cache_dir`` backs the cache with the
         # on-disk store and implies the cache even if
-        # ``enable_patch_cache`` wasn't set.
+        # ``enable_hot_path`` wasn't set.
         if self.config.patch_cache_dir is not None:
             self._patch_cache: Optional[PatchCache] = DiskPatchCache(
                 self.config.patch_cache_dir
             )
-        elif self.config.enable_patch_cache:
+        elif self.config.enable_hot_path:
             self._patch_cache = PatchCache()
         else:
             self._patch_cache = None
@@ -551,7 +495,6 @@ class GuardianServer:
         self._clock_ratio = device.spec.clock_ghz / CPU_GHZ
         # Concurrent-dispatch state (inert while the knob is off).
         self._concurrent = self.config.concurrency
-        self._lane_policy = lane_scheduling_policy(self.config.lane_policy)
         self._lanes: dict[str, _Lane] = {}
         self._retired_lanes: list[_Lane] = []
         self._active_lane: Optional[_Lane] = None
@@ -579,12 +522,10 @@ class GuardianServer:
         self._tenants: dict[str, _Tenant] = {}
         #: app_id -> attach generation (see _Tenant.incarnation).
         self._incarnations: dict[str, int] = {}
-        # The elastic memory engine (None = all elastic knobs off, the
-        # stock server). Constructed last: the engine reads the
-        # allocator and telemetry attributes above.
-        if (self.config.enable_shrink
-                or self.config.enable_compaction
-                or self.config.enable_oversubscription):
+        # The elastic memory engine (None = knob off, the stock
+        # server). Constructed last: the engine reads the allocator
+        # and telemetry attributes above.
+        if self.config.enable_elastic_memory:
             from repro.core.elastic import ElasticMemoryEngine
 
             self.elastic: Optional[ElasticMemoryEngine] = (
@@ -642,26 +583,8 @@ class GuardianServer:
         """Tear a tenant down: drain and destroy its stream, drop its
         module/function handles, release its partition."""
         self._enter(app_id)
-        if self.trace_engine is not None:
-            self.trace_engine.forget(app_id)
-        if self.elastic is not None:
-            self.elastic.forget(app_id)
-        tenant = self._tenants.pop(app_id, None)
-        if tenant is not None:
-            # Submitted work keeps its functional effects (the deferred
-            # timeline model); the drain records what the detach waited
-            # on, then the stream's driver state is freed.
-            self.stats.sync_drained_tasks += self.driver.cuStreamSynchronize(
-                tenant.stream
-            )
-            self.driver.cuStreamDestroy(self.context, tenant.stream)
-            self.stats.streams_destroyed += 1
-            tenant.functions.clear()
-            tenant.patch_reports.clear()
-            tenant.modules.clear()
-            tenant.fast_launch = None
-        self.allocator.release_partition(app_id)
-        self._retire_lane(app_id)
+        if app_id in self._tenants:
+            self._teardown_tenant(app_id, scrub=False)
         return None, self.costs.dispatch
 
     def grow_partition(self, app_id: str, new_max_bytes: int):
@@ -687,7 +610,8 @@ class GuardianServer:
 
     def shrink_partition(self, app_id: str):
         """Opportunistic elastic shrink (inverse of
-        :meth:`grow_partition`, DESIGN.md §14; knob-gated).
+        :meth:`grow_partition`, DESIGN.md §14; needs
+        ``ServerConfig.enable_elastic_memory``).
 
         Releases upper buddy halves while the tenant's heap high-water
         mark fits below: base unchanged, mask narrows, bounds record
@@ -697,9 +621,10 @@ class GuardianServer:
         """
         self._enter(app_id)
         self._tenant(app_id)  # must be attached
-        if self.elastic is None or not self.config.enable_shrink:
+        if self.elastic is None:
             raise GuardianError(
-                "partition shrink requires ServerConfig.enable_shrink"
+                "partition shrink requires "
+                "ServerConfig.enable_elastic_memory"
             )
         return self.elastic.shrink(app_id)
 
@@ -1135,7 +1060,7 @@ class GuardianServer:
         mutation (grow/release+re-register) bumps the epoch and forces
         a rebuild that picks up the widened mask.
         """
-        if self.config.enable_launch_fast_path:
+        if self.config.enable_hot_path:
             epoch = self.allocator.bounds.epoch(tenant.app_id)
             memo = tenant.fast_launch
             if memo is not None and memo[0] == epoch:
@@ -1240,7 +1165,7 @@ class GuardianServer:
         return scrubbed
 
     def _teardown_tenant(self, app_id: str, scrub: bool) -> int:
-        """Shared eviction mechanics of quarantine and evacuate: drain
+        """Shared mechanics of detach, quarantine and evacuate: drain
         and destroy the stream, drop handles/memos, release (and
         optionally scrub) the partition, retire the lane. Returns the
         bytes scrubbed (0 when ``scrub`` is off)."""
@@ -1256,15 +1181,15 @@ class GuardianServer:
         if self.elastic is not None:
             self.elastic.forget(app_id)
         tenant = self._tenants.pop(app_id)
+        # Submitted work keeps its functional effects (the deferred
+        # timeline model); the drain records what the teardown waited
+        # on, then the stream's driver state is freed.
         self.stats.sync_drained_tasks += self.driver.cuStreamSynchronize(
             tenant.stream
         )
         self.driver.cuStreamDestroy(self.context, tenant.stream)
         self.stats.streams_destroyed += 1
-        tenant.functions.clear()
-        tenant.patch_reports.clear()
-        tenant.modules.clear()
-        tenant.fast_launch = None
+        tenant.drop_device_bindings()
         self.allocator.release_partition(
             app_id, scrubber=scrubber if scrub else None
         )
@@ -1449,10 +1374,11 @@ class GuardianServer:
         a smaller ``cycles`` span (the pool's critical path), so
         ``stats.cycles`` conserves work while the lane clock advances
         by wall time. ``critical`` charges route through the shared
-        critical section: the active lane first waits for the grant
-        instant the scheduling policy picks, then occupies the section
-        for ``cycles`` — that's how bounds writes, allocator mutations
-        and patch-cache misses serialize across lanes.
+        critical section, first come, first served: the active lane
+        enters as soon as both it and the section are free, then
+        occupies the section for ``cycles`` — that's how bounds
+        writes, allocator mutations and patch-cache misses serialize
+        across lanes.
         """
         work_cycles = cycles if work is None else work
         self.stats.cycles += work_cycles
@@ -1461,13 +1387,7 @@ class GuardianServer:
         if lane is not None:
             lane.busy += work_cycles
             if critical:
-                start = max(
-                    lane.clock,
-                    self._critical_clock,
-                    self._lane_policy.grant(
-                        lane, self._lanes, self._critical_clock
-                    ),
-                )
+                start = max(lane.clock, self._critical_clock)
                 stalled = start - lane.clock
                 lane.stalled += stalled
                 lane.clock = start + cycles

@@ -15,7 +15,7 @@ Recorder
     Between two ``synchronize`` calls the engine records the *static
     signature* of every asynchronous operation a tenant submits
     (launch / H2D / D2D / memset — payload bytes excluded, they are
-    taken live at replay). When ``trace_hot_threshold`` consecutive
+    taken live at replay). When :data:`TRACE_HOT_THRESHOLD` consecutive
     sync-delimited blocks carry the identical signature sequence, the
     block is compiled into a :class:`SpecializedTrace`.
 
@@ -82,6 +82,9 @@ from repro.telemetry import maybe_span
 #: The longest sync-delimited block the recorder will consider; bounds
 #: recorder memory per tenant.
 TRACE_MAX_OPS = 512
+
+#: Consecutive identical sync-delimited blocks before one compiles.
+TRACE_HOT_THRESHOLD = 2
 
 #: Methods the recorder traces (the asynchronous submission surface).
 TRACEABLE_METHODS = frozenset(
@@ -269,7 +272,7 @@ class TraceEngine:
         and rewinds the cursor; a partially-replayed one means the
         block got *shorter* than recorded — a deviation, the trace is
         dropped. Recording mode: a block identical to the previous one
-        moves the stability counter; at ``trace_hot_threshold``
+        moves the stability counter; at :data:`TRACE_HOT_THRESHOLD`
         consecutive identical blocks the block compiles.
         """
         server = self.server
@@ -293,7 +296,7 @@ class TraceEngine:
             return
         if block == state.last_block:
             state.stable_repeats += 1
-            if state.stable_repeats + 1 >= server.config.trace_hot_threshold:
+            if state.stable_repeats + 1 >= TRACE_HOT_THRESHOLD:
                 trace = self._compile(app_id, block)
                 if trace is not None:
                     state.trace = trace

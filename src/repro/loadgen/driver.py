@@ -23,10 +23,9 @@ a deterministic multi-slot queueing model on the virtual cycle axis:
   zero-perturbation contract. ``None`` (the default) never sheds.
 - **Autoscaling.** With ``autoscale`` on, every ``control_interval``
   virtual cycles the driver evaluates each class's windowed p99
-  against its SLO and lets the configured
-  :class:`~repro.core.policy.AutoscalePolicy` widen or narrow the
-  slot count between ``min_capacity`` and ``max_capacity``. Off by
-  default.
+  against its SLO and :func:`p99_breach_capacity` widens or narrows
+  the slot count between ``min_capacity`` and ``max_capacity``. Off
+  by default.
 
 Everything observes through the :mod:`repro.telemetry` registry
 (sessions counter, latency histograms, capacity gauge); the driver
@@ -43,7 +42,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.policy import autoscale_policy
 from repro.errors import AdmissionRejected
 from repro.loadgen.arrivals import Arrival, ArrivalProcess
 from repro.loadgen.session import SessionSpec, SLOClass, run_session
@@ -63,7 +61,6 @@ class LoadgenConfig:
     admission_queue_depth: Optional[int] = None
     #: SLO control loop (off by default).
     autoscale: bool = False
-    autoscale_policy: str = "p99-breach"
     min_capacity: int = 1
     max_capacity: int = 8
     control_interval_cycles: float = 2_000_000.0
@@ -81,6 +78,31 @@ class LoadgenConfig:
             raise ValueError("need 1 <= min_capacity <= max_capacity")
         if self.control_interval_cycles <= 0:
             raise ValueError("control_interval_cycles must be positive")
+
+
+def p99_breach_capacity(window: dict, capacity: int) -> int:
+    """The control loop's rule: widen on a p99 SLO breach, narrow when
+    comfortably under.
+
+    ``window`` maps class name to a dict with ``p99`` (modelled cycles,
+    or ``None`` for an empty window) and ``slo`` (the class's p99
+    target). If any class's windowed p99 exceeds its target, add one
+    lane; if *every* class with traffic sits below half its target,
+    remove one. Empty windows hold — no data is not evidence of
+    headroom. Returns the new capacity, unclamped; a pure function of
+    its arguments so modelled runs stay reproducible.
+    """
+    observed = [
+        entry for entry in window.values()
+        if entry.get("p99") is not None and entry.get("slo")
+    ]
+    if not observed:
+        return capacity
+    if any(entry["p99"] > entry["slo"] for entry in observed):
+        return capacity + 1
+    if all(entry["p99"] < 0.5 * entry["slo"] for entry in observed):
+        return capacity - 1
+    return capacity
 
 
 @dataclass(frozen=True)
@@ -150,7 +172,6 @@ class OpenLoopDriver:
             or getattr(server, "telemetry", None)
             or Telemetry()
         )
-        self._policy = autoscale_policy(self.config.autoscale_policy)
 
     # -- the event loop -----------------------------------------------------------
 
@@ -246,9 +267,9 @@ class OpenLoopDriver:
     def _control_tick(self, report: LoadReport, window: dict,
                       slots: list[float], capacity: int,
                       tick: float) -> int:
-        """Evaluate one control window and let the policy resize.
+        """Evaluate one control window and resize.
 
-        The window view hands the policy each class's exact windowed
+        The window view hands the rule each class's exact windowed
         p99 (sorted-rank, not the histogram approximation — control
         decisions deserve the precise number) next to its SLO target.
         """
@@ -264,12 +285,9 @@ class OpenLoopDriver:
             }
         report.windows.append(view)
         window.clear()
-        decided = self._policy.decide(
-            view, capacity,
-            self.config.min_capacity, self.config.max_capacity,
-        )
         decided = max(self.config.min_capacity,
-                      min(self.config.max_capacity, decided))
+                      min(self.config.max_capacity,
+                          p99_breach_capacity(view, capacity)))
         while decided > capacity:
             # A widened lane comes up free at the tick instant.
             heapq.heappush(slots, tick)

@@ -20,13 +20,8 @@ import pytest
 from repro.analysis.metrics import collect_hotpath, collect_lanes
 from repro.analysis.reporting import render_lane_report
 from repro.core.ipc import IPCChannel, IPCStats
-from repro.core.policy import (
-    FairShareLanePolicy,
-    FencingMode,
-    FifoLanePolicy,
-    lane_scheduling_policy,
-)
-from repro.core.server import GuardianServer, ServerConfig, _Lane
+from repro.core.policy import FencingMode
+from repro.core.server import GuardianServer, ServerConfig
 from repro.driver.fatbin import FatBinary, FatbinEntry
 from repro.errors import BoundsViolation, PartitionError
 from repro.gpu.device import Device
@@ -70,7 +65,6 @@ class TestSerialBitIdentity:
         stock = run_workload(ServerConfig())
         spelled = run_workload(ServerConfig(
             concurrency=False,
-            lane_policy="fifo",
             coalesce_transfer_checks=False,
         ))
         assert spelled.stats == stock.stats
@@ -366,42 +360,6 @@ class TestLaneQuarantine:
         assert len(server.lanes()) == 2  # one live, one retired
 
 
-class TestLanePolicies:
-    def test_factory_resolves_names_and_aliases(self):
-        assert isinstance(lane_scheduling_policy("fifo"), FifoLanePolicy)
-        assert isinstance(lane_scheduling_policy("fair"),
-                          FairShareLanePolicy)
-        assert isinstance(lane_scheduling_policy("fair-share"),
-                          FairShareLanePolicy)
-        with pytest.raises(ValueError):
-            lane_scheduling_policy("round-robin")
-
-    def test_fifo_grants_as_soon_as_both_are_free(self):
-        lane = _Lane(app_id="a", clock=100.0, critical=5_000.0)
-        assert FifoLanePolicy().grant(lane, {"a": lane}, 250.0) == 250.0
-
-    def test_fair_share_throttles_the_section_hog(self):
-        hog = _Lane(app_id="hog", clock=100.0, critical=10_000.0)
-        meek = _Lane(app_id="meek", clock=100.0, critical=0.0)
-        lanes = {"hog": hog, "meek": meek}
-        policy = FairShareLanePolicy()
-        assert policy.grant(hog, lanes, 250.0) == 20_000.0
-        assert policy.grant(meek, lanes, 250.0) == 250.0
-
-    def test_fair_policy_still_conserves_work(self):
-        server = run_workload(
-            ServerConfig.concurrent(lane_policy="fair"), tenants=4
-        )
-        assert sum(lane.busy for lane in server.lanes()) == pytest.approx(
-            server.stats.cycles
-        )
-        assert server.makespan_cycles() < server.stats.cycles
-
-    def test_unknown_policy_rejected_at_server_construction(self):
-        with pytest.raises(ValueError):
-            make_server(ServerConfig(lane_policy="round-robin"))
-
-
 class TestSnapshotReads:
     def test_read_equals_lookup(self):
         server = make_server()
@@ -467,7 +425,7 @@ class TestIPCAbortStats:
         assert IPCStats().mean_batch_size == 0.0
 
     def test_aborted_batches_counted_separately(self):
-        server = make_server(ServerConfig(enable_ipc_batching=True))
+        server = make_server(ServerConfig.hotpath())
         server.attach("a", PARTITION)
         address, _ = server.malloc("a", 4096)
         channel = IPCChannel(server, "a", batching=True, max_batch=64)
@@ -487,7 +445,7 @@ class TestIPCAbortStats:
         assert channel.stats.aborted_batches == 0
 
     def test_collect_hotpath_excludes_discarded_from_roundtrips(self):
-        server = make_server(ServerConfig(enable_ipc_batching=True))
+        server = make_server(ServerConfig.hotpath())
         server.attach("a", PARTITION)
         address, _ = server.malloc("a", 4096)
         channel = IPCChannel(server, "a", batching=True, max_batch=64)

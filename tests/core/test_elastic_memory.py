@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.elastic import ElasticClient
-from repro.core.policy import (
-    FencingMode,
-    NeverDefragPolicy,
-    ThresholdDefragPolicy,
-    defrag_policy,
+from repro.core.elastic import (
+    MIN_PARTITION_BYTES,
+    OVERSUBSCRIPTION_RATIO,
+    ElasticClient,
+    should_defrag,
 )
+from repro.core.policy import FencingMode
 from repro.core.server import GuardianServer, ServerConfig
 from repro.driver.fatbin import build_fatbin
 from repro.errors import GuardianError, PartitionError
@@ -71,23 +71,19 @@ class TestKnobsDefaultOff:
     def test_shrink_handler_gated(self):
         server = GuardianServer(Device(SMALL))
         server.attach("a", 1 << 20)
-        with pytest.raises(GuardianError, match="enable_shrink"):
+        with pytest.raises(GuardianError, match="enable_elastic_memory"):
             server.shrink_partition("a")
 
-    def test_single_knob_constructs_engine(self):
-        server = GuardianServer(
-            Device(SMALL), config=ServerConfig(enable_shrink=True))
-        assert server.elastic is not None
-        assert server.elastic.shrink_enabled
-        assert not server.elastic.compaction_enabled
-        with pytest.raises(GuardianError, match="enable_compaction"):
-            server.elastic.compact("nobody")
-
     def test_elastic_preset_enables_all_three(self):
-        config = ServerConfig.elastic()
-        assert config.enable_shrink
-        assert config.enable_compaction
-        assert config.enable_oversubscription
+        """One switch: the preset's engine shrinks, compacts and swaps."""
+        assert ServerConfig.elastic().enable_elastic_memory
+        server = elastic_server()
+        attach(server, "pad", 1 << 20)
+        attach(server, "a", 1 << 20).malloc(4096)
+        server.detach("pad")
+        assert server.elastic.shrink("a")[0] < 1 << 20
+        assert server.elastic.compact("a") is not None
+        assert server.elastic.swap_out("a") > 0
 
 
 # --------------------------------------------------------------------------
@@ -162,10 +158,10 @@ class TestShrink:
         assert server.stats.cycles == before
 
     def test_min_partition_bytes_floor(self):
-        server = elastic_server(min_partition_bytes=64 << 10)
+        server = elastic_server()
         client = attach(server, "a", 1 << 20)
         client.malloc(256)
-        assert client.shrink_partition() == 64 << 10
+        assert client.shrink_partition() == MIN_PARTITION_BYTES
 
     def test_grow_then_shrink_round_trips(self):
         server = elastic_server()
@@ -276,12 +272,6 @@ class TestCompaction:
         assert mover.delta != 0
         assert mover.shrink_partition() < 1 << 20
 
-    def test_defrag_respects_never_policy(self):
-        server = elastic_server(defrag_policy="never")
-        self._fragmented(server)
-        assert server.elastic.defrag(want_bytes=1 << 20) == []
-        assert server.stats.tenants_compacted == 0
-
     def test_defrag_triggers_on_stranded_placement(self):
         """Free bytes could hold the newcomer but no single gap can:
         the want-bytes trigger authorises exactly this compaction."""
@@ -390,15 +380,15 @@ class TestOversubscription:
         newcomer.synchronize()
 
     def test_hard_cap_bounds_declared_bytes(self):
-        server = elastic_server(oversubscription_ratio=1.25,
-                                enable_shrink=False,
-                                enable_compaction=False)
+        server = elastic_server()
         total = server.allocator.total_bytes
         declared = 0
         while server.elastic.make_room(4 << 20):
-            attach(server, f"t{declared}", 4 << 20)
+            # Heaps past the half-way mark: nothing can shrink, so
+            # every admission beyond capacity is a swap.
+            attach(server, f"t{declared}", 4 << 20).malloc(3 << 20)
             declared += 4 << 20
-        assert declared <= 1.25 * total
+        assert total < declared <= OVERSUBSCRIPTION_RATIO * total
         assert server.elastic.declared_bytes() == declared
 
     def test_make_room_prefers_shrink_over_swap(self):
@@ -409,12 +399,6 @@ class TestOversubscription:
         # Shrinking the over-provisioned residents was enough.
         assert server.stats.partitions_shrunk >= 1
         assert server.stats.swaps_out == 0
-
-    def test_swap_gated(self):
-        server = elastic_server(enable_oversubscription=False)
-        attach(server, "a", 1 << 20)
-        with pytest.raises(GuardianError, match="oversubscription"):
-            server.elastic.swap_out("a")
 
     def test_detach_while_swapped_drops_image(self):
         server = elastic_server()
@@ -427,44 +411,23 @@ class TestOversubscription:
 
 
 # --------------------------------------------------------------------------
-# DefragPolicy family
+# should_defrag: the one compaction rule
 # --------------------------------------------------------------------------
 
 
 class TestDefragPolicy:
-    def test_registry_resolves(self):
-        assert isinstance(defrag_policy("never"), NeverDefragPolicy)
-        policy = defrag_policy("threshold", threshold=0.25)
-        assert isinstance(policy, ThresholdDefragPolicy)
-        assert policy.threshold == 0.25
-
-    def test_unknown_name_lists_choices(self):
-        with pytest.raises(ValueError, match="never.*threshold"):
-            defrag_policy("aggressive")
-
-    def test_threshold_validates_range(self):
-        with pytest.raises(ValueError, match="\\[0, 1\\]"):
-            ThresholdDefragPolicy(threshold=1.5)
-
     def test_threshold_score_trigger(self):
-        policy = ThresholdDefragPolicy(threshold=0.5)
         view = {"score": 0.4, "largest_carveable": 4,
                 "bytes_unpartitioned": 10, "gaps": 3}
-        assert policy.should_defrag(view)
+        assert should_defrag(view)
         view["score"] = 0.6
-        assert not policy.should_defrag(view)
+        assert not should_defrag(view)
 
     def test_threshold_want_bytes_trigger(self):
-        policy = ThresholdDefragPolicy(threshold=0.0)
         view = {"score": 1.0, "largest_carveable": 1 << 20,
                 "bytes_unpartitioned": 4 << 20, "gaps": 4}
-        assert policy.should_defrag(view, want_bytes=2 << 20)
-        assert not policy.should_defrag(view, want_bytes=1 << 20)
-
-    def test_never_is_never(self):
-        assert not NeverDefragPolicy().should_defrag(
-            {"score": 0.0, "largest_carveable": 0,
-             "bytes_unpartitioned": 1, "gaps": 9}, want_bytes=1 << 30)
+        assert should_defrag(view, want_bytes=2 << 20)
+        assert not should_defrag(view, want_bytes=1 << 20)
 
 
 # --------------------------------------------------------------------------

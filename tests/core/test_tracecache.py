@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.policy import FencingMode
 from repro.core.server import GuardianServer, ServerConfig
+from repro.core.tracecache import TRACE_HOT_THRESHOLD
 from repro.driver.fatbin import build_fatbin
 from repro.gpu.device import Device
 from repro.gpu.specs import QUADRO_RTX_A4000
@@ -54,7 +55,7 @@ def run_block(server, app_id, handle, buf, payload=PAYLOAD):
 
 def heat(server, app_id, handle, buf):
     """Run exactly enough identical blocks to compile the trace."""
-    for _ in range(server.config.trace_hot_threshold):
+    for _ in range(TRACE_HOT_THRESHOLD):
         run_block(server, app_id, handle, buf)
 
 
@@ -329,8 +330,7 @@ class TestElasticInvalidation:
 
     @staticmethod
     def _elastic_traced(**overrides):
-        return traced_server(enable_shrink=True, enable_compaction=True,
-                             enable_oversubscription=True, **overrides)
+        return traced_server(enable_elastic_memory=True, **overrides)
 
     def test_shrink_invalidates_eagerly_then_reheats(self):
         server = self._elastic_traced()
@@ -348,11 +348,12 @@ class TestElasticInvalidation:
         assert server.stats.trace_replays == 1
 
     def test_noop_shrink_keeps_the_trace(self):
-        server = self._elastic_traced(min_partition_bytes=1 << 20)
+        server = self._elastic_traced()
         handle, buf = deploy(server)
+        server.malloc("alice", 600 << 10)  # heap reaches the upper buddy
         heat(server, "alice", handle, buf)
         new_size, _ = server.shrink_partition("alice")
-        assert new_size == 1 << 20  # floored: nothing happened
+        assert new_size == 1 << 20  # nothing to release: nothing happened
         assert server.trace_engine.has_trace("alice")
         assert server.stats.trace_invalidations == 0
 

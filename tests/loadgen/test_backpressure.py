@@ -24,8 +24,9 @@ class TestAdmissionGate:
     def test_defaults_off(self):
         config = ServerConfig()
         assert config.max_resident_tenants is None
-        assert config.ipc_queue_limit is None
-        assert config.ipc_shed_overflow is False
+        channel = GuardianClient(make_server(), "t0", 1 << 20).channel
+        assert channel.queue_limit is None
+        assert channel.shed_overflow is False
 
     def test_gate_rejects_past_the_limit(self):
         server = make_server(max_resident_tenants=2)
@@ -61,11 +62,11 @@ class TestAdmissionGate:
 
 class TestBoundedIPCQueue:
     def batching_client(self, app_id="t0", **knobs):
-        server = make_server(enable_ipc_batching=True, **knobs)
-        return GuardianClient(server, app_id, 1 << 20)
+        return GuardianClient(make_server(), app_id, 1 << 20,
+                              batching=True, **knobs)
 
     def test_overflow_flushes_by_default(self):
-        client = self.batching_client(ipc_queue_limit=2)
+        client = self.batching_client(queue_limit=2)
         buffer = client.malloc(64)
         for _ in range(5):
             client.memcpy_h2d(buffer, b"\x00" * 16)
@@ -77,8 +78,7 @@ class TestBoundedIPCQueue:
         client.close()
 
     def test_shed_overflow_raises_queue_saturated(self):
-        client = self.batching_client(ipc_queue_limit=1,
-                                      ipc_shed_overflow=True)
+        client = self.batching_client(queue_limit=1, shed_overflow=True)
         buffer = client.malloc(64)
         client.memcpy_h2d(buffer, b"\x00" * 16)
         with pytest.raises(QueueSaturated) as excinfo:
@@ -94,8 +94,8 @@ class TestBoundedIPCQueue:
 
     def test_queue_limit_ignored_without_batching(self):
         # A synchronous channel never queues, so the bound never trips.
-        server = make_server(ipc_queue_limit=1)
-        client = GuardianClient(server, "t0", 1 << 20)
+        client = GuardianClient(make_server(), "t0", 1 << 20,
+                                queue_limit=1)
         buffer = client.malloc(64)
         for _ in range(4):
             client.memcpy_h2d(buffer, b"\x00" * 16)
@@ -103,18 +103,13 @@ class TestBoundedIPCQueue:
         assert client.channel.stats.shed_calls == 0
         client.close()
 
-    def test_client_overrides_beat_server_defaults(self):
-        server = make_server(enable_ipc_batching=True,
-                             ipc_queue_limit=1, ipc_shed_overflow=True)
-        client = GuardianClient(server, "t0", 1 << 20,
-                                queue_limit=8, shed_overflow=False)
-        buffer = client.malloc(64)
-        for _ in range(6):
-            client.memcpy_h2d(buffer, b"\x00" * 16)
-        assert client.channel.stats.shed_calls == 0
-        client.synchronize()
-        client.close()
-
     def test_rejects_bad_limit(self):
         with pytest.raises(IPCError):
             IPCChannel(object(), "t0", queue_limit=0)
+
+    def test_rejects_shedding_an_unbounded_queue(self):
+        with pytest.raises(IPCError, match="queue_limit"):
+            IPCChannel(object(), "t0", shed_overflow=True)
+        with pytest.raises(IPCError, match="queue_limit"):
+            GuardianClient(make_server(), "t0", 1 << 20,
+                           shed_overflow=True)

@@ -55,9 +55,8 @@ class TestOffByDefault:
                        op="malloc", at_call=1, times=2)],
             seed=11,
         )
-        config = {"enable_ipc_batching": True}
-        off = run_workload(ServerConfig(**config), fault_plan=plan())
-        on = run_workload(ServerConfig(telemetry=True, **config),
+        off = run_workload(ServerConfig.hotpath(), fault_plan=plan())
+        on = run_workload(ServerConfig.hotpath(telemetry=True),
                           fault_plan=plan())
         assert on.server.stats.cycles == off.server.stats.cycles
 
@@ -109,9 +108,7 @@ class TestSpanInvariants:
         assert {"call", "bounds", "device"} <= categories
 
     def test_queue_spans_cover_batched_waits(self):
-        system = run_workload(
-            ServerConfig(telemetry=True, enable_ipc_batching=True)
-        )
+        system = run_workload(ServerConfig.hotpath(telemetry=True))
         spans = system.server.telemetry.tracer.spans()
         queue_spans = [s for s in spans if s.category == "queue"]
         assert queue_spans

@@ -62,46 +62,3 @@ class TestPackageAPI:
     def test_both_device_specs_exported(self):
         assert repro.QUADRO_RTX_A4000.name == "Quadro RTX A4000"
         assert repro.GEFORCE_RTX_3080TI.name == "GeForce RTX 3080 Ti"
-
-
-class TestServerConfigValidation:
-    """``ServerConfig`` refuses at construction what would otherwise be
-    silently dead or fail at first use, all offenders in one error."""
-
-    @pytest.mark.parametrize("knobs, named", [
-        (dict(lane_policy="round-robin"), "lane_policy"),
-        (dict(defrag_policy="typo"), "defrag_policy"),
-        (dict(ipc_shed_overflow=True), "ipc_queue_limit"),
-        (dict(oversubscription_ratio=0.5), "oversubscription_ratio=0.5"),
-        (dict(trace_hot_threshold=0), "trace_hot_threshold=0"),
-        (dict(min_partition_bytes=0), "min_partition_bytes=0"),
-    ])
-    def test_each_offender_alone(self, knobs, named):
-        with pytest.raises(ValueError, match=named):
-            repro.ServerConfig(**knobs)
-
-    def test_policy_names_are_checked_with_the_subsystem_off(self):
-        """No elastic knob is on, so nothing would ever resolve the
-        name; the error still lists what it could have been."""
-        with pytest.raises(ValueError, match="'typo'.*never.*threshold"):
-            repro.ServerConfig(defrag_policy="typo")
-
-    def test_offenders_are_reported_together(self):
-        with pytest.raises(ValueError) as failure:
-            repro.ServerConfig.elastic(
-                defrag_policy="typo",
-                ipc_shed_overflow=True,
-                oversubscription_ratio=0.5,
-            )
-        message = str(failure.value)
-        for named in ("defrag_policy", "'typo'", "ipc_shed_overflow=True",
-                      "ipc_queue_limit", "oversubscription_ratio=0.5"):
-            assert named in message
-
-    def test_defaults_and_presets_are_valid(self):
-        for build in (repro.ServerConfig, repro.ServerConfig.hotpath,
-                      repro.ServerConfig.concurrent,
-                      repro.ServerConfig.traced,
-                      repro.ServerConfig.elastic):
-            build()
-        repro.ServerConfig(ipc_queue_limit=1, ipc_shed_overflow=True)
