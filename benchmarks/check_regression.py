@@ -30,6 +30,11 @@ where the benchmarks write them) and compares them against
   inflate the modelled host-cycle total past ``max_cycle_ratio``
   (the spine observes the clock, it never charges it — the measured
   ratio is exactly 1.0 by construction);
+- ``telemetry_wall``: the one wall-clock gate - the median host wall
+  ratio of the same workload with telemetry on vs off may not exceed
+  ``max_wall_ratio`` (1.30; 1.34 before the record path was cut,
+  1.16-1.19 after). A host measurement has no trajectory snapshot, so
+  a run that did not emit ``BENCH_telemetry_wall.json`` skips it;
 - ``load_slo``: at the pinned open-loop operating point
   (``utilisation`` of the modelled capacity) goodput must stay at or
   above ``min_goodput_per_mcycle`` and the modelled session p99 at or
@@ -45,7 +50,7 @@ A measurement missing from ``BENCH_DIR`` falls back to the committed
 ``benchmarks/trajectory/`` snapshot (the last numbers a maintainer
 recorded), so the gate can run against the repo itself and partial
 benchmark runs still check everything they can; a measurement found in
-*neither* place fails the job.
+*neither* place fails the job (except ``telemetry_wall``, above).
 
 Exit status 0 on pass, 1 on regression or missing inputs.
 """
@@ -200,6 +205,24 @@ def check_telemetry(bench_dir: Path, baseline: dict) -> int:
     return 0
 
 
+def check_telemetry_wall(bench_dir: Path, baseline: dict) -> int:
+    path = bench_dir / "BENCH_telemetry_wall.json"
+    if not path.exists():
+        print("telemetry_wall: not measured in this run (wall clock, "
+              "no trajectory snapshot); skipped")
+        return 0
+    ratio = json.loads(path.read_text())["wall_ratio_median"]
+    ceiling = baseline["max_wall_ratio"]
+    print(f"telemetry_wall: on/off host wall ratio {ratio:.3f} "
+          f"(ceiling {ceiling:.2f})")
+    if ratio > ceiling:
+        return fail(
+            f"telemetry-on/off host wall ratio {ratio:.3f} exceeds the "
+            f"{ceiling:.2f} ceiling — the record path got dearer"
+        )
+    return 0
+
+
 def check_load_slo(bench_dir: Path, baseline: dict) -> int:
     measured = load_bench(bench_dir, "load_slo")
     if measured is None:
@@ -284,6 +307,7 @@ CHECKS = (
     ("multitenant_scaling", check_multitenant),
     ("cluster_migration", check_cluster),
     ("telemetry_overhead", check_telemetry),
+    ("telemetry_wall", check_telemetry_wall),
     ("load_slo", check_load_slo),
     ("elastic_memory", check_elastic),
 )

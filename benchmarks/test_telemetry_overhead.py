@@ -13,11 +13,20 @@ per-tenant call-span cycle sums equal ``server.stats.cycles``, and the
 span buffer exports as valid Chrome-trace JSON (uploaded by the CI
 bench-smoke job as ``BENCH_telemetry_trace.json`` — load it in
 Perfetto / chrome://tracing).
+
+Observation is free on the modelled clock, not on the host's: the wall
+arm runs the same two configs as interleaved rounds in one process and
+writes the median on/off wall ratio to ``BENCH_telemetry_wall.json``
+(a host measurement, so never a trajectory snapshot; CI gates it at
+``max_wall_ratio`` in bench_baseline.json).
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import statistics
+import time
 
 import numpy as np
 
@@ -44,6 +53,10 @@ PARTITION = 1 << 20
 #: exactly 1.0 by construction; the ceiling leaves headroom only for
 #: a future instrumentation point that legitimately charges.
 CYCLE_RATIO_CEILING = 1.05
+
+#: Interleaved (off, on) rounds of the wall arm, the first order
+#: alternating; odd, so the median is one pair's ratio.
+WALL_ROUNDS = 15
 
 
 def run_sharing_workload(config: ServerConfig):
@@ -144,3 +157,34 @@ class TestTelemetryOverhead:
         })
 
         assert ratio <= CYCLE_RATIO_CEILING
+
+    def test_telemetry_wall_ratio(self):
+        """Host wall time of the telemetry arm over the stock arm, the
+        median over interleaved rounds (one process, both arms warm)."""
+        arms = (ServerConfig.concurrent(),
+                ServerConfig.concurrent(telemetry=True))
+        for config in arms:
+            run_sharing_workload(config)
+        seconds = ([], [])
+        for index in range(WALL_ROUNDS):
+            for arm in ((0, 1) if index % 2 == 0 else (1, 0)):
+                # Each round starts from a collected heap, so neither arm
+                # pays for garbage the other (or an earlier test) left.
+                gc.collect()
+                start = time.perf_counter()
+                run_sharing_workload(arms[arm])
+                seconds[arm].append(time.perf_counter() - start)
+        ratios = [on / off for off, on in zip(*seconds)]
+        median = statistics.median(ratios)
+        print(f"telemetry wall ratio: median {median:.3f} over "
+              f"{WALL_ROUNDS} rounds ("
+              + " ".join(f"{ratio:.3f}" for ratio in ratios) + ")")
+        emit_bench_json("telemetry_wall", {
+            "wall_ratio_median": median,
+            "wall_ratios": ratios,
+            "off_s_median": statistics.median(seconds[0]),
+            "on_s_median": statistics.median(seconds[1]),
+            "rounds": WALL_ROUNDS,
+            "tenants": TENANTS,
+            "iterations": ITERATIONS,
+        })

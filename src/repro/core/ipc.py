@@ -183,6 +183,11 @@ class IPCChannel:
         # bit-identical to the stock channel.
         self._trace_engine = getattr(target, "trace_engine", None)
         self._trace_cursor = 0
+        # Telemetry recorders by method (and the queue-wait one), each
+        # made at its first record (Telemetry.call_recorder says why).
+        self._call_recorders: dict = {}
+        self._dispatch_recorders: dict = {}
+        self._queue_wait_recorder = None
 
     def call(self, method: str, *args, payload_bytes: int = 0,
              sync: bool = True):
@@ -236,10 +241,8 @@ class IPCChannel:
             # The client blocks until the server replies.
             self.stats.client_cycles += server_cycles
         if telemetry is not None:
-            telemetry.record_call(
-                self.app_id, method,
-                transport + (server_cycles if sync else 0.0),
-            )
+            self._record_call(method,
+                              transport + (server_cycles if sync else 0.0))
         return result
 
     def flush(self) -> int:
@@ -264,16 +267,17 @@ class IPCChannel:
             # Every queued call waited from its enqueue instant to this
             # flush — a span on the client's own cycle axis.
             flushed_at = self.stats.client_cycles
+            record = self._queue_wait_recorder
+            if record is None:
+                record = self._queue_wait_recorder = (
+                    telemetry.queue_wait_recorder(self.app_id))
+            emit = telemetry.tracer.emit
+            track = f"client:{self.app_id}"
             for queued in batch:
-                telemetry.tracer.emit(
-                    f"queue_wait:{queued.method}", "queue", self.app_id,
-                    track=f"client:{self.app_id}",
-                    start=queued.enqueued_at, end=flushed_at,
-                    trace_id=queued.trace_id,
-                )
-                telemetry.record_queue_wait(
-                    self.app_id, flushed_at - queued.enqueued_at
-                )
+                emit(f"queue_wait:{queued.method}", "queue", self.app_id,
+                     track=track, start=queued.enqueued_at, end=flushed_at,
+                     trace_id=queued.trace_id)
+                record(flushed_at - queued.enqueued_at)
         for queued in batch:
             self._dispatch(queued.method, queued.args,
                            trace_id=queued.trace_id)
@@ -349,7 +353,7 @@ class IPCChannel:
             queued.enqueued_at = self.stats.client_cycles
             # A batched call's client-visible cost is its marshalling;
             # the server work lands on the server's busy time.
-            telemetry.record_call(self.app_id, method, marshal)
+            self._record_call(method, marshal)
         self._queue.append(queued)
         if len(self._queue) >= self.max_batch:
             self.flush()
@@ -406,9 +410,20 @@ class IPCChannel:
         finally:
             telemetry.tracer.end(span)
         span.attrs["server_cycles"] = server_cycles
-        telemetry.record_dispatch(self.app_id, method, server_cycles)
+        record = self._dispatch_recorders.get(method)
+        if record is None:
+            record = self._dispatch_recorders[method] = (
+                telemetry.dispatch_recorder(self.app_id, method))
+        record(server_cycles)
         self.stats.server_cycles += server_cycles
         return result, server_cycles
+
+    def _record_call(self, method: str, latency_cycles: float) -> None:
+        record = self._call_recorders.get(method)
+        if record is None:
+            record = self._call_recorders[method] = (
+                self.telemetry.call_recorder(self.app_id, method))
+        record(latency_cycles)
 
     def _resolve_handler(self, method: str):
         handler = getattr(self._target, method, None)

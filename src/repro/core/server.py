@@ -756,12 +756,13 @@ class GuardianServer:
                 self.stats.checks_coalesced += 1
                 return 0.0
         self.stats.transfers_checked += 1
-        with maybe_span(self.telemetry, "bounds_check", "bounds", app_id,
-                        what=what, address=address, size=size) as span:
-            cost = self._charge(self.costs.transfer_check)
-            contained = record.contains(address, size)
-            if span is not None:
-                span.attrs["ok"] = contained
+        cost = self._charge(self.costs.transfer_check, leaf=True)
+        contained = record.contains(address, size)
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.tracer.leaf("bounds_check", "bounds", app_id, cost,
+                                  what=what, address=address, size=size,
+                                  ok=contained)
         if not contained:
             self.stats.transfers_rejected += 1
             raise BoundsViolation(app_id, address, size, detail=what)
@@ -1030,9 +1031,11 @@ class GuardianServer:
 
         cycles += self.costs.launch_syscall
         self.stats.launches += 1
-        with maybe_span(self.telemetry, "launch", "launch", app_id,
-                        handle=handle, native=use_native):
-            self._charge(cycles)
+        self._charge(cycles, leaf=True)
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.tracer.leaf("launch", "launch", app_id, cycles,
+                                  handle=handle, native=use_native)
         try:
             self.driver.cuLaunchKernel(
                 function, grid, block, launch_params, tenant.stream,
@@ -1365,7 +1368,7 @@ class GuardianServer:
             lane.ops += 1
 
     def _charge(self, cycles: float, critical: bool = False,
-                work: Optional[float] = None) -> float:
+                work: Optional[float] = None, leaf: bool = False) -> float:
         """Add host work to the server's busy clock; returns the amount
         so call sites can sum exactly what they charged.
 
@@ -1379,6 +1382,10 @@ class GuardianServer:
         occupies the section for ``cycles`` — that's how bounds
         writes, allocator mutations and patch-cache misses serialize
         across lanes.
+
+        ``leaf=True`` leaves the tracer's cursor to the caller, which
+        records the charge as a :meth:`SpanTracer.leaf` of ``cycles``
+        (a plain, non-critical charge only).
         """
         work_cycles = cycles if work is None else work
         self.stats.cycles += work_cycles
@@ -1402,14 +1409,12 @@ class GuardianServer:
             # the charged work. Critical-section occupancy gets its
             # own span (nested inside the dispatch's call span).
             if critical:
-                span = telemetry.tracer.begin(
+                telemetry.tracer.leaf(
                     "critical_section", "critical",
-                    lane.app_id if lane is not None else "",
+                    lane.app_id if lane is not None else "", work_cycles,
                     stalled=stalled,
                 )
-                telemetry.tracer.advance(work_cycles)
-                telemetry.tracer.end(span)
-            else:
+            elif not leaf:
                 telemetry.tracer.advance(work_cycles)
         return cycles
 

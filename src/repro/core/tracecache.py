@@ -77,7 +77,6 @@ import numpy as np
 
 from repro.errors import BoundsViolation, ExecutionError, GuardianError
 from repro.core.policy import FencingMode
-from repro.telemetry import maybe_span
 
 #: The longest sync-delimited block the recorder will consider; bounds
 #: recorder memory per tenant.
@@ -493,10 +492,12 @@ class TraceEngine:
                 costs.vector_check_base
                 + costs.vector_check_per_range * len(trace.ranges)
             )
-        with maybe_span(server.telemetry, "trace_replay", "launch",
-                        app_id, ops=len(trace.ops),
-                        ranges=len(trace.ranges)):
-            server._charge(cycles)
+        server._charge(cycles, leaf=True)
+        telemetry = server.telemetry
+        if telemetry is not None:
+            telemetry.tracer.leaf("trace_replay", "launch", app_id, cycles,
+                                  ops=len(trace.ops),
+                                  ranges=len(trace.ranges))
         if trace.ranges:
             record = trace.record
             server.stats.transfers_checked += len(trace.ranges)

@@ -134,22 +134,39 @@ class Telemetry:
 
     # -- hook-point helpers -------------------------------------------------------
 
-    def record_call(self, tenant: str, method: str,
-                    latency_cycles: float) -> None:
-        self.calls.inc(tenant=tenant, method=method)
-        self.call_latency.observe(latency_cycles, tenant=tenant,
-                                  method=method)
-        # The per-tenant aggregate series is what the p50/p99/p999
-        # report renders without a per-method explosion.
-        self.call_latency.observe(latency_cycles, tenant=tenant)
+    def call_recorder(self, tenant: str, method: str):
+        """``record(latency_cycles)`` for one (tenant, method): counts
+        the call and observes its latency in the per-method and the
+        per-tenant series (the aggregate the p50/p99/p999 report renders
+        without a per-method explosion). The label sets resolve here,
+        once; a caller keeps the closure and pays only the records.
 
-    def record_dispatch(self, tenant: str, method: str,
-                        server_cycles: float) -> None:
-        self.dispatch_cycles.observe(server_cycles, tenant=tenant,
-                                     method=method)
+        Resolving creates the latency series, so make the recorder at
+        the first record, where a per-call record would have created
+        them."""
+        calls = self.calls
+        key = calls.key(tenant=tenant, method=method)
+        by_method = self.call_latency.series_for(tenant=tenant,
+                                                 method=method).observe
+        by_tenant = self.call_latency.series_for(tenant=tenant).observe
 
-    def record_queue_wait(self, tenant: str, waited_cycles: float) -> None:
-        self.queue_wait.observe(waited_cycles, tenant=tenant)
+        def record(latency_cycles: float) -> None:
+            calls.add(key)
+            by_method(latency_cycles)
+            by_tenant(latency_cycles)
+
+        return record
+
+    def dispatch_recorder(self, tenant: str, method: str):
+        """``record(server_cycles)`` for one (tenant, method)'s
+        dispatches (same first-record rule as :meth:`call_recorder`)."""
+        return self.dispatch_cycles.series_for(tenant=tenant,
+                                               method=method).observe
+
+    def queue_wait_recorder(self, tenant: str):
+        """``record(waited_cycles)`` for one tenant's batched calls
+        (same first-record rule as :meth:`call_recorder`)."""
+        return self.queue_wait.series_for(tenant=tenant).observe
 
     def record_session(self, cls: str, outcome: str,
                        latency_cycles: Optional[float] = None,
@@ -225,8 +242,11 @@ def maybe_span(telemetry: Optional[Telemetry], name: str, category: str,
                tenant: str = "", **attrs):
     """A tracer span when telemetry is on; a no-op when it is None.
 
-    Keeps every hook site a one-liner with zero work on the stock
-    path — the hook's only off-mode cost is this None check.
+    For cold hook sites (deploy, the supervisor). A site that wraps
+    exactly one charge on a hot path tests ``telemetry is None`` itself
+    and records a :meth:`~repro.telemetry.trace.SpanTracer.leaf`
+    instead: entering this generator costs the stock server a context
+    manager per call.
     """
     if telemetry is None:
         yield None

@@ -6,7 +6,12 @@ a JSON-safe snapshot. The histogram is HDR-style log-linear: values
 land in geometrically spaced buckets (32 per octave, ~2.2% relative
 width), so p50/p99/p999 come out of a sparse dict walk with bounded
 relative error and O(1) memory per distinct magnitude — no sample
-retention.
+retention beyond the last :data:`FOLD_BOUND` unread values.
+
+Records are cheap by construction: a hot caller resolves its label set
+once (:meth:`Counter.key`, :meth:`Histogram.series_for`) and then bumps
+the resolved slot, and a histogram record only appends the value;
+readers fold (DESIGN.md §11, "The record path").
 
 Everything here is pure bookkeeping on the modelled numbers; nothing
 charges cycles (the telemetry-observes-never-charges rule).
@@ -23,6 +28,12 @@ _GROWTH_LOG = _SUB_BUCKETS / math.log(2.0)
 
 #: The quantiles the exposition and reports present.
 QUANTILES = ((0.5, "p50"), (0.99, "p99"), (0.999, "p999"))
+
+#: Values a histogram series holds unfolded: a record appends, a full
+#: list or any read folds. Memory over speed: on the ledger's
+#: memops_full workload (2-vCPU Xeon, 3 s runs, seeds 1-3) 4 096 read
+#: ~6% less host time per call but 3 MB more peak RSS than 256.
+FOLD_BOUND = 256
 
 
 def _label_key(labels: dict) -> tuple:
@@ -57,11 +68,19 @@ class Counter(_Family):
 
     kind = "counter"
 
-    def inc(self, amount: float = 1.0, **labels) -> None:
+    def key(self, **labels) -> tuple:
+        """The series key of ``labels``: resolve a label set once, then
+        :meth:`add` to it without sorting the labels again."""
+        return _label_key(labels)
+
+    def add(self, key: tuple, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name}: negative inc {amount}")
-        key = _label_key(labels)
-        self._series[key] = self._series.get(key, 0.0) + amount
+        series = self._series
+        series[key] = series.get(key, 0.0) + amount
+
+    def inc(self, amount: float = 1.0, **labels) -> None:
+        self.add(_label_key(labels), amount)
 
     def value(self, **labels) -> float:
         return self._series.get(_label_key(labels), 0.0)
@@ -80,22 +99,27 @@ class Gauge(_Family):
 
 
 class _HistogramSeries:
-    """One label set's log-linear bucket counts."""
+    """One label set's log-linear bucket counts.
 
-    __slots__ = ("buckets", "count", "total", "min", "max")
+    :meth:`observe` only appends to a pending list. The pending values
+    fold into the buckets, count, sum, min and max when the list holds
+    :data:`FOLD_BOUND` of them and before any read, in arrival order,
+    so every read (the float sum included) is the one an eager fold
+    would give.
+    """
 
-    def __init__(self):
-        self.buckets: dict[int, int] = {}
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
+    __slots__ = ("family", "_buckets", "_count", "_total", "_min", "_max",
+                 "_pending")
 
-    @staticmethod
-    def _index(value: float) -> int:
-        if value < 1.0:
-            return 0  # sub-unit values share the zero bucket
-        return 1 + int(math.log(value) * _GROWTH_LOG)
+    def __init__(self, family: str):
+        #: The owning family's name (for error messages).
+        self.family = family
+        self._buckets: dict[int, int] = {}
+        self._count = 0
+        self._total = 0.0
+        self._min = math.inf
+        self._max = -math.inf
+        self._pending: list[float] = []
 
     @staticmethod
     def _representative(index: int) -> float:
@@ -105,26 +129,80 @@ class _HistogramSeries:
         return math.exp((index - 0.5) / _GROWTH_LOG)
 
     def observe(self, value: float) -> None:
-        index = self._index(value)
-        self.buckets[index] = self.buckets.get(index, 0) + 1
-        self.count += 1
-        self.total += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
+        # Checked here, not at the fold: a value no bucket can hold
+        # must fail its own record, not the next read.
+        if not math.isfinite(value):
+            raise ValueError(
+                f"histogram {self.family}: non-finite value {value!r}")
+        pending = self._pending
+        pending.append(value)
+        if len(pending) >= FOLD_BOUND:
+            self._fold()
+
+    def _fold(self) -> None:
+        pending = self._pending
+        if not pending:
+            return
+        buckets = self._buckets
+        total = self._total
+        for value in pending:
+            # Sub-unit values share the zero bucket.
+            index = (0 if value < 1.0
+                     else 1 + int(math.log(value) * _GROWTH_LOG))
+            buckets[index] = buckets.get(index, 0) + 1
+            total += value
+        self._total = total
+        self._count += len(pending)
+        # min()/max() keep the first of equal values, as the pairwise
+        # running min/max did.
+        low = min(pending)
+        if low < self._min:
+            self._min = low
+        high = max(pending)
+        if high > self._max:
+            self._max = high
+        pending.clear()
+
+    @property
+    def buckets(self) -> dict[int, int]:
+        self._fold()
+        return self._buckets
+
+    @property
+    def count(self) -> int:
+        self._fold()
+        return self._count
+
+    @property
+    def total(self) -> float:
+        self._fold()
+        return self._total
+
+    @property
+    def min(self) -> float:
+        self._fold()
+        return self._min
+
+    @property
+    def max(self) -> float:
+        self._fold()
+        return self._max
 
     def quantile(self, q: float) -> float:
-        if not self.count:
+        self._fold()
+        if not self._count:
             return 0.0
-        target = max(1, math.ceil(q * self.count))
+        buckets = self._buckets
+        target = max(1, math.ceil(q * self._count))
         seen = 0
-        for index in sorted(self.buckets):
-            seen += self.buckets[index]
+        for index in sorted(buckets):
+            seen += buckets[index]
             if seen >= target:
                 # Clamp into the observed range so degenerate series
                 # (one value) report exactly that value.
-                return min(max(self._representative(index), self.min),
-                           self.max)
-        return self.max
+                return min(max(self._representative(index), self._min),
+                           self._max)
+        return self._max
 
 
 class Histogram(_Family):
@@ -132,12 +210,25 @@ class Histogram(_Family):
 
     kind = "histogram"
 
-    def observe(self, value: float, **labels) -> None:
+    def series_for(self, **labels) -> _HistogramSeries:
+        """The series of ``labels``, created if new: resolve a label
+        set once, then ``observe`` on the series directly."""
         key = _label_key(labels)
         series = self._series.get(key)
         if series is None:
-            series = self._series[key] = _HistogramSeries()
+            series = self._series[key] = _HistogramSeries(self.name)
+        return series
+
+    def observe(self, value: float, **labels) -> None:
+        key = _label_key(labels)
+        series = self._series.get(key)
+        if series is not None:
+            series.observe(value)
+            return
+        series = _HistogramSeries(self.name)
+        # Stored after the record: a rejected value leaves no series.
         series.observe(value)
+        self._series[key] = series
 
     def quantile(self, q: float, **labels) -> float:
         series = self._series.get(_label_key(labels))
@@ -273,7 +364,9 @@ def _escape(value: str) -> str:
 
 
 def _render_value(value: float) -> str:
-    if isinstance(value, float) and math.isinf(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        if math.isnan(value):
+            return "NaN"
         return "+Inf" if value > 0 else "-Inf"
     if isinstance(value, float) and value == int(value) \
             and abs(value) < 1e15:

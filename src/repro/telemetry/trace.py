@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Optional
 
 #: Default track for spans opened via begin()/end() — the server's
@@ -34,22 +33,50 @@ from typing import Optional
 SERVER_TRACK = "server"
 
 
-@dataclass
 class Span:
-    """One named interval on some cycle axis."""
+    """One named interval on some cycle axis.
 
-    trace_id: int
-    span_id: int
-    parent_id: Optional[int]
-    name: str
-    #: Taxonomy bucket: call | critical | bounds | patch | launch |
-    #: fault | queue | device | migration (DESIGN.md §11).
-    category: str
-    tenant: str
-    track: str = SERVER_TRACK
-    start: float = 0.0
-    end: float = 0.0
-    attrs: dict = field(default_factory=dict)
+    A plain slotted class rather than a dataclass: the tracer makes one
+    per hook, so construction is on the record path. Equality compares
+    every field, like the dataclass it replaces.
+    """
+
+    __slots__ = ("trace_id", "span_id", "parent_id", "name", "category",
+                 "tenant", "track", "start", "end", "attrs")
+
+    def __init__(self, trace_id: int, span_id: int,
+                 parent_id: Optional[int], name: str, category: str,
+                 tenant: str, track: str = SERVER_TRACK,
+                 start: float = 0.0, end: float = 0.0,
+                 attrs: Optional[dict] = None):
+        self.trace_id = trace_id
+        self.span_id = span_id
+        self.parent_id = parent_id
+        self.name = name
+        #: Taxonomy bucket: call | critical | bounds | patch | launch |
+        #: fault | queue | device | migration (DESIGN.md §11).
+        self.category = category
+        self.tenant = tenant
+        self.track = track
+        self.start = start
+        self.end = end
+        self.attrs = {} if attrs is None else attrs
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    #: Mutable and compared by value: unhashable, as the dataclass was.
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self.__slots__)
+        return f"Span({inner})"
 
     @property
     def cycles(self) -> float:
@@ -102,16 +129,10 @@ class SpanTracer:
         parent = self._stack[-1] if self._stack else None
         if trace_id is None:
             trace_id = parent.trace_id if parent else self.new_trace()
-        span = Span(
-            trace_id=trace_id,
-            span_id=next(self._span_ids),
-            parent_id=parent.span_id if parent else None,
-            name=name,
-            category=category,
-            tenant=tenant,
-            start=self.clock,
-            attrs=dict(attrs),
-        )
+        # ``attrs`` is this call's own dict: the span takes it as is.
+        span = Span(trace_id, next(self._span_ids),
+                    parent.span_id if parent else None, name, category,
+                    tenant, SERVER_TRACK, self.clock, 0.0, attrs)
         self._stack.append(span)
         return span
 
@@ -127,6 +148,25 @@ class SpanTracer:
                 return span
         # Not on the stack (already closed defensively): record as-is.
         span.end = max(span.end, self.clock)
+        return span
+
+    def leaf(self, name: str, category: str, tenant: str, cycles: float,
+             **attrs) -> Span:
+        """``begin`` + ``advance(cycles)`` + ``end`` in one step: the
+        span of a hook that wraps exactly one charge (a critical
+        section, a bounds check, a launch, a trace replay). It opens
+        nothing, so it can never be left open."""
+        stack = self._stack
+        start = self.clock
+        if stack:
+            parent = stack[-1]
+            trace_id, parent_id = parent.trace_id, parent.span_id
+        else:
+            trace_id, parent_id = self.new_trace(), None
+        self.clock = end = start + cycles
+        span = Span(trace_id, next(self._span_ids), parent_id, name,
+                    category, tenant, SERVER_TRACK, start, end, attrs)
+        self._retire(span)
         return span
 
     @contextmanager
@@ -145,18 +185,9 @@ class SpanTracer:
              start: float, end: float, trace_id: Optional[int] = None,
              parent_id: Optional[int] = None, **attrs) -> Span:
         """Record an already-timed span on an arbitrary track."""
-        span = Span(
-            trace_id=self.new_trace() if trace_id is None else trace_id,
-            span_id=next(self._span_ids),
-            parent_id=parent_id,
-            name=name,
-            category=category,
-            tenant=tenant,
-            track=track,
-            start=start,
-            end=end,
-            attrs=dict(attrs),
-        )
+        span = Span(self.new_trace() if trace_id is None else trace_id,
+                    next(self._span_ids), parent_id, name, category, tenant,
+                    track, start, end, attrs)
         self._retire(span)
         return span
 

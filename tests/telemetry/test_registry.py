@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.registry import QUANTILES, MetricsRegistry
 
 
 class TestFamilies:
@@ -48,6 +48,18 @@ class TestFamilies:
         counter.inc(a="1", b="2")
         assert counter.value(b="2", a="1") == 1
 
+    def test_resolved_key_adds_to_the_same_series(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("c")
+        key = counter.key(b="2", a="1")
+        counter.add(key)
+        counter.add(key, 2)
+        counter.inc(a="1", b="2")
+        assert counter.value(a="1", b="2") == 4
+        assert len(counter.series()) == 1
+        with pytest.raises(ValueError):
+            counter.add(key, -1)
+
 
 class TestHistogram:
     def test_exact_for_single_value(self):
@@ -81,6 +93,45 @@ class TestHistogram:
     def test_empty_series_quantile_is_zero(self):
         registry = MetricsRegistry()
         assert registry.histogram("lat").quantile(0.5, tenant="x") == 0.0
+
+    def test_series_for_is_the_observed_series(self):
+        registry = MetricsRegistry()
+        hist = registry.histogram("lat")
+        series = hist.series_for(tenant="a")
+        assert hist.series_for(tenant="a") is series
+        series.observe(7.0)
+        hist.observe(9.0, tenant="a")
+        assert hist.count(tenant="a") == 2
+        assert series.total == 16.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_rejected_at_record_time(self, bad):
+        """A value no bucket can hold fails its own record, names the
+        family, and leaves the series (and the family) as they were."""
+        registry = MetricsRegistry()
+        hist = registry.histogram("lat")
+        for value in (3.0, 0.5, 1e6):
+            hist.observe(value, tenant="a")
+        series = hist.series_for(tenant="a")
+
+        def state():
+            return (series.count, series.total, series.min, series.max,
+                    dict(series.buckets),
+                    [series.quantile(q) for q, _ in QUANTILES])
+
+        before = state()
+        with pytest.raises(ValueError, match="histogram lat"):
+            hist.observe(bad, tenant="a")
+        with pytest.raises(ValueError, match="histogram lat"):
+            series.observe(bad)
+        assert state() == before
+        # A label set first seen with a bad value gets no series.
+        with pytest.raises(ValueError):
+            hist.observe(bad, tenant="b")
+        assert [labels for labels, _ in hist.series()] == [{"tenant": "a"}]
+        json.dumps(registry.snapshot())
+        registry.render_prometheus()
 
     def test_sub_unit_values_share_zero_bucket(self):
         registry = MetricsRegistry()
@@ -147,3 +198,25 @@ class TestPrometheus:
 
     def test_empty_registry_renders_empty(self):
         assert MetricsRegistry().render_prometheus() == ""
+
+    def test_nan_gauge_renders_as_prometheus_nan(self):
+        registry = MetricsRegistry()
+        registry.gauge("score").set(float("nan"), node="n0")
+        registry.gauge("ceiling").set(float("-inf"))
+        text = registry.render_prometheus()
+        assert 'score{node="n0"} NaN' in text
+        assert "ceiling -Inf" in text
+        series = registry.snapshot()[0]["series"][0]
+        assert series["value"] is None  # JSON-safe, like inf
+
+    def test_nan_gauge_keeps_snapshot_and_report_working(self, tmp_path,
+                                                         capsys):
+        from repro.__main__ import main
+        from repro.telemetry import Telemetry
+        from repro.telemetry.export import dump_snapshot
+
+        telemetry = Telemetry()
+        telemetry.record_elastic_state(float("nan"), 0)
+        path = dump_snapshot(tmp_path / "snap.json", telemetry)
+        assert main(["report", str(path), "--prometheus"]) == 0
+        assert "guardian_fragmentation_score NaN" in capsys.readouterr().out

@@ -122,6 +122,83 @@ class TestEmit:
         assert [s.name for s in tracer.spans_for("alice")] == ["a"]
 
 
+class TestLeaf:
+    def _both(self, build):
+        """The same program through begin/advance/end and through
+        leaf; returns both tracers' retained spans and cursors."""
+        out = []
+        for use_leaf in (False, True):
+            tracer = SpanTracer()
+
+            def leaf(name, category, tenant, cycles, **attrs):
+                if use_leaf:
+                    return tracer.leaf(name, category, tenant, cycles,
+                                       **attrs)
+                span = tracer.begin(name, category, tenant, **attrs)
+                tracer.advance(cycles)
+                return tracer.end(span)
+
+            build(tracer, leaf)
+            out.append((tracer.spans(), tracer.clock, tracer.open_spans,
+                        tracer.new_trace()))
+        return out
+
+    def test_leaf_is_begin_advance_end(self):
+        def build(tracer, leaf):
+            leaf("critical_section", "critical", "", 40.0, stalled=0.0)
+            call = tracer.begin("launch_kernel", "call", "alice",
+                                trace_id=tracer.new_trace())
+            tracer.advance(3.0)
+            leaf("bounds_check", "bounds", "alice", 150,
+                 what="h2d", ok=True)
+            leaf("launch", "launch", "alice", 9557.0, handle=7,
+                 native=False)
+            tracer.end(call)
+            leaf("trace_replay", "launch", "bob", 0.0, ops=3)
+
+        (plain, plain_clock, plain_open, plain_next), \
+            (leaves, leaf_clock, leaf_open, leaf_next) = self._both(build)
+        assert leaves == plain
+        assert [span.attrs for span in leaves] == [
+            span.attrs for span in plain]
+        assert leaf_clock == plain_clock == 9750.0
+        assert leaf_open == plain_open == 0
+        assert leaf_next == plain_next  # trace ids minted alike
+        call = next(span for span in leaves if span.category == "call")
+        assert all(call.contains(span) for span in leaves
+                   if span.parent_id == call.span_id)
+
+    def test_span_owns_its_attrs(self):
+        tracer = SpanTracer()
+        attrs = {"kind": "h2d"}
+        span = tracer.emit("copy", "device", "a", track="gpu", start=0.0,
+                           end=1.0, **attrs)
+        attrs["kind"] = "d2h"
+        assert span.attrs == {"kind": "h2d"}
+
+
+class TestSpanValue:
+    def test_equality_compares_every_field(self):
+        first = Span(1, 2, None, "n", "call", "t", start=1.0, end=2.0,
+                     attrs={"a": 1})
+        twin = Span(1, 2, None, "n", "call", "t", SERVER_TRACK, 1.0, 2.0,
+                    {"a": 1})
+        assert first == twin
+        twin.attrs["a"] = 2
+        assert first != twin
+        assert first != (1, 2, None)
+        with pytest.raises(TypeError):
+            hash(first)
+
+    def test_defaults_and_repr(self):
+        span = Span(1, 2, None, "n", "call", "t")
+        assert (span.track, span.start, span.end, span.attrs) == (
+            SERVER_TRACK, 0.0, 0.0, {})
+        assert Span(1, 3, None, "n", "call", "t").attrs is not span.attrs
+        assert repr(span).startswith("Span(trace_id=1, span_id=2, ")
+        assert "attrs={}" in repr(span)
+
+
 class TestContains:
     def test_containment_is_inclusive(self):
         outer = Span(1, 1, None, "o", "call", "t", start=0.0, end=10.0)
