@@ -19,6 +19,7 @@ from benchmarks.conftest import (
     MAX_BLOCKS,
     MIX_BATCH,
     MIX_SAMPLES,
+    emit_bench_json,
     print_table,
 )
 
@@ -28,20 +29,39 @@ DEPLOYMENTS = ("native", "mps", "guardian-noprot", "guardian")
 
 
 def _run_mix(mix_id):
-    times = {}
-    for deployment in DEPLOYMENTS:
-        run = run_deployment(
+    return {
+        deployment: run_deployment(
             deployment,
             build_mix(mix_id, samples=MIX_SAMPLES, batch=MIX_BATCH),
             max_blocks=MAX_BLOCKS,
         )
-        times[deployment] = run.makespan_seconds
-    return times
+        for deployment in DEPLOYMENTS
+    }
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    return {mix_id: _run_mix(mix_id) for mix_id in MIXES}
+    """Makespan (s) per mix and deployment. Also written to
+    ``BENCH_fig7_sharing.json``, floats as ``repr`` strings: the only
+    trajectory snapshot that runs the ``native`` deployment's
+    time-sliced timeline."""
+    runs = {mix_id: _run_mix(mix_id) for mix_id in MIXES}
+    emit_bench_json("fig7_sharing", {
+        mix_id: {
+            deployment: {
+                "makespan_seconds": repr(run.makespan_seconds),
+                "device_makespan_seconds": repr(run.device_makespan_seconds),
+                "context_switches": run.context_switches,
+            }
+            for deployment, run in by_deployment.items()
+        }
+        for mix_id, by_deployment in runs.items()
+    })
+    return {
+        mix_id: {deployment: run.makespan_seconds
+                 for deployment, run in by_deployment.items()}
+        for mix_id, by_deployment in runs.items()
+    }
 
 
 def test_fig7_sharing(once, sweep):

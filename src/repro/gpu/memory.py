@@ -81,6 +81,12 @@ class GlobalMemory:
 
     def read(self, address: int, size: int) -> bytes:
         offset = self._check(address, size, "read")
+        page_index, in_page = divmod(offset, PAGE_SIZE)
+        if 0 < size <= PAGE_SIZE - in_page:
+            page = self._pages.get(page_index)
+            if page is None:
+                return bytes(size)
+            return bytes(page[in_page : in_page + size])
         out = bytearray(size)
         written = 0
         while written < size:
@@ -95,6 +101,10 @@ class GlobalMemory:
     def write(self, address: int, data: bytes) -> None:
         size = len(data)
         offset = self._check(address, size, "write")
+        page_index, in_page = divmod(offset, PAGE_SIZE)
+        if 0 < size <= PAGE_SIZE - in_page:
+            self._page(page_index)[in_page : in_page + size] = data
+            return
         written = 0
         while written < size:
             page_index, in_page = divmod(offset + written, PAGE_SIZE)

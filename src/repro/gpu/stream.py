@@ -20,8 +20,6 @@ class Stream:
 
     context_id: int
     stream_id: int = field(default_factory=_STREAM_IDS.__next__)
-    #: Sequence numbers of tasks submitted and not yet synchronised.
-    pending_tasks: int = 0
     #: Sticky asynchronous fault, modelled after CUDA's sticky context
     #: errors: ``None`` while healthy; once set, the fault surfaces at
     #: every subsequent ordering point (launch, synchronize) until the
@@ -33,6 +31,11 @@ class Stream:
     #: stream ran without having to replay the timeline.
     submitted: int = 0
     last_release: float = 0.0
+    #: The (context, stream) pair used by the timeline simulator.
+    key: tuple[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.key = (self.context_id, self.stream_id)
 
     def note_submit(self, release_cycles: float) -> None:
         """Record one submission and its host release instant.
@@ -44,11 +47,6 @@ class Stream:
         self.submitted += 1
         if release_cycles > self.last_release:
             self.last_release = release_cycles
-
-    @property
-    def key(self) -> tuple[int, int]:
-        """The (context, stream) pair used by the timeline simulator."""
-        return (self.context_id, self.stream_id)
 
     @property
     def wedged(self) -> bool:

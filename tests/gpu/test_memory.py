@@ -114,6 +114,58 @@ class TestPropertyRoundtrip:
         assert memory.read(memory.base + b, 100) == b"\x55" * 100
 
 
+PAGES = 4
+_PATTERN = bytes(range(256)) * (PAGES * PAGE_SIZE // 256 + 2)
+
+#: An offset near a page boundary (so accesses straddle) or anywhere.
+_offsets = st.one_of(
+    st.builds(lambda page, delta: max(0, page * PAGE_SIZE + delta),
+              st.integers(min_value=1, max_value=PAGES - 1),
+              st.integers(min_value=-80, max_value=80)),
+    st.integers(min_value=0, max_value=PAGES * PAGE_SIZE - 1),
+)
+_sizes = st.one_of(st.integers(min_value=0, max_value=160),
+                   st.integers(min_value=0, max_value=2 * PAGE_SIZE + 100))
+_accesses = st.lists(
+    st.tuples(st.booleans(), _offsets, _sizes,
+              st.integers(min_value=0, max_value=255)),
+    max_size=25,
+)
+
+
+class TestAgainstABytearray:
+    """In-page accesses take one slice and straddling ones walk the
+    pages; both must agree with a flat ``bytearray``, and a read must
+    never materialise a page."""
+
+    @given(accesses=_accesses)
+    @settings(max_examples=150, deadline=None)
+    def test_reads_and_writes_match_the_model(self, accesses):
+        memory = GlobalMemory(PAGES * PAGE_SIZE)
+        model = bytearray(PAGES * PAGE_SIZE)
+        written_pages = set()
+        for is_write, offset, size, fill in accesses:
+            size = min(size, len(model) - offset)
+            address = memory.base + offset
+            if is_write:
+                data = _PATTERN[fill:fill + size]
+                memory.write(address, data)
+                model[offset:offset + size] = data
+                if size:
+                    written_pages.update(range(
+                        offset // PAGE_SIZE,
+                        (offset + size - 1) // PAGE_SIZE + 1))
+            else:
+                resident = memory.resident_bytes
+                got = memory.read(address, size)
+                assert type(got) is bytes
+                assert got == model[offset:offset + size]
+                assert memory.resident_bytes == resident
+            assert memory.resident_bytes == len(written_pages) * PAGE_SIZE
+        assert memory.read(memory.base, len(model)) == model
+        assert memory.resident_bytes == len(written_pages) * PAGE_SIZE
+
+
 def test_device_base_looks_like_paper_pointers():
     # The paper's Fig. 5 uses 0x7f... user-space-style addresses.
     assert hex(DEVICE_BASE).startswith("0x7fa")
