@@ -85,11 +85,7 @@ def load_bench(bench_dir: Path, name: str) -> dict | None:
     return None
 
 
-def check_hotpath(bench_dir: Path, baseline: dict) -> int:
-    measured = load_bench(bench_dir, "hotpath_caching")
-    if measured is None:
-        return fail("BENCH_hotpath_caching.json was not emitted and no "
-                    "trajectory snapshot exists")
+def check_hotpath(measured: dict, baseline: dict) -> int:
     ratio = measured["cached_vs_default_ratio"]
     ceiling = (baseline["cached_vs_default_ratio"]
                * (1.0 + baseline["max_regression"]))
@@ -105,11 +101,7 @@ def check_hotpath(bench_dir: Path, baseline: dict) -> int:
     return 0
 
 
-def check_trace_specialization(bench_dir: Path, baseline: dict) -> int:
-    measured = load_bench(bench_dir, "trace_specialization")
-    if measured is None:
-        return fail("BENCH_trace_specialization.json was not emitted "
-                    "and no trajectory snapshot exists")
+def check_trace_specialization(measured: dict, baseline: dict) -> int:
     ratio = measured["cached_vs_default_ratio"]
     ceiling = min(
         baseline["cached_vs_default_ratio"]
@@ -128,11 +120,7 @@ def check_trace_specialization(bench_dir: Path, baseline: dict) -> int:
     return 0
 
 
-def check_table5(bench_dir: Path, baseline: dict) -> int:
-    measured = load_bench(bench_dir, "table5_interception")
-    if measured is None:
-        return fail("BENCH_table5_interception.json was not emitted and "
-                    "no trajectory snapshot exists")
+def check_table5(measured: dict, baseline: dict) -> int:
     status = 0
     for key in ("lookup_cycles", "augment_cycles",
                 "launch_syscall_cycles"):
@@ -147,11 +135,7 @@ def check_table5(bench_dir: Path, baseline: dict) -> int:
     return status
 
 
-def check_multitenant(bench_dir: Path, baseline: dict) -> int:
-    measured = load_bench(bench_dir, "multitenant_scaling")
-    if measured is None:
-        return fail("BENCH_multitenant_scaling.json was not emitted and "
-                    "no trajectory snapshot exists")
+def check_multitenant(measured: dict, baseline: dict) -> int:
     speedup = measured["speedup_8_tenants"]
     floor = baseline["min_speedup_8_tenants"]
     print(f"multitenant_scaling: 8-tenant modelled speedup "
@@ -164,11 +148,7 @@ def check_multitenant(bench_dir: Path, baseline: dict) -> int:
     return 0
 
 
-def check_cluster(bench_dir: Path, baseline: dict) -> int:
-    measured = load_bench(bench_dir, "cluster_migration")
-    if measured is None:
-        return fail("BENCH_cluster_migration.json was not emitted and "
-                    "no trajectory snapshot exists")
+def check_cluster(measured: dict, baseline: dict) -> int:
     disruptions = measured["surviving_tenant_disruptions"]
     completed = measured["migrations_completed"]
     floor = baseline["min_migrations_completed"]
@@ -187,11 +167,7 @@ def check_cluster(bench_dir: Path, baseline: dict) -> int:
     return 0
 
 
-def check_telemetry(bench_dir: Path, baseline: dict) -> int:
-    measured = load_bench(bench_dir, "telemetry_overhead")
-    if measured is None:
-        return fail("BENCH_telemetry_overhead.json was not emitted and "
-                    "no trajectory snapshot exists")
+def check_telemetry(measured: dict, baseline: dict) -> int:
     ratio = measured["host_cycle_ratio"]
     ceiling = baseline["max_cycle_ratio"]
     print(f"telemetry_overhead: host-cycle ratio {ratio:.6f} "
@@ -223,11 +199,7 @@ def check_telemetry_wall(bench_dir: Path, baseline: dict) -> int:
     return 0
 
 
-def check_load_slo(bench_dir: Path, baseline: dict) -> int:
-    measured = load_bench(bench_dir, "load_slo")
-    if measured is None:
-        return fail("BENCH_load_slo.json was not emitted and no "
-                    "trajectory snapshot exists")
+def check_load_slo(measured: dict, baseline: dict) -> int:
     point = measured["operating_point"]
     if point["utilisation"] != baseline["utilisation"]:
         return fail(
@@ -257,11 +229,7 @@ def check_load_slo(bench_dir: Path, baseline: dict) -> int:
     return status
 
 
-def check_elastic(bench_dir: Path, baseline: dict) -> int:
-    measured = load_bench(bench_dir, "elastic_memory")
-    if measured is None:
-        return fail("BENCH_elastic_memory.json was not emitted and no "
-                    "trajectory snapshot exists")
+def check_elastic(measured: dict, baseline: dict) -> int:
     uplift = measured["goodput_uplift"]
     floor = baseline["min_goodput_uplift"]
     static_shed = measured["static"]["shed_rate"]
@@ -297,9 +265,10 @@ def check_elastic(bench_dir: Path, baseline: dict) -> int:
     return status
 
 
-#: Every gate, next to the baseline section it reads. A section
-#: missing from bench_baseline.json is reported by name up front
-#: instead of surfacing as a bare KeyError mid-run.
+#: Every gate on a ``BENCH_<section>.json`` measurement, next to the
+#: baseline section it reads. A section missing from
+#: bench_baseline.json is reported by name up front instead of
+#: surfacing as a bare KeyError mid-run.
 CHECKS = (
     ("hotpath_caching", check_hotpath),
     ("trace_specialization", check_trace_specialization),
@@ -307,7 +276,6 @@ CHECKS = (
     ("multitenant_scaling", check_multitenant),
     ("cluster_migration", check_cluster),
     ("telemetry_overhead", check_telemetry),
-    ("telemetry_wall", check_telemetry_wall),
     ("load_slo", check_load_slo),
     ("elastic_memory", check_elastic),
 )
@@ -317,7 +285,7 @@ def main(argv: list[str]) -> int:
     bench_dir = Path(argv[1] if len(argv) > 1 else os.environ.get(
         "GUARDIAN_BENCH_DIR", "bench-results"))
     baseline = json.loads(BASELINE.read_text())
-    missing = [section for section, _ in CHECKS
+    missing = [section for section in (*dict(CHECKS), "telemetry_wall")
                if section not in baseline]
     if missing:
         return fail(
@@ -327,7 +295,13 @@ def main(argv: list[str]) -> int:
         )
     status = 0
     for section, check in CHECKS:
-        status |= check(bench_dir, baseline[section])
+        measured = load_bench(bench_dir, section)
+        if measured is None:
+            status |= fail(f"BENCH_{section}.json was not emitted and no "
+                           f"trajectory snapshot exists")
+        else:
+            status |= check(measured, baseline[section])
+    status |= check_telemetry_wall(bench_dir, baseline["telemetry_wall"])
     if not status:
         print("benchmark smoke: no regressions")
     return status

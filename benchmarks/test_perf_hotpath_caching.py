@@ -5,64 +5,25 @@ with the hot-path caches/batching disabled and once enabled — and
 measures total host work (server busy cycles + every client's
 IPC-charged critical path). Both arms charge the offline patch/extract
 work (``charge_patch_cycles=True``) so the comparison includes the
-deployment cost the patch cache amortises; the *stock* default config
-(everything off, patching un-charged) is separately pinned against the
-paper's Table 5 breakdown below.
+deployment cost the patch cache amortises. The stock server's Table 5
+launch breakdown and the fast path's steady-state launch cost are
+pinned cycle for cycle in tier-1 (``tests/core/test_cycle_accounting.py``,
+``tests/core/test_hotpath_caching.py``).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.analysis.metrics import collect_all
 from repro.analysis.reporting import render_hotpath_report
-from repro.core.policy import FencingMode
-from repro.core.server import GuardianServer, ServerConfig
-from repro.driver.fatbin import build_fatbin
-from repro.gpu.device import Device
-from repro.gpu.specs import QUADRO_RTX_A4000
+from repro.core.ipc import IPCStats
+from repro.core.server import ServerConfig
 
-from benchmarks.conftest import emit_bench_json, print_table
-from tests.conftest import make_guardian_tenant, saxpy_module
-
-TENANTS = 6
-ITERATIONS = 40
-SYNC_EVERY = 10
-PARTITION = 1 << 20
-
-
-def run_sharing_workload(config: ServerConfig):
-    """TENANTS tenants deploy the same library fatBIN, then iterate
-    (h2d, h2d, launch), synchronising every SYNC_EVERY iterations."""
-    device = Device(QUADRO_RTX_A4000)
-    server = GuardianServer(device, FencingMode.BITWISE, config=config)
-
-    tenants = []
-    for index in range(TENANTS):
-        client, runtime = make_guardian_tenant(
-            server, f"tenant{index}", PARTITION)
-        # Rebuilt per tenant on purpose: distinct FatBinary objects
-        # with identical content exercise the content-addressed keys —
-        # the multi-tenant same-library deployment pattern.
-        handles = client.register_fatbin(
-            build_fatbin(saxpy_module(), "libsaxpy", "11.7"))
-        buf = client.malloc(512)
-        tenants.append((client, handles["saxpy"], buf))
-
-    payload = np.ones(16, dtype=np.float32).tobytes()
-    for iteration in range(ITERATIONS):
-        for client, handle, buf in tenants:
-            client.memcpy_h2d(buf, payload)
-            client.memcpy_h2d(buf + 256, payload)
-            client.launch_kernel(handle, (1, 1, 1), (16, 1, 1),
-                                 [buf, buf + 256, 2.0, 16])
-        if (iteration + 1) % SYNC_EVERY == 0:
-            for client, _, _ in tenants:
-                client.synchronize()
-    device.synchronize(spatial=True)
-
-    clients = [client for client, _, _ in tenants]
-    return server, clients, collect_all(server, clients=clients).hotpath
+from benchmarks.conftest import (
+    SHARING_ITERATIONS as ITERATIONS,
+    SHARING_TENANTS as TENANTS,
+    emit_bench_json,
+    host_cycles,
+    run_sharing_workload,
+)
 
 
 class TestHotPathCaching:
@@ -75,82 +36,41 @@ class TestHotPathCaching:
             enabled = run_sharing_workload(enabled_cfg)
             return disabled, enabled
 
-        (_, _, disabled), (server, clients, enabled) = once(run_both)
+        disabled, enabled = once(run_both)
 
         print()
-        print(render_hotpath_report(disabled, title="caches disabled"))
+        print(render_hotpath_report(*disabled, title="caches disabled"))
         print()
-        print(render_hotpath_report(enabled, title="caches enabled"))
-        reduction = 1 - enabled.total_cycles / disabled.total_cycles
-        print_table(
-            "Hot-path caching: total host cycles",
-            ["config", "server", "clients", "total"],
-            [
-                ["disabled", f"{disabled.server_cycles:,.0f}",
-                 f"{disabled.client_cycles:,.0f}",
-                 f"{disabled.total_cycles:,.0f}"],
-                ["enabled", f"{enabled.server_cycles:,.0f}",
-                 f"{enabled.client_cycles:,.0f}",
-                 f"{enabled.total_cycles:,.0f}"],
-            ],
-        )
-        print(f"reduction: {reduction * 100:.1f}%")
+        print(render_hotpath_report(*enabled, title="caches enabled"))
+        disabled_total = host_cycles(*disabled)
+        enabled_total = host_cycles(*enabled)
+        reduction = 1 - enabled_total / disabled_total
+        print(f"total host cycles: reduction {reduction * 100:.1f}%")
 
         emit_bench_json("hotpath_caching", {
-            "disabled_total_cycles": disabled.total_cycles,
-            "enabled_total_cycles": enabled.total_cycles,
-            "cached_vs_default_ratio":
-                enabled.total_cycles / disabled.total_cycles,
+            "disabled_total_cycles": disabled_total,
+            "enabled_total_cycles": enabled_total,
+            "cached_vs_default_ratio": enabled_total / disabled_total,
             "reduction": reduction,
             "tenants": TENANTS,
             "iterations": ITERATIONS,
         })
 
         # The acceptance bar: >= 25% less total host work.
-        assert enabled.total_cycles <= 0.75 * disabled.total_cycles
+        assert enabled_total <= 0.75 * disabled_total
 
         # Each optimisation actually engaged.
-        assert enabled.patch_cache_misses == 1
-        assert enabled.patch_cache_hits == TENANTS - 1
-        assert enabled.extract_cache_hits == TENANTS - 1
-        assert enabled.fastpath_hits > 0
-        assert enabled.ipc_batches > 0
-        assert enabled.mean_batch_size > 1.0
+        server, clients = enabled
+        ipc = sum((client.channel.stats for client in clients), IPCStats())
+        assert server.stats.patch_cache_misses == 1
+        assert server.stats.patch_cache_hits == TENANTS - 1
+        assert server.stats.extract_cache_hits == TENANTS - 1
+        assert server.stats.fastpath_hits > 0
+        assert ipc.batches > 0
+        assert ipc.mean_batch_size > 1.0
 
         # The disabled arm never exercised any cache.
-        assert disabled.patch_cache_hits == 0
-        assert disabled.fastpath_hits == 0
-        assert disabled.ipc_batches == 0
-
-    def test_default_config_reproduces_table5(self):
-        """With the stock ServerConfig the per-launch breakdown is the
-        paper's, to the cycle: lookup 557 + augment 400 + syscall 9000."""
-        device = Device(QUADRO_RTX_A4000)
-        server = GuardianServer(device, FencingMode.BITWISE)
-        server.attach("alice", PARTITION)
-        handles, _ = server.register_fatbin(
-            "alice", build_fatbin(saxpy_module(), "lib", "11.7"))
-        buf, _ = server.malloc("alice", 512)
-        before = server.stats.cycles
-        _, cycles = server.launch_kernel(
-            "alice", handles["saxpy"], (1, 1, 1), (16, 1, 1),
-            [buf, buf + 256, 2.0, 16])
-        assert cycles == 557 + 400 + 9_000
-        assert server.stats.cycles - before == cycles
-
-    def test_fast_path_steady_state_launch_cost(self):
-        """With the fast path on, a steady-state launch costs
-        lookup_cached + syscall."""
-        device = Device(QUADRO_RTX_A4000)
-        server = GuardianServer(device, FencingMode.BITWISE,
-                                config=ServerConfig.hotpath())
-        server.attach("alice", PARTITION)
-        handles, _ = server.register_fatbin(
-            "alice", build_fatbin(saxpy_module(), "lib", "11.7"))
-        buf, _ = server.malloc("alice", 512)
-        args = ("alice", handles["saxpy"], (1, 1, 1), (16, 1, 1),
-                [buf, buf + 256, 2.0, 16])
-        server.launch_kernel(*args)  # populate the memo
-        _, cycles = server.launch_kernel(*args)
-        assert cycles == (server.costs.lookup_cached
-                          + server.costs.launch_syscall)
+        server, clients = disabled
+        assert server.stats.patch_cache_hits == 0
+        assert server.stats.fastpath_hits == 0
+        assert all(client.channel.stats.batches == 0 for client in clients)

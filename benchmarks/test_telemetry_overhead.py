@@ -28,25 +28,19 @@ import json
 import statistics
 import time
 
-import numpy as np
-
-from repro.analysis.metrics import collect_all
 from repro.analysis.reporting import render_telemetry_report
-from repro.core.policy import FencingMode
-from repro.core.server import GuardianServer, ServerConfig
-from repro.driver.fatbin import build_fatbin
-from repro.gpu.device import Device
-from repro.gpu.specs import QUADRO_RTX_A4000
+from repro.core.server import ServerConfig
 from repro.telemetry import SERVER_TRACK
 from repro.telemetry.export import write_chrome_trace
 
-from benchmarks.conftest import bench_dir, emit_bench_json, print_table
-from tests.conftest import make_guardian_tenant, saxpy_module
-
-TENANTS = 6
-ITERATIONS = 40
-SYNC_EVERY = 10
-PARTITION = 1 << 20
+from benchmarks.conftest import (
+    SHARING_ITERATIONS as ITERATIONS,
+    SHARING_TENANTS as TENANTS,
+    bench_dir,
+    emit_bench_json,
+    print_table,
+    run_sharing_workload,
+)
 
 #: The CI gate (mirrored in bench_baseline.json): telemetry may not
 #: inflate the modelled host-cycle total. The measured ratio is
@@ -59,37 +53,6 @@ CYCLE_RATIO_CEILING = 1.05
 WALL_ROUNDS = 15
 
 
-def run_sharing_workload(config: ServerConfig):
-    """TENANTS tenants deploy the same library, then iterate
-    (h2d, h2d, launch), synchronising every SYNC_EVERY iterations."""
-    device = Device(QUADRO_RTX_A4000)
-    server = GuardianServer(device, FencingMode.BITWISE, config=config)
-
-    tenants = []
-    for index in range(TENANTS):
-        client, _ = make_guardian_tenant(
-            server, f"tenant{index}", PARTITION)
-        handles = client.register_fatbin(
-            build_fatbin(saxpy_module(), "libsaxpy", "11.7"))
-        buf = client.malloc(512)
-        tenants.append((client, handles["saxpy"], buf))
-
-    payload = np.ones(16, dtype=np.float32).tobytes()
-    for iteration in range(ITERATIONS):
-        for client, handle, buf in tenants:
-            client.memcpy_h2d(buf, payload)
-            client.memcpy_h2d(buf + 256, payload)
-            client.launch_kernel(handle, (1, 1, 1), (16, 1, 1),
-                                 [buf, buf + 256, 2.0, 16])
-        if (iteration + 1) % SYNC_EVERY == 0:
-            for client, _, _ in tenants:
-                client.synchronize()
-    device.synchronize(spatial=True)
-
-    clients = [client for client, _, _ in tenants]
-    return server, clients
-
-
 class TestTelemetryOverhead:
     def test_telemetry_is_cycle_neutral(self, once):
         def run_both():
@@ -98,7 +61,7 @@ class TestTelemetryOverhead:
                 ServerConfig.concurrent(telemetry=True))
             return stock, traced
 
-        (stock, _), (traced, clients) = once(run_both)
+        (stock, _), (traced, _) = once(run_both)
 
         ratio = traced.stats.cycles / stock.stats.cycles
         print_table(
@@ -128,10 +91,9 @@ class TestTelemetryOverhead:
         for span in call_spans:
             per_tenant[span.tenant] = (per_tenant.get(span.tenant, 0.0)
                                        + span.cycles)
-        assert set(per_tenant) == {f"tenant{i}" for i in range(TENANTS)}
+        assert set(per_tenant) == {f"t{i}" for i in range(TENANTS)}
 
-        # Publish the composite snapshot, render the quantile report.
-        collect_all(traced, clients=clients)
+        # Render the quantile report.
         print()
         print(render_telemetry_report(
             telemetry.snapshot(meta={"benchmark": "telemetry_overhead"}),

@@ -16,60 +16,21 @@ the cold-start amortization story.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.analysis.metrics import collect_all
 from repro.analysis.reporting import render_hotpath_report
-from repro.core.policy import FencingMode
-from repro.core.server import GuardianServer, ServerConfig
-from repro.driver.fatbin import build_fatbin
-from repro.gpu.device import Device
-from repro.gpu.specs import QUADRO_RTX_A4000
+from repro.core.ipc import IPCStats
+from repro.core.server import ServerConfig
 
-from benchmarks.conftest import emit_bench_json, print_table
-from tests.conftest import make_guardian_tenant, saxpy_module
-
-TENANTS = 6
-ITERATIONS = 40
-SYNC_EVERY = 10
-PARTITION = 1 << 20
+from benchmarks.conftest import (
+    SHARING_ITERATIONS as ITERATIONS,
+    SHARING_TENANTS as TENANTS,
+    emit_bench_json,
+    host_cycles,
+    run_sharing_workload,
+)
 
 #: The acceptance bar from ISSUE 8: beat PR 1's 0.40 cached-vs-default
 #: cycle ratio by a clear margin.
 MAX_RATIO = 0.30
-
-
-def run_sharing_workload(config: ServerConfig):
-    """Same shape as the hot-path benchmark: TENANTS tenants deploy one
-    shared library, then iterate (h2d, h2d, launch), synchronising
-    every SYNC_EVERY iterations — the fixed loop the recorder sees as a
-    stable sync-delimited block."""
-    device = Device(QUADRO_RTX_A4000)
-    server = GuardianServer(device, FencingMode.BITWISE, config=config)
-
-    tenants = []
-    for index in range(TENANTS):
-        client, runtime = make_guardian_tenant(
-            server, f"tenant{index}", PARTITION)
-        handles = client.register_fatbin(
-            build_fatbin(saxpy_module(), "libsaxpy", "11.7"))
-        buf = client.malloc(512)
-        tenants.append((client, handles["saxpy"], buf))
-
-    payload = np.ones(16, dtype=np.float32).tobytes()
-    for iteration in range(ITERATIONS):
-        for client, handle, buf in tenants:
-            client.memcpy_h2d(buf, payload)
-            client.memcpy_h2d(buf + 256, payload)
-            client.launch_kernel(handle, (1, 1, 1), (16, 1, 1),
-                                 [buf, buf + 256, 2.0, 16])
-        if (iteration + 1) % SYNC_EVERY == 0:
-            for client, _, _ in tenants:
-                client.synchronize()
-    device.synchronize(spatial=True)
-
-    clients = [client for client, _, _ in tenants]
-    return server, clients, collect_all(server, clients=clients).hotpath
 
 
 class TestTraceSpecialization:
@@ -84,36 +45,30 @@ class TestTraceSpecialization:
             traced = run_sharing_workload(traced_cfg)
             return disabled, traced
 
-        (_, _, disabled), (server, clients, traced) = once(run_both)
+        disabled, traced = once(run_both)
 
         print()
-        print(render_hotpath_report(disabled, title="everything off"))
+        print(render_hotpath_report(*disabled, title="everything off"))
         print()
-        print(render_hotpath_report(traced, title="trace-specialized"))
-        ratio = traced.total_cycles / disabled.total_cycles
-        print_table(
-            "Trace specialization: total host cycles",
-            ["config", "server", "clients", "total"],
-            [
-                ["disabled", f"{disabled.server_cycles:,.0f}",
-                 f"{disabled.client_cycles:,.0f}",
-                 f"{disabled.total_cycles:,.0f}"],
-                ["traced", f"{traced.server_cycles:,.0f}",
-                 f"{traced.client_cycles:,.0f}",
-                 f"{traced.total_cycles:,.0f}"],
-            ],
-        )
-        print(f"traced/default ratio: {ratio:.4f} (ceiling {MAX_RATIO})")
+        print(render_hotpath_report(*traced, title="trace-specialized"))
+        disabled_total = host_cycles(*disabled)
+        traced_total = host_cycles(*traced)
+        ratio = traced_total / disabled_total
+        print(f"total host cycles: traced/default ratio {ratio:.4f} "
+              f"(ceiling {MAX_RATIO})")
 
+        server, clients = traced
+        stats = server.stats
+        ipc = sum((client.channel.stats for client in clients), IPCStats())
         emit_bench_json("trace_specialization", {
-            "disabled_total_cycles": disabled.total_cycles,
-            "traced_total_cycles": traced.total_cycles,
+            "disabled_total_cycles": disabled_total,
+            "traced_total_cycles": traced_total,
             "cached_vs_default_ratio": ratio,
-            "traces_compiled": traced.traces_compiled,
-            "trace_replays": traced.trace_replays,
-            "trace_replay_ops": traced.trace_replay_ops,
-            "trace_replay_rate": traced.trace_replay_rate,
-            "marshal_cached_calls": traced.ipc_marshal_cached_calls,
+            "traces_compiled": stats.traces_compiled,
+            "trace_replays": stats.trace_replays,
+            "trace_replay_ops": stats.trace_replay_ops,
+            "trace_replay_rate": stats.trace_replay_rate,
+            "marshal_cached_calls": ipc.marshal_cached_calls,
             "tenants": TENANTS,
             "iterations": ITERATIONS,
         })
@@ -122,19 +77,20 @@ class TestTraceSpecialization:
         assert ratio <= MAX_RATIO
 
         # Every layer actually engaged.
-        assert traced.traces_compiled == TENANTS
-        assert traced.trace_replays >= 2 * TENANTS
-        assert traced.trace_replay_ops > 0
-        assert traced.trace_replay_rate > 0.3
-        assert traced.trace_ranges_prechecked > 0
-        assert traced.ipc_marshal_cached_calls > 0
-        assert traced.patch_disk_writes >= 1
-        assert traced.trace_invalidations == 0
+        assert stats.traces_compiled == TENANTS
+        assert stats.trace_replays >= 2 * TENANTS
+        assert stats.trace_replay_ops > 0
+        assert stats.trace_replay_rate > 0.3
+        assert stats.trace_ranges_prechecked > 0
+        assert ipc.marshal_cached_calls > 0
+        assert stats.patch_disk_writes >= 1
+        assert stats.trace_invalidations == 0
 
         # The disabled arm never traced anything.
-        assert disabled.traces_compiled == 0
-        assert disabled.trace_eligible_ops == 0
-        assert disabled.patch_disk_writes == 0
+        stats = disabled[0].stats
+        assert stats.traces_compiled == 0
+        assert stats.trace_eligible_ops == 0
+        assert stats.patch_disk_writes == 0
 
     def test_disk_cache_amortizes_across_servers(self, tmp_path):
         """A second server sharing the patch-cache directory — a fresh
@@ -144,13 +100,13 @@ class TestTraceSpecialization:
         config = ServerConfig.traced(charge_patch_cycles=True,
                                      patch_cache_dir=cache_dir)
 
-        first, _, first_metrics = run_sharing_workload(config)
-        second, _, second_metrics = run_sharing_workload(config)
+        first, _ = run_sharing_workload(config)
+        second, _ = run_sharing_workload(config)
 
-        assert first_metrics.patch_disk_writes == 1
-        assert first_metrics.patch_disk_hits == 0
-        assert second_metrics.patch_disk_hits == 1
-        assert second_metrics.patch_cache_misses == 0
+        assert first.stats.patch_disk_writes == 1
+        assert first.stats.patch_disk_hits == 0
+        assert second.stats.patch_disk_hits == 1
+        assert second.stats.patch_cache_misses == 0
         # The disk hit is cheaper than the patch it replaced.
         assert (second.costs.patch_disk_lookup
                 < second.costs.patch_module)

@@ -8,7 +8,7 @@ aggregate (Fig. 11's inputs: per-kernel overhead vs cache hit ratio).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.gpu.device import Device
 from repro.gpu.executor import LaunchResult
@@ -52,400 +52,6 @@ class KernelProfile:
         self.l1_hits += result.level_counts.get("l1", 0)
         self.l2_hits += result.level_counts.get("l2", 0)
         self.global_accesses += result.level_counts.get("global", 0)
-
-
-@dataclass
-class HotPathMetrics:
-    """Aggregate view of the server's hot-path caches and the clients'
-    IPC batching — the counters the hot-path benchmark reports next to
-    raw cycle totals.
-    """
-
-    patch_cache_hits: int = 0
-    patch_cache_misses: int = 0
-    patch_cache_evictions: int = 0
-    extract_cache_hits: int = 0
-    extract_cache_misses: int = 0
-    fastpath_hits: int = 0
-    fastpath_misses: int = 0
-    ipc_messages: int = 0
-    ipc_roundtrips: int = 0
-    ipc_batches: int = 0
-    ipc_batched_messages: int = 0
-    ipc_aborted_batches: int = 0
-    ipc_discarded_calls: int = 0
-    ipc_marshal_cached_calls: int = 0
-    #: Trace specialization (0 everywhere with the knob off).
-    traces_compiled: int = 0
-    trace_replays: int = 0
-    trace_replay_ops: int = 0
-    trace_eligible_ops: int = 0
-    trace_invalidations: int = 0
-    trace_guard_failures: int = 0
-    trace_ranges_prechecked: int = 0
-    #: Disk-backed patch cache (0 without ``patch_cache_dir``).
-    patch_disk_hits: int = 0
-    patch_disk_writes: int = 0
-    server_cycles: float = 0.0
-    client_cycles: float = 0.0
-
-    @property
-    def total_cycles(self) -> float:
-        """Host work: server busy time + every client's critical path."""
-        return self.server_cycles + self.client_cycles
-
-    @property
-    def patch_hit_rate(self) -> float:
-        probes = self.patch_cache_hits + self.patch_cache_misses
-        return self.patch_cache_hits / probes if probes else 0.0
-
-    @property
-    def extract_hit_rate(self) -> float:
-        probes = self.extract_cache_hits + self.extract_cache_misses
-        return self.extract_cache_hits / probes if probes else 0.0
-
-    @property
-    def fastpath_hit_rate(self) -> float:
-        """Launch fast-path hit rate; 0.0 on a zero-call snapshot —
-        a server that never launched must not divide by zero (PR 6's
-        denominator-guard convention, applied to every rate here)."""
-        probes = self.fastpath_hits + self.fastpath_misses
-        return self.fastpath_hits / probes if probes else 0.0
-
-    @property
-    def trace_replay_rate(self) -> float:
-        """Share of trace-eligible async ops served by replay; 0.0 on
-        a zero-call snapshot (same guard as the hit rates above)."""
-        if not self.trace_eligible_ops:
-            return 0.0
-        return self.trace_replay_ops / self.trace_eligible_ops
-
-    @property
-    def mean_batch_size(self) -> float:
-        if not self.ipc_batches:
-            return 0.0
-        return self.ipc_batched_messages / self.ipc_batches
-
-
-def collect_hotpath(server, clients=()) -> HotPathMetrics:
-    """Snapshot hot-path counters from a GuardianServer and its clients.
-
-    ``clients`` accepts GuardianClient instances or bare IPCChannels.
-    """
-    stats = server.stats
-    metrics = HotPathMetrics(
-        patch_cache_hits=stats.patch_cache_hits,
-        patch_cache_misses=stats.patch_cache_misses,
-        patch_cache_evictions=stats.patch_cache_evictions,
-        extract_cache_hits=stats.extract_cache_hits,
-        extract_cache_misses=stats.extract_cache_misses,
-        fastpath_hits=stats.fastpath_hits,
-        fastpath_misses=stats.fastpath_misses,
-        traces_compiled=stats.traces_compiled,
-        trace_replays=stats.trace_replays,
-        trace_replay_ops=stats.trace_replay_ops,
-        trace_eligible_ops=stats.trace_eligible_ops,
-        trace_invalidations=stats.trace_invalidations,
-        trace_guard_failures=stats.trace_guard_failures,
-        trace_ranges_prechecked=stats.trace_ranges_prechecked,
-        patch_disk_hits=stats.patch_disk_hits,
-        patch_disk_writes=stats.patch_disk_writes,
-        server_cycles=stats.cycles,
-    )
-    for client in clients:
-        channel = getattr(client, "channel", client)
-        stats = channel.stats
-        metrics.ipc_messages += stats.messages
-        metrics.ipc_marshal_cached_calls += stats.marshal_cached_calls
-        # Batched messages share one queue crossing per batch; every
-        # other message paid its own — except discarded calls, which
-        # were queued but never crossed at all (the client died before
-        # its flush point).
-        metrics.ipc_roundtrips += (
-            stats.messages - stats.batched_messages
-            - stats.discarded_calls + stats.batches
-        )
-        metrics.ipc_batches += stats.batches
-        metrics.ipc_batched_messages += stats.batched_messages
-        metrics.ipc_aborted_batches += stats.aborted_batches
-        metrics.ipc_discarded_calls += stats.discarded_calls
-        metrics.client_cycles += stats.client_cycles
-    return metrics
-
-
-@dataclass
-class LaneMetrics:
-    """Concurrent-dispatch occupancy: how well tenant lanes overlap.
-
-    ``total_work`` is the server's busy clock (sum of every charge);
-    ``makespan`` the critical path across lanes. Their ratio — the
-    modelled speedup over serial dispatch — is what the multi-tenant
-    scaling benchmark gates on. In serial mode the two are equal and
-    every derived figure degenerates to 1.0 / empty.
-    """
-
-    total_work: float = 0.0
-    makespan: float = 0.0
-    critical_cycles: float = 0.0
-    stall_cycles: float = 0.0
-    lane_count: int = 0
-    #: app_id -> {busy, critical, stalled, finish, ops}; a re-admitted
-    #: tenant's retired and live lanes fold into one row.
-    lanes: dict = field(default_factory=dict)
-
-    @property
-    def speedup(self) -> float:
-        """Modelled makespan speedup over serial dispatch."""
-        if not self.makespan:
-            return 1.0
-        return self.total_work / self.makespan
-
-    @property
-    def overlap_efficiency(self) -> float:
-        """Speedup as a fraction of the lane count (1.0 = perfectly
-        parallel lanes, 1/n = fully serialized).
-
-        Degenerate snapshots stay well-defined: a serial run *with*
-        work reports the serial figure 1.0, while a pre-dispatch
-        snapshot (no lanes, no work) reports 0.0 — never a
-        ZeroDivisionError.
-        """
-        if not self.lane_count:
-            return 1.0 if self.total_work else 0.0
-        return self.speedup / self.lane_count
-
-    @property
-    def critical_share(self) -> float:
-        """Fraction of all work spent inside the shared section."""
-        if not self.total_work:
-            return 0.0
-        return self.critical_cycles / self.total_work
-
-    def occupancy(self, app_id: str) -> float:
-        """Fraction of the makespan ``app_id``'s lane was busy."""
-        lane = self.lanes.get(app_id)
-        if lane is None or not self.makespan:
-            return 0.0
-        return lane["busy"] / self.makespan
-
-
-def collect_lanes(server) -> LaneMetrics:
-    """Snapshot lane occupancy from a GuardianServer (live + retired)."""
-    metrics = LaneMetrics(
-        total_work=server.stats.cycles,
-        makespan=server.makespan_cycles(),
-    )
-    for lane in server.lanes():
-        metrics.lane_count += 1
-        metrics.critical_cycles += lane.critical
-        metrics.stall_cycles += lane.stalled
-        row = metrics.lanes.setdefault(lane.app_id, {
-            "busy": 0.0, "critical": 0.0, "stalled": 0.0,
-            "finish": 0.0, "ops": 0,
-        })
-        row["busy"] += lane.busy
-        row["critical"] += lane.critical
-        row["stalled"] += lane.stalled
-        row["finish"] = max(row["finish"], lane.clock)
-        row["ops"] += lane.ops
-    return metrics
-
-
-@dataclass
-class FaultMetrics:
-    """Aggregate view of a TenantSupervisor's failure records — the
-    containment counterpart of :class:`HotPathMetrics`.
-    """
-
-    records: int = 0
-    #: fault kind -> count (ipc_drop, malformed_ptx, deadline, ...).
-    by_kind: dict = field(default_factory=dict)
-    #: supervisor action -> count (retried, rejected, quarantined, ...).
-    by_action: dict = field(default_factory=dict)
-    retries: int = 0
-    retry_attempts: int = 0
-    deadline_violations: int = 0
-    quarantines: int = 0
-    bytes_scrubbed: int = 0
-    fault_cycles: float = 0.0
-    #: tenant -> remaining state (budget spent, quarantined?).
-    tenants: dict = field(default_factory=dict)
-    #: node -> {"records", "by_action", "failure_domain_score",
-    #: "health"} — populated per failure-record ``node`` stamp; the
-    #: score/health fields are filled by :func:`collect_cluster_faults`
-    #: (a bare supervisor has no health monitor).
-    by_node: dict = field(default_factory=dict)
-    migrations_completed: int = 0
-    migrations_failed: int = 0
-    evictions: int = 0
-
-    @property
-    def retry_success_rate(self) -> float:
-        """Recovered retries over all retry outcomes; 0.0 for an
-        empty pre-dispatch snapshot (never a ZeroDivisionError)."""
-        exhausted = self.by_action.get("exhausted", 0)
-        total = self.retries + exhausted
-        return self.retries / total if total else 0.0
-
-
-def collect_faults(supervisor, into: FaultMetrics | None = None) -> FaultMetrics:
-    """Snapshot failure records from a
-    :class:`repro.core.supervisor.TenantSupervisor`.
-
-    Pass ``into`` to merge several supervisors into one view (the
-    cluster collector does); records are grouped per the ``node``
-    stamp each record carries (``"<local>"`` when unset — a
-    single-node supervisor outside any cluster).
-    """
-    metrics = into if into is not None else FaultMetrics()
-    for record in supervisor.records:
-        metrics.records += 1
-        metrics.by_kind[record.kind] = (
-            metrics.by_kind.get(record.kind, 0) + 1
-        )
-        metrics.by_action[record.action] = (
-            metrics.by_action.get(record.action, 0) + 1
-        )
-        node_key = record.node or "<local>"
-        node_bucket = metrics.by_node.setdefault(node_key, {
-            "records": 0,
-            "by_action": {},
-            "failure_domain_score": None,
-            "health": None,
-        })
-        node_bucket["records"] += 1
-        node_bucket["by_action"][record.action] = (
-            node_bucket["by_action"].get(record.action, 0) + 1
-        )
-        metrics.fault_cycles += record.cycles
-        if record.action == "retried":
-            metrics.retries += 1
-            metrics.retry_attempts += record.attempts
-        elif record.action == "deadline":
-            metrics.deadline_violations += 1
-    for quarantine in supervisor.quarantines:
-        metrics.quarantines += 1
-        metrics.bytes_scrubbed += quarantine.bytes_scrubbed
-    for app_id, state in supervisor._states.items():
-        metrics.tenants[app_id] = {
-            "budget_spent": state.budget,
-            "quarantined": state.quarantined,
-            "reason": state.reason,
-        }
-    return metrics
-
-
-def collect_cluster_faults(cluster) -> FaultMetrics:
-    """Fleet-wide failure view of a
-    :class:`repro.cluster.GuardianCluster`: every node's supervisor
-    records merged, each node's bucket annotated with its health state
-    and failure-domain score, plus the control plane's own outcomes
-    (migrations, evictions)."""
-    metrics = FaultMetrics()
-    for node in cluster.nodes:
-        collect_faults(node.supervisor, into=metrics)
-        node_bucket = metrics.by_node.setdefault(node.node_id, {
-            "records": 0,
-            "by_action": {},
-            "failure_domain_score": None,
-            "health": None,
-        })
-        node_bucket["failure_domain_score"] = (
-            node.monitor.failure_domain_score()
-        )
-        node_bucket["health"] = node.monitor.state.value
-    metrics.migrations_completed = cluster.migrations_completed
-    metrics.migrations_failed = cluster.migrations_failed
-    metrics.evictions = len(cluster.evictions)
-    return metrics
-
-
-@dataclass
-class SystemSnapshot:
-    """Every ``collect_*`` view of one deployment, taken together."""
-
-    hotpath: HotPathMetrics
-    lanes: LaneMetrics
-    faults: FaultMetrics | None = None
-    cluster: FaultMetrics | None = None
-
-
-def collect_all(server, clients=(), supervisor=None,
-                cluster=None) -> SystemSnapshot:
-    """One composite snapshot: hot path + lanes, plus fault and
-    cluster views when a supervisor / cluster is provided.
-
-    When the server carries a telemetry spine, the snapshot is also
-    mirrored into its metrics registry (:func:`register_snapshot`) so
-    the Prometheus exposition and ``python -m repro report`` see the
-    same numbers the benchmark tables print.
-    """
-    snapshot = SystemSnapshot(
-        hotpath=collect_hotpath(server, clients=clients),
-        lanes=collect_lanes(server),
-        faults=(collect_faults(supervisor)
-                if supervisor is not None else None),
-        cluster=(collect_cluster_faults(cluster)
-                 if cluster is not None else None),
-    )
-    telemetry = getattr(server, "telemetry", None)
-    if telemetry is not None:
-        register_snapshot(telemetry.registry, snapshot)
-    return snapshot
-
-
-def register_snapshot(registry, snapshot: SystemSnapshot) -> None:
-    """Publish a :class:`SystemSnapshot` as registry gauges."""
-    hotpath = snapshot.hotpath
-    registry.gauge(
-        "guardian_server_cycles", "server busy clock (modelled cycles)",
-    ).set(hotpath.server_cycles)
-    registry.gauge(
-        "guardian_client_cycles",
-        "sum of every client's critical-path cycles",
-    ).set(hotpath.client_cycles)
-    cache = registry.gauge(
-        "guardian_cache_hit_rate", "hot-path cache hit rates, by cache",
-    )
-    cache.set(hotpath.patch_hit_rate, cache="patch")
-    cache.set(hotpath.extract_hit_rate, cache="extract")
-    cache.set(hotpath.fastpath_hit_rate, cache="fastpath")
-    registry.gauge(
-        "guardian_trace_replay_rate",
-        "trace-eligible async ops served by specialized replay",
-    ).set(hotpath.trace_replay_rate)
-    lanes = snapshot.lanes
-    registry.gauge(
-        "guardian_makespan_cycles", "critical path across tenant lanes",
-    ).set(lanes.makespan)
-    registry.gauge(
-        "guardian_overlap_efficiency",
-        "lane speedup as a fraction of the lane count",
-    ).set(lanes.overlap_efficiency)
-    lane_busy = registry.gauge(
-        "guardian_lane_busy_cycles", "per-lane busy cycles, by tenant",
-    )
-    lane_stalled = registry.gauge(
-        "guardian_lane_stalled_cycles",
-        "per-lane critical-section stall cycles, by tenant",
-    )
-    for app_id, row in lanes.lanes.items():
-        lane_busy.set(row["busy"], tenant=app_id)
-        lane_stalled.set(row["stalled"], tenant=app_id)
-    for view, scope in ((snapshot.faults, "node"),
-                        (snapshot.cluster, "cluster")):
-        if view is None:
-            continue
-        records = registry.gauge(
-            "guardian_failure_records",
-            "supervisor failure records, by kind and scope",
-        )
-        for kind, count in view.by_kind.items():
-            records.set(count, kind=kind, scope=scope)
-        registry.gauge(
-            "guardian_retry_success_rate",
-            "recovered retries over all retry outcomes",
-        ).set(view.retry_success_rate, scope=scope)
 
 
 class Profiler:

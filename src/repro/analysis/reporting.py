@@ -6,8 +6,10 @@ figure captions report; these helpers keep that output uniform.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
+from repro.core.ipc import IPCStats
 from repro.gpu.specs import ALL_SPECS
 
 
@@ -105,149 +107,205 @@ def render_feature_matrix() -> str:
                         title="Table 6: protected GPU sharing approaches")
 
 
-def render_hotpath_report(metrics, title: str = "Hot-path caches") -> str:
+def render_hotpath_report(server, clients=(),
+                          title: str = "Hot-path caches") -> str:
     """Cache hit rates and batching next to the raw cycle totals.
 
-    ``metrics`` is an :class:`repro.analysis.metrics.HotPathMetrics`.
+    Reads ``server.stats`` and the summed ``IPCStats`` of ``clients``
+    (GuardianClients or bare IPCChannels).
     """
+    stats = server.stats
+    ipc = sum((getattr(client, "channel", client).stats
+               for client in clients), IPCStats())
     rows = [
-        ["patch cache", metrics.patch_cache_hits,
-         metrics.patch_cache_misses, percent(metrics.patch_hit_rate)],
-        ["extract memo", metrics.extract_cache_hits,
-         metrics.extract_cache_misses, percent(metrics.extract_hit_rate)],
-        ["launch fast path", metrics.fastpath_hits,
-         metrics.fastpath_misses, percent(metrics.fastpath_hit_rate)],
+        ["patch cache", stats.patch_cache_hits,
+         stats.patch_cache_misses, percent(stats.patch_hit_rate)],
+        ["extract memo", stats.extract_cache_hits,
+         stats.extract_cache_misses, percent(stats.extract_hit_rate)],
+        ["launch fast path", stats.fastpath_hits,
+         stats.fastpath_misses, percent(stats.fastpath_hit_rate)],
     ]
-    if metrics.trace_eligible_ops:
+    if stats.trace_eligible_ops:
         # Replays vs interpreted-and-recorded ops: the row only appears
         # when trace specialization actually saw traffic, so reports
         # from trace-off runs are byte-identical to before.
         rows.append([
-            "trace replay", metrics.trace_replay_ops,
-            metrics.trace_eligible_ops - metrics.trace_replay_ops,
-            percent(metrics.trace_replay_rate),
+            "trace replay", stats.trace_replay_ops,
+            stats.trace_eligible_ops - stats.trace_replay_ops,
+            percent(stats.trace_replay_rate),
         ])
     table = render_table(["cache", "hits", "misses", "hit rate"], rows,
                          title=title)
     lines = [
         table,
-        f"ipc: {metrics.ipc_messages} messages in "
-        f"{metrics.ipc_roundtrips} round-trips, "
-        f"{metrics.ipc_batches} batches "
-        f"(mean batch {metrics.mean_batch_size:.1f})",
-        f"cycles: server {metrics.server_cycles:,.0f} + "
-        f"clients {metrics.client_cycles:,.0f} = "
-        f"{metrics.total_cycles:,.0f}",
+        f"ipc: {ipc.messages} messages in "
+        f"{ipc.roundtrips} round-trips, "
+        f"{ipc.batches} batches "
+        f"(mean batch {ipc.mean_batch_size:.1f})",
+        f"cycles: server {stats.cycles:,.0f} + "
+        f"clients {ipc.client_cycles:,.0f} = "
+        f"{stats.cycles + ipc.client_cycles:,.0f}",
     ]
-    if metrics.traces_compiled or metrics.trace_invalidations:
+    if stats.traces_compiled or stats.trace_invalidations:
         lines.insert(2, (
-            f"traces: {metrics.traces_compiled} compiled, "
-            f"{metrics.trace_replays} block replays, "
-            f"{metrics.trace_invalidations} invalidated "
-            f"({metrics.trace_guard_failures} guard failures, "
-            f"{metrics.trace_ranges_prechecked} ranges prechecked, "
-            f"{metrics.ipc_marshal_cached_calls} cached marshals)"
+            f"traces: {stats.traces_compiled} compiled, "
+            f"{stats.trace_replays} block replays, "
+            f"{stats.trace_invalidations} invalidated "
+            f"({stats.trace_guard_failures} guard failures, "
+            f"{stats.trace_ranges_prechecked} ranges prechecked, "
+            f"{ipc.marshal_cached_calls} cached marshals)"
         ))
-    if metrics.patch_disk_hits or metrics.patch_disk_writes:
+    if stats.patch_disk_hits or stats.patch_disk_writes:
         lines.insert(2, (
-            f"patch disk cache: {metrics.patch_disk_hits} hits, "
-            f"{metrics.patch_disk_writes} writes"
+            f"patch disk cache: {stats.patch_disk_hits} hits, "
+            f"{stats.patch_disk_writes} writes"
         ))
-    if metrics.ipc_aborted_batches or metrics.ipc_discarded_calls:
+    if ipc.aborted_batches or ipc.discarded_calls:
         lines.insert(2, (
-            f"ipc aborts: {metrics.ipc_aborted_batches} batches "
-            f"discarded ({metrics.ipc_discarded_calls} calls never "
+            f"ipc aborts: {ipc.aborted_batches} batches "
+            f"discarded ({ipc.discarded_calls} calls never "
             f"delivered)"
         ))
     return "\n".join(lines)
 
 
-def render_lane_report(metrics, title: str = "Dispatch lanes") -> str:
-    """Per-lane occupancy and the overlap summary.
+def render_lane_report(server, title: str = "Dispatch lanes") -> str:
+    """Per-lane occupancy and the overlap summary of a GuardianServer.
 
-    ``metrics`` is an :class:`repro.analysis.metrics.LaneMetrics` from
-    :func:`repro.analysis.metrics.collect_lanes`.
+    Reads ``server.lanes()`` (live and retired: a re-admitted tenant's
+    lanes fold into one row) against ``server.makespan_cycles()``. A
+    serial server has no lanes; one that did no work reads 0.0 where a
+    share would divide by zero.
     """
+    work = server.stats.cycles
+    makespan = server.makespan_cycles()
+    lanes = server.lanes()
+    folded: dict[str, list] = {}
+    for lane in lanes:
+        row = folded.setdefault(lane.app_id, [0.0, 0.0, 0.0, 0.0, 0])
+        row[0] += lane.busy
+        row[1] += lane.critical
+        row[2] += lane.stalled
+        row[3] = max(row[3], lane.clock)
+        row[4] += lane.ops
     rows = [
-        [app_id, f"{row['busy']:,.0f}", f"{row['critical']:,.0f}",
-         f"{row['stalled']:,.0f}", f"{row['finish']:,.0f}",
-         row["ops"], percent(metrics.occupancy(app_id))]
-        for app_id, row in sorted(metrics.lanes.items())
+        [app_id, f"{busy:,.0f}", f"{critical:,.0f}", f"{stalled:,.0f}",
+         f"{finish:,.0f}", ops,
+         percent(busy / makespan if makespan else 0.0)]
+        for app_id, (busy, critical, stalled, finish, ops)
+        in sorted(folded.items())
     ]
     table = render_table(
         ["lane", "busy", "critical", "stalled", "finish", "ops",
          "occupancy"],
         rows, title=title,
     )
+    speedup = server.lane_speedup()
+    # Overlap efficiency: the speedup as a share of the lane count (1.0
+    # perfectly parallel, 1/n serialised). A serial run with work reads
+    # the serial 1.0, a run with no work 0.0.
+    if lanes:
+        efficiency = speedup / len(lanes)
+    else:
+        efficiency = 1.0 if work else 0.0
+    critical = sum(lane.critical for lane in lanes)
     lines = [
         table,
-        f"work {metrics.total_work:,.0f} over makespan "
-        f"{metrics.makespan:,.0f} cycles = "
-        f"{metrics.speedup:.2f}x modelled speedup "
-        f"({percent(metrics.overlap_efficiency)} of "
-        f"{metrics.lane_count} lanes)",
-        f"critical section: {percent(metrics.critical_share)} of work, "
-        f"{metrics.stall_cycles:,.0f} cycles stalled waiting",
+        f"work {work:,.0f} over makespan {makespan:,.0f} cycles = "
+        f"{speedup:.2f}x modelled speedup "
+        f"({percent(efficiency)} of {len(lanes)} lanes)",
+        f"critical section: "
+        f"{percent(critical / work if work else 0.0)} of work, "
+        f"{sum(lane.stalled for lane in lanes):,.0f} cycles stalled "
+        f"waiting",
     ]
     return "\n".join(lines)
 
 
-def render_failure_report(metrics, title: str = "Tenant failures") -> str:
+def render_failure_report(*supervisors, cluster=None,
+                          title: str = "Tenant failures") -> str:
     """Fault kinds, supervisor actions, and quarantine outcomes.
 
-    ``metrics`` is an :class:`repro.analysis.metrics.FaultMetrics`.
+    Reads the ``records``, ``quarantines`` and tenant states of one or
+    more :class:`~repro.core.supervisor.TenantSupervisor` s, merged in
+    order. A ``cluster`` adds its nodes' supervisors, each node's health
+    and failure-domain score, and the control plane's migrations and
+    evictions. Records group per their ``node`` stamp (``<local>`` when
+    unset: a supervisor outside any cluster).
     """
-    kind_rows = sorted(metrics.by_kind.items())
-    action_rows = sorted(metrics.by_action.items())
+    nodes = cluster.nodes if cluster is not None else []
+    supervisors += tuple(node.supervisor for node in nodes)
+    records = [record for supervisor in supervisors
+               for record in supervisor.records]
+    quarantines = [quarantine for supervisor in supervisors
+                   for quarantine in supervisor.quarantines]
+    by_action = Counter(record.action for record in records)
+    by_node: dict[str, Counter] = {}
+    for record in records:
+        by_node.setdefault(record.node or "<local>", Counter())[
+            record.action] += 1
+    monitors = {node.node_id: node.monitor for node in nodes}
+    for node_id in monitors:
+        by_node.setdefault(node_id, Counter())
     lines = [
-        render_table(["fault kind", "events"], kind_rows, title=title),
-        render_table(["supervisor action", "events"], action_rows),
+        render_table(["fault kind", "events"],
+                     sorted(Counter(r.kind for r in records).items()),
+                     title=title),
+        render_table(["supervisor action", "events"],
+                     sorted(by_action.items())),
     ]
-    if metrics.by_node:
+    if by_node:
         node_rows = []
-        for node_id, bucket in sorted(metrics.by_node.items()):
-            score = bucket["failure_domain_score"]
-            actions = ", ".join(
-                f"{action}={count}"
-                for action, count in sorted(bucket["by_action"].items())
-            ) or "-"
+        for node_id, actions in sorted(by_node.items()):
+            monitor = monitors.get(node_id)
             node_rows.append((
                 node_id,
-                bucket["records"],
-                "-" if score is None else f"{score:.2f}",
-                bucket["health"] or "-",
-                actions,
+                sum(actions.values()),
+                "-" if monitor is None
+                else f"{monitor.failure_domain_score():.2f}",
+                "-" if monitor is None else monitor.state.value,
+                ", ".join(f"{action}={count}"
+                          for action, count in sorted(actions.items()))
+                or "-",
             ))
         lines.append(render_table(
             ["node", "records", "fd score", "health", "actions"],
             node_rows, title="Failure domains",
         ))
+    retries = by_action["retried"]
+    outcomes = retries + by_action["exhausted"]
     lines += [
-        f"retries: {metrics.retries} recovered "
-        f"({metrics.retry_attempts} resend attempts, "
-        f"success rate {percent(metrics.retry_success_rate)})",
-        f"deadline violations: {metrics.deadline_violations}",
-        f"quarantines: {metrics.quarantines} "
-        f"({metrics.bytes_scrubbed:,} bytes scrubbed)",
-        f"fault-handling cycles: {metrics.fault_cycles:,.0f}",
+        f"retries: {retries} recovered "
+        f"({sum(r.attempts for r in records if r.action == 'retried')} "
+        f"resend attempts, success rate "
+        f"{percent(retries / outcomes if outcomes else 0.0)})",
+        f"deadline violations: {by_action['deadline']}",
+        f"quarantines: {len(quarantines)} "
+        f"({sum(q.bytes_scrubbed for q in quarantines):,} bytes "
+        f"scrubbed)",
+        f"fault-handling cycles: "
+        f"{sum(record.cycles for record in records):,.0f}",
     ]
-    if metrics.migrations_completed or metrics.migrations_failed \
-            or metrics.evictions:
+    if cluster is not None and (cluster.migrations_completed
+                                or cluster.migrations_failed
+                                or cluster.evictions):
         lines.append(
-            f"migrations: {metrics.migrations_completed} completed, "
-            f"{metrics.migrations_failed} failed; "
-            f"evictions: {metrics.evictions}"
+            f"migrations: {cluster.migrations_completed} completed, "
+            f"{cluster.migrations_failed} failed; "
+            f"evictions: {len(cluster.evictions)}"
         )
-    for app_id, status in sorted(metrics.tenants.items()):
-        if status["quarantined"]:
+    states = {}
+    for supervisor in supervisors:
+        states.update(supervisor._states)
+    for app_id, state in sorted(states.items()):
+        if state.quarantined:
             lines.append(
-                f"  {app_id}: QUARANTINED — {status['reason']} "
-                f"(budget spent {status['budget_spent']:.1f})"
+                f"  {app_id}: QUARANTINED — {state.reason} "
+                f"(budget spent {state.budget:.1f})"
             )
-        elif status["budget_spent"]:
+        elif state.budget:
             lines.append(
-                f"  {app_id}: healthy, budget spent "
-                f"{status['budget_spent']:.1f}"
+                f"  {app_id}: healthy, budget spent {state.budget:.1f}"
             )
     return "\n".join(lines)
 

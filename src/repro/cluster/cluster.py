@@ -280,14 +280,6 @@ class GuardianCluster:
             if not node.crashed:
                 node.supervisor.reap(app_id)
 
-    def locate(self, app_id: str) -> Optional[GuardianNode]:
-        """The node currently holding ``app_id``'s partition, if any."""
-        session = self.tenants.get(app_id)
-        if session is None:
-            return None
-        node = session.client.node
-        return node if app_id in node.resident_tenants() else None
-
     def synchronize(self) -> None:
         """Resolve pending device timing on every node."""
         for node in self.nodes:

@@ -48,7 +48,7 @@ channel stays bit-identical to the unbounded model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from repro.errors import ChannelClosedError, IPCError, QueueSaturated
 from repro.core.tracecache import signature_of
@@ -105,9 +105,25 @@ class IPCStats:
     shed_calls: int = 0
     overflow_flushes: int = 0
 
+    def __add__(self, other: "IPCStats") -> "IPCStats":
+        """Two channels' counters together (``largest_batch`` is the
+        larger of the two), so ``sum(stats, IPCStats())`` is the view
+        of a deployment's clients and the properties below read it."""
+        total = IPCStats(**{
+            counter.name: getattr(self, counter.name)
+            + getattr(other, counter.name)
+            for counter in fields(self)
+        })
+        total.largest_batch = max(self.largest_batch, other.largest_batch)
+        return total
+
     @property
-    def total_cycles(self) -> float:
-        return self.client_cycles + self.server_cycles
+    def roundtrips(self) -> int:
+        """Message-queue crossings: a batch crosses once for all its
+        calls, every other message crosses on its own, and discarded
+        calls never crossed (the client died before its flush point)."""
+        return (self.messages - self.batched_messages
+                - self.discarded_calls + self.batches)
 
     @property
     def mean_batch_size(self) -> float:

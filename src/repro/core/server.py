@@ -327,6 +327,32 @@ class ServerStats:
     bytes_swapped_out: int = 0
     bytes_swapped_in: int = 0
 
+    # Rates read 0.0 until their denominator moves: a server that never
+    # launched or never traced must not divide by zero.
+    @property
+    def patch_hit_rate(self) -> float:
+        return _share(self.patch_cache_hits,
+                      self.patch_cache_hits + self.patch_cache_misses)
+
+    @property
+    def extract_hit_rate(self) -> float:
+        return _share(self.extract_cache_hits,
+                      self.extract_cache_hits + self.extract_cache_misses)
+
+    @property
+    def fastpath_hit_rate(self) -> float:
+        return _share(self.fastpath_hits,
+                      self.fastpath_hits + self.fastpath_misses)
+
+    @property
+    def trace_replay_rate(self) -> float:
+        """Share of trace-eligible async ops served by replay."""
+        return _share(self.trace_replay_ops, self.trace_eligible_ops)
+
+
+def _share(part: float, whole: float) -> float:
+    return part / whole if whole else 0.0
+
 
 @dataclass(frozen=True)
 class _ModuleLoad:
@@ -1444,6 +1470,12 @@ class GuardianServer:
         clocks.extend(lane.clock for lane in self._retired_lanes)
         clocks.append(self._critical_clock)
         return max(clocks, default=0.0)
+
+    def lane_speedup(self) -> float:
+        """Modelled speedup over serial dispatch: the busy clock over
+        the makespan (1.0 in serial mode and before any work)."""
+        makespan = self.makespan_cycles()
+        return self.stats.cycles / makespan if makespan else 1.0
 
     def lanes(self) -> list[_Lane]:
         """Every lane ever created (live first, then retired)."""

@@ -102,7 +102,8 @@ class SupervisorPolicy:
 
 @dataclass
 class FailureRecord:
-    """One structured failure event, surfaced via analysis/metrics."""
+    """One structured failure event, rendered by
+    ``analysis.reporting.render_failure_report``."""
 
     tenant: str
     op: str

@@ -54,8 +54,3 @@ class Context:
         stream.fault = None
         if stream in self.streams:
             self.streams.remove(stream)
-
-    @property
-    def wedged_streams(self) -> list[Stream]:
-        """Streams carrying an unresolved asynchronous fault."""
-        return [stream for stream in self.streams if stream.wedged]

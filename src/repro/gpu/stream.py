@@ -47,8 +47,3 @@ class Stream:
         self.submitted += 1
         if release_cycles > self.last_release:
             self.last_release = release_cycles
-
-    @property
-    def wedged(self) -> bool:
-        """A faulted stream accepts no further work."""
-        return self.fault is not None

@@ -59,9 +59,6 @@ class _Family:
     def series(self) -> list[tuple[dict, object]]:
         return [(dict(key), value) for key, value in self._series.items()]
 
-    def labelled(self, **labels):
-        raise NotImplementedError
-
 
 class Counter(_Family):
     """Monotone event counts per label set."""
@@ -275,9 +272,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str, help: str = "") -> Histogram:
         return self._family("histogram", name, help)
-
-    def families(self) -> list[_Family]:
-        return list(self._families.values())
 
     # -- snapshots ---------------------------------------------------------------
 

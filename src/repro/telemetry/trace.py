@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from contextlib import contextmanager
 from typing import Optional
 
 #: Default track for spans opened via begin()/end() — the server's
@@ -168,16 +167,6 @@ class SpanTracer:
                     category, tenant, SERVER_TRACK, start, end, attrs)
         self._retire(span)
         return span
-
-    @contextmanager
-    def span(self, name: str, category: str, tenant: str = "",
-             trace_id: Optional[int] = None, **attrs):
-        opened = self.begin(name, category, tenant,
-                            trace_id=trace_id, **attrs)
-        try:
-            yield opened
-        finally:
-            self.end(opened)
 
     # -- raw spans (client / device / cluster axes) -------------------------------
 

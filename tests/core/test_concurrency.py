@@ -17,7 +17,6 @@ Covers the three contracts the concurrency work must keep:
 
 import pytest
 
-from repro.analysis.metrics import collect_hotpath, collect_lanes
 from repro.analysis.reporting import render_lane_report
 from repro.core.ipc import IPCChannel, IPCStats
 from repro.core.policy import FencingMode
@@ -48,6 +47,18 @@ def run_tenant(server, app_id, ptx):
     server.launch_kernel(app_id, handles["saxpy"], (1, 1, 1), (32, 1, 1),
                          [address, address + 2048, 2.0, 32])
     server.synchronize(app_id)
+
+
+def aborted_channel():
+    """One sync round-trip, then a queued call the abort discards."""
+    server = make_server(ServerConfig.hotpath())
+    server.attach("a", PARTITION)
+    address, _ = server.malloc("a", 4096)
+    channel = IPCChannel(server, "a", batching=True, max_batch=64)
+    channel.call("synchronize")
+    channel.call("memcpy_h2d", address, b"\x01" * 64, 0, sync=False)
+    channel.abort()
+    return server, [channel]
 
 
 def run_workload(config=None, tenants=4):
@@ -393,27 +404,24 @@ class TestSnapshotReads:
 
 
 class TestLaneMetrics:
-    def test_collect_lanes_summarises_the_run(self):
+    def test_lanes_summarise_the_run(self):
         server = run_workload(ServerConfig.concurrent(), tenants=4)
-        metrics = collect_lanes(server)
-        assert metrics.lane_count == 4
-        assert metrics.speedup > 1.0
-        assert 0.0 < metrics.overlap_efficiency <= 1.0
-        assert 0.0 <= metrics.critical_share < 1.0
-        assert set(metrics.lanes) == {f"t{i}" for i in range(4)}
-        for app_id in metrics.lanes:
-            assert 0.0 < metrics.occupancy(app_id) <= 1.0
+        lanes = server.lanes()
+        assert [lane.app_id for lane in lanes] == [f"t{i}" for i in range(4)]
+        assert 1.0 < server.lane_speedup() <= len(lanes)
+        assert all(0.0 < lane.busy <= server.makespan_cycles()
+                   for lane in lanes)
 
     def test_serial_run_degenerates_cleanly(self):
         server = run_workload(ServerConfig(), tenants=2)
-        metrics = collect_lanes(server)
-        assert metrics.lane_count == 0
-        assert metrics.speedup == 1.0
-        assert metrics.overlap_efficiency == 1.0
+        assert server.lanes() == []
+        assert server.lane_speedup() == 1.0
+        assert "1.00x modelled speedup (100.0% of 0 lanes)" in (
+            render_lane_report(server))
 
     def test_render_lane_report_mentions_the_speedup(self):
         server = run_workload(ServerConfig.concurrent(), tenants=4)
-        report = render_lane_report(collect_lanes(server))
+        report = render_lane_report(server)
         assert "modelled speedup" in report
         assert "critical section" in report
         for app_id in ("t0", "t3"):
@@ -423,6 +431,17 @@ class TestLaneMetrics:
 class TestIPCAbortStats:
     def test_mean_batch_size_guards_zero_flushes(self):
         assert IPCStats().mean_batch_size == 0.0
+        assert IPCStats().roundtrips == 0
+
+    def test_stats_add_counter_wise(self):
+        left = IPCStats(messages=3, batches=1, batched_messages=2,
+                        largest_batch=2, client_cycles=1.5)
+        right = IPCStats(messages=4, batches=2, batched_messages=4,
+                         largest_batch=3, client_cycles=2.5)
+        total = sum((left, right), IPCStats())
+        assert total == IPCStats(messages=7, batches=3, batched_messages=6,
+                                 largest_batch=3, client_cycles=4.0)
+        assert total.roundtrips == left.roundtrips + right.roundtrips
 
     def test_aborted_batches_counted_separately(self):
         server = make_server(ServerConfig.hotpath())
@@ -444,16 +463,9 @@ class TestIPCAbortStats:
         assert channel.abort() == 0
         assert channel.stats.aborted_batches == 0
 
-    def test_collect_hotpath_excludes_discarded_from_roundtrips(self):
-        server = make_server(ServerConfig.hotpath())
-        server.attach("a", PARTITION)
-        address, _ = server.malloc("a", 4096)
-        channel = IPCChannel(server, "a", batching=True, max_batch=64)
-        channel.call("synchronize")  # 1 sync round-trip
-        channel.call("memcpy_h2d", address, b"\x01" * 64, 0, sync=False)
-        channel.abort()  # the queued call never crosses
-        metrics = collect_hotpath(server, [channel])
-        assert metrics.ipc_messages == 2
-        assert metrics.ipc_roundtrips == 1
-        assert metrics.ipc_discarded_calls == 1
-        assert metrics.ipc_aborted_batches == 1
+    def test_roundtrips_exclude_discarded_calls(self):
+        _, (channel,) = aborted_channel()
+        assert channel.stats.messages == 2
+        assert channel.stats.roundtrips == 1
+        assert channel.stats.discarded_calls == 1
+        assert channel.stats.aborted_batches == 1

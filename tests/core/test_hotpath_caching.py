@@ -201,6 +201,14 @@ class TestLaunchFastPath:
             self.launch(server, handle, buf)
         assert server.stats.fastpath_misses == 1
         assert server.stats.fastpath_hits == 4
+        assert server.stats.fastpath_hit_rate == 0.8
+
+    def test_hotpath_rates_on_zero_call_snapshot(self, device):
+        """Every hit rate is a well-defined 0.0 before the first call."""
+        stats = make_server(device).stats
+        assert stats.patch_hit_rate == 0.0
+        assert stats.extract_hit_rate == 0.0
+        assert stats.fastpath_hit_rate == 0.0
 
     def test_steady_state_launch_cost(self, device):
         server = make_server(device)

@@ -83,6 +83,10 @@ class TestCompileAndReplay:
         # Replay still performs the launch — it is not skipped.
         assert server.stats.launches == launches_before + 1
 
+    def test_trace_replay_rate_before_any_dispatch(self):
+        """0.0 until a traced handler counts an eligible op."""
+        assert traced_server().stats.trace_replay_rate == 0.0
+
     def test_replay_cycle_accounting(self):
         """Returned cycles == stats delta on every replayed op, and the
         absolute figures match the cost model: the block entry pays

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import FencingMode, GuardianSystem
-from repro.analysis.metrics import collect_faults
 from repro.analysis.reporting import render_failure_report
 from repro.core.server import GuardianServer
 from repro.core.supervisor import SupervisorPolicy, TenantSupervisor
@@ -82,9 +81,9 @@ class TestTransientIPCFaults:
         )
         tenant = sys.attach("a", PARTITION)
         tenant.runtime.cudaDeviceSynchronize()
-        metrics = collect_faults(sys.supervisor)
-        assert metrics.deadline_violations == 1
-        assert metrics.by_action.get("delayed") == 1
+        actions = [record.action for record in sys.supervisor.records]
+        assert actions.count("deadline") == 1
+        assert actions.count("delayed") == 1
 
 
 class TestModuleFaults:
@@ -318,20 +317,25 @@ class TestNoPlanPassThrough:
         assert supervisor.quarantines == []
 
 
+def quarantined_supervisor():
+    """A stream fault on ``bad``'s h2d, surfaced at its sync."""
+    sys = system_with(
+        [FaultSpec(FaultKind.STREAM_FAULT, tenant="bad", op="memcpy_h2d")], seed=5
+    )
+    bad = sys.attach("bad", PARTITION)
+    buf = bad.runtime.cudaMalloc(256)
+    bad.runtime.cudaMemcpyH2D(buf, b"x" * 256)
+    with pytest.raises(StreamFault):
+        bad.runtime.cudaDeviceSynchronize()
+    return sys.supervisor
+
+
 class TestFailureReporting:
     def test_report_renders_quarantine_event(self):
-        sys = system_with(
-            [FaultSpec(FaultKind.STREAM_FAULT, tenant="bad", op="memcpy_h2d")], seed=5
-        )
-        bad = sys.attach("bad", PARTITION)
-        buf = bad.runtime.cudaMalloc(256)
-        bad.runtime.cudaMemcpyH2D(buf, b"x" * 256)
-        with pytest.raises(StreamFault):
-            bad.runtime.cudaDeviceSynchronize()
-        metrics = collect_faults(sys.supervisor)
-        assert metrics.quarantines == 1
-        assert metrics.by_kind.get("stream_fault")
-        report = render_failure_report(metrics)
+        supervisor = quarantined_supervisor()
+        assert len(supervisor.quarantines) == 1
+        assert any(record.kind == "stream_fault" for record in supervisor.records)
+        report = render_failure_report(supervisor)
         assert "QUARANTINED" in report
         assert "stream_fault" in report
         assert "bytes scrubbed" in report
