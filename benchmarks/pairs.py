@@ -1,18 +1,21 @@
 """``python -m benchmarks.pairs``: a change against its parent, by the
 alternating-pair protocol (choosing-metrics section 8).
 
-    python -m benchmarks.pairs --parent REV --workload W [--pairs 10 --seeds 20]
+    python -m benchmarks.pairs --parent REV [--workload W ...]
+                               [--pairs 10 --seeds 20]
 
 Makes two directories - ``git archive REV`` and the working tree's
-tracked and untracked-but-not-ignored files - and runs
-``BENCHMARK.json``'s contract command in each, once per seed
-(``--seeds`` is the first), the parent first on even seeds and the
-change first on odd ones. Prints every run, each side's quartiles, the
-pairs the change won and a verdict per end-to-end metric against the
-benchmark's bounds. Exits 1 when a ``model_*`` value differs inside a
-pair (both sides ran the same seed: modelled values are exact), when
-the change fails a larger share of operations, or when a metric reads
-worse than its bound allows.
+tracked and untracked-but-not-ignored files - once, and runs
+``BENCHMARK.json``'s contract command in each, per workload
+(``--workload`` repeats; the default is every workload the benchmark
+declares) and once per seed (``--seeds`` is the first), the parent
+first on even seeds and the change first on odd ones. Prints every run,
+each side's quartiles, the pairs the change won and a verdict per
+end-to-end metric against the benchmark's bounds, then one summary row
+per (workload, metric). Exits 1 when, on any workload, a ``model_*``
+value differs inside a pair (both sides ran the same seed: modelled
+values are exact), the change fails a larger share of operations, or a
+metric reads worse than its bound allows.
 """
 
 from __future__ import annotations
@@ -110,9 +113,13 @@ def contract_run(directory: Path, command: list[str], workload: str,
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def report(benchmark: dict, runs: dict[str, list[dict]]) -> int:
-    """Print the comparison; the exit status."""
+def report(benchmark: dict, runs: dict[str, list[dict]]
+           ) -> tuple[int, list[tuple]]:
+    """Print the comparison. Returns the exit status and one summary
+    row ``(metric, change/parent median, pairs won, verdict)`` per
+    end-to-end metric (``pairs won`` is None for modelled values)."""
     status = 0
+    rows = []
     pairs = len(runs["parent"])
     for metric in benchmark["end_to_end"]:
         name = metric["name"]
@@ -125,20 +132,23 @@ def report(benchmark: dict, runs: dict[str, list[dict]]) -> int:
             print(f"  {side}  " + " ".join(f"{v:.6g}" for v in values[side]))
             print(f"  {side}  q1 / median / q3  "
                   f"{q1:.6g} / {median:.6g} / {q3:.6g}")
+        ratio = (quartiles(values["change"])[1]
+                 / quartiles(values["parent"])[1])
         if name.startswith("model_"):
             if values["parent"] != values["change"]:
                 print("  FAILED: modelled values differ inside a pair")
                 status = 1
+                rows.append((name, ratio, None, "differs"))
             else:
                 print("  identical in every pair")
+                rows.append((name, ratio, None, "identical"))
             continue
         won = pairs_won(values["parent"], values["change"],
                         metric["better"])
         said = verdict(values["parent"], values["change"],
                        metric["better"], metric["bound"])
-        ratio = (quartiles(values["change"])[1]
-                 / quartiles(values["parent"])[1])
         print(f"  change/parent {ratio:.3f}, pairs won {won}/{pairs}: {said}")
+        rows.append((name, ratio, f"{won}/{pairs}", said))
         if said == "worse":
             status = 1
     failed = {side: sum(run["failed"] for run in results)
@@ -149,36 +159,68 @@ def report(benchmark: dict, runs: dict[str, list[dict]]) -> int:
     if failed["change"] > failed["parent"]:
         print("  FAILED: the change fails a larger share of operations")
         status = 1
-    return status
+    return status, rows
+
+
+def summary(rows: dict[str, list[tuple]]) -> str:
+    """One line per (workload, metric): the median ratio, the pairs
+    won and the verdict."""
+    lines = ["summary: workload, metric, change/parent median, pairs won,"
+             " verdict"]
+    for workload, metrics in rows.items():
+        for name, ratio, won, said in metrics:
+            lines.append(f"  {workload:<14} {name:<28} {ratio:7.3f}  "
+                         f"{won or '-':>6}  {said}")
+    return "\n".join(lines)
+
+
+def parse(argv=None) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, metavar="REV")
+    parser.add_argument("--workload", action="append", metavar="W",
+                        help="repeatable; default: every workload in "
+                             "BENCHMARK.json")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seeds", type=int, default=20, metavar="FIRST")
+    return parser.parse_args(argv)
+
+
+def workloads(args: argparse.Namespace, benchmark: dict) -> list[str]:
+    return args.workload or [entry["name"]
+                             for entry in benchmark["workloads"]]
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, metavar="REV")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seeds", type=int, default=20, metavar="FIRST")
-    args = parser.parse_args(argv)
+    args = parse(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    status = 0
+    rows: dict[str, list[tuple]] = {}
     with tempfile.TemporaryDirectory(prefix="pairs-") as scratch:
-        directories = {side: Path(scratch) / side for side in runs}
+        directories = {side: Path(scratch) / side
+                       for side in ("parent", "change")}
         for directory in directories.values():
             directory.mkdir()
         export_parent(args.parent, directories["parent"])
         export_working_tree(directories["change"])
-        for seed in range(args.seeds, args.seeds + args.pairs):
-            order = ("parent", "change") if seed % 2 == 0 else (
-                "change", "parent")
-            for side in order:
-                run = contract_run(
-                    directories[side], benchmark["command"], args.workload,
-                    seed, benchmark["run_seconds"])
-                runs[side].append(run)
-                print(f"{args.workload} seed {seed} {side}  " + "  ".join(
-                    f"{name} {entry['value']:.6g}"
-                    for name, entry in run["metrics"].items()), flush=True)
-    return report(benchmark, runs)
+        for workload in workloads(args, benchmark):
+            runs: dict[str, list[dict]] = {"parent": [], "change": []}
+            for seed in range(args.seeds, args.seeds + args.pairs):
+                order = ("parent", "change") if seed % 2 == 0 else (
+                    "change", "parent")
+                for side in order:
+                    run = contract_run(
+                        directories[side], benchmark["command"], workload,
+                        seed, benchmark["run_seconds"])
+                    runs[side].append(run)
+                    print(f"{workload} seed {seed} {side}  " + "  ".join(
+                        f"{name} {entry['value']:.6g}"
+                        for name, entry in run["metrics"].items()),
+                        flush=True)
+            print(f"\n== {workload}")
+            workload_status, rows[workload] = report(benchmark, runs)
+            status |= workload_status
+    print("\n" + summary(rows))
+    return status
 
 
 if __name__ == "__main__":

@@ -545,7 +545,7 @@ class GuardianCluster:
             / (self.node(record.source).spec.pcie_bw_gbps * 1e9) * 1e6
         )
         trace_id = tracer.new_trace()
-        parent = tracer.emit(
+        parent_id = tracer.emit(
             f"migrate:{record.tenant}", "migration", record.tenant,
             track="cluster", start=start, end=start + total_us,
             trace_id=trace_id, outcome="success",
@@ -554,12 +554,12 @@ class GuardianCluster:
         tracer.emit(
             "snapshot", "migration", record.tenant, track="cluster",
             start=start, end=start + src_us, trace_id=trace_id,
-            parent_id=parent.span_id, node=record.source,
+            parent_id=parent_id, node=record.source,
         )
         tracer.emit(
             "restore", "migration", record.tenant, track="cluster",
             start=start + src_us, end=start + total_us,
-            trace_id=trace_id, parent_id=parent.span_id,
+            trace_id=trace_id, parent_id=parent_id,
             node=record.target,
         )
         tracer.advance(total_us)

@@ -109,13 +109,12 @@ class GuardianClient(GpuBackend):
                     )
                 raise ClientCrashed(self.app_id, method)
         self.profile.charge(method, INTERCEPT_CYCLES)
-        before = self.channel.stats.client_cycles
+        stats = self.channel.stats
+        before = stats.client_cycles
         result = self.channel.call(
             method, *args, payload_bytes=payload_bytes, sync=sync
         )
-        self.profile.cycles += (
-            self.channel.stats.client_cycles - before
-        )
+        self.profile.cycles += stats.client_cycles - before
         return result
 
     def close(self) -> None:

@@ -138,17 +138,60 @@ class IPCStats:
         return self.batched_messages / self.batches
 
 
-@dataclass
-class _QueuedCall:
-    method: str
-    args: tuple
-    payload_bytes: int
-    #: Telemetry only (None with the knob off): the trace id minted at
-    #: enqueue time — the same id travels with the call through its
-    #: flush, so queue wait and dispatch share one trace — and the
-    #: client-cycle instant the call entered the queue.
-    trace_id: int | None = None
-    enqueued_at: float = 0.0
+class _Route:
+    """One method's call path on one channel, resolved at its first
+    call: handler, channel state, queue-wait span name, recorders."""
+
+    __slots__ = ("method", "handler", "app_id", "stats", "telemetry",
+                 "tracer", "queue_wait", "record_call", "record_dispatch")
+
+    def __init__(self, channel: "IPCChannel", method: str, handler):
+        self.method = method
+        self.handler = handler
+        self.app_id = channel.app_id
+        self.stats = channel.stats
+        self.telemetry = channel.telemetry
+        self.tracer = channel._tracer
+        self.queue_wait = f"queue_wait:{method}"
+        # Each recorder is made at its own first record (see
+        # Telemetry.call_recorder), by the two methods below.
+        self.record_call = self.record_dispatch = None
+
+    def call_recorder(self):
+        self.record_call = self.telemetry.call_recorder(self.app_id,
+                                                        self.method)
+        return self.record_call
+
+    def dispatch_recorder(self):
+        self.record_dispatch = self.telemetry.dispatch_recorder(
+            self.app_id, self.method)
+        return self.record_dispatch
+
+    def dispatch(self, args: tuple, trace_id: int | None):
+        """Run the handler; returns ``(result, server_cycles)``."""
+        tracer = self.tracer
+        if tracer is None:
+            result, server_cycles = self.handler(self.app_id, *args)
+            self.stats.server_cycles += server_cycles
+            return result, server_cycles
+        # The call span: opened at the dispatch boundary so every
+        # charge the handler makes — including the supervisor's fault
+        # cycles — lands inside it. Per-tenant call-span durations
+        # therefore sum to exactly the server's busy-clock delta.
+        attrs = {}
+        entry = tracer.open(self.method, "call", self.app_id, trace_id,
+                            attrs)
+        try:
+            result, server_cycles = self.handler(self.app_id, *args)
+        except Exception as failure:
+            attrs["error"] = type(failure).__name__
+            raise
+        finally:
+            tracer.close(entry)
+        attrs["server_cycles"] = server_cycles
+        (self.record_dispatch or self.dispatch_recorder())(server_cycles)
+        self.stats.server_cycles += server_cycles
+        return result, server_cycles
 
 
 class IPCChannel:
@@ -182,13 +225,17 @@ class IPCChannel:
         self.queue_limit = queue_limit
         self.shed_overflow = shed_overflow
         self.stats = IPCStats()
-        self._queue: list[_QueuedCall] = []
+        #: ``(route, args, trace_id, enqueued_at)``; the last two only
+        #: with telemetry (queue wait and dispatch share the trace).
+        self._queue: list[tuple] = []
         self._closed = False
         # The server's telemetry spine, if its config enabled one
         # (resolved through the supervisor when one wraps the server).
         # None keeps every path below bit-identical to the stock
         # channel — the telemetry-off guarantee.
         self.telemetry = getattr(target, "telemetry", None)
+        self._tracer = getattr(self.telemetry, "tracer", None)
+        self._client_track = f"client:{app_id}"
         # The server's trace engine, if trace specialization is on
         # (again resolved through a supervising wrapper). The channel
         # keeps a *shadow cursor* over the compiled block's signature —
@@ -199,10 +246,7 @@ class IPCChannel:
         # bit-identical to the stock channel.
         self._trace_engine = getattr(target, "trace_engine", None)
         self._trace_cursor = 0
-        # Telemetry recorders by method (and the queue-wait one), each
-        # made at its first record (Telemetry.call_recorder says why).
-        self._call_recorders: dict = {}
-        self._dispatch_recorders: dict = {}
+        self._routes: dict[str, _Route] = {}
         self._queue_wait_recorder = None
 
     def call(self, method: str, *args, payload_bytes: int = 0,
@@ -225,12 +269,13 @@ class IPCChannel:
         """
         if self._closed:
             raise ChannelClosedError(self.app_id)
-        self._resolve_handler(method)
+        route = self._routes.get(method) or self._route(method)
         if self.batching and not sync:
-            return self._enqueue(method, args, payload_bytes)
+            return self._enqueue(route, args, payload_bytes)
         # A synchronous call is an ordering point: everything queued
         # before it must reach the server first (per-channel FIFO).
-        self.flush()
+        if self._queue:
+            self.flush()
         if method == "synchronize":
             # Sync is the trace block boundary on the server side too;
             # the shadow cursor rewinds with it. Other synchronous
@@ -238,27 +283,22 @@ class IPCChannel:
             # without disturbing its recorded async sequence, so they
             # leave the cursor alone.
             self._trace_cursor = 0
-        transport = self.costs.marshal + self.costs.payload_cycles(
-            payload_bytes
-        )
-        transport += self.costs.roundtrip if sync else (
-            self.costs.roundtrip // 2
-        )
-        self.stats.messages += 1
-        self.stats.payload_bytes += payload_bytes
-        self.stats.client_cycles += transport
-        telemetry = self.telemetry
-        trace_id = (
-            telemetry.tracer.new_trace() if telemetry is not None else None
-        )
-        result, server_cycles = self._dispatch(method, args,
-                                               trace_id=trace_id)
+        costs = self.costs
+        transport = costs.marshal + costs.payload_cycles(payload_bytes)
+        transport += costs.roundtrip if sync else costs.roundtrip // 2
+        stats = self.stats
+        stats.messages += 1
+        stats.payload_bytes += payload_bytes
+        stats.client_cycles += transport
+        tracer = self._tracer
+        result, server_cycles = route.dispatch(
+            args, tracer.new_trace() if tracer is not None else None)
         if sync:
             # The client blocks until the server replies.
-            self.stats.client_cycles += server_cycles
-        if telemetry is not None:
-            self._record_call(method,
-                              transport + (server_cycles if sync else 0.0))
+            stats.client_cycles += server_cycles
+        if tracer is not None:
+            (route.record_call or route.call_recorder())(
+                transport + (server_cycles if sync else 0.0))
         return result
 
     def flush(self) -> int:
@@ -274,29 +314,30 @@ class IPCChannel:
         if not self._queue:
             return 0
         batch, self._queue = self._queue, []
-        self.stats.client_cycles += self.costs.roundtrip // 2
-        self.stats.batches += 1
-        self.stats.batched_messages += len(batch)
-        self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
-        telemetry = self.telemetry
-        if telemetry is not None:
+        stats = self.stats
+        stats.client_cycles += self.costs.roundtrip // 2
+        stats.batches += 1
+        stats.batched_messages += len(batch)
+        stats.largest_batch = max(stats.largest_batch, len(batch))
+        tracer = self._tracer
+        if tracer is not None:
             # Every queued call waited from its enqueue instant to this
             # flush — a span on the client's own cycle axis.
-            flushed_at = self.stats.client_cycles
+            flushed_at = stats.client_cycles
+            app_id = self.app_id
+            tracer.emit_all("queue", self._client_track, [
+                (route.queue_wait, app_id, enqueued_at, flushed_at,
+                 trace_id, None)
+                for route, _, trace_id, enqueued_at in batch
+            ])
             record = self._queue_wait_recorder
             if record is None:
                 record = self._queue_wait_recorder = (
-                    telemetry.queue_wait_recorder(self.app_id))
-            emit = telemetry.tracer.emit
-            track = f"client:{self.app_id}"
-            for queued in batch:
-                emit(f"queue_wait:{queued.method}", "queue", self.app_id,
-                     track=track, start=queued.enqueued_at, end=flushed_at,
-                     trace_id=queued.trace_id)
-                record(flushed_at - queued.enqueued_at)
-        for queued in batch:
-            self._dispatch(queued.method, queued.args,
-                           trace_id=queued.trace_id)
+                    self.telemetry.queue_wait_recorder(app_id))
+            for _, _, _, enqueued_at in batch:
+                record(flushed_at - enqueued_at)
+        for route, args, trace_id, _ in batch:
+            route.dispatch(args, trace_id)
         return len(batch)
 
     @property
@@ -341,7 +382,16 @@ class IPCChannel:
 
     # -- internals ---------------------------------------------------------------
 
-    def _enqueue(self, method: str, args: tuple, payload_bytes: int):
+    def _route(self, method: str) -> _Route:
+        """A method's route, at its first call: an unknown method
+        raises here, before anything is charged, queued or traced."""
+        handler = getattr(self._target, method, None)
+        if handler is None:
+            raise IPCError(f"server has no method {method!r}")
+        route = self._routes[method] = _Route(self, method, handler)
+        return route
+
+    def _enqueue(self, route: _Route, args: tuple, payload_bytes: int):
         # Bounded queue: a call arriving at a full queue either sheds
         # (it never marshals, never reaches the server) or forces an
         # early flush — the producer stalls on the queue crossing, the
@@ -351,26 +401,28 @@ class IPCChannel:
                 and len(self._queue) >= self.queue_limit):
             if self.shed_overflow:
                 self.stats.shed_calls += 1
-                raise QueueSaturated(self.app_id, method, self.queue_limit)
+                raise QueueSaturated(self.app_id, route.method,
+                                     self.queue_limit)
             self.stats.overflow_flushes += 1
             self.flush()
         # Stage the payload into the shared segment now (the caller may
         # reuse its buffer) and pay the per-call marshalling; the
         # round-trip half is paid once per batch at flush time.
-        self.stats.messages += 1
-        self.stats.payload_bytes += payload_bytes
-        per_call = self._marshal_cost(method, args)
-        marshal = per_call + self.costs.payload_cycles(payload_bytes)
-        self.stats.client_cycles += marshal
-        queued = _QueuedCall(method, args, payload_bytes)
-        telemetry = self.telemetry
-        if telemetry is not None:
-            queued.trace_id = telemetry.tracer.new_trace()
-            queued.enqueued_at = self.stats.client_cycles
+        stats = self.stats
+        stats.messages += 1
+        stats.payload_bytes += payload_bytes
+        marshal = (self._marshal_cost(route.method, args)
+                   + self.costs.payload_cycles(payload_bytes))
+        stats.client_cycles += marshal
+        tracer = self._tracer
+        if tracer is None:
+            self._queue.append((route, args, None, 0.0))
+        else:
+            self._queue.append((route, args, tracer.new_trace(),
+                                stats.client_cycles))
             # A batched call's client-visible cost is its marshalling;
             # the server work lands on the server's busy time.
-            self._record_call(method, marshal)
-        self._queue.append(queued)
+            (route.record_call or route.call_recorder())(marshal)
         if len(self._queue) >= self.max_batch:
             self.flush()
         return None
@@ -403,46 +455,3 @@ class IPCChannel:
         self._trace_cursor = cursor + 1
         self.stats.marshal_cached_calls += 1
         return self.costs.marshal_cached
-
-    def _dispatch(self, method: str, args: tuple,
-                  trace_id: int | None = None):
-        handler = self._resolve_handler(method)
-        telemetry = self.telemetry
-        if telemetry is None:
-            result, server_cycles = handler(self.app_id, *args)
-            self.stats.server_cycles += server_cycles
-            return result, server_cycles
-        # The call span: opened at the dispatch boundary so every
-        # charge the handler makes — including the supervisor's fault
-        # cycles — lands inside it. Per-tenant call-span durations
-        # therefore sum to exactly the server's busy-clock delta.
-        span = telemetry.tracer.begin(method, "call", self.app_id,
-                                      trace_id=trace_id)
-        try:
-            result, server_cycles = handler(self.app_id, *args)
-        except Exception as failure:
-            span.attrs["error"] = type(failure).__name__
-            raise
-        finally:
-            telemetry.tracer.end(span)
-        span.attrs["server_cycles"] = server_cycles
-        record = self._dispatch_recorders.get(method)
-        if record is None:
-            record = self._dispatch_recorders[method] = (
-                telemetry.dispatch_recorder(self.app_id, method))
-        record(server_cycles)
-        self.stats.server_cycles += server_cycles
-        return result, server_cycles
-
-    def _record_call(self, method: str, latency_cycles: float) -> None:
-        record = self._call_recorders.get(method)
-        if record is None:
-            record = self._call_recorders[method] = (
-                self.telemetry.call_recorder(self.app_id, method))
-        record(latency_cycles)
-
-    def _resolve_handler(self, method: str):
-        handler = getattr(self._target, method, None)
-        if handler is None:
-            raise IPCError(f"server has no method {method!r}")
-        return handler

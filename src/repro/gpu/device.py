@@ -246,18 +246,15 @@ class Device:
         its finish instant, on the ``gpu`` track under the owning
         tenant's thread.
         """
-        tracer = self.telemetry.tracer
-        for task in tasks:
-            finish = result.task_finish.get(task.seq)
-            if finish is None:
-                continue
-            start = result.task_start.get(task.seq, 0.0)
-            tracer.emit(
-                task.label or task.kind, "device", task.tag,
-                track="gpu", start=base + start, end=base + finish,
-                kind=task.kind, demand=task.demand,
-                release=task.release,
-            )
+        finishes = result.task_finish
+        starts = result.task_start
+        self.telemetry.tracer.emit_all("device", "gpu", [
+            (task.label or task.kind, task.tag,
+             base + starts.get(task.seq, 0.0), base + finishes[task.seq],
+             None, {"kind": task.kind, "demand": task.demand,
+                    "release": task.release})
+            for task in tasks if task.seq in finishes
+        ])
 
     @property
     def pending_tasks(self) -> int:

@@ -19,9 +19,11 @@ host-cycle totals with the knob on and off.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from math import isfinite
 from typing import Optional
 
 from repro.telemetry.registry import (
+    FOLD_BOUND,
     Counter,
     Gauge,
     Histogram,
@@ -42,6 +44,11 @@ __all__ = [
     "SERVER_TRACK",
     "maybe_span",
 ]
+
+
+#: A snapshot span's keys, in their order.
+_SNAPSHOT_FIELDS = ("name", "category", "tenant", "track", "trace_id",
+                    "span_id", "parent_id", "start", "end", "attrs")
 
 
 class Telemetry:
@@ -143,17 +150,26 @@ class Telemetry:
 
         Resolving creates the latency series, so make the recorder at
         the first record, where a per-call record would have created
-        them."""
-        calls = self.calls
-        key = calls.key(tenant=tenant, method=method)
+        them. A refused (non-finite) record changes nothing."""
+        counts = self.calls._series
+        key = self.calls.key(tenant=tenant, method=method)
         by_method = self.call_latency.series_for(tenant=tenant,
-                                                 method=method).observe
-        by_tenant = self.call_latency.series_for(tenant=tenant).observe
+                                                 method=method)
+        by_tenant = self.call_latency.series_for(tenant=tenant)
+        method_pending = by_method._pending
+        tenant_pending = by_tenant._pending
 
         def record(latency_cycles: float) -> None:
-            calls.add(key)
-            by_method(latency_cycles)
-            by_tenant(latency_cycles)
+            if not isfinite(latency_cycles):
+                raise ValueError(f"histogram {by_method.family}: "
+                                 f"non-finite value {latency_cycles!r}")
+            counts[key] = counts.get(key, 0.0) + 1.0
+            method_pending.append(latency_cycles)
+            if len(method_pending) >= FOLD_BOUND:
+                by_method._fold()
+            tenant_pending.append(latency_cycles)
+            if len(tenant_pending) >= FOLD_BOUND:
+                by_tenant._fold()
 
         return record
 
@@ -213,21 +229,8 @@ class Telemetry:
 
     def snapshot(self, meta: dict | None = None) -> dict:
         """JSON-safe dump of the registry and the retained spans."""
-        spans = [
-            {
-                "name": span.name,
-                "category": span.category,
-                "tenant": span.tenant,
-                "track": span.track,
-                "trace_id": span.trace_id,
-                "span_id": span.span_id,
-                "parent_id": span.parent_id,
-                "start": span.start,
-                "end": span.end,
-                "attrs": span.attrs,
-            }
-            for span in self.tracer.spans()
-        ]
+        spans = [{field: getattr(span, field) for field in _SNAPSHOT_FIELDS}
+                 for span in self.tracer.spans()]
         return {
             "meta": dict(meta or {}),
             "metrics": self.registry.snapshot(),

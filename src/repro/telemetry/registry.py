@@ -19,6 +19,7 @@ charges cycles (the telemetry-observes-never-charges rule).
 
 from __future__ import annotations
 
+import collections
 import math
 from typing import Optional
 
@@ -141,21 +142,25 @@ class _HistogramSeries:
         if not pending:
             return
         buckets = self._buckets
+        # One log per distinct value, first occurrences first.
+        counts = collections.Counter(pending)
+        log, growth = math.log, _GROWTH_LOG
+        for value, count in counts.items():
+            # Sub-unit values share the zero bucket.
+            index = 0 if value < 1.0 else 1 + int(log(value) * growth)
+            buckets[index] = buckets.get(index, 0) + count
+        # A plain loop: builtin sum() compensates on Python 3.12+.
         total = self._total
         for value in pending:
-            # Sub-unit values share the zero bucket.
-            index = (0 if value < 1.0
-                     else 1 + int(math.log(value) * _GROWTH_LOG))
-            buckets[index] = buckets.get(index, 0) + 1
             total += value
         self._total = total
         self._count += len(pending)
         # min()/max() keep the first of equal values, as the pairwise
-        # running min/max did.
-        low = min(pending)
+        # running min/max did; a Counter key is the first of its equals.
+        low = min(counts)
         if low < self._min:
             self._min = low
-        high = max(pending)
+        high = max(counts)
         if high > self._max:
             self._max = high
         pending.clear()

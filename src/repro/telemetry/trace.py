@@ -35,9 +35,9 @@ SERVER_TRACK = "server"
 class Span:
     """One named interval on some cycle axis.
 
-    A plain slotted class rather than a dataclass: the tracer makes one
-    per hook, so construction is on the record path. Equality compares
-    every field, like the dataclass it replaces.
+    The tracer keeps spans as tuples and makes these when they are
+    read (and for :meth:`SpanTracer.begin`). Equality compares every
+    field, like the dataclass it replaces.
     """
 
     __slots__ = ("trace_id", "span_id", "parent_id", "name", "category",
@@ -87,7 +87,10 @@ class Span:
 
 
 class SpanTracer:
-    """A bounded ring of finished spans plus the open-span stack."""
+    """A bounded ring of finished spans plus the open-span stack, both
+    of tuples (layouts in DESIGN.md §11): :meth:`spans` makes Span
+    objects when read.
+    """
 
     def __init__(self, capacity: int = 65_536):
         if capacity < 1:
@@ -97,8 +100,8 @@ class SpanTracer:
         #: the server's ``_charge`` — so span durations are charged
         #: cycles, not wall time.
         self.clock = 0.0
-        self._ring: deque[Span] = deque(maxlen=capacity)
-        self._stack: list[Span] = []
+        self._ring: deque[tuple] = deque(maxlen=capacity)
+        self._stack: list[tuple] = []
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
         #: Total spans ever finished (ring length + dropped).
@@ -117,81 +120,105 @@ class SpanTracer:
 
     # -- nested spans (the server dispatch path) ---------------------------------
 
+    def open(self, name: str, category: str, tenant: str,
+             trace_id: Optional[int], attrs: dict) -> tuple:
+        """Open a span at the cursor; returns its stack entry for
+        :meth:`close`. With ``trace_id=None`` the span inherits the
+        enclosing span's trace, or a root span mints its own."""
+        stack = self._stack
+        parent_id = stack[-1][1] if stack else None
+        if trace_id is None:
+            trace_id = stack[-1][0] if stack else self.new_trace()
+        entry = (trace_id, next(self._span_ids), parent_id, name, category,
+                 tenant, self.clock, attrs, None)
+        stack.append(entry)
+        return entry
+
     def begin(self, name: str, category: str, tenant: str = "",
               trace_id: Optional[int] = None, **attrs) -> Span:
-        """Open a span at the current cursor.
-
-        With ``trace_id=None`` the span inherits the enclosing span's
-        trace (how a bounds-check span ends up in its call's trace);
-        a root span with no trace id mints its own.
-        """
-        parent = self._stack[-1] if self._stack else None
-        if trace_id is None:
-            trace_id = parent.trace_id if parent else self.new_trace()
-        # ``attrs`` is this call's own dict: the span takes it as is.
-        span = Span(trace_id, next(self._span_ids),
-                    parent.span_id if parent else None, name, category,
-                    tenant, SERVER_TRACK, self.clock, 0.0, attrs)
-        self._stack.append(span)
+        """:meth:`open`, returning a Span whose ``end`` the close fills
+        in (it keeps this call's own ``attrs`` dict)."""
+        entry = self.open(name, category, tenant, trace_id, attrs)
+        span = Span(*entry[:6], SERVER_TRACK, entry[6], 0.0, attrs)
+        self._stack[-1] = entry[:8] + (span,)
         return span
 
-    def end(self, span: Span) -> Span:
-        """Close ``span`` at the current cursor and retire it to the
-        ring. Closing out of order (an exception unwound past open
-        children) closes the children too, at the same instant."""
-        while self._stack:
-            top = self._stack.pop()
-            top.end = self.clock
-            self._retire(top)
-            if top is span:
-                return span
-        # Not on the stack (already closed defensively): record as-is.
-        span.end = max(span.end, self.clock)
-        return span
+    def close(self, handle):
+        """Close an open span at the current cursor, retire it to the
+        ring and return ``handle``: the entry :meth:`open` returned or
+        the Span :meth:`begin` returned. Closing out of order (an
+        exception unwound past open children) closes the children too,
+        at the same instant; a span no longer open closes every open
+        span and is itself left as it was closed."""
+        stack = self._stack
+        end = self.clock
+        while stack:
+            top = stack.pop()
+            (trace_id, span_id, parent_id, name, category, tenant, start,
+             attrs, span) = top
+            if span is not None:
+                span.end = end
+            self._ring.append((trace_id, span_id, parent_id, name,
+                               category, tenant, start, end, attrs))
+            self.spans_finished += 1
+            if top is handle or span is handle:
+                break
+        return handle
+
+    end = close
 
     def leaf(self, name: str, category: str, tenant: str, cycles: float,
-             **attrs) -> Span:
+             /, **attrs) -> None:
         """``begin`` + ``advance(cycles)`` + ``end`` in one step: the
         span of a hook that wraps exactly one charge (a critical
         section, a bounds check, a launch, a trace replay). It opens
-        nothing, so it can never be left open."""
+        nothing, so it can never be left open. (Positional-only names:
+        CPython then skips comparing every attr keyword against them.)
+        """
         stack = self._stack
         start = self.clock
         if stack:
-            parent = stack[-1]
-            trace_id, parent_id = parent.trace_id, parent.span_id
+            trace_id, parent_id = stack[-1][0], stack[-1][1]
         else:
             trace_id, parent_id = self.new_trace(), None
         self.clock = end = start + cycles
-        span = Span(trace_id, next(self._span_ids), parent_id, name,
-                    category, tenant, SERVER_TRACK, start, end, attrs)
-        self._retire(span)
-        return span
+        self._ring.append((trace_id, next(self._span_ids), parent_id, name,
+                           category, tenant, start, end, attrs or None))
+        self.spans_finished += 1
 
     # -- raw spans (client / device / cluster axes) -------------------------------
 
     def emit(self, name: str, category: str, tenant: str, track: str,
              start: float, end: float, trace_id: Optional[int] = None,
-             parent_id: Optional[int] = None, **attrs) -> Span:
-        """Record an already-timed span on an arbitrary track."""
-        span = Span(self.new_trace() if trace_id is None else trace_id,
-                    next(self._span_ids), parent_id, name, category, tenant,
-                    track, start, end, attrs)
-        self._retire(span)
-        return span
+             parent_id: Optional[int] = None, **attrs) -> int:
+        """Record an already-timed span on an arbitrary track; returns
+        its span id (a child's ``parent_id``)."""
+        self.emit_all(category, track,
+                      [(name, tenant, start, end, trace_id, attrs)],
+                      parent_id)
+        return self._ring[-1][1]
 
-    def _retire(self, span: Span) -> None:
-        self._ring.append(span)
-        self.spans_finished += 1
+    def emit_all(self, category: str, track: str, rows,
+                 parent_id: Optional[int] = None) -> None:
+        """:meth:`emit` for many spans in one call: each row is
+        ``(name, tenant, start, end, trace_id, attrs)``."""
+        trace_ids, span_ids = self._trace_ids, self._span_ids
+        retired = [(next(trace_ids) if trace_id is None else trace_id,
+                    next(span_ids), parent_id, name, category, tenant,
+                    track, start, end, attrs or None)
+                   for name, tenant, start, end, trace_id, attrs in rows]
+        self._ring.extend(retired)
+        self.spans_finished += len(retired)
 
     # -- reads -------------------------------------------------------------------
 
     def spans(self) -> list[Span]:
         """Retained spans, oldest first."""
-        return list(self._ring)
+        return [Span(*row[:6], SERVER_TRACK, *row[6:]) if len(row) == 9
+                else Span(*row) for row in self._ring]
 
     def spans_for(self, tenant: str) -> list[Span]:
-        return [span for span in self._ring if span.tenant == tenant]
+        return [span for span in self.spans() if span.tenant == tenant]
 
     @property
     def spans_dropped(self) -> int:

@@ -28,7 +28,7 @@ from repro.driver.fatbin import build_fatbin
 from repro.errors import BoundsViolation
 from repro.gpu.device import Device
 from repro.gpu.specs import QUADRO_RTX_A4000
-from repro.telemetry import registry
+from repro.telemetry import Telemetry, registry
 from repro.telemetry.export import to_chrome_trace
 from repro.telemetry.registry import FOLD_BOUND, QUANTILES, MetricsRegistry
 
@@ -212,6 +212,34 @@ class TestDeferredFold:
             assert len(series._pending) < FOLD_BOUND
         assert series.count == 10 * FOLD_BOUND + 7
         assert not series._pending
+
+
+class TestCallRecorder:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_refused_record_changes_nothing(self, bad):
+        telemetry = Telemetry()
+        record = telemetry.call_recorder("a", "malloc")
+        record(5.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            record(bad)
+        assert telemetry.calls.value(tenant="a", method="malloc") == 1
+        latency = telemetry.call_latency
+        assert latency.count(tenant="a", method="malloc") == 1
+        assert latency.count(tenant="a") == 1
+
+    def test_records_past_the_fold_bound(self):
+        telemetry = Telemetry()
+        record = telemetry.call_recorder("a", "malloc")
+        values = [float(value % 97) for value in range(2 * FOLD_BOUND + 3)]
+        eager = EagerSeries()
+        for value in values:
+            record(value)
+            eager.observe(value)
+        assert telemetry.calls.value(tenant="a", method="malloc") == len(
+            values)
+        latency = telemetry.call_latency
+        for labels in ({"tenant": "a", "method": "malloc"}, {"tenant": "a"}):
+            assert _reads(latency.series_for(**labels)) == _reads(eager)
 
 
 # --------------------------------------------------------------------------

@@ -96,8 +96,9 @@ class TestRing:
 class TestEmit:
     def test_emit_records_on_arbitrary_track(self):
         tracer = SpanTracer()
-        span = tracer.emit("copy", "device", "alice", track="gpu",
-                           start=10.0, end=25.0, kind="h2d")
+        tracer.emit("copy", "device", "alice", track="gpu",
+                    start=10.0, end=25.0, kind="h2d")
+        span = tracer.spans()[-1]
         assert span.track == "gpu"
         assert span.cycles == 15.0
         assert span.attrs == {"kind": "h2d"}
@@ -105,11 +106,14 @@ class TestEmit:
 
     def test_emit_keeps_explicit_trace_and_parent(self):
         tracer = SpanTracer()
-        parent = tracer.emit("migrate", "migration", "a", track="cluster",
-                             start=0.0, end=9.0, trace_id=5)
-        child = tracer.emit("snapshot", "migration", "a", track="cluster",
-                            start=0.0, end=4.0, trace_id=5,
-                            parent_id=parent.span_id)
+        parent_id = tracer.emit("migrate", "migration", "a",
+                                track="cluster", start=0.0, end=9.0,
+                                trace_id=5)
+        parent = tracer.spans()[-1]
+        tracer.emit("snapshot", "migration", "a", track="cluster",
+                    start=0.0, end=4.0, trace_id=5, parent_id=parent_id)
+        child = tracer.spans()[-1]
+        assert parent.span_id == parent_id
         assert child.trace_id == parent.trace_id == 5
         assert child.parent_id == parent.span_id
 
@@ -171,10 +175,10 @@ class TestLeaf:
     def test_span_owns_its_attrs(self):
         tracer = SpanTracer()
         attrs = {"kind": "h2d"}
-        span = tracer.emit("copy", "device", "a", track="gpu", start=0.0,
-                           end=1.0, **attrs)
+        tracer.emit("copy", "device", "a", track="gpu", start=0.0,
+                    end=1.0, **attrs)
         attrs["kind"] = "d2h"
-        assert span.attrs == {"kind": "h2d"}
+        assert tracer.spans()[-1].attrs == {"kind": "h2d"}
 
 
 class TestSpanValue:

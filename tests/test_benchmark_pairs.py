@@ -1,8 +1,12 @@
 """The verdict rule of ``python -m benchmarks.pairs``, on the runs
 EXPERIMENTS.md "Block engine" prints (ten alternating pairs, seeds
-20-29, ``host_us_per_call``; bound 25%)."""
+20-29, ``host_us_per_call``; bound 25%), and the workload choice and
+summary of a multi-workload run."""
 
-from benchmarks.pairs import quartiles, verdict
+import json
+
+from benchmarks.pairs import (ROOT, parse, quartiles, report, summary,
+                              verdict, workloads)
 
 MIX_TRAIN_PARENT = [17345.7, 16974.8, 17585.0, 17090.0, 16733.6,
                     17084.3, 16416.8, 17270.4, 16938.7, 17204.2]
@@ -49,3 +53,56 @@ def test_ties_count_for_neither_side():
     parent = [10.0] * 10
     change = [10.0] * 9 + [9.0]
     assert verdict(parent, change, "lower", 0.25) == "no difference resolved"
+
+
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def test_every_declared_workload_by_default():
+    assert workloads(parse(["--parent", "HEAD"]), BENCHMARK) == [
+        entry["name"] for entry in BENCHMARK["workloads"]]
+    assert len(BENCHMARK["workloads"]) == 5
+
+
+def test_workload_repeats_in_the_order_given():
+    args = parse(["--parent", "HEAD", "--workload", "mix_train",
+                  "--workload", "storm_full"])
+    assert workloads(args, BENCHMARK) == ["mix_train", "storm_full"]
+
+
+def _runs(host, model, failed=0):
+    return [{"metrics": {"host_us_per_call": {"value": value},
+                         "model_device_cycles": {"value": model}},
+             "failed": failed, "attempted": 100} for value in host]
+
+
+def test_summary_rows_and_status(capsys):
+    benchmark = {"end_to_end": [
+        {"name": "host_us_per_call", "unit": "us", "better": "lower",
+         "bound": 0.25},
+        {"name": "model_device_cycles", "unit": "cycles",
+         "better": "lower", "bound": 0.02},
+    ]}
+    status, gained = report(benchmark, {
+        "parent": _runs(MIX_TRAIN_PARENT, 7.0),
+        "change": _runs(MIX_TRAIN_CHANGE, 7.0)})
+    assert status == 0
+    assert [(name, round(ratio, 3), won, said)
+            for name, ratio, won, said in gained] == [
+        ("host_us_per_call", 0.227, "10/10", "met"),
+        ("model_device_cycles", 1.0, None, "identical")]
+    status, lost = report(benchmark, {
+        "parent": _runs(MIX_TRAIN_CHANGE, 7.0),
+        "change": _runs(MIX_TRAIN_PARENT, 8.0)})
+    assert status == 1
+    assert [row[3] for row in lost] == ["worse", "differs"]
+    capsys.readouterr()
+    text = summary({"mix_train": gained, "storm_full": lost})
+    lines = text.splitlines()
+    assert len(lines) == 5
+    assert lines[1].split() == ["mix_train", "host_us_per_call", "0.227",
+                                "10/10", "met"]
+    assert lines[2].split() == ["mix_train", "model_device_cycles",
+                                "1.000", "-", "identical"]
+    assert lines[3].split()[:2] == ["storm_full", "host_us_per_call"]
+    assert lines[3].split()[-1] == "worse"
