@@ -55,14 +55,14 @@ def run_seed(seed: int) -> dict:
                     == name.encode() * 4096
             except ReproError:
                 intact = False  # cleanly quarantined, not rescued
-            if intact and session.client.migrations:
+            if intact and session.client.rebases:
                 rescued += 1
             continue
         # Surviving tenant: any observable change is a disruption.
         try:
             disrupted = (
                 session.node.node_id != homes[name]
-                or session.client.migrations != 0
+                or session.client.rebases != 0
                 or session.client.memcpy_d2h(ptr, 4096)
                 != name.encode() * 4096
             )

@@ -1,34 +1,11 @@
 """The cluster-aware client shim: one tenant, N possible homes.
 
-A :class:`ClusterClient` wraps an ordinary
-:class:`~repro.core.client.GuardianClient` and adds the one thing live
-migration needs on the client side: **address virtualization**. The
-tenant's device pointers are handed out by its *first* node and baked
-into its data structures; after a migration its partition sits at a
-different base on the target node. Rather than rewriting the tenant's
-pointers (impossible — Guardian is transparent), the shim keeps them
-*virtual* (origin-based) and translates at the boundary:
-
-- every address that crosses toward the server host-side — ``free``,
-  ``memcpy_*`` endpoints, ``memset`` destinations — is shifted by
-  ``delta = current_base - origin_base``;
-- every address the server returns (``malloc``) is shifted back;
-- **kernel pointer parameters are deliberately left alone**: the
-  bitwise fence computes ``(addr & mask) | base`` in-kernel, and since
-  partitions are size-aligned, a virtual pointer's low bits *are* its
-  partition offset — the fence itself relocates the pointer onto the
-  new base. This is why live migration requires
-  :attr:`FencingMode.BITWISE` (the cluster enforces it at
-  construction): the sandbox instrumentation doubles as the
-  migration's pointer-translation layer, at zero extra cost.
-
-``rebind()`` swaps the wrapped client onto a new node after the
-cluster restored the tenant there: the old channel is aborted (any
-still-queued batch died with the residency), and a fresh channel is
-opened *without* re-attaching — the target server already adopted the
-tenant. Partition growth after a migration with a non-zero delta is
-refused: widening the mask would let origin-base bits leak through the
-fence.
+A :class:`ClusterClient` is the address-virtualising
+:class:`~repro.core.elastic.ElasticClient` (which explains the
+translation) plus what a partition that moves *between nodes* needs:
+the node it currently lives on, :meth:`~ClusterClient.rebind` onto a
+new node after a live migration, and a refusal to talk to a crashed
+one.
 """
 
 from __future__ import annotations
@@ -36,178 +13,66 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.client import GuardianClient
-from repro.driver.fatbin import FatBinary
-from repro.errors import MigrationError, NodeDown
+from repro.core.elastic import ElasticClient
+from repro.errors import NodeDown
 from repro.faults.plan import FaultPlan
-from repro.runtime.backend import GpuBackend
 
 
-class ClusterClient(GpuBackend):
+class ClusterClient(ElasticClient):
     """A tenant's view of the *cluster*: follows its partition around."""
 
     def __init__(self, node, app_id: str, max_bytes: int,
                  fault_plan: Optional[FaultPlan] = None):
-        self.app_id = app_id
+        #: The node currently hosting this tenant's partition.
+        self.node = node
         self.max_bytes = max_bytes
-        self._node = node
-        self._inner = GuardianClient(
-            node.dispatch_target, app_id, max_bytes, fault_plan=fault_plan,
-        )
-        self._origin_base = node.server.allocator.partition(app_id).base
-        self._delta = 0
-        self.migrations = 0
-        self._export_tables = None
-
-    # -- residency ---------------------------------------------------------------
+        super().__init__(node.dispatch_target, app_id, max_bytes,
+                         fault_plan=fault_plan)
 
     @property
-    def node(self):
-        """The node currently hosting this tenant's partition."""
-        return self._node
+    def _inner(self) -> GuardianClient:
+        # Every forwarded call reaches the wrapped client through here,
+        # so this is the one place a dead home is refused.
+        if self.node.crashed:
+            raise NodeDown(self.app_id, self.node.node_id)
+        return self._client
 
-    @property
-    def delta(self) -> int:
-        """Physical-minus-virtual base offset (0 until first move)."""
-        return self._delta
+    @_inner.setter
+    def _inner(self, client: GuardianClient) -> None:
+        self._client = client
 
-    @property
-    def crashed(self) -> bool:
-        return self._inner.crashed
-
-    @property
-    def profile(self):
-        return self._inner.profile
+    # Readable on a crashed node: the cluster's detach needs them.
 
     @property
     def channel(self):
-        return self._inner.channel
+        return self._client.channel
+
+    @property
+    def crashed(self) -> bool:
+        return self._client.crashed
+
+    def close(self) -> None:
+        if self.node.crashed:
+            self._client.channel.abort()
+            return
+        super().close()
 
     def rebind(self, node, new_base: int) -> None:
         """Point this client at the tenant's new home.
 
         The replacement inner client gets a *fresh* IPC channel bound
-        to the destination node: its marshal shadow cursor (the
-        client-side view of a compiled trace) starts at zero, matching
-        the destination trace engine's cold start — the client cannot
-        keep claiming trace-discounted marshalling for a trace that no
-        longer exists anywhere. The old channel is aborted, not
-        flushed: anything still queued was captured by (or superseded
-        by) the migration snapshot.
+        to the destination node, opened without re-attaching (the
+        target server already adopted the tenant): its marshal shadow
+        cursor starts at zero, matching the destination trace engine's
+        cold start. The old channel is aborted, not flushed: anything
+        still queued was captured by (or superseded by) the migration
+        snapshot.
         """
-        old = self._inner
+        old = self._client
         self._inner = GuardianClient(
             node.dispatch_target, self.app_id, self.max_bytes,
             fault_plan=old._faults, attach=False,
         )
         old.channel.abort()
-        self._node = node
-        self._delta = new_base - self._origin_base
-        self.migrations += 1
-
-    def _check_node(self) -> None:
-        if self._node.crashed:
-            raise NodeDown(self.app_id, self._node.node_id)
-
-    # -- address translation -----------------------------------------------------
-
-    def _phys(self, virtual: int) -> int:
-        return virtual + self._delta
-
-    def _virt(self, physical: int) -> int:
-        return physical - self._delta
-
-    # -- GpuBackend interface ------------------------------------------------------
-
-    def malloc(self, size: int) -> int:
-        self._check_node()
-        return self._virt(self._inner.malloc(size))
-
-    def free(self, address: int) -> None:
-        self._check_node()
-        self._inner.free(self._phys(address))
-
-    def memcpy_h2d(self, dst: int, data: bytes, stream_id: int = 0) -> None:
-        self._check_node()
-        self._inner.memcpy_h2d(self._phys(dst), data, stream_id)
-
-    def memcpy_d2h(self, src: int, size: int, stream_id: int = 0) -> bytes:
-        self._check_node()
-        return self._inner.memcpy_d2h(self._phys(src), size, stream_id)
-
-    def memcpy_d2d(self, dst: int, src: int, size: int,
-                   stream_id: int = 0) -> None:
-        self._check_node()
-        self._inner.memcpy_d2d(self._phys(dst), self._phys(src), size,
-                               stream_id)
-
-    def memset(self, dst: int, value: int, size: int,
-               stream_id: int = 0) -> None:
-        self._check_node()
-        self._inner.memset(self._phys(dst), value, size, stream_id)
-
-    def register_fatbin(self, fatbin: FatBinary) -> dict[str, int]:
-        self._check_node()
-        return self._inner.register_fatbin(fatbin)
-
-    def load_module_ptx(self, ptx_text: str) -> dict[str, int]:
-        self._check_node()
-        return self._inner.load_module_ptx(ptx_text)
-
-    def launch_kernel(self, handle, grid, block, params,
-                      stream_id: int = 0) -> None:
-        # Pointer parameters stay virtual: the bitwise fence relocates
-        # them onto the current base in-kernel (module docstring).
-        self._check_node()
-        self._inner.launch_kernel(handle, grid, block, params, stream_id)
-
-    def create_stream(self) -> int:
-        self._check_node()
-        return self._inner.create_stream()
-
-    def synchronize(self) -> None:
-        self._check_node()
-        self._inner.synchronize()
-
-    def get_export_table(self, table_uuid: str) -> dict:
-        # Built against *this* shim (not the inner client) so the
-        # hidden functions keep routing through the current node after
-        # a rebind.
-        if self._export_tables is None:
-            from repro.runtime.export_table import build_export_tables
-
-            self._export_tables = build_export_tables(self)
-        table = self._export_tables.get(table_uuid)
-        if table is None:
-            from repro.errors import GuardianError
-
-            raise GuardianError(
-                f"export table {table_uuid!r} is not in Guardian's "
-                f"minimal implementation"
-            )
-        return table
-
-    def device_spec(self):
-        self._check_node()
-        return self._inner.device_spec()
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    def grow_partition(self, new_max_bytes: int) -> int:
-        self._check_node()
-        if self._delta:
-            raise MigrationError(
-                f"tenant {self.app_id!r}: partition growth after a "
-                f"migration is not supported (the widened fence mask "
-                f"would leak origin-base bits)"
-            )
-        return self._inner.grow_partition(new_max_bytes)
-
-    def flush(self) -> int:
-        self._check_node()
-        return self._inner.flush()
-
-    def close(self) -> None:
-        if self._node.crashed:
-            self._inner.channel.abort()
-            return
-        self._inner.close()
+        self.node = node
+        self.rebase(new_base)

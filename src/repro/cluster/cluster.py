@@ -78,7 +78,7 @@ class ClusterConfig:
 
     server_config: ServerConfig = field(default_factory=ServerConfig)
     #: Live migration requires the bitwise fence (it doubles as the
-    #: client's pointer-translation layer — see cluster/client.py).
+    #: client's pointer-translation layer — see core/elastic.py).
     mode: FencingMode = FencingMode.BITWISE
     health: HealthPolicy = field(default_factory=HealthPolicy)
     placement: PlacementPolicy = field(default_factory=PlacementPolicy)
@@ -257,6 +257,8 @@ class GuardianCluster:
         loader = DynamicLoader()
         client = ClusterClient(home, app_id, max_bytes,
                                fault_plan=self.plan)
+        if home.server.elastic is not None:
+            home.server.elastic.bind_client(app_id, client)
         loader.preload(LIBCUDA, client)
         session = ClusterTenant(
             app_id=app_id,
@@ -509,6 +511,8 @@ class GuardianCluster:
             source.server.evacuate(app_id)
             source.supervisor.forget(app_id)
         session.client.rebind(target, new_base)
+        if target.server.elastic is not None:
+            target.server.elastic.bind_client(app_id, session.client)
         record.success = True
         self._observe_migration(record)
         return True

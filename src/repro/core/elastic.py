@@ -20,12 +20,8 @@ paper's Table 5 / Fig. 7–13 numbers):
   → replay at the new base → republish bounds — authorised by
   :func:`should_defrag` on the fragmentation score
   (largest-carveable / bytes-unpartitioned). The
-  tenant's pointers survive through client address virtualization
-  (:class:`ElasticClient`) plus the bitwise fence, exactly like a
-  cross-node migration: host-side addresses are shifted by the base
-  delta, kernel pointer parameters stay virtual and the in-kernel
-  ``(addr & mask) | base`` relocates them — the per-access check is
-  still two mask ops.
+  tenant's pointers survive through :class:`ElasticClient`'s address
+  virtualisation, exactly like a cross-node migration.
 - **Oversubscription**: admit beyond physical capacity by swapping
   the coldest resident partitions to host memory, with the PCIe
   transfer cost modelled from :attr:`DeviceSpec.pcie_bw_gbps` and
@@ -47,6 +43,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core import masks
+from repro.core.client import GuardianClient
 from repro.core.policy import FencingMode
 from repro.errors import GuardianError, PartitionError
 from repro.gpu.allocator import FirstFitAllocator
@@ -467,31 +464,40 @@ class ElasticMemoryEngine:
 
 
 class ElasticClient(GpuBackend):
-    """Address-virtualizing client shim for elastic tenants.
+    """The address-virtualising client shim: one tenant whose partition
+    may move.
 
-    The intra-node sibling of the cluster's
-    :class:`~repro.cluster.client.ClusterClient`: the tenant's device
-    pointers are handed out against its *first* base and baked into
-    its data structures; after a compaction or swap-in the partition
-    sits elsewhere. The shim keeps tenant pointers virtual
-    (origin-based) and translates at the boundary — host-side
-    addresses shift by ``delta = current_base - origin_base``, while
-    kernel pointer parameters stay virtual: partitions are
-    size-aligned, so a virtual pointer's low bits *are* its partition
-    offset and the in-kernel ``(addr & mask) | base`` fence relocates
-    it onto the current base at zero extra cost. The per-access check
-    path is unchanged — still exactly two mask ops.
+    The tenant's device pointers are handed out against its *first*
+    base and baked into its data structures; after a compaction or
+    swap-in (this module's engine) or a live migration to another node
+    (the :class:`~repro.cluster.client.ClusterClient` subclass) the
+    partition sits at a different base. Rather than rewriting the
+    tenant's pointers (impossible — Guardian is transparent), the shim
+    keeps them *virtual* (origin-based) and translates at the boundary:
+
+    - every address that crosses toward the server host-side — ``free``,
+      ``memcpy_*`` endpoints, ``memset`` destinations — is shifted by
+      ``delta = current_base - origin_base``, and every address the
+      server returns (``malloc``) is shifted back;
+    - **kernel pointer parameters are deliberately left alone**: the
+      bitwise fence computes ``(addr & mask) | base`` in-kernel, and
+      since partitions are size-aligned, a virtual pointer's low bits
+      *are* its partition offset — the fence itself relocates the
+      pointer onto the current base. The sandbox instrumentation
+      doubles as the pointer-translation layer at zero extra cost, which
+      is why every move requires :attr:`FencingMode.BITWISE`; the
+      per-access check is still exactly two mask ops.
+
+    Growth after a move with a non-zero delta is refused: the widened
+    mask would let origin-base bits leak through the fence.
 
     :meth:`rebase` is driven by the engine through
-    :meth:`ElasticMemoryEngine.bind_client`; callers that manage moves
-    by hand may call it directly.
+    :meth:`ElasticMemoryEngine.bind_client` and by the cluster's
+    ``rebind``; callers that manage moves by hand may call it directly.
+    ``rebases`` counts the moves.
     """
 
     def __init__(self, server, app_id: str, max_bytes: int, **client_kwargs):
-        # Local import: repro.core.client imports the server module,
-        # which imports this one — the shim resolves the cycle lazily.
-        from repro.core.client import GuardianClient
-
         self.app_id = app_id
         self._inner = GuardianClient(
             server, app_id, max_bytes, **client_kwargs
@@ -499,6 +505,7 @@ class ElasticClient(GpuBackend):
         self._origin_base = server.allocator.partition(app_id).base
         self._delta = 0
         self.rebases = 0
+        self._export_tables = None
 
     @property
     def delta(self) -> int:
@@ -561,8 +568,10 @@ class ElasticClient(GpuBackend):
     def synchronize(self) -> None:
         self._inner.synchronize()
 
-    def get_export_table(self, table_uuid: str) -> dict:
-        return self._inner.get_export_table(table_uuid)
+    # The client's own implementation, built against *this* shim, so the
+    # hidden functions keep routing through translation (and, in the
+    # cluster, through the current node after a rebind).
+    get_export_table = GuardianClient.get_export_table
 
     def device_spec(self):
         return self._inner.device_spec()

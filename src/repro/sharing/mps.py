@@ -260,7 +260,12 @@ class MPSClient(GpuBackend):
             from repro.runtime.export_table import build_export_tables
 
             self._export_tables = build_export_tables(self)
-        return self._export_tables[table_uuid]
+        try:
+            return self._export_tables[table_uuid]
+        except KeyError:
+            raise DriverError(
+                f"unknown export table {table_uuid!r}"
+            ) from None
 
     def device_spec(self):
         if self._spec is None:

@@ -53,7 +53,7 @@ def test_node_loss_never_disrupts_bystanders(seed):
         if homes[name] not in downed:
             # Bystander: same node, same bytes, still serving.
             assert session.node.node_id == homes[name]
-            assert session.client.migrations == 0
+            assert session.client.rebases == 0
             assert session.client.memcpy_d2h(ptr, 4096) \
                 == name.encode() * 4096
 

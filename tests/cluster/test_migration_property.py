@@ -113,7 +113,7 @@ def test_migrated_run_is_bit_identical_to_control(
         migrate=migrate)
     subject.synchronize()
 
-    assert subject_session.client.migrations == 1
+    assert subject_session.client.rebases == 1
     assert subject_observed == control_observed
     # Modelled execution cycles match launch-for-launch. The subject's
     # pad tenant launched nothing, so the device logs contain exactly
@@ -143,5 +143,5 @@ def test_double_migration_round_trip(seed):
 
     observed = workload.run(session.client, migrate_after=0,
                             migrate=there_and_back)
-    assert session.client.migrations == 2
+    assert session.client.rebases == 2
     assert observed == control_observed

@@ -16,7 +16,7 @@ from repro.core.elastic import (
 from repro.core.policy import FencingMode
 from repro.core.server import GuardianServer, ServerConfig
 from repro.driver.fatbin import build_fatbin
-from repro.errors import GuardianError, PartitionError
+from repro.errors import GuardianError
 from repro.gpu.device import Device
 from repro.gpu.specs import MIB, QUADRO_RTX_A4000
 from repro.ptx.builder import build_module
@@ -255,14 +255,6 @@ class TestCompaction:
         server.attach("a", 1 << 20)
         with pytest.raises(GuardianError, match="bitwise"):
             server.elastic.compact("a")
-
-    def test_grow_refused_after_relocation(self):
-        server = elastic_server()
-        mover = self._fragmented(server)
-        server.elastic.compact("mover")
-        assert mover.delta != 0
-        with pytest.raises(PartitionError, match="relocation"):
-            mover.grow_partition(4 << 20)
 
     def test_shrink_fine_after_relocation(self):
         server = elastic_server()

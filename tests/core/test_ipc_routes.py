@@ -196,7 +196,7 @@ class TestClusterGolden:
     def test_migration_traces_are_byte_identical(self):
         cluster, reads = cluster_run()
         assert all(len(raw) == 64 for raw in reads)
-        assert [client.migrations for client in
+        assert [client.rebases for client in
                 (cluster.tenants[name].client for name in ("t0", "t1"))
                 ] == [1, 2]
         assert {

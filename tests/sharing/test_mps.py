@@ -80,6 +80,11 @@ class TestClient:
         _, server = mps
         assert isinstance(MPSClient(server, "x"), GpuBackend)
 
+    def test_unknown_export_table_is_a_driver_error(self, mps):
+        _, server = mps
+        with pytest.raises(DriverError, match="bogus-uuid"):
+            MPSClient(server, "x").get_export_table("bogus-uuid")
+
     def test_end_to_end_kernel(self, mps):
         _, server = mps
         runtime = client_runtime(server, "a")
