@@ -76,10 +76,10 @@ class BlockCodegen(KernelCodegen):
 
     Raises :class:`Unsupported` for kernels whose exact behaviour the
     lane representation cannot guarantee statically: ``atom``,
-    ``brx``, ``.local``, ``%clock``, operands whose register bank does
-    not match the instruction type, a register that may be read before
-    it is written, and integer lanes flowing through float registers
-    into all-integer arithmetic.
+    ``brx``, ``.local``, ``%clock``, a guarded ``ret``/``exit``,
+    operands whose register bank does not match the instruction type,
+    a register that may be read before it is written, and integer
+    lanes flowing through float registers into all-integer arithmetic.
     """
 
     FLOAT = "_flt"
@@ -244,6 +244,8 @@ class BlockCodegen(KernelCodegen):
                 reads.append(ins.guard_reg)
             if ins.op in ("brx", "atom", "call"):
                 raise Unsupported(f"{ins.opcode}: not vectorised")
+            if ins.op in ("ret", "exit") and ins.guard_reg is not None:
+                raise Unsupported(f"{ins.opcode}: guarded exit")
             if ins.op in ("ld", "st"):
                 more, written = self._check_memory(ins)
                 reads += more
@@ -268,8 +270,7 @@ class BlockCodegen(KernelCodegen):
         for block_id, leader in enumerate(ordered[:-1]):
             ins = instructions[leader]
             if (ordered[block_id + 1] == leader + 1
-                    and ins.op in ("ret", "exit")
-                    and ins.guard_reg is None):
+                    and ins.op in ("ret", "exit")):
                 exits.add(block_id)
         return frozenset(exits)
 
@@ -575,6 +576,9 @@ class BlockCodegen(KernelCodegen):
             gen.emit(f"_R.phase(); _pc = {next_block}; continue")
         else:
             gen.emit(f"_R.park({next_block}, _m, _n); _n = 0; continue")
+
+    def _emit_exit(self, ins) -> None:
+        self._emit_return()  # unguarded: admission refuses the rest
 
     def _emit_return(self) -> None:
         gen = self.gen

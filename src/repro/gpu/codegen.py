@@ -3,8 +3,9 @@
 The reference interpreter in :mod:`repro.gpu.executor` dispatches every
 instruction dynamically (~10 us each) — faithful but far too slow for
 the paper's benchmark matrix. This module compiles each kernel's
-decoded instruction list into one specialised Python generator
-function:
+decoded instruction list into one specialised Python function that
+runs every thread of a block in turn (a generator per thread for a
+kernel with ``bar``, whose threads must meet at the barrier):
 
 - virtual registers become Python locals,
 - basic blocks become arms of a ``while True`` state machine,
@@ -40,6 +41,7 @@ Generated code is cached by kernel *content* (:func:`kernel_code`).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
 import types
@@ -305,11 +307,11 @@ _BASE_ENV = {
 }
 
 
-def thread_env(memory_env: dict, local_buffer) -> dict:
+def thread_env(memory_env: dict, local_bytes: int) -> dict:
     """Globals of one executor's per-thread functions: the helpers of
-    :func:`make_memory_helpers` plus the executor's ``.local`` buffer
-    accessor."""
-    return {**_BASE_ENV, **memory_env, "_local": local_buffer}
+    :func:`make_memory_helpers` plus the size of a thread's ``.local``
+    buffer."""
+    return {**_BASE_ENV, **memory_env, "_LOCAL_BYTES": local_bytes}
 
 
 # --------------------------------------------------------------------------
@@ -388,7 +390,7 @@ class KernelCodegen:
     """Emission shared by both generated engines: operand and
     expression source, instruction dispatch and basic-block layout.
 
-    :class:`ThreadCodegen` turns a kernel into the per-thread generator
+    :class:`ThreadCodegen` turns a kernel into the per-thread
     function; :class:`BlockCodegen` turns it into the block function.
     The expression text of an instruction is the same for both (a lane
     vector and a Python scalar answer to the same operators); the
@@ -667,13 +669,20 @@ class KernelCodegen:
                 elif ins.op == "bar":
                     self._emit_barrier(block_of[index + 1])
                 else:
-                    self._emit_return()
+                    self._emit_exit(ins)
             elif ins.op == "call":
                 raise ExecutionError(
                     "device-function calls are not executed by the "
                     "simulator"
                 )
             else:
+                if any(isinstance(operand, SpecialReg)
+                       and operand.name == "%clock"
+                       for operand in ins.operands):
+                    # %clock counts the cycles so far, this
+                    # instruction's included (the interpreter's order).
+                    self._flush_static(static_cycles, count)
+                    static_cycles = count = 0
                 self._emit_instruction(ins)
         self._flush_static(static_cycles, count)
         if end < len(instructions):
@@ -684,19 +693,26 @@ class KernelCodegen:
 
 
 class ThreadCodegen(KernelCodegen):
-    """Generates the per-thread generator function of one kernel."""
+    """Generates the per-thread function of one kernel (see
+    :meth:`generate`)."""
+
+    @contextlib.contextmanager
+    def _guarded(self, ins):
+        """Source emitted inside the ``with`` runs only when ``ins``'s
+        guard holds (always for an unguarded instruction)."""
+        if ins.guard_reg is None:
+            yield
+            return
+        want = "not " if ins.guard_negated else ""
+        guard_name = _mangle(ins.guard_reg)
+        self._declared.add(guard_name)
+        self.gen.emit(f"if {want}{guard_name}:")
+        self.gen.indent += 1
+        yield
+        self.gen.indent -= 1
 
     def _emit_instruction(self, ins) -> None:
-        gen = self.gen
-        if ins.guard_reg is not None:
-            want = "not " if ins.guard_negated else ""
-            guard_name = _mangle(ins.guard_reg)
-            self._declared.add(guard_name)
-            gen.emit(f"if {want}{guard_name}:")
-            gen.indent += 1
-            self._emit_body(ins)
-            gen.indent -= 1
-        else:
+        with self._guarded(ins):
             self._emit_body(ins)
 
     def _emit_sfu(self, ins) -> None:
@@ -745,7 +761,7 @@ class ThreadCodegen(KernelCodegen):
             gen.emit(f"_cycles += {cost}")
             unpacker = _SHARED_STRUCTS[dtype]
             self._assign(
-                dest, f"{unpacker}.unpack_from(_local(t), {address})[0]",
+                dest, f"{unpacker}.unpack_from(_lmem, {address})[0]",
                 dtype)
         else:
             name = self._expr(dest)
@@ -766,7 +782,7 @@ class ThreadCodegen(KernelCodegen):
         elif space == "local":
             cost = self.cost_model.memory_cost("local")
             gen.emit(f"_cycles += {cost}")
-            self._emit_buffer_store("_local(t)", dtype, address, value)
+            self._emit_buffer_store("_lmem", dtype, address, value)
         else:
             if isa.is_float(dtype):
                 value = f"float({value})"
@@ -814,52 +830,76 @@ class ThreadCodegen(KernelCodegen):
             self.gen.emit(f"_cycles += {cycles}; _instr += {count}")
 
     def _emit_branch(self, ins, target: int) -> None:
-        gen = self.gen
-        if ins.guard_reg is not None:
-            want = "not " if ins.guard_negated else ""
-            guard_name = _mangle(ins.guard_reg)
-            self._declared.add(guard_name)
-            gen.emit(f"if {want}{guard_name}:")
-            gen.indent += 1
-            gen.emit(f"_pc = {target}; continue")
-            gen.indent -= 1
-        else:
-            gen.emit(f"_pc = {target}; continue")
+        with self._guarded(ins):
+            self.gen.emit(f"_pc = {target}; continue")
 
     def _emit_indirect_branch(self, ins, targets: tuple) -> None:
         gen = self.gen
-        gen.emit(f"_brx_i = {self._expr(ins.operands[0])}")
-        gen.emit(f"if not 0 <= _brx_i < {len(targets)}:")
-        gen.indent += 1
-        gen.emit("raise ExecutionError("
-                 "'brx.idx index %d out of range' % _brx_i)")
-        gen.indent -= 1
-        gen.emit(f"_pc = {targets}[_brx_i]; continue")
+        with self._guarded(ins):
+            gen.emit(f"_brx_i = {self._expr(ins.operands[0])}")
+            gen.emit(f"if not 0 <= _brx_i < {len(targets)}:")
+            gen.indent += 1
+            gen.emit("raise ExecutionError("
+                     "'brx.idx index %d out of range' % _brx_i)")
+            gen.indent -= 1
+            gen.emit(f"_pc = {targets}[_brx_i]; continue")
 
     def _emit_barrier(self, next_block: int) -> None:
         self.gen.emit("yield")
         self.gen.emit(f"_pc = {next_block}; continue")
+
+    def _emit_exit(self, ins) -> None:
+        with self._guarded(ins):
+            self._emit_return()
 
     def _emit_return(self) -> None:
         self.gen.emit("break")
 
     # -- whole-kernel generation -------------------------------------------------------
 
-    def generate(self) -> str:
+    def generate(self, loop: bool) -> str:
+        """Source of the kernel's per-thread function.
+
+        ``loop`` (a kernel without ``bar``): ``_threads(params, shared,
+        _gsyms, ntid, ctaid, nctaid, warp_size)`` runs every thread of
+        one block to completion in linear order and returns the
+        block's ``(warp cycles, instructions, loads, stores)``.
+        Otherwise ``_thread(t, params, shared, _gsyms)`` is one
+        thread's generator, suspending at each ``bar``, and adds its
+        counts to the executor's thread record ``t``. Between the two
+        prologues and epilogues the body is the same state machine.
+        """
         instructions = self.ck.instructions
         ordered, block_of = basic_blocks(instructions)
 
         gen = self.gen
-        gen.emit("def _thread(t, params, shared, _gsyms):")
-        gen.indent += 1
+        if loop:
+            gen.emit("def _threads(params, shared, _gsyms, ntid, ctaid, "
+                     "nctaid, warp_size):")
+            gen.indent += 1
+            gen.emit("_ntid0, _ntid1, _ntid2 = ntid")
+            gen.emit("_ctaid0, _ctaid1, _ctaid2 = ctaid")
+            gen.emit("_nctaid0, _nctaid1, _nctaid2 = nctaid")
+            gen.emit("_wsum = _wmax = _linear = 0")
+            gen.emit("_tinstr = _tloads = _tstores = 0")
+            for axis in (2, 1, 0):
+                gen.emit(f"for _tid{axis} in range(_ntid{axis}):")
+                gen.indent += 1
+            gen.emit("_lane = _linear % warp_size; "
+                     "_warp = _linear // warp_size; _linear += 1")
+        else:
+            gen.emit("def _thread(t, params, shared, _gsyms):")
+            gen.indent += 1
+            gen.emit("_tid0, _tid1, _tid2 = t.tid")
+            gen.emit("_ntid0, _ntid1, _ntid2 = t.ntid")
+            gen.emit("_ctaid0, _ctaid1, _ctaid2 = t.ctaid")
+            gen.emit("_nctaid0, _nctaid1, _nctaid2 = t.nctaid")
+            gen.emit("_lane = t.lane; _warp = t.warp")
         gen.emit("_cycles = 0; _instr = 0; _loads = 0; _stores = 0")
         gen.emit("_steps = 0")
-        gen.emit("_tid0, _tid1, _tid2 = t.tid")
-        gen.emit("_ntid0, _ntid1, _ntid2 = t.ntid")
-        gen.emit("_ctaid0, _ctaid1, _ctaid2 = t.ctaid")
-        gen.emit("_nctaid0, _nctaid1, _nctaid2 = t.nctaid")
-        gen.emit("_lane = t.lane; _warp = t.warp")
-        body_start = len(gen.lines)
+        if any(ins.space == "local" for ins in instructions):
+            gen.emit("_lmem = bytearray(_LOCAL_BYTES)")
+        body_start, body_indent = len(gen.lines), gen.indent
         gen.emit("_pc = 0")
         gen.emit("while True:")
         gen.indent += 1
@@ -879,22 +919,25 @@ class ThreadCodegen(KernelCodegen):
         gen.emit("else:" if len(ordered) > 1 else "if True:")
         gen.indent += 1
         gen.emit("break")
-        gen.indent -= 1
-        gen.indent -= 1
-        gen.emit("t.cycles += _cycles; t.instructions += _instr")
-        gen.emit("t.loads += _loads; t.stores += _stores")
-        gen.emit("return")
-        gen.emit("if False:")
-        gen.indent += 1
-        gen.emit("yield")  # make _thread a generator even barrier-free
-        gen.indent -= 1
-        gen.indent -= 1
+        gen.indent -= 2
+        if loop:
+            # A warp costs its slowest thread (lockstep).
+            gen.emit("if not _lane: _wsum += _wmax; _wmax = 0")
+            gen.emit("if _cycles > _wmax: _wmax = _cycles")
+            gen.emit("_tinstr += _instr; _tloads += _loads; "
+                     "_tstores += _stores")
+            gen.indent -= 3
+            gen.emit("return float(_wsum + _wmax), _tinstr, _tloads, "
+                     "_tstores")
+        else:
+            gen.emit("t.cycles += _cycles; t.instructions += _instr")
+            gen.emit("t.loads += _loads; t.stores += _stores")
 
-        # Initialise every register local touched by the body.
+        # Initialise (per thread) every register local the body touches.
         if self._declared:
             init = "; ".join(f"{name} = 0"
                              for name in sorted(self._declared))
-            gen.lines.insert(body_start, "    " + init)
+            gen.lines.insert(body_start, "    " * body_indent + init)
         return gen.source()
 
 
@@ -916,10 +959,14 @@ class KernelCode:
     addresses through the ``_gsyms`` argument at call time.
     """
 
-    def __init__(self, spannable: bool):
+    def __init__(self, barrier_free: bool, spannable: bool):
         self._thread = None
         #: ``(code, exits, access shifts)``, or the Unsupported reason.
         self._block = None
+        #: No ``bar``: no thread waits for another, so the per-thread
+        #: function is the loop over a block's threads
+        #: (:meth:`ThreadCodegen.generate`).
+        self.barrier_free = barrier_free
         #: No ``.shared`` and no ``bar``: a thread's only tie to its
         #: block is ``%ctaid``, so the block engine may run several
         #: blocks of a launch in one pass.
@@ -927,10 +974,12 @@ class KernelCode:
 
     def bind_thread(self, compiled, cost_model: CostModel, env: dict):
         if self._thread is None:
-            source = ThreadCodegen(compiled, cost_model).generate()
+            name = "_threads" if self.barrier_free else "_thread"
+            source = ThreadCodegen(compiled, cost_model).generate(
+                self.barrier_free)
             self._thread = _function_code(
-                source, f"<guardian-jit:{compiled.name}>", "_thread")
-        return types.FunctionType(self._thread, env, "_thread")
+                source, f"<guardian-jit:{compiled.name}>", name)
+        return types.FunctionType(self._thread, env, self._thread.co_name)
 
     def bind_block(self, compiled, cost_model: CostModel, env: dict):
         """``(block function, exits, access shifts)``, or None when
@@ -997,9 +1046,11 @@ def kernel_code(compiled, cost_model: CostModel) -> KernelCode:
         )
         code = _CODE_BY_CONTENT.get(key)
         if code is None:
+            instructions = compiled.instructions
+            barrier_free = not any(ins.op == "bar" for ins in instructions)
             code = _CODE_BY_CONTENT[key] = KernelCode(
-                spannable=not compiled.shared_bytes and not any(
-                    ins.op == "bar" or ins.space == "shared"
-                    for ins in compiled.instructions))
+                barrier_free=barrier_free,
+                spannable=barrier_free and not compiled.shared_bytes
+                and not any(ins.space == "shared" for ins in instructions))
         compiled.code = code
     return code

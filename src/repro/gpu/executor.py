@@ -8,10 +8,11 @@ once fenced), and the added masking instructions genuinely cost cycles.
 
 Execution model
 ---------------
-Threads of a block run as cooperating generators (suspending at
-``bar.sync``); warps are groups of 32 consecutive threads; a warp's
-cycle count is the maximum over its threads (lockstep). Kernel device
-time is::
+Threads of a block run one after another in linear order; only a
+kernel with ``bar.sync`` runs them as cooperating generators that
+suspend at each barrier until every thread has reached it. Warps are
+groups of 32 consecutive threads; a warp's cycle count is the maximum
+over its threads (lockstep). Kernel device time is::
 
     duration = launch_overhead + sum(warp_cycles) / parallelism
     parallelism = min(num_warps, num_sms * EFFECTIVE_WARPS_PER_SM)
@@ -25,7 +26,8 @@ Engines
 Three engines produce the same memory effects and the same cycle
 accounting: the reference interpreter in this module (the oracle;
 ``use_codegen=False``), the per-thread JIT of
-:mod:`repro.gpu.codegen` (one generated generator per thread) and the
+:mod:`repro.gpu.codegen` (one generated loop over a block's threads,
+a generator per thread for a kernel with ``bar``) and the
 block engine (one generated function per kernel that runs a *span* of
 thread blocks at once, registers as numpy lane vectors;
 :mod:`repro.gpu.blockrt`). With ``use_codegen`` the executor cuts a
@@ -471,8 +473,14 @@ class KernelExecutor:
         self.engine_blocks["thread"] += 1
 
         ctaid = _unlinearise(block_ids[0], grid)
-        bx, by, bz = block
         shared = bytearray(max(compiled.shared_bytes, 1))
+        if engines is not None and compiled.code.barrier_free:
+            # No thread waits for another: one generated loop runs the
+            # block's threads in order and folds its warps.
+            return self._thread_function(compiled, engines)(
+                params, shared, compiled.global_symbols, block, ctaid, grid,
+                self.spec.warp_size)
+        bx, by, bz = block
         threads: list[_Thread] = []
         for tz in range(bz):
             for ty in range(by):
@@ -553,7 +561,7 @@ class KernelExecutor:
             self._thread_env = codegen.thread_env(
                 codegen.make_memory_helpers(
                     self.memory, self.hierarchy, self.cost_model),
-                _local)
+                LOCAL_MEMORY_BYTES)
         return self._thread_env
 
     def _thread_function(self, compiled: CompiledKernel,

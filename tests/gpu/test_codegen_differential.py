@@ -24,12 +24,20 @@ from hypothesis import given, settings, strategies as st
 from repro.core.patcher import PTXPatcher
 from repro.core.policy import FencingMode
 from repro.errors import ExecutionError, MemoryFault
-from repro.gpu import blockrt
+from repro.gpu import blockrt, codegen
+from repro.gpu import executor as gpu_executor
 from repro.gpu.executor import SPAN_LANES, compile_kernel
 from repro.gpu.memory import GlobalMemory
 from repro.gpu.specs import QUADRO_RTX_A4000
 from repro.libs.kernels import blas, dnn, fft, rand as rand_kernels
-from repro.ptx.ast import Guard, Immediate, Instruction, MemRef, SharedDecl
+from repro.ptx.ast import (
+    Guard,
+    Immediate,
+    Instruction,
+    MemRef,
+    SharedDecl,
+    TargetList,
+)
 from repro.ptx.builder import KernelBuilder, build_module
 
 from tests.conftest import (
@@ -256,16 +264,25 @@ class TestKnownKernels:
         assert outcomes["block"].executor.engine_blocks["fallback"] == 1
 
 
-def collatz_kernel():
+def block_linear_id(b):
+    """``(tid.z * ntid.y + tid.y) * ntid.x + tid.x``"""
+    x, y, z = (b.special(f"%tid.{axis}") for axis in "xyz")
+    return b.mad_lo("u32", b.mad_lo("u32", z, b.special("%ntid.y"), y),
+                    b.special("%ntid.x"), x)
+
+
+def collatz_kernel(in_block=False):
     """out[i] = steps of the 3n+1 walk from in[i]: a loop whose trip
-    count depends on the data, so lanes leave it one by one."""
+    count depends on the data, so lanes leave it one by one. ``i`` is
+    the global thread id, or with ``in_block`` the thread's linear id
+    in its block over all three axes."""
     b = KernelBuilder("collatz", params=[
         ("out", "u64"), ("inp", "u64"), ("n", "u32"),
     ])
     out = b.load_param_ptr("out")
     inp = b.load_param_ptr("inp")
     n = b.load_param("n", "u32")
-    gid = b.global_thread_id()
+    gid = block_linear_id(b) if in_block else b.global_thread_id()
     with b.if_less_than(gid, n):
         value = b.ld_global("u32", b.element_addr(inp, gid, 4))
         steps = b.mov("u32", Immediate(0))
@@ -1043,3 +1060,272 @@ class TestLaneGeometryIsBounded:
                 assert np.array_equal(stored, x | y << 10 | z << 20), shape
         assert executor.engine_blocks == {
             "block": 5000, "thread": 0, "fallback": 0}
+
+
+# --------------------------------------------------------------------------
+# Guarded transfers, %clock and the per-thread loop
+# --------------------------------------------------------------------------
+
+
+def assert_as_interpreter(outcomes):
+    """Interpreter vs JIT on a kernel without float arithmetic: every
+    byte, counter, warp cycle and cache line."""
+    reference, jit = outcomes["interpreter"], outcomes["jit"]
+    assert_equivalent(reference, jit)
+    assert reference.bytes == jit.bytes
+    assert (reference.result.total_warp_cycles
+            == jit.result.total_warp_cycles)
+    assert reference.cache_state() == jit.cache_state()
+
+
+def early_exit_kernel(op):
+    """out[tid] = 1; ``@(tid >= 2) ret`` (or ``exit``); out[tid] = 7."""
+    b = KernelBuilder(f"early_{op}", params=[("out", "u64")])
+    out = b.load_param_ptr("out")
+    tid = b.special("%tid.x")
+    slot = b.element_addr(out, tid, 4)
+    b.st_global("u32", slot, Immediate(1))
+    late = b.setp("ge", "u32", tid, Immediate(2))
+    b.emit(op, guard=Guard(late.name))
+    b.st_global("u32", slot, Immediate(7))
+    return b.build()
+
+
+def guarded_brx_kernel():
+    """Odd threads take ``@p brx.idx`` (index 0) to the store of 100;
+    even ones, whose index -1 is out of range, fall through to the
+    store of 5 without looking at it."""
+    b = KernelBuilder("guarded_brx", params=[("out", "u64")])
+    out = b.load_param_ptr("out")
+    tid = b.special("%tid.x")
+    slot = b.element_addr(out, tid, 4)
+    parity = b.and_("b32", tid, Immediate(1))
+    odd = b.setp("eq", "u32", parity, Immediate(1))
+    index = b.sub("s32", parity, Immediate(1))
+    far = b.fresh_label("far")
+    done = b.fresh_label("done")
+    b.emit("brx.idx", index, TargetList((far,)), guard=Guard(odd.name))
+    b.st_global("u32", slot, Immediate(5))
+    b.bra(done)
+    b.label(far)
+    b.st_global("u32", slot, Immediate(100))
+    b.label(done)
+    return b.build()
+
+
+def clock_kernel(looped):
+    """Stores ``%clock``: once after the prologue, or in each of three
+    loop trips after a global load."""
+    b = KernelBuilder(f"clock_{'loop' if looped else 'line'}",
+                      params=[("out", "u64"), ("inp", "u64")])
+    out = b.load_param_ptr("out")
+    inp = b.load_param_ptr("inp")
+    tid = b.special("%tid.x")
+    if not looped:
+        b.st_global("u32", b.element_addr(out, tid, 4), b.special("%clock"))
+        return b.build()
+    with b.loop(Immediate(3)) as trip:
+        value = b.ld_global(
+            "u32", b.element_addr(inp, b.add("u32", tid, trip), 4))
+        stamp = b.add("u32", b.special("%clock"), value)
+        cell = b.mad_lo("u32", tid, Immediate(3), trip)
+        b.st_global("u32", b.element_addr(out, cell, 4), stamp)
+    return b.build()
+
+
+class TestGuardedTransfers:
+    """``@p ret`` / ``@p exit`` / ``@p brx.idx`` with ``p`` false fall
+    through, as in the interpreter; the block engine refuses a guarded
+    exit, so such a kernel runs on the JIT."""
+
+    @pytest.mark.parametrize("op", ["ret", "exit"])
+    def test_guarded_exit(self, op):
+        outcomes = run_engines(early_exit_kernel(op), (1, 1, 1),
+                               (4, 1, 1), [BASE])
+        assert_as_interpreter(outcomes)
+        assert_identical(outcomes["jit"], outcomes["block"])
+        block = outcomes["block"]
+        assert list(block.memory.read_array(BASE, 4, dtype="u32")) == [
+            7, 7, 1, 1]
+        assert block.executor.engine_blocks == {
+            "block": 0, "thread": 1, "fallback": 0}
+        assert "guarded exit" in block.compiled.code.block_unsupported_reason
+
+    def test_guarded_indirect_branch(self):
+        outcomes = run_engines(guarded_brx_kernel(), (1, 1, 1), (8, 1, 1),
+                               [BASE])
+        assert_as_interpreter(outcomes)
+        assert_identical(outcomes["jit"], outcomes["block"])
+        out = outcomes["block"].memory.read_array(BASE, 8, dtype="u32")
+        assert list(out) == [5, 100] * 4
+
+
+class TestClock:
+    """``%clock`` reads the cycles so far, the reading instruction's
+    included, on the JIT as in the interpreter."""
+
+    @pytest.mark.parametrize("looped", [False, True], ids=["line", "loop"])
+    def test_clock_matches_the_interpreter(self, looped):
+        outcomes = run_engines(clock_kernel(looped), (1, 1, 1), (16, 1, 1),
+                               [BASE, IDX], library_setup,
+                               engines=("interpreter", "jit"))
+        assert_as_interpreter(outcomes)
+        stamps = outcomes["jit"].memory.read_array(
+            BASE, 48 if looped else 16, dtype="u32")
+        assert stamps.all()
+
+
+def lane_warp_kernel():
+    """out[2t] = %laneid, out[2t + 1] = %warpid for linear id t."""
+    b = KernelBuilder("lane_warp", params=[("out", "u64")])
+    out = b.load_param_ptr("out")
+    slot = b.element_addr(out, b.shl("b32", block_linear_id(b),
+                                     Immediate(1)), 4)
+    b.st_global("u32", slot, b.special("%laneid"))
+    b.st_global("u32", slot, b.special("%warpid"), offset=4)
+    return b.build()
+
+
+def local_kernel():
+    """Each thread reads its ``.local`` word 8, stores tid + 1 there
+    and reads it again: out[tid] = 1000 * before + after, so a buffer
+    another thread wrote would show."""
+    b = KernelBuilder("local_cell", params=[("out", "u64")])
+    out = b.load_param_ptr("out")
+    tid = b.special("%tid.x")
+    cell = b.mov("u64", Immediate(8))
+    before = b.reg("u32")
+    b.emit("ld.local.u32", before, MemRef(cell))
+    b.emit("st.local.u32", MemRef(cell), b.add("u32", tid, Immediate(1)))
+    after = b.reg("u32")
+    b.emit("ld.local.u32", after, MemRef(cell))
+    b.st_global("u32", b.element_addr(out, tid, 4),
+                b.mad_lo("u32", before, Immediate(1000), after))
+    return b.build()
+
+
+def fault_at_kernel(victim):
+    """out[tid] = tid + 1, thread ``victim`` storing ``bad`` bytes
+    further on."""
+    b = KernelBuilder(f"fault_at_{victim}", params=[("out", "u64"),
+                                                    ("bad", "u32")])
+    out = b.load_param_ptr("out")
+    bad = b.load_param("bad", "u32")
+    tid = b.special("%tid.x")
+    skew = b.reg("u32")
+    b.emit("selp.b32", skew, bad, Immediate(0),
+           b.setp("eq", "u32", tid, Immediate(victim)))
+    address = b.add("s64", b.element_addr(out, tid, 4),
+                    b.cvt("u64", "u32", skew))
+    b.st_global("u32", address, b.add("u32", tid, Immediate(1)))
+    return b.build()
+
+
+def counted_kernel(name, trips):
+    """Every thread runs ``trips`` loop trips (two dispatch steps
+    each) and stores the count."""
+    b = KernelBuilder(name, params=[("out", "u64")])
+    out = b.load_param_ptr("out")
+    total = b.mov("u32", Immediate(0))
+    with b.loop(Immediate(trips)):
+        b.emit("add.u32", total, total, Immediate(1))
+    b.st_global("u32", b.element_addr(out, b.special("%tid.x"), 4), total)
+    return b.build()
+
+
+class TestThreadLoop:
+    """A kernel without ``bar`` runs a block as one generated loop over
+    its threads; everything observable is what thread-after-thread
+    generators produced."""
+
+    @pytest.mark.parametrize("block", [(48, 1, 1), (80, 1, 1), (8, 4, 2)],
+                             ids=["48", "80", "8x4x2"])
+    def test_ragged_and_multidimensional_blocks(self, block):
+        """Walk lengths differ per thread, so a warp maximum folded
+        over the wrong threads would show in the cycles."""
+        def setup(memory):
+            memory.write_array(
+                BASE + 65536,
+                np.arange(1, 81, dtype=np.uint32) * 7 % 97, dtype="u32")
+
+        outcomes = run_engines(collatz_kernel(in_block=True), (2, 1, 1),
+                               block, [BASE, BASE + 65536, 77], setup)
+        assert_as_interpreter(outcomes)
+        assert_identical(outcomes["jit"], outcomes["block"])
+        jit = outcomes["jit"]
+        assert jit.compiled.code.barrier_free
+        assert jit.executor._engines[jit.compiled.code].thread.__name__ == (
+            "_threads")
+
+    @pytest.mark.parametrize("block", [(80, 1, 1), (8, 4, 2)],
+                             ids=["80", "8x4x2"])
+    def test_lane_and_warp_ids(self, block):
+        outcomes = run_engines(lane_warp_kernel(), (1, 1, 1), block, [BASE])
+        assert_as_interpreter(outcomes)
+        assert_identical(outcomes["jit"], outcomes["block"])
+        threads = block[0] * block[1] * block[2]
+        stored = outcomes["jit"].memory.read_array(BASE, 2 * threads,
+                                                   dtype="u32")
+        linear = np.arange(threads)
+        assert np.array_equal(stored[0::2], linear % 32)
+        assert np.array_equal(stored[1::2], linear // 32)
+
+    def test_local_memory_is_fresh_per_thread(self):
+        outcomes = run_engines(local_kernel(), (2, 1, 1), (16, 1, 1),
+                               [BASE])
+        assert_as_interpreter(outcomes)
+        assert_identical(outcomes["jit"], outcomes["block"])
+        stored = outcomes["jit"].memory.read_array(BASE, 16, dtype="u32")
+        assert list(stored) == list(range(1, 17))
+
+    def test_fault_in_thread_5_of_16(self):
+        """Same exception; threads 0-4 stored, 5-15 did not."""
+        outcomes = run_engines(fault_at_kernel(5), (1, 1, 1), (16, 1, 1),
+                               [BASE, MEMORY_BYTES])
+        errors = {name: outcome.error for name, outcome in outcomes.items()}
+        assert all(isinstance(error, MemoryFault) for error in errors.values())
+        assert len({str(error) for error in errors.values()}) == 1
+        assert_identical(outcomes["jit"], outcomes["block"])
+        assert outcomes["interpreter"].bytes == outcomes["jit"].bytes
+        stored = outcomes["jit"].memory.read_array(BASE, 16, dtype="u32")
+        assert list(stored) == [1, 2, 3, 4, 5] + [0] * 11
+
+    def test_watchdog_is_per_thread(self):
+        """Under a watchdog of 100 dispatch steps: 16 threads of ~80
+        steps each finish (1 300 steps in the loop), one of ~120 is a
+        runaway with the per-thread engine's message."""
+        with mock.patch.object(codegen, "MAX_BLOCK_STEPS", 100):
+            finishes = run_engines(counted_kernel("trips_40", 40),
+                                   (1, 1, 1), (16, 1, 1), [BASE],
+                                   engines=("interpreter", "jit"))
+            runaway = Outcome("jit", counted_kernel("trips_60", 60),
+                              (1, 1, 1), (16, 1, 1), [BASE], None)
+        assert_as_interpreter(finishes)
+        assert isinstance(runaway.error, ExecutionError)
+        assert str(runaway.error) == "runaway kernel trips_60"
+        assert not runaway.memory.read_array(BASE, 16, dtype="u32").any()
+
+    def test_no_thread_records_and_no_generators(self):
+        """A barrier-free 16-thread block builds no ``_Thread`` and
+        resumes no generator; a ``bar`` kernel still does both."""
+        b = KernelBuilder("meet16", params=[("out", "u64")])
+        out = b.load_param_ptr("out")
+        tid = b.special("%tid.x")
+        b.barrier()
+        b.st_global("u32", b.element_addr(out, tid, 4), tid)
+        counts = {}
+        for name, kernel in (("saxpy", saxpy_kernel()), ("bar", b.build())):
+            with mock.patch.object(
+                    gpu_executor, "_Thread",
+                    wraps=gpu_executor._Thread) as records, \
+                    mock.patch.object(gpu_executor, "next", wraps=next,
+                                      create=True) as resumes:
+                outcome = Outcome("stock", kernel, (1, 1, 1), (16, 1, 1),
+                                  [F2, F1, 2.0, 16][:len(kernel.params)],
+                                  library_setup)
+            assert outcome.error is None
+            assert outcome.executor.engine_blocks == {
+                "block": 0, "thread": 1, "fallback": 0}
+            counts[name] = (records.call_count, resumes.call_count)
+        assert counts["saxpy"] == (0, 0)
+        assert counts["bar"] == (16, 32)  # to the barrier, then to the end

@@ -62,3 +62,12 @@ class TestPackageAPI:
     def test_both_device_specs_exported(self):
         assert repro.QUADRO_RTX_A4000.name == "Quadro RTX A4000"
         assert repro.GEFORCE_RTX_3080TI.name == "GeForce RTX 3080 Ti"
+
+    def test_python_dash_m_repro_self_check(self, capsys):
+        """``python -m repro``: one library call and one contained
+        attack through the whole stack, kernels on the JIT."""
+        from repro.__main__ import main
+
+        assert main([]) == 0
+        out = capsys.readouterr().out
+        assert "library intercepted, attack contained" in out
