@@ -8,11 +8,12 @@ runs every thread of a block in turn (a generator per thread for a
 kernel with ``bar``, whose threads must meet at the barrier):
 
 - virtual registers become Python locals,
-- basic blocks become arms of a ``while True`` state machine,
+- basic blocks run in order, or as a ``while True`` state machine
+  when a branch goes back,
 - per-block static cycle/instruction counts are folded into single
   additions,
-- loads/stores call pre-bound helpers that consult the cache model and
-  return (value, dynamic_cycles).
+- global loads/stores are inline (L1 way-0 compare, in-page access);
+  a fault or any other cache outcome calls a pre-bound helper.
 
 Semantics match the interpreter, with two documented deviations chosen
 for speed and verified acceptable by the differential tests
@@ -274,6 +275,12 @@ def make_memory_helpers(memory: GlobalMemory, hierarchy,
     env["_atom"] = atom
     # The block engine replays its access log through the same walk.
     env["_resolve"] = resolve
+    # What _INLINE_ACCESS reads. An aligned access cannot straddle a page
+    # unless the base is not 8-aligned; such a memory gets no window.
+    top = limit if base % 8 == 0 else base
+    env.update(_P=pages, _GB=base, _S1=l1_sets, _N1=l1_num, _B1=line_bytes,
+               _C1=cost_l1, _l1_stats=l1_stats, _level_counts=counts,
+               **{f"_GL{width}": top - width for width in (1, 2, 4, 8)})
     return env
 
 
@@ -305,6 +312,11 @@ _BASE_ENV = {
     "_sU32": struct.Struct("<I"), "_sS32": struct.Struct("<i"),
     "_sU64": struct.Struct("<Q"), "_sS64": struct.Struct("<q"),
 }
+# The struct methods an inlined global access calls: _uF32, _pF32, ...
+_BASE_ENV.update(
+    (f"_{kind}{name[2:]}", getattr(_BASE_ENV[name], method))
+    for name in set(_SHARED_STRUCTS.values())
+    for kind, method in (("u", "unpack_from"), ("p", "pack_into")))
 
 
 def thread_env(memory_env: dict, local_bytes: int) -> dict:
@@ -384,6 +396,61 @@ def basic_blocks(instructions) -> tuple[list[int], dict[int, int]]:
     ordered = sorted(leader for leader in leaders
                      if leader <= len(instructions))
     return ordered, {leader: bid for bid, leader in enumerate(ordered)}
+
+
+def _targets(ins) -> tuple:
+    if ins.op == "bra":
+        return (ins.branch_target,)
+    return ins.brx_targets if ins.op == "brx" else ()
+
+
+#: Ops whose first operand is not a register they write.
+_NO_DEST = frozenset({"st", "bra", "brx", "ret", "exit", "bar", "call",
+                      "nop"})
+
+
+def invariant_prefix(instructions) -> int:
+    """Length of the launch-invariant prefix: the longest run of
+    unguarded instructions opening the entry block (if no branch
+    re-enters it) that write a register from ``ld.param``, immediates,
+    ``%ctaid``/``%ntid``/``%nctaid`` and registers the run wrote."""
+    if any(0 in _targets(ins) for ins in instructions):
+        return 0
+    ordered, _ = basic_blocks(instructions)
+    entry_end = ordered[1] if len(ordered) > 1 else 0
+    written = set()
+    for index in range(entry_end):
+        ins = instructions[index]
+        if ins.guard_reg is not None or ins.op in _NO_DEST or ins.op in (
+                "atom", "ld") and ins.space != "param":
+            return index
+        dest, *sources = ins.operands or (None,)
+        if not isinstance(dest, Register) or ins.op != "ld" and not all(
+                isinstance(operand, Immediate)
+                or isinstance(operand, Register) and operand.name in written
+                or isinstance(operand, SpecialReg) and operand.name[:-2]
+                in ("%ntid", "%ctaid", "%nctaid")
+                for operand in sources):
+            return index
+        written.add(dest.name)
+    return entry_end
+
+
+#: A global ld/st: if aligned and mapped, the L1 way-0 compare (else
+#: ``_resolve``) and the in-page access; if not, the faulting helper.
+_INLINE_ACCESS = f"""\
+_a = {{address}}
+if not _a % {{width}} and _GB <= _a <= _GL{{width}}:
+    _ln = _a // _B1; _ways = _S1[_ln % _N1]
+    if _ways and _ways[0] == _ln // _N1:
+        _hits += 1; _cycles += _C1
+    else:
+        _cycles += _resolve(_a)
+    _o = _a - _GB; _pi = _o // {PAGE_SIZE}; _pg = _P.get(_pi)
+{{access}}
+else:
+    {{helper}}"""
+_FOLD_HITS = '_l1_stats.hits += _hits; _level_counts["l1"] += _hits'
 
 
 class KernelCodegen:
@@ -686,30 +753,47 @@ class KernelCodegen:
                 self._emit_instruction(ins)
         self._flush_static(static_cycles, count)
         if end < len(instructions):
-            # Fall through to the next block.
-            self.gen.emit(f"_pc = {block_of[end]}; continue")
+            self._goto(block_of[end])  # fall through
         else:
             self._emit_return()
+
+    def _goto(self, target) -> None:
+        self.gen.emit(f"_pc = {target}; continue")
 
 
 class ThreadCodegen(KernelCodegen):
     """Generates the per-thread function of one kernel (see
     :meth:`generate`)."""
 
+    def __init__(self, compiled, cost_model: CostModel):
+        super().__init__(compiled, cost_model)
+        #: No back edge: the basic blocks run in order, no dispatch loop.
+        self.acyclic = all(target > index for index, ins
+                           in enumerate(compiled.instructions)
+                           for target in _targets(ins))
+
     @contextlib.contextmanager
-    def _guarded(self, ins):
+    def _guarded(self, ins, transfer: bool = False):
         """Source emitted inside the ``with`` runs only when ``ins``'s
-        guard holds (always for an unguarded instruction)."""
-        if ins.guard_reg is None:
+        guard holds (always for an unguarded instruction). After a taken
+        ``transfer`` an acyclic kernel's arm goes on under ``else`` (of
+        ``if True:`` if unguarded, which the compiler drops)."""
+        transfer = transfer and self.acyclic
+        if ins.guard_reg is None and not transfer:
             yield
             return
-        want = "not " if ins.guard_negated else ""
-        guard_name = _mangle(ins.guard_reg)
-        self._declared.add(guard_name)
-        self.gen.emit(f"if {want}{guard_name}:")
+        test = "True"
+        if ins.guard_reg is not None:
+            self._declared.add(_mangle(ins.guard_reg))
+            test = ("not " if ins.guard_negated else "") + _mangle(
+                ins.guard_reg)
+        self.gen.emit(f"if {test}:")
         self.gen.indent += 1
         yield
         self.gen.indent -= 1
+        if transfer:
+            self.gen.emit("else:")
+            self.gen.indent += 1
 
     def _emit_instruction(self, ins) -> None:
         with self._guarded(ins):
@@ -765,8 +849,12 @@ class ThreadCodegen(KernelCodegen):
                 dtype)
         else:
             name = self._expr(dest)
-            gen.emit(f"{name}, _mc = _ldg_{dtype}({address})")
-            gen.emit("_cycles += _mc")
+            zero = "0.0" if isa.is_float(dtype) else "0"
+            self._emit_global(
+                dtype, address,
+                [f"{name} = _u{_SHARED_STRUCTS[dtype][2:]}(_pg, _o % "
+                 f"{PAGE_SIZE})[0] if _pg is not None else {zero}"],
+                f"{name}, _mc = _ldg_{dtype}(_a); _cycles += _mc")
 
     def _emit_store(self, ins) -> None:
         memref, source = ins.operands
@@ -784,9 +872,30 @@ class ThreadCodegen(KernelCodegen):
             gen.emit(f"_cycles += {cost}")
             self._emit_buffer_store("_lmem", dtype, address, value)
         else:
+            access = ["if _pg is None: "
+                      f"_pg = _P[_pi] = bytearray({PAGE_SIZE})"]
             if isa.is_float(dtype):
-                value = f"float({value})"
-            gen.emit(f"_cycles += _stg_{dtype}({address}, {value})")
+                gen.emit(f"_v = float({value})")  # the helper's argument
+                value = "_v"
+            else:
+                # As the helper: page first, then mask in place.
+                access.append(f"_v = {value}; _v &= {_INT_MASKS[dtype]}")
+                if isa.is_signed(dtype):
+                    bits = isa.type_width(dtype) * 8
+                    access.append(f"if _v >= {1 << (bits - 1)}: "
+                                  f"_v -= {1 << bits}")
+            access.append(f"_p{_SHARED_STRUCTS[dtype][2:]}(_pg, _o % "
+                          f"{PAGE_SIZE}, _v)")
+            self._emit_global(dtype, address, access,
+                              f"_cycles += _stg_{dtype}(_a, {value})")
+
+    def _emit_global(self, dtype: str, address: str, access: list,
+                     helper: str) -> None:
+        source = _INLINE_ACCESS.format(
+            address=address, width=isa.type_width(dtype), helper=helper,
+            access="\n".join("    " + line for line in access))
+        for line in source.split("\n"):
+            self.gen.emit(line)
 
     def _emit_buffer_store(self, buffer: str, dtype: str, address: str,
                            value: str) -> None:
@@ -829,31 +938,37 @@ class ThreadCodegen(KernelCodegen):
         if count:
             self.gen.emit(f"_cycles += {cycles}; _instr += {count}")
 
+    def _goto(self, target) -> None:
+        self.gen.emit(f"_pc = {target}" if self.acyclic
+                      else f"_pc = {target}; continue")
+
     def _emit_branch(self, ins, target: int) -> None:
-        with self._guarded(ins):
-            self.gen.emit(f"_pc = {target}; continue")
+        with self._guarded(ins, transfer=True):
+            self._goto(target)
 
     def _emit_indirect_branch(self, ins, targets: tuple) -> None:
         gen = self.gen
-        with self._guarded(ins):
+        with self._guarded(ins, transfer=True):
             gen.emit(f"_brx_i = {self._expr(ins.operands[0])}")
             gen.emit(f"if not 0 <= _brx_i < {len(targets)}:")
             gen.indent += 1
             gen.emit("raise ExecutionError("
                      "'brx.idx index %d out of range' % _brx_i)")
             gen.indent -= 1
-            gen.emit(f"_pc = {targets}[_brx_i]; continue")
+            self._goto(f"{targets}[_brx_i]")
 
     def _emit_barrier(self, next_block: int) -> None:
+        # A parked thread may never resume (another one faults).
+        self.gen.emit(f"{_FOLD_HITS}; _hits = 0")
         self.gen.emit("yield")
-        self.gen.emit(f"_pc = {next_block}; continue")
+        self._goto(next_block)
 
     def _emit_exit(self, ins) -> None:
-        with self._guarded(ins):
+        with self._guarded(ins, transfer=True):
             self._emit_return()
 
     def _emit_return(self) -> None:
-        self.gen.emit("break")
+        self.gen.emit("_pc = -1" if self.acyclic else "break")  # no block
 
     # -- whole-kernel generation -------------------------------------------------------
 
@@ -863,14 +978,22 @@ class ThreadCodegen(KernelCodegen):
         ``loop`` (a kernel without ``bar``): ``_threads(params, shared,
         _gsyms, ntid, ctaid, nctaid, warp_size)`` runs every thread of
         one block to completion in linear order and returns the
-        block's ``(warp cycles, instructions, loads, stores)``.
-        Otherwise ``_thread(t, params, shared, _gsyms)`` is one
-        thread's generator, suspending at each ``bar``, and adds its
-        counts to the executor's thread record ``t``. Between the two
-        prologues and epilogues the body is the same state machine.
+        block's ``(warp cycles, instructions, loads, stores)``,
+        evaluating :func:`invariant_prefix` once. Otherwise
+        ``_thread(t, params, shared, _gsyms)`` is one thread's
+        generator, suspending at each ``bar``, and adds its counts to
+        the executor's thread record ``t``. Between the two prologues
+        and epilogues the body is the same.
         """
         instructions = self.ck.instructions
         ordered, block_of = basic_blocks(instructions)
+        start = invariant_prefix(instructions) if loop else 0
+        prefix = instructions[:start]
+        hoisted = {_mangle(ins.operands[0].name) for ins in prefix}
+        rebound = sorted(hoisted & {
+            _mangle(ins.operands[0].name) for ins in instructions[start:]
+            if ins.op not in _NO_DEST and ins.operands
+            and isinstance(ins.operands[0], Register)})
 
         gen = self.gen
         if loop:
@@ -880,13 +1003,17 @@ class ThreadCodegen(KernelCodegen):
             gen.emit("_ntid0, _ntid1, _ntid2 = ntid")
             gen.emit("_ctaid0, _ctaid1, _ctaid2 = ctaid")
             gen.emit("_nctaid0, _nctaid1, _nctaid2 = nctaid")
-            gen.emit("_wsum = _wmax = _linear = 0")
-            gen.emit("_tinstr = _tloads = _tstores = 0")
-            for axis in (2, 1, 0):
-                gen.emit(f"for _tid{axis} in range(_ntid{axis}):")
-                gen.indent += 1
-            gen.emit("_lane = _linear % warp_size; "
-                     "_warp = _linear // warp_size; _linear += 1")
+            # What the prefix charges, it charges to every thread.
+            gen.emit("_cycles = _instr = _loads = 0")
+            for ins in prefix:
+                self._emit_instruction(ins)
+            self._flush_static(sum(ins.compute_cycles for ins in prefix),
+                               start)
+            for name in rebound:
+                gen.emit(f"_h{name} = {name}")
+            gen.emit("_wsum = _wmax = _linear = 0; _cycles0 = _cycles")
+            gen.emit("_n = _ntid0 * _ntid1 * _ntid2; _instr *= _n; "
+                     "_loads *= _n; _stores = 0")
         else:
             gen.emit("def _thread(t, params, shared, _gsyms):")
             gen.indent += 1
@@ -895,49 +1022,65 @@ class ThreadCodegen(KernelCodegen):
             gen.emit("_ctaid0, _ctaid1, _ctaid2 = t.ctaid")
             gen.emit("_nctaid0, _nctaid1, _nctaid2 = t.nctaid")
             gen.emit("_lane = t.lane; _warp = t.warp")
-        gen.emit("_cycles = 0; _instr = 0; _loads = 0; _stores = 0")
-        gen.emit("_steps = 0")
+            gen.emit("_cycles = 0; _instr = 0; _loads = 0; _stores = 0")
+        # Way-0 hits are counted in _hits and folded however it ends.
+        gen.emit("_hits = 0")
+        gen.emit("try:")
+        gen.indent += 1
+        if loop:
+            for axis in (2, 1, 0):
+                gen.emit(f"for _tid{axis} in range(_ntid{axis}):")
+                gen.indent += 1
+            gen.emit("_lane = _linear % warp_size; "
+                     "_warp = _linear // warp_size; _linear += 1")
+            gen.emit("_cycles = _cycles0")
+        body_start, body_indent = len(gen.lines), gen.indent
+        if not self.acyclic:
+            gen.emit("_steps = 0")
         if any(ins.space == "local" for ins in instructions):
             gen.emit("_lmem = bytearray(_LOCAL_BYTES)")
-        body_start, body_indent = len(gen.lines), gen.indent
         gen.emit("_pc = 0")
-        gen.emit("while True:")
-        gen.indent += 1
-        gen.emit("_steps += 1")
-        gen.emit(f"if _steps > {MAX_BLOCK_STEPS}:")
-        gen.indent += 1
-        gen.emit("raise ExecutionError('runaway kernel "
-                 f"{self.ck.name}')")
-        gen.indent -= 1
-
-        for block_id, leader in enumerate(ordered[:-1]):
-            gen.emit(f"{'elif' if block_id else 'if'} _pc == {block_id}:")
+        if not self.acyclic:
+            gen.emit("while True:")
             gen.indent += 1
-            self._emit_block(instructions, leader, ordered[block_id + 1],
-                             block_of)
+            gen.emit("_steps += 1")
+            gen.emit(f"if _steps > {MAX_BLOCK_STEPS}:")
+            gen.emit("    raise ExecutionError('runaway kernel "
+                     f"{self.ck.name}')")
+        # Acyclic: the blocks in order, each if the one before named it.
+        arms = gen.indent
+        for block_id, leader in enumerate(ordered[:-1]):
+            keyword = "elif" if block_id and not self.acyclic else "if"
+            gen.emit(f"{keyword} _pc == {block_id}:")
+            gen.indent += 1
+            self._emit_block(instructions, max(leader, start),
+                             ordered[block_id + 1], block_of)
+            gen.indent = arms
+        if not self.acyclic:
+            gen.emit("else:" if len(ordered) > 1 else "if True:")
+            gen.emit("    break")
             gen.indent -= 1
-        gen.emit("else:" if len(ordered) > 1 else "if True:")
-        gen.indent += 1
-        gen.emit("break")
-        gen.indent -= 2
         if loop:
             # A warp costs its slowest thread (lockstep).
             gen.emit("if not _lane: _wsum += _wmax; _wmax = 0")
             gen.emit("if _cycles > _wmax: _wmax = _cycles")
-            gen.emit("_tinstr += _instr; _tloads += _loads; "
-                     "_tstores += _stores")
             gen.indent -= 3
-            gen.emit("return float(_wsum + _wmax), _tinstr, _tloads, "
-                     "_tstores")
+        gen.indent -= 1
+        gen.emit("finally:")
+        gen.emit("    " + _FOLD_HITS)
+        if loop:
+            gen.emit("return float(_wsum + _wmax), _instr, _loads, _stores")
         else:
             gen.emit("t.cycles += _cycles; t.instructions += _instr")
             gen.emit("t.loads += _loads; t.stores += _stores")
 
-        # Initialise (per thread) every register local the body touches.
-        if self._declared:
-            init = "; ".join(f"{name} = 0"
-                             for name in sorted(self._declared))
-            gen.lines.insert(body_start, "    " * body_indent + init)
+        # Initialise (per thread) every register local the body touches
+        # but the prefix does not; re-bind the prefix values it rewrites.
+        init = [f"{name} = 0" for name in sorted(self._declared - hoisted)]
+        init += [f"{name} = _h{name}" for name in rebound]
+        if init:
+            gen.lines.insert(body_start,
+                             "    " * body_indent + "; ".join(init))
         return gen.source()
 
 

@@ -911,7 +911,7 @@ class KernelExecutor:
             thread.cycles += self.cost_model.memory_cost("local")
             value = _buffer_load(_local(thread), address, dtype)
         else:  # global / generic / const
-            _check_alignment(address, dtype)
+            _check_global(self.memory, address, dtype, "read")
             level = self.hierarchy.access(address)
             thread.cycles += self.cost_model.memory_cost(level)
             value = self.memory.load_scalar(address, dtype)
@@ -932,7 +932,7 @@ class KernelExecutor:
             thread.cycles += self.cost_model.memory_cost("local")
             _buffer_store(_local(thread), address, dtype, value)
         else:
-            _check_alignment(address, dtype)
+            _check_global(self.memory, address, dtype, "write")
             level = self.hierarchy.access(address)
             thread.cycles += self.cost_model.memory_cost(level)
             self.memory.store_scalar(address, dtype, value)
@@ -942,6 +942,7 @@ class KernelExecutor:
         dest, memref, operand = ins.operands
         dtype = ins.dtype or "u32"
         address = self._effective_address(compiled, thread, memref, params)
+        _check_global(self.memory, address, dtype, "atomic")
         level = self.hierarchy.access(address)
         thread.cycles += self.cost_model.memory_cost(level) * 2  # RMW
         thread.loads += 1
@@ -984,14 +985,18 @@ def _unlinearise(linear: int, grid: tuple[int, int, int]
     return (x, y, z)
 
 
-def _check_alignment(address: int, dtype: str) -> None:
-    """NVIDIA GPUs require naturally aligned global accesses; this is
-    also what makes bitwise fencing airtight at partition edges — an
-    aligned address inside a partition can never spill a partial word
-    past the boundary."""
+def _check_global(memory: GlobalMemory, address: int, dtype: str,
+                  kind: str) -> None:
+    """Alignment, then the mapped range, before the caches see a global
+    access (the JIT's order). NVIDIA GPUs require naturally aligned
+    global accesses; this is also what makes bitwise fencing airtight at
+    partition edges — an aligned address inside a partition can never
+    spill a partial word past the boundary."""
     width = isa.type_width(dtype)
     if address % width:
         raise MemoryFault(address, width, f"misaligned {dtype}")
+    if not memory.contains(address, width):
+        raise MemoryFault(address, width, kind)
 
 
 def _local(thread: _Thread) -> bytearray:

@@ -12,8 +12,10 @@ Random kernels come from the same builder-based strategy as the
 round-trip property tests.
 """
 
+import dataclasses
 import json
 import resource
+import sys
 import time
 from unittest import mock
 
@@ -26,8 +28,10 @@ from repro.core.policy import FencingMode
 from repro.errors import ExecutionError, MemoryFault
 from repro.gpu import blockrt, codegen
 from repro.gpu import executor as gpu_executor
+from repro.gpu.cache import MemoryHierarchy
 from repro.gpu.executor import SPAN_LANES, compile_kernel
-from repro.gpu.memory import GlobalMemory
+from repro.gpu.latency import CostModel
+from repro.gpu.memory import PAGE_SIZE, GlobalMemory
 from repro.gpu.specs import QUADRO_RTX_A4000
 from repro.libs.kernels import blas, dnn, fft, rand as rand_kernels
 from repro.ptx.ast import (
@@ -65,15 +69,15 @@ class Outcome:
     """Everything observable about one launch on one engine."""
 
     def __init__(self, engine, kernel, grid, block, params, setup,
-                 memory_bytes=MEMORY_BYTES, max_blocks=None):
+                 memory_bytes=MEMORY_BYTES, max_blocks=None, spec=SPEC):
         self.memory = GlobalMemory(memory_bytes)
         if setup:
             setup(self.memory)
         self.result = None
         self.error = None
         with forced_engine(engine) as make:
-            self.executor = make(SPEC, self.memory)
-            self.compiled = compile_kernel(kernel, SPEC)
+            self.executor = make(spec, self.memory)
+            self.compiled = compile_kernel(kernel, spec)
             try:
                 self.result = self.executor.launch(
                     self.compiled, grid, block, params, max_blocks)
@@ -1329,3 +1333,355 @@ class TestThreadLoop:
             counts[name] = (records.call_count, resumes.call_count)
         assert counts["saxpy"] == (0, 0)
         assert counts["bar"] == (16, 32)  # to the barrier, then to the end
+
+
+# --------------------------------------------------------------------------
+# Inlined global accesses, the launch-invariant prefix, acyclic kernels
+# --------------------------------------------------------------------------
+
+
+def assert_fault_as_interpreter(outcomes):
+    """Interpreter vs JIT (vs block engine) on a kernel that faults:
+    the same exception, memory and cache lines, statistics included."""
+    reference, jit = outcomes["interpreter"], outcomes["jit"]
+    assert isinstance(reference.error, MemoryFault)
+    assert type(reference.error) is type(jit.error)
+    assert str(reference.error) == str(jit.error)
+    assert reference.bytes == jit.bytes
+    assert reference.cache_state() == jit.cache_state()
+    if "block" in outcomes:
+        assert_identical(jit, outcomes["block"])
+
+
+def entries(run, *functions):
+    """How often ``run()`` enters each function's code."""
+    counts = {function.__code__: 0 for function in functions}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counts:
+            counts[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return list(counts.values())
+
+
+def memory_helpers():
+    """``(_ldg_f32, _stg_f32, _resolve)``: any executor's helpers share
+    their code objects."""
+    env = codegen.make_memory_helpers(
+        GlobalMemory(PAGE_SIZE), MemoryHierarchy.for_spec(SPEC),
+        CostModel(SPEC))
+    return env["_ldg_f32"], env["_stg_f32"], env["_resolve"]
+
+
+def levels_kernel(stride):
+    """One thread's walk through the cache: a cold miss, a way-0 hit,
+    a line ``stride`` bytes on, a hit on the first line (in way 1 when
+    ``stride`` keeps the L1 set), eight more lines that push both out
+    of that set but not out of L2, the first line again, and a store
+    to a cold line."""
+    b = KernelBuilder("levels", params=[("p", "u64")])
+    p = b.load_param_ptr("p")
+    total = b.ld_global("u32", p)
+    offsets = [4, stride, 8] + [k * stride for k in range(2, 10)] + [12]
+    for offset in offsets:
+        b.emit("add.u32", total, total, b.ld_global("u32", p, offset=offset))
+    b.st_global("u32", p, total, offset=128)
+    return b.build()
+
+
+def copy_fault_kernel(victim, parked=False):
+    """out[tid] = in[tid] + 1, thread ``victim`` storing ``bad`` bytes
+    further on. ``parked``: then ``bar`` and out[tid] += 1, so the
+    threads before ``victim`` wait at the barrier when it faults."""
+    b = KernelBuilder(f"copy_fault_{victim}_{parked}", params=[
+        ("out", "u64"), ("inp", "u64"), ("bad", "u32")])
+    out = b.load_param_ptr("out")
+    inp = b.load_param_ptr("inp")
+    bad = b.load_param("bad", "u32")
+    tid = b.special("%tid.x")
+    value = b.add("u32", b.ld_global("u32", b.element_addr(inp, tid, 4)),
+                  Immediate(1))
+    skew = b.reg("u32")
+    b.emit("selp.b32", skew, bad, Immediate(0),
+           b.setp("eq", "u32", tid, Immediate(victim)))
+    slot = b.element_addr(out, tid, 4)
+    b.st_global("u32", b.add("s64", slot, b.cvt("u64", "u32", skew)), value)
+    if parked:
+        b.barrier()
+        b.st_global("u32", slot, b.add("u32", value, Immediate(1)))
+    return b.build()
+
+
+#: Input of the copy kernels: another L1 set than BASE's line, so
+#: every thread after the first hits way 0 on both.
+INP = BASE + 4096
+
+
+def copy_setup(memory):
+    memory.write(BASE, b"\x55" * 256)
+    memory.write_array(INP, np.arange(1, 65, dtype=np.uint32), dtype="u32")
+
+
+class TestInlineGlobalAccess:
+    """The JIT inlines a global ld/st's checks, the L1 way-0 compare
+    and the in-page access; everything else goes through the helpers.
+    Way-0 hits are counted locally and folded into the hierarchy's
+    statistics when the function ends, however it ends."""
+
+    def test_every_cache_level(self):
+        outcomes = run_engines(levels_kernel(16384), (1, 1, 1), (1, 1, 1),
+                               [BASE], copy_setup)
+        assert_as_interpreter(outcomes)
+        assert_identical(outcomes["jit"], outcomes["block"])
+        assert outcomes["jit"].result.level_counts == {
+            "l1": 2, "l2": 1, "global": 11}
+        # Only the way-0 hit stays inline; the hit in way 1 walks too.
+        counts = entries(
+            lambda: Outcome("jit", levels_kernel(16384), (1, 1, 1),
+                            (1, 1, 1), [BASE], copy_setup),
+            *memory_helpers())
+        assert counts == [0, 0, 13]
+
+    def test_load_from_a_never_written_page(self):
+        far = BASE + 3 * PAGE_SIZE
+        outcomes = run_engines(reader_kernel(), (1, 1, 1), (4, 1, 1),
+                               [BASE, far, 0], copy_setup)
+        assert_as_interpreter(outcomes)
+        assert_identical(outcomes["jit"], outcomes["block"])
+        for outcome in outcomes.values():
+            assert len(outcome.memory._pages) == 1  # what copy_setup wrote
+            assert outcome.memory.load_scalar(BASE, "u32") == 0
+
+    @pytest.mark.parametrize("victim,bad", [(5, 2), (9, MEMORY_BYTES)],
+                             ids=["misaligned", "unmapped"])
+    def test_fault_mid_block_folds_the_hits(self, victim, bad):
+        """Threads before the victim hit way 0 on both lines; the fold
+        in ``finally`` must still reach the statistics."""
+        outcomes = run_engines(copy_fault_kernel(victim), (1, 1, 1),
+                               (16, 1, 1), [BASE, INP, bad], copy_setup)
+        assert_fault_as_interpreter(outcomes)
+        stored = outcomes["jit"].memory.read_array(BASE, 16, dtype="u32")
+        assert list(stored[:victim]) == list(range(2, victim + 2))
+        hits = outcomes["jit"].executor.hierarchy.l1.stats.hits
+        assert hits == 2 * victim - 1  # the victim's load hits too
+
+    def test_fault_while_others_wait_at_the_barrier(self):
+        """A ``bar`` kernel: threads 0-6 are parked when thread 7
+        faults, and their generators are never resumed."""
+        outcomes = run_engines(copy_fault_kernel(7, parked=True),
+                               (1, 1, 1), (16, 1, 1),
+                               [BASE, INP, MEMORY_BYTES], copy_setup)
+        assert_fault_as_interpreter(outcomes)
+        assert outcomes["jit"].executor.hierarchy.l1.stats.hits == 13
+        stored = outcomes["jit"].memory.read_array(BASE, 8, dtype="u32")
+        assert list(stored[:7]) == list(range(2, 9))
+
+
+def countdown_kernel():
+    """out[tid] = trips, counted down in the parameter's own register."""
+    b = KernelBuilder("countdown", params=[("out", "u64"), ("trips", "u32")])
+    out = b.load_param_ptr("out")
+    trips = b.load_param("trips", "u32")
+    done = b.mov("u32", Immediate(0))
+    head = b.fresh_label("head")
+    end = b.fresh_label("end")
+    b.label(head)
+    b.bra(end, guard_reg=b.setp("eq", "u32", trips, Immediate(0)))
+    b.emit("sub.u32", trips, trips, Immediate(1))
+    b.emit("add.u32", done, done, Immediate(1))
+    b.bra(head)
+    b.label(end)
+    b.st_global("u32", b.element_addr(out, b.special("%tid.x"), 4), done)
+    return b.build()
+
+
+def guarded_entry_kernel():
+    """out[tid] = n > 4 ? n : 7 + ntid, the choice a guarded ``mov``."""
+    b = KernelBuilder("guarded_entry", params=[("out", "u64"), ("n", "u32")])
+    out = b.load_param_ptr("out")
+    n = b.load_param("n", "u32")
+    big = b.setp("gt", "u32", n, Immediate(4))
+    value = b.add("u32", b.special("%ntid.x"), Immediate(7))
+    b.emit("mov.u32", value, n, guard=Guard(big.name))
+    b.st_global("u32", b.element_addr(out, b.special("%tid.x"), 4), value)
+    return b.build()
+
+
+def special_entry_kernel(name):
+    """out[tid] = ``name`` + ntid, reading ``name`` fourth."""
+    b = KernelBuilder("special_entry", params=[("out", "u64")])
+    out = b.load_param_ptr("out")
+    width = b.special("%ntid.x")
+    value = b.special(name)
+    b.st_global("u32", b.element_addr(out, b.special("%tid.x"), 4),
+                b.add("u32", value, width))
+    return b.build()
+
+
+def shift_prefix_kernel():
+    """out[tid] = 1 << k: a negative ``k`` raises inside the prefix."""
+    b = KernelBuilder("shift_prefix", params=[("out", "u64"), ("k", "s32")])
+    out = b.load_param_ptr("out")
+    shifted = b.shl("b32", Immediate(1), b.load_param("k", "s32"))
+    b.st_global("u32", b.element_addr(out, b.special("%tid.x"), 4), shifted)
+    return b.build()
+
+
+def reentry_kernel():
+    """``top: out = param; t = %clock; @(t < 200) bra top``, then
+    out[tid] = t: the entry block is the loop body."""
+    b = KernelBuilder("reentry", params=[("out", "u64")])
+    top = b.fresh_label("top")
+    b.label(top)
+    out = b.load_param_ptr("out")
+    stamp = b.special("%clock")
+    b.bra(top, guard_reg=b.setp("lt", "u32", stamp, Immediate(200)))
+    b.st_global("u32", b.element_addr(out, b.special("%tid.x"), 4), stamp)
+    return b.build()
+
+
+def prefix_of(kernel) -> int:
+    return codegen.invariant_prefix(compile_kernel(kernel, SPEC).instructions)
+
+
+class TestInvariantPrefix:
+    """The loop form evaluates the entry block's launch-invariant
+    prefix once per block and charges it to every thread."""
+
+    def test_a_register_the_loop_rewrites_is_rebound_per_thread(self):
+        assert prefix_of(countdown_kernel()) == 4  # out, trips, done
+        outcomes = run_engines(countdown_kernel(), (2, 1, 1), (16, 1, 1),
+                               [BASE, 5])
+        assert_as_interpreter(outcomes)
+        assert_identical(outcomes["jit"], outcomes["block"])
+        stored = outcomes["jit"].memory.read_array(BASE, 16, dtype="u32")
+        assert list(stored) == [5] * 16
+
+    @pytest.mark.parametrize("n", [9, 3])
+    def test_a_guarded_instruction_ends_it(self, n):
+        assert prefix_of(guarded_entry_kernel()) == 6
+        outcomes = run_engines(guarded_entry_kernel(), (1, 1, 1),
+                               (16, 1, 1), [BASE, n])
+        assert_as_interpreter(outcomes)
+        assert_identical(outcomes["jit"], outcomes["block"])
+        stored = outcomes["jit"].memory.read_array(BASE, 16, dtype="u32")
+        assert list(stored) == [n if n > 4 else 23] * 16
+
+    @pytest.mark.parametrize("name", ["%tid.x", "%laneid", "%clock"])
+    def test_a_per_thread_special_register_ends_it(self, name):
+        assert prefix_of(special_entry_kernel(name)) == 3
+        outcomes = run_engines(special_entry_kernel(name), (1, 1, 1),
+                               (16, 1, 1), [BASE],
+                               engines=("interpreter", "jit"))
+        assert_as_interpreter(outcomes)
+
+    def test_nothing_is_hoisted_from_an_entry_block_a_branch_reenters(self):
+        """Each trip re-runs (and is charged) the param loads."""
+        assert prefix_of(reentry_kernel()) == 0
+        outcomes = run_engines(reentry_kernel(), (1, 1, 1), (4, 1, 1),
+                               [BASE], engines=("interpreter", "jit"))
+        assert_as_interpreter(outcomes)
+        # 4 threads x 5 trips x 6 instructions.
+        assert outcomes["jit"].result.instructions == 4 * 5 * 6
+
+    def test_a_prefix_that_raises(self):
+        assert prefix_of(shift_prefix_kernel()) == 4
+        outcomes = run_engines(shift_prefix_kernel(), (2, 1, 1), (16, 1, 1),
+                               [BASE, -1], copy_setup,
+                               engines=("interpreter", "jit"))
+        reference, jit = outcomes["interpreter"], outcomes["jit"]
+        assert isinstance(reference.error, ValueError)
+        assert type(jit.error) is ValueError
+        assert str(reference.error) == str(jit.error)
+        assert reference.bytes == jit.bytes
+        assert reference.cache_state() == jit.cache_state()
+
+    def test_two_l1_geometries_share_one_kernel_code(self):
+        """Set count, line size, hit cost and statistics come from each
+        executor's globals, never from the shared source."""
+        small = dataclasses.replace(SPEC, l1_kb=64)
+        states = {}
+        codes = []
+        for spec in (SPEC, small):
+            outcomes = run_engines(levels_kernel(8192), (1, 1, 1),
+                                   (4, 1, 1), [BASE], copy_setup,
+                                   engines=("interpreter", "jit"),
+                                   spec=spec)
+            assert_as_interpreter(outcomes)
+            states[spec.l1_kb] = outcomes["jit"].cache_state()
+            codes.append(outcomes["jit"])
+        assert codes[0].compiled.code is codes[1].compiled.code
+        assert states[128] != states[64]
+
+
+class TestInlinedLaunch:
+    """Count and shape pins of the storms' launch: the bitwise-fenced
+    saxpy, one block of 16 threads."""
+
+    @staticmethod
+    def _storm_saxpy():
+        def setup(memory):
+            memory.write_array(BASE, np.arange(16, dtype=np.float32))
+            memory.write_array(BASE + 256, np.ones(16, dtype=np.float32))
+
+        return Outcome(
+            "stock", fenced(saxpy_kernel(), FencingMode.BITWISE), (1, 1, 1),
+            (16, 1, 1),
+            [BASE, BASE + 256, 2.0, 16] + extra_params(FencingMode.BITWISE),
+            setup)
+
+    def test_two_cold_lines_are_the_only_helper_calls(self):
+        """48 accesses: the first touch of x's and y's lines walks
+        ``resolve``; the 46 way-0 hits never leave the function."""
+        launch = []
+        counts = entries(lambda: launch.append(self._storm_saxpy()),
+                         *memory_helpers())
+        assert counts == [0, 0, 2]
+        outcome, = launch
+        assert outcome.error is None
+        assert outcome.result.level_counts == {"l1": 46, "l2": 0,
+                                               "global": 2}
+        assert list(outcome.memory.read_array(BASE, 16)) == [
+            2.0 + i for i in range(16)]
+
+    def test_acyclic_kernels_have_no_dispatch_loop(self):
+        def source(kernel):
+            return codegen.ThreadCodegen(
+                compile_kernel(kernel, SPEC), CostModel(SPEC)).generate(True)
+
+        straight = source(fenced(saxpy_kernel(), FencingMode.BITWISE))
+        assert "while True" not in straight
+        assert "runaway" not in straight
+        looped = source(counted_kernel("trips_40", 40))
+        assert "while True" in looped
+        assert "runaway kernel trips_40" in looped
+
+
+class TestInterpreterAtomics:
+    """``atom`` checks alignment, then the mapped range, before the
+    caches see the access - in the interpreter as in the JIT."""
+
+    @pytest.mark.parametrize("offset,kind", [
+        (2, "misaligned u32"), (MEMORY_BYTES - 2, "misaligned u32"),
+        (MEMORY_BYTES + 64, "atomic")], ids=["base+2", "limit-2", "limit+64"])
+    def test_checked_before_the_caches(self, offset, kind):
+        def setup(memory):
+            memory.write(BASE, b"\x11" * 8)
+            memory.write(BASE + MEMORY_BYTES - 8, b"\x22" * 8)
+
+        b = KernelBuilder("bump", params=[("p", "u64")])
+        b.atom_add_global("u32", b.load_param_ptr("p"), Immediate(1))
+        outcomes = run_engines(b.build(), (1, 1, 1), (4, 1, 1),
+                               [BASE + offset], setup,
+                               engines=("interpreter", "jit"))
+        assert_fault_as_interpreter(outcomes)
+        assert kind in str(outcomes["interpreter"].error)
+        for outcome in outcomes.values():
+            hierarchy = outcome.executor.hierarchy
+            assert hierarchy.l1.stats.accesses == 0
+            assert hierarchy.level_counts == {"l1": 0, "l2": 0, "global": 0}

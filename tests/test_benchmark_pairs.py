@@ -1,10 +1,12 @@
 """The verdict rule of ``python -m benchmarks.pairs``, on the runs
 EXPERIMENTS.md "Block engine" prints (ten alternating pairs, seeds
-20-29, ``host_us_per_call``; bound 25%), and the workload choice and
-summary of a multi-workload run."""
+20-29, ``host_us_per_call``; bound 25%), the workload choice and
+summary of a multi-workload run, and the summary of
+``python -m benchmarks.interleave``."""
 
 import json
 
+from benchmarks import interleave
 from benchmarks.pairs import (ROOT, parse, quartiles, report, summary,
                               verdict, workloads)
 
@@ -106,3 +108,26 @@ def test_summary_rows_and_status(capsys):
                                 "1.000", "-", "identical"]
     assert lines[3].split()[:2] == ["storm_full", "host_us_per_call"]
     assert lines[3].split()[-1] == "worse"
+
+
+def test_interleave_summary_reads_the_ledger_estimator():
+    """p25 is ``host_us_per_call``'s lower quartile, the same number
+    ``quartiles`` gives as q1."""
+    rows = interleave.summary(MIX_TRAIN_PARENT, MIX_TRAIN_CHANGE)
+    assert list(rows) == ["parent", "change", "change/parent"]
+    assert rows["parent"][0] == quartiles(MIX_TRAIN_PARENT)[0]
+    assert [round(value, 2) for value in rows["parent"]] == [16947.73,
+                                                             17087.15]
+    assert [round(value, 2) for value in rows["change"]] == [3846.53,
+                                                             3881.9]
+    assert [round(value, 4) for value in rows["change/parent"]] == [
+        0.227, 0.2272]
+    lines = interleave.render(rows).splitlines()
+    assert lines[1].split() == ["parent", "16947.73", "17087.15"]
+    assert lines[3].split() == ["change/parent", "0.227", "0.227"]
+
+
+def test_interleave_summary_of_one_round():
+    rows = interleave.summary([40.0], [30.0])
+    assert rows == {"parent": (40.0, 40.0), "change": (30.0, 30.0),
+                    "change/parent": (0.75, 0.75)}
