@@ -488,7 +488,7 @@ class GuardianCluster:
         if truncate_at is not None:
             snapshot = replace(
                 snapshot,
-                data=snapshot.data[: int(snapshot.size * truncate_at)],
+                data=snapshot.data.prefix(int(snapshot.size * truncate_at)),
             )
         if crash_mid is not None:
             # The source dies with the snapshot already cut; the

@@ -297,8 +297,10 @@ class GuardianAllocator:
             self._insert_gap(_Gap(start + size, tail))
         return True
 
-    def release_partition(self, app_id: str, scrubber=None) -> None:
-        """Return a tenant's partition to the free list.
+    def release_partition(self, app_id: str,
+                          scrubber=None) -> Optional[Partition]:
+        """Return a tenant's partition to the free list; returns the
+        released partition, or None when the tenant held none.
 
         ``scrubber(base, size)``, when given, runs *before* the region
         becomes allocatable again — the quarantine path uses it to zero
@@ -309,11 +311,12 @@ class GuardianAllocator:
         """
         partition = self._partitions.pop(app_id, None)
         if partition is None:
-            return
+            return None
         self.bounds.remove(app_id)
         if scrubber is not None:
             scrubber(partition.base, partition.size)
         self._insert_gap(_Gap(partition.base, partition.size))
+        return partition
 
     def can_carve(self, max_bytes: int) -> bool:
         """True when a partition for ``max_bytes`` could be created now.

@@ -47,6 +47,7 @@ from repro.core.client import GuardianClient
 from repro.core.policy import FencingMode
 from repro.errors import GuardianError, PartitionError
 from repro.gpu.allocator import FirstFitAllocator
+from repro.gpu.memory import MemoryImage
 from repro.runtime.backend import CPU_GHZ, GpuBackend
 
 #: Hard cap on declared bytes (resident + swapped), as a multiple of
@@ -86,16 +87,17 @@ class _SwapImage:
     """A swapped-out partition, parked in host memory.
 
     Everything a swap-in needs to rebuild the partition at a (possibly
-    different) base: the raw bytes, the heap's partition-relative
-    free/live lists, and the module images to replay with their
-    globals pinned at the recorded offsets. The tenant object itself
-    (stream, incarnation, handles-to-come) stays attached on the
-    server — swapping moves the *partition*, not the tenant.
+    different) base: the bytes (as the pages that hold them), the
+    heap's partition-relative free/live lists, and the module images to
+    replay with their globals pinned at the recorded offsets. The
+    tenant object itself (stream, incarnation, handles-to-come) stays
+    attached on the server — swapping moves the *partition*, not the
+    tenant.
     """
 
     app_id: str
     size: int
-    data: bytes
+    data: MemoryImage
     heap_free: tuple[tuple[int, int], ...]
     heap_live: tuple[tuple[int, int], ...]
     modules: tuple
@@ -344,7 +346,8 @@ class ElasticMemoryEngine:
         image = _SwapImage(
             app_id=app_id,
             size=partition.size,
-            data=server.device.memory.read(partition.base, partition.size),
+            data=server.device.memory.snapshot(partition.base,
+                                               partition.size),
             heap_free=tuple(heap_free),
             heap_live=tuple(heap_live),
             modules=tuple(tenant.modules),
@@ -355,15 +358,10 @@ class ElasticMemoryEngine:
         # Device-side module bindings die with the region; the images
         # replay at swap-in with globals re-pinned at the new base.
         tenant.drop_device_bindings()
-        scrubbed = 0
-
-        def scrubber(base: int, size: int) -> None:
-            nonlocal scrubbed
-            server.device.memory.fill(base, size, 0)
-            scrubbed = size
-
-        server.allocator.release_partition(app_id, scrubber=scrubber)
-        server.stats.bytes_scrubbed += scrubbed
+        server.allocator.release_partition(
+            app_id, scrubber=server.device.memory.fill
+        )
+        server.stats.bytes_scrubbed += partition.size
         self._swapped[app_id] = image
         server._charge(self._swap_cycles(image.size), critical=True)
         server.stats.swaps_out += 1
@@ -392,7 +390,7 @@ class ElasticMemoryEngine:
             self._make_space(image.size, exclude=frozenset((app_id,)))
         partition = server.allocator.create_partition(app_id, image.size)
         del self._swapped[app_id]
-        server.device.memory.write(partition.base, image.data)
+        server.device.memory.restore(partition.base, image.data)
         partition.heap = FirstFitAllocator.from_state(
             partition.base, partition.size,
             list(image.heap_free), list(image.heap_live),

@@ -79,6 +79,7 @@ from repro.driver.api import DriverAPI
 from repro.driver.fatbin import FatBinary, cuobjdump
 from repro.gpu.allocator import FirstFitAllocator
 from repro.gpu.device import Device
+from repro.gpu.memory import MemoryImage
 from repro.gpu.stream import Stream
 from repro.ptx.textcache import TextCache
 from repro.runtime.backend import CPU_GHZ, DriverCostModel
@@ -394,8 +395,8 @@ class TenantSnapshot:
     #: validity token on the source; informational after restore — the
     #: target re-publishes its own record at a fresh epoch).
     bounds_epoch: int
-    #: The partition's bytes, in full.
-    data: bytes
+    #: The partition's bytes, as the pages that hold them.
+    data: MemoryImage
     heap_free: tuple[tuple[int, int], ...]
     heap_live: tuple[tuple[int, int], ...]
     modules: tuple[_ModuleLoad, ...]
@@ -1198,13 +1199,6 @@ class GuardianServer:
         and destroy the stream, drop handles/memos, release (and
         optionally scrub) the partition, retire the lane. Returns the
         bytes scrubbed (0 when ``scrub`` is off)."""
-        scrubbed = 0
-
-        def scrubber(base: int, size: int) -> None:
-            nonlocal scrubbed
-            self.device.memory.fill(base, size, 0)
-            scrubbed = size
-
         if self.trace_engine is not None:
             self.trace_engine.forget(app_id)
         if self.elastic is not None:
@@ -1219,11 +1213,11 @@ class GuardianServer:
         self.driver.cuStreamDestroy(self.context, tenant.stream)
         self.stats.streams_destroyed += 1
         tenant.drop_device_bindings()
-        self.allocator.release_partition(
-            app_id, scrubber=scrubber if scrub else None
+        released = self.allocator.release_partition(
+            app_id, scrubber=self.device.memory.fill if scrub else None
         )
         self._retire_lane(app_id)
-        return scrubbed
+        return released.size if scrub and released is not None else 0
 
     # -- live migration endpoints (cluster control plane, DESIGN.md §10) -------
 
@@ -1251,7 +1245,7 @@ class GuardianServer:
             size=partition.size,
             source_base=partition.base,
             bounds_epoch=self.allocator.bounds.epoch(app_id),
-            data=self.device.memory.read(partition.base, partition.size),
+            data=self.device.memory.snapshot(partition.base, partition.size),
             heap_free=tuple(heap_free),
             heap_live=tuple(heap_live),
             modules=tuple(tenant.modules),
@@ -1306,7 +1300,7 @@ class GuardianServer:
         )
         if self.trace_engine is not None:
             self.trace_engine.forget(snapshot.app_id)
-        self.device.memory.write(partition.base, snapshot.data)
+        self.device.memory.restore(partition.base, snapshot.data)
         partition.heap = FirstFitAllocator.from_state(
             partition.base, partition.size,
             list(snapshot.heap_free), list(snapshot.heap_live),

@@ -72,20 +72,30 @@ class SetAssociativeCache:
 
     def flush(self) -> None:
         """Invalidate every line (keeps statistics)."""
-        for ways in self._sets:
+        for ways in filter(None, self._sets):
             ways.clear()
 
     def export_lines(self, lo: int, hi: int) -> tuple[int, ...]:
         """Resident line addresses within ``[lo, hi)``, ordered by
         (set, recency) with the most recently used first — the shape
-        :meth:`install_lines` reproduces exactly."""
-        lines = []
-        for index, ways in enumerate(self._sets):
-            for tag in ways:  # MRU-first
-                address = (tag * self.num_sets + index) * self.line_bytes
-                if lo <= address < hi:
-                    lines.append(address)
-        return tuple(lines)
+        :meth:`install_lines` reproduces exactly. Only the sets the
+        range's lines map to are visited."""
+        num_sets, line_bytes, sets = self.num_sets, self.line_bytes, self._sets
+        # Lines whose first byte lies in [lo, hi).
+        first, end = -(-lo // line_bytes), -(-hi // line_bytes)
+        if end - first >= num_sets:
+            indices = range(num_sets)
+        else:
+            start = first % num_sets
+            stop = start + max(end - first, 0)
+            indices = range(start, stop)
+            if stop > num_sets:  # the range wraps past the last set
+                indices = [*range(stop - num_sets), *range(start, num_sets)]
+        return tuple([
+            line * line_bytes
+            for index in indices for tag in sets[index]  # MRU-first
+            for line in [tag * num_sets + index] if first <= line < end
+        ])
 
     def install_lines(self, lines: tuple[int, ...]) -> None:
         """Install lines without touching statistics (models a DMA

@@ -9,7 +9,10 @@ equivalent of an Xid error.
 
 The backing store is **sparse**: a 16 GiB device costs nothing until
 pages are touched, so full-size partitions (the Guardian allocator
-reserves *all* device memory up front) are cheap to simulate.
+reserves *all* device memory up front) are cheap to simulate. It
+stays sparse under churn: zeroing a range (a scrub, a zero memset)
+drops the pages it covers, and a :class:`MemoryImage` (a snapshot for
+compaction, swap or migration) carries only the pages that hold data.
 
 Isolation tests rely on this memory being *real*: when a sandboxed
 kernel's out-of-bounds store wraps around into its own partition, the
@@ -19,6 +22,7 @@ bytes of the victim partition are provably untouched.
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +41,30 @@ PAGE_SIZE = 1 << 16
 
 def _int_format(width: int, signed: bool) -> str:
     return {1: "bB", 2: "hH", 4: "iI", 8: "qQ"}[width][0 if signed else 1]
+
+
+@dataclass(frozen=True)
+class MemoryImage:
+    """A copy of ``size`` bytes of device memory, kept page by page.
+
+    ``chunks`` holds ``(offset, bytes)`` in ascending offset, one per
+    materialised page the range overlaps, clipped to the range. Every
+    byte no chunk covers is zero, so an image costs what the range has
+    touched, not what it declares.
+    """
+
+    size: int
+    chunks: tuple[tuple[int, bytes], ...] = ()
+
+    def __len__(self) -> int:
+        return self.size
+
+    def prefix(self, size: int) -> MemoryImage:
+        """The first ``size`` bytes (a truncated copy)."""
+        return MemoryImage(size, tuple(
+            (offset, chunk[: size - offset])
+            for offset, chunk in self.chunks if offset < size
+        ))
 
 
 class GlobalMemory:
@@ -115,7 +143,55 @@ class GlobalMemory:
             written += take
 
     def fill(self, address: int, size: int, value: int = 0) -> None:
-        self.write(address, bytes([value & 0xFF]) * size)
+        if value & 0xFF or size <= 0:  # an empty range writes nothing
+            self.write(address, bytes([value & 0xFF]) * size)
+            return
+        # Zeroing: a page wholly inside the range is dropped (an absent
+        # page reads as zeros); only the partial pages at either end are
+        # written, and only if they exist.
+        offset = self._check(address, size, "write")
+        pages = self._pages
+        first, head = divmod(offset, PAGE_SIZE)
+        last, tail = divmod(offset + size, PAGE_SIZE)
+        if first == last:
+            page = pages.get(first)
+            if page is not None:
+                page[head:tail] = bytes(tail - head)
+            return
+        if head:
+            page = pages.get(first)
+            if page is not None:
+                page[head:] = bytes(PAGE_SIZE - head)
+            first += 1
+        if tail:
+            page = pages.get(last)
+            if page is not None:
+                page[:tail] = bytes(tail)
+        for index in range(first, last):
+            pages.pop(index, None)
+
+    def snapshot(self, address: int, size: int) -> MemoryImage:
+        """Copy ``size`` bytes as the pages that hold them: pages never
+        materialised are left out."""
+        offset = self._check(address, size, "read")
+        end = offset + size
+        pages = self._pages
+        chunks = []
+        for index in range(offset // PAGE_SIZE, -(-end // PAGE_SIZE)):
+            page = pages.get(index)
+            if page is None:
+                continue
+            origin = index * PAGE_SIZE
+            lo, hi = max(offset, origin), min(end, origin + PAGE_SIZE)
+            chunks.append((lo - offset, bytes(page[lo - origin : hi - origin])))
+        return MemoryImage(size, tuple(chunks))
+
+    def restore(self, address: int, image: MemoryImage) -> None:
+        """Make ``[address, address + image.size)`` hold ``image``'s
+        bytes: zero the range, then write back the pages it carries."""
+        self.fill(address, image.size)
+        for offset, chunk in image.chunks:
+            self.write(address + offset, chunk)
 
     def read_array(self, address: int, count: int,
                    dtype: str = "f32") -> np.ndarray:

@@ -403,6 +403,111 @@ class TestOversubscription:
 
 
 # --------------------------------------------------------------------------
+# Scrubs and images move pages: exact at every size, neighbours untouched
+# --------------------------------------------------------------------------
+
+#: A sub-page partition (shares its 64 KiB page with neighbours), one
+#: page, and several pages.
+PAGE_SHARING_SIZES = (4096, 1 << 16, 1 << 20)
+
+
+def _pattern(name: str, size: int) -> bytes:
+    seed = sum(name.encode())
+    return np.random.default_rng(seed).integers(
+        1, 256, size, dtype=np.uint8).tobytes()
+
+
+def _neighbourhood(server, size):
+    """Three adjacent partitions, each filled with its own pattern."""
+    for name in ("below", "middle", "above"):
+        server.attach(name, size)
+        base = server.allocator.partition(name).base
+        server.memcpy_h2d(name, base, _pattern(name, size))
+    server.synchronize("above")
+
+
+def _contents(server, name):
+    partition = server.allocator.partition(name)
+    data, _ = server.memcpy_d2h(name, partition.base, partition.size)
+    return data
+
+
+class TestScrubbedPages:
+    @pytest.mark.parametrize("mode", [FencingMode.BITWISE,
+                                      FencingMode.MODULO,
+                                      FencingMode.CHECKING])
+    @pytest.mark.parametrize("size", PAGE_SHARING_SIZES)
+    def test_a_tenant_on_scrubbed_memory_reads_zeros(self, mode, size):
+        """Quarantine scrubs ``middle``; a newcomer carved on the same
+        region reads zeros by DMA and through its fenced kernel, and
+        both neighbours keep every byte."""
+        server = GuardianServer(Device(SMALL), mode)
+        _neighbourhood(server, size)
+        region = server.allocator.partition("middle").base
+        assert server.quarantine("middle") == size
+        server.attach("newcomer", size)
+        assert server.allocator.partition("newcomer").base == region
+        assert _contents(server, "newcomer") == bytes(size)
+        handles, _ = server.register_fatbin(
+            "newcomer", build_fatbin(build_module([saxpy_kernel()]),
+                                     "lib", "11.7"))
+        xs = [region + 256]
+        if mode is not FencingMode.CHECKING:
+            xs.append(region + size + 256)  # wraps onto region + 256
+        for x in xs:
+            server.launch_kernel("newcomer", handles["saxpy"], (1, 1, 1),
+                                 (32, 1, 1), [region, x, 1.0, 32])
+        assert _contents(server, "newcomer") == bytes(size)
+        for name in ("below", "above"):
+            assert _contents(server, name) == _pattern(name, size)
+
+    @pytest.mark.parametrize("size", PAGE_SHARING_SIZES)
+    def test_compaction_moves_every_byte(self, size):
+        server = elastic_server()
+        server.attach("pad", size)
+        _neighbourhood(server, size)
+        server.detach("pad")
+        old_base = server.allocator.partition("below").base
+        assert server.elastic.compact("below") < old_base
+        assert server.stats.bytes_scrubbed == size
+        for name in ("below", "middle", "above"):
+            assert _contents(server, name) == _pattern(name, size)
+
+    @pytest.mark.parametrize("size", PAGE_SHARING_SIZES)
+    def test_swap_round_trip_moves_every_byte(self, size):
+        server = elastic_server()
+        _neighbourhood(server, size)
+        region = server.allocator.partition("middle").base
+        server.elastic.swap_out("middle")
+        server.attach("squatter", size)
+        assert server.allocator.partition("squatter").base == region
+        assert _contents(server, "squatter") == bytes(size)
+        server.elastic.ensure_resident("middle")
+        for name in ("below", "middle", "above"):
+            assert _contents(server, name) == _pattern(name, size)
+
+    def test_scrub_and_swap_cost_the_touched_pages(self):
+        """A 4 MiB tenant that touched one page: the swap image carries
+        that page, the scrub leaves no page behind, and the swap-in
+        materialises only that page again."""
+        server = elastic_server()
+        memory = server.device.memory
+        pages = len(memory._pages)
+        client = attach(server, "a", 4 << 20)
+        client.memcpy_h2d(client.malloc(4096), b"\xab" * 4096)
+        client.synchronize()
+        assert len(memory._pages) == pages + 1
+        server.elastic.swap_out("a")
+        assert len(memory._pages) == pages
+        image = server.elastic._swapped["a"]
+        assert len(image.data) == 4 << 20
+        assert len(image.data.chunks) == 1
+        assert server.stats.bytes_scrubbed == 4 << 20
+        server.elastic.ensure_resident("a")
+        assert len(memory._pages) == pages + 1
+
+
+# --------------------------------------------------------------------------
 # should_defrag: the one compaction rule
 # --------------------------------------------------------------------------
 

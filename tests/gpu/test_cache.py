@@ -1,6 +1,7 @@
 """Cache model tests."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.gpu.cache import MemoryHierarchy, SetAssociativeCache
 from repro.gpu.specs import QUADRO_RTX_A4000
@@ -62,6 +63,74 @@ class TestSetAssociativeCache:
         cache.access(0)
         cache.access(0)
         assert cache.stats.hit_ratio == 0.75
+
+
+def _export_by_scan(cache, lo, hi):
+    """Every set walked in order: the reference ``export_lines``
+    must agree with."""
+    return tuple(
+        address
+        for index, ways in enumerate(cache._sets) for tag in ways
+        for address in [(tag * cache.num_sets + index) * cache.line_bytes]
+        if lo <= address < hi
+    )
+
+
+class _CountingSets(list):
+    """A set table that records which sets are read."""
+
+    def __init__(self, sets):
+        super().__init__(sets)
+        self.visited = []
+
+    def __getitem__(self, index):
+        self.visited.append(index)
+        return super().__getitem__(index)
+
+
+class TestExportLines:
+    @given(accesses=st.lists(st.integers(0, 1 << 14), max_size=120),
+           lo=st.integers(0, 1 << 14), span=st.integers(0, 1 << 13))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_full_scan(self, accesses, lo, span):
+        cache = SetAssociativeCache(16 * 128 * 2, line_bytes=128,
+                                    associativity=2)
+        for address in accesses:
+            cache.access(address)
+        assert cache.export_lines(lo, lo + span) == \
+            _export_by_scan(cache, lo, lo + span)
+
+    @pytest.mark.parametrize("first_set,lines", [
+        (100, 32),    # a 4 KiB partition
+        (2040, 32),   # wraps past the last set
+        (0, 4096),    # covers every set
+    ])
+    def test_visits_only_the_ranges_sets(self, first_set, lines):
+        l2 = MemoryHierarchy.for_spec(QUADRO_RTX_A4000).l2
+        lo = (7 * l2.num_sets + first_set) * l2.line_bytes
+        hi = lo + lines * l2.line_bytes
+        for address in range(lo - 4096, hi + 4096, 64):
+            l2.access(address)
+        l2._sets = _CountingSets(l2._sets)
+        exported = l2.export_lines(lo, hi)
+        assert exported == _export_by_scan(l2, lo, hi)
+        assert len(exported) == min(lines, l2.num_sets * l2.associativity)
+        assert len(l2._sets.visited) == min(lines, l2.num_sets)
+        assert l2._sets.visited == sorted(l2._sets.visited)
+
+    def test_an_empty_range_exports_nothing(self):
+        cache = SetAssociativeCache(4096)
+        cache.access(0)
+        assert cache.export_lines(128, 128) == ()
+        assert cache.export_lines(256, 0) == ()
+
+    def test_flush_empties_every_set(self):
+        cache = SetAssociativeCache(4096)
+        for address in range(0, 1 << 14, 96):
+            cache.access(address)
+        cache.flush()
+        assert not any(cache._sets)
+        assert len(cache._sets) == cache.num_sets
 
 
 class TestMemoryHierarchy:

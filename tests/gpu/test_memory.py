@@ -166,6 +166,135 @@ class TestAgainstABytearray:
         assert memory.resident_bytes == len(written_pages) * PAGE_SIZE
 
 
+_range_ops = st.lists(
+    st.tuples(st.sampled_from(["write", "zero", "fill", "copy"]),
+              _offsets, _sizes, _offsets,
+              st.integers(min_value=0, max_value=255)),
+    max_size=25,
+)
+
+
+def _flat(image) -> bytes:
+    """The bytes a ``MemoryImage`` stands for."""
+    out = bytearray(image.size)
+    for offset, chunk in image.chunks:
+        out[offset:offset + len(chunk)] = chunk
+    return bytes(out)
+
+
+class TestZeroingAndImages:
+    """A zero fill drops the pages it covers, and a ``MemoryImage``
+    carries only the non-zero pages a range has materialised. Both must
+    read back exactly what a flat ``bytearray`` holds."""
+
+    def test_zeroing_an_untouched_range_materialises_nothing(self):
+        memory = GlobalMemory(64 * PAGE_SIZE)
+        memory.fill(memory.base + 100, 40 * PAGE_SIZE)
+        assert not memory._pages
+
+    def test_zeroing_drops_whole_pages_and_clears_the_edges(self):
+        memory = GlobalMemory(8 * PAGE_SIZE)
+        memory.write(memory.base, b"\xff" * (8 * PAGE_SIZE))
+        memory.fill(memory.base + PAGE_SIZE // 2, 4 * PAGE_SIZE)
+        assert sorted(memory._pages) == [0, 4, 5, 6, 7]
+        expected = (b"\xff" * (PAGE_SIZE // 2) + bytes(4 * PAGE_SIZE)
+                    + b"\xff" * (3 * PAGE_SIZE + PAGE_SIZE // 2))
+        assert memory.read(memory.base, 8 * PAGE_SIZE) == expected
+
+    def test_a_non_zero_fill_still_writes(self):
+        memory = GlobalMemory(4 * PAGE_SIZE)
+        memory.fill(memory.base + 10, 2 * PAGE_SIZE, 0x1AB)
+        assert memory.read(memory.base + 10, 2 * PAGE_SIZE) == \
+            b"\xab" * (2 * PAGE_SIZE)
+
+    def test_zeroing_out_of_range_faults(self):
+        memory = GlobalMemory(4 * PAGE_SIZE)
+        with pytest.raises(MemoryFault):
+            memory.fill(memory.limit - 8, 16)
+
+    @pytest.mark.parametrize("value", [0, 0x7F])
+    @pytest.mark.parametrize("offset, size", [
+        (5 * PAGE_SIZE + 100, -200),  # reaches back into the page below
+        (5 * PAGE_SIZE + 100, -10),   # stays inside one page
+        (3 * PAGE_SIZE, 0),
+    ])
+    def test_an_empty_or_negative_fill_writes_nothing(self, offset, size,
+                                                      value):
+        memory = GlobalMemory(8 * PAGE_SIZE)
+        before = b"\x5a" * (8 * PAGE_SIZE)
+        memory.write(memory.base, before)
+        memory.fill(memory.base + offset, size, value)
+        assert memory.read(memory.base, 8 * PAGE_SIZE) == before
+        assert len(memory._pages) == 8
+
+    def test_a_negative_fill_past_the_limit_faults(self):
+        memory = GlobalMemory(4 * PAGE_SIZE)
+        with pytest.raises(MemoryFault):
+            memory.fill(memory.limit + 100, -200)
+
+    def test_an_image_carries_only_materialised_pages(self):
+        memory = GlobalMemory(16 * PAGE_SIZE)
+        memory.write(memory.base + 3 * PAGE_SIZE + 5, b"abc")
+        memory.write(memory.base + 12 * PAGE_SIZE, b"outside")
+        start = memory.base + PAGE_SIZE + 7
+        image = memory.snapshot(start, 8 * PAGE_SIZE)
+        assert len(image) == 8 * PAGE_SIZE
+        assert [(offset, len(chunk)) for offset, chunk in image.chunks] \
+            == [(2 * PAGE_SIZE - 7, PAGE_SIZE)]
+        assert _flat(image) == memory.read(start, 8 * PAGE_SIZE)
+
+    def test_a_restore_owns_its_pages(self):
+        memory = GlobalMemory(8 * PAGE_SIZE)
+        memory.write(memory.base, b"\x5a" * PAGE_SIZE)
+        image = memory.snapshot(memory.base, 2 * PAGE_SIZE)
+        memory.restore(memory.base + 4 * PAGE_SIZE, image)
+        memory.write(memory.base + 4 * PAGE_SIZE, b"changed")
+        assert _flat(image) == b"\x5a" * PAGE_SIZE + bytes(PAGE_SIZE)
+        assert sorted(memory._pages) == [0, 4]
+
+    def test_prefix_truncates(self):
+        memory = GlobalMemory(4 * PAGE_SIZE)
+        memory.write(memory.base + 10, b"0123456789")
+        memory.write(memory.base + 2 * PAGE_SIZE, b"far")
+        image = memory.snapshot(memory.base, 4 * PAGE_SIZE)
+        short = image.prefix(15)
+        assert len(short) == 15
+        assert _flat(short) == bytes(10) + b"01234"
+
+    @given(ops=_range_ops)
+    @settings(max_examples=150, deadline=None)
+    def test_fills_snapshots_and_restores_match_the_model(self, ops):
+        memory = GlobalMemory(PAGES * PAGE_SIZE)
+        model = bytearray(PAGES * PAGE_SIZE)
+        for kind, offset, size, source, value in ops:
+            size = min(size, len(model) - offset, len(model) - source)
+            address = memory.base + offset
+            resident = set(memory._pages)
+            if kind == "write":
+                data = _PATTERN[value:value + size]
+                memory.write(address, data)
+                model[offset:offset + size] = data
+            elif kind == "zero":
+                memory.fill(address, size)
+                model[offset:offset + size] = bytes(size)
+                assert set(memory._pages) <= resident
+                assert not any(
+                    offset <= index * PAGE_SIZE
+                    and (index + 1) * PAGE_SIZE <= offset + size
+                    for index in memory._pages)
+            elif kind == "fill":
+                memory.fill(address, size, value)
+                model[offset:offset + size] = bytes([value]) * size
+            else:
+                image = memory.snapshot(memory.base + source, size)
+                assert set(memory._pages) == resident
+                assert _flat(image) == model[source:source + size]
+                assert len(image.chunks) <= len(resident)
+                memory.restore(address, image)
+                model[offset:offset + size] = _flat(image)
+            assert memory.read(memory.base, len(model)) == model
+
+
 def test_device_base_looks_like_paper_pointers():
     # The paper's Fig. 5 uses 0x7f... user-space-style addresses.
     assert hex(DEVICE_BASE).startswith("0x7fa")
