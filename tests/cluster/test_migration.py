@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import GuardianSystem
 from repro.cluster import ClusterConfig, GuardianCluster, PlacementPolicy
 from repro.core.policy import FencingMode
 from repro.core.supervisor import SupervisorPolicy
@@ -225,6 +226,60 @@ class TestSupervisorRung:
         # The moved tenant keeps working on the new node.
         session.client.memcpy_h2d(ptr, b"\x02" * 8192)
         assert session.client.memcpy_d2h(ptr, 8192) == b"\x02" * 8192
+
+
+class TestNodeSupervisorDefaults:
+    """What a cluster node's supervisor does and a single node's does
+    not: seeded backoff jitter, and the migration rung at half the
+    fault budget."""
+
+    #: Three resends at the stock base: 4 000 * (1 + 2 + 4) cycles.
+    STOCK_BACKOFF = 4_000 * (1 + 2 + 4)
+
+    @staticmethod
+    def _drop(times):
+        return FaultPlan(seed=3, specs=[FaultSpec(
+            kind=FaultKind.IPC_DROP, tenant="alice", op="malloc",
+            at_call=1, times=times,
+        )])
+
+    @staticmethod
+    def _retried_cycles(supervisor):
+        (record,) = [r for r in supervisor.records if r.action == "retried"]
+        assert record.attempts == 3
+        return record.cycles
+
+    def _cluster_backoff(self):
+        cluster = GuardianCluster(2, fault_plan=self._drop(3))
+        session = cluster.attach("alice", PARTITION)
+        session.client.malloc(256)
+        return self._retried_cycles(session.node.supervisor)
+
+    def test_cluster_backoff_is_jittered_and_seeded(self):
+        first = self._cluster_backoff()
+        assert first != self.STOCK_BACKOFF
+        assert self._cluster_backoff() == first
+
+    def test_single_node_backoff_is_exact(self):
+        system = GuardianSystem(fault_plan=self._drop(3))
+        system.attach("alice", PARTITION).runtime.cudaMalloc(256)
+        assert self._retried_cycles(system.supervisor) == self.STOCK_BACKOFF
+
+    @pytest.mark.parametrize("times, moves", [(4, True), (3, False)],
+                             ids=["exhausted", "recovered"])
+    def test_half_budget_migrates(self, times, moves):
+        """An exhausted retry (weight 4.0, half of 8.0) moves the
+        tenant as the call unwinds; a recovered one (1.0) does not."""
+        cluster = GuardianCluster(2, fault_plan=self._drop(times))
+        session = cluster.attach("alice", PARTITION)
+        source = session.node
+        try:
+            session.client.malloc(256)
+        except TransientIPCFault:
+            assert moves
+        assert (session.node is not source) is moves
+        assert [m.trigger for m in cluster.migrations] == (
+            ["supervisor"] if moves else [])
 
 
 class TestDetachAndEvacuate:
