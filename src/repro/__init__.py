@@ -28,14 +28,13 @@ from dataclasses import dataclass
 from repro.cluster import (
     ClusterConfig,
     GuardianCluster,
-    HealthPolicy,
     NodeHealth,
     PlacementPolicy,
 )
 from repro.core.client import GuardianClient, preload_guardian
 from repro.core.policy import FencingMode
 from repro.core.server import GuardianServer, ServerConfig
-from repro.core.supervisor import SupervisorPolicy, TenantSupervisor
+from repro.core.supervisor import TenantSupervisor
 from repro.errors import ClientCrashed, TenantQuarantined
 from repro.faults.plan import FaultPlan
 from repro.gpu.device import Device
@@ -63,12 +62,10 @@ __all__ = [
     "GuardianServer",
     "GuardianSystem",
     "GuardianTenant",
-    "HealthPolicy",
     "NodeHealth",
     "PlacementPolicy",
     "QUADRO_RTX_A4000",
     "ServerConfig",
-    "SupervisorPolicy",
     "Telemetry",
     "TenantSupervisor",
     "preload_guardian",
@@ -101,21 +98,20 @@ class GuardianSystem:
         config: ServerConfig | None = None,
         supervised: bool | None = None,
         fault_plan: FaultPlan | None = None,
-        policy: SupervisorPolicy | None = None,
     ):
         self.device = Device(spec)
         self.server = GuardianServer(
             self.device, mode=mode, standalone_native=standalone_native,
             config=config,
         )
-        # Supervision is opt-in (or implied by a fault plan / policy),
-        # keeping the default system byte-compatible with the seed; a
+        # Supervision is opt-in (or implied by a fault plan), keeping
+        # the default system byte-compatible with the seed; a
         # supervised system without a plan is still cycle-identical.
         if supervised is None:
-            supervised = fault_plan is not None or policy is not None
+            supervised = fault_plan is not None
         self.fault_plan = fault_plan
         self.supervisor: TenantSupervisor | None = (
-            TenantSupervisor(self.server, plan=fault_plan, policy=policy)
+            TenantSupervisor(self.server, plan=fault_plan)
             if supervised else None
         )
         self.tenants: dict[str, GuardianTenant] = {}

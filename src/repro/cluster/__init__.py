@@ -11,7 +11,6 @@ from repro.cluster.cluster import (
 )
 from repro.cluster.health import (
     ACTION_WEIGHTS,
-    HealthPolicy,
     HealthTransition,
     NodeHealth,
     NodeHealthMonitor,
@@ -26,7 +25,6 @@ __all__ = [
     "EvictionRecord",
     "GuardianCluster",
     "GuardianNode",
-    "HealthPolicy",
     "HealthTransition",
     "MigrationRecord",
     "NodeHealth",

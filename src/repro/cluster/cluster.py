@@ -24,8 +24,8 @@ own simulated device, supervisor and health monitor):
   to its source, untouched.
 
 The per-node supervisors get the **migration rung**
-(:attr:`SupervisorPolicy.migrate_budget_fraction`): a tenant burning
-fault budget is moved to a healthier node *before* the budget
+(:data:`~repro.core.supervisor.MIGRATE_BUDGET_FRACTION`): a tenant
+burning fault budget is moved to a healthier node *before* the budget
 exhausts into eviction.
 
 Everything here is additive and opt-in: constructing a cluster builds
@@ -40,7 +40,6 @@ from typing import Optional, Sequence, Union
 
 from repro.cluster.client import ClusterClient
 from repro.cluster.health import (
-    HealthPolicy,
     NodeHealth,
     NodeHealthMonitor,
     publish_node_health,
@@ -48,7 +47,7 @@ from repro.cluster.health import (
 from repro.cluster.placement import PlacementPolicy
 from repro.core.policy import FencingMode
 from repro.core.server import GuardianServer, ServerConfig
-from repro.core.supervisor import SupervisorPolicy, TenantSupervisor
+from repro.core.supervisor import TenantSupervisor
 from repro.errors import (
     GuardianError,
     MigrationError,
@@ -64,44 +63,29 @@ from repro.runtime.interpose import LIBCUDA, DynamicLoader
 from repro.telemetry import Telemetry
 
 
+#: Backoff jitter of every node's supervisor: a cluster has many
+#: tenants' lanes retrying against one control plane, so its resends
+#: are spread where a single node's stay exact.
+NODE_BACKOFF_JITTER = 0.1
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Knobs of the fleet control plane.
+    """The fleet control plane's deployment settings.
 
     The cluster itself is opt-in (nothing constructs one implicitly),
-    so its defaults describe a *working* control plane; the knobs that
-    alter per-call behaviour relative to stock Guardian — the
-    supervisor's migration rung and backoff jitter — still default off
-    in :class:`SupervisorPolicy` itself and are only switched on here
-    via :attr:`supervisor_policy`'s cluster default.
+    so it describes a *working* control plane: every node's supervisor
+    runs with ``NODE_BACKOFF_JITTER`` and, when ``mode`` is
+    ``FencingMode.BITWISE``, the migration rung
+    (``supervisor.MIGRATE_BUDGET_FRACTION``). A cluster migrates iff
+    its mode is bitwise: the fence is what retargets device-held
+    pointers after a move, so in any other mode a node loss evicts
+    instead of moving.
     """
 
     server_config: ServerConfig = field(default_factory=ServerConfig)
-    #: Live migration requires the bitwise fence (it doubles as the
-    #: client's pointer-translation layer — see core/elastic.py).
     mode: FencingMode = FencingMode.BITWISE
-    health: HealthPolicy = field(default_factory=HealthPolicy)
     placement: PlacementPolicy = field(default_factory=PlacementPolicy)
-    #: Per-node supervisor policy; None = the cluster default (stock
-    #: policy plus the migration rung at half budget and 10% backoff
-    #: jitter — the cluster has somewhere to move tenants *to*).
-    supervisor_policy: Optional[SupervisorPolicy] = None
-    #: Master switch for live migration. Off, the cluster still
-    #: places, monitors and quarantines — a node loss evicts instead
-    #: of moving.
-    enable_migration: bool = True
-    #: Also migrate one resident per tick off *degraded* nodes
-    #: (proactive shedding). Default off: placement pressure already
-    #: starves degraded nodes of new load.
-    shed_on_degraded: bool = False
-
-    def node_supervisor_policy(self) -> SupervisorPolicy:
-        if self.supervisor_policy is not None:
-            return self.supervisor_policy
-        return SupervisorPolicy(
-            migrate_budget_fraction=0.5 if self.enable_migration else None,
-            backoff_jitter=0.1,
-        )
 
 
 @dataclass
@@ -112,7 +96,7 @@ class MigrationRecord:
     source: str
     target: str
     reason: str
-    trigger: str  # supervisor | evacuation | shed | operator
+    trigger: str  # supervisor | evacuation | operator
     beat: int
     bytes_moved: int = 0
     #: Modelled PCIe cost of moving the partition (device→host on the
@@ -159,11 +143,10 @@ class GuardianNode:
             self.device, mode=config.mode, config=config.server_config,
         )
         self.supervisor = TenantSupervisor(
-            self.server, plan=plan,
-            policy=config.node_supervisor_policy(),
-            node=node_id,
+            self.server, plan=plan, node=node_id,
+            backoff_jitter=NODE_BACKOFF_JITTER,
         )
-        self.monitor = NodeHealthMonitor(node_id, config.health)
+        self.monitor = NodeHealthMonitor(node_id)
         self.crashed = False
         self.crash_reason = ""
         #: Set once the cluster has drained the node after it went
@@ -173,10 +156,6 @@ class GuardianNode:
     @property
     def dispatch_target(self) -> TenantSupervisor:
         return self.supervisor
-
-    @property
-    def health(self) -> NodeHealth:
-        return self.monitor.state
 
     def crash(self, reason: str) -> None:
         """The node dies: device memory is gone, nothing is reachable."""
@@ -204,21 +183,14 @@ class GuardianCluster:
         if not specs:
             raise GuardianError("a cluster needs at least one node")
         self.config = config or ClusterConfig()
-        if self.config.mode is not FencingMode.BITWISE \
-                and self.config.enable_migration:
-            raise MigrationError(
-                "live migration requires FencingMode.BITWISE (the fence "
-                "is the pointer-translation layer); disable migration "
-                "for other modes"
-            )
         self.plan = fault_plan
         self.nodes: list[GuardianNode] = [
             GuardianNode(f"node{index}", spec, self.config, plan=fault_plan)
             for index, spec in enumerate(specs)
         ]
-        if self.config.enable_migration:
+        if self.config.mode is FencingMode.BITWISE:
             for node in self.nodes:
-                node.supervisor.migration_hook = self._migration_hook(node)
+                node.supervisor.migration_hook = self._supervisor_migrate
         self.tenants: dict[str, ClusterTenant] = {}
         self.beat = 0
         self.migrations: list[MigrationRecord] = []
@@ -310,14 +282,6 @@ class GuardianCluster:
         for node in self.nodes:
             if node.monitor.state is NodeHealth.DOWN and not node.drained:
                 actions.extend(self._drain_node(node))
-            elif (
-                self.config.shed_on_degraded
-                and self.config.enable_migration
-                and node.monitor.state is NodeHealth.DEGRADED
-            ):
-                shed = self._shed_one(node)
-                if shed:
-                    actions.append(shed)
         if self.telemetry is not None:
             for node in self.nodes:
                 publish_node_health(self.telemetry.registry, node.monitor)
@@ -364,12 +328,8 @@ class GuardianCluster:
                 ))
                 actions.append(f"lost {app_id} with {node.node_id}")
                 continue
-            moved = (
-                self.migrate(app_id, reason="node down: draining",
-                             trigger="evacuation")
-                if self.config.enable_migration else False
-            )
-            if moved:
+            if self.migrate(app_id, reason="node down: draining",
+                            trigger="evacuation"):
                 actions.append(f"migrated {app_id} off {node.node_id}")
             else:
                 node.supervisor.quarantine_tenant(
@@ -389,31 +349,14 @@ class GuardianCluster:
                 actions.append(f"quarantined {app_id} on {node.node_id}")
         return actions
 
-    def _shed_one(self, node: GuardianNode) -> Optional[str]:
-        """Proactive shedding: move the smallest resident off a
-        degraded node (smallest first — cheapest copy, frees the most
-        placement slack per byte moved)."""
-        residents = sorted(
-            node.server.allocator.partitions(),
-            key=lambda partition: (partition.size, partition.app_id),
-        )
-        for partition in residents:
-            if self.migrate(partition.app_id,
-                            reason="shedding off degraded node",
-                            trigger="shed"):
-                return f"shed {partition.app_id} off {node.node_id}"
-        return None
-
     # -- live migration -------------------------------------------------------------
 
-    def _migration_hook(self, node: GuardianNode):
-        def hook(app_id: str, reason: str) -> bool:
-            try:
-                return self.migrate(app_id, reason=reason,
-                                    trigger="supervisor")
-            except ReproError:
-                return False
-        return hook
+    def _supervisor_migrate(self, app_id: str, reason: str) -> bool:
+        """Every node supervisor's ``migration_hook``: never raises."""
+        try:
+            return self.migrate(app_id, reason=reason, trigger="supervisor")
+        except ReproError:
+            return False
 
     def migrate(self, app_id: str, target: Optional[GuardianNode] = None,
                 reason: str = "", trigger: str = "operator") -> bool:
@@ -421,10 +364,12 @@ class GuardianCluster:
 
         All-or-nothing: on any failure the tenant stays attached to
         its source, which remains responsible for it. Returns True on
-        a completed move. The fault plan's ``(Site.NODE, source,
-        "migrate")`` consultation can truncate the snapshot (abort) or
-        crash the source mid-copy (the tenant survives on the target;
-        the source's other residents are handled by the next beat).
+        a completed move. A cluster whose mode is not bitwise refuses
+        every move, with a record naming the fence. The fault plan's
+        ``(Site.NODE, source, "migrate")`` consultation can truncate
+        the snapshot (abort) or crash the source mid-copy (the tenant
+        survives on the target; the source's other residents are
+        handled by the next beat).
 
         **Every per-call specialization restarts cold at the
         destination.** The snapshot deliberately carries only the
@@ -446,7 +391,13 @@ class GuardianCluster:
         if source.crashed or app_id not in source.resident_tenants():
             return False
         size = source.server.allocator.partition(app_id).size
-        if target is None:
+        detail = "no eligible target node"
+        if self.config.mode is not FencingMode.BITWISE:
+            target, detail = None, (
+                "live migration requires FencingMode.BITWISE: the fence "
+                "retargets device-held pointers after a move"
+            )
+        elif target is None:
             target = self.config.placement.choose(
                 self.nodes, size, exclude=(source.node_id,)
             )
@@ -457,7 +408,7 @@ class GuardianCluster:
         )
         self.migrations.append(record)
         if target is None:
-            record.detail = "no eligible target node"
+            record.detail = detail
             self._observe_migration(record)
             return False
         # Deliver any batched async work to the source before the cut:
@@ -482,7 +433,7 @@ class GuardianCluster:
             snapshot = source.server.snapshot_tenant(app_id)
         except ReproError as failure:
             record.detail = f"snapshot refused: {failure}"
-            source.monitor.note_failure("migration_failed", weight=1.0)
+            source.monitor.note_failure("migration_failed")
             self._observe_migration(record)
             return False
         if truncate_at is not None:
@@ -499,7 +450,7 @@ class GuardianCluster:
             new_base = target.server.restore_tenant(snapshot)
         except MigrationError as failure:
             record.detail = str(failure)
-            source.monitor.note_failure("migration_failed", weight=1.0)
+            source.monitor.note_failure("migration_failed")
             self._observe_migration(record)
             return False
         record.bytes_moved = snapshot.size

@@ -9,7 +9,7 @@ From those two streams the monitor maintains
 
 - a **health state machine** ``healthy → degraded → suspect → down``:
   misses walk the ladder (one missed deadline makes a node *suspect* —
-  it may just be slow; ``down_after_missed`` consecutive misses
+  it may just be slow; ``DOWN_AFTER_MISSED`` consecutive misses
   declare it dead), while accumulated failure weight degrades it.
   ``down`` is terminal — a node that lost its memory cannot come back
   as the same node;
@@ -23,13 +23,13 @@ From those two streams the monitor maintains
 
 The monitor is pure bookkeeping: it never touches servers or tenants.
 The cluster reads its state and score and *reacts* (placement
-penalties, shedding, evacuation).
+penalties, evacuation).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class NodeHealth(enum.Enum):
@@ -57,7 +57,25 @@ ACTION_WEIGHTS: dict[str, float] = {
     "delayed": 0.25,
     "suppressed": 0.1,
     "migrated": 0.0,  # the move itself is not the node's failure
+    # A snapshot or restore that failed on this node (cluster-recorded).
+    "migration_failed": 1.0,
 }
+
+# The health state machine's thresholds. Nothing outside tests sets
+# them; a test that needs another value patches the module.
+
+#: Consecutive missed heartbeats before the node is *suspect*.
+SUSPECT_AFTER_MISSED = 1
+#: Consecutive missed heartbeats before the node is *down*.
+DOWN_AFTER_MISSED = 3
+#: Failure score at which an answering node is *degraded*.
+DEGRADE_SCORE = 2.0
+#: Failure score at which even an answering node is *suspect*.
+SUSPECT_SCORE = 8.0
+#: Score below which a degraded/suspect node recovers to healthy.
+RECOVER_SCORE = 1.0
+#: Multiplicative score decay applied once per beat.
+SCORE_DECAY = 0.9
 
 #: Numeric rung per state, for gauges/dashboards (0 = healthy).
 HEALTH_RUNG: dict[NodeHealth, int] = {
@@ -90,24 +108,6 @@ def publish_node_health(registry, monitor: "NodeHealthMonitor") -> None:
     ).set(score, node=monitor.node_id)
 
 
-@dataclass(frozen=True)
-class HealthPolicy:
-    """Thresholds of the node health state machine."""
-
-    #: Consecutive missed heartbeats before the node is *suspect*.
-    suspect_after_missed: int = 1
-    #: Consecutive missed heartbeats before the node is *down*.
-    down_after_missed: int = 3
-    #: Failure score at which an answering node is *degraded*.
-    degrade_score: float = 2.0
-    #: Failure score at which even an answering node is *suspect*.
-    suspect_score: float = 8.0
-    #: Score below which a degraded/suspect node recovers to healthy.
-    recover_score: float = 1.0
-    #: Multiplicative score decay applied once per beat.
-    score_decay: float = 0.9
-
-
 @dataclass
 class HealthTransition:
     """One state-machine edge, kept for the failure report."""
@@ -121,23 +121,21 @@ class HealthTransition:
 class NodeHealthMonitor:
     """Tracks one node's heartbeat stream and failure history."""
 
-    def __init__(self, node_id: str, policy: HealthPolicy | None = None):
+    def __init__(self, node_id: str):
         self.node_id = node_id
-        self.policy = policy or HealthPolicy()
         self.state = NodeHealth.HEALTHY
         self.score = 0.0
         self.beats = 0
         self.missed_consecutive = 0
         self.missed_total = 0
         self.transitions: list[HealthTransition] = []
-        self._events: int = 0
 
     # -- inputs ---------------------------------------------------------------
 
     def beat(self, answered: bool) -> NodeHealth:
         """Deliver one heartbeat deadline; returns the (new) state."""
         self.beats += 1
-        self.score *= self.policy.score_decay
+        self.score *= SCORE_DECAY
         if answered:
             self.missed_consecutive = 0
         else:
@@ -149,12 +147,10 @@ class NodeHealthMonitor:
         )
         return self.state
 
-    def note_failure(self, action: str, weight: float | None = None) -> None:
-        """Charge one supervisor failure event against the node."""
-        if weight is None:
-            weight = ACTION_WEIGHTS.get(action, 0.5)
-        self.score += weight
-        self._events += 1
+    def note_failure(self, action: str) -> None:
+        """Charge one failure event (a supervisor record's action, or
+        the cluster's ``"migration_failed"``) against the node."""
+        self.score += ACTION_WEIGHTS.get(action, 0.5)
         self._step(f"failure event {action!r}")
 
     def force_down(self, reason: str) -> None:
@@ -166,17 +162,16 @@ class NodeHealthMonitor:
     def _step(self, reason: str) -> None:
         if self.state is NodeHealth.DOWN:
             return  # terminal
-        policy = self.policy
-        if self.missed_consecutive >= policy.down_after_missed:
+        if self.missed_consecutive >= DOWN_AFTER_MISSED:
             target = NodeHealth.DOWN
         elif (
-            self.missed_consecutive >= policy.suspect_after_missed
-            or self.score >= policy.suspect_score
+            self.missed_consecutive >= SUSPECT_AFTER_MISSED
+            or self.score >= SUSPECT_SCORE
         ):
             target = NodeHealth.SUSPECT
-        elif self.score >= policy.degrade_score:
+        elif self.score >= DEGRADE_SCORE:
             target = NodeHealth.DEGRADED
-        elif self.score <= policy.recover_score:
+        elif self.score <= RECOVER_SCORE:
             target = NodeHealth.HEALTHY
         elif self.state is NodeHealth.SUSPECT:
             # Answering again, score in the hysteresis band: demote

@@ -5,12 +5,12 @@ partition?* Its cost function composes
 
 - **capacity fit** — the node must be able to carve the (power-of-two
   rounded) partition right now (:meth:`GuardianAllocator.can_carve`);
-  among nodes that fit, fuller nodes cost more (occupancy term), which
-  bin-packs: small tenants fill the gaps of busy nodes before a fresh
-  node is dented;
+  among nodes that fit, the occupancy term (weight 1) bin-packs by
+  default: fuller nodes cost less, so small tenants fill the gaps of
+  busy nodes before a fresh node is dented;
 - **failure-domain penalty** — each node's decayed failure score
   (:meth:`NodeHealthMonitor.failure_domain_score`) scaled by
-  ``failure_penalty``: a chronically faulty node keeps *losing* the
+  ``FAILURE_PENALTY``: a chronically faulty node keeps *losing* the
   placement auction even while technically up, so it sheds load over
   time — the *Characterization-Guided GPU Fault Resilience* policy;
 - **health gating** — ``suspect``/``down`` nodes are excluded outright
@@ -29,15 +29,16 @@ from typing import Iterable, Optional
 from repro.core import masks
 
 
+#: Weight of a node's failure-domain score against the occupancy term
+#: (the fraction of the node's partitionable bytes in use after this
+#: placement, weight 1).
+FAILURE_PENALTY = 0.5
+
+
 @dataclass(frozen=True)
 class PlacementPolicy:
-    """Weights of the placement cost function."""
+    """The placement cost function's one setting."""
 
-    #: Weight of the memory-occupancy term (fraction of the node's
-    #: partitionable bytes in use after this placement).
-    occupancy_weight: float = 1.0
-    #: Weight of the node's failure-domain score.
-    failure_penalty: float = 0.5
     #: Prefer packing onto busier nodes (True, the default: the
     #: occupancy term *rewards* fuller nodes so small tenants fill
     #: gaps) or spreading across emptier ones (False: occupancy term
@@ -59,10 +60,8 @@ class PlacementPolicy:
         allocator = node.server.allocator
         occupancy = (allocator.bytes_partitioned + size) / allocator.total_bytes
         occupancy_cost = (1.0 - occupancy) if self.pack else occupancy
-        return (
-            self.occupancy_weight * occupancy_cost
-            + self.failure_penalty * node.monitor.failure_domain_score()
-        )
+        return (occupancy_cost
+                + FAILURE_PENALTY * node.monitor.failure_domain_score())
 
     def choose(self, nodes: Iterable, max_bytes: int,
                exclude: tuple[str, ...] = ()):

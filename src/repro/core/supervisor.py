@@ -6,20 +6,20 @@ handler with the *temporal* safety the production north star needs — a
 defined containment story for tenants that misbehave in ways the
 happy-path traps never see:
 
-- **per-tenant deadlines** — a call whose charged cycles exceed the
-  policy's deadline is recorded as a violation (the tenant is slow or
+- **per-tenant deadlines** — a call whose charged cycles exceed
+  ``DEADLINE_CYCLES`` is recorded as a violation (the tenant is slow or
   its messages are being delayed; either way it is burning the shared
   server's time);
 - **bounded retry with backoff** — transient message-queue faults
   (dropped or corrupted crossings, detected by sequence numbers /
-  checksums) are retried up to ``max_retries`` times with exponential
+  checksums) are retried up to ``MAX_RETRIES`` times with exponential
   backoff before surfacing an :class:`IPCError`;
 - **a fault budget that escalates to quarantine** — every recorded
-  fault charges a kind-specific weight against the tenant's budget;
-  exhausting it (or hitting an unrecoverable fault: a wedged stream, a
-  dead client) triggers the server's containment sequence
-  (:meth:`GuardianServer.quarantine`): stream drained and destroyed,
-  handles dropped, partition scrubbed and reclaimed. Other tenants'
+  fault charges a kind-specific ``WEIGHT_*`` against the tenant's
+  ``FAULT_BUDGET``; exhausting it (or hitting an unrecoverable fault:
+  a wedged stream, a dead client) triggers the server's containment
+  sequence (:meth:`GuardianServer.quarantine`): stream drained and
+  destroyed, handles dropped, partition scrubbed and reclaimed. Other tenants'
   bounds-table epochs, partitions and in-flight batches are untouched.
 
 Fault *injection* also lives at this boundary: the supervisor is the
@@ -54,50 +54,35 @@ from repro.faults.plan import FaultKind, FaultPlan, FiredFault, Site
 from repro.telemetry import maybe_span
 
 
-@dataclass(frozen=True)
-class SupervisorPolicy:
-    """Knobs of the containment state machine (DESIGN.md §6)."""
+# The containment state machine's numbers (DESIGN.md §6). Nothing
+# outside tests sets them; a test that needs another value patches the
+# module.
 
-    #: Resend attempts for one transient IPC fault before giving up.
-    max_retries: int = 3
-    #: Backoff charged per resend attempt: base * 2**attempt cycles.
-    backoff_base_cycles: int = 4_000
-    #: Fractional jitter applied to each backoff step (0.0 = off, the
-    #: stock exact-exponential behaviour). With jitter ``j`` each step
-    #: is scaled by a factor drawn uniformly from [1-j/2, 1+j/2] — the
-    #: standard defence against synchronized retry storms when many
-    #: lanes hit the same transient fault. The draws come from an RNG
-    #: seeded off the installed fault plan, so gauntlet runs stay
-    #: reproducible.
-    backoff_jitter: float = 0.0
-    #: Cycles detecting and dropping a duplicated message.
-    duplicate_detect_cycles: int = 700
-    #: Per-call deadline on the server's charged cycles.
-    deadline_cycles: float = 5_000_000.0
-    #: Budget a tenant may burn before quarantine.
-    fault_budget: float = 8.0
-    #: Weights charged against the budget per fault class.
-    weight_retry: float = 1.0
-    weight_exhausted: float = 4.0
-    weight_violation: float = 2.0
-    weight_ptx: float = 2.0
-    weight_alloc: float = 1.0
-    weight_deadline: float = 1.0
-    weight_rejected: float = 0.5
-    #: Zero the partition before the region is reusable.
-    scrub_on_quarantine: bool = True
-    #: A fresh ``attach`` after quarantine re-admits the tenant with a
-    #: zeroed budget (a new tenant instance, operator-sanctioned).
-    readmit_after_quarantine: bool = True
-    #: The migration rung below eviction (None = off, the stock
-    #: two-rung ladder). When a tenant's spent budget crosses
-    #: ``migrate_budget_fraction * fault_budget`` and a
-    #: ``migration_hook`` is installed (the cluster control plane
-    #: installs one per node), the supervisor asks the hook to move
-    #: the tenant to a healthier node instead of waiting for the
-    #: budget to exhaust into quarantine. The hook runs *after* the
-    #: in-flight call completes — never mid-dispatch.
-    migrate_budget_fraction: Optional[float] = None
+#: Resend attempts for one transient IPC fault before giving up.
+MAX_RETRIES = 3
+#: Backoff charged per resend attempt: base * 2**attempt cycles.
+BACKOFF_BASE_CYCLES = 4_000
+#: Cycles detecting and dropping a duplicated message.
+DUPLICATE_DETECT_CYCLES = 700
+#: Per-call deadline on the server's charged cycles.
+DEADLINE_CYCLES = 5_000_000.0
+#: Budget a tenant may burn before quarantine.
+FAULT_BUDGET = 8.0
+#: Weights charged against the budget per fault class.
+WEIGHT_RETRY = 1.0
+WEIGHT_EXHAUSTED = 4.0
+WEIGHT_VIOLATION = 2.0
+WEIGHT_PTX = 2.0
+WEIGHT_ALLOC = 1.0
+WEIGHT_DEADLINE = 1.0
+WEIGHT_REJECTED = 0.5
+#: The migration rung below eviction, for supervisors with a
+#: ``migration_hook`` (the cluster installs one per node): once a
+#: tenant's spent budget reaches this fraction of ``FAULT_BUDGET`` the
+#: hook is asked to move it to a healthier node instead of waiting for
+#: the budget to exhaust into quarantine. The hook runs *after* the
+#: in-flight call completes, never mid-dispatch.
+MIGRATE_BUDGET_FRACTION = 0.5
 
 
 @dataclass
@@ -163,12 +148,18 @@ class TenantSupervisor:
 
     def __init__(self, server: GuardianServer,
                  plan: Optional[FaultPlan] = None,
-                 policy: Optional[SupervisorPolicy] = None,
-                 node: str = ""):
-        self._server = server
+                 node: str = "", backoff_jitter: float = 0.0):
+        self.server = server
         self.plan = plan
-        self.policy = policy or SupervisorPolicy()
         self.node = node
+        #: Fractional jitter applied to each backoff step (0.0 = off,
+        #: the exact exponential; cluster nodes run with 0.1). With
+        #: jitter ``j`` each step is scaled by a factor drawn uniformly
+        #: from [1-j/2, 1+j/2], the standard defence against
+        #: synchronized retry storms when many lanes hit the same
+        #: transient fault. The draws come from an RNG seeded off the
+        #: fault plan, so gauntlet runs stay reproducible.
+        self.backoff_jitter = backoff_jitter
         #: Installed by the cluster control plane: ``hook(app_id,
         #: reason) -> bool`` (True = the tenant moved and this
         #: supervisor no longer owns it). Must not raise; failure
@@ -177,28 +168,17 @@ class TenantSupervisor:
         self._states: dict[str, _TenantState] = {}
         self.records: list[FailureRecord] = []
         self.quarantines: list[QuarantineRecord] = []
-        self._jitter_rng = self._seed_jitter(plan)
-
-    @staticmethod
-    def _seed_jitter(plan: Optional[FaultPlan]) -> random.Random:
         # Derived from the plan's seed (not its live RNG) so jitter
         # draws never perturb the plan's own parameter stream.
-        return random.Random(0x9E3779B9 ^ (plan.seed if plan else 0))
-
-    @property
-    def server(self) -> GuardianServer:
-        return self._server
-
-    def install_plan(self, plan: Optional[FaultPlan]) -> None:
-        self.plan = plan
-        self._jitter_rng = self._seed_jitter(plan)
+        self._jitter_rng = random.Random(
+            0x9E3779B9 ^ (plan.seed if plan else 0))
 
     def __getattr__(self, name: str):
         if name in _HANDLERS:
             def handler(app_id, *args, _method=name):
                 return self._supervised(_method, app_id, *args)
             return handler
-        return getattr(self._server, name)
+        return getattr(self.server, name)
 
     # -- tenant state ------------------------------------------------------------
 
@@ -267,7 +247,7 @@ class TenantSupervisor:
         state.migration_pending = False
         reason = (
             f"fault budget {state.budget:.1f}/"
-            f"{self.policy.fault_budget:.1f}: migrating before eviction"
+            f"{FAULT_BUDGET:.1f}: migrating before eviction"
         )
         if self.migration_hook(app_id, reason):
             self._record(app_id, method, "migration", "migrated",
@@ -279,7 +259,9 @@ class TenantSupervisor:
     def _supervised_inner(self, method: str, app_id: str, *args):
         state = self.state_of(app_id)
         if state.quarantined:
-            if method == "attach" and self.policy.readmit_after_quarantine:
+            # A fresh attach re-admits the tenant with a zeroed budget
+            # (a new tenant instance; quarantine scrubbed the old one).
+            if method == "attach":
                 state = _TenantState()
                 self._states[app_id] = state
             else:
@@ -296,10 +278,10 @@ class TenantSupervisor:
             )
 
         try:
-            result, cycles = getattr(self._server, method)(app_id, *args)
+            result, cycles = getattr(self.server, method)(app_id, *args)
         except BoundsViolation as failure:
             self._fail(state, app_id, method, "bounds_violation", "fenced",
-                       self.policy.weight_violation, detail=str(failure))
+                       WEIGHT_VIOLATION, detail=str(failure))
             raise
         except StreamFault as failure:
             # The stream is wedged — no retry can help; contain now.
@@ -310,19 +292,19 @@ class TenantSupervisor:
             raise
         except AllocationError as failure:
             self._fail(state, app_id, method, "alloc_exhaust", "rejected",
-                       self.policy.weight_alloc, detail=str(failure))
+                       WEIGHT_ALLOC, detail=str(failure))
             raise
         except PTXError as failure:
             self._fail(state, app_id, method, "malformed_ptx", "rejected",
-                       self.policy.weight_ptx, detail=str(failure))
+                       WEIGHT_PTX, detail=str(failure))
             raise
         except (GuardianError, LaunchError) as failure:
             # PatcherError lands here too, as do handle/config rejections
             # and server-terminated kernels: clean per-tenant errors, but
             # a tenant producing them in bulk is misbehaving.
-            weight = (self.policy.weight_ptx
+            weight = (WEIGHT_PTX
                       if "patcher" in type(failure).__name__.lower()
-                      else self.policy.weight_rejected)
+                      else WEIGHT_REJECTED)
             self._fail(state, app_id, method, type(failure).__name__,
                        "rejected", weight, detail=str(failure))
             raise
@@ -334,18 +316,17 @@ class TenantSupervisor:
             # busy clock and to the caller's critical path. The span
             # nests inside the call span the IPC channel opened, so
             # fault cycles stay inside the per-tenant reconciliation.
-            with maybe_span(self._server.telemetry,
+            with maybe_span(self.server.telemetry,
                             f"fault:{fired.kind.value}", "fault", app_id,
                             action="handled"):
-                self._server._charge(fault_cycles)
+                self.server._charge(fault_cycles)
             cycles += fault_cycles
-        if cycles > self.policy.deadline_cycles:
+        if cycles > DEADLINE_CYCLES:
             state.deadline_violations += 1
             self._fail(state, app_id, method, "deadline", "deadline",
-                       self.policy.weight_deadline,
-                       cycles=cycles,
-                       detail=f"{cycles:,.0f} > "
-                              f"{self.policy.deadline_cycles:,.0f} cycles")
+                       WEIGHT_DEADLINE, cycles=cycles,
+                       detail=f"{cycles:,.0f} > {DEADLINE_CYCLES:,.0f} "
+                              f"cycles")
         if method == "detach":
             self._states.pop(app_id, None)
         return result, cycles
@@ -360,7 +341,7 @@ class TenantSupervisor:
             return self._retry_transport(method, app_id, state, fired), \
                 args, None
         if kind is FaultKind.IPC_DUPLICATE:
-            cycles = float(self.policy.duplicate_detect_cycles)
+            cycles = float(DUPLICATE_DETECT_CYCLES)
             self._record(app_id, method, kind.value, "suppressed",
                          cycles=cycles,
                          detail="duplicate delivery detected by seqno")
@@ -372,7 +353,7 @@ class TenantSupervisor:
             return fired.delay_cycles, args, None
         if kind is FaultKind.ALLOC_EXHAUST and method == "malloc":
             self._fail(state, app_id, method, kind.value, "rejected",
-                       self.policy.weight_alloc,
+                       WEIGHT_ALLOC,
                        detail="injected partition exhaustion")
             raise AllocationError(
                 f"tenant {app_id!r}: partition exhausted (injected)"
@@ -386,23 +367,20 @@ class TenantSupervisor:
     def _retry_transport(self, method: str, app_id: str,
                          state: _TenantState, fired: FiredFault) -> float:
         """Resend a dropped/corrupted crossing with exponential backoff."""
-        policy = self.policy
         failed_attempts = fired.spec.times
-        if failed_attempts > policy.max_retries:
-            cycles = self._backoff_cycles(policy.max_retries)
-            with maybe_span(self._server.telemetry,
+        if failed_attempts > MAX_RETRIES:
+            cycles = self._backoff_cycles(MAX_RETRIES)
+            with maybe_span(self.server.telemetry,
                             f"fault:{fired.kind.value}", "fault", app_id,
-                            action="exhausted",
-                            attempts=policy.max_retries):
-                self._server._charge(cycles)
+                            action="exhausted", attempts=MAX_RETRIES):
+                self.server._charge(cycles)
             self._fail(state, app_id, method, fired.kind.value, "exhausted",
-                       policy.weight_exhausted,
-                       attempts=policy.max_retries, cycles=cycles,
-                       detail="retry budget exhausted")
+                       WEIGHT_EXHAUSTED, attempts=MAX_RETRIES,
+                       cycles=cycles, detail="retry budget exhausted")
             raise TransientIPCFault(app_id, method, fired.kind.value,
-                                    policy.max_retries)
+                                    MAX_RETRIES)
         cycles = self._backoff_cycles(failed_attempts)
-        self._bump(state, app_id, policy.weight_retry)
+        self._bump(state, app_id, WEIGHT_RETRY)
         self._record(app_id, method, fired.kind.value, "retried",
                      attempts=failed_attempts, cycles=cycles,
                      detail=f"recovered after {failed_attempts} resend(s)")
@@ -410,15 +388,14 @@ class TenantSupervisor:
 
     def _backoff_cycles(self, attempts: int) -> float:
         """Exponential backoff across ``attempts`` resends, each step
-        optionally jittered (``policy.backoff_jitter``). With jitter
-        off the sum is exactly ``sum(base * 2**i)`` — the pinned stock
-        figure; no RNG draw happens, so enabling jitter for one run
-        never shifts another's draws."""
-        policy = self.policy
-        jitter = policy.backoff_jitter
+        optionally jittered (``backoff_jitter``). With jitter off the
+        sum is exactly ``sum(BACKOFF_BASE_CYCLES * 2**i)`` — the
+        pinned stock figure; no RNG draw happens, so enabling jitter
+        for one run never shifts another's draws."""
+        jitter = self.backoff_jitter
         total = 0.0
         for attempt in range(attempts):
-            step = float(policy.backoff_base_cycles * 2 ** attempt)
+            step = float(BACKOFF_BASE_CYCLES * 2 ** attempt)
             if jitter:
                 step *= 1.0 + jitter * (self._jitter_rng.random() - 0.5)
             total += step
@@ -426,7 +403,7 @@ class TenantSupervisor:
 
     def _mutate_module_args(self, method: str, args: tuple,
                             fired: FiredFault) -> tuple:
-        telemetry = self._server.telemetry
+        telemetry = self.server.telemetry
         if method == "load_module_ptx" and args:
             return (mutate_ptx_text(args[0], fired,
                                     telemetry=telemetry),) + args[1:]
@@ -438,7 +415,7 @@ class TenantSupervisor:
 
     def _arm_stream_fault(self, app_id: str, method: str,
                           fired: FiredFault) -> None:
-        tenant = self._server._tenants.get(app_id)
+        tenant = self.server._tenants.get(app_id)
         if tenant is None:
             return
         tenant.stream.fault = fired.reason
@@ -458,15 +435,13 @@ class TenantSupervisor:
     def _bump(self, state: _TenantState, app_id: str,
               weight: float) -> None:
         state.budget += weight
-        if not state.quarantined and state.budget >= self.policy.fault_budget:
+        if not state.quarantined and state.budget >= FAULT_BUDGET:
             self._quarantine(app_id, state, "fault budget exhausted")
             return
-        fraction = self.policy.migrate_budget_fraction
         if (
-            fraction is not None
-            and not state.quarantined
+            not state.quarantined
             and self.migration_hook is not None
-            and state.budget >= fraction * self.policy.fault_budget
+            and state.budget >= MIGRATE_BUDGET_FRACTION * FAULT_BUDGET
         ):
             state.migration_pending = True
 
@@ -476,20 +451,15 @@ class TenantSupervisor:
             return
         state.quarantined = True
         state.reason = reason
-        lane = self._server.lane_view(app_id)
+        lane = self.server.lane_view(app_id)
         lane_cycles = lane.clock if lane is not None else 0.0
-        scrubbed = self._server.quarantine(app_id, reason=reason) \
-            if self.policy.scrub_on_quarantine else self._unscrubbed(app_id)
+        scrubbed = self.server.quarantine(app_id, reason=reason)
         self.quarantines.append(QuarantineRecord(
             tenant=app_id, reason=reason, budget_spent=state.budget,
             bytes_scrubbed=scrubbed, lane_cycles=lane_cycles,
         ))
         self._record(app_id, "<quarantine>", "quarantine", "quarantined",
                      detail=reason)
-
-    def _unscrubbed(self, app_id: str) -> int:
-        self._server.detach(app_id)
-        return 0
 
     def _record(self, tenant: str, op: str, kind: str, action: str,
                 attempts: int = 0, cycles: float = 0.0,
@@ -499,7 +469,7 @@ class TenantSupervisor:
             attempts=attempts, cycles=cycles, detail=detail,
             node=self.node,
         ))
-        telemetry = self._server.telemetry
+        telemetry = self.server.telemetry
         if telemetry is not None:
             telemetry.fault_events.inc(
                 tenant=tenant, kind=kind, action=action,

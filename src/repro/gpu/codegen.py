@@ -62,8 +62,8 @@ from repro.ptx.ast import (
     Symbol,
 )
 
-#: Watchdog: a single thread executing more blocks than this is
-#: considered a runaway kernel (matches the interpreter's guard).
+#: Watchdog: a single thread entering more basic blocks than this is
+#: a runaway kernel (the reference interpreter counts the same unit).
 MAX_BLOCK_STEPS = 2_000_000
 
 _MASK32 = (1 << 32) - 1

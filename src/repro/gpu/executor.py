@@ -507,8 +507,9 @@ class KernelExecutor:
                 for thread in threads
             ]
         else:
+            leaders = frozenset(codegen.basic_blocks(compiled.instructions)[0])
             runners = [
-                self._run_thread(compiled, thread, params)
+                self._run_thread(compiled, thread, params, leaders)
                 for thread in threads
             ]
         active = list(range(len(runners)))
@@ -585,21 +586,22 @@ class KernelExecutor:
         return engines.block
 
     def _run_thread(self, compiled: CompiledKernel, thread: _Thread,
-                    params: list) -> Iterator[None]:
+                    params: list, leaders: frozenset) -> Iterator[None]:
         instructions = compiled.instructions
         count = len(instructions)
         pc = 0
-        guard_limit = count * 64 + 1_000_000  # runaway-kernel watchdog
-        executed = 0
-        while pc < count:
+        # The JIT's watchdog, in its unit: basic blocks entered (the
+        # end of the body counts as one), against the same constant.
+        steps = 0
+        while True:
+            if pc in leaders:
+                steps += 1
+                if steps > codegen.MAX_BLOCK_STEPS:
+                    raise ExecutionError(f"runaway kernel {compiled.name}")
+            if pc == count:
+                return
             ins = instructions[pc]
             pc += 1
-            executed += 1
-            if executed > guard_limit:
-                raise ExecutionError(
-                    f"kernel {compiled.name!r}: runaway execution "
-                    f"(> {guard_limit} instructions in one thread)"
-                )
             thread.cycles += ins.compute_cycles
             thread.instructions += 1
             if ins.guard_reg is not None:

@@ -7,6 +7,7 @@ every byte of every report where it was.
 """
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,8 +27,9 @@ from repro.analysis.reporting import (
 )
 from repro.cluster import ClusterConfig, GuardianCluster, PlacementPolicy
 from repro.core.policy import FencingMode
+from repro.core import supervisor as supervision
 from repro.core.server import GuardianServer, ServerConfig, ServerStats
-from repro.core.supervisor import SupervisorPolicy, TenantSupervisor
+from repro.core.supervisor import TenantSupervisor
 from repro.driver.fatbin import build_fatbin
 from repro.errors import TransientIPCFault
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
@@ -166,12 +168,12 @@ def retrying_supervisor():
             FaultSpec(FaultKind.IPC_DELAY, tenant="a", op="synchronize",
                       magnitude=1.0),
         ], seed=0),
-        policy=SupervisorPolicy(deadline_cycles=100_000.0),
     )
-    tenant = system.attach("a", 1 << 20)
-    with pytest.raises(TransientIPCFault):
-        tenant.runtime.cudaFree(tenant.runtime.cudaMalloc(256))
-    tenant.runtime.cudaDeviceSynchronize()
+    with mock.patch.object(supervision, "DEADLINE_CYCLES", 100_000.0):
+        tenant = system.attach("a", 1 << 20)
+        with pytest.raises(TransientIPCFault):
+            tenant.runtime.cudaFree(tenant.runtime.cudaMalloc(256))
+        tenant.runtime.cudaDeviceSynchronize()
     return system.supervisor
 
 

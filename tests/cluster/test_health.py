@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.health import (
     ACTION_WEIGHTS,
-    HealthPolicy,
+    SUSPECT_SCORE,
     NodeHealth,
     NodeHealthMonitor,
 )
@@ -63,7 +63,7 @@ class TestFailureScore:
     def test_heavy_score_makes_suspect_while_answering(self, monitor):
         for _ in range(3):
             monitor.note_failure("quarantined")  # 3.0 each
-        assert monitor.score >= monitor.policy.suspect_score
+        assert monitor.score >= SUSPECT_SCORE
         assert monitor.state is NodeHealth.SUSPECT
 
     def test_score_decays_back_to_healthy(self, monitor):
@@ -81,13 +81,12 @@ class TestFailureScore:
             monitor.note_failure("quarantined")
         assert monitor.state is NodeHealth.SUSPECT
         # decay into the band (recover_score, suspect_score)
-        while monitor.score >= monitor.policy.suspect_score:
+        while monitor.score >= SUSPECT_SCORE:
             monitor.beat(answered=True)
         assert monitor.state is NodeHealth.DEGRADED
 
-    def test_hold_between_thresholds(self):
-        policy = HealthPolicy(degrade_score=2.0, recover_score=1.0)
-        monitor = NodeHealthMonitor("n", policy)
+    def test_hold_between_thresholds(self, monitor):
+        # RECOVER_SCORE 1.0, DEGRADE_SCORE 2.0
         monitor.note_failure("fenced")
         monitor.note_failure("deadline")  # 1.5: between recover and degrade
         assert monitor.state is NodeHealth.HEALTHY  # never got above 2.0

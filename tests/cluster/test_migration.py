@@ -1,13 +1,15 @@
 """Live tenant migration: snapshot, restore, rebind, and its limits."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro import GuardianSystem
 from repro.cluster import ClusterConfig, GuardianCluster, PlacementPolicy
+from repro.core import supervisor as supervision
 from repro.core.policy import FencingMode
-from repro.core.supervisor import SupervisorPolicy
-from repro.errors import MigrationError, NodeDown, TransientIPCFault
+from repro.errors import NodeDown, TransientIPCFault
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.ptx.builder import build_module
 from repro.ptx.emitter import emit_module
@@ -181,15 +183,26 @@ class TestFailurePaths:
         with pytest.raises(NodeDown):
             session.client.memcpy_d2h(ptr, 8192)
 
-    def test_migration_requires_bitwise_fence(self):
-        with pytest.raises(MigrationError, match="BITWISE"):
-            GuardianCluster(2, config=ClusterConfig(
-                mode=FencingMode.CHECKING))
-
-    def test_non_bitwise_allowed_without_migration(self):
-        cluster = GuardianCluster(2, config=ClusterConfig(
-            mode=FencingMode.CHECKING, enable_migration=False))
-        cluster.attach("alice", PARTITION)
+    @pytest.mark.parametrize("mode", [FencingMode.CHECKING,
+                                      FencingMode.MODULO],
+                             ids=["checking", "modulo"])
+    def test_non_bitwise_cluster_never_moves_a_tenant(self, mode):
+        """The bitwise fence is what retargets device-held pointers
+        after a move: in any other mode the cluster places, monitors
+        and quarantines, and ``migrate`` refuses."""
+        cluster = GuardianCluster(2, config=ClusterConfig(mode=mode))
+        session, ptr = attach_with_data(cluster)
+        source = session.node
+        assert not cluster.migrate("alice", target=other_node(cluster,
+                                                              session))
+        assert session.node is source
+        assert "alice" in source.resident_tenants()
+        (record,) = cluster.migrations
+        assert not record.success
+        assert "FencingMode.BITWISE" in record.detail
+        assert session.client.memcpy_d2h(ptr, 8192) == b"\xab" * 8192
+        assert all(node.supervisor.migration_hook is None
+                   for node in cluster.nodes)
 
 
 class TestSupervisorRung:
@@ -200,15 +213,8 @@ class TestSupervisorRung:
             kind=FaultKind.IPC_DROP, tenant="alice", op="memcpy_h2d",
             at_call=1, times=30,
         )])
-        policy = SupervisorPolicy(
-            migrate_budget_fraction=0.25, backoff_jitter=0.0,
-        )
         cluster = GuardianCluster(
-            2,
-            config=ClusterConfig(
-                supervisor_policy=policy,
-                placement=PlacementPolicy(pack=False),
-            ),
+            2, config=ClusterConfig(placement=PlacementPolicy(pack=False)),
             fault_plan=plan,
         )
         session = cluster.attach("alice", PARTITION)
@@ -217,7 +223,8 @@ class TestSupervisorRung:
         # The drop exhausts its retries: weight 4.0 against the 8.0
         # budget crosses the 0.25 migrate fraction, so the supervisor
         # moves the tenant as the failing call unwinds.
-        with pytest.raises(TransientIPCFault):
+        with mock.patch.object(supervision, "MIGRATE_BUDGET_FRACTION", 0.25), \
+                pytest.raises(TransientIPCFault):
             session.client.memcpy_h2d(ptr, b"\x01" * 8192)
         assert session.client.rebases == 1
         assert session.node is not source

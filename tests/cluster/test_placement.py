@@ -1,8 +1,15 @@
 """Admission placement: bin-packing with failure-domain penalties."""
 
+from unittest import mock
+
 import pytest
 
-from repro.cluster import ClusterConfig, GuardianCluster, PlacementPolicy
+from repro.cluster import (
+    ClusterConfig,
+    GuardianCluster,
+    PlacementPolicy,
+    placement,
+)
 from repro.cluster.health import NodeHealth
 
 
@@ -74,12 +81,10 @@ class TestCostFunction:
         assert cluster.tenants["a"].node.node_id == "node1"
 
     def test_zero_penalty_ignores_history(self):
-        cluster = GuardianCluster(
-            2, config=ClusterConfig(
-                placement=PlacementPolicy(failure_penalty=0.0)),
-        )
+        cluster = GuardianCluster(2)
         cluster.node("node0").monitor.note_failure("quarantined")
-        cluster.attach("a", 1 << 20)
+        with mock.patch.object(placement, "FAILURE_PENALTY", 0.0):
+            cluster.attach("a", 1 << 20)
         assert cluster.tenants["a"].node.node_id == "node0"
 
     def test_admission_raises_when_fleet_full(self, cluster):

@@ -8,12 +8,13 @@ results, and a fresh tenant can attach and run a full pipeline.
 """
 
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro import GuardianSystem
-from repro.core.supervisor import SupervisorPolicy
+from repro.core import supervisor as supervision
 from repro.driver.fatbin import build_fatbin
 from repro.errors import (
     ClientCrashed,
@@ -95,12 +96,17 @@ class _Driver:
             self.rounds_completed += 1
 
 
+@pytest.fixture(autouse=True)
+def budget_of_six():
+    """The gauntlet's scenario runs at a fault budget of 6, for the
+    whole test: seeds 0-4 play what they always played."""
+    with mock.patch.object(supervision, "FAULT_BUDGET", 6.0):
+        yield
+
+
 def run_gauntlet(seed):
     plan = FaultPlan.chaos(seed, TENANTS, calls_per_tenant=2 * ROUNDS)
-    system = GuardianSystem(
-        fault_plan=plan,
-        policy=SupervisorPolicy(fault_budget=6.0),
-    )
+    system = GuardianSystem(fault_plan=plan)
     drivers = [_Driver(system, app_id) for app_id in TENANTS]
     survivor = _Driver(system, "survivor")  # never in the chaos plan
     for driver in drivers + [survivor]:

@@ -1,12 +1,15 @@
 """TenantSupervisor: deadlines, retries, budget, quarantine, containment."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro import FencingMode, GuardianSystem
 from repro.analysis.reporting import render_failure_report
+from repro.core import supervisor as supervision
 from repro.core.server import GuardianServer
-from repro.core.supervisor import SupervisorPolicy, TenantSupervisor
+from repro.core.supervisor import BACKOFF_BASE_CYCLES, TenantSupervisor
 from repro.driver.fatbin import build_fatbin
 from repro.errors import (
     AllocationError,
@@ -26,8 +29,8 @@ from tests.conftest import saxpy_module
 PARTITION = 1 << 20
 
 
-def system_with(specs, seed=0, policy=None):
-    return GuardianSystem(fault_plan=FaultPlan(specs, seed=seed), policy=policy)
+def system_with(specs, seed=0):
+    return GuardianSystem(fault_plan=FaultPlan(specs, seed=seed))
 
 
 class TestTransientIPCFaults:
@@ -41,7 +44,6 @@ class TestTransientIPCFaults:
         assert record.cycles > 0
 
     def test_retry_backoff_is_charged_to_the_caller(self):
-        policy = SupervisorPolicy()
         sys = system_with(
             [FaultSpec(FaultKind.IPC_DROP, tenant="a", op="malloc", at_call=2, times=3)]
         )
@@ -51,7 +53,7 @@ class TestTransientIPCFaults:
         clean = server.stats.cycles
         tenant.runtime.cudaMalloc(64)  # the faulted call
         faulted_delta = server.stats.cycles - clean
-        backoff = sum(policy.backoff_base_cycles * 2**i for i in range(3))
+        backoff = sum(BACKOFF_BASE_CYCLES * 2**i for i in range(3))
         expected = server.costs.malloc + server.costs.driver.malloc + backoff
         assert faulted_delta == pytest.approx(expected)
 
@@ -74,13 +76,12 @@ class TestTransientIPCFaults:
         assert any(r.action == "suppressed" for r in sys.supervisor.records)
 
     def test_delay_trips_the_deadline(self):
-        policy = SupervisorPolicy(deadline_cycles=100_000.0)
         sys = system_with(
-            [FaultSpec(FaultKind.IPC_DELAY, tenant="a", op="synchronize", magnitude=1.0)],
-            policy=policy,
+            [FaultSpec(FaultKind.IPC_DELAY, tenant="a", op="synchronize", magnitude=1.0)]
         )
-        tenant = sys.attach("a", PARTITION)
-        tenant.runtime.cudaDeviceSynchronize()
+        with mock.patch.object(supervision, "DEADLINE_CYCLES", 100_000.0):
+            tenant = sys.attach("a", PARTITION)
+            tenant.runtime.cudaDeviceSynchronize()
         actions = [record.action for record in sys.supervisor.records]
         assert actions.count("deadline") == 1
         assert actions.count("delayed") == 1
@@ -136,11 +137,10 @@ class TestAllocatorFaults:
 
 
 class TestStreamFaults:
-    def _wedge(self, policy=None):
+    def _wedge(self):
         sys = system_with(
             [FaultSpec(FaultKind.STREAM_FAULT, tenant="bad", op="launch_kernel")],
             seed=5,
-            policy=policy,
         )
         bad = sys.attach("bad", PARTITION)
         handles = bad.runtime.registerFatBinary(build_fatbin(saxpy_module(), "lib", "11.7"))
@@ -172,11 +172,15 @@ class TestStreamFaults:
 
 
 class TestQuarantineContainment:
+    @pytest.fixture(autouse=True)
+    def budget_of_six(self):
+        with mock.patch.object(supervision, "FAULT_BUDGET", 6.0):
+            yield
+
     def _storm(self):
         """One violator hammers the fence until quarantined, next to a
         healthy neighbour with live state."""
-        policy = SupervisorPolicy(fault_budget=6.0)
-        sys = GuardianSystem(policy=policy)
+        sys = GuardianSystem(supervised=True)
         good = sys.attach("good", PARTITION)
         bad = sys.attach("bad", PARTITION)
         handles = good.runtime.registerFatBinary(build_fatbin(saxpy_module(), "lib", "11.7"))
@@ -346,15 +350,12 @@ class TestBackoffJitter:
         server = GuardianServer(Device(QUADRO_RTX_A4000),
                                 FencingMode.BITWISE)
         return TenantSupervisor(
-            server,
-            plan=FaultPlan([], seed=seed),
-            policy=SupervisorPolicy(backoff_jitter=jitter),
+            server, plan=FaultPlan([], seed=seed), backoff_jitter=jitter,
         )
 
     def test_zero_jitter_is_exact_stock_sum(self):
         supervisor = self._supervisor(jitter=0.0)
-        base = supervisor.policy.backoff_base_cycles
-        assert supervisor._backoff_cycles(3) == base * (1 + 2 + 4)
+        assert supervisor._backoff_cycles(3) == BACKOFF_BASE_CYCLES * (1 + 2 + 4)
 
     def test_zero_jitter_never_draws(self):
         """Enabling jitter in one run must not shift another run's RNG
@@ -365,10 +366,8 @@ class TestBackoffJitter:
         assert supervisor._jitter_rng.getstate() == before
 
     def test_jitter_bounded_per_step(self):
-        supervisor = self._supervisor(jitter=0.5)
-        base = supervisor.policy.backoff_base_cycles
         for attempts in (1, 2, 3):
-            exact = base * (2 ** attempts - 1)
+            exact = BACKOFF_BASE_CYCLES * (2 ** attempts - 1)
             jittered = self._supervisor(jitter=0.5)._backoff_cycles(
                 attempts)
             assert exact * 0.75 <= jittered <= exact * 1.25
@@ -386,22 +385,16 @@ class TestBackoffJitter:
         assert trace_a == trace_b
         assert trace_a != trace_c
 
-    def test_install_plan_reseeds_jitter(self):
-        supervisor = self._supervisor(jitter=0.25, seed=5)
-        first = supervisor._backoff_cycles(3)
-        supervisor.install_plan(FaultPlan([], seed=5))
-        assert supervisor._backoff_cycles(3) == first
-
     def test_retry_path_charges_jittered_cycles(self):
         """End-to-end: a retried drop with jitter on still recovers,
         and two identically-seeded systems charge identical cycles."""
         def run():
-            policy = SupervisorPolicy(backoff_jitter=0.3)
             sys = system_with(
                 [FaultSpec(FaultKind.IPC_DROP, tenant="a",
                            op="malloc", at_call=1, times=2)],
-                seed=9, policy=policy,
+                seed=9,
             )
+            sys.supervisor.backoff_jitter = 0.3
             tenant = sys.attach("a", PARTITION)
             tenant.runtime.cudaMalloc(256)
             return [(r.action, r.cycles) for r in sys.supervisor.records]

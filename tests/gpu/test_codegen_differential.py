@@ -1297,17 +1297,20 @@ class TestThreadLoop:
     def test_watchdog_is_per_thread(self):
         """Under a watchdog of 100 dispatch steps: 16 threads of ~80
         steps each finish (1 300 steps in the loop), one of ~120 is a
-        runaway with the per-thread engine's message."""
+        runaway with the per-thread engine's message. The interpreter
+        counts the same steps against the same constant."""
         with mock.patch.object(codegen, "MAX_BLOCK_STEPS", 100):
             finishes = run_engines(counted_kernel("trips_40", 40),
                                    (1, 1, 1), (16, 1, 1), [BASE],
                                    engines=("interpreter", "jit"))
-            runaway = Outcome("jit", counted_kernel("trips_60", 60),
-                              (1, 1, 1), (16, 1, 1), [BASE], None)
+            runaways = run_engines(counted_kernel("trips_60", 60),
+                                   (1, 1, 1), (16, 1, 1), [BASE],
+                                   engines=("interpreter", "jit"))
         assert_as_interpreter(finishes)
-        assert isinstance(runaway.error, ExecutionError)
-        assert str(runaway.error) == "runaway kernel trips_60"
-        assert not runaway.memory.read_array(BASE, 16, dtype="u32").any()
+        for runaway in runaways.values():
+            assert isinstance(runaway.error, ExecutionError)
+            assert str(runaway.error) == "runaway kernel trips_60"
+            assert not runaway.memory.read_array(BASE, 16, dtype="u32").any()
 
     def test_no_thread_records_and_no_generators(self):
         """A barrier-free 16-thread block builds no ``_Thread`` and
