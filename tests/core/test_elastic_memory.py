@@ -16,7 +16,7 @@ from repro.core.elastic import (
 from repro.core.policy import FencingMode
 from repro.core.server import GuardianServer, ServerConfig
 from repro.driver.fatbin import build_fatbin
-from repro.errors import GuardianError
+from repro.errors import GuardianError, PartitionError
 from repro.gpu.device import Device
 from repro.gpu.specs import MIB, QUADRO_RTX_A4000
 from repro.ptx.builder import build_module
@@ -400,6 +400,64 @@ class TestOversubscription:
         assert not server.elastic.is_swapped("a")
         assert server.elastic.swapped_bytes == 0
         assert server.tenant_count == 0
+
+
+# --------------------------------------------------------------------------
+# One relocation rule: a move lands only where the fence can follow it
+# --------------------------------------------------------------------------
+
+ALL_MODES = (FencingMode.BITWISE, FencingMode.MODULO,
+             FencingMode.CHECKING, FencingMode.NONE)
+
+
+def _floats(client, address, count):
+    return np.frombuffer(client.memcpy_d2h(address, 4 * count), np.float32)
+
+
+class TestSwapInRelocation:
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
+    def test_swap_in_lands_only_where_the_fence_follows(self, mode):
+        """``a`` is swapped out, a squatter takes its region, and ``a``
+        comes back. Kernel pointer parameters stay virtual, so the swap
+        -in may land away from the old base only where the fence maps
+        them onto the new one; elsewhere it refuses, naming the fence,
+        and lands at the old base once that is free again."""
+        server = GuardianServer(Device(SMALL), mode,
+                                config=ServerConfig.elastic())
+        a = attach(server, "a", 1 << 20)
+        handles = a.load_module_ptx(saxpy_ptx())
+        y = a.malloc(512)
+        x = y + 256
+        a.memcpy_h2d(y, np.full(32, 5.0, np.float32).tobytes())
+        a.memcpy_h2d(x, np.ones(32, np.float32).tobytes())
+        a.synchronize()
+        old_base = server.allocator.partition("a").base
+        server.elastic.swap_out("a")
+        squatter = attach(server, "squatter", 1 << 20)
+        assert server.allocator.partition("squatter").base == old_base
+        squatter.memcpy_h2d(squatter.malloc(4096),
+                            np.full(1024, 9.0, np.float32).tobytes())
+        squatter.synchronize()
+        before = _contents(server, "squatter")
+
+        def run_saxpy():
+            a.launch_kernel(handles["saxpy"], (1, 1, 1), (32, 1, 1),
+                            [y, x, 2.0, 32])
+            a.synchronize()
+            return _floats(a, y, 32)
+
+        if mode in (FencingMode.BITWISE, FencingMode.MODULO):
+            assert server.elastic.ensure_resident("a") != old_base
+            assert np.all(run_saxpy() == 7.0)
+            assert _contents(server, "squatter") == before
+            return
+        with pytest.raises(PartitionError, match=mode.value):
+            server.elastic.ensure_resident("a")
+        assert server.elastic.is_swapped("a")
+        assert _contents(server, "squatter") == before
+        squatter.close()
+        assert server.elastic.ensure_resident("a") == old_base
+        assert np.all(run_saxpy() == 7.0)
 
 
 # --------------------------------------------------------------------------
