@@ -16,12 +16,15 @@ own simulated device, supervisor and health monitor):
   nothing can host it / the node's memory is gone);
 - **migrate()** is the live-migration protocol driver: flush the
   tenant's batch, quiesce and snapshot on the source
-  (:meth:`GuardianServer.snapshot_tenant`), replay on the target
-  (:meth:`restore_tenant` — bounds re-published at the new base under
-  a fresh epoch), tear down the source residue (:meth:`evacuate`),
-  and rebind the tenant's :class:`ClusterClient`. All-or-nothing: a
-  truncated snapshot or a restore failure leaves the tenant attached
-  to its source, untouched.
+  (:meth:`GuardianServer.snapshot_tenant`), land on the target
+  (:meth:`restore_tenant` — the same landing a compaction or swap-in
+  uses, bounds re-published at the new base under a fresh epoch), tear
+  down the source residue (:meth:`evacuate`), and rebind the tenant's
+  :class:`ClusterClient`. All-or-nothing: a truncated snapshot or a
+  restore failure leaves the tenant attached to its source, untouched.
+  Migration is bitwise-only by policy: other modes are refused before
+  any snapshot, on top of the landing's own
+  :meth:`~repro.core.policy.FencingMode.relocates` check.
 
 The per-node supervisors get the **migration rung**
 (:data:`~repro.core.supervisor.MIGRATE_BUDGET_FRACTION`): a tenant
@@ -372,9 +375,8 @@ class GuardianCluster:
         handled by the next beat).
 
         **Every per-call specialization restarts cold at the
-        destination.** The snapshot deliberately carries only the
-        fast-launch memo's *epoch* (not its values) and nothing of the
-        source's trace-specialization state: ``restore_tenant``
+        destination.** The snapshot carries nothing of the launch memo
+        or the source's trace-specialization state: ``restore_tenant``
         re-publishes the bounds record at the new base under a fresh
         epoch, so the first post-migration launch rebuilds its fencing
         parameters, and the destination's trace engine — which also

@@ -15,15 +15,17 @@ paper's Table 5 / Fig. 7–13 numbers):
   ``grow_partition``, floored at :data:`MIN_PARTITION_BYTES`. The base
   address (and every tenant pointer) is unchanged; only the mask
   narrows, re-published to the bounds table under a fresh epoch.
-- **Compaction**: relocate a quiesced tenant into a tighter gap by
-  reusing the live-migration machinery *intra-node* — drain → snapshot
-  → replay at the new base → republish bounds — authorised by
+- **Compaction**: relocate a quiesced tenant into a tighter gap —
+  park (snapshot, scrub, release) then land at the new base, the same
+  landing a cross-node migration uses — authorised by
   :func:`should_defrag` on the fragmentation score
-  (largest-carveable / bytes-unpartitioned). The
-  tenant's pointers survive through :class:`ElasticClient`'s address
-  virtualisation, exactly like a cross-node migration.
+  (largest-carveable / bytes-unpartitioned). The tenant's pointers
+  survive through :class:`ElasticClient`'s address virtualisation
+  wherever :meth:`~repro.core.policy.FencingMode.relocates` says the
+  fence carries them.
 - **Oversubscription**: admit beyond physical capacity by swapping
-  the coldest resident partitions to host memory, with the PCIe
+  the coldest resident partitions to host memory (parked snapshots
+  that land again at swap-in), with the PCIe
   transfer cost modelled from :attr:`DeviceSpec.pcie_bw_gbps` and
   charged to the timeline as a serialization point. Victims are picked
   LRU by last launch (attach and swap-in also refresh recency);
@@ -39,15 +41,12 @@ stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.core import masks
 from repro.core.client import GuardianClient
-from repro.core.policy import FencingMode
-from repro.errors import GuardianError, PartitionError
-from repro.gpu.allocator import FirstFitAllocator
-from repro.gpu.memory import MemoryImage
+from repro.core.server import TenantSnapshot
+from repro.errors import PartitionError
 from repro.runtime.backend import CPU_GHZ, GpuBackend
 
 #: Hard cap on declared bytes (resident + swapped), as a multiple of
@@ -82,28 +81,6 @@ def should_defrag(view: dict, want_bytes: int = 0) -> bool:
     return view["score"] < DEFRAG_THRESHOLD
 
 
-@dataclass(frozen=True)
-class _SwapImage:
-    """A swapped-out partition, parked in host memory.
-
-    Everything a swap-in needs to rebuild the partition at a (possibly
-    different) base: the bytes (as the pages that hold them), the
-    heap's partition-relative free/live lists, and the module images to
-    replay with their globals pinned at the recorded offsets. The
-    tenant object itself (stream, incarnation, handles-to-come) stays
-    attached on the server — swapping moves the *partition*, not the
-    tenant.
-    """
-
-    app_id: str
-    size: int
-    data: MemoryImage
-    heap_free: tuple[tuple[int, int], ...]
-    heap_live: tuple[tuple[int, int], ...]
-    modules: tuple
-    base_at_swap: int
-
-
 class ElasticMemoryEngine:
     """One server's elastic memory mechanics (DESIGN.md §14).
 
@@ -117,8 +94,8 @@ class ElasticMemoryEngine:
 
     def __init__(self, server):
         self.server = server
-        #: app_id -> host-side image of a swapped-out partition.
-        self._swapped: dict[str, _SwapImage] = {}
+        #: app_id -> swapped-out partition, a snapshot in host memory.
+        self._swapped: dict[str, TenantSnapshot] = {}
         #: app_id -> monotone recency tick (LRU victim picker input).
         self._recency: dict[str, int] = {}
         #: app_id -> bound ElasticClient, rebased after every move.
@@ -147,6 +124,13 @@ class ElasticMemoryEngine:
         """Register the tenant's :class:`ElasticClient` so the engine
         can rebase it after a compaction or swap-in moves the base."""
         self._clients[app_id] = client
+
+    def rebase_client(self, app_id: str, base: int) -> None:
+        """Point the tenant's bound client, if any, at its new base
+        (called by every landing)."""
+        client = self._clients.get(app_id)
+        if client is not None:
+            client.rebase(base)
 
     # -- observability ---------------------------------------------------------
 
@@ -237,44 +221,50 @@ class ElasticMemoryEngine:
 
     # -- compaction ------------------------------------------------------------
 
+    def _park(self, app_id: str, l2: bool) -> TenantSnapshot:
+        """Take a resident tenant's partition off the GPU, keeping the
+        tenant attached (stream, incarnation, lane, handle counter):
+        snapshot it (drained stream, bytes, heap, module loads and, with
+        ``l2``, its L2 residency), forget its traces and device
+        bindings, then scrub and release the region. The snapshot lands
+        again through :meth:`GuardianServer._land`."""
+        server = self.server
+        snapshot = server.snapshot_tenant(app_id, l2=l2)
+        if server.trace_engine is not None:
+            server.trace_engine.forget(app_id)
+        server._tenants[app_id].drop_device_bindings()
+        server.allocator.release_partition(
+            app_id, scrubber=server.device.memory.fill
+        )
+        server.stats.bytes_scrubbed += snapshot.size
+        return snapshot
+
     def compact(self, app_id: str) -> Optional[int]:
         """Relocate one quiesced tenant into the lowest gap that fits.
 
-        Reuses the migration machinery intra-node: drain → snapshot →
-        evacuate (scrubbed) → restore at the first-fit base → rebase
-        the bound client. Returns the new base, or ``None`` when no
-        strictly lower placement exists (compaction never moves a
-        tenant sideways or up). The modelled copy cost — one PCIe-class
-        pass over the partition — is charged as a serialization point.
+        Park, then land at the first-fit base (the tenant stays
+        attached; its bound client is rebased). Returns the new base,
+        or ``None`` when no strictly lower placement exists (compaction
+        never moves a tenant sideways or up) or the fencing mode cannot
+        relocate the tenant's pointers there
+        (:meth:`~repro.core.policy.FencingMode.relocates`). The
+        modelled copy cost — one PCIe-class pass over the partition —
+        is charged as a serialization point.
         """
-        server = self.server
-        if server.mode is not FencingMode.BITWISE:
-            raise GuardianError(
-                "compaction requires bitwise fencing: the fence is the "
-                "client's pointer-translation layer after a move"
-            )
         if app_id in self._swapped:
             return None
+        server = self.server
         target = server.allocator.best_relocation(app_id)
-        if target is None:
+        partition = server.allocator.partition(app_id)
+        if target is None or not server.mode.relocates(
+                partition.base, target, partition.size):
             return None
-        size = server.allocator.partition(app_id).size
-        # The teardown half fires the forget hook; carry the client
-        # binding and recency across the move by hand.
-        client = self._clients.get(app_id)
-        recency = self._recency.get(app_id)
-        snapshot = server.snapshot_tenant(app_id)
-        server.evacuate(app_id, scrub=True)
-        new_base = server.restore_tenant(snapshot)
-        server._charge(self._swap_cycles(size), critical=True)
+        snapshot = self._park(app_id, l2=True)
+        new_base = server._land(server._tenants[app_id], snapshot)
+        server._charge(self._swap_cycles(snapshot.size), critical=True)
         server.stats.tenants_compacted += 1
-        server.stats.bytes_compacted += size
-        if recency is not None:
-            self._recency[app_id] = recency
-        if client is not None:
-            self._clients[app_id] = client
-            client.rebase(new_base)
-        self._record_op("compact", size)
+        server.stats.bytes_compacted += snapshot.size
+        self._record_op("compact", snapshot.size)
         self._publish_state()
         return new_base
 
@@ -298,8 +288,6 @@ class ElasticMemoryEngine:
         )
         for partition in candidates:
             app_id = partition.app_id
-            if app_id in self._swapped:
-                continue
             old_base = server.allocator.partition(app_id).base
             new_base = self.compact(app_id)
             if new_base is not None:
@@ -325,47 +313,18 @@ class ElasticMemoryEngine:
     def swap_out(self, app_id: str) -> int:
         """Park one resident tenant's partition in host memory.
 
-        Drains the stream (consistent cut), captures bytes + heap +
-        module images, scrubs and releases the region, and charges the
-        PCIe write-back to the timeline. The tenant stays attached —
-        its stream, incarnation and identity survive; only the
-        partition leaves the GPU. Returns the bytes swapped.
+        The snapshot carries no L2 lines; the PCIe write-back is
+        charged to the timeline. The tenant stays attached — its
+        stream, incarnation and identity survive; only the partition
+        leaves the GPU. Returns the bytes swapped.
         """
         if app_id in self._swapped:
             return 0
-        server = self.server
-        tenant = server._tenants.get(app_id)
-        if tenant is None:
-            raise GuardianError(f"app {app_id!r} is not attached")
-        server._raise_if_wedged(tenant)
-        server.stats.sync_drained_tasks += server.driver.cuStreamSynchronize(
-            tenant.stream
-        )
-        partition = server.allocator.partition(app_id)
-        heap_free, heap_live = partition.heap.export_state()
-        image = _SwapImage(
-            app_id=app_id,
-            size=partition.size,
-            data=server.device.memory.snapshot(partition.base,
-                                               partition.size),
-            heap_free=tuple(heap_free),
-            heap_live=tuple(heap_live),
-            modules=tuple(tenant.modules),
-            base_at_swap=partition.base,
-        )
-        if server.trace_engine is not None:
-            server.trace_engine.forget(app_id)
-        # Device-side module bindings die with the region; the images
-        # replay at swap-in with globals re-pinned at the new base.
-        tenant.drop_device_bindings()
-        server.allocator.release_partition(
-            app_id, scrubber=server.device.memory.fill
-        )
-        server.stats.bytes_scrubbed += partition.size
+        image = self._park(app_id, l2=False)
         self._swapped[app_id] = image
-        server._charge(self._swap_cycles(image.size), critical=True)
-        server.stats.swaps_out += 1
-        server.stats.bytes_swapped_out += image.size
+        self.server._charge(self._swap_cycles(image.size), critical=True)
+        self.server.stats.swaps_out += 1
+        self.server.stats.bytes_swapped_out += image.size
         self._record_op("swap_out", image.size)
         self._publish_state()
         return image.size
@@ -374,13 +333,13 @@ class ElasticMemoryEngine:
         """Swap a parked tenant back onto the GPU before it is used.
 
         Makes space if needed (shrink sweep, then colder victims swap
-        out, then a defrag if authorised), re-carves the partition
-        (fresh epoch at whatever base first-fit lands on), restores
-        bytes + heap + modules, charges the PCIe read, refreshes
-        recency and rebases the bound client. Returns the new base, or
-        ``None`` when the tenant was already resident. Raises
-        :class:`~repro.errors.PartitionError` when space cannot be
-        made — the caller decides whether that sheds or retries.
+        out, then a defrag if authorised), lands the image at whatever
+        base first-fit picks, charges the PCIe read and refreshes
+        recency. Returns the new base, or ``None`` when the tenant was
+        already resident. Raises :class:`~repro.errors.PartitionError`
+        when space cannot be made, or when the fencing mode cannot
+        relocate the tenant's pointers to that base — the image stays
+        parked, and the caller decides whether that sheds or retries.
         """
         image = self._swapped.get(app_id)
         if image is None:
@@ -388,26 +347,15 @@ class ElasticMemoryEngine:
         server = self.server
         if not server.allocator.can_carve(image.size):
             self._make_space(image.size, exclude=frozenset((app_id,)))
-        partition = server.allocator.create_partition(app_id, image.size)
+        base = server._land(server._tenants[app_id], image)
         del self._swapped[app_id]
-        server.device.memory.restore(partition.base, image.data)
-        partition.heap = FirstFitAllocator.from_state(
-            partition.base, partition.size,
-            list(image.heap_free), list(image.heap_live),
-        )
-        tenant = server._tenants[app_id]
-        for load in image.modules:
-            server._restore_module(tenant, partition, load)
         server._charge(self._swap_cycles(image.size), critical=True)
         server.stats.swaps_in += 1
         server.stats.bytes_swapped_in += image.size
         self.note_use(app_id)
-        client = self._clients.get(app_id)
-        if client is not None:
-            client.rebase(partition.base)
         self._record_op("swap_in", image.size)
         self._publish_state()
-        return partition.base
+        return base
 
     def _make_space(self, nbytes: int, exclude: frozenset) -> None:
         """Free enough GPU space to carve ``nbytes`` (best effort)."""
@@ -483,8 +431,11 @@ class ElasticClient(GpuBackend):
       *are* its partition offset — the fence itself relocates the
       pointer onto the current base. The sandbox instrumentation
       doubles as the pointer-translation layer at zero extra cost, which
-      is why every move requires :attr:`FencingMode.BITWISE`; the
-      per-access check is still exactly two mask ops.
+      is why a move lands only where
+      :meth:`~repro.core.policy.FencingMode.relocates` says the fence
+      carries the pointers (bitwise: anywhere; modulo: a whole number
+      of partition sizes away; checking and none: in place); the
+      per-access check is unchanged.
 
     Growth after a move with a non-zero delta is refused: the widened
     mask would let origin-base bits leak through the fence.

@@ -54,6 +54,24 @@ class FencingMode(enum.Enum):
         mode, fencing the production mode)."""
         return self is FencingMode.CHECKING
 
+    def relocates(self, old_base: int, new_base: int, size: int) -> bool:
+        """Whether this mode's fence carries a tenant's pointers from a
+        ``size``-byte partition at ``old_base`` onto one at ``new_base``
+        — the one relocation rule every move of a partition asks.
+
+        Kernel pointer parameters stay virtual after a move
+        (:class:`~repro.core.elastic.ElasticClient`), so only the fence
+        can relocate them: ``(addr & mask) | base`` keeps the offset
+        from any size-aligned base; ``base + (addr - base) % size``
+        keeps it iff the move is a whole number of sizes; checking and
+        none leave the address as it is.
+        """
+        if self is FencingMode.BITWISE:
+            return True
+        if self is FencingMode.MODULO:
+            return (new_base - old_base) % size == 0
+        return new_base == old_base
+
 
 _EXTRA_PARAMS = {
     FencingMode.NONE: (),

@@ -56,6 +56,7 @@ from repro.errors import (
     GuardianError,
     LaunchError,
     MigrationError,
+    PartitionError,
     StreamFault,
 )
 from repro.core.allocator import GuardianAllocator
@@ -378,37 +379,30 @@ class _ModuleLoad:
 
 @dataclass(frozen=True)
 class TenantSnapshot:
-    """A quiesced tenant, ready to be replayed onto another server.
+    """A quiesced tenant's partition, ready to land somewhere else.
 
     Produced by :meth:`GuardianServer.snapshot_tenant` after draining
-    the tenant's stream; consumed by
-    :meth:`GuardianServer.restore_tenant`. All addresses inside are
-    partition-relative (heap state, global offsets) except
-    ``source_base``, kept so the cluster client can translate the
-    tenant's still-held absolute pointers.
+    the tenant's stream; landed by :meth:`GuardianServer.restore_tenant`
+    on a peer (live migration), or on the same server by a compaction
+    or a swap-in (a swap image is a snapshot held in host memory). All
+    addresses inside are partition-relative (heap state, global
+    offsets) except ``source_base``, which the landing checks against
+    :meth:`FencingMode.relocates` and the cluster client translates the
+    tenant's still-held pointers from.
     """
 
     app_id: str
     size: int
     source_base: int
-    #: Bounds-table epoch at snapshot time (the fast-launch memo's
-    #: validity token on the source; informational after restore — the
-    #: target re-publishes its own record at a fresh epoch).
-    bounds_epoch: int
     #: The partition's bytes, as the pages that hold them.
     data: MemoryImage
     heap_free: tuple[tuple[int, int], ...]
     heap_live: tuple[tuple[int, int], ...]
     modules: tuple[_ModuleLoad, ...]
     next_handle: int
-    #: Launch fast-path memo state (epoch it was memoised at, or None).
-    #: Recorded for completeness; restore starts the memo cold because
-    #: the target node's epoch counter is unrelated to the source's.
-    fast_launch_epoch: Optional[int]
     fencing_mode: str
-    incarnation: int
     #: The tenant's modelled L2 residency (partition-relative line
-    #: addresses, MRU-first per set). The restore installs them at the
+    #: addresses, MRU-first per set). The landing installs them at the
     #: new base — the migration copy lands through L2, like a real
     #: PCIe DMA — so post-migration kernel timing is bit-identical to
     #: a never-migrated run instead of paying a spurious cold-cache
@@ -439,8 +433,8 @@ class _Tenant:
     def drop_device_bindings(self) -> None:
         """Forget everything bound to the partition's current place:
         function handles, patch reports, recorded module loads and the
-        launch memo. Teardown drops them for good; a swap-out replays
-        the loads it captured first at swap-in."""
+        launch memo. Teardown drops them for good; a move replays the
+        loads its snapshot captured when the tenant lands."""
         self.functions.clear()
         self.patch_reports.clear()
         self.modules.clear()
@@ -1221,12 +1215,14 @@ class GuardianServer:
 
     # -- live migration endpoints (cluster control plane, DESIGN.md §10) -------
 
-    def snapshot_tenant(self, app_id: str) -> TenantSnapshot:
-        """Quiesce a tenant and capture everything a peer server needs
-        to adopt it: drain the stream (in-order-per-application means a
-        drained stream is a consistent cut), then copy the partition
-        bytes, the heap's free/live lists (partition-relative), the
-        bounds epoch, the module images and the fast-launch memo state.
+    def snapshot_tenant(self, app_id: str,
+                        l2: bool = True) -> TenantSnapshot:
+        """Quiesce a tenant and capture everything a landing needs:
+        drain the stream (in-order-per-application means a drained
+        stream is a consistent cut), then copy the partition bytes, the
+        heap's free/live lists (partition-relative), the module loads
+        and, with ``l2``, the tenant's L2 residency (a swap-out parks
+        without it: its image waits in host memory, not in cache).
 
         The tenant stays attached — snapshotting is read-only — so an
         aborted migration needs no rollback. A wedged stream refuses to
@@ -1244,41 +1240,28 @@ class GuardianServer:
             app_id=app_id,
             size=partition.size,
             source_base=partition.base,
-            bounds_epoch=self.allocator.bounds.epoch(app_id),
             data=self.device.memory.snapshot(partition.base, partition.size),
             heap_free=tuple(heap_free),
             heap_live=tuple(heap_live),
             modules=tuple(tenant.modules),
             next_handle=max(tenant.functions, default=0x4000 - 1) + 1,
-            fast_launch_epoch=(
-                tenant.fast_launch[0]
-                if tenant.fast_launch is not None else None
-            ),
             fencing_mode=self.mode.value,
-            incarnation=tenant.incarnation,
             l2_lines=tuple(
                 address - partition.base
                 for address in self.device.hierarchy.l2.export_lines(
                     partition.base, partition.base + partition.size
                 )
-            ),
+            ) if l2 else (),
         )
 
     def restore_tenant(self, snapshot: TenantSnapshot) -> int:
-        """Adopt a snapshotted tenant: carve a partition, write the
-        bytes, replant the heap, replay every module load with its
-        globals pinned at the recorded partition-relative offsets, and
-        re-issue the same client handles. Publishing the new bounds
-        record happens inside ``create_partition`` — at the new base,
-        under a fresh epoch — so the first post-migration launch
-        rebuilds its fencing parameters from the new record (the
-        fast-launch memo starts cold by construction). The destination
-        trace engine likewise starts the tenant cold: any state a
-        same-named tenant left behind here is forgotten, and nothing
-        recorded on the source node travels in the snapshot — so a
-        specialized trace can never replay against a stale epoch,
-        stream, or base address after a migration. Returns the new
-        partition base.
+        """Adopt a snapshotted tenant from a peer: a new tenant, landed
+        (:meth:`_land`) with the same client handles. The destination
+        trace engine starts the tenant cold — any state a same-named
+        tenant left behind here is forgotten, and nothing recorded on
+        the source node travels in the snapshot — so a specialized trace
+        can never replay against a stale epoch, stream, or base address
+        after a migration. Returns the new partition base.
         """
         if snapshot.app_id in self._tenants:
             raise MigrationError(
@@ -1295,27 +1278,14 @@ class GuardianServer:
                 f"cannot restore {snapshot.app_id!r}: snapshot carries "
                 f"{len(snapshot.data)} of {snapshot.size} bytes"
             )
-        partition = self.allocator.create_partition(
-            snapshot.app_id, snapshot.size
-        )
-        if self.trace_engine is not None:
-            self.trace_engine.forget(snapshot.app_id)
-        self.device.memory.restore(partition.base, snapshot.data)
-        partition.heap = FirstFitAllocator.from_state(
-            partition.base, partition.size,
-            list(snapshot.heap_free), list(snapshot.heap_live),
-        )
-        self.device.hierarchy.l2.install_lines(tuple(
-            partition.base + offset for offset in snapshot.l2_lines
-        ))
+        # The stream is created once the landing has succeeded.
         tenant = _Tenant(
-            app_id=snapshot.app_id,
-            stream=self.driver.cuStreamCreate(self.context),
-            incarnation=self._next_incarnation(snapshot.app_id),
+            app_id=snapshot.app_id, stream=None,
+            handle_counter=itertools.count(snapshot.next_handle),
         )
-        tenant.handle_counter = itertools.count(snapshot.next_handle)
-        for load in snapshot.modules:
-            self._restore_module(tenant, partition, load)
+        base = self._land(tenant, snapshot)
+        tenant.stream = self.driver.cuStreamCreate(self.context)
+        tenant.incarnation = self._next_incarnation(snapshot.app_id)
         self._tenants[snapshot.app_id] = tenant
         if self.elastic is not None:
             self.elastic.note_use(snapshot.app_id)
@@ -1325,33 +1295,62 @@ class GuardianServer:
             )
             self._active_lane = self._lanes[snapshot.app_id]
         self.stats.tenants_migrated_in += 1
-        return partition.base
+        return base
 
-    def _restore_module(self, tenant: _Tenant, partition,
-                        load: _ModuleLoad) -> None:
-        """Replay one recorded module load with pinned global placement.
+    def _land(self, tenant: _Tenant, snapshot: TenantSnapshot) -> int:
+        """Move ``tenant`` into a fresh partition holding ``snapshot`` —
+        the one landing every move shares (migration, compaction,
+        swap-in).
 
-        No re-patching: the record carries the already-patched text
-        (same text, same mode — the restore precondition), and the
-        globals' *contents* arrived with the partition bytes, so the
-        loader only needs to agree on their addresses. No re-compiling
-        either while the process still holds the texts' images: a
-        compaction, swap-in or migration reload is two binds.
+        Carves the partition (bounds published at the new base under a
+        fresh epoch) and asks :meth:`FencingMode.relocates` once whether
+        the fence carries the tenant's pointers there from
+        ``snapshot.source_base``; if not, releases the carve and raises
+        :class:`PartitionError`, naming the fence, before any byte is
+        written. Otherwise writes the bytes, heap and L2 lines, replays
+        every module load with its globals pinned at their recorded
+        partition-relative offsets (no re-patch; while the process holds
+        the texts' images a reload is two binds) and rebases the bound
+        client. Returns the new base.
         """
-        pinned = {
-            name: partition.base + offset
-            for name, offset in load.global_offsets
-        }
-        tenant.patch_reports.extend(load.reports)
-        sandboxed, native = self._load_pair(
-            load.ptx_text, load.patched_text,
-            lambda name, size: pinned[name])
-        for name, handle in load.handles:
-            tenant.functions[handle] = (
-                self.driver.cuModuleGetFunction(sandboxed, name),
-                self.driver.cuModuleGetFunction(native, name),
+        partition = self.allocator.create_partition(
+            snapshot.app_id, snapshot.size
+        )
+        base = partition.base
+        if not self.mode.relocates(snapshot.source_base, base,
+                                   snapshot.size):
+            self.allocator.release_partition(snapshot.app_id)
+            raise PartitionError(
+                f"cannot land {snapshot.app_id!r} at {base:#x}: "
+                f"{self.mode.value} fencing does not carry its pointers "
+                f"from {snapshot.source_base:#x}"
             )
-        tenant.modules.append(load)
+        if self.trace_engine is not None:
+            self.trace_engine.forget(snapshot.app_id)
+        self.device.memory.restore(base, snapshot.data)
+        partition.heap = FirstFitAllocator.from_state(
+            base, partition.size,
+            list(snapshot.heap_free), list(snapshot.heap_live),
+        )
+        self.device.hierarchy.l2.install_lines(tuple(
+            base + offset for offset in snapshot.l2_lines
+        ))
+        for load in snapshot.modules:
+            pinned = {name: base + offset
+                      for name, offset in load.global_offsets}
+            tenant.patch_reports.extend(load.reports)
+            sandboxed, native = self._load_pair(
+                load.ptx_text, load.patched_text,
+                lambda name, size: pinned[name])
+            for name, handle in load.handles:
+                tenant.functions[handle] = (
+                    self.driver.cuModuleGetFunction(sandboxed, name),
+                    self.driver.cuModuleGetFunction(native, name),
+                )
+            tenant.modules.append(load)
+        if self.elastic is not None:
+            self.elastic.rebase_client(snapshot.app_id, base)
+        return base
 
     def evacuate(self, app_id: str, scrub: bool = True) -> int:
         """Source-side epilogue of a completed migration: the tenant

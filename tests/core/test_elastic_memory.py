@@ -39,6 +39,14 @@ def saxpy_ptx() -> str:
     return emit_module(build_module([saxpy_kernel()]))
 
 
+ALL_MODES = (FencingMode.BITWISE, FencingMode.MODULO,
+             FencingMode.CHECKING, FencingMode.NONE)
+
+
+def _floats(client, address, count):
+    return np.frombuffer(client.memcpy_d2h(address, 4 * count), np.float32)
+
+
 def attach(server, app_id, size=1 << 20) -> ElasticClient:
     client = ElasticClient(server, app_id, size)
     if server.elastic is not None:
@@ -248,13 +256,52 @@ class TestCompaction:
         assert server.stats.cycles - before >= \
             (1 << 20) * 3.0 / SMALL.pcie_bw_gbps
 
-    def test_requires_bitwise_fencing(self):
-        server = GuardianServer(
-            Device(SMALL), FencingMode.CHECKING,
-            config=ServerConfig.elastic())
-        server.attach("a", 1 << 20)
-        with pytest.raises(GuardianError, match="bitwise"):
-            server.elastic.compact("a")
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
+    def test_make_room_in_every_mode(self, mode):
+        """Eight 2 MiB tenants each holding 1.5 MiB (nothing shrinks),
+        every other one closed: an 8 MiB newcomer fits only once the
+        survivors move. Where the fence relocates, compaction moves
+        them; elsewhere compaction declines and make_room swaps
+        instead. Either way it answers, and the tenant compaction moved
+        computes the right result through its old pointers."""
+        server = GuardianServer(Device(SMALL), mode,
+                                config=ServerConfig.elastic())
+        clients = [attach(server, f"t{i}", 2 << 20) for i in range(8)]
+        ys = [client.malloc(512) for client in clients]
+        for client in clients:
+            client.malloc(3 << 19)
+        last, y = clients[-1], ys[-1]
+        handles = last.load_module_ptx(saxpy_ptx())
+        last.memcpy_h2d(y, np.full(32, 5.0, np.float32).tobytes())
+        last.memcpy_h2d(y + 256, np.ones(32, np.float32).tobytes())
+        for client in clients[::2]:
+            client.close()
+        assert server.elastic.make_room(8 << 20)
+        relocating = mode in (FencingMode.BITWISE, FencingMode.MODULO)
+        assert server.stats.tenants_compacted == (2 if relocating else 0)
+        assert server.stats.swaps_out == (0 if relocating else 2)
+        assert (last.delta != 0) == relocating
+        last.launch_kernel(handles["saxpy"], (1, 1, 1), (32, 1, 1),
+                           [y, y + 256, 2.0, 32])
+        last.synchronize()
+        assert np.all(_floats(last, y, 32) == 7.0)
+
+    def test_compaction_keeps_the_tenant(self):
+        """A compaction moves the partition, not the tenant: stream,
+        incarnation and identity survive, no migration is counted, and
+        an eviction decided before the move still lands."""
+        server = elastic_server()
+        self._fragmented(server)
+        tenant = server._tenants["mover"]
+        stream, destroyed = tenant.stream, server.stats.streams_destroyed
+        assert tenant.incarnation == 1
+        assert server.elastic.compact("mover") is not None
+        assert server._tenants["mover"] is tenant
+        assert tenant.stream is stream and tenant.incarnation == 1
+        assert server.stats.streams_destroyed == destroyed
+        assert server.stats.tenants_migrated_in == 0
+        assert server.stats.tenants_migrated_out == 0
+        assert server.quarantine("mover", incarnation=1) == 1 << 20
 
     def test_shrink_fine_after_relocation(self):
         server = elastic_server()
@@ -405,14 +452,6 @@ class TestOversubscription:
 # --------------------------------------------------------------------------
 # One relocation rule: a move lands only where the fence can follow it
 # --------------------------------------------------------------------------
-
-ALL_MODES = (FencingMode.BITWISE, FencingMode.MODULO,
-             FencingMode.CHECKING, FencingMode.NONE)
-
-
-def _floats(client, address, count):
-    return np.frombuffer(client.memcpy_d2h(address, 4 * count), np.float32)
-
 
 class TestSwapInRelocation:
     @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
