@@ -1652,6 +1652,19 @@ class TestInlinedLaunch:
         assert list(outcome.memory.read_array(BASE, 16)) == [
             2.0 + i for i in range(16)]
 
+    def test_the_store_reuses_the_loads_fence(self):
+        """y's address is fenced for its load and again for its store;
+        the JIT evaluates the pair once, and no fence op re-masks to
+        64 bits a value that is already in range."""
+        source = codegen.ThreadCodegen(
+            compile_kernel(fenced(saxpy_kernel(), FencingMode.BITWISE),
+                           SPEC), CostModel(SPEC)).generate(True)
+        assert source.count("& r_grd2") == 2
+        assert source.count("| r_grd1") == 2
+        fences = [line for line in source.split("\n")
+                  if "& r_grd2" in line or "| r_grd1" in line]
+        assert not any(str((1 << 64) - 1) in line for line in fences)
+
     def test_acyclic_kernels_have_no_dispatch_loop(self):
         def source(kernel):
             return codegen.ThreadCodegen(
@@ -1688,3 +1701,165 @@ class TestInterpreterAtomics:
             hierarchy = outcome.executor.hierarchy
             assert hierarchy.l1.stats.accesses == 0
             assert hierarchy.level_counts == {"l1": 0, "l2": 0, "global": 0}
+
+
+# --------------------------------------------------------------------------
+# The per-thread JIT's fence reuse and in-range masks
+# --------------------------------------------------------------------------
+
+#: A 4 KiB partition at BASE, fenced bitwise: (address & mask) | base.
+FENCE_MASK = 0xFFF
+
+
+def fence(b, address, mask, base, guard=None):
+    """The bitwise fence pair on ``address``, in place."""
+    b.emit("and.b64", address, address, mask, guard=guard)
+    b.emit("or.b64", address, address, base, guard=guard)
+
+
+def fence_params(b):
+    """(mask, base) as launch parameters."""
+    return b.load_param("mask", "u64"), b.load_param("base", "u64")
+
+
+def refence_kernel(rewrite):
+    """Load through a fenced ``out + 8*tid``, rewrite the address, the
+    mask or the base, fence again and store the loaded value + 1."""
+    b = KernelBuilder(f"refence_{rewrite}", params=[
+        ("mask", "u64"), ("base", "u64"), ("out", "u64")])
+    mask, base = fence_params(b)
+    address = b.element_addr(b.load_param_ptr("out"), b.special("%tid.x"), 8)
+    fence(b, address, mask, base)
+    value = b.ld_global("u64", address)
+    if rewrite == "address":
+        b.emit("add.s64", address, address, Immediate(0x1400))
+    elif rewrite == "mask":
+        b.emit("shr.u64", mask, mask, Immediate(4))
+    else:
+        b.emit("add.s64", base, base, Immediate(FENCE_MASK + 1))
+    fence(b, address, mask, base)
+    b.st_global("u64", address, b.add("u64", value, Immediate(1)))
+    return b.build()
+
+
+def guarded_fence_kernel():
+    """Odd threads fence ``out + 8*tid`` under a guard and load; every
+    thread fences and stores the value + 1; odd threads then move the
+    address under a guard, and every thread fences and stores the
+    value."""
+    b = KernelBuilder("guarded_fence", params=[
+        ("mask", "u64"), ("base", "u64"), ("out", "u64")])
+    mask, base = fence_params(b)
+    tid = b.special("%tid.x")
+    address = b.element_addr(b.load_param_ptr("out"), tid, 8)
+    odd = Guard(b.setp("eq", "u32", b.and_("b32", tid, Immediate(1)),
+                       Immediate(1)).name)
+    fence(b, address, mask, base, guard=odd)
+    value = b.ld_global("u64", address)
+    fence(b, address, mask, base)
+    b.st_global("u64", address, b.add("u64", value, Immediate(1)))
+    b.emit("add.s64", address, address, Immediate(0x1100), guard=odd)
+    fence(b, address, mask, base)
+    b.st_global("u64", address, value)
+    return b.build()
+
+
+def negative_bitwise_kernel():
+    """``and``/``or``/``xor.b64`` of ``-1 - tid`` (a natural negative
+    in an s32 register) with a constant; stores ``min.u64`` of each
+    result and 2**40."""
+    b = KernelBuilder("negative_bitwise", params=[("out", "u64")])
+    out = b.load_param_ptr("out")
+    tid = b.special("%tid.x")
+    negative = b.sub("s32", Immediate(-1), tid)
+    for k, op in enumerate(("and", "or", "xor")):
+        wide = b.reg("u64")
+        b.emit(f"{op}.b64", wide, negative, Immediate(0x30F0))
+        cell = b.element_addr(out, b.add("u32", tid, Immediate(16 * k)), 8)
+        b.st_global("u64", cell, b.min_("u64", wide, Immediate(1 << 40)))
+    return b.build()
+
+
+def mixed_width_kernel():
+    """One register written by ``ld.param.u64`` and, in odd threads, by
+    ``sub.s32`` (a negative); stores ``min.u64`` of ``or``/``xor.b64``
+    of it and 2**40."""
+    b = KernelBuilder("mixed_width", params=[("out", "u64"), ("seed", "u64")])
+    out = b.load_param_ptr("out")
+    tid = b.special("%tid.x")
+    wide = b.load_param("seed", "u64")
+    odd = b.setp("eq", "u32", b.and_("b32", tid, Immediate(1)), Immediate(1))
+    b.emit("sub.s32", wide, Immediate(0), tid, guard=Guard(odd.name))
+    for k, op in enumerate(("or", "xor")):
+        mixed = b.reg("u64")
+        b.emit(f"{op}.b64", mixed, wide, Immediate(0x5A))
+        cell = b.element_addr(out, b.add("u32", tid, Immediate(16 * k)), 8)
+        b.st_global("u64", cell, b.min_("u64", mixed, Immediate(1 << 40)))
+    return b.build()
+
+
+def numbered_setup(memory):
+    memory.write_array(BASE, np.arange(1024, dtype=np.uint64) * 3 + 5,
+                       dtype="u64")
+
+
+class TestFenceEmission:
+    """What the per-thread JIT may leave out of a fence, checked
+    against the interpreter byte for byte: a repeated fence pair whose
+    registers nothing rewrote, and the 64-bit mask of an ``and``/
+    ``or``/``xor`` whose operands are already in range."""
+
+    @staticmethod
+    def _run(kernel, params):
+        outcomes = run_engines(kernel, (1, 1, 1), (16, 1, 1), params,
+                               numbered_setup)
+        assert_as_interpreter(outcomes)
+        assert_identical(outcomes["jit"], outcomes["block"])
+        return outcomes["jit"].memory
+
+    @pytest.mark.parametrize("rewrite", ["address", "mask", "base"])
+    def test_a_register_rewritten_between_two_fences(self, rewrite):
+        memory = self._run(refence_kernel(rewrite),
+                           [FENCE_MASK, BASE, BASE + 0x800])
+        stored = {"address": BASE + 0xC00, "mask": BASE,
+                  "base": BASE + 0x1800}[rewrite]
+        expected = np.arange(0x100, 0x110, dtype=np.uint64) * 3 + 6
+        assert np.array_equal(memory.read_array(stored, 16, dtype="u64"),
+                              expected)
+
+    def test_a_guarded_fence_pair(self):
+        memory = self._run(guarded_fence_kernel(),
+                           [FENCE_MASK, BASE, BASE + 0x1000])
+        numbered = np.arange(1024, dtype=np.uint64) * 3 + 5
+        loaded = numbered[:16].copy()
+        loaded[0::2] = numbered[0x200:0x210:2]  # even threads: unfenced
+        out = memory.read_array(BASE, 16, dtype="u64")
+        assert np.array_equal(out[0::2], loaded[0::2])  # stored twice
+        assert np.array_equal(out[1::2], loaded[1::2] + 1)
+        moved = numbered[0x20:0x30].copy()
+        moved[1::2] = loaded[1::2]  # odd threads, moved and fenced
+        assert np.array_equal(memory.read_array(BASE + 0x100, 16, dtype="u64"),
+                              moved)
+        assert np.array_equal(
+            memory.read_array(BASE + 0x1000, 0x200, dtype="u64"),
+            numbered[0x200:0x400])  # nothing lands outside the fence
+
+    def test_bitwise_ops_of_a_narrow_negative(self):
+        memory = self._run(negative_bitwise_kernel(), [BASE])
+        values = -1 - np.arange(16)
+        out = memory.read_array(BASE, 48, dtype="u64")
+        for k, combine in enumerate((np.bitwise_and, np.bitwise_or,
+                                     np.bitwise_xor)):
+            expected = [min(int(v) % (1 << 64), 1 << 40)
+                        for v in combine(values, 0x30F0)]
+            assert list(out[16 * k:16 * k + 16]) == expected
+
+    def test_a_register_written_at_64_and_at_32_bits(self):
+        seed = (1 << 63) + 12345
+        memory = self._run(mixed_width_kernel(), [BASE, seed])
+        held = [seed if tid % 2 == 0 else -tid for tid in range(16)]
+        out = memory.read_array(BASE, 32, dtype="u64")
+        for k, combine in enumerate((int.__or__, int.__xor__)):
+            expected = [min(combine(v, 0x5A) % (1 << 64), 1 << 40)
+                        for v in held]
+            assert list(out[16 * k:16 * k + 16]) == expected

@@ -274,6 +274,16 @@ class TestLaunchValidation:
                             [BASE, BASE, 1.0, 1])
 
 
+    @pytest.mark.parametrize("max_blocks", [0, -1])
+    def test_max_blocks_below_one(self, executor_factory, max_blocks):
+        memory = GlobalMemory(1 << 20)
+        executor = executor_factory(memory)
+        compiled = compile_kernel(saxpy_kernel(), SPEC)
+        with pytest.raises(LaunchError, match=f"max_blocks.* {max_blocks}"):
+            executor.launch(compiled, (2, 1, 1), (32, 1, 1),
+                            [BASE, BASE, 1.0, 64], max_blocks=max_blocks)
+
+
 class TestTiming:
     def test_duration_formula(self, executor_factory):
         _, result = run_kernel(

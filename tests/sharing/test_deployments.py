@@ -33,6 +33,12 @@ class TestHarness:
         with pytest.raises(ValueError):
             run_deployment("vmware", [])
 
+    @pytest.mark.parametrize("max_blocks", [0, -1])
+    def test_max_blocks_below_one_rejected(self, max_blocks):
+        apps = [AppSpec("app0", tiny_workload(), 1 << 20)]
+        with pytest.raises(ValueError, match=f"max_blocks.* {max_blocks}"):
+            run_deployment("guardian", apps, max_blocks=max_blocks)
+
     def test_native_time_shares(self):
         apps = [AppSpec(f"app{i}", tiny_workload(), 1 << 20)
                 for i in range(3)]
