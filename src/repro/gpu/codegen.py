@@ -436,6 +436,90 @@ def invariant_prefix(instructions) -> int:
     return entry_end
 
 
+#: Integer types the JIT wraps with the 64-bit mask: a result bound
+#: through one of them lies in [0, 2**64).
+_WIDE = frozenset({"u64", "b64", "s64"})
+
+_BITWISE = {"and": "&", "or": "|", "xor": "^"}
+
+
+def _binds_wide(ins) -> bool:
+    """Whether the JIT binds the result of ``ins`` through the 64-bit
+    wrap (``_assign`` with a type in ``_WIDE``)."""
+    op = ins.op
+    if op in ("setp", "atom") or op in _SFU_OPS or op == "ld" and (
+            ins.space not in ("param", "shared", "local")):
+        return False
+    if op in ("mul", "mad") and "wide" in ins.opcode:
+        return True  # to u64 or s64
+    return ins.dtype in _WIDE
+
+
+def unwrapped_registers(instructions) -> frozenset:
+    """Names of the registers some instruction binds without the 64-bit
+    wrap. Every other register holds a value in [0, 2**64) whenever it
+    is read: each write wraps it, and a never-written one reads 0."""
+    return frozenset(
+        ins.operands[0].name for ins in instructions
+        if ins.op not in _NO_DEST and ins.operands
+        and isinstance(ins.operands[0], Register) and not _binds_wide(ins))
+
+
+def _fence_pair(first, second):
+    """``(X, pair)`` when ``first; second`` is an unguarded ``and X, X,
+    M; or X, X, B`` with M and B registers other than X, or immediates;
+    else None."""
+    if (second is None or first.op != "and" or second.op != "or"
+            or first.guard_reg is not None or second.guard_reg is not None):
+        return None
+    x, a, mask = first.operands
+    y, c, base = second.operands
+    if not isinstance(x, Register) or not x == a == y == c or any(
+            operand == x or not isinstance(operand, (Register, Immediate))
+            for operand in (mask, base)):
+        return None
+    return x.name, (first.opcode, mask, second.opcode, base)
+
+
+def fence_repeats(instructions) -> frozenset:
+    """Indices of the fence pairs (:func:`_fence_pair`) whose register
+    already holds their result: the same pair ran earlier in the basic
+    block, and no instruction since (guarded or not) wrote X, M or B.
+    With ``f(x) = ((x & m) & w1 | b) & w2`` for any wrap masks w1, w2,
+    ``f(f(x)) == f(x)`` for every integer x, so the pair is charged
+    and not evaluated."""
+    leaders = set(basic_blocks(instructions)[0])
+    repeats = set()
+    held: dict = {}  # X -> the pair whose result X holds
+
+    def clobber(name):
+        for x, (_, mask, _, base) in list(held.items()):
+            if name in (x, getattr(mask, "name", None),
+                        getattr(base, "name", None)):
+                del held[x]
+
+    index = 0
+    while index < len(instructions):
+        if index in leaders:
+            held.clear()
+        ins = instructions[index]
+        pair = _fence_pair(ins, None if index + 1 in leaders
+                           else instructions[index + 1])
+        if pair is not None:
+            x, key = pair
+            if held.get(x) == key:
+                repeats.update((index, index + 1))
+            clobber(x)
+            held[x] = key
+            index += 2
+            continue
+        if (ins.op not in _NO_DEST and ins.operands
+                and isinstance(ins.operands[0], Register)):
+            clobber(ins.operands[0].name)
+        index += 1
+    return frozenset(repeats)
+
+
 #: A global ld/st: if aligned and mapped, the L1 way-0 compare (else
 #: ``_resolve``) and the in-page access; if not, the faulting helper.
 _INLINE_ACCESS = f"""\
@@ -477,6 +561,9 @@ class KernelCodegen:
         self.cost_model = cost_model
         self.gen = _Gen()
         self._declared: set[str] = set()
+        #: Indices of instructions charged but not emitted: their
+        #: registers already hold what they would compute.
+        self._held: frozenset = frozenset()
 
     # -- operand expressions --------------------------------------------------
 
@@ -742,7 +829,7 @@ class KernelCodegen:
                     "device-function calls are not executed by the "
                     "simulator"
                 )
-            else:
+            elif index not in self._held:
                 if any(isinstance(operand, SpecialReg)
                        and operand.name == "%clock"
                        for operand in ins.operands):
@@ -767,10 +854,13 @@ class ThreadCodegen(KernelCodegen):
 
     def __init__(self, compiled, cost_model: CostModel):
         super().__init__(compiled, cost_model)
+        instructions = compiled.instructions
         #: No back edge: the basic blocks run in order, no dispatch loop.
         self.acyclic = all(target > index for index, ins
-                           in enumerate(compiled.instructions)
+                           in enumerate(instructions)
                            for target in _targets(ins))
+        self._held = fence_repeats(instructions)
+        self._unwrapped = unwrapped_registers(instructions)
 
     @contextlib.contextmanager
     def _guarded(self, ins, transfer: bool = False):
@@ -798,6 +888,27 @@ class ThreadCodegen(KernelCodegen):
     def _emit_instruction(self, ins) -> None:
         with self._guarded(ins):
             self._emit_body(ins)
+
+    def _emit_body(self, ins) -> None:
+        symbol = _BITWISE.get(ins.op)
+        if symbol is None or ins.dtype not in _WIDE:
+            super()._emit_body(ins)
+            return
+        dest, a, b = ins.operands
+        in_range = [self._in_range(a), self._in_range(b)]
+        if any(in_range) if ins.op == "and" else all(in_range):
+            # The result is in [0, 2**64) already: the wrap is a no-op.
+            self._set(dest, f"{self._expr(a)} {symbol} {self._expr(b)}")
+        else:
+            super()._emit_body(ins)
+
+    def _in_range(self, operand) -> bool:
+        """Whether ``operand`` always reads a value in [0, 2**64)."""
+        if isinstance(operand, Register):
+            return operand.name not in self._unwrapped
+        return (isinstance(operand, Immediate)
+                and type(operand.value) is int
+                and 0 <= operand.value <= _MASK64)
 
     def _emit_sfu(self, ins) -> None:
         source = f"float({self._expr(ins.operands[1])})"

@@ -374,15 +374,73 @@ class KernelExecutor:
             raise LaunchError(
                 f"{threads_per_block} threads per block exceeds 1024"
             )
+        if max_blocks is not None and max_blocks < 1:
+            raise LaunchError(
+                f"max_blocks must be at least 1, got {max_blocks}")
 
         self.hierarchy.new_kernel()
-        level_before = dict(self.hierarchy.level_counts)
+        counts = self.hierarchy.level_counts
+        l1, l2, dram = counts["l1"], counts["l2"], counts["global"]
 
         total_blocks = gx * gy * gz
+        engines = self._engines_for(compiled)
+        if (total_blocks == 1 and engines is not None
+                and compiled.code.barrier_free
+                and (threads_per_block < BLOCK_ENGINE_MIN_LANES
+                     or self._block_engine(compiled, engines) is None)):
+            # One block on the per-thread JIT: its generated loop is
+            # the whole launch.
+            self.engine_blocks["thread"] += 1
+            total_warp_cycles, instructions, loads, stores = (
+                self._thread_function(compiled, engines)(
+                    params, bytearray(max(compiled.shared_bytes, 1)),
+                    compiled.global_symbols, block, (0, 0, 0), grid,
+                    self.spec.warp_size))
+            scale = 1
+        else:
+            total_warp_cycles, instructions, loads, stores, scale = (
+                self._run_blocks(compiled, grid, block, params, max_blocks,
+                                 engines))
+
+        warps_per_block = math.ceil(threads_per_block / self.spec.warp_size)
+        num_warps = warps_per_block * total_blocks
+        parallelism = min(
+            num_warps, self.spec.num_sms * EFFECTIVE_WARPS_PER_SM
+        )
+        duration = (
+            LAUNCH_OVERHEAD_CYCLES + total_warp_cycles / max(parallelism, 1)
+        )
+        return LaunchResult(
+            kernel_name=compiled.name,
+            duration_cycles=duration,
+            total_warp_cycles=total_warp_cycles,
+            threads=threads_per_block * total_blocks,
+            warps=num_warps,
+            instructions=instructions,
+            loads=loads,
+            stores=stores,
+            level_counts={"l1": counts["l1"] - l1, "l2": counts["l2"] - l2,
+                          "global": counts["global"] - dram},
+            sampled_fraction=1.0 / scale,
+        )
+
+    def _run_blocks(
+        self,
+        compiled: CompiledKernel,
+        grid: tuple[int, int, int],
+        block: tuple[int, int, int],
+        params: list,
+        max_blocks: Optional[int],
+        engines: Optional[_Engines],
+    ) -> tuple[float, int, int, int, float]:
+        """Run the launch's (sampled) blocks span by span; return the
+        scaled ``(warp cycles, instructions, loads, stores)`` and the
+        scale."""
+        threads_per_block = block[0] * block[1] * block[2]
+        total_blocks = grid[0] * grid[1] * grid[2]
         block_ids = _select_blocks(total_blocks, max_blocks)
         scale = total_blocks / len(block_ids)
 
-        engines = self._engines_for(compiled)
         block_engine = None
         span = 1  # blocks per pass
         if engines is not None:
@@ -412,37 +470,8 @@ class KernelExecutor:
             instructions += metrics[1]
             loads += metrics[2]
             stores += metrics[3]
-
-        total_warp_cycles *= scale
-        instructions = int(instructions * scale)
-        loads = int(loads * scale)
-        stores = int(stores * scale)
-
-        warps_per_block = math.ceil(threads_per_block / self.spec.warp_size)
-        num_warps = warps_per_block * total_blocks
-        parallelism = min(
-            num_warps, self.spec.num_sms * EFFECTIVE_WARPS_PER_SM
-        )
-        duration = (
-            LAUNCH_OVERHEAD_CYCLES + total_warp_cycles / max(parallelism, 1)
-        )
-
-        level_counts = {
-            key: self.hierarchy.level_counts[key] - level_before[key]
-            for key in level_before
-        }
-        return LaunchResult(
-            kernel_name=compiled.name,
-            duration_cycles=duration,
-            total_warp_cycles=total_warp_cycles,
-            threads=threads_per_block * total_blocks,
-            warps=num_warps,
-            instructions=instructions,
-            loads=loads,
-            stores=stores,
-            level_counts=level_counts,
-            sampled_fraction=1.0 / scale,
-        )
+        return (total_warp_cycles * scale, int(instructions * scale),
+                int(loads * scale), int(stores * scale), scale)
 
     # -- block / thread execution -------------------------------------------
 

@@ -106,6 +106,8 @@ def run_deployment(
         raise ValueError(
             f"unknown deployment {deployment!r}; pick from {DEPLOYMENTS}"
         )
+    if max_blocks is not None and max_blocks < 1:
+        raise ValueError(f"max_blocks must be at least 1, got {max_blocks}")
     device = device or Device(spec)
     if max_blocks is not None:
         device.max_blocks_per_launch = max_blocks
