@@ -409,6 +409,14 @@ _NO_DEST = frozenset({"st", "bra", "brx", "ret", "exit", "bar", "call",
                       "nop"})
 
 
+def _written(ins) -> Optional[str]:
+    """The name of the register ``ins`` writes, if any."""
+    if (ins.op not in _NO_DEST and ins.operands
+            and isinstance(ins.operands[0], Register)):
+        return ins.operands[0].name
+    return None
+
+
 def invariant_prefix(instructions) -> int:
     """Length of the launch-invariant prefix: the longest run of
     unguarded instructions opening the entry block (if no branch
@@ -459,10 +467,8 @@ def unwrapped_registers(instructions) -> frozenset:
     """Names of the registers some instruction binds without the 64-bit
     wrap. Every other register holds a value in [0, 2**64) whenever it
     is read: each write wraps it, and a never-written one reads 0."""
-    return frozenset(
-        ins.operands[0].name for ins in instructions
-        if ins.op not in _NO_DEST and ins.operands
-        and isinstance(ins.operands[0], Register) and not _binds_wide(ins))
+    return frozenset(_written(ins) for ins in instructions
+                     if _written(ins) and not _binds_wide(ins))
 
 
 def _fence_pair(first, second):
@@ -470,7 +476,8 @@ def _fence_pair(first, second):
     M; or X, X, B`` with M and B registers other than X, or immediates;
     else None."""
     if (second is None or first.op != "and" or second.op != "or"
-            or first.guard_reg is not None or second.guard_reg is not None):
+            or first.guard_reg is not None or second.guard_reg is not None
+            or len(first.operands) != 3 or len(second.operands) != 3):
         return None
     x, a, mask = first.operands
     y, c, base = second.operands
@@ -513,9 +520,8 @@ def fence_repeats(instructions) -> frozenset:
             held[x] = key
             index += 2
             continue
-        if (ins.op not in _NO_DEST and ins.operands
-                and isinstance(ins.operands[0], Register)):
-            clobber(ins.operands[0].name)
+        if _written(ins):
+            clobber(_written(ins))
         index += 1
     return frozenset(repeats)
 
@@ -894,7 +900,7 @@ class ThreadCodegen(KernelCodegen):
         if symbol is None or ins.dtype not in _WIDE:
             super()._emit_body(ins)
             return
-        dest, a, b = ins.operands
+        dest, a, b = ins.operands[0], ins.operands[1], ins.operands[2]
         in_range = [self._in_range(a), self._in_range(b)]
         if any(in_range) if ins.op == "and" else all(in_range):
             # The result is in [0, 2**64) already: the wrap is a no-op.
@@ -1102,9 +1108,8 @@ class ThreadCodegen(KernelCodegen):
         prefix = instructions[:start]
         hoisted = {_mangle(ins.operands[0].name) for ins in prefix}
         rebound = sorted(hoisted & {
-            _mangle(ins.operands[0].name) for ins in instructions[start:]
-            if ins.op not in _NO_DEST and ins.operands
-            and isinstance(ins.operands[0], Register)})
+            _mangle(_written(ins)) for ins in instructions[start:]
+            if _written(ins)})
 
         gen = self.gen
         if loop:
