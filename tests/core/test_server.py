@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.errors import BoundsViolation, GuardianError, LaunchError
+from repro.errors import (
+    BoundsViolation,
+    GuardianError,
+    LaunchError,
+    PTXValidationError,
+)
 from repro.core.policy import FencingMode
 from repro.core.server import GuardianServer
 from repro.driver.fatbin import build_fatbin
@@ -289,6 +294,40 @@ class TestModuleGlobalsPlacement:
         # The partition heap gained the global array.
         partition = server.allocator.partition("alice")
         assert partition.heap.bytes_in_use >= 64
+
+
+class TestOperandCounts:
+    """A tenant's instruction with the wrong number of operands is
+    refused at load, naming the instruction; it never reaches an
+    engine, and a neighbour's launches are untouched."""
+
+    @pytest.mark.parametrize("line", [
+        "and.b64 %rd2, %rd1;",
+        "mad.lo.s32 %r1, %r2, %r3;",
+        "st.global.u32 [%rd1];",
+        "setp.lt.u32 %p1, %r1;",
+    ])
+    def test_load_is_refused(self, server, line):
+        attach(server, "alice")
+        handles, _ = server.register_fatbin(
+            "alice", build_fatbin(saxpy_module(), "lib", "11.7"))
+        buf, _ = server.malloc("alice", 512)
+        attach(server, "mallory")
+        ptx = (
+            ".version 7.5\n.target sm_86\n.address_size 64\n"
+            ".visible .entry k(.param .u64 k_p0)\n{\n"
+            ".reg .pred %p<2>;\n.reg .b32 %r<4>;\n.reg .b64 %rd<3>;\n"
+            "ld.param.u64 %rd1, [k_p0];\nmov.u32 %r2, 3;\n"
+            f"mov.u32 %r3, 4;\n{line}\nret;\n}}"
+        )
+        opcode = line.split()[0]
+        with pytest.raises(PTXValidationError, match=opcode):
+            server.load_module_ptx("mallory", ptx)
+        server.launch_kernel("alice", handles["saxpy"], (1, 1, 1),
+                             (32, 1, 1), [buf, buf + 256, 1.0, 32])
+        server.synchronize("alice")
+        assert server.stats.launches == 1
+        assert server.stats.kernels_killed == 0
 
 
 class TestQuarantineIdempotency:

@@ -1766,8 +1766,7 @@ def guarded_fence_kernel():
 
 def negative_bitwise_kernel():
     """``and``/``or``/``xor.b64`` of ``-1 - tid`` (a natural negative
-    in an s32 register) with a constant; stores ``min.u64`` of each
-    result and 2**40."""
+    in an s32 register) with a constant; stores each result."""
     b = KernelBuilder("negative_bitwise", params=[("out", "u64")])
     out = b.load_param_ptr("out")
     tid = b.special("%tid.x")
@@ -1776,14 +1775,13 @@ def negative_bitwise_kernel():
         wide = b.reg("u64")
         b.emit(f"{op}.b64", wide, negative, Immediate(0x30F0))
         cell = b.element_addr(out, b.add("u32", tid, Immediate(16 * k)), 8)
-        b.st_global("u64", cell, b.min_("u64", wide, Immediate(1 << 40)))
+        b.st_global("u64", cell, wide)
     return b.build()
 
 
 def mixed_width_kernel():
     """One register written by ``ld.param.u64`` and, in odd threads, by
-    ``sub.s32`` (a negative); stores ``min.u64`` of ``or``/``xor.b64``
-    of it and 2**40."""
+    ``sub.s32`` (a negative); stores ``or``/``xor.b64`` of it."""
     b = KernelBuilder("mixed_width", params=[("out", "u64"), ("seed", "u64")])
     out = b.load_param_ptr("out")
     tid = b.special("%tid.x")
@@ -1794,7 +1792,23 @@ def mixed_width_kernel():
         mixed = b.reg("u64")
         b.emit(f"{op}.b64", mixed, wide, Immediate(0x5A))
         cell = b.element_addr(out, b.add("u32", tid, Immediate(16 * k)), 8)
-        b.st_global("u64", cell, b.min_("u64", mixed, Immediate(1 << 40)))
+        b.st_global("u64", cell, mixed)
+    return b.build()
+
+
+def wide_division_kernel():
+    """``div.u64`` and ``rem.u64`` of ``seed - tid`` (above 2**53) by
+    ``1000 + tid``; stores both."""
+    b = KernelBuilder("wide_division",
+                      params=[("out", "u64"), ("seed", "u64")])
+    out = b.load_param_ptr("out")
+    tid = b.cvt("u64", "u32", b.special("%tid.x"))
+    numerator = b.sub("u64", b.load_param("seed", "u64"), tid)
+    denominator = b.add("u64", tid, Immediate(1000))
+    for k, op in enumerate(("div", "rem")):
+        cell = b.element_addr(out, b.add("u64", tid, Immediate(16 * k)), 8)
+        b.st_global("u64", cell, getattr(b, op)("u64", numerator,
+                                                denominator))
     return b.build()
 
 
@@ -1850,7 +1864,7 @@ class TestFenceEmission:
         out = memory.read_array(BASE, 48, dtype="u64")
         for k, combine in enumerate((np.bitwise_and, np.bitwise_or,
                                      np.bitwise_xor)):
-            expected = [min(int(v) % (1 << 64), 1 << 40)
+            expected = [int(v) % (1 << 64)
                         for v in combine(values, 0x30F0)]
             assert list(out[16 * k:16 * k + 16]) == expected
 
@@ -1860,6 +1874,13 @@ class TestFenceEmission:
         held = [seed if tid % 2 == 0 else -tid for tid in range(16)]
         out = memory.read_array(BASE, 32, dtype="u64")
         for k, combine in enumerate((int.__or__, int.__xor__)):
-            expected = [min(combine(v, 0x5A) % (1 << 64), 1 << 40)
-                        for v in held]
+            expected = [combine(v, 0x5A) % (1 << 64) for v in held]
             assert list(out[16 * k:16 * k + 16]) == expected
+
+    def test_wide_integer_division_is_exact(self):
+        seed = (1 << 64) - 5
+        memory = self._run(wide_division_kernel(), [BASE, seed])
+        out = memory.read_array(BASE, 32, dtype="u64")
+        pairs = [(seed - tid, 1000 + tid) for tid in range(16)]
+        assert list(out[:16]) == [n // d for n, d in pairs]
+        assert list(out[16:]) == [n % d for n, d in pairs]
