@@ -772,14 +772,13 @@ class KernelExecutor:
                     math.inf if numerator > 0 else -math.inf
                 )
             else:
-                result = int(numerator / denominator)  # trunc toward zero
+                result = codegen._truncdiv(numerator, denominator)
             self._set_reg(thread, operands[0], ins.dtype, result)
         elif op == "rem":
             denominator = value(operands[2])
             if denominator == 0:
                 raise ExecutionError("integer remainder by zero")
-            numerator = value(operands[1])
-            result = numerator - int(numerator / denominator) * denominator
+            result = codegen._truncrem(value(operands[1]), denominator)
             self._set_reg(thread, operands[0], ins.dtype, result)
         elif op == "and":
             self._set_reg(thread, operands[0], ins.dtype,

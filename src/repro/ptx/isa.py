@@ -92,6 +92,8 @@ class OpInfo:
         is_memory: resolves an address against the memory system.
         is_control: changes control flow.
         has_dest: first operand is a destination register.
+        operands: how many operands the engines index, or None where
+            they index none or a variable number.
     """
 
     name: str
@@ -99,6 +101,7 @@ class OpInfo:
     is_memory: bool = False
     is_control: bool = False
     has_dest: bool = True
+    operands: int | None = None
 
 
 #: Cycle cost of each latency class. Memory classes are placeholders —
@@ -119,45 +122,45 @@ LATENCY_CLASSES: dict[str, int] = {
 
 _OPS = [
     # memory
-    OpInfo("ld", "memory", is_memory=True),
-    OpInfo("st", "memory", is_memory=True, has_dest=False),
-    OpInfo("atom", "memory", is_memory=True),
+    OpInfo("ld", "memory", is_memory=True, operands=2),
+    OpInfo("st", "memory", is_memory=True, has_dest=False, operands=2),
+    OpInfo("atom", "memory", is_memory=True, operands=3),
     # data movement / conversion
-    OpInfo("mov", "alu"),
-    OpInfo("cvta", "alu"),
-    OpInfo("cvt", "alu"),
-    OpInfo("selp", "alu"),
+    OpInfo("mov", "alu", operands=2),
+    OpInfo("cvta", "alu", operands=2),
+    OpInfo("cvt", "alu", operands=2),
+    OpInfo("selp", "alu", operands=4),
     # integer & bitwise ALU
-    OpInfo("add", "alu"),
-    OpInfo("sub", "alu"),
-    OpInfo("and", "alu"),
-    OpInfo("or", "alu"),
-    OpInfo("xor", "alu"),
-    OpInfo("not", "alu"),
-    OpInfo("shl", "alu"),
-    OpInfo("shr", "alu"),
-    OpInfo("min", "alu"),
-    OpInfo("max", "alu"),
-    OpInfo("neg", "alu"),
-    OpInfo("abs", "alu"),
-    OpInfo("mul", "mul"),
-    OpInfo("mad", "mul"),
-    OpInfo("fma", "mul"),
-    OpInfo("div", "div32"),
-    OpInfo("rem", "div32"),
+    OpInfo("add", "alu", operands=3),
+    OpInfo("sub", "alu", operands=3),
+    OpInfo("and", "alu", operands=3),
+    OpInfo("or", "alu", operands=3),
+    OpInfo("xor", "alu", operands=3),
+    OpInfo("not", "alu", operands=2),
+    OpInfo("shl", "alu", operands=3),
+    OpInfo("shr", "alu", operands=3),
+    OpInfo("min", "alu", operands=3),
+    OpInfo("max", "alu", operands=3),
+    OpInfo("neg", "alu", operands=2),
+    OpInfo("abs", "alu", operands=2),
+    OpInfo("mul", "mul", operands=3),
+    OpInfo("mad", "mul", operands=4),
+    OpInfo("fma", "mul", operands=4),
+    OpInfo("div", "div32", operands=3),
+    OpInfo("rem", "div32", operands=3),
     # special function unit
-    OpInfo("sqrt", "sfu"),
-    OpInfo("rsqrt", "sfu"),
-    OpInfo("rcp", "sfu"),
-    OpInfo("ex2", "sfu"),
-    OpInfo("lg2", "sfu"),
-    OpInfo("sin", "sfu"),
-    OpInfo("cos", "sfu"),
-    OpInfo("tanh", "sfu"),
+    OpInfo("sqrt", "sfu", operands=2),
+    OpInfo("rsqrt", "sfu", operands=2),
+    OpInfo("rcp", "sfu", operands=2),
+    OpInfo("ex2", "sfu", operands=2),
+    OpInfo("lg2", "sfu", operands=2),
+    OpInfo("sin", "sfu", operands=2),
+    OpInfo("cos", "sfu", operands=2),
+    OpInfo("tanh", "sfu", operands=2),
     # predicates & control
-    OpInfo("setp", "alu"),
-    OpInfo("bra", "branch", is_control=True, has_dest=False),
-    OpInfo("brx", "divergent", is_control=True, has_dest=False),
+    OpInfo("setp", "alu", operands=3),
+    OpInfo("bra", "branch", is_control=True, has_dest=False, operands=1),
+    OpInfo("brx", "divergent", is_control=True, has_dest=False, operands=2),
     OpInfo("call", "branch", is_control=True, has_dest=False),
     OpInfo("ret", "branch", is_control=True, has_dest=False),
     OpInfo("exit", "branch", is_control=True, has_dest=False),

@@ -68,8 +68,14 @@ def _validate_instruction(
     labels: set[str],
     known_symbols: set[str],
 ) -> None:
-    # Opcode must exist (parser enforces too; builders may not).
-    isa.opcode_info(instruction.opcode)
+    # Opcode must exist (parser enforces too; builders may not), with
+    # as many operands as the engines will index.
+    expected = isa.opcode_info(instruction.opcode).operands
+    if expected is not None and len(instruction.operands) != expected:
+        raise PTXValidationError(
+            f"{instruction.opcode} takes {expected} operands, got "
+            f"{len(instruction.operands)}"
+        )
 
     if instruction.guard is not None:
         if instruction.guard.register not in declared:

@@ -1,10 +1,15 @@
 """Validator tests — the ptxas-reject behaviour the threat model leans
 on (direct branches are safe *because* the assembler verifies labels)."""
 
+import random
+
 import pytest
 
 from repro.errors import PTXValidationError
 from repro.ptx import parse_module, validate_module
+from repro.ptx.builder import build_module
+
+from tests.gpu.kernel_fuzz import structured_kernel
 
 _HEADER = ".version 7.5\n.target sm_86\n.address_size 64\n"
 
@@ -107,3 +112,21 @@ class TestSymbolValidation:
         module = _module("mov.u32 %r1, 1;\nret;")
         with pytest.raises(PTXValidationError, match="'k'"):
             validate_module(module)
+
+
+class TestOperandCounts:
+    def test_too_few_operands_rejected(self):
+        module = _module(".reg .b64 %rd<3>;\nand.b64 %rd2, %rd1;\nret;")
+        with pytest.raises(PTXValidationError,
+                           match=r"and\.b64 takes 3 operands, got 2"):
+            validate_module(module)
+
+    def test_too_many_operands_rejected(self):
+        module = _module(".reg .b32 %r<4>;\nneg.s32 %r1, %r2, %r3;\nret;")
+        with pytest.raises(PTXValidationError, match=r"neg\.s32 takes 2"):
+            validate_module(module)
+
+    def test_fuzzed_kernels_still_validate(self):
+        for seed in range(50):
+            validate_module(build_module(
+                [structured_kernel(random.Random(seed))]))
