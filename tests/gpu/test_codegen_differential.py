@@ -628,6 +628,48 @@ class TestFaultsAndFallback:
         assert isinstance(outcome.error, TypeError)
         assert outcome.executor.engine_blocks["fallback"] == 0
 
+    def test_barrier_under_divergence(self):
+        """Threads below 8 store to shared memory, meet at a barrier the
+        others never reach, read a neighbour's slot and store it; then
+        every thread stores past the join. The block engine parks that
+        group at the barrier and releases it, with no fallback."""
+        b = KernelBuilder("divergent_bar", params=[("out", "u64")])
+        tile = b.mov("u64", b.shared_array("tile", "u32", 8))
+        out = b.load_param_ptr("out")
+        tid = b.special("%tid.x")
+        with b.if_less_than(tid, Immediate(8)):
+            b.st_shared("u32", b.element_addr(tile, tid, 4),
+                        b.add("u32", tid, Immediate(100)))
+            b.barrier()
+            other = b.and_("b32", b.add("u32", tid, Immediate(1)),
+                           Immediate(7))
+            b.st_global("u32", b.element_addr(out, tid, 4),
+                        b.ld_shared("u32", b.element_addr(tile, other, 4)))
+        b.st_global("u32", b.element_addr(
+            out, b.add("u32", tid, Immediate(64)), 4), tid)
+        released = []
+        release = blockrt.BlockRun.release
+
+        def spy(run):
+            released.append(release(run))
+            return released[-1]
+
+        with mock.patch.object(blockrt.BlockRun, "park", autospec=True,
+                               side_effect=blockrt.BlockRun.park) as park, \
+                mock.patch.object(blockrt.BlockRun, "release", spy):
+            outcomes = run_engines(b.build(), (1, 1, 1), (64, 1, 1),
+                                   [BASE])
+        assert_equivalent(outcomes["interpreter"], outcomes["jit"])
+        assert_identical(outcomes["jit"], outcomes["block"])
+        assert outcomes["block"].executor.engine_blocks == {
+            "block": 1, "thread": 0, "fallback": 0}
+        assert park.call_count == 1
+        assert released.count(True) == 1
+        out = outcomes["block"].memory.read_array(BASE, 128, dtype="u32")
+        assert list(out[:8]) == [100 + (tid + 1) % 8 for tid in range(8)]
+        assert not out[8:64].any()
+        assert list(out[64:]) == list(range(64))
+
     def test_statically_unsupported_kernels_stay_on_the_jit(self):
         b = KernelBuilder("atomic", params=[("out", "u64")])
         out = b.load_param_ptr("out")
