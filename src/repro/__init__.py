@@ -94,25 +94,17 @@ class GuardianSystem:
         self,
         spec: DeviceSpec = QUADRO_RTX_A4000,
         mode: FencingMode = FencingMode.BITWISE,
-        standalone_native: bool = False,
         config: ServerConfig | None = None,
-        supervised: bool | None = None,
         fault_plan: FaultPlan | None = None,
     ):
         self.device = Device(spec)
-        self.server = GuardianServer(
-            self.device, mode=mode, standalone_native=standalone_native,
-            config=config,
-        )
-        # Supervision is opt-in (or implied by a fault plan), keeping
-        # the default system byte-compatible with the seed; a
-        # supervised system without a plan is still cycle-identical.
-        if supervised is None:
-            supervised = fault_plan is not None
+        self.server = GuardianServer(self.device, mode=mode, config=config)
+        # A fault plan brings a supervisor; without one the system is
+        # byte-compatible with the seed.
         self.fault_plan = fault_plan
         self.supervisor: TenantSupervisor | None = (
             TenantSupervisor(self.server, plan=fault_plan)
-            if supervised else None
+            if fault_plan is not None else None
         )
         self.tenants: dict[str, GuardianTenant] = {}
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.ipc import IPCChannel, IPCCostModel
+from repro.core.ipc import IPCChannel
 from repro.core.server import GuardianServer
 from repro.driver.fatbin import FatBinary
 from repro.errors import ClientCrashed
@@ -44,10 +44,6 @@ class GuardianClient(GpuBackend):
         server: GuardianServer,
         app_id: str,
         max_bytes: int,
-        ipc_costs: Optional[IPCCostModel] = None,
-        batching: Optional[bool] = None,
-        queue_limit: Optional[int] = None,
-        shed_overflow: bool = False,
         fault_plan: Optional[FaultPlan] = None,
         attach: bool = True,
     ):
@@ -57,15 +53,10 @@ class GuardianClient(GpuBackend):
         # happens on the far side of the message queue.
         self._faults = fault_plan
         self.crashed = False
-        # The batching default comes from the server's hot-path
-        # switch, so enabling it in one place configures every
-        # attaching tenant; an explicit argument overrides per client.
-        if batching is None:
-            batching = server.config.enable_hot_path
-        self.channel = IPCChannel(server, app_id, costs=ipc_costs,
-                                  batching=batching,
-                                  queue_limit=queue_limit,
-                                  shed_overflow=shed_overflow)
+        # The server's hot-path switch decides batching, so enabling
+        # it in one place configures every attaching tenant.
+        self.channel = IPCChannel(
+            server, app_id, batching=server.config.enable_hot_path)
         self.profile = BackendProfile()
         self._spec = None
         self._export_tables = None
@@ -232,8 +223,6 @@ def preload_guardian(
     server: GuardianServer,
     app_id: str,
     max_bytes: int,
-    ipc_costs: Optional[IPCCostModel] = None,
-    batching: Optional[bool] = None,
     fault_plan: Optional[FaultPlan] = None,
 ) -> GuardianClient:
     """Install the Guardian shim into a process (the LD_PRELOAD moment).
@@ -242,7 +231,6 @@ def preload_guardian(
     any accelerated library — afterwards those components would already
     hold the real driver binding.
     """
-    client = GuardianClient(server, app_id, max_bytes, ipc_costs=ipc_costs,
-                            batching=batching, fault_plan=fault_plan)
+    client = GuardianClient(server, app_id, max_bytes, fault_plan=fault_plan)
     loader.preload(LIBCUDA, client)
     return client

@@ -21,7 +21,8 @@ breaks down for ``cudaLaunchKernel``.
 consecutive ``sync=False`` calls — kernel launches, H2D copies,
 memsets — are queued client-side and delivered in one message-queue
 crossing at the next flush point (a synchronous call, an explicit
-:meth:`IPCChannel.flush`, a full batch, or channel close). A batch of
+:meth:`IPCChannel.flush`, a full batch of :data:`MAX_BATCH` calls, or
+channel close). A batch of
 ``k`` calls costs ``roundtrip/2 + k*marshal`` plus the payload copies
 (payloads are staged into the shared segment at call time, since the
 caller may reuse its buffers immediately), instead of
@@ -31,27 +32,17 @@ errors for batched operations surface at the flush point — the same
 deferred-error semantics real asynchronous CUDA submission has. With
 ``batching=False`` (the default) the channel is cycle-for-cycle
 identical to the unbatched model the paper's figures assume.
-
-**Bounded queue + shedding** (opt-in, ``queue_limit``): real command
-queues are finite; an unbounded client-side batch hides overload
-instead of surfacing it. With ``queue_limit`` set, an asynchronous
-call that arrives while the queue already holds ``queue_limit``
-entries hits the overflow policy: the default (``shed_overflow=False``)
-*flushes* — the caller pays the queue-crossing now, which is exactly
-the stall-the-producer backpressure a full hardware ring exerts —
-while ``shed_overflow=True`` *sheds* the call
-(:class:`~repro.errors.QueueSaturated`, counted in
-``IPCStats.shed_calls``; nothing reaches the server). With
-``queue_limit=None`` (the default) both paths are dead code and the
-channel stays bit-identical to the unbounded model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from repro.errors import ChannelClosedError, IPCError, QueueSaturated
+from repro.errors import ChannelClosedError, IPCError
 from repro.core.tracecache import signature_of
+
+#: Queued calls that flush themselves (a full batch).
+MAX_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -99,11 +90,6 @@ class IPCStats:
     #: Batched calls marshalled at the ``marshal_cached`` rate because
     #: they matched the server's active specialized trace in sequence.
     marshal_cached_calls: int = 0
-    #: Bounded-queue backpressure (zero with ``queue_limit`` unset):
-    #: calls shed at a saturated queue, and flushes forced by the
-    #: overflow policy rather than a full batch / an ordering point.
-    shed_calls: int = 0
-    overflow_flushes: int = 0
 
     def __add__(self, other: "IPCStats") -> "IPCStats":
         """Two channels' counters together (``largest_batch`` is the
@@ -202,28 +188,11 @@ class IPCChannel:
     reported server cycles land on the client's critical path.
     """
 
-    def __init__(self, target, app_id: str,
-                 costs: IPCCostModel | None = None,
-                 batching: bool = False,
-                 max_batch: int = 64,
-                 queue_limit: int | None = None,
-                 shed_overflow: bool = False):
-        if max_batch < 1:
-            raise IPCError(f"bad max_batch {max_batch}")
-        if queue_limit is not None and queue_limit < 1:
-            raise IPCError(f"bad queue_limit {queue_limit}")
-        if shed_overflow and queue_limit is None:
-            raise IPCError(
-                "shed_overflow=True sheds nothing while the queue is "
-                "unbounded; set queue_limit"
-            )
+    def __init__(self, target, app_id: str, batching: bool = False):
         self._target = target
         self.app_id = app_id
-        self.costs = costs or IPCCostModel()
+        self.costs = IPCCostModel()
         self.batching = batching
-        self.max_batch = max_batch
-        self.queue_limit = queue_limit
-        self.shed_overflow = shed_overflow
         self.stats = IPCStats()
         #: ``(route, args, trace_id, enqueued_at)``; the last two only
         #: with telemetry (queue wait and dispatch share the trace).
@@ -392,19 +361,6 @@ class IPCChannel:
         return route
 
     def _enqueue(self, route: _Route, args: tuple, payload_bytes: int):
-        # Bounded queue: a call arriving at a full queue either sheds
-        # (it never marshals, never reaches the server) or forces an
-        # early flush — the producer stalls on the queue crossing, the
-        # classic full-ring backpressure. The shed check runs before
-        # any charging so a shed call is cycle-free on both sides.
-        if (self.queue_limit is not None
-                and len(self._queue) >= self.queue_limit):
-            if self.shed_overflow:
-                self.stats.shed_calls += 1
-                raise QueueSaturated(self.app_id, route.method,
-                                     self.queue_limit)
-            self.stats.overflow_flushes += 1
-            self.flush()
         # Stage the payload into the shared segment now (the caller may
         # reuse its buffer) and pay the per-call marshalling; the
         # round-trip half is paid once per batch at flush time.
@@ -423,7 +379,7 @@ class IPCChannel:
             # A batched call's client-visible cost is its marshalling;
             # the server work lands on the server's busy time.
             (route.record_call or route.call_recorder())(marshal)
-        if len(self._queue) >= self.max_batch:
+        if len(self._queue) >= MAX_BATCH:
             self.flush()
         return None
 

@@ -115,6 +115,11 @@ class PatchReport:
         )
 
 
+#: Entries a patch cache holds before evicting the least recently
+#: used.
+PATCH_CACHE_ENTRIES = 64
+
+
 class PatchCache:
     """Content-addressed cache of patched PTX, shared across tenants.
 
@@ -124,8 +129,8 @@ class PatchCache:
     and fencing mode. Entries are keyed by
     ``(sha256(ptx_text), FencingMode)`` — content-addressed, so two
     tenants registering the same library through *different*
-    ``FatBinary`` objects still share one entry — and bounded by an LRU
-    policy.
+    ``FatBinary`` objects still share one entry — and bounded to
+    :data:`PATCH_CACHE_ENTRIES` by an LRU policy.
 
     The cached value is ``(patched_text, reports)``, the reports a
     tuple. Report objects are shared by reference between tenants;
@@ -139,10 +144,7 @@ class PatchCache:
     #: none, so the server's stats diff reads 0 around every ``put``.
     disk_writes = 0
 
-    def __init__(self, capacity: int = 64):
-        if capacity < 0:
-            raise PatcherError(f"bad patch-cache capacity {capacity}")
-        self.capacity = capacity
+    def __init__(self):
         self._entries: OrderedDict[
             tuple[str, FencingMode], tuple[str, tuple[PatchReport, ...]]
         ] = OrderedDict()
@@ -176,13 +178,11 @@ class PatchCache:
     def put(self, ptx_text: str, mode: FencingMode,
             patched_text: str, reports: tuple[PatchReport, ...]) -> int:
         """Insert an entry; returns how many entries were evicted."""
-        if self.capacity == 0:
-            return 0
         key = self.key_for(ptx_text, mode)
         self._entries[key] = (patched_text, reports)
         self._entries.move_to_end(key)
         evicted = 0
-        while len(self._entries) > self.capacity:
+        while len(self._entries) > PATCH_CACHE_ENTRIES:
             self._entries.popitem(last=False)
             evicted += 1
         return evicted
@@ -231,8 +231,8 @@ class DiskPatchCache(PatchCache):
     server's stats diffs.
     """
 
-    def __init__(self, directory: str, capacity: int = 64):
-        super().__init__(capacity)
+    def __init__(self, directory: str):
+        super().__init__()
         self._mutex = threading.RLock()
         self.directory = os.path.expanduser(directory)
         os.makedirs(self.directory, exist_ok=True)

@@ -150,7 +150,7 @@ class ServerCostModel:
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """The server's switches: nine fields, the table in DESIGN.md §15.
+    """The server's switches: eight fields, the table in DESIGN.md §15.
 
     Everything defaults **off** so the stock server reproduces the
     paper's per-operation costs bit-for-bit (Table 5, Figure 7). The
@@ -166,9 +166,8 @@ class ServerConfig:
       (each tenant's fencing parameter tuple is memoised against the
       bounds table's per-tenant epoch, so steady-state launches pay
       ``lookup_cached`` instead of ``lookup + augment``); and attaching
-      clients default to batched submission (consecutive asynchronous
-      calls coalesce into one flush-on-sync batch,
-      ``GuardianClient(batching=)`` overrides per client).
+      clients batch their submissions (consecutive asynchronous calls
+      coalesce into one flush-on-sync batch).
     - ``charge_patch_cycles``: account the offline patch/extract work
       in server cycles. Off by default because the paper reports
       patching as an offline phase outside the launch path; benchmarks
@@ -176,9 +175,8 @@ class ServerConfig:
     - ``concurrency``: per-tenant dispatch lanes with overlap-aware
       cycle accounting (module docstring, DESIGN.md §7). ``stats``
       totals are unchanged; :meth:`GuardianServer.makespan_cycles` and
-      stream release instants become lane-local.
-    - ``coalesce_transfer_checks``: contiguous chunked
-      ``memcpy_*``/``memset`` ranges collapse into one charged
+      stream release instants become lane-local. Contiguous chunked
+      ``memcpy_*``/``memset`` ranges also collapse into one charged
       ``_check_range`` per run (the containment predicate itself is
       still evaluated for every chunk — only the modelled cost is
       coalesced).
@@ -222,7 +220,6 @@ class ServerConfig:
     enable_hot_path: bool = False
     charge_patch_cycles: bool = False
     concurrency: bool = False
-    coalesce_transfer_checks: bool = False
     telemetry: bool = False
     enable_trace_specialization: bool = False
     patch_cache_dir: Optional[str] = None
@@ -239,11 +236,7 @@ class ServerConfig:
     @classmethod
     def concurrent(cls, **overrides) -> "ServerConfig":
         """Concurrent multi-tenant dispatch plus every hot-path cache."""
-        values = dict(
-            enable_hot_path=True,
-            concurrency=True,
-            coalesce_transfer_checks=True,
-        )
+        values = dict(enable_hot_path=True, concurrency=True)
         values.update(overrides)
         return cls(**values)
 
@@ -468,13 +461,12 @@ class GuardianServer:
         self,
         device: Device,
         mode: FencingMode = FencingMode.BITWISE,
-        costs: Optional[ServerCostModel] = None,
         standalone_native: bool = False,
         config: Optional[ServerConfig] = None,
     ):
         self.device = device
         self.mode = mode
-        self.costs = costs or ServerCostModel()
+        self.costs = ServerCostModel()
         self.standalone_native = standalone_native
         self.config = config or ServerConfig()
         self.stats = ServerStats()
@@ -520,7 +512,7 @@ class GuardianServer:
         self._retired_lanes: list[_Lane] = []
         self._active_lane: Optional[_Lane] = None
         self._critical_clock = 0.0
-        self._coalesce = self.config.coalesce_transfer_checks
+        self._coalesce = self._concurrent
         #: app_id -> run-kind -> (record, next expected address).
         self._check_runs: dict[str, dict[str, tuple]] = {}
         # The server's driver: single context, PTX JIT forced so the
@@ -756,7 +748,7 @@ class GuardianServer:
         on the violation path, where the check is charged and then the
         transfer is fenced off before any driver work.
 
-        With ``coalesce_transfer_checks`` on, contiguous chunked ranges
+        With ``concurrency`` on, contiguous chunked ranges
         of one operation kind (``run``) against one partition record
         collapse into a single charged check per run: an extension that
         starts exactly where the previous chunk ended still evaluates
@@ -1352,7 +1344,7 @@ class GuardianServer:
             self.elastic.rebase_client(snapshot.app_id, base)
         return base
 
-    def evacuate(self, app_id: str, scrub: bool = True) -> int:
+    def evacuate(self, app_id: str) -> int:
         """Source-side epilogue of a completed migration: the tenant
         now lives elsewhere, so tear down its local remains — same
         mechanics as quarantine (the partition is scrubbed before the
@@ -1361,7 +1353,7 @@ class GuardianServer:
         Returns the bytes scrubbed."""
         if app_id not in self._tenants:
             return 0
-        scrubbed = self._teardown_tenant(app_id, scrub=scrub)
+        scrubbed = self._teardown_tenant(app_id, scrub=True)
         self.stats.tenants_migrated_out += 1
         self.stats.bytes_scrubbed += scrubbed
         return scrubbed

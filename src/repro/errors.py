@@ -163,25 +163,6 @@ class AdmissionRejected(GuardianError):
         )
 
 
-class QueueSaturated(IPCError):
-    """A bounded IPC queue was full and its overflow policy is shed.
-
-    Raised by the client channel when ``queue_limit`` is set with
-    ``shed_overflow`` and an asynchronous call arrives while the queue
-    already holds ``queue_limit`` entries. The call never reached the
-    server; the caller decides whether to retry, back off, or drop.
-    """
-
-    def __init__(self, app_id: str, method: str, limit: int):
-        self.app_id = app_id
-        self.method = method
-        self.limit = limit
-        super().__init__(
-            f"tenant {app_id!r}: {method} shed — IPC queue at its "
-            f"limit of {limit}"
-        )
-
-
 class TransientIPCFault(IPCError):
     """A message-queue crossing failed in a retryable way (dropped or
     corrupted message). The TenantSupervisor retries these with backoff

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.errors import DriverError
 from repro.driver.api import DriverAPI
@@ -134,14 +133,12 @@ class NativeBackend(GpuBackend):
     hardware protection — the paper's ``Native`` baseline.
     """
 
-    def __init__(self, device: Device, app_id: str = "app",
-                 force_ptx_jit: bool = False,
-                 costs: Optional[DriverCostModel] = None):
+    def __init__(self, device: Device, app_id: str = "app"):
         self.device = device
         self.app_id = app_id
-        self.driver = DriverAPI(device, force_ptx_jit=force_ptx_jit)
+        self.driver = DriverAPI(device)
         self.context: Context = self.driver.cuCtxCreate(app_id)
-        self.costs = costs or DriverCostModel()
+        self.costs = DriverCostModel()
         self.profile = BackendProfile()
         # Host->device clock ratio for submission release times.
         self._clock_ratio = device.spec.clock_ghz / CPU_GHZ

@@ -92,7 +92,6 @@ def run_deployment(
     spec: DeviceSpec = QUADRO_RTX_A4000,
     mode: FencingMode = FencingMode.BITWISE,
     max_blocks: Optional[int] = None,
-    standalone_native: bool = False,
     device: Optional[Device] = None,
     server_config: Optional[ServerConfig] = None,
 ) -> DeploymentRun:
@@ -120,7 +119,6 @@ def run_deployment(
         server = GuardianServer(
             device,
             mode=mode if deployment == "guardian" else FencingMode.NONE,
-            standalone_native=standalone_native,
             config=server_config,
         )
 

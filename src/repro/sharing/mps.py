@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.errors import DriverError
-from repro.core.ipc import IPCChannel, IPCCostModel
+from repro.core.ipc import IPCChannel
 from repro.driver.api import DriverAPI
 from repro.driver.fatbin import FatBinary
 from repro.gpu.device import Device
@@ -193,10 +193,9 @@ class MPSServer:
 class MPSClient(GpuBackend):
     """A client process's view of the MPS daemon."""
 
-    def __init__(self, server: MPSServer, app_id: str,
-                 ipc_costs: IPCCostModel | None = None):
+    def __init__(self, server: MPSServer, app_id: str):
         self.app_id = app_id
-        self.channel = IPCChannel(server, app_id, costs=ipc_costs)
+        self.channel = IPCChannel(server, app_id)
         self.profile = BackendProfile()
         self._spec = None
         self._export_tables = None

@@ -54,8 +54,8 @@ _SNAPSHOT_FIELDS = ("name", "category", "tenant", "track", "trace_id",
 class Telemetry:
     """One deployment's tracer + registry, with the core families."""
 
-    def __init__(self, capacity: int = 65_536):
-        self.tracer = SpanTracer(capacity)
+    def __init__(self):
+        self.tracer = SpanTracer()
         self.registry = MetricsRegistry()
         # The families the built-in hook points feed. Declared up
         # front so the exposition is stable even before traffic.

@@ -82,7 +82,7 @@ class TestIPCChannel:
                 delivered.append(value)
                 return None, 10
 
-        channel = IPCChannel(Recorder(), "app", batching=True, max_batch=64)
+        channel = IPCChannel(Recorder(), "app", batching=True)
         channel.call("op", 1, sync=False)
         channel.call("op", 2, sync=False)
         assert channel.queued_calls == 2
@@ -95,23 +95,27 @@ class TestIPCChannel:
             channel.call("op", 3, sync=False)
 
     def test_sync_call_blocks_on_server(self):
-        costs = IPCCostModel(roundtrip=1000, marshal=100)
-        channel = IPCChannel(self._Echo(), "app", costs=costs)
+        costs = IPCCostModel()
+        channel = IPCChannel(self._Echo(), "app")
         channel.call("ping", 1, sync=True)
-        assert channel.stats.client_cycles == 1000 + 100 + 100
+        assert channel.stats.client_cycles == (
+            costs.roundtrip + costs.marshal + 100)
 
     def test_async_call_pays_send_half_only(self):
-        costs = IPCCostModel(roundtrip=1000, marshal=100)
-        channel = IPCChannel(self._Echo(), "app", costs=costs)
+        costs = IPCCostModel()
+        channel = IPCChannel(self._Echo(), "app")
         channel.call("ping", 1, sync=False)
-        assert channel.stats.client_cycles == 500 + 100
+        assert channel.stats.client_cycles == (
+            costs.roundtrip // 2 + costs.marshal)
         assert channel.stats.server_cycles == 100
 
     def test_payload_cycles(self):
-        costs = IPCCostModel(roundtrip=0, marshal=0, bytes_per_cycle=8)
-        channel = IPCChannel(self._Echo(), "app", costs=costs)
+        costs = IPCCostModel()
+        channel = IPCChannel(self._Echo(), "app")
         channel.call("ping", 1, payload_bytes=800)
-        assert channel.stats.client_cycles == pytest.approx(100 + 100)
+        assert channel.stats.client_cycles == pytest.approx(
+            costs.roundtrip + costs.marshal + 800 // costs.bytes_per_cycle
+            + 100)
         assert channel.stats.payload_bytes == 800
 
 

@@ -54,7 +54,7 @@ def aborted_channel():
     server = make_server(ServerConfig.hotpath())
     server.attach("a", PARTITION)
     address, _ = server.malloc("a", 4096)
-    channel = IPCChannel(server, "a", batching=True, max_batch=64)
+    channel = IPCChannel(server, "a", batching=True)
     channel.call("synchronize")
     channel.call("memcpy_h2d", address, b"\x01" * 64, 0, sync=False)
     channel.abort()
@@ -74,10 +74,7 @@ class TestSerialBitIdentity:
         """A config spelling out every new knob's default produces the
         exact stats of the stock config — the Table 5 / Fig. 7-13 pin."""
         stock = run_workload(ServerConfig())
-        spelled = run_workload(ServerConfig(
-            concurrency=False,
-            coalesce_transfer_checks=False,
-        ))
+        spelled = run_workload(ServerConfig(concurrency=False))
         assert spelled.stats == stock.stats
 
     def test_serial_makespan_is_the_busy_clock(self):
@@ -91,7 +88,6 @@ class TestSerialBitIdentity:
         """hotpath() still leaves the concurrency knobs off."""
         config = ServerConfig.hotpath()
         assert not config.concurrency
-        assert not config.coalesce_transfer_checks
 
 
 class TestConcurrentAccounting:
@@ -447,7 +443,7 @@ class TestIPCAbortStats:
         server = make_server(ServerConfig.hotpath())
         server.attach("a", PARTITION)
         address, _ = server.malloc("a", 4096)
-        channel = IPCChannel(server, "a", batching=True, max_batch=64)
+        channel = IPCChannel(server, "a", batching=True)
         channel.call("memcpy_h2d", address, b"\x01" * 64, 0, sync=False)
         channel.call("memcpy_h2d", address + 64, b"\x01" * 64, 0,
                      sync=False)

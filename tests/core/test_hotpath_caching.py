@@ -7,7 +7,7 @@ stock server still matches Table 5 bit-for-bit).
 
 import pytest
 
-from repro.errors import PatcherError
+from repro.core import patcher
 from repro.core.patcher import PatchCache, PTXPatcher
 from repro.core.policy import FencingMode
 from repro.core.server import (
@@ -58,8 +58,9 @@ class TestPatchCacheUnit:
         cache.put(SAXPY_TEXT, FencingMode.BITWISE, patched, reports)
         assert cache.get(SAXPY_TEXT, FencingMode.MODULO) is None
 
-    def test_lru_eviction_order(self):
-        cache = PatchCache(capacity=2)
+    def test_lru_eviction_order(self, monkeypatch):
+        monkeypatch.setattr(patcher, "PATCH_CACHE_ENTRIES", 2)
+        cache = PatchCache()
         texts = [SAXPY_TEXT, ATTACK_TEXT,
                  SAXPY_TEXT.replace("saxpy", "saxpy2")]
         patched = {
@@ -76,18 +77,6 @@ class TestPatchCacheUnit:
         assert cache.get(texts[1], FencingMode.BITWISE) is None
         assert cache.get(texts[0], FencingMode.BITWISE) is not None
         assert len(cache) == 2
-
-    def test_zero_capacity_caches_nothing(self):
-        cache = PatchCache(capacity=0)
-        patched, reports = self.patch(SAXPY_TEXT)
-        assert cache.put(SAXPY_TEXT, FencingMode.BITWISE,
-                         patched, reports) == 0
-        assert cache.get(SAXPY_TEXT, FencingMode.BITWISE) is None
-        assert len(cache) == 0
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(PatcherError):
-            PatchCache(capacity=-1)
 
 
 class TestSharedPatchCache:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import IPCError
+from repro.core import ipc
 from repro.core.ipc import IPCChannel, IPCCostModel
 
 
@@ -26,13 +27,12 @@ class Recorder:
         raise RuntimeError("server-side failure")
 
 
-COSTS = IPCCostModel(roundtrip=1000, marshal=100, bytes_per_cycle=8)
+COSTS = IPCCostModel()
 
 
-def make_channel(target=None, **kwargs):
+def make_channel(target=None):
     target = target or Recorder()
-    channel = IPCChannel(target, "app", costs=COSTS, batching=True,
-                         **kwargs)
+    channel = IPCChannel(target, "app", batching=True)
     return channel, channel._target
 
 
@@ -79,8 +79,9 @@ class TestCoalescing:
             + COSTS.marshal + COSTS.roundtrip + target.server_cycles
         )
 
-    def test_full_batch_flushes_itself(self):
-        channel, target = make_channel(max_batch=2)
+    def test_full_batch_flushes_itself(self, monkeypatch):
+        monkeypatch.setattr(ipc, "MAX_BATCH", 2)
+        channel, target = make_channel()
         channel.call("op", 1, sync=False)
         assert channel.queued_calls == 1
         channel.call("op", 2, sync=False)
@@ -112,10 +113,6 @@ class TestCoalescing:
             channel.call("nonexistent", sync=False)
         assert channel.queued_calls == 0
 
-    def test_bad_max_batch_rejected(self):
-        with pytest.raises(IPCError):
-            IPCChannel(Recorder(), "app", batching=True, max_batch=0)
-
 
 class TestDisabledMatchesSeedModel:
     """With batching off the channel is cycle-identical to the
@@ -123,7 +120,7 @@ class TestDisabledMatchesSeedModel:
 
     def test_async_call_costs(self):
         target = Recorder()
-        channel = IPCChannel(target, "app", costs=COSTS)
+        channel = IPCChannel(target, "app")
         channel.call("op", payload_bytes=800, sync=False)
         assert len(target.calls) == 1  # dispatched immediately
         assert channel.stats.client_cycles == (
@@ -134,7 +131,7 @@ class TestDisabledMatchesSeedModel:
 
     def test_sync_call_costs(self):
         target = Recorder()
-        channel = IPCChannel(target, "app", costs=COSTS)
+        channel = IPCChannel(target, "app")
         channel.call("sync_op")
         assert channel.stats.client_cycles == (
             COSTS.roundtrip + COSTS.marshal + target.server_cycles

@@ -68,8 +68,7 @@ class TestOneLookupPerMethod:
         targets = []
         for index in range(2):
             target = CountingTarget(server)
-            client = GuardianClient(target, f"tenant{index}", 1 << 20,
-                                    batching=True)
+            client = GuardianClient(target, f"tenant{index}", 1 << 20)
             handle = client.register_fatbin(fatbin)["saxpy"]
             buffer = client.malloc(512)
             for _ in range(5):
@@ -95,7 +94,7 @@ class TestUnknownMethod:
     @pytest.mark.parametrize("sync", [True, False])
     def test_refused_before_anything_moves(self, sync):
         server = _server()
-        client = GuardianClient(server, "alice", 1 << 20, batching=True)
+        client = GuardianClient(server, "alice", 1 << 20)
         buffer = client.malloc(256)
         client.memset(buffer, 0, 256)  # queued: the channel holds a batch
         channel = client.channel

@@ -180,7 +180,7 @@ class TestQuarantineContainment:
     def _storm(self):
         """One violator hammers the fence until quarantined, next to a
         healthy neighbour with live state."""
-        sys = GuardianSystem(supervised=True)
+        sys = GuardianSystem(fault_plan=FaultPlan())  # supervised
         good = sys.attach("good", PARTITION)
         bad = sys.attach("bad", PARTITION)
         handles = good.runtime.registerFatBinary(build_fatbin(saxpy_module(), "lib", "11.7"))

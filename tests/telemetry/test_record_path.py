@@ -48,8 +48,7 @@ def golden_run(config: ServerConfig):
     fatbin = build_fatbin(saxpy_module(), "libsaxpy", "11.7")
     tenants = []
     for index in range(TENANTS):
-        client = GuardianClient(server, f"tenant{index}", 1 << 20,
-                                batching=True)
+        client = GuardianClient(server, f"tenant{index}", 1 << 20)
         handle = client.register_fatbin(fatbin)["saxpy"]
         tenants.append((client, handle, client.malloc(512)))
     payload = np.arange(16, dtype=np.float32).tobytes()
@@ -257,12 +256,11 @@ def _round(tenants, payload):
         client.free(client.malloc(256))
 
 
-def _tenants(server, batching):
+def _tenants(server):
     fatbin = build_fatbin(saxpy_module(), "libsaxpy", "11.7")
     tenants = []
     for index in range(2):
-        client = GuardianClient(server, f"tenant{index}", 1 << 20,
-                                batching=batching)
+        client = GuardianClient(server, f"tenant{index}", 1 << 20)
         handle = client.register_fatbin(fatbin)["saxpy"]
         tenants.append((client, handle, client.malloc(512)))
     return tenants
@@ -273,11 +271,13 @@ class TestCountPins:
     def test_repeat_records_resolve_no_labels(self, monkeypatch, batching):
         """After a (tenant, method)'s first call, recording it again
         (call count, latency, dispatch cycles, queue wait) sorts no
-        label set."""
+        label set. The hot path decides whether clients batch."""
+        config = ServerConfig.traced(telemetry=True,
+                                     enable_hot_path=batching)
         server = GuardianServer(Device(QUADRO_RTX_A4000),
-                                FencingMode.BITWISE,
-                                config=ServerConfig.traced(telemetry=True))
-        tenants = _tenants(server, batching)
+                                FencingMode.BITWISE, config=config)
+        tenants = _tenants(server)
+        assert tenants[0][0].channel.batching is batching
         payload = np.arange(16, dtype=np.float32).tobytes()
         _round(tenants, payload)
         calls = []
@@ -311,7 +311,7 @@ class TestCountPins:
         monkeypatch.setattr(server_module, "maybe_span", spy)
         server = GuardianServer(Device(QUADRO_RTX_A4000),
                                 FencingMode.BITWISE, config=ServerConfig())
-        tenants = _tenants(server, batching=False)
+        tenants = _tenants(server)
         _round(tenants, np.arange(16, dtype=np.float32).tobytes())
         assert server.stats.transfers_checked > 0
         assert server.stats.launches == 2
