@@ -512,7 +512,6 @@ class GuardianServer:
         self._retired_lanes: list[_Lane] = []
         self._active_lane: Optional[_Lane] = None
         self._critical_clock = 0.0
-        self._coalesce = self._concurrent
         #: app_id -> run-kind -> (record, next expected address).
         self._check_runs: dict[str, dict[str, tuple]] = {}
         # The server's driver: single context, PTX JIT forced so the
@@ -756,7 +755,7 @@ class GuardianServer:
         ``transfer_check`` charge. Any discontinuity — or any bounds
         mutation, which replaces the record object — starts a new run.
         """
-        if run is not None and self._coalesce:
+        if run is not None and self._concurrent:
             runs = self._check_runs.setdefault(app_id, {})
             memo = runs.get(run)
             if (
@@ -779,7 +778,7 @@ class GuardianServer:
         if not contained:
             self.stats.transfers_rejected += 1
             raise BoundsViolation(app_id, address, size, detail=what)
-        if run is not None and self._coalesce:
+        if run is not None and self._concurrent:
             self._check_runs.setdefault(app_id, {})[run] = (
                 record, address + size
             )

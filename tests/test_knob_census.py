@@ -276,7 +276,7 @@ def set_by_callers():
 
 
 @pytest.mark.parametrize("obj", TARGETS, ids=lambda obj: obj.__qualname__)
-def test_every_option_has_a_caller(obj, set_by_callers):
+def test_every_field_has_a_caller(obj, set_by_callers):
     unset = [option for option in options([obj])
              if not set_by_callers[option]
              and option not in REASONED_KEEPS]
@@ -286,7 +286,7 @@ def test_every_option_has_a_caller(obj, set_by_callers):
         f"{unset}")
 
 
-def test_reasoned_keeps_are_current(set_by_callers):
+def test_deployment_settings_are_current(set_by_callers):
     """Each entry names an option that still exists and still has no
     caller (one that gained a caller leaves the list)."""
     assert set(REASONED_KEEPS) <= set(options())
