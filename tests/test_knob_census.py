@@ -152,7 +152,7 @@ def _setters(root: Path, targets: list):
     for target in targets:
         by_call.setdefault(target.call, []).append(target)
     by_key = {target.key: target for target in targets}
-    configs = {cls.__name__ for cls in CONFIGS}
+    configs = {cls.__name__ for cls in CONFIGS} & set(by_key)
     trees = [ast.parse(path.read_text(), filename=str(path))
              for folder in CALLERS
              for path in sorted((root / folder).rglob("*.py"))]
