@@ -13,14 +13,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.client import GuardianClient
 from repro.core.masks import division_magic, fence_address, partition_mask
 from repro.core.patcher import PTXPatcher
 from repro.core.policy import FencingMode
+from repro.core.server import GuardianServer
+from repro.errors import ExecutionError, GuardianError, PTXValidationError
+from repro.gpu.device import Device
 from repro.gpu.executor import KernelExecutor, compile_kernel
 from repro.gpu.memory import GlobalMemory
 from repro.gpu.specs import QUADRO_RTX_A4000
+from repro.ptx.ast import MemRef
+from repro.ptx.builder import KernelBuilder, build_module
+from repro.ptx.emitter import emit_module
 
-from tests.conftest import reader_kernel, saxpy_kernel, writer_kernel
+from tests.conftest import (
+    ENGINES,
+    forced_engine,
+    reader_kernel,
+    saxpy_kernel,
+    writer_kernel,
+)
 
 SPEC = QUADRO_RTX_A4000
 BASE = 0x7F_A000_0000_00
@@ -231,3 +244,102 @@ class TestBrxContainment:
                                 (1, 1, 1), (1, 1, 1), [BASE, 7])
         # 7 mod 2 == 1 -> case c1.
         assert memory.load_scalar(BASE, "u32") == 200
+
+
+# --------------------------------------------------------------------------
+# State spaces the patcher does not fence, through the server's load path
+# --------------------------------------------------------------------------
+
+
+def served(mode, make):
+    """A server whose device runs every launch on ``make``'s engine."""
+    device = Device(SPEC)
+    device.executor = make(device.spec, device.memory,
+                           hierarchy=device.hierarchy)
+    return GuardianServer(device, mode)
+
+
+def attack_text(form: str) -> str:
+    """One thread stores (``st.param``) or atomically adds (``atom``)
+    ``value`` at the absolute address ``target``."""
+    b = KernelBuilder("attack", params=[("target", "u64"),
+                                        ("value", "u32")])
+    target = b.load_param("target", "u64")
+    value = b.load_param("value", "u32")
+    if form.startswith("st."):
+        b.emit(f"{form}.u32", MemRef(target), value)
+    else:
+        b.emit(f"{form}.add.u32", b.reg("u32"), MemRef(target), value)
+    return emit_module(build_module([b.build()]))
+
+
+class TestStateSpaceAttack:
+    """A tenant aims a store or an atomic in a space the patcher leaves
+    alone at its neighbour's buffer. The load must refuse the kernel,
+    naming the instruction, and the neighbour's bytes must not move."""
+
+    SECRET = b"\x5e" * 64
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("form", ["st.param", "atom.shared",
+                                      "atom.local"])
+    def test_neighbour_untouched(self, form, mode, engine):
+        with forced_engine(engine) as make:
+            server = served(mode, make)
+            victim = GuardianClient(server, "alice", 1 << 20)
+            attacker = GuardianClient(server, "mallory", 1 << 20)
+            buffer = victim.malloc(256)
+            victim.memcpy_h2d(buffer, self.SECRET)
+            victim.synchronize()
+            refusal = None
+            try:
+                handle = attacker.load_module_ptx(attack_text(form))
+                attacker.launch_kernel(handle["attack"], (1, 1, 1),
+                                       (1, 1, 1), [buffer, 0x0BADF00D])
+                attacker.synchronize()
+            except PTXValidationError as error:
+                refusal = error
+            assert victim.memcpy_d2h(buffer, 64) == self.SECRET
+        assert refusal is not None and form in str(refusal)
+
+
+def wild_text(form: str) -> str:
+    """One thread loads or stores a u32 in ``.local``/``.shared`` at
+    the signed address ``where``; a load's value goes to ``out``."""
+    b = KernelBuilder("wild", params=[("out", "u64"), ("where", "s64")])
+    out = b.load_param_ptr("out")
+    where = b.load_param("where", "s64")
+    b.shared_array("scratch", "u32", 16)
+    if form.startswith("st."):
+        b.emit(f"{form}.u32", MemRef(where), b.mov("u32", 7))
+    else:
+        value = b.reg("u32")
+        b.emit(f"{form}.u32", value, MemRef(where))
+        b.st_global("u32", out, value)
+    return emit_module(build_module([b.build()]))
+
+
+class TestWildBufferAddress:
+    """A shared or local access outside its buffer is the same counted
+    kill on every engine, and the tenant's next launch runs."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("where", [1 << 40, -4], ids=["far", "below"])
+    @pytest.mark.parametrize("form", ["st.local", "ld.local", "st.shared",
+                                      "ld.shared"])
+    def test_counted_kill(self, form, where, engine):
+        with forced_engine(engine) as make:
+            server = served(FencingMode.BITWISE, make)
+            client = GuardianClient(server, "alice", 1 << 20)
+            buffer = client.malloc(256)
+            handle = client.load_module_ptx(wild_text(form))["wild"]
+            with pytest.raises(GuardianError) as killed:
+                client.launch_kernel(handle, (1, 1, 1), (1, 1, 1),
+                                     [buffer, where])
+                client.synchronize()
+            assert isinstance(killed.value.__cause__, ExecutionError)
+            assert server.stats.kernels_killed == 1
+            client.launch_kernel(handle, (1, 1, 1), (1, 1, 1), [buffer, 0])
+            client.synchronize()
+            assert server.stats.kernels_killed == 1

@@ -9,6 +9,7 @@ after a (tenant, method)'s first record, and no context manager on the
 stock server's bounds check or launch.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -38,11 +39,12 @@ TENANTS = 3
 BLOCKS = 4
 
 
-def golden_run(config: ServerConfig):
+def golden_run(config: ServerConfig, deviation=None):
     """Three batching tenants: deploy saxpy, four sync-delimited
     (h2d, h2d, launch) blocks each so a trace compiles and replays,
     a d2h, one malloc/free, then tenant 0's out-of-partition h2d into
-    tenant 1's buffer."""
+    tenant 1's buffer. ``deviation`` (0, 1 or 2) changes the shape of
+    that op of tenant 0's third block, the first one replayed."""
     device = Device(QUADRO_RTX_A4000)
     server = GuardianServer(device, FencingMode.BITWISE, config=config)
     fatbin = build_fatbin(saxpy_module(), "libsaxpy", "11.7")
@@ -52,11 +54,14 @@ def golden_run(config: ServerConfig):
         handle = client.register_fatbin(fatbin)["saxpy"]
         tenants.append((client, handle, client.malloc(512)))
     payload = np.arange(16, dtype=np.float32).tobytes()
-    for _ in range(BLOCKS):
-        for client, handle, buffer in tenants:
-            client.memcpy_h2d(buffer, payload)
-            client.memcpy_h2d(buffer + 256, payload)
-            client.launch_kernel(handle, (1, 1, 1), (16, 1, 1),
+    for block in range(BLOCKS):
+        for index, (client, handle, buffer) in enumerate(tenants):
+            moved = deviation if block == 2 and index == 0 else None
+            client.memcpy_h2d(buffer + (128 if moved == 0 else 0), payload)
+            client.memcpy_h2d(buffer + 256, payload[:32 if moved == 1
+                                                     else None])
+            client.launch_kernel(handle, (1, 1, 1),
+                                 (8 if moved == 2 else 16, 1, 1),
                                  [buffer, buffer + 256, 2.0, 16])
             client.synchronize()
     reads = [client.memcpy_d2h(buffer, 64) for client, _, buffer in tenants]
@@ -100,17 +105,102 @@ GOLDEN = {
         "chrome": "775e69ddb80fbf53c4d8f9d7c89a2f48"
                   "3e51d703e003c6764e6a6785e8ca179d",
     },
+    "traced_concurrent": {
+        "snapshot": "96d14351503ac46ac84527b1849e3c86"
+                    "8cc80b5c2bf98e12be10a24cfef7929a",
+        "prometheus": "847784be364208cffc94054d4abe530a"
+                      "c36fb354ecbb806213b41b2f5de3d40f",
+        "chrome": "730dfcd7696681e3508786384a78fe43"
+                  "785fe06506bf1b3584f0821f2df28a72",
+    },
 }
+
+
+#: The config each GOLDEN entry runs: a preset with telemetry on.
+PRESETS = {
+    "traced": lambda: ServerConfig.traced(telemetry=True),
+    "concurrent": lambda: ServerConfig.concurrent(telemetry=True),
+    # The one preset whose replayed blocks also move lane clocks and
+    # release instants.
+    "traced_concurrent": lambda: ServerConfig.traced(concurrency=True,
+                                                     telemetry=True),
+}
+
+
+def stats_digest(server) -> str:
+    """sha256 of every ServerStats field its equality compares."""
+    stats = server.stats
+    compared = [(field.name, getattr(stats, field.name))
+                for field in dataclasses.fields(stats) if field.compare]
+    return hashlib.sha256(repr(compared).encode()).hexdigest()
 
 
 class TestGolden:
     @pytest.mark.parametrize("preset", sorted(GOLDEN))
     def test_outputs_are_byte_identical(self, preset):
-        config = getattr(ServerConfig, preset)(telemetry=True)
-        server, reads = golden_run(config)
+        server, reads = golden_run(PRESETS[preset]())
         assert server.stats.transfers_rejected == 1
         assert all(len(raw) == 64 for raw in reads)
         assert digests(server) == GOLDEN[preset]
+
+
+#: Per (preset, deviating op): sha256 of the snapshot, the Prometheus
+#: text, the Chrome trace and the compared ServerStats fields.
+DEVIATED = {
+    ("traced", 0): (
+        "1815fc84f58aa7580ef12dc8ecc469f4fb458b819123347617e00fe8da5b16c1",
+        "8ec082053ce4168a2a9210257ea1a328828d7ce467386cc2f4a2bed0559a9f5e",
+        "2d9d53dc85f35799e83b4058eaf6c12a4d7182bab06136d3dbaef11a1a709113",
+        "a9b496eb8f4cbd1dbe55fa973bc978d09c95743315f644e27799ebec2b46b0b4",
+    ),
+    ("traced", 1): (
+        "c97eabdcc0e885f9ba21f3e0eaf8e4fc5e971109a5f1ee766b2d606acfecb3db",
+        "944992841f0bd30e50f79be17581bcc2e5f98d3494bb6d0c4ad058c3f7e0e901",
+        "29b8ff6b300016efcc8d8fdfd13293041e91ba453e7dad6b297523d4a3f3b3dd",
+        "b6515d3c40fdbccc6684fb71303436fe9229ff5152227bc807bde3524f4e2627",
+    ),
+    ("traced", 2): (
+        "45cda551e73daa402b26fe30fa7da40a28617c89bbf5d120b33d3b624a3828c1",
+        "4e6c67e00fd474827e329799848cf76429807ea58049a5080ce80a85db60f334",
+        "d063391b444919c1eebf16428c2cc3fdedb5ca4954414554d34728d00f030b04",
+        "e9e4e48f7d61d168af0562b0169c6a47f8c392957d5e4ecd0dd59aa6868ee8e3",
+    ),
+    ("traced_concurrent", 0): (
+        "f63271a53bd9d0ac8b29bc17e06c6895ea177e2d974582610e81a3e27d2d9a4b",
+        "8ec082053ce4168a2a9210257ea1a328828d7ce467386cc2f4a2bed0559a9f5e",
+        "f9009fead1fa9f9514ca7fd14809ccf7d43af42b05a9fdd7dde430aef5289d54",
+        "a9b496eb8f4cbd1dbe55fa973bc978d09c95743315f644e27799ebec2b46b0b4",
+    ),
+    ("traced_concurrent", 1): (
+        "4e8cc481949e1d4a7971b248a289a22ab59283fe42fed362c7149ef232a0a2ac",
+        "944992841f0bd30e50f79be17581bcc2e5f98d3494bb6d0c4ad058c3f7e0e901",
+        "e663656a259eb96ff2d19b22cf41bbc0987d6dffe6ebfa5139345e9dfb1fa1ad",
+        "b6515d3c40fdbccc6684fb71303436fe9229ff5152227bc807bde3524f4e2627",
+    ),
+    ("traced_concurrent", 2): (
+        "e18645f4f728e429f2fa2e22cfa1cc25d3357da5677ab172294dca69376ee518",
+        "4e6c67e00fd474827e329799848cf76429807ea58049a5080ce80a85db60f334",
+        "f461dcf4bd0f73d448d437962412042f3a896d702479cf5e846d6101c0569a34",
+        "e9e4e48f7d61d168af0562b0169c6a47f8c392957d5e4ecd0dd59aa6868ee8e3",
+    ),
+}
+
+
+class TestDeviation:
+    """Tenant 0's first replayed block changes the shape of its first,
+    middle or last op: the prefix before it replays, the rest runs
+    interpreted, the trace drops once and every output is as pinned."""
+
+    @pytest.mark.parametrize("deviation", [0, 1, 2],
+                             ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("preset", ["traced", "traced_concurrent"])
+    def test_outputs_are_pinned(self, preset, deviation):
+        server, _ = golden_run(PRESETS[preset](), deviation=deviation)
+        stats = server.stats
+        assert stats.trace_invalidations == 1
+        assert stats.trace_replays == 4
+        assert (*digests(server).values(), stats_digest(server)) == (
+            DEVIATED[preset, deviation])
 
 
 # --------------------------------------------------------------------------
