@@ -40,6 +40,7 @@ from dataclasses import dataclass, fields
 
 from repro.errors import ChannelClosedError, IPCError
 from repro.core.tracecache import signature_of
+from repro.telemetry.trace import CALL_ATTRS, ERROR_ATTRS
 
 #: Queued calls that flush themselves (a full batch).
 MAX_BATCH = 64
@@ -164,17 +165,14 @@ class _Route:
         # charge the handler makes — including the supervisor's fault
         # cycles — lands inside it. Per-tenant call-span durations
         # therefore sum to exactly the server's busy-clock delta.
-        attrs = {}
         entry = tracer.open(self.method, "call", self.app_id, trace_id,
-                            attrs)
+                            None)
         try:
             result, server_cycles = self.handler(self.app_id, *args)
         except Exception as failure:
-            attrs["error"] = type(failure).__name__
+            tracer.close(entry, ERROR_ATTRS, type(failure).__name__)
             raise
-        finally:
-            tracer.close(entry)
-        attrs["server_cycles"] = server_cycles
+        tracer.close(entry, CALL_ATTRS, server_cycles)
         (self.record_dispatch or self.dispatch_recorder())(server_cycles)
         self.stats.server_cycles += server_cycles
         return result, server_cycles
@@ -215,6 +213,13 @@ class IPCChannel:
         # bit-identical to the stock channel.
         self._trace_engine = getattr(target, "trace_engine", None)
         self._trace_cursor = 0
+        # The engine delivers a replayed block's batched ops in one
+        # call, but only to its own server: a supervisor wraps every
+        # call in its fault handling, so it gets them one by one.
+        self._replay_engine = (
+            self._trace_engine
+            if getattr(self._trace_engine, "server", None) is target
+            else None)
         self._routes: dict[str, _Route] = {}
         self._queue_wait_recorder = None
 
@@ -305,7 +310,16 @@ class IPCChannel:
                     self.telemetry.queue_wait_recorder(app_id))
             for _, _, _, enqueued_at in batch:
                 record(flushed_at - enqueued_at)
-        for route, args, trace_id, _ in batch:
+        done = 0
+        engine = self._replay_engine
+        if engine is not None and engine.has_trace(self.app_id):
+            # The first op enters (or continues) the replayed block as
+            # a call of its own; the ops after it that continue the
+            # block go to the engine as one (DESIGN.md §12).
+            route, args, trace_id, _ = batch[0]
+            route.dispatch(args, trace_id)
+            done = 1 + engine.deliver(self.app_id, batch, 1)
+        for route, args, trace_id, _ in batch[done:]:
             route.dispatch(args, trace_id)
         return len(batch)
 

@@ -97,6 +97,11 @@ EXTRACT_CACHE_BYTES = 2 * 1024 * 1024
 #: handler is serial - the model needs the number, not the pool.
 PATCH_POOL_WIDTH = 4
 
+#: Attr names of the hot span sites' ring rows (DESIGN.md §11).
+_CHECK_ATTRS = ("what", "address", "size", "ok")
+_LAUNCH_ATTRS = ("handle", "native")
+_CRITICAL_ATTRS = ("stalled",)
+
 
 @dataclass(frozen=True)
 class ServerCostModel:
@@ -772,9 +777,9 @@ class GuardianServer:
         contained = record.contains(address, size)
         telemetry = self.telemetry
         if telemetry is not None:
-            telemetry.tracer.leaf("bounds_check", "bounds", app_id, cost,
-                                  what=what, address=address, size=size,
-                                  ok=contained)
+            telemetry.tracer.leaf_row("bounds_check", "bounds", app_id, cost,
+                                      _CHECK_ATTRS, what, address, size,
+                                      contained)
         if not contained:
             self.stats.transfers_rejected += 1
             raise BoundsViolation(app_id, address, size, detail=what)
@@ -1046,8 +1051,8 @@ class GuardianServer:
         self._charge(cycles, leaf=True)
         telemetry = self.telemetry
         if telemetry is not None:
-            telemetry.tracer.leaf("launch", "launch", app_id, cycles,
-                                  handle=handle, native=use_native)
+            telemetry.tracer.leaf_row("launch", "launch", app_id, cycles,
+                                      _LAUNCH_ATTRS, handle, use_native)
         try:
             self.driver.cuLaunchKernel(
                 function, grid, block, launch_params, tenant.stream,
@@ -1419,10 +1424,10 @@ class GuardianServer:
             # the charged work. Critical-section occupancy gets its
             # own span (nested inside the dispatch's call span).
             if critical:
-                telemetry.tracer.leaf(
+                telemetry.tracer.leaf_row(
                     "critical_section", "critical",
                     lane.app_id if lane is not None else "", work_cycles,
-                    stalled=stalled,
+                    _CRITICAL_ATTRS, stalled,
                 )
             elif not leaf:
                 telemetry.tracer.advance(work_cycles)

@@ -71,12 +71,14 @@ on the replay path too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
 from repro.errors import BoundsViolation, ExecutionError, GuardianError
 from repro.core.policy import FencingMode
+from repro.telemetry.trace import CALL_ATTRS, ERROR_ATTRS, SERVER_TRACK
 
 #: The longest sync-delimited block the recorder will consider; bounds
 #: recorder memory per tenant.
@@ -84,6 +86,9 @@ TRACE_MAX_OPS = 512
 
 #: Consecutive identical sync-delimited blocks before one compiles.
 TRACE_HOT_THRESHOLD = 2
+
+#: Attr names of the replay prologue's ring row (DESIGN.md §11).
+_REPLAY_ATTRS = ("ops", "ranges")
 
 #: Methods the recorder traces (the asynchronous submission surface).
 TRACEABLE_METHODS = frozenset(
@@ -225,44 +230,93 @@ class TraceEngine:
             state = self._states[app_id] = _TenantTraceState()
         server.stats.trace_eligible_ops += 1
         trace = state.trace
-        if trace is not None:
-            if state.cursor == 0:
-                # Block entry. Guards and the first-op signature are
-                # pure predicates, checked *before* any fused charge —
-                # a failed prologue costs nothing here and the
-                # interpreted path charges itself normally.
-                plan = trace.ops[0] if trace.ops else None
-                tenant = server._tenants.get(app_id)
-                if tenant is None or not self._guards_hold(tenant, trace):
-                    server.stats.trace_guard_failures += 1
-                    self._drop(state)
-                    state.recording.append(sig)
-                    return None
-                if plan is None or plan.sig != sig:
-                    self._drop(state)
-                    state.recording.append(sig)
-                    return None
-                entry_cycles = self._enter_block(app_id, trace)
-                state.cursor = 1
-                result, cycles = self._replay(app_id, plan, payload)
-                return result, entry_cycles + cycles
-            plan = (
-                trace.ops[state.cursor]
-                if state.cursor < len(trace.ops) else None
-            )
-            if plan is None or plan.sig != sig:
-                # Mid-block deviation: the steady state changed shape.
-                # Nothing already replayed was skipped unsafely — every
-                # replayed op matched its pre-validated plan — but the
-                # trace no longer describes the workload.
-                self._drop(state)
-                state.recording.append(sig)
-                return None
-            state.cursor += 1
-            return self._replay(app_id, plan, payload)
-        # Recording mode.
-        state.recording.append(sig)
-        return None
+        if trace is None:
+            # Recording mode.
+            state.recording.append(sig)
+            return None
+        cursor = state.cursor
+        plan = trace.ops[cursor] if cursor < len(trace.ops) else None
+        if cursor == 0 and not self._guards_hold(server._tenants[app_id],
+                                                 trace):
+            # Block entry. Guards and the first-op signature are pure
+            # predicates, checked *before* any fused charge — a failed
+            # prologue costs nothing here and the interpreted path
+            # charges itself normally.
+            server.stats.trace_guard_failures += 1
+            plan = None
+        if plan is None or plan.sig != sig:
+            # A deviation: the steady state changed shape. Nothing
+            # already replayed was skipped unsafely — every replayed op
+            # matched its pre-validated plan — but the trace no longer
+            # describes the workload.
+            self._drop(state)
+            state.recording.append(sig)
+            return None
+        state.cursor = cursor + 1
+        entry_cycles = self._enter_block(app_id, trace) if not cursor else 0.0
+        result, cycles = self._replay(app_id, plan, payload)
+        return result, entry_cycles + cycles
+
+    def deliver(self, app_id: str, batch: list, start: int) -> int:
+        """Deliver the IPC queue entries ``batch[start:]`` that continue
+        ``app_id``'s open replayed block (an earlier op's :meth:`offer`
+        entered it) as one call; returns how many. Each op's signature
+        is compared with its plan server-side, and the matching prefix
+        replays through :meth:`_replay`, recording all a per-call
+        delivery records, in its order; the call spans go to the ring
+        in one step. The channel sends the rest per call."""
+        state = self._states.get(app_id)
+        if state is None or state.trace is None or not state.cursor:
+            return 0
+        server = self.server
+        stats = server.stats
+        stream = server._tenants[app_id].stream
+        ops = state.trace.ops
+        tracer = (server.telemetry.tracer if server.telemetry is not None
+                  else None)
+        rows, failed = [], None
+        done = start
+        try:
+            for route, args, trace_id, _ in islice(batch, start, None):
+                cursor = state.cursor
+                if cursor == len(ops):
+                    break
+                plan = ops[cursor]
+                launch = plan.kind == "launch"
+                if (signature_of(route.method, args) != plan.sig
+                        or launch and stream.fault is not None):
+                    break
+                # What the handler does before its offer.
+                server._enter(app_id)
+                if launch and server.elastic is not None:
+                    server.elastic.note_use(app_id)
+                stats.trace_eligible_ops += 1
+                state.cursor = cursor + 1
+                began = tracer.clock if tracer is not None else 0.0
+                try:
+                    _, cycles = self._replay(
+                        app_id, plan, args[1] if plan.kind == "h2d" else None)
+                except Exception as failure:
+                    if tracer is not None:
+                        failed = (route.method, app_id, began, tracer.clock,
+                                  trace_id, type(failure).__name__)
+                    raise
+                if tracer is not None:
+                    rows.append((route.method, app_id, began, tracer.clock,
+                                 trace_id, cycles))
+                    (route.record_dispatch or route.dispatch_recorder())(
+                        cycles)
+                route.stats.server_cycles += cycles
+                done += 1
+        finally:
+            if tracer is not None:
+                parent = tracer.open_span_id
+                tracer.emit_all("call", SERVER_TRACK, rows, parent,
+                                CALL_ATTRS)
+                if failed is not None:
+                    tracer.emit_all("call", SERVER_TRACK, [failed], parent,
+                                    ERROR_ATTRS)
+        return done - start
 
     def block_boundary(self, app_id: str) -> None:
         """A ``synchronize`` closed the current block.
@@ -495,9 +549,9 @@ class TraceEngine:
         server._charge(cycles, leaf=True)
         telemetry = server.telemetry
         if telemetry is not None:
-            telemetry.tracer.leaf("trace_replay", "launch", app_id, cycles,
-                                  ops=len(trace.ops),
-                                  ranges=len(trace.ranges))
+            telemetry.tracer.leaf_row("trace_replay", "launch", app_id,
+                                      cycles, _REPLAY_ATTRS, len(trace.ops),
+                                      len(trace.ranges))
         if trace.ranges:
             record = trace.record
             server.stats.transfers_checked += len(trace.ranges)

@@ -296,6 +296,18 @@ def _make_signed_view(bits: int):
     return view
 
 
+def buffer_fault(buffer, offset: int, width: int) -> None:
+    """The kill for a shared or local access outside its buffer. The
+    interpreter checks every access; generated code asks only once
+    ``struct`` refused one, so an offset fails the same way everywhere
+    and a value no type holds still raises its own error."""
+    if offset < 0 or offset + width > len(buffer):
+        raise ExecutionError(
+            f"shared/local access at {offset} outside buffer of "
+            f"{len(buffer)} bytes"
+        )
+
+
 _BASE_ENV = {
     "_truncdiv": _truncdiv,
     "_truncrem": _truncrem,
@@ -306,6 +318,8 @@ _BASE_ENV = {
     "_math": math,
     "_f32r": lambda v: _F32.unpack(_F32.pack(v))[0],
     "ExecutionError": ExecutionError,
+    "_buffer_fault": buffer_fault,
+    "_BUFFER_FAULTS": (struct.error, OverflowError, IndexError),
     "_sF32": struct.Struct("<f"), "_sF64": struct.Struct("<d"),
     "_sU8": struct.Struct("<B"), "_sS8": struct.Struct("<b"),
     "_sU16": struct.Struct("<H"), "_sS16": struct.Struct("<h"),
@@ -951,19 +965,17 @@ class ThreadCodegen(KernelCodegen):
             self._assign(dest, expr, dtype)
             return
         address = self._address(memref)
-        if space == "shared":
-            gen.emit(f"_cycles += {SHARED_ACCESS_CYCLES}")
-            unpacker = _SHARED_STRUCTS[dtype]
-            self._assign(
-                dest, f"{unpacker}.unpack_from(shared, {address})[0]",
-                dtype)
-        elif space == "local":
-            cost = self.cost_model.memory_cost("local")
+        if space in ("shared", "local"):
+            if space == "shared":
+                buffer, cost = "shared", SHARED_ACCESS_CYCLES
+            else:
+                buffer, cost = "_lmem", self.cost_model.memory_cost("local")
             gen.emit(f"_cycles += {cost}")
             unpacker = _SHARED_STRUCTS[dtype]
-            self._assign(
-                dest, f"{unpacker}.unpack_from(_lmem, {address})[0]",
-                dtype)
+            with self._buffer_access(buffer, address, dtype):
+                self._assign(
+                    dest, f"{unpacker}.unpack_from({buffer}, {address})[0]",
+                    dtype)
         else:
             name = self._expr(dest)
             zero = "0.0" if isa.is_float(dtype) else "0"
@@ -1026,7 +1038,23 @@ class ThreadCodegen(KernelCodegen):
                 value = (f"(({value}) - {1 << bits} "
                          f"if ({value}) >= {1 << (bits - 1)} "
                          f"else ({value}))")
-        self.gen.emit(f"{packer}.pack_into({buffer}, {address}, {value})")
+        with self._buffer_access(buffer, address, dtype):
+            self.gen.emit(f"{packer}.pack_into({buffer}, {address}, "
+                          f"{value})")
+
+    @contextlib.contextmanager
+    def _buffer_access(self, buffer: str, address: str, dtype: str):
+        """Emit a shared or local access inside a ``try`` whose handler
+        turns an offset ``struct`` refused into :func:`buffer_fault`'s
+        kill (free until it raises)."""
+        gen = self.gen
+        gen.emit("try:")
+        gen.indent += 1
+        yield
+        gen.indent -= 1
+        gen.emit("except _BUFFER_FAULTS:")
+        gen.emit(f"    _buffer_fault({buffer}, {address}, "
+                 f"{isa.type_width(dtype)}); raise")
 
     def _emit_atomic(self, ins) -> None:
         dest, memref, operand = ins.operands

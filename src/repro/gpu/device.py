@@ -38,6 +38,9 @@ from repro.gpu.stream import Stream
 from repro.gpu.timeline import GpuTask, Timeline, TimelineResult
 from repro.gpu.executor import EFFECTIVE_WARPS_PER_SM, LAUNCH_OVERHEAD_CYCLES
 
+#: Attr names of a device span's ring row (DESIGN.md §11).
+_DEVICE_ATTRS = ("kind", "demand", "release")
+
 
 @dataclass
 class DeviceMetrics:
@@ -251,10 +254,9 @@ class Device:
         self.telemetry.tracer.emit_all("device", "gpu", [
             (task.label or task.kind, task.tag,
              base + starts.get(task.seq, 0.0), base + finishes[task.seq],
-             None, {"kind": task.kind, "demand": task.demand,
-                    "release": task.release})
+             None, task.kind, task.demand, task.release)
             for task in tasks if task.seq in finishes
-        ])
+        ], keys=_DEVICE_ATTRS)
 
     @property
     def pending_tasks(self) -> int:

@@ -1045,22 +1045,13 @@ _BUFFER_FORMATS = {
 
 
 def _buffer_load(buffer: bytearray, offset: int, dtype: str):
-    width = isa.type_width(dtype)
-    if offset < 0 or offset + width > len(buffer):
-        raise ExecutionError(
-            f"shared/local access at {offset} outside buffer of "
-            f"{len(buffer)} bytes"
-        )
+    codegen.buffer_fault(buffer, offset, isa.type_width(dtype))
     return struct.unpack_from(_BUFFER_FORMATS[dtype], buffer, offset)[0]
 
 
 def _buffer_store(buffer: bytearray, offset: int, dtype: str, value) -> None:
     width = isa.type_width(dtype)
-    if offset < 0 or offset + width > len(buffer):
-        raise ExecutionError(
-            f"shared/local access at {offset} outside buffer of "
-            f"{len(buffer)} bytes"
-        )
+    codegen.buffer_fault(buffer, offset, width)
     if isa.is_float(dtype):
         struct.pack_into(_BUFFER_FORMATS[dtype], buffer, offset, float(value))
     else:

@@ -4,7 +4,10 @@ The driver JIT (:mod:`repro.driver.jit`) validates every module before
 accepting it — mirroring ``ptxas``, which rejects malformed PTX. The
 paper's threat model leans on this: *direct* branches are safe because
 the assembler verifies their labels exist (§3), while ``brx.idx`` index
-registers cannot be checked statically and stay unsafe.
+registers cannot be checked statically and stay unsafe. ``st.param``
+and ``atom`` in the shared, local and param spaces are refused: the
+simulator runs them on device memory, where the patcher's fences do
+not reach.
 """
 
 from __future__ import annotations
@@ -75,6 +78,17 @@ def _validate_instruction(
         raise PTXValidationError(
             f"{instruction.opcode} takes {expected} operands, got "
             f"{len(instruction.operands)}"
+        )
+
+    # The engines send these to device memory and the patcher fences
+    # none of them, so a tenant could write any neighbour through them.
+    space = instruction.space
+    if (instruction.base_op == "st" and space == "param"
+            or instruction.base_op == "atom"
+            and space in ("shared", "local", "param")):
+        raise PTXValidationError(
+            f"{instruction.opcode} is refused: the engines would run it "
+            f"on device memory, unfenced"
         )
 
     if instruction.guard is not None:

@@ -31,6 +31,10 @@ from typing import Optional
 #: control plane); each track becomes one Perfetto process row.
 SERVER_TRACK = "server"
 
+#: Attr names of an IPC call span: a delivered call's, a failed one's.
+CALL_ATTRS = ("server_cycles",)
+ERROR_ATTRS = ("error",)
+
 
 class Span:
     """One named interval on some cycle axis.
@@ -90,6 +94,12 @@ class SpanTracer:
     """A bounded ring of finished spans plus the open-span stack, both
     of tuples (layouts in DESIGN.md §11): :meth:`spans` makes Span
     objects when read.
+
+    A ring row is ``(attrs, trace_id, span_id, parent_id, name,
+    category, tenant, track, start, end, *values)``. ``attrs`` is the
+    span's own dict (``begin``, ``open`` with a dict, ``emit``), or a
+    tuple of attr names its site shares across every span it records,
+    whose values follow ``end``.
     """
 
     def __init__(self, capacity: int = 65_536):
@@ -143,13 +153,14 @@ class SpanTracer:
         self._stack[-1] = entry[:8] + (span,)
         return span
 
-    def close(self, handle):
+    def close(self, handle, keys: tuple = (), *values):
         """Close an open span at the current cursor, retire it to the
         ring and return ``handle``: the entry :meth:`open` returned or
-        the Span :meth:`begin` returned. Closing out of order (an
-        exception unwound past open children) closes the children too,
-        at the same instant; a span no longer open closes every open
-        span and is itself left as it was closed."""
+        the Span :meth:`begin` returned. ``keys`` and ``values`` are
+        the attrs of an entry opened with ``attrs=None``. Closing out
+        of order (an exception unwound past open children) closes the
+        children too, at the same instant; a span no longer open
+        closes every open span and is itself left as it was closed."""
         stack = self._stack
         end = self.clock
         while stack:
@@ -158,10 +169,14 @@ class SpanTracer:
              attrs, span) = top
             if span is not None:
                 span.end = end
-            self._ring.append((trace_id, span_id, parent_id, name,
-                               category, tenant, start, end, attrs))
+            last = top is handle or span is handle
+            if attrs is None:
+                attrs = keys if last else ()
+            self._ring.append((attrs, trace_id, span_id, parent_id, name,
+                               category, tenant, SERVER_TRACK, start, end,
+                               *(values if last else ())))
             self.spans_finished += 1
-            if top is handle or span is handle:
+            if last:
                 break
         return handle
 
@@ -170,11 +185,17 @@ class SpanTracer:
     def leaf(self, name: str, category: str, tenant: str, cycles: float,
              /, **attrs) -> None:
         """``begin`` + ``advance(cycles)`` + ``end`` in one step: the
-        span of a hook that wraps exactly one charge (a critical
-        section, a bounds check, a launch, a trace replay). It opens
-        nothing, so it can never be left open. (Positional-only names:
-        CPython then skips comparing every attr keyword against them.)
-        """
+        span of a hook that wraps exactly one charge. It opens nothing,
+        so it can never be left open. (Positional-only names: CPython
+        then skips comparing every attr keyword against them.)"""
+        self.leaf_row(name, category, tenant, cycles, tuple(attrs),
+                      *attrs.values())
+
+    def leaf_row(self, name: str, category: str, tenant: str,
+                 cycles: float, keys: tuple, *values) -> None:
+        """:meth:`leaf` for a hot site (a critical section, a bounds
+        check, a launch, a trace replay): ``keys`` is the site's shared
+        tuple of attr names, ``values`` their values."""
         stack = self._stack
         start = self.clock
         if stack:
@@ -182,8 +203,9 @@ class SpanTracer:
         else:
             trace_id, parent_id = self.new_trace(), None
         self.clock = end = start + cycles
-        self._ring.append((trace_id, next(self._span_ids), parent_id, name,
-                           category, tenant, start, end, attrs or None))
+        self._ring.append((keys, trace_id, next(self._span_ids), parent_id,
+                           name, category, tenant, SERVER_TRACK, start, end,
+                           *values))
         self.spans_finished += 1
 
     # -- raw spans (client / device / cluster axes) -------------------------------
@@ -196,17 +218,28 @@ class SpanTracer:
         self.emit_all(category, track,
                       [(name, tenant, start, end, trace_id, attrs)],
                       parent_id)
-        return self._ring[-1][1]
+        return self._ring[-1][2]
 
     def emit_all(self, category: str, track: str, rows,
-                 parent_id: Optional[int] = None) -> None:
+                 parent_id: Optional[int] = None,
+                 keys: Optional[tuple] = None) -> None:
         """:meth:`emit` for many spans in one call: each row is
-        ``(name, tenant, start, end, trace_id, attrs)``."""
+        ``(name, tenant, start, end, trace_id, attrs)``, or with
+        ``keys`` (a hot site's shared attr names) ``(name, tenant,
+        start, end, trace_id, *values)``."""
         trace_ids, span_ids = self._trace_ids, self._span_ids
-        retired = [(next(trace_ids) if trace_id is None else trace_id,
-                    next(span_ids), parent_id, name, category, tenant,
-                    track, start, end, attrs or None)
-                   for name, tenant, start, end, trace_id, attrs in rows]
+        if keys is None:
+            retired = [(attrs or (),
+                        next(trace_ids) if trace_id is None else trace_id,
+                        next(span_ids), parent_id, name, category, tenant,
+                        track, start, end)
+                       for name, tenant, start, end, trace_id, attrs in rows]
+        else:
+            retired = [(keys,
+                        next(trace_ids) if row[4] is None else row[4],
+                        next(span_ids), parent_id, row[0], category, row[1],
+                        track, row[2], row[3], *row[5:])
+                       for row in rows]
         self._ring.extend(retired)
         self.spans_finished += len(retired)
 
@@ -214,8 +247,9 @@ class SpanTracer:
 
     def spans(self) -> list[Span]:
         """Retained spans, oldest first."""
-        return [Span(*row[:6], SERVER_TRACK, *row[6:]) if len(row) == 9
-                else Span(*row) for row in self._ring]
+        return [Span(*row[1:10], row[0] if row[0].__class__ is dict
+                     else dict(zip(row[0], row[10:])))
+                for row in self._ring]
 
     def spans_for(self, tenant: str) -> list[Span]:
         return [span for span in self.spans() if span.tenant == tenant]
@@ -228,6 +262,11 @@ class SpanTracer:
     @property
     def open_spans(self) -> int:
         return len(self._stack)
+
+    @property
+    def open_span_id(self) -> Optional[int]:
+        """The innermost open span's id: a new span's parent."""
+        return self._stack[-1][1] if self._stack else None
 
     def reset(self) -> None:
         self._ring.clear()

@@ -130,3 +130,32 @@ class TestOperandCounts:
         for seed in range(50):
             validate_module(build_module(
                 [structured_kernel(random.Random(seed))]))
+
+
+class TestUnfencedSpaces:
+    """The forms the engines run on device memory without a fence."""
+
+    _REGS = ".reg .b64 %rd<2>;\n.reg .b32 %r<3>;\n"
+
+    @pytest.mark.parametrize("statement", [
+        "st.param.u32 [%rd1], %r1;",
+        "atom.shared.add.u32 %r2, [%rd1], %r1;",
+        "atom.local.add.u32 %r2, [%rd1], %r1;",
+        "atom.param.add.u32 %r2, [%rd1], %r1;",
+    ])
+    def test_refused_naming_the_instruction(self, statement):
+        module = _module(self._REGS + statement + "\nret;")
+        opcode = statement.split()[0]
+        with pytest.raises(PTXValidationError, match=opcode.replace(".",
+                                                                   r"\.")):
+            validate_module(module)
+
+    @pytest.mark.parametrize("statement", [
+        "st.global.u32 [%rd1], %r1;",
+        "st.shared.u32 [%rd1], %r1;",
+        "st.local.u32 [%rd1], %r1;",
+        "atom.global.add.u32 %r2, [%rd1], %r1;",
+        "ld.param.u32 %r2, [%rd1];",
+    ])
+    def test_fenced_or_buffered_forms_accepted(self, statement):
+        validate_module(_module(self._REGS + statement + "\nret;"))

@@ -4,9 +4,10 @@ A golden run pins the snapshot, the Prometheus text and the Chrome
 trace of one small fixed workload by sha256, so any change to how
 records are taken has to leave every output byte where it was. The
 deferred histogram fold is checked against an eager reference fold,
-and two count pins hold the hot path to its budget: no label sorting
-after a (tenant, method)'s first record, and no context manager on the
-stock server's bounds check or launch.
+and count pins hold the hot path to its budget: no label sorting after
+a (tenant, method)'s first record, no context manager on the stock
+server's bounds check or launch, no per-span dict from a hot site, and
+a replayed block's ops after the first delivered in one call.
 """
 
 import dataclasses
@@ -25,6 +26,8 @@ from repro.core import server as server_module
 from repro.core.client import GuardianClient
 from repro.core.policy import FencingMode
 from repro.core.server import GuardianServer, ServerConfig
+from repro.core.supervisor import TenantSupervisor
+from repro.core.tracecache import TraceEngine
 from repro.driver.fatbin import build_fatbin
 from repro.errors import BoundsViolation
 from repro.gpu.device import Device
@@ -406,3 +409,56 @@ class TestCountPins:
         assert server.stats.transfers_checked > 0
         assert server.stats.launches == 2
         assert set(entered) == {"register_fatbin", "_deploy"}
+
+
+class TestFlatRows:
+    #: The deploy sites: ``maybe_span`` keeps their attrs dicts.
+    COLD = {"extract_ptx", "patch_ptx"}
+
+    def test_no_hot_row_holds_a_dict(self):
+        """Call, queue-wait, bounds-check, launch, replay and device
+        spans store their attrs as a shared key tuple plus values."""
+        server, _ = golden_run(PRESETS["traced"]())
+        rows = server.telemetry.tracer._ring
+        holding = {row[4] for row in rows
+                   if any(isinstance(item, dict) for item in row)}
+        assert holding <= self.COLD
+        names = {row[4] for row in rows}
+        assert {"memcpy_h2d", "launch_kernel", "bounds_check", "launch",
+                "trace_replay", "queue_wait:memcpy_h2d"} <= names
+
+
+class TestReplayDelivery:
+    def _delivered(self, monkeypatch, config, supervised=False):
+        counts = []
+        real = TraceEngine.deliver
+
+        def spy(engine, app_id, batch, start):
+            counts.append(real(engine, app_id, batch, start))
+            return counts[-1]
+
+        monkeypatch.setattr(TraceEngine, "deliver", spy)
+        server = GuardianServer(Device(QUADRO_RTX_A4000),
+                                FencingMode.BITWISE, config=config)
+        target = TenantSupervisor(server) if supervised else server
+        tenants = _tenants(target)
+        payload = np.arange(16, dtype=np.float32).tobytes()
+        for _ in range(BLOCKS):
+            for client, handle, buffer in tenants:
+                client.memcpy_h2d(buffer, payload)
+                client.memcpy_h2d(buffer + 256, payload)
+                client.launch_kernel(handle, (1, 1, 1), (16, 1, 1),
+                                     [buffer, buffer + 256, 2.0, 16])
+                client.synchronize()
+        assert server.stats.trace_replays == 2 * len(tenants)
+        return counts
+
+    @pytest.mark.parametrize("telemetry", [False, True])
+    def test_ops_after_the_first_go_as_one_call(self, monkeypatch,
+                                                telemetry):
+        config = ServerConfig.traced(telemetry=telemetry)
+        assert self._delivered(monkeypatch, config) == [2] * 4
+
+    def test_supervised_server_gets_every_call(self, monkeypatch):
+        config = ServerConfig.traced(telemetry=True)
+        assert self._delivered(monkeypatch, config, supervised=True) == []
