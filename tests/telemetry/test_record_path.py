@@ -24,14 +24,18 @@ from hypothesis import strategies as st
 
 from repro.core import server as server_module
 from repro.core.client import GuardianClient
+from repro.core.patcher import clear_patched
 from repro.core.policy import FencingMode
 from repro.core.server import GuardianServer, ServerConfig
 from repro.core.supervisor import TenantSupervisor
+from repro.core import ipc
 from repro.core.tracecache import TraceEngine
 from repro.driver.fatbin import build_fatbin
-from repro.errors import BoundsViolation
+from repro.driver.jit import clear_images
+from repro.errors import BoundsViolation, MemoryFault
 from repro.gpu.device import Device
 from repro.gpu.specs import QUADRO_RTX_A4000
+from repro.ptx.builder import KernelBuilder, build_module
 from repro.telemetry import Telemetry, registry
 from repro.telemetry.export import to_chrome_trace
 from repro.telemetry.registry import FOLD_BOUND, QUANTILES, MetricsRegistry
@@ -462,3 +466,80 @@ class TestReplayDelivery:
     def test_supervised_server_gets_every_call(self, monkeypatch):
         config = ServerConfig.traced(telemetry=True)
         assert self._delivered(monkeypatch, config, supervised=True) == []
+
+
+def poke_module():
+    """``poke(out, at)``: stores 7 at ``out`` plus the u64 found at
+    ``at``, so an H2D payload (not part of a trace signature) can
+    misalign a replayed launch's store."""
+    b = KernelBuilder("poke", params=[("out", "u64"), ("at", "u64")])
+    out = b.load_param_ptr("out")
+    offset = b.ld_global("u64", b.load_param_ptr("at"))
+    b.st_global("u32", b.add("u64", out, offset), 7)
+    return build_module([b.build()])
+
+
+def replay_run(config):
+    """Two tenants, blocks longer than two batches with a synchronous
+    read in the middle; tenant 0's fifth block misaligns its launch
+    (the replayed op fails) and tenant 1's sixth changes shape in the
+    batch ``MAX_BATCH`` cuts."""
+    device = Device(QUADRO_RTX_A4000)
+    server = GuardianServer(device, FencingMode.BITWISE, config=config)
+    fatbin = build_fatbin(poke_module(), "libpoke", "11.7")
+    clients, failures = [], []
+    for index in range(2):
+        client = GuardianClient(server, f"tenant{index}", 1 << 20)
+        clients.append((client, client.register_fatbin(fatbin)["poke"],
+                        client.malloc(4096)))
+    for block in range(8):
+        for index, (client, poke, buffer) in enumerate(clients):
+            bad = index == 0 and block == 4
+            try:
+                client.memcpy_h2d(buffer + 3072,
+                                  (2 if bad else 0).to_bytes(8, "little"))
+                client.launch_kernel(poke, (1, 1, 1), (1, 1, 1),
+                                     [buffer, buffer + 3072])
+                for op in range(2 * ipc.MAX_BATCH):
+                    size = 8 if index == 1 and block == 5 and op == 60 else 16
+                    client.memset(buffer + 16 * op, 3, size)
+                    if op == 20:
+                        client.memcpy_d2h(buffer, 16)
+                client.synchronize()
+            except MemoryFault as failure:
+                failures.append(str(failure))
+    reads = [client.memcpy_d2h(buffer, 4096) for client, _, buffer in clients]
+    device.synchronize(spatial=True)
+    return server, clients, reads, failures
+
+
+class TestDeliveryDifferential:
+    """Delivering a replayed block's ops in one call records exactly
+    what delivering each on its own does: the same counters, charges,
+    lane clocks, reads, spans, metrics and exported bytes, across
+    batches cut by ``MAX_BATCH`` and by a synchronous call, a replayed
+    op that fails and a mid-block deviation."""
+
+    @pytest.mark.parametrize("preset", ["traced", "traced_concurrent"])
+    def test_same_as_per_call(self, monkeypatch, preset):
+        fused = replay_run(PRESETS[preset]())
+        assert fused[0].stats.trace_replays > 0
+        errors = [span for span in fused[0].telemetry.tracer.spans()
+                  if span.category == "call" and "error" in span.attrs]
+        assert [span.name for span in errors] == ["launch_kernel"]
+        monkeypatch.setattr(TraceEngine, "deliver",
+                            lambda engine, app_id, batch, start: 0)
+        # Cold deploy caches again: the two runs' deploy counters match.
+        clear_images()
+        clear_patched()
+        per_call = replay_run(PRESETS[preset]())
+
+        def outputs(server, clients, reads, failures):
+            return (reads, failures, digests(server), stats_digest(server),
+                    [client.channel.stats for client, _, _ in clients],
+                    [(lane.ops, lane.clock, lane.busy)
+                     for lane in server._lanes.values()])
+
+        assert outputs(*fused) == outputs(*per_call)
+        assert len(fused[3]) == 1
+        assert fused[0].stats.trace_invalidations == 2
