@@ -18,7 +18,12 @@ from repro.core.masks import division_magic, fence_address, partition_mask
 from repro.core.patcher import PTXPatcher
 from repro.core.policy import FencingMode
 from repro.core.server import GuardianServer
-from repro.errors import ExecutionError, GuardianError, PTXValidationError
+from repro.errors import (
+    ExecutionError,
+    GuardianError,
+    PTXValidationError,
+    ReproError,
+)
 from repro.gpu.device import Device
 from repro.gpu.executor import KernelExecutor, compile_kernel
 from repro.gpu.memory import GlobalMemory
@@ -343,3 +348,63 @@ class TestWildBufferAddress:
             client.launch_kernel(handle, (1, 1, 1), (1, 1, 1), [buffer, 0])
             client.synchronize()
             assert server.stats.kernels_killed == 1
+
+
+#: A memory operand outside the address slot, or none in it.
+MISPLACED = [
+    "st.global.u32 %r1, [%rd1];",
+    "ld.global.u32 [%rd1], %r1;",
+    "atom.global.add.u32 [%rd1], %r1, %r2;",
+    "ld.shared.u32 %r1, %rd1;",
+    "st.local.u32 %rd1, %r1;",
+    "and.b64 %rd2, %rd1, [%rd1];",
+    "mov.u64 %rd2, [%rd1];",
+    "setp.eq.u32 %p1, %r1, [%rd1];",
+    "add.u32 %r2, %r1, [%rd1];",
+]
+
+_MISPLACED_TEXT = """.version 7.5
+.target sm_86
+.address_size 64
+
+.visible .entry misplaced(
+\t.param .u64 misplaced_param_target
+)
+{{
+\t.reg .pred \t%p<2>;
+\t.reg .b32 \t%r<3>;
+\t.reg .b64 \t%rd<3>;
+\tld.param.u64 %rd1, [misplaced_param_target];
+\tmov.u32 %r1, 7;
+\tmov.u32 %r2, 7;
+\t{form}
+\tret;
+}}
+"""
+
+
+class TestMisplacedMemoryOperand:
+    """An operand slot holding the wrong kind of operand is refused at
+    load, naming the instruction, instead of loading and then failing
+    inside an engine; the neighbour's next launch runs."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("mode", list(FencingMode))
+    @pytest.mark.parametrize("form", MISPLACED)
+    def test_refused_at_load(self, form, mode, engine):
+        with forced_engine(engine) as make:
+            server = served(mode, make)
+            victim = GuardianClient(server, "alice", 1 << 20)
+            attacker = GuardianClient(server, "mallory", 1 << 20)
+            buffer = victim.malloc(256)
+            with pytest.raises(ReproError) as refused:
+                attacker.load_module_ptx(_MISPLACED_TEXT.format(form=form))
+            assert form.split()[0] in str(refused.value)
+            handle = victim.load_module_ptx(
+                emit_module(build_module([writer_kernel()])))["writer"]
+            victim.launch_kernel(handle, (1, 1, 1), (1, 1, 1),
+                                 [buffer, 0, 0xC0FFEE])
+            victim.synchronize()
+            assert victim.memcpy_d2h(buffer, 4) == (0xC0FFEE).to_bytes(
+                4, "little")
+            assert server.stats.kernels_killed == 0
