@@ -12,6 +12,11 @@ malicious store wraps into Mallory's *own* partition (the Fig. 5
 wrap-around, printed with real addresses); the read returns Mallory's
 own bytes instead of the secret.
 
+Act 3 — Mallory aims ``atom.shared.add`` at Alice's buffer. No fence
+reaches a shared-space atomic, so Guardian refuses the kernel at load
+(the routing table in ``repro/ptx/isa.py``) and Alice's bytes never
+move.
+
 Run:  python examples/malicious_tenant.py
 """
 
@@ -20,8 +25,10 @@ import numpy as np
 from repro import GuardianSystem
 from repro.core.masks import fence_address
 from repro.driver.fatbin import build_fatbin
+from repro.errors import PTXValidationError
 from repro.gpu.device import Device
 from repro.gpu.specs import QUADRO_RTX_A4000
+from repro.ptx.ast import MemRef
 from repro.ptx.builder import KernelBuilder, build_module
 from repro.runtime.api import CudaRuntime
 from repro.runtime.interpose import LIBCUDA, DynamicLoader
@@ -50,6 +57,18 @@ def attack_binary():
 
     return build_fatbin(build_module([write.build(), read.build()]),
                         "mallory_app", "11.7")
+
+
+def shared_atomic_binary():
+    kernel = KernelBuilder("shared_atom", params=[
+        ("target", "u64"), ("value", "u32"),
+    ])
+    target = kernel.load_param("target", "u64")
+    value = kernel.load_param("value", "u32")
+    kernel.emit("atom.shared.add.u32", kernel.reg("u32"), MemRef(target),
+                value)
+    return build_fatbin(build_module([kernel.build()]), "mallory_atom",
+                        "11.7")
 
 
 def attack(alice_runtime, mallory_runtime, label):
@@ -118,6 +137,20 @@ def main():
           f"partition)")
     print(f"    byte landed as   {value:#x} (mallory corrupted only "
           f"herself)")
+
+    # --- Act 3: a shared-space atomic aimed at alice --------------------
+    print("\n=== Guardian: atom.shared aimed at alice's buffer ===")
+    alice_data = alice.runtime.cudaMemcpyD2H(alice_buf, 256)
+    try:
+        handles = mallory.runtime.registerFatBinary(shared_atomic_binary())
+        mallory.runtime.cudaLaunchKernel(
+            handles["shared_atom"], (1, 1, 1), (1, 1, 1),
+            [alice_buf, 0xBADC0DE])
+        mallory.runtime.cudaDeviceSynchronize()
+    except PTXValidationError as refusal:
+        print(f"  load refused: {refusal}")
+    corrupted = alice.runtime.cudaMemcpyD2H(alice_buf, 256) != alice_data
+    print(f"  alice's buffer corrupted:  {corrupted}")
 
 
 if __name__ == "__main__":

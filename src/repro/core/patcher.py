@@ -79,12 +79,6 @@ _B64_PREFIX = "%grd"
 _B32_PREFIX = "%grdi"
 _PRED_PREFIX = "%grdp"
 
-#: State spaces whose accesses must be fenced: everything reachable by
-#: co-running kernels (off-chip, shared address space — paper §2.3).
-#: ``param`` is the read-only launch buffer, ``shared`` is per-block
-#: on-chip, ``local`` is per-thread — none are cross-tenant reachable.
-_FENCED_SPACES = frozenset({"global", "generic", "const", None})
-
 _OOB_LABEL = "$GUARDIAN_OOB"
 
 
@@ -482,10 +476,7 @@ class PTXPatcher:
             if statement.base_op == "brx":
                 body.extend(state.sandbox_brx(statement, report))
                 continue
-            if (
-                statement.is_memory_access
-                and statement.space in _FENCED_SPACES
-            ):
+            if statement.is_memory_access:
                 emitted, oob_used = state.sandbox_access(statement, report)
                 body.extend(emitted)
                 needs_oob_label = needs_oob_label or oob_used
@@ -785,22 +776,22 @@ class _PatchState:
 
 
 def _memref_of(instruction: Instruction) -> MemRef:
-    for operand in instruction.operands:
-        if isinstance(operand, MemRef):
-            return operand
+    slot = isa.opcode_info(instruction.opcode).address
+    operands = instruction.operands
+    if slot < len(operands) and isinstance(operands[slot], MemRef):
+        return operands[slot]
     raise PatcherError(
-        f"memory instruction {instruction.opcode} has no memory operand"
+        f"memory instruction {instruction.opcode} has no memory operand "
+        f"in its address slot"
     )
 
 
 def _with_memref(instruction: Instruction, memref: MemRef) -> Instruction:
-    operands = tuple(
-        memref if isinstance(operand, MemRef) else operand
-        for operand in instruction.operands
-    )
+    operands = list(instruction.operands)
+    operands[isa.opcode_info(instruction.opcode).address] = memref
     return Instruction(
         opcode=instruction.opcode,
-        operands=operands,
+        operands=tuple(operands),
         guard=instruction.guard,
     )
 
@@ -822,7 +813,6 @@ def _normalise_guards(body: list, state: _PatchState):
             isinstance(statement, Instruction)
             and statement.guard is not None
             and (statement.is_memory_access or statement.base_op == "brx")
-            and statement.space in _FENCED_SPACES
         ):
             label = state.fresh_label()
             yield Instruction(

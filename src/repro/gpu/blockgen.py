@@ -193,7 +193,7 @@ class BlockCodegen(KernelCodegen):
     def _check_memory(self, ins) -> tuple:
         """Validate a ld/st; returns (reads, written register)."""
         dtype = ins.dtype or "b32"
-        space = ins.space or "generic"
+        route = ins.route
         if dtype == "f16" or dtype == "pred":
             raise Unsupported(f"{ins.opcode}: no usable type")
         vc = _register_class(dtype)
@@ -205,20 +205,17 @@ class BlockCodegen(KernelCodegen):
         if ins.op == "ld" and not isinstance(value, Register):
             raise Unsupported(f"{ins.opcode}: destination")
         reads = []
-        if space == "local":
+        if route == isa.LOCAL:
             raise Unsupported(f"{ins.opcode}: local memory")
-        if space == "param":
-            if ins.op != "ld":
-                raise Unsupported(f"{ins.opcode}: store to param space")
-        elif isinstance(memref.base, Register):
+        if route != isa.PARAM and isinstance(memref.base, Register):
             cls = self.classes.get(memref.base.name)
-            if cls != "l" and not (space == "shared" and cls == "i"):
+            if cls != "l" and not (route == isa.SHARED and cls == "i"):
                 raise Unsupported(
                     f"{ins.opcode}: address register {memref.base.name}")
             reads.append(memref.base.name)
-        widths = (self.shared_widths if space == "shared"
+        widths = (self.shared_widths if route == isa.SHARED
                   else self.global_widths)
-        if space != "param":
+        if route != isa.PARAM:
             widths.add(isa.type_width(dtype))
         if ins.op == "ld":
             return reads, value.name
@@ -512,10 +509,10 @@ class BlockCodegen(KernelCodegen):
     def _emit_load(self, ins) -> None:
         dest, memref = ins.operands
         dtype = ins.dtype or "b32"
-        space = ins.space or "generic"
+        route = ins.route
         gen = self.gen
         gen.emit(f"_loads += {self._count}")
-        if space == "param":
+        if route == isa.PARAM:
             index = self.ck.param_index.get(memref.base.name)
             if index is None:
                 raise ExecutionError(
@@ -528,8 +525,8 @@ class BlockCodegen(KernelCodegen):
             self._assign(dest, expr, dtype)
             return
         name = self._expr(dest)
-        helper = "_vlds" if space == "shared" else "_vldg"
-        if space == "shared":
+        helper = "_vlds" if route == isa.SHARED else "_vldg"
+        if route == isa.SHARED:
             self._charge(SHARED_ACCESS_CYCLES)
         # The helper merges under the mask itself and returns lanes
         # already in their register convention.
@@ -539,10 +536,10 @@ class BlockCodegen(KernelCodegen):
     def _emit_store(self, ins) -> None:
         memref, source = ins.operands
         dtype = ins.dtype or "b32"
-        space = ins.space or "generic"
+        shared = ins.route == isa.SHARED
         self.gen.emit(f"_stores += {self._count}")
-        helper = "_vsts" if space == "shared" else "_vstg"
-        if space == "shared":
+        helper = "_vsts" if shared else "_vstg"
+        if shared:
             self._charge(SHARED_ACCESS_CYCLES)
         self.gen.emit(
             f"{helper}_{dtype}(_R, {self._address(memref)}, "

@@ -69,8 +69,6 @@ MAX_BLOCK_STEPS = 2_000_000
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
-_F32 = struct.Struct("<f")
-
 _INT_MASKS = {
     "u8": (1 << 8) - 1, "b8": (1 << 8) - 1, "s8": (1 << 8) - 1,
     "u16": (1 << 16) - 1, "b16": (1 << 16) - 1, "s16": (1 << 16) - 1,
@@ -316,7 +314,6 @@ _BASE_ENV = {
     "_sv32": _make_signed_view(32),
     "_sv64": _make_signed_view(64),
     "_math": math,
-    "_f32r": lambda v: _F32.unpack(_F32.pack(v))[0],
     "ExecutionError": ExecutionError,
     "_buffer_fault": buffer_fault,
     "_BUFFER_FAULTS": (struct.error, OverflowError, IndexError),
@@ -444,7 +441,7 @@ def invariant_prefix(instructions) -> int:
     for index in range(entry_end):
         ins = instructions[index]
         if ins.guard_reg is not None or ins.op in _NO_DEST or ins.op in (
-                "atom", "ld") and ins.space != "param":
+                "atom", "ld") and ins.route != isa.PARAM:
             return index
         dest, *sources = ins.operands or (None,)
         if not isinstance(dest, Register) or ins.op != "ld" and not all(
@@ -469,8 +466,8 @@ def _binds_wide(ins) -> bool:
     """Whether the JIT binds the result of ``ins`` through the 64-bit
     wrap (``_assign`` with a type in ``_WIDE``)."""
     op = ins.op
-    if op in ("setp", "atom") or op in _SFU_OPS or op == "ld" and (
-            ins.space not in ("param", "shared", "local")):
+    if (op in ("setp", "atom") or op in _SFU_OPS
+            or op == "ld" and ins.route == isa.DEVICE):
         return False
     if op in ("mul", "mad") and "wide" in ins.opcode:
         return True  # to u64 or s64
@@ -948,10 +945,10 @@ class ThreadCodegen(KernelCodegen):
     def _emit_load(self, ins) -> None:
         dest, memref = ins.operands
         dtype = ins.dtype or "b32"
-        space = ins.space or "generic"
+        route = ins.route
         gen = self.gen
         gen.emit("_loads += 1")
-        if space == "param":
+        if route == isa.PARAM:
             index = self.ck.param_index.get(memref.base.name)
             if index is None:
                 raise ExecutionError(
@@ -965,8 +962,8 @@ class ThreadCodegen(KernelCodegen):
             self._assign(dest, expr, dtype)
             return
         address = self._address(memref)
-        if space in ("shared", "local"):
-            if space == "shared":
+        if route in (isa.SHARED, isa.LOCAL):
+            if route == isa.SHARED:
                 buffer, cost = "shared", SHARED_ACCESS_CYCLES
             else:
                 buffer, cost = "_lmem", self.cost_model.memory_cost("local")
@@ -988,15 +985,15 @@ class ThreadCodegen(KernelCodegen):
     def _emit_store(self, ins) -> None:
         memref, source = ins.operands
         dtype = ins.dtype or "b32"
-        space = ins.space or "generic"
+        route = ins.route
         gen = self.gen
         gen.emit("_stores += 1")
         address = self._address(memref)
         value = self._expr(source)
-        if space == "shared":
+        if route == isa.SHARED:
             gen.emit(f"_cycles += {SHARED_ACCESS_CYCLES}")
             self._emit_buffer_store("shared", dtype, address, value)
-        elif space == "local":
+        elif route == isa.LOCAL:
             cost = self.cost_model.memory_cost("local")
             gen.emit(f"_cycles += {cost}")
             self._emit_buffer_store("_lmem", dtype, address, value)
@@ -1181,7 +1178,7 @@ class ThreadCodegen(KernelCodegen):
         body_start, body_indent = len(gen.lines), gen.indent
         if not self.acyclic:
             gen.emit("_steps = 0")
-        if any(ins.space == "local" for ins in instructions):
+        if any(ins.route == isa.LOCAL for ins in instructions):
             gen.emit("_lmem = bytearray(_LOCAL_BYTES)")
         gen.emit("_pc = 0")
         if not self.acyclic:
@@ -1338,6 +1335,6 @@ def kernel_code(compiled, cost_model: CostModel) -> KernelCode:
             code = _CODE_BY_CONTENT[key] = KernelCode(
                 barrier_free=barrier_free,
                 spannable=barrier_free and not compiled.shared_bytes
-                and not any(ins.space == "shared" for ins in instructions))
+                and not any(ins.route == isa.SHARED for ins in instructions))
         compiled.code = code
     return code

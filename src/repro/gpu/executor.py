@@ -114,7 +114,7 @@ class DecodedInstr:
     op: str
     opcode: str
     dtype: Optional[str]
-    space: Optional[str]
+    route: Optional[str]
     operands: tuple
     guard_reg: Optional[str]
     guard_negated: bool
@@ -227,12 +227,15 @@ def _decode(instruction: Instruction, label_index: dict[str, int],
         compare = instruction.suffixes[0]
         if compare not in isa.COMPARE_OPS:
             raise ExecutionError(f"unknown comparison {compare!r}")
+    route = instruction.route
+    if route is None and isa.opcode_info(op).address is not None:
+        raise ExecutionError(f"{instruction.opcode} has no route")
 
     return DecodedInstr(
         op=op,
         opcode=instruction.opcode,
         dtype=instruction.dtype,
-        space=instruction.space,
+        route=route,
         operands=instruction.operands,
         guard_reg=instruction.guard.register if guarded else None,
         guard_negated=instruction.guard.negated if guarded else False,
@@ -923,9 +926,9 @@ class KernelExecutor:
               thread: _Thread, params: list) -> None:
         dest, memref = ins.operands
         dtype = ins.dtype or "b32"
-        space = ins.space or "generic"
+        route = ins.route
         thread.loads += 1
-        if space == "param":
+        if route == isa.PARAM:
             name = memref.base.name
             index = compiled.param_index.get(name)
             if index is None:
@@ -934,13 +937,13 @@ class KernelExecutor:
             self._set_reg(thread, dest, dtype, params[index])
             return
         address = self._effective_address(compiled, thread, memref, params)
-        if space == "shared":
+        if route == isa.SHARED:
             thread.cycles += SHARED_ACCESS_CYCLES
             value = _buffer_load(thread.shared, address, dtype)
-        elif space == "local":
+        elif route == isa.LOCAL:
             thread.cycles += self.cost_model.memory_cost("local")
             value = _buffer_load(_local(thread), address, dtype)
-        else:  # global / generic / const
+        else:  # device
             _check_global(self.memory, address, dtype, "read")
             level = self.hierarchy.access(address)
             thread.cycles += self.cost_model.memory_cost(level)
@@ -951,14 +954,14 @@ class KernelExecutor:
                thread: _Thread, params: list) -> None:
         memref, source = ins.operands
         dtype = ins.dtype or "b32"
-        space = ins.space or "generic"
+        route = ins.route
         thread.stores += 1
         value = self._value(thread, source, params, compiled)
         address = self._effective_address(compiled, thread, memref, params)
-        if space == "shared":
+        if route == isa.SHARED:
             thread.cycles += SHARED_ACCESS_CYCLES
             _buffer_store(thread.shared, address, dtype, value)
-        elif space == "local":
+        elif route == isa.LOCAL:
             thread.cycles += self.cost_model.memory_cost("local")
             _buffer_store(_local(thread), address, dtype, value)
         else:

@@ -175,18 +175,16 @@ class Instruction:
         return self.base_op == "st"
 
     @property
-    def is_memory_access(self) -> bool:
-        """True for data-space loads/stores and atomics.
+    def route(self) -> Optional[str]:
+        """Where this memory access runs (:data:`isa.ROUTES`); None for
+        a non-memory op and for a pair the table refuses."""
+        return isa.ROUTES.get((self.base_op, self.space or "generic"))
 
-        Parameter-space loads (``ld.param``) read the launch parameter
-        buffer, not shared DRAM, so they are *not* memory accesses that
-        Guardian needs to fence (paper §2.3).
-        """
-        if self.base_op == "atom":
-            return True
-        if self.base_op not in ("ld", "st"):
-            return False
-        return self.space != "param"
+    @property
+    def is_memory_access(self) -> bool:
+        """True for the loads, stores and atomics Guardian must fence:
+        those that run on shared device memory (paper §2.3)."""
+        return self.route == isa.DEVICE
 
     def __str__(self) -> str:
         text = self.opcode
@@ -292,16 +290,9 @@ class Kernel:
                 yield statement
 
     def memory_accesses(self) -> Iterator[Instruction]:
-        """Yield the loads/stores Guardian must fence.
-
-        Only off-chip, cross-tenant-reachable spaces qualify (global/
-        generic/const); ``shared`` is per-block on-chip and ``local``
-        per-thread, so neither can leak across tenants (paper §2.3).
-        """
+        """Yield the loads/stores Guardian must fence."""
         for instruction in self.instructions():
-            if instruction.is_memory_access and instruction.space in (
-                None, "global", "generic", "const"
-            ):
+            if instruction.is_memory_access:
                 yield instruction
 
     def declared_registers(self) -> set[str]:

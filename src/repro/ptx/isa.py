@@ -73,9 +73,25 @@ STATE_SPACES = frozenset(
     {"param", "global", "shared", "local", "const", "generic"}
 )
 
-#: Spaces that live in off-chip DRAM and are therefore shared between
-#: co-running kernels — the spaces Guardian must fence (paper §2.3).
-OFF_CHIP_SPACES = frozenset({"global", "local", "generic", "const"})
+#: Where a memory access runs, one of four routes. ``DEVICE`` is the
+#: device memory co-running tenants share, the one route the patcher
+#: fences (paper §2.3); ``SHARED`` is the block's on-chip buffer,
+#: ``LOCAL`` the thread's buffer and ``PARAM`` the launch parameters.
+DEVICE, SHARED, LOCAL, PARAM = "device", "shared", "local", "param"
+
+#: ``(base op, state space) -> route``; an access with no space suffix
+#: is generic. The validator refuses a pair missing here (``st.param``
+#: and ``atom`` in shared, local and param space): no fence reaches it.
+ROUTES: dict[tuple[str, str], str] = {
+    **{(op, space): DEVICE
+       for op in ("ld", "st", "atom")
+       for space in ("generic", "global", "const")},
+    ("ld", "shared"): SHARED,
+    ("st", "shared"): SHARED,
+    ("ld", "local"): LOCAL,
+    ("st", "local"): LOCAL,
+    ("ld", "param"): PARAM,
+}
 
 
 # --------------------------------------------------------------------------
@@ -89,18 +105,18 @@ class OpInfo:
     Attributes:
         name: base mnemonic (``"ld"``, ``"add"``, ...).
         latency_class: key into :data:`LATENCY_CLASSES`.
-        is_memory: resolves an address against the memory system.
         is_control: changes control flow.
-        has_dest: first operand is a destination register.
+        address: for a memory op, the index of its address operand,
+            the one slot that holds a ``MemRef``; None for every other
+            op, where no slot may hold one.
         operands: how many operands the engines index, or None where
             they index none or a variable number.
     """
 
     name: str
     latency_class: str
-    is_memory: bool = False
     is_control: bool = False
-    has_dest: bool = True
+    address: int | None = None
     operands: int | None = None
 
 
@@ -122,9 +138,9 @@ LATENCY_CLASSES: dict[str, int] = {
 
 _OPS = [
     # memory
-    OpInfo("ld", "memory", is_memory=True, operands=2),
-    OpInfo("st", "memory", is_memory=True, has_dest=False, operands=2),
-    OpInfo("atom", "memory", is_memory=True, operands=3),
+    OpInfo("ld", "memory", address=1, operands=2),
+    OpInfo("st", "memory", address=0, operands=2),
+    OpInfo("atom", "memory", address=1, operands=3),
     # data movement / conversion
     OpInfo("mov", "alu", operands=2),
     OpInfo("cvta", "alu", operands=2),
@@ -159,13 +175,13 @@ _OPS = [
     OpInfo("tanh", "sfu", operands=2),
     # predicates & control
     OpInfo("setp", "alu", operands=3),
-    OpInfo("bra", "branch", is_control=True, has_dest=False, operands=1),
-    OpInfo("brx", "divergent", is_control=True, has_dest=False, operands=2),
-    OpInfo("call", "branch", is_control=True, has_dest=False),
-    OpInfo("ret", "branch", is_control=True, has_dest=False),
-    OpInfo("exit", "branch", is_control=True, has_dest=False),
-    OpInfo("bar", "barrier", is_control=True, has_dest=False),
-    OpInfo("nop", "nop", has_dest=False),
+    OpInfo("bra", "branch", is_control=True, operands=1),
+    OpInfo("brx", "divergent", is_control=True, operands=2),
+    OpInfo("call", "branch", is_control=True),
+    OpInfo("ret", "branch", is_control=True),
+    OpInfo("exit", "branch", is_control=True),
+    OpInfo("bar", "barrier", is_control=True),
+    OpInfo("nop", "nop"),
 ]
 
 #: Opcode table keyed by base mnemonic.

@@ -4,10 +4,10 @@ The driver JIT (:mod:`repro.driver.jit`) validates every module before
 accepting it — mirroring ``ptxas``, which rejects malformed PTX. The
 paper's threat model leans on this: *direct* branches are safe because
 the assembler verifies their labels exist (§3), while ``brx.idx`` index
-registers cannot be checked statically and stay unsafe. ``st.param``
-and ``atom`` in the shared, local and param spaces are refused: the
-simulator runs them on device memory, where the patcher's fences do
-not reach.
+registers cannot be checked statically and stay unsafe. A memory op
+must have a route in :data:`isa.ROUTES`, and a memory reference may
+stand in its address slot (:attr:`isa.OpInfo.address`) and nowhere
+else: those are the facts the patcher and the engines act on.
 """
 
 from __future__ import annotations
@@ -73,23 +73,26 @@ def _validate_instruction(
 ) -> None:
     # Opcode must exist (parser enforces too; builders may not), with
     # as many operands as the engines will index.
-    expected = isa.opcode_info(instruction.opcode).operands
+    info = isa.opcode_info(instruction.opcode)
+    expected = info.operands
     if expected is not None and len(instruction.operands) != expected:
         raise PTXValidationError(
             f"{instruction.opcode} takes {expected} operands, got "
             f"{len(instruction.operands)}"
         )
 
-    # The engines send these to device memory and the patcher fences
-    # none of them, so a tenant could write any neighbour through them.
-    space = instruction.space
-    if (instruction.base_op == "st" and space == "param"
-            or instruction.base_op == "atom"
-            and space in ("shared", "local", "param")):
+    if info.address is not None and instruction.route is None:
         raise PTXValidationError(
-            f"{instruction.opcode} is refused: the engines would run it "
-            f"on device memory, unfenced"
+            f"{instruction.opcode} is refused: the routing table has no "
+            f"entry for it, so no fence would reach it"
         )
+    for index, operand in enumerate(instruction.operands):
+        if isinstance(operand, MemRef) != (index == info.address):
+            raise PTXValidationError(
+                f"{instruction.opcode}: operand {index + 1} "
+                + ("must" if index == info.address else "may not")
+                + " be a memory reference"
+            )
 
     if instruction.guard is not None:
         if instruction.guard.register not in declared:

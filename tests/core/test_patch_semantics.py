@@ -9,6 +9,9 @@ Two obligations per fencing mode:
    suppresses it.
 """
 
+import contextlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +31,7 @@ from repro.gpu.device import Device
 from repro.gpu.executor import KernelExecutor, compile_kernel
 from repro.gpu.memory import GlobalMemory
 from repro.gpu.specs import QUADRO_RTX_A4000
+from repro.ptx import isa
 from repro.ptx.ast import MemRef
 from repro.ptx.builder import KernelBuilder, build_module
 from repro.ptx.emitter import emit_module
@@ -264,32 +268,52 @@ def served(mode, make):
     return GuardianServer(device, mode)
 
 
+#: Every memory op, in every state space and with no space suffix.
+FORMS = [
+    f"{op}.{space}" if space else op
+    for op, info in isa.OPCODES.items()
+    if info.address is not None
+    for space in (None, *sorted(isa.STATE_SPACES))
+]
+
+
 def attack_text(form: str) -> str:
-    """One thread stores (``st.param``) or atomically adds (``atom``)
-    ``value`` at the absolute address ``target``."""
-    b = KernelBuilder("attack", params=[("target", "u64"),
+    """One thread aims ``form`` at the absolute address ``target``: a
+    store or an atomic writes ``value`` there, and what a load or an
+    atomic read goes to ``out``."""
+    b = KernelBuilder("attack", params=[("out", "u64"), ("target", "u64"),
                                         ("value", "u32")])
+    out = b.load_param_ptr("out")
     target = b.load_param("target", "u64")
     value = b.load_param("value", "u32")
-    if form.startswith("st."):
+    if form.startswith("st"):
         b.emit(f"{form}.u32", MemRef(target), value)
     else:
-        b.emit(f"{form}.add.u32", b.reg("u32"), MemRef(target), value)
+        loot = b.reg("u32")
+        if form.startswith("ld"):
+            b.emit(f"{form}.u32", loot, MemRef(target))
+        else:
+            b.emit(f"{form}.add.u32", loot, MemRef(target), value)
+        b.st_global("u32", out, loot)
     return emit_module(build_module([b.build()]))
 
 
 class TestStateSpaceAttack:
-    """A tenant aims a store or an atomic in a space the patcher leaves
-    alone at its neighbour's buffer. The load must refuse the kernel,
-    naming the instruction, and the neighbour's bytes must not move."""
+    """A tenant aims each memory op, in each state space, at its
+    neighbour's buffer. Whatever :data:`isa.ROUTES` says of the form,
+    the neighbour's bytes do not move and its secret does not leak: a
+    pair the table lacks is refused at load, naming the instruction; a
+    device access is fenced; a shared, local or param one is a counted
+    kill. A new table row is covered here with no test edit."""
 
     SECRET = b"\x5e" * 64
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("form", ["st.param", "atom.shared",
-                                      "atom.local"])
+    @pytest.mark.parametrize("form", FORMS)
     def test_neighbour_untouched(self, form, mode, engine):
+        op, _, space = form.partition(".")
+        route = isa.ROUTES.get((op, space or "generic"))
         with forced_engine(engine) as make:
             server = served(mode, make)
             victim = GuardianClient(server, "alice", 1 << 20)
@@ -297,16 +321,28 @@ class TestStateSpaceAttack:
             buffer = victim.malloc(256)
             victim.memcpy_h2d(buffer, self.SECRET)
             victim.synchronize()
-            refusal = None
-            try:
+            out = attacker.malloc(4)
+            if route is None:
+                with pytest.raises(PTXValidationError,
+                                   match=re.escape(form)):
+                    attacker.load_module_ptx(attack_text(form))
+            else:
                 handle = attacker.load_module_ptx(attack_text(form))
-                attacker.launch_kernel(handle["attack"], (1, 1, 1),
-                                       (1, 1, 1), [buffer, 0x0BADF00D])
-                attacker.synchronize()
-            except PTXValidationError as error:
-                refusal = error
+                fenced = route == isa.DEVICE
+                with (contextlib.nullcontext() if fenced
+                      else pytest.raises(GuardianError)) as killed:
+                    attacker.launch_kernel(handle["attack"], (1, 1, 1),
+                                           (1, 1, 1),
+                                           [out, buffer, 0x0BADF00D])
+                    attacker.synchronize()
+                if fenced:
+                    assert attacker.memcpy_d2h(out, 4) != self.SECRET[:4]
+                    assert server.stats.kernels_killed == 0
+                else:
+                    assert isinstance(killed.value.__cause__,
+                                      ExecutionError)
+                    assert server.stats.kernels_killed == 1
             assert victim.memcpy_d2h(buffer, 64) == self.SECRET
-        assert refusal is not None and form in str(refusal)
 
 
 def wild_text(form: str) -> str:

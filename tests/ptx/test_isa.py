@@ -46,18 +46,17 @@ class TestOpcodes:
             isa.opcode_info("frobnicate.u32")
 
     def test_memory_ops_flagged(self):
-        assert isa.opcode_info("ld").is_memory
-        assert isa.opcode_info("st").is_memory
-        assert isa.opcode_info("atom").is_memory
-        assert not isa.opcode_info("add").is_memory
+        assert isa.opcode_info("ld").address == 1
+        assert isa.opcode_info("atom").address == 1
+        assert isa.opcode_info("add").address is None
 
     def test_control_ops_flagged(self):
         for mnemonic in ("bra", "brx", "ret", "exit", "bar", "call"):
             assert isa.opcode_info(mnemonic).is_control
 
     def test_store_has_no_dest(self):
-        assert not isa.opcode_info("st").has_dest
-        assert isa.opcode_info("ld").has_dest
+        # So its address comes first; ld's follows its destination.
+        assert isa.opcode_info("st").address == 0
 
     def test_every_latency_class_defined(self):
         for op in isa.OPCODES.values():
@@ -75,9 +74,11 @@ class TestOpcodes:
 
 class TestStateSpaces:
     def test_off_chip_spaces(self):
-        assert "global" in isa.OFF_CHIP_SPACES
-        assert "shared" not in isa.OFF_CHIP_SPACES
-        assert "param" not in isa.OFF_CHIP_SPACES
+        # Only device memory is shared between tenants and fenced.
+        assert isa.ROUTES[("ld", "global")] == isa.DEVICE
+        assert isa.ROUTES[("st", "shared")] == isa.SHARED
+        assert isa.ROUTES[("ld", "param")] == isa.PARAM
+        assert ("st", "param") not in isa.ROUTES
 
     def test_special_registers_contain_thread_ids(self):
         assert "%tid.x" in isa.SPECIAL_REGISTERS

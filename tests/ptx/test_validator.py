@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.errors import PTXValidationError
-from repro.ptx import parse_module, validate_module
+from repro.ptx import isa, parse_module, validate_module
 from repro.ptx.builder import build_module
 
 from tests.gpu.kernel_fuzz import structured_kernel
@@ -132,17 +132,34 @@ class TestOperandCounts:
                 [structured_kernel(random.Random(seed))]))
 
 
+def _access(op: str, space) -> str:
+    """One u32 ``op`` in ``space`` (None: no suffix) through ``%rd1``."""
+    opcode = f"{op}.{space}" if space else op
+    if op == "st":
+        return f"{opcode}.u32 [%rd1], %r1;"
+    if op == "ld":
+        return f"{opcode}.u32 %r2, [%rd1];"
+    return f"{opcode}.add.u32 %r2, [%rd1], %r1;"
+
+
+#: ``statement -> routed?`` for every memory op in every state space.
+_ACCESSES = {
+    _access(op, space): (op, space or "generic") in isa.ROUTES
+    for op, info in isa.OPCODES.items()
+    if info.address is not None
+    for space in (None, *sorted(isa.STATE_SPACES))
+}
+
+
 class TestUnfencedSpaces:
-    """The forms the engines run on device memory without a fence."""
+    """A memory op in a space :data:`isa.ROUTES` does not route is
+    refused, naming the instruction; every routed one loads."""
 
     _REGS = ".reg .b64 %rd<2>;\n.reg .b32 %r<3>;\n"
 
-    @pytest.mark.parametrize("statement", [
-        "st.param.u32 [%rd1], %r1;",
-        "atom.shared.add.u32 %r2, [%rd1], %r1;",
-        "atom.local.add.u32 %r2, [%rd1], %r1;",
-        "atom.param.add.u32 %r2, [%rd1], %r1;",
-    ])
+    @pytest.mark.parametrize(
+        "statement", [text for text, routed in _ACCESSES.items()
+                      if not routed])
     def test_refused_naming_the_instruction(self, statement):
         module = _module(self._REGS + statement + "\nret;")
         opcode = statement.split()[0]
@@ -150,12 +167,7 @@ class TestUnfencedSpaces:
                                                                    r"\.")):
             validate_module(module)
 
-    @pytest.mark.parametrize("statement", [
-        "st.global.u32 [%rd1], %r1;",
-        "st.shared.u32 [%rd1], %r1;",
-        "st.local.u32 [%rd1], %r1;",
-        "atom.global.add.u32 %r2, [%rd1], %r1;",
-        "ld.param.u32 %r2, [%rd1];",
-    ])
+    @pytest.mark.parametrize(
+        "statement", [text for text, routed in _ACCESSES.items() if routed])
     def test_fenced_or_buffered_forms_accepted(self, statement):
         validate_module(_module(self._REGS + statement + "\nret;"))
