@@ -10,7 +10,9 @@ Two obligations per fencing mode:
 """
 
 import contextlib
+import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -345,12 +347,13 @@ class TestStateSpaceAttack:
             assert victim.memcpy_d2h(buffer, 64) == self.SECRET
 
 
-def wild_text(form: str) -> str:
+def wild_text(form: str, held: str) -> str:
     """One thread loads or stores a u32 in ``.local``/``.shared`` at
-    the signed address ``where``; a load's value goes to ``out``."""
-    b = KernelBuilder("wild", params=[("out", "u64"), ("where", "s64")])
+    the signed address ``where``, held in a ``held`` register; a load's
+    value goes to ``out``."""
+    b = KernelBuilder("wild", params=[("out", "u64"), ("where", held)])
     out = b.load_param_ptr("out")
-    where = b.load_param("where", "s64")
+    where = b.load_param("where", held)
     b.shared_array("scratch", "u32", 16)
     if form.startswith("st."):
         b.emit(f"{form}.u32", MemRef(where), b.mov("u32", 7))
@@ -363,18 +366,22 @@ def wild_text(form: str) -> str:
 
 class TestWildBufferAddress:
     """A shared or local access outside its buffer is the same counted
-    kill on every engine, and the tenant's next launch runs."""
+    kill on every engine, and the tenant's next launch runs. An s64
+    -4 wraps to 2**64 - 4; an s32 one stays -4, which ``struct`` would
+    count from the end of the buffer."""
 
     @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("where", [1 << 40, -4], ids=["far", "below"])
+    @pytest.mark.parametrize("where,held", [
+        (1 << 40, "s64"), (-4, "s64"), (-4, "s32")],
+        ids=["far", "below", "below_s32"])
     @pytest.mark.parametrize("form", ["st.local", "ld.local", "st.shared",
                                       "ld.shared"])
-    def test_counted_kill(self, form, where, engine):
+    def test_counted_kill(self, form, where, held, engine):
         with forced_engine(engine) as make:
             server = served(FencingMode.BITWISE, make)
             client = GuardianClient(server, "alice", 1 << 20)
             buffer = client.malloc(256)
-            handle = client.load_module_ptx(wild_text(form))["wild"]
+            handle = client.load_module_ptx(wild_text(form, held))["wild"]
             with pytest.raises(GuardianError) as killed:
                 client.launch_kernel(handle, (1, 1, 1), (1, 1, 1),
                                      [buffer, where])
@@ -384,6 +391,106 @@ class TestWildBufferAddress:
             client.launch_kernel(handle, (1, 1, 1), (1, 1, 1), [buffer, 0])
             client.synchronize()
             assert server.stats.kernels_killed == 1
+
+
+_ARITHMETIC_TEXT = """.version 7.5
+.target sm_86
+.address_size 64
+
+.visible .entry arith(
+\t.param .u64 arith_param_out,
+\t.param .u32 arith_param_d
+)
+{{
+\t.reg .b32 \t%r<4>;
+\t.reg .f32 \t%f<5>;
+\t.reg .b64 \t%rd<2>;
+\t.reg .f64 \t%fd<2>;
+\tld.param.u64 %rd1, [arith_param_out];
+\tld.param.u32 %r1, [arith_param_d];
+{body}
+\tret;
+}}
+"""
+
+#: ``7 <op> d``, stored at ``out``.
+_INTEGER_DIVISION = """\tmov.u32 %r2, 7;
+\t{opcode} %r3, %r2, %r1;
+\tst.global.u32 [%rd1], %r3;"""
+
+#: What nvcc and hand-written PTX put in float registers that Python's
+#: ``repr`` cannot spell back, and division by zero; each with the
+#: bytes it stores.
+_FLOAT_CASES = {
+    # max(-inf, out[0]) back to out[0], the seed itself to out[1].
+    "neg_inf_immediate": ("""\tld.global.f32 %f1, [%rd1];
+\tmov.f32 %f2, 0fFF800000;
+\tmax.f32 %f3, %f2, %f1;
+\tst.global.f32 [%rd1], %f3;
+\tst.global.f32 [%rd1+4], %f2;""",
+                          struct.pack("<ff", 2.5, -math.inf)),
+    # 2**129: an f64 no f32 holds.
+    "f64_immediate": ("""\tmov.f64 %fd1, 0d4800000000000000;
+\tst.global.f64 [%rd1], %fd1;""", struct.pack("<d", 2.0 ** 129)),
+    # 2.5 / 0, -2.5 / 0, 0 / 0 (IEEE: +inf, -inf, NaN).
+    "float_division_by_zero": ("""\tld.global.f32 %f1, [%rd1];
+\tcvt.rn.f32.u32 %f2, %r1;
+\tdiv.rn.f32 %f3, %f1, %f2;
+\tst.global.f32 [%rd1], %f3;
+\tneg.f32 %f4, %f1;
+\tdiv.rn.f32 %f3, %f4, %f2;
+\tst.global.f32 [%rd1+4], %f3;
+\tdiv.rn.f32 %f3, %f2, %f2;
+\tst.global.f32 [%rd1+8], %f3;""",
+                               struct.pack("<fff", math.inf, -math.inf,
+                                           math.nan)),
+}
+
+
+class TestArithmeticOutcomes:
+    """Division by zero and non-finite or f32-overflowing immediates
+    through the server's load path: one outcome on every engine."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("opcode", ["div.u32", "rem.u32", "div.s32"])
+    def test_integer_division_by_zero_is_a_counted_kill(self, opcode,
+                                                        engine):
+        text = _ARITHMETIC_TEXT.format(
+            body=_INTEGER_DIVISION.format(opcode=opcode))
+        with forced_engine(engine) as make:
+            server = served(FencingMode.BITWISE, make)
+            client = GuardianClient(server, "alice", 1 << 20)
+            out = client.malloc(4)
+            handle = client.load_module_ptx(text)["arith"]
+            with pytest.raises(GuardianError) as killed:
+                client.launch_kernel(handle, (1, 1, 1), (1, 1, 1), [out, 0])
+                client.synchronize()
+            cause = killed.value.__cause__
+            assert isinstance(cause, ExecutionError)
+            what = "remainder" if opcode.startswith("rem") else "division"
+            assert str(cause) == f"integer {what} by zero"
+            assert server.stats.kernels_killed == 1
+            client.launch_kernel(handle, (1, 1, 1), (1, 1, 1), [out, 3])
+            client.synchronize()
+            assert server.stats.kernels_killed == 1
+            answer = 1 if opcode.startswith("rem") else 2
+            assert client.memcpy_d2h(out, 4) == answer.to_bytes(4, "little")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("case", sorted(_FLOAT_CASES))
+    def test_float_bytes(self, case, engine):
+        body, stored = _FLOAT_CASES[case]
+        text = _ARITHMETIC_TEXT.format(body=body)
+        with forced_engine(engine) as make:
+            server = served(FencingMode.BITWISE, make)
+            client = GuardianClient(server, "alice", 1 << 20)
+            out = client.malloc(16)
+            client.memcpy_h2d(out, struct.pack("<f", 2.5))
+            handle = client.load_module_ptx(text)["arith"]
+            client.launch_kernel(handle, (1, 1, 1), (1, 1, 1), [out, 0])
+            client.synchronize()
+            assert client.memcpy_d2h(out, len(stored)) == stored
+            assert server.stats.kernels_killed == 0
 
 
 #: A memory operand outside the address slot, or none in it.

@@ -9,9 +9,12 @@ with the ``random.Random`` interface (hypothesis' ``st.randoms()``).
 
 Every register is written before it is read on every path (values made
 inside an ``if`` or loop body leave it only through the accumulators
-declared up front), which is what the block engine admits.
+declared up front), which is what the block engine admits. Now and then
+a float operand is a non-finite immediate and a divisor may be zero, so
+the IEEE results and the integer-division kill are compared too.
 """
 
+import math
 import struct
 
 from repro.ptx.ast import Guard, Immediate, MemRef
@@ -26,11 +29,15 @@ WIDE_IMMEDIATES = [0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9,
 WORDS_PER_THREAD = 8
 
 
+#: f32 immediates no Python literal spells: -inf seeds nvcc's max
+#: reductions, and a NaN keeps its sign bit through a store.
+NON_FINITE = [math.inf, -math.inf, math.nan,
+              struct.unpack("<f", bytes.fromhex("0000c0ff"))[0]]
+
+
 def _f32(rng, low: float, high: float) -> Immediate:
     """A drawn ``.f32`` immediate that is an f32, as PTX's ``0f``
-    literals are: the interpreter rounds a register on every write, the
-    JIT only on store, and an unrepresentable constant compared with
-    itself would tell them apart."""
+    literals are."""
     value = rng.uniform(low, high)
     return Immediate(struct.unpack("<f", struct.pack("<f", value))[0])
 
@@ -59,6 +66,23 @@ class _Draw:
         self.wides = [b.cvt("u64", "u32", self.gid),
                       b.load_param("seed", "u64")]
 
+    # -- operands ---------------------------------------------------------------
+
+    def divisor(self, dtype: str, value):
+        """``value | 1``, or one time in eight ``value`` itself, which
+        may be 0 in some lane: a counted kill on every engine."""
+        if self.rng.random() < 0.125:
+            return value
+        return self.b.or_("b" + dtype[1:], value, Immediate(1))
+
+    def float_operand(self, floats):
+        """A float register or f32 immediate; one time in ten a
+        non-finite immediate."""
+        rng = self.rng
+        if rng.random() < 0.1:
+            return Immediate(rng.choice(NON_FINITE))
+        return rng.choice([rng.choice(floats), _f32(rng, -3, 3)])
+
     # -- one instruction of each family --------------------------------------
 
     def int_op(self, ints):
@@ -85,7 +109,7 @@ class _Draw:
             if isinstance(c, Immediate):
                 c = b.mov("u32", c)
             return b._binary(f"{kind}.u32", "u32", a,
-                             b.or_("b32", c, Immediate(1)))
+                             self.divisor("u32", c))
         if kind == "mad":
             return b.mad_lo("u32", a, Immediate(rng.randrange(1, 9)),
                             rng.choice(ints))
@@ -105,7 +129,7 @@ class _Draw:
                             value)
         if kind == "div":
             return b._binary("div.s32", "s32", value,
-                             b.or_("b32", small, Immediate(1)))
+                             self.divisor("s32", small))
         return b.shr("s32", value, Immediate(rng.randrange(0, 5)))
 
     def float_op(self, floats, ints):
@@ -114,7 +138,7 @@ class _Draw:
                            "neg", "div", "sqrt", "sfu", "load", "cvt",
                            "selp"])
         a = rng.choice(floats)
-        c = rng.choice([rng.choice(floats), _f32(rng, -3, 3)])
+        c = self.float_operand(floats)
         if kind in ("add", "sub", "mul"):
             return getattr(b, kind)("f32", a, c)
         if kind == "fma":
@@ -124,8 +148,8 @@ class _Draw:
         if kind in ("abs", "neg"):
             return b.unary(kind, "f32", a)
         if kind == "div":
-            return b.div("f32", a,
-                         Immediate(rng.choice([-4.0, 0.5, 3.0, 7.0])))
+            return b.div("f32", a, Immediate(
+                rng.choice([-4.0, 0.5, 3.0, 7.0, 0.0, -0.0])))
         if kind == "sqrt":
             return b.unary("sqrt", "f32", b.unary("abs", "f32", a))
         if kind == "sfu":
@@ -187,7 +211,7 @@ class _Draw:
             if isinstance(c, Immediate):
                 c = b.mov("u64", c)
             return b._binary(f"{kind}.u64", "u64", a,
-                             b.or_("b64", c, Immediate(1)))
+                             self.divisor("u64", c))
         if kind == "not":
             return b.unary("not", "b64", a)
         if kind == "neg":

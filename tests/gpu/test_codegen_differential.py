@@ -14,7 +14,9 @@ round-trip property tests.
 
 import dataclasses
 import json
+import math
 import resource
+import struct
 import sys
 import time
 from unittest import mock
@@ -42,6 +44,7 @@ from repro.ptx.ast import (
     SharedDecl,
     TargetList,
 )
+from repro.ptx import isa
 from repro.ptx.builder import KernelBuilder, build_module
 
 from tests.conftest import (
@@ -1926,3 +1929,112 @@ class TestFenceEmission:
         pairs = [(seed - tid, 1000 + tid) for tid in range(16)]
         assert list(out[:16]) == [n // d for n, d in pairs]
         assert list(out[16:]) == [n % d for n, d in pairs]
+
+
+# --------------------------------------------------------------------------
+# Division by zero and non-finite immediates
+# --------------------------------------------------------------------------
+
+
+def quotient_kernel(opcode):
+    """out[tid] = (tid + 7) <op> (tid - 5): thread 5 divides by zero."""
+    dtype = opcode.rsplit(".", 1)[-1]
+    b = KernelBuilder("quotient_" + opcode.replace(".", "_"),
+                      params=[("out", "u64")])
+    out = b.load_param_ptr("out")
+    tid = b.special("%tid.x")
+    wide = b.cvt(dtype, "u32", tid) if dtype.endswith("64") else tid
+    numerator = b.add(dtype, wide, Immediate(7))
+    divisor = b.sub(dtype, wide, Immediate(5))
+    b.st_global(dtype, b.element_addr(out, tid, isa.type_width(dtype)),
+                b._binary(opcode, dtype, numerator, divisor))
+    return b.build()
+
+
+def float_quotient_kernel():
+    """out[tid] = f32(tid - 5) / d, the divisor a parameter."""
+    b = KernelBuilder("float_quotient", params=[("out", "u64"),
+                                                ("d", "f32")])
+    out = b.load_param_ptr("out")
+    tid = b.special("%tid.x")
+    numerator = b.cvt("f32", "s32", b.sub("s32", tid, Immediate(5)))
+    b.st_global("f32", b.element_addr(out, tid, 4),
+                b.div("f32", numerator, b.load_param("d", "f32")))
+    return b.build()
+
+
+#: A quiet NaN with its sign bit set, as an f32 immediate.
+NEGATIVE_NAN = struct.unpack("<f", bytes.fromhex("0000c0ff"))[0]
+
+
+def seeded_max_kernel():
+    """nvcc's max reduction: best = -inf, then max with in[4t..4t+3];
+    out[3t] = best, out[3t+1] = best + inf, out[3t+2] = -NaN."""
+    b = KernelBuilder("seeded_max", params=[("out", "u64"), ("inp", "u64")])
+    out = b.load_param_ptr("out")
+    inp = b.load_param_ptr("inp")
+    tid = b.special("%tid.x")
+    best = b.mov("f32", Immediate(-math.inf))
+    with b.loop(Immediate(4)) as trip:
+        index = b.mad_lo("u32", tid, Immediate(4), trip)
+        b.emit("max.f32", best, best,
+               b.ld_global("f32", b.element_addr(inp, index, 4)))
+    cell = b.mul("u32", tid, Immediate(3))
+    b.st_global("f32", b.element_addr(out, cell, 4), best)
+    b.st_global("f32", b.element_addr(out, cell, 4),
+                b.add("f32", best, Immediate(math.inf)), offset=4)
+    b.st_global("f32", b.element_addr(out, cell, 4),
+                b.mov("f32", Immediate(NEGATIVE_NAN)), offset=8)
+    return b.build()
+
+
+def assert_one_outcome(outcomes):
+    """All three engines: nothing may differ."""
+    assert_identical(outcomes["interpreter"], outcomes["jit"])
+    assert_identical(outcomes["jit"], outcomes["block"])
+
+
+class TestArithmeticEdges:
+    """At 16 threads the JIT runs the block; at 64 the block engine
+    runs it first and hands it back where numpy raises."""
+
+    @pytest.mark.parametrize("threads", [16, 64])
+    @pytest.mark.parametrize("opcode", ["div.u32", "rem.u32", "div.s32",
+                                        "rem.s32", "div.u64", "rem.u64"])
+    def test_integer_division_by_zero(self, opcode, threads):
+        outcomes = run_engines(quotient_kernel(opcode), (1, 1, 1),
+                               (threads, 1, 1), [BASE])
+        assert_one_outcome(outcomes)
+        what = "remainder" if opcode.startswith("rem") else "division"
+        error = outcomes["jit"].error
+        assert isinstance(error, ExecutionError)
+        assert str(error) == f"integer {what} by zero"
+        dtype = opcode.rsplit(".", 1)[-1]
+        stored = outcomes["jit"].memory.read_array(BASE, 6, dtype=dtype)
+        assert stored[5] == 0  # the killed thread, and nothing after it
+        assert stored[:5].any()
+
+    @pytest.mark.parametrize("threads", [16, 64])
+    @pytest.mark.parametrize("divisor", [0.0, -0.0], ids=["+0", "-0"])
+    def test_float_division_by_zero(self, divisor, threads):
+        outcomes = run_engines(float_quotient_kernel(), (1, 1, 1),
+                               (threads, 1, 1), [BASE, divisor])
+        assert_one_outcome(outcomes)
+        assert outcomes["jit"].error is None
+        stored = outcomes["jit"].memory.read_array(BASE, threads)
+        sign = math.copysign(1.0, divisor)
+        assert list(stored[:5]) == [-sign * math.inf] * 5
+        assert stored[5:6].tobytes() == struct.pack("<f", math.nan)
+        assert list(stored[6:]) == [sign * math.inf] * (threads - 6)
+
+    @pytest.mark.parametrize("threads", [16, 64])
+    def test_non_finite_immediates(self, threads):
+        outcomes = run_engines(seeded_max_kernel(), (1, 1, 1),
+                               (threads, 1, 1), [BASE, F1], library_setup)
+        assert_one_outcome(outcomes)
+        stored = outcomes["jit"].memory.read_array(BASE, 3 * threads)
+        inputs = outcomes["jit"].memory.read_array(F1, 4 * threads)
+        assert np.array_equal(stored[0::3], inputs.reshape(-1, 4).max(1))
+        assert list(stored[1::3]) == [math.inf] * threads
+        assert stored[2::3].tobytes() == struct.pack(
+            "<f", NEGATIVE_NAN) * threads

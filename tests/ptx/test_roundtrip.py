@@ -6,6 +6,7 @@ loss in either direction would corrupt tenant kernels.
 """
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,6 +123,23 @@ class TestPropertyRoundtrip:
         assert parsed_value == float(value) or (
             math.isnan(parsed_value) and math.isnan(value)
         )
+
+    @pytest.mark.parametrize("text", ["0d4800000000000000",
+                                      "0dFE6FFFFFFFFFFFFF",
+                                      "0d47EFFFFFF0000000"])
+    def test_f64_immediates_beyond_f32_roundtrip(self, text):
+        """A double too large for f32 is emitted as ``0d``: parse ->
+        emit -> parse keeps the text and the value."""
+        source = (".version 7.5\n.target sm_86\n.address_size 64\n\n"
+                  ".visible .entry dk()\n{\n\t.reg .f64 \t%fd<2>;\n"
+                  f"\tmov.f64 %fd1, {text};\n\tret;\n}}\n")
+        module = parse_module(source)
+        reparsed = assert_roundtrips(module)
+        assert f"mov.f64 %fd1, {text};" in emit_module(reparsed)
+        mov, = [i for i in reparsed.kernels["dk"].instructions()
+                if i.base_op == "mov"]
+        assert mov.operands[1].value == struct.unpack(
+            ">d", bytes.fromhex(text[2:]))[0]
 
     @given(st.integers(min_value=-(2**63), max_value=2**64 - 1))
     def test_int_immediates_roundtrip(self, value):
