@@ -54,7 +54,7 @@ import math
 
 import numpy as np
 
-from repro.gpu.codegen import SFU_FORMULAS
+from repro.gpu.codegen import NONFINITE_ENV, SFU_FORMULAS
 from repro.gpu.memory import PAGE_SIZE
 
 MASK32 = (1 << 32) - 1
@@ -386,6 +386,7 @@ VALUE_ENV = {
     "_compact": _compact,
     "_zeros": lambda width: np.zeros(width, dtype=_I8),
     "_Bail": Bail,
+    **NONFINITE_ENV,
     **{f"_sfu_{name}": _make_sfu(formula)
        for name, formula in SFU_FORMULAS.items()},
 }

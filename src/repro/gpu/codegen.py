@@ -15,18 +15,12 @@ kernel with ``bar``, whose threads must meet at the barrier):
 - global loads/stores are inline (L1 way-0 compare, in-page access);
   a fault or any other cache outcome calls a pre-bound helper.
 
-Semantics match the interpreter, with two documented deviations chosen
-for speed and verified acceptable by the differential tests
-(``tests/gpu/test_codegen_differential.py``):
-
-1. f32 arithmetic is evaluated in double precision and rounded to f32
-   only when stored to memory (a *more* accurate instance of IEEE
-   nondeterminism; real GPUs also fuse/contract);
-2. reading a never-written register yields 0 instead of raising (real
-   hardware gives an undefined value; 0 is one such value).
-
-Cycle accounting is bit-identical to the interpreter's, which the
-differential tests also assert.
+Semantics are the interpreter's: f32 is held in double and rounded
+only by a store's pack, a never-written register reads 0, float
+division by zero gives IEEE's infinity or NaN and integer division by
+zero kills the kernel. Memory effects, errors, counters, warp cycles
+and cache lines are identical, which the differential tests
+(``tests/gpu/test_codegen_differential.py``) assert byte for byte.
 
 The block engine
 ----------------
@@ -98,6 +92,28 @@ def _truncdiv(a, b):
 
 def _truncrem(a, b):
     return a - _truncdiv(a, b) * b
+
+
+def ieee_div(a, b):
+    """``a / b`` in IEEE arithmetic, where Python raises: ``x / ±0`` is
+    infinity signed by both operands, ``0 / 0`` and ``NaN / 0`` NaN."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        if a == 0 or a != a:
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _f64(bits: int) -> float:
+    """The double with these bits (a NaN keeps its sign and payload)."""
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+#: Generated code spells a non-finite constant ``_f64(bits)``: ``repr``
+#: gives ``inf`` or ``nan``, which no scope binds. In both engines'
+#: globals.
+NONFINITE_ENV = {"_f64": _f64}
 
 
 def make_memory_helpers(memory: GlobalMemory, hierarchy,
@@ -309,6 +325,8 @@ def buffer_fault(buffer, offset: int, width: int) -> None:
 _BASE_ENV = {
     "_truncdiv": _truncdiv,
     "_truncrem": _truncrem,
+    "_ieee_div": ieee_div,
+    **NONFINITE_ENV,
     "_sv8": _make_signed_view(8),
     "_sv16": _make_signed_view(16),
     "_sv32": _make_signed_view(32),
@@ -590,7 +608,11 @@ class KernelCodegen:
             self._declared.add(name)
             return name
         if isinstance(operand, Immediate):
-            return repr(operand.value)
+            value = operand.value
+            if isinstance(value, float) and not math.isfinite(value):
+                bits = struct.unpack("<Q", struct.pack("<d", value))[0]
+                return f"_f64({bits:#x})"
+            return repr(value)
         if isinstance(operand, SpecialReg):
             return _SPECIAL_LOCALS[operand.name]
         if isinstance(operand, Symbol):
@@ -927,6 +949,29 @@ class ThreadCodegen(KernelCodegen):
                 and type(operand.value) is int
                 and 0 <= operand.value <= _MASK64)
 
+    def _emit_div(self, ins) -> None:
+        self._zero_divisor(ins, super()._emit_div, "division")
+
+    def _emit_rem(self, ins) -> None:
+        self._zero_divisor(ins, super()._emit_rem, "remainder")
+
+    def _zero_divisor(self, ins, emit, what: str) -> None:
+        """Emit ``ins`` inside a ``try`` (free until it raises) whose
+        handler gives IEEE's answer to a float division by zero, and
+        the interpreter's kill to an integer one."""
+        gen = self.gen
+        gen.emit("try:")
+        gen.indent += 1
+        emit(ins)
+        gen.indent -= 1
+        gen.emit("except ZeroDivisionError:")
+        if isa.is_float(ins.dtype or "u32"):
+            dest, a, b = (self._expr(operand) for operand in ins.operands)
+            gen.emit(f"    {dest} = _ieee_div({a}, {b})")
+        else:
+            gen.emit(f"    raise ExecutionError('integer {what} by zero') "
+                     "from None")
+
     def _emit_sfu(self, ins) -> None:
         source = f"float({self._expr(ins.operands[1])})"
         name = self._expr(ins.operands[0])
@@ -969,7 +1014,7 @@ class ThreadCodegen(KernelCodegen):
                 buffer, cost = "_lmem", self.cost_model.memory_cost("local")
             gen.emit(f"_cycles += {cost}")
             unpacker = _SHARED_STRUCTS[dtype]
-            with self._buffer_access(buffer, address, dtype):
+            with self._buffer_access(buffer, memref, dtype):
                 self._assign(
                     dest, f"{unpacker}.unpack_from({buffer}, {address})[0]",
                     dtype)
@@ -992,11 +1037,11 @@ class ThreadCodegen(KernelCodegen):
         value = self._expr(source)
         if route == isa.SHARED:
             gen.emit(f"_cycles += {SHARED_ACCESS_CYCLES}")
-            self._emit_buffer_store("shared", dtype, address, value)
+            self._emit_buffer_store("shared", dtype, memref, value)
         elif route == isa.LOCAL:
             cost = self.cost_model.memory_cost("local")
             gen.emit(f"_cycles += {cost}")
-            self._emit_buffer_store("_lmem", dtype, address, value)
+            self._emit_buffer_store("_lmem", dtype, memref, value)
         else:
             access = ["if _pg is None: "
                       f"_pg = _P[_pi] = bytearray({PAGE_SIZE})"]
@@ -1023,7 +1068,7 @@ class ThreadCodegen(KernelCodegen):
         for line in source.split("\n"):
             self.gen.emit(line)
 
-    def _emit_buffer_store(self, buffer: str, dtype: str, address: str,
+    def _emit_buffer_store(self, buffer: str, dtype: str, memref: MemRef,
                            value: str) -> None:
         packer = _SHARED_STRUCTS[dtype]
         if isa.is_float(dtype):
@@ -1035,23 +1080,32 @@ class ThreadCodegen(KernelCodegen):
                 value = (f"(({value}) - {1 << bits} "
                          f"if ({value}) >= {1 << (bits - 1)} "
                          f"else ({value}))")
-        with self._buffer_access(buffer, address, dtype):
-            self.gen.emit(f"{packer}.pack_into({buffer}, {address}, "
-                          f"{value})")
+        with self._buffer_access(buffer, memref, dtype):
+            self.gen.emit(f"{packer}.pack_into({buffer}, "
+                          f"{self._address(memref)}, {value})")
 
     @contextlib.contextmanager
-    def _buffer_access(self, buffer: str, address: str, dtype: str):
+    def _buffer_access(self, buffer: str, memref: MemRef, dtype: str):
         """Emit a shared or local access inside a ``try`` whose handler
         turns an offset ``struct`` refused into :func:`buffer_fault`'s
-        kill (free until it raises)."""
+        kill (free until it raises). ``struct`` counts a negative
+        offset from the end, so an address that may be negative (a
+        negative displacement, or a register not bound through the
+        64-bit wrap) is refused before the access."""
         gen = self.gen
+        address = self._address(memref)
+        fault = (f"_buffer_fault({buffer}, {address}, "
+                 f"{isa.type_width(dtype)})")
+        base = memref.base
+        if memref.offset < 0 or (isinstance(base, Register)
+                                 and not self._in_range(base)):
+            gen.emit(f"if {address} < 0: {fault}")
         gen.emit("try:")
         gen.indent += 1
         yield
         gen.indent -= 1
         gen.emit("except _BUFFER_FAULTS:")
-        gen.emit(f"    _buffer_fault({buffer}, {address}, "
-                 f"{isa.type_width(dtype)}); raise")
+        gen.emit(f"    {fault}; raise")
 
     def _emit_atomic(self, ins) -> None:
         dest, memref, operand = ins.operands

@@ -670,12 +670,7 @@ class KernelExecutor:
     def _value(self, thread: _Thread, operand, params: list,
                compiled: CompiledKernel):
         if isinstance(operand, Register):
-            try:
-                return thread.regs[operand.name]
-            except KeyError:
-                raise ExecutionError(
-                    f"read of uninitialised register {operand.name}"
-                ) from None
+            return thread.regs.get(operand.name, 0)
         if isinstance(operand, Immediate):
             return operand.value
         if isinstance(operand, SpecialReg):
@@ -728,8 +723,6 @@ class KernelExecutor:
                 value = wrap_int(int(value), width, False)
             else:
                 value = int(value)
-        elif dtype == "f32":
-            value = struct.unpack("<f", struct.pack("<f", value))[0]
         thread.regs[operand.name] = value
 
     # -- data instructions -----------------------------------------------------
@@ -766,14 +759,11 @@ class KernelExecutor:
         elif op in ("mad", "fma"):
             self._mad(ins, thread, value)
         elif op == "div":
-            denominator = value(operands[2])
-            if denominator == 0 and not isa.is_float(ins.dtype or "u32"):
+            numerator, denominator = value(operands[1]), value(operands[2])
+            if isa.is_float(ins.dtype or "u32"):
+                result = codegen.ieee_div(numerator, denominator)
+            elif denominator == 0:
                 raise ExecutionError("integer division by zero")
-            numerator = value(operands[1])
-            if isa.is_float(ins.dtype or ""):
-                result = numerator / denominator if denominator else (
-                    math.inf if numerator > 0 else -math.inf
-                )
             else:
                 result = codegen._truncdiv(numerator, denominator)
             self._set_reg(thread, operands[0], ins.dtype, result)
@@ -908,12 +898,7 @@ class KernelExecutor:
                            memref: MemRef, params: list) -> int:
         base = memref.base
         if isinstance(base, Register):
-            base_value = thread.regs.get(base.name)
-            if base_value is None:
-                raise ExecutionError(
-                    f"address register {base.name} is uninitialised"
-                )
-            return int(base_value) + memref.offset
+            return int(thread.regs.get(base.name, 0)) + memref.offset
         # Symbol base: shared array or module global.
         name = base.name
         if name in compiled.shared_layout:

@@ -55,11 +55,14 @@ class Immediate:
         if isinstance(self.value, float):
             import struct
 
-            packed = struct.pack(">f", self.value)
-            if struct.unpack(">f", packed)[0] == self.value or (
-                self.value != self.value  # NaN round-trips as NaN
-            ):
-                return "0f" + packed.hex().upper()
+            try:
+                packed = struct.pack(">f", self.value)
+                if struct.unpack(">f", packed)[0] == self.value or (
+                    self.value != self.value  # NaN round-trips as NaN
+                ):
+                    return "0f" + packed.hex().upper()
+            except OverflowError:  # a double beyond the f32 range
+                pass
             return "0d" + struct.pack(">d", self.value).hex().upper()
         return str(self.value)
 

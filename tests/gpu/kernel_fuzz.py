@@ -355,6 +355,17 @@ class _Draw:
         return b.build()
 
 
+def may_go_non_finite(kernel) -> bool:
+    """Whether ``kernel`` holds a non-finite immediate or divides by a
+    zero one: numpy raises at the first inf or NaN, so the block engine
+    hands such a block back even when what is stored is finite."""
+    return any(
+        isinstance(operand, Immediate) and isinstance(operand.value, float)
+        and (not math.isfinite(operand.value)
+             or ins.base_op == "div" and operand.value == 0)
+        for ins in kernel.instructions() for operand in ins.operands)
+
+
 def structured_kernel(rng, use_shared=None):
     """``fuzz(out, inp, n, s, seed)``: threads ``gid < n`` run a random
     structured body and store their accumulators. ``use_shared=False``

@@ -1,12 +1,11 @@
 """Differential tests over the simulator's three engines.
 
-- interpreter vs per-thread JIT: equal memory effects (up to the one
-  tolerated f32 rounding difference), instruction counts and cycles;
-- per-thread JIT vs block engine: *exactly* equal - every byte, every
-  counter, every cache line - on library kernels, divergent control
-  flow, fenced kernels under attack, and kernels that fault (where the
-  block engine must hand the block back and the same exception and
-  the same partial memory state must come out).
+Interpreter, per-thread JIT and block engine are *exactly* equal -
+every byte, every error, every counter, every cache line - on library
+kernels, divergent control flow, fenced kernels under attack, and
+kernels that fault (where the block engine must hand the block back
+and the same exception and the same partial memory state must come
+out).
 
 Random kernels come from the same builder-based strategy as the
 round-trip property tests.
@@ -55,7 +54,7 @@ from tests.conftest import (
     writer_kernel,
 )
 from tests.core.test_patch_semantics import MODES, PART_SIZE, extra_params
-from tests.gpu.kernel_fuzz import structured_kernel
+from tests.gpu.kernel_fuzz import may_go_non_finite, structured_kernel
 from tests.ptx.test_roundtrip import random_straightline_kernel
 
 SPEC = QUADRO_RTX_A4000
@@ -104,31 +103,8 @@ def run_engines(kernel, grid, block, params, setup=None, engines=ENGINES,
             for engine in engines}
 
 
-def assert_equivalent(reference, jit):
-    """Interpreter vs JIT: the engines' only tolerated divergence is
-    that f32 chains round per-op in the interpreter but once in the
-    JIT, so stored floats may differ in the last ulps. Integer bytes
-    still compare exactly through the f32 view (equal bits)."""
-    assert reference.error is None and jit.error is None
-    if reference.bytes != jit.bytes:
-        a = np.frombuffer(reference.bytes, dtype=np.float32)
-        b = np.frombuffer(jit.bytes, dtype=np.float32)
-        both_nan = np.isnan(a) & np.isnan(b)
-        assert np.all(
-            np.isclose(a, b, rtol=1e-3, atol=1e-30) | both_nan
-        ), "memory effects diverge beyond f32 rounding"
-    res_a, res_b = reference.result, jit.result
-    assert res_a.instructions == res_b.instructions
-    assert res_a.loads == res_b.loads
-    assert res_a.stores == res_b.stores
-    assert res_a.total_warp_cycles == pytest.approx(
-        res_b.total_warp_cycles
-    )
-    assert res_a.level_counts == res_b.level_counts
-
-
 def assert_identical(jit, block):
-    """Per-thread JIT vs block engine: nothing may differ."""
+    """Two engines' outcomes: nothing may differ."""
     assert type(jit.error) is type(block.error)
     assert str(jit.error) == str(block.error)
     assert jit.bytes == block.bytes
@@ -141,6 +117,13 @@ def assert_identical(jit, block):
     assert jit.cache_state() == block.cache_state()
     # Same types too: the counters are plain ints wherever they go.
     assert json.dumps(jit.cache_state()) == json.dumps(block.cache_state())
+
+
+def assert_one_outcome(outcomes):
+    """Every engine ``run_engines`` ran: nothing may differ."""
+    first, *others = outcomes.values()
+    for other in others:
+        assert_identical(first, other)
 
 
 def vectorised(outcome) -> bool:
@@ -219,8 +202,7 @@ class TestKnownKernels:
             saxpy_kernel(), (2, 1, 1), (64, 1, 1),
             [BASE, BASE + 65536, 2.0, 100], setup,
         )
-        assert_equivalent(outcomes["interpreter"], outcomes["jit"])
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert_one_outcome(outcomes)
         assert vectorised(outcomes["block"])
 
     @pytest.mark.parametrize("kernel_name,grid,block,params", [
@@ -242,8 +224,7 @@ class TestKnownKernels:
     def test_library_kernels(self, kernel_name, grid, block, params):
         outcomes = run_engines(LIBRARY[kernel_name], grid, block, params,
                                library_setup)
-        assert_equivalent(outcomes["interpreter"], outcomes["jit"])
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert_one_outcome(outcomes)
 
     def test_every_entry_kernel_has_a_launch(self):
         entries = {name for name, kernel in LIBRARY.items()
@@ -255,8 +236,7 @@ class TestKnownKernels:
         grid, block, params = LIBRARY_LAUNCHES[kernel_name]
         outcomes = run_engines(LIBRARY[kernel_name], grid, block, params,
                                library_setup)
-        assert_equivalent(outcomes["interpreter"], outcomes["jit"])
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert_one_outcome(outcomes)
         # The whole library is admitted and nothing is handed back:
         # equality above is the block engine's own work.
         assert vectorised(outcomes["block"])
@@ -341,8 +321,7 @@ class TestControlFlow:
         outcomes = run_engines(
             collatz_kernel(), (2, 1, 1), (96, 1, 1),
             [BASE, BASE + 65536, 150], setup)
-        assert_equivalent(outcomes["interpreter"], outcomes["jit"])
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert_one_outcome(outcomes)
         assert vectorised(outcomes["block"])
         steps = outcomes["block"].memory.read_array(BASE, 4, dtype="u32")
         assert list(steps) == [16, 17, 7, 18]  # walks from 7, 14, 21, 28
@@ -359,8 +338,7 @@ class TestControlFlow:
     def test_predicated_instructions(self):
         outcomes = run_engines(predicated_kernel(), (1, 1, 1), (64, 1, 1),
                                [BASE, 50])
-        assert_equivalent(outcomes["interpreter"], outcomes["jit"])
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert_one_outcome(outcomes)
         assert vectorised(outcomes["block"])
         out = outcomes["block"].memory.read_array(BASE, 64, dtype="u32")
         expected = [7 if i % 2 == 0 else i for i in range(50)] + [0] * 14
@@ -382,20 +360,7 @@ class TestRandomKernels:
         kernel = module.kernels["rk"]
         outcomes = run_engines(kernel, (1, 1, 1), (32, 1, 1),
                                [BASE, 32, 1.5], memory_bytes=4096)
-        interp, jit = outcomes["interpreter"], outcomes["jit"]
-        # f32 stores may differ in the last ulp (the JIT evaluates f32
-        # chains in double precision; the interpreter rounds each op).
-        a = np.frombuffer(interp.bytes, dtype=np.float32)
-        b = np.frombuffer(jit.bytes, dtype=np.float32)
-        both_nan = np.isnan(a) & np.isnan(b)
-        close = np.isclose(a, b, rtol=1e-4, atol=1e-30) | both_nan
-        finite_mismatch = ~close & np.isfinite(a) & np.isfinite(b)
-        assert not finite_mismatch.any()
-        assert interp.result.instructions == jit.result.instructions
-        assert interp.result.total_warp_cycles == pytest.approx(
-            jit.result.total_warp_cycles
-        )
-        assert_identical(jit, outcomes["block"])
+        assert_one_outcome(outcomes)
         assert vectorised(outcomes["block"])
 
     @given(random_straightline_kernel())
@@ -405,6 +370,13 @@ class TestRandomKernels:
             module.kernels["rk"], (2, 1, 1), (48, 1, 1), [BASE, 70, -2.5],
             memory_bytes=4096, engines=("jit", "block"))
         assert_identical(outcomes["jit"], outcomes["block"])
+
+
+def finite_run(kernel, outcome) -> bool:
+    """No error, no inf or NaN stored, and none possible on the way."""
+    stored = np.frombuffer(outcome.bytes, dtype=np.float32)
+    return (outcome.error is None and np.isfinite(stored).all()
+            and not may_go_non_finite(kernel))
 
 
 class TestStructuredRandomKernels:
@@ -426,10 +398,9 @@ class TestStructuredRandomKernels:
         jit, block = outcomes["jit"], outcomes["block"]
         assert_identical(jit, block)
         # Admitted and carried through - a block handed back would make
-        # the comparison above vacuous - unless the draw overflowed a
-        # float, which Python and numpy report differently by design.
-        stored = np.frombuffer(jit.bytes, dtype=np.float32)
-        if jit.error is None and np.isfinite(stored).all():
+        # the comparison above vacuous - unless the draw made an inf or
+        # NaN, which Python and numpy report differently by design.
+        if finite_run(kernel, jit):
             assert vectorised(block)
 
     @given(st.randoms(use_true_random=False))
@@ -440,10 +411,7 @@ class TestStructuredRandomKernels:
             kernel, (2, 1, 1), (32, 1, 1),
             [BASE + (1 << 20), F1, 50, 0.75, rng.getrandbits(62)],
             library_setup, engines=("interpreter", "jit"))
-        jit, reference = outcomes["jit"], outcomes["interpreter"]
-        assert jit.result.instructions == reference.result.instructions
-        assert jit.result.total_warp_cycles == pytest.approx(
-            reference.result.total_warp_cycles)
+        assert_one_outcome(outcomes)
 
 
 VICTIM = BASE + PART_SIZE
@@ -527,8 +495,7 @@ class TestFencedKernels:
             fenced(saxpy_kernel(), mode), (2, 1, 1), (64, 1, 1),
             [BASE, BASE + 8192, 2.0, 64] + extra_params(mode),
             self._victim_setup, memory_bytes=1 << 24)
-        assert_equivalent(outcomes["interpreter"], outcomes["jit"])
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert_one_outcome(outcomes)
         assert vectorised(outcomes["block"])
 
 
@@ -556,10 +523,9 @@ class TestFaultsAndFallback:
             saxpy_kernel(), (2, 1, 1), (64, 1, 1),
             [BASE + 2, BASE + 65536, 2.0, 100],
             engines=ENGINES)
-        for outcome in outcomes.values():
-            assert isinstance(outcome.error, MemoryFault)
-            assert "misaligned f32" in str(outcome.error)
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert isinstance(outcomes["interpreter"].error, MemoryFault)
+        assert "misaligned f32" in str(outcomes["interpreter"].error)
+        assert_one_outcome(outcomes)
 
     def test_unmapped_store_mid_block(self):
         """Lanes 0..39 store inside the mapping, lane 40 is the first
@@ -586,8 +552,7 @@ class TestFaultsAndFallback:
     def test_cross_thread_store_to_load_in_one_phase(self):
         outcomes = run_engines(
             neighbour_kernel(), (1, 1, 1), (64, 1, 1), [BASE, 64])
-        assert_equivalent(outcomes["interpreter"], outcomes["jit"])
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert_one_outcome(outcomes)
         counts = outcomes["block"].executor.engine_blocks
         assert counts == {"block": 0, "thread": 1, "fallback": 1}
         out = outcomes["block"].memory.read_array(BASE, 64, dtype="u32")
@@ -662,8 +627,7 @@ class TestFaultsAndFallback:
                 mock.patch.object(blockrt.BlockRun, "release", spy):
             outcomes = run_engines(b.build(), (1, 1, 1), (64, 1, 1),
                                    [BASE])
-        assert_equivalent(outcomes["interpreter"], outcomes["jit"])
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert_one_outcome(outcomes)
         assert outcomes["block"].executor.engine_blocks == {
             "block": 1, "thread": 0, "fallback": 0}
         assert park.call_count == 1
@@ -810,8 +774,7 @@ class TestGridSpans:
         blocks = grid[0] * grid[1] * grid[2]
         assert blocks > 1
         outcomes = run_engines(kernel, grid, block, params, library_setup)
-        assert_equivalent(outcomes["interpreter"], outcomes["jit"])
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert_one_outcome(outcomes)
         counts = outcomes["block"].executor.engine_blocks
         assert counts == {"block": blocks, "thread": 0, "fallback": 0}
         # One pass for the whole grid, or one per block where shared
@@ -824,8 +787,7 @@ class TestGridSpans:
                                       (2, 1, 3)])
     def test_ctaid_is_a_lane_value_on_every_axis(self, grid):
         outcomes = run_engines(where_kernel(), grid, (32, 1, 1), [BASE])
-        assert_equivalent(outcomes["interpreter"], outcomes["jit"])
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert_one_outcome(outcomes)
         assert spans(outcomes["block"]) == (1, 0)
         gx, gy, gz = grid
         out = outcomes["block"].memory.read_array(
@@ -846,8 +808,7 @@ class TestGridSpans:
         outcomes = run_engines(
             collatz_kernel(), (5, 1, 1), (threads, 1, 1),
             [BASE, BASE + 65536, 5 * threads - 9], setup)
-        assert_equivalent(outcomes["interpreter"], outcomes["jit"])
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert_one_outcome(outcomes)
         assert vectorised(outcomes["block"])
         assert spans(outcomes["block"]) == (1, 0)
 
@@ -894,8 +855,7 @@ class TestGridSpans:
         outcomes = run_engines(
             saxpy_kernel(), (4, 1, 1), (64, 1, 1),
             [F2, F1, 2.0, count], library_setup)
-        assert_equivalent(outcomes["interpreter"], outcomes["jit"])
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert_one_outcome(outcomes)
         assert spans(outcomes["block"]) == (1, 0)
 
     def test_sampled_blocks_share_a_span(self):
@@ -905,8 +865,7 @@ class TestGridSpans:
             LIBRARY["cublas_sgemm"], (16, 1, 1), (64, 1, 1),
             [OUT, F1, F2, 32, 30, 9, 9, 1, 30, 1, 0.5, 2.0],
             library_setup, max_blocks=4)
-        assert_equivalent(outcomes["interpreter"], outcomes["jit"])
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert_one_outcome(outcomes)
         block = outcomes["block"]
         assert block.result.sampled_fraction == 0.25
         assert block.executor.engine_blocks["block"] == 4
@@ -917,8 +876,7 @@ class TestGridSpans:
         outcomes = run_engines(
             saxpy_kernel(), (blocks, 1, 1), (256, 1, 1),
             [F2, F1, 2.0, 256 * blocks - 3], library_setup)
-        assert_equivalent(outcomes["interpreter"], outcomes["jit"])
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert_one_outcome(outcomes)
         counts = outcomes["block"].executor.engine_blocks
         assert counts == {"block": blocks, "thread": 0, "fallback": 0}
         assert spans(outcomes["block"]) == (2, 0)  # full span + remainder
@@ -943,8 +901,7 @@ class TestGridSpans:
     def test_block_loading_what_the_previous_block_stored(self):
         outcomes = run_engines(chain_kernel(), (5, 1, 1), (64, 1, 1),
                                [BASE])
-        assert_equivalent(outcomes["interpreter"], outcomes["jit"])
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert_one_outcome(outcomes)
         block = outcomes["block"]
         # The span is rolled back whole; each block then vectorises.
         assert block.executor.engine_blocks == {
@@ -956,8 +913,7 @@ class TestGridSpans:
     def test_two_blocks_storing_one_cell(self):
         outcomes = run_engines(stamp_kernel(), (3, 1, 1), (64, 1, 1),
                                [BASE])
-        assert_equivalent(outcomes["interpreter"], outcomes["jit"])
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert_one_outcome(outcomes)
         block = outcomes["block"]
         assert block.executor.engine_blocks == {
             "block": 3, "thread": 0, "fallback": 0}
@@ -975,11 +931,8 @@ class TestGridSpans:
         bad = {"fault": MEMORY_BYTES, "misaligned": 2, "overflow": 0}[kind]
         outcomes = run_engines(trouble_kernel(kind), (5, 1, 1), (64, 1, 1),
                                [BASE, bad])
-        for outcome in outcomes.values():
-            assert isinstance(outcome.error, error)
-        assert (str(outcomes["interpreter"].error)
-                == str(outcomes["jit"].error))
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert isinstance(outcomes["interpreter"].error, error)
+        assert_one_outcome(outcomes)
         block = outcomes["block"]
         assert block.executor.engine_blocks == {
             "block": 2, "thread": 1, "fallback": 1}
@@ -1048,8 +1001,7 @@ class TestGridSpans:
 
         for kernel in (shared_only, barrier_only):
             outcomes = run_engines(kernel, (3, 1, 1), (64, 1, 1), [BASE])
-            assert_equivalent(outcomes["interpreter"], outcomes["jit"])
-            assert_identical(outcomes["jit"], outcomes["block"])
+            assert_one_outcome(outcomes)
             block = outcomes["block"]
             assert not block.compiled.code.spannable
             assert vectorised(block)
@@ -1071,8 +1023,7 @@ class TestGridSpans:
             library_setup, engines=("jit", "block"))
         jit, block = outcomes["jit"], outcomes["block"]
         assert_identical(jit, block)
-        stored = np.frombuffer(jit.bytes, dtype=np.float32)
-        if jit.error is None and np.isfinite(stored).all():
+        if finite_run(kernel, jit):
             assert vectorised(block)
             assert spans(block) == (1, 0)
 
@@ -1114,17 +1065,6 @@ class TestLaneGeometryIsBounded:
 # --------------------------------------------------------------------------
 # Guarded transfers, %clock and the per-thread loop
 # --------------------------------------------------------------------------
-
-
-def assert_as_interpreter(outcomes):
-    """Interpreter vs JIT on a kernel without float arithmetic: every
-    byte, counter, warp cycle and cache line."""
-    reference, jit = outcomes["interpreter"], outcomes["jit"]
-    assert_equivalent(reference, jit)
-    assert reference.bytes == jit.bytes
-    assert (reference.result.total_warp_cycles
-            == jit.result.total_warp_cycles)
-    assert reference.cache_state() == jit.cache_state()
 
 
 def early_exit_kernel(op):
@@ -1191,8 +1131,7 @@ class TestGuardedTransfers:
     def test_guarded_exit(self, op):
         outcomes = run_engines(early_exit_kernel(op), (1, 1, 1),
                                (4, 1, 1), [BASE])
-        assert_as_interpreter(outcomes)
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert_one_outcome(outcomes)
         block = outcomes["block"]
         assert list(block.memory.read_array(BASE, 4, dtype="u32")) == [
             7, 7, 1, 1]
@@ -1203,8 +1142,7 @@ class TestGuardedTransfers:
     def test_guarded_indirect_branch(self):
         outcomes = run_engines(guarded_brx_kernel(), (1, 1, 1), (8, 1, 1),
                                [BASE])
-        assert_as_interpreter(outcomes)
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert_one_outcome(outcomes)
         out = outcomes["block"].memory.read_array(BASE, 8, dtype="u32")
         assert list(out) == [5, 100] * 4
 
@@ -1218,7 +1156,7 @@ class TestClock:
         outcomes = run_engines(clock_kernel(looped), (1, 1, 1), (16, 1, 1),
                                [BASE, IDX], library_setup,
                                engines=("interpreter", "jit"))
-        assert_as_interpreter(outcomes)
+        assert_one_outcome(outcomes)
         stamps = outcomes["jit"].memory.read_array(
             BASE, 48 if looped else 16, dtype="u32")
         assert stamps.all()
@@ -1299,8 +1237,7 @@ class TestThreadLoop:
 
         outcomes = run_engines(collatz_kernel(in_block=True), (2, 1, 1),
                                block, [BASE, BASE + 65536, 77], setup)
-        assert_as_interpreter(outcomes)
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert_one_outcome(outcomes)
         jit = outcomes["jit"]
         assert jit.compiled.code.barrier_free
         assert jit.executor._engines[jit.compiled.code].thread.__name__ == (
@@ -1310,8 +1247,7 @@ class TestThreadLoop:
                              ids=["80", "8x4x2"])
     def test_lane_and_warp_ids(self, block):
         outcomes = run_engines(lane_warp_kernel(), (1, 1, 1), block, [BASE])
-        assert_as_interpreter(outcomes)
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert_one_outcome(outcomes)
         threads = block[0] * block[1] * block[2]
         stored = outcomes["jit"].memory.read_array(BASE, 2 * threads,
                                                    dtype="u32")
@@ -1322,8 +1258,7 @@ class TestThreadLoop:
     def test_local_memory_is_fresh_per_thread(self):
         outcomes = run_engines(local_kernel(), (2, 1, 1), (16, 1, 1),
                                [BASE])
-        assert_as_interpreter(outcomes)
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert_one_outcome(outcomes)
         stored = outcomes["jit"].memory.read_array(BASE, 16, dtype="u32")
         assert list(stored) == list(range(1, 17))
 
@@ -1331,11 +1266,8 @@ class TestThreadLoop:
         """Same exception; threads 0-4 stored, 5-15 did not."""
         outcomes = run_engines(fault_at_kernel(5), (1, 1, 1), (16, 1, 1),
                                [BASE, MEMORY_BYTES])
-        errors = {name: outcome.error for name, outcome in outcomes.items()}
-        assert all(isinstance(error, MemoryFault) for error in errors.values())
-        assert len({str(error) for error in errors.values()}) == 1
-        assert_identical(outcomes["jit"], outcomes["block"])
-        assert outcomes["interpreter"].bytes == outcomes["jit"].bytes
+        assert isinstance(outcomes["interpreter"].error, MemoryFault)
+        assert_one_outcome(outcomes)
         stored = outcomes["jit"].memory.read_array(BASE, 16, dtype="u32")
         assert list(stored) == [1, 2, 3, 4, 5] + [0] * 11
 
@@ -1351,7 +1283,7 @@ class TestThreadLoop:
             runaways = run_engines(counted_kernel("trips_60", 60),
                                    (1, 1, 1), (16, 1, 1), [BASE],
                                    engines=("interpreter", "jit"))
-        assert_as_interpreter(finishes)
+        assert_one_outcome(finishes)
         for runaway in runaways.values():
             assert isinstance(runaway.error, ExecutionError)
             assert str(runaway.error) == "runaway kernel trips_60"
@@ -1389,16 +1321,10 @@ class TestThreadLoop:
 
 
 def assert_fault_as_interpreter(outcomes):
-    """Interpreter vs JIT (vs block engine) on a kernel that faults:
-    the same exception, memory and cache lines, statistics included."""
-    reference, jit = outcomes["interpreter"], outcomes["jit"]
-    assert isinstance(reference.error, MemoryFault)
-    assert type(reference.error) is type(jit.error)
-    assert str(reference.error) == str(jit.error)
-    assert reference.bytes == jit.bytes
-    assert reference.cache_state() == jit.cache_state()
-    if "block" in outcomes:
-        assert_identical(jit, outcomes["block"])
+    """A kernel that faults: the same exception, memory and cache lines,
+    statistics included, on every engine run."""
+    assert isinstance(outcomes["interpreter"].error, MemoryFault)
+    assert_one_outcome(outcomes)
 
 
 def entries(run, *functions):
@@ -1484,8 +1410,7 @@ class TestInlineGlobalAccess:
     def test_every_cache_level(self):
         outcomes = run_engines(levels_kernel(16384), (1, 1, 1), (1, 1, 1),
                                [BASE], copy_setup)
-        assert_as_interpreter(outcomes)
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert_one_outcome(outcomes)
         assert outcomes["jit"].result.level_counts == {
             "l1": 2, "l2": 1, "global": 11}
         # Only the way-0 hit stays inline; the hit in way 1 walks too.
@@ -1499,8 +1424,7 @@ class TestInlineGlobalAccess:
         far = BASE + 3 * PAGE_SIZE
         outcomes = run_engines(reader_kernel(), (1, 1, 1), (4, 1, 1),
                                [BASE, far, 0], copy_setup)
-        assert_as_interpreter(outcomes)
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert_one_outcome(outcomes)
         for outcome in outcomes.values():
             assert len(outcome.memory._pages) == 1  # what copy_setup wrote
             assert outcome.memory.load_scalar(BASE, "u32") == 0
@@ -1605,8 +1529,7 @@ class TestInvariantPrefix:
         assert prefix_of(countdown_kernel()) == 4  # out, trips, done
         outcomes = run_engines(countdown_kernel(), (2, 1, 1), (16, 1, 1),
                                [BASE, 5])
-        assert_as_interpreter(outcomes)
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert_one_outcome(outcomes)
         stored = outcomes["jit"].memory.read_array(BASE, 16, dtype="u32")
         assert list(stored) == [5] * 16
 
@@ -1615,8 +1538,7 @@ class TestInvariantPrefix:
         assert prefix_of(guarded_entry_kernel()) == 6
         outcomes = run_engines(guarded_entry_kernel(), (1, 1, 1),
                                (16, 1, 1), [BASE, n])
-        assert_as_interpreter(outcomes)
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert_one_outcome(outcomes)
         stored = outcomes["jit"].memory.read_array(BASE, 16, dtype="u32")
         assert list(stored) == [n if n > 4 else 23] * 16
 
@@ -1626,14 +1548,14 @@ class TestInvariantPrefix:
         outcomes = run_engines(special_entry_kernel(name), (1, 1, 1),
                                (16, 1, 1), [BASE],
                                engines=("interpreter", "jit"))
-        assert_as_interpreter(outcomes)
+        assert_one_outcome(outcomes)
 
     def test_nothing_is_hoisted_from_an_entry_block_a_branch_reenters(self):
         """Each trip re-runs (and is charged) the param loads."""
         assert prefix_of(reentry_kernel()) == 0
         outcomes = run_engines(reentry_kernel(), (1, 1, 1), (4, 1, 1),
                                [BASE], engines=("interpreter", "jit"))
-        assert_as_interpreter(outcomes)
+        assert_one_outcome(outcomes)
         # 4 threads x 5 trips x 6 instructions.
         assert outcomes["jit"].result.instructions == 4 * 5 * 6
 
@@ -1642,12 +1564,8 @@ class TestInvariantPrefix:
         outcomes = run_engines(shift_prefix_kernel(), (2, 1, 1), (16, 1, 1),
                                [BASE, -1], copy_setup,
                                engines=("interpreter", "jit"))
-        reference, jit = outcomes["interpreter"], outcomes["jit"]
-        assert isinstance(reference.error, ValueError)
-        assert type(jit.error) is ValueError
-        assert str(reference.error) == str(jit.error)
-        assert reference.bytes == jit.bytes
-        assert reference.cache_state() == jit.cache_state()
+        assert isinstance(outcomes["interpreter"].error, ValueError)
+        assert_one_outcome(outcomes)
 
     def test_two_l1_geometries_share_one_kernel_code(self):
         """Set count, line size, hit cost and statistics come from each
@@ -1660,7 +1578,7 @@ class TestInvariantPrefix:
                                    (4, 1, 1), [BASE], copy_setup,
                                    engines=("interpreter", "jit"),
                                    spec=spec)
-            assert_as_interpreter(outcomes)
+            assert_one_outcome(outcomes)
             states[spec.l1_kb] = outcomes["jit"].cache_state()
             codes.append(outcomes["jit"])
         assert codes[0].compiled.code is codes[1].compiled.code
@@ -1872,8 +1790,7 @@ class TestFenceEmission:
     def _run(kernel, params):
         outcomes = run_engines(kernel, (1, 1, 1), (16, 1, 1), params,
                                numbered_setup)
-        assert_as_interpreter(outcomes)
-        assert_identical(outcomes["jit"], outcomes["block"])
+        assert_one_outcome(outcomes)
         return outcomes["jit"].memory
 
     @pytest.mark.parametrize("rewrite", ["address", "mask", "base"])
@@ -1937,7 +1854,7 @@ class TestFenceEmission:
 
 
 def quotient_kernel(opcode):
-    """out[tid] = (tid + 7) <op> (tid - 5): thread 5 divides by zero."""
+    """out[tid] = (tid + 7) <op> (5 - tid): thread 5 divides by zero."""
     dtype = opcode.rsplit(".", 1)[-1]
     b = KernelBuilder("quotient_" + opcode.replace(".", "_"),
                       params=[("out", "u64")])
@@ -1945,7 +1862,7 @@ def quotient_kernel(opcode):
     tid = b.special("%tid.x")
     wide = b.cvt(dtype, "u32", tid) if dtype.endswith("64") else tid
     numerator = b.add(dtype, wide, Immediate(7))
-    divisor = b.sub(dtype, wide, Immediate(5))
+    divisor = b.sub(dtype, Immediate(5), wide)
     b.st_global(dtype, b.element_addr(out, tid, isa.type_width(dtype)),
                 b._binary(opcode, dtype, numerator, divisor))
     return b.build()
@@ -1986,12 +1903,6 @@ def seeded_max_kernel():
     b.st_global("f32", b.element_addr(out, cell, 4),
                 b.mov("f32", Immediate(NEGATIVE_NAN)), offset=8)
     return b.build()
-
-
-def assert_one_outcome(outcomes):
-    """All three engines: nothing may differ."""
-    assert_identical(outcomes["interpreter"], outcomes["jit"])
-    assert_identical(outcomes["jit"], outcomes["block"])
 
 
 class TestArithmeticEdges:
