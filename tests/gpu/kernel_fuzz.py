@@ -66,7 +66,7 @@ class _Draw:
         self.wides = [b.cvt("u64", "u32", self.gid),
                       b.load_param("seed", "u64")]
 
-    # -- operands ---------------------------------------------------------------
+    # -- operands -------------------------------------------------------------
 
     def divisor(self, dtype: str, value):
         """``value | 1``, or one time in eight ``value`` itself, which
