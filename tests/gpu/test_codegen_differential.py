@@ -14,10 +14,14 @@ round-trip property tests.
 import dataclasses
 import json
 import math
+import os
+import pathlib
 import resource
 import struct
+import subprocess
 import sys
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -1950,3 +1954,115 @@ class TestArithmeticEdges:
         assert list(stored[1::3]) == [math.inf] * threads
         assert stored[2::3].tobytes() == struct.pack(
             "<f", NEGATIVE_NAN) * threads
+
+
+# --------------------------------------------------------------------------
+# Shift amounts and unsigned division
+# --------------------------------------------------------------------------
+
+
+def shift_kernel(ptype):
+    """x = 0x80000001 | tid shifted by k on thread 0 and by tid on the
+    others: out[3t] = x << a, out[3t+1] = x >> a (u32), out[3t+2] =
+    x >> a (s32)."""
+    b = KernelBuilder("shifts", params=[("out", "u64"), ("k", ptype)])
+    out = b.load_param_ptr("out")
+    tid = b.special("%tid.x")
+    x = b.or_("b32", tid, Immediate(0x80000001))
+    amount = b.reg(ptype)
+    b.emit(f"selp.{ptype}", amount, b.load_param("k", ptype), tid,
+           b.setp("eq", "u32", tid, Immediate(0)))
+    cell = b.mul("u32", tid, Immediate(3))
+    for offset, opcode in enumerate(("shl.b32", "shr.u32", "shr.s32")):
+        b.st_global("u32", b.element_addr(out, cell, 4),
+                    b._binary(opcode, "u32", x, amount), offset=4 * offset)
+    return b.build()
+
+
+def unsigned_quotient_kernel(opcode):
+    """r = 0 - (tid + 5) written by an s32 op; out[tid] = r <op> 2."""
+    b = KernelBuilder("unsigned_" + opcode.replace(".", "_"),
+                      params=[("out", "u64")])
+    out = b.load_param_ptr("out")
+    tid = b.special("%tid.x")
+    negative = b.sub("s32", Immediate(0), b.add("u32", tid, Immediate(5)))
+    b.st_global("u32", b.element_addr(out, tid, 4),
+                b._binary(opcode, "u32", negative, b.mov("u32", Immediate(2))))
+    return b.build()
+
+
+#: Runs a 64-bit shift by 2**40 on the interpreter and the JIT in a
+#: child process whose address space is capped, and prints each
+#: engine's (error type, stored word).
+_WIDE_SHIFT_SCRIPT = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from repro.ptx.ast import Immediate
+from repro.ptx.builder import KernelBuilder
+from tests.gpu.test_codegen_differential import BASE, run_engines
+b = KernelBuilder("wide_shift", params=[("out", "u64"), ("k", "u64")])
+out = b.load_param_ptr("out")
+b.st_global("u64", out, b.shl("b64", b.mov("u64", Immediate(3)),
+                              b.load_param("k", "u64")))
+outcomes = run_engines(b.build(), (1, 1, 1), (1, 1, 1), [BASE, 1 << 40],
+                       engines=("interpreter", "jit"))
+json.dump({engine: [type(outcome.error).__name__,
+                    outcome.memory.load_scalar(BASE, "u64")]
+           for engine, outcome in outcomes.items()}, sys.stdout)
+"""
+
+
+class TestShiftsAndUnsignedDivision:
+    """PTX reads a shift amount as u32 and clamps it to the width, and
+    reads the operands of an unsigned div/rem as unsigned."""
+
+    @pytest.mark.parametrize("ptype, k", [("u32", 32), ("u32", 0xFFFFFFFF),
+                                          ("s32", -1)])
+    def test_out_of_range_amounts(self, ptype, k):
+        tracemalloc.start()
+        try:
+            outcomes = run_engines(shift_kernel(ptype), (1, 1, 1),
+                                   (32, 1, 1), [BASE, k])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_one_outcome(outcomes)
+        # A 2**32-bit integer is 512 MiB; the launches need a few.
+        assert peak < 32 << 20
+        assert outcomes["jit"].error is None
+        assert vectorised(outcomes["block"])
+        stored = outcomes["jit"].memory.read_array(BASE, 96, dtype="u32")
+        assert list(stored[:3]) == [0, 0, 0xFFFFFFFF]
+        for tid in range(1, 32):
+            x = 0x80000001 | tid
+            assert list(stored[3 * tid:3 * tid + 3]) == [
+                x << tid & 0xFFFFFFFF, x >> tid,
+                (x - (1 << 32)) >> tid & 0xFFFFFFFF]
+
+    def test_a_64_bit_amount_is_read_as_u32(self):
+        """shl.b64 by a register holding 2**40 shifts by its low 32
+        bits, 0; never a 2**40-bit integer."""
+        root = str(pathlib.Path(__file__).resolve().parents[2])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.join(root, "src"), root])}
+        child = subprocess.run(
+            [sys.executable, "-c", _WIDE_SHIFT_SCRIPT], cwd=root, env=env,
+            capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout) == {
+            "interpreter": ["NoneType", 3], "jit": ["NoneType", 3]}
+
+    @pytest.mark.parametrize("threads", [16, 64])
+    @pytest.mark.parametrize("opcode", ["div.u32", "rem.u32"])
+    def test_unsigned_division_of_a_negative_register(self, opcode,
+                                                      threads):
+        outcomes = run_engines(unsigned_quotient_kernel(opcode), (1, 1, 1),
+                               (threads, 1, 1), [BASE])
+        assert_one_outcome(outcomes)
+        stored = outcomes["jit"].memory.read_array(BASE, threads,
+                                                   dtype="u32")
+        unsigned = [(1 << 32) - tid - 5 for tid in range(threads)]
+        if opcode == "div.u32":
+            assert list(stored) == [value // 2 for value in unsigned]
+        else:
+            assert list(stored) == [value % 2 for value in unsigned]
