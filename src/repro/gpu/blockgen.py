@@ -29,6 +29,7 @@ from repro.gpu.codegen import (
     _Gen,
     _mangle,
     basic_blocks,
+    cvt_source,
 )
 from repro.gpu.latency import SHARED_ACCESS_CYCLES, CostModel
 from repro.ptx import isa
@@ -78,12 +79,10 @@ class BlockCodegen(KernelCodegen):
     lane representation cannot guarantee statically: ``atom``,
     ``brx``, ``.local``, ``%clock``, a guarded ``ret``/``exit``,
     operands whose register bank does not match the instruction type,
-    a register that may be read before it is written, and integer
-    lanes flowing through float registers into all-integer arithmetic.
+    and a register that may be read before it is written.
     """
 
     FLOAT = "_flt"
-    INT = "_int"
     MIN = "_min"
     MAX = "_max"
 
@@ -156,13 +155,10 @@ class BlockCodegen(KernelCodegen):
                 raise Unsupported(f"{opcode}: predicate select")
             return vc, [vc, vc, "p"]
         if op == "cvt":
-            types = [part for part in opcode.split(".")[1:]
-                     if part in isa.TYPE_WIDTHS]
-            dc = _register_class(types[0])
-            if (vc, dc) not in (("i", "i"), ("i", "l"), ("l", "l"),
-                                ("f", "f"), ("i", "f"), ("l", "f")):
+            source = _register_class(cvt_source(opcode)[0])
+            if "p" in (vc, source):
                 raise Unsupported(f"{opcode}: conversion not vectorised")
-            return dc, [vc]
+            return vc, [source]
         raise Unsupported(f"{opcode}: not vectorised")
 
     def _check_operand(self, ins, operand, cls: str) -> None:
@@ -262,7 +258,6 @@ class BlockCodegen(KernelCodegen):
             effects.append(
                 (reads, written if ins.guard_reg is None else None))
         self._check_assigned(ordered, block_of, effects)
-        self._check_integer_lanes()
         exits = set()
         for block_id, leader in enumerate(ordered[:-1]):
             ins = instructions[leader]
@@ -321,45 +316,6 @@ class BlockCodegen(KernelCodegen):
                 if wrote is not None:
                     assigned.add(wrote)
 
-    def _check_integer_lanes(self) -> None:
-        """A ``cvt`` from an integer type leaves an *integer* in a
-        float register; the JIT converts it at its first float use,
-        the block engine when it is written. The two agree unless the
-        integer meets only other such integers first (exact integer
-        arithmetic there, rounded float arithmetic here)."""
-        instructions = self.ck.instructions
-        tainted: set[str] = set()
-        changed = True
-        while changed:
-            changed = False
-            for ins in instructions:
-                if ins.op not in ("cvt", "mov") or not ins.dtype:
-                    continue
-                dest, source = ins.operands[0], ins.operands[1]
-                if self.classes.get(dest.name) != "f":
-                    continue
-                integer = (
-                    not isa.is_float(ins.dtype) if ins.op == "cvt"
-                    else isinstance(source, Register)
-                    and source.name in tainted
-                )
-                if integer and dest.name not in tainted:
-                    tainted.add(dest.name)
-                    changed = True
-        if not tainted:
-            return
-        for ins in instructions:
-            if ins.op in ("ld", "st", "mov", "cvt") or ins.op in _SFU_OPS:
-                continue  # float(x) there, or taint already propagated
-            hits = sum(
-                1 for operand in ins.operands[1:]
-                if isinstance(operand, Register) and operand.name in tainted
-            )
-            if hits >= 2 or (hits and ins.op not in (
-                    "add", "sub", "mul", "div", "fma", "mad")):
-                raise Unsupported(
-                    f"{ins.opcode}: integer lanes in float registers")
-
     # -- operands and results -------------------------------------------------------
 
     def _expr(self, operand) -> str:
@@ -386,8 +342,7 @@ class BlockCodegen(KernelCodegen):
         if self._mask is None:
             self.gen.emit(f"{name} = {expr}")
             return
-        merge = {"f": "_msetf", "p": "_msetp"}.get(
-            self.classes[dest.name], "_mset")
+        merge = "_msetp" if self.classes[dest.name] == "p" else "_mset"
         self.gen.emit(f"{name} = {merge}({self._mask}, {expr}, {name})")
 
     def _assign(self, dest, expr: str, dtype: str) -> None:
@@ -400,18 +355,10 @@ class BlockCodegen(KernelCodegen):
         super()._emit_body(ins)
         self._wide = False
 
-    def _emit_cvt(self, ins) -> None:
-        dest = ins.operands[0]
-        dtype = ins.dtype
-        src = self._expr(ins.operands[1])
-        if isa.is_float(dtype):
-            self._set(dest, f"_flt({src})")
-            return
-        value = self._wrap_int(f"_int({src})", dtype)
-        if self.classes[dest.name] == "f":
-            wide = isa.type_width(dtype) == 8
-            value = f"{'_pre64' if wide else '_pre32'}({value})"
-        self._set(dest, value)
+    def _int_view(self, expr: str, dtype: str) -> str:
+        if isa.is_signed(dtype):  # int64 lanes, not setp's narrow view
+            return f"_sx{isa.type_width(dtype) * 8}({expr})"
+        return super()._int_view(expr, dtype)
 
     def _emit_mul_hi(self, ins, a: str, b: str) -> None:
         self._set(ins.operands[0], f"_mulhi64({a}, {b})")
@@ -464,11 +411,9 @@ class BlockCodegen(KernelCodegen):
     def _emit_selp(self, ins) -> None:
         e = self._expr
         operands = ins.operands
-        select = "_self" if isa.is_float(ins.dtype) else "_sel"
         self._assign(
             operands[0],
-            f"{select}({e(operands[1])}, {e(operands[2])}, "
-            f"{e(operands[3])})",
+            f"_sel({e(operands[1])}, {e(operands[2])}, {e(operands[3])})",
             ins.dtype)
 
     def _emit_sfu(self, ins) -> None:

@@ -54,7 +54,7 @@ import math
 
 import numpy as np
 
-from repro.gpu.codegen import NONFINITE_ENV, SFU_FORMULAS
+from repro.gpu.codegen import NONFINITE_ENV, SFU_FORMULAS, float_to_int
 from repro.gpu.memory import PAGE_SIZE
 
 MASK32 = (1 << 32) - 1
@@ -71,9 +71,9 @@ _B1 = np.dtype(np.bool_)
 _or_reduce = np.bitwise_or.reduce
 
 #: numpy floating-point events that the per-thread engine either
-#: raises for (division by zero, f32 pack overflow, int(nan)) or that
-#: Python floats treat differently (silent inf/nan): all of them end
-#: the vectorised attempt. Underflow is silent in both worlds.
+#: raises for (division by zero, f32 pack overflow) or that Python
+#: floats treat differently (silent inf/nan): all of them end the
+#: vectorised attempt. Underflow is silent in both worlds.
 ERRSTATE = dict(over="raise", divide="raise", invalid="raise",
                 under="ignore")
 
@@ -168,24 +168,13 @@ def _flt(x):
     return x.astype(_F8, copy=False) if type(x) is _nd else float(x)
 
 
-def _int(x):
-    if type(x) is _nd:
-        return x if x.dtype is _I8 else x.astype(_I8)
-    try:
-        return int(x)
-    except ValueError:  # NaN; lanes raise FloatingPointError for it
-        raise Bail("NaN converted to an integer") from None
-
-
-def _pre32(x):
-    """An integer written to a float register: lanes are converted
-    now (the JIT converts them at their first float use; the code
-    generator admits only kernels where the two agree)."""
-    return x.astype(_F8) if type(x) is _nd else x
-
-
-def _pre64(x):
-    return x.view(_U8).astype(_F8) if type(x) is _nd else x & MASK64
+def _f2i(x, rounding: str, low: int, high: int):
+    """A float-to-integer ``cvt``: the scalar rule, lane by lane (a
+    u64 result in two's complement)."""
+    if type(x) is not _nd:
+        return float_to_int(x, rounding, low, high)
+    return np.array([_w64(float_to_int(v, rounding, low, high))
+                     for v in x.tolist()], dtype=_I8)
 
 
 def _min(a, b):
@@ -203,15 +192,6 @@ def _max(a, b):
 def _sel(a, b, p):
     if type(p) is _nd:
         return np.where(p, a, b)
-    return a if p else b
-
-
-def _self(a, b, p):
-    if type(p) is _nd:
-        out = np.where(p, a, b)
-        if out.dtype is not _F8:
-            raise Bail("integer lanes in a float select")
-        return out
     return a if p else b
 
 
@@ -312,11 +292,6 @@ def _mset(m, new, old):
     return np.where(m, new, old)
 
 
-def _msetf(m, new, old):
-    out = np.where(m, new, old)
-    return out if out.dtype is _F8 else out.astype(_F8)
-
-
 def _msetp(m, new, old):
     out = np.where(m, new, old)
     return out if out.dtype is _B1 else out != 0
@@ -363,13 +338,10 @@ VALUE_ENV = {
     "_sx32": _sign_extended(32, np.int32),
     "_uv64": _uv64,
     "_flt": _flt,
-    "_int": _int,
-    "_pre32": _pre32,
-    "_pre64": _pre64,
+    "_f2i": _f2i,
     "_min": _min,
     "_max": _max,
     "_sel": _sel,
-    "_self": _self,
     "_asp": _asp,
     "_truncdiv": _truncdiv,
     "_truncrem": _truncrem,
@@ -381,7 +353,6 @@ VALUE_ENV = {
     "_mulhi64": _mulhi64,
     "_live": _live,
     "_mset": _mset,
-    "_msetf": _msetf,
     "_msetp": _msetp,
     "_compact": _compact,
     "_zeros": lambda width: np.zeros(width, dtype=_I8),
@@ -637,8 +608,6 @@ def _raw_store_values(value, width: int, store_type, is_float: bool,
         return np.full(width, float(value), dtype=_F8).astype(
             store_type, copy=False)
     if type(value) is _nd:
-        if value.dtype is not _I8:
-            raise Bail("non-integer lanes stored as an integer")
         if store_type is np.uint64:
             return value.view(_U8)
         return value.astype(store_type)

@@ -94,6 +94,41 @@ def _truncrem(a, b):
     return a - _truncdiv(a, b) * b
 
 
+#: Float-to-integer rounding of ``cvt``: to nearest even, toward zero,
+#: down, up. PTX spells them ``.rni``/``.rzi``/``.rmi``/``.rpi``; the
+#: float spellings ``.rn``... are read the same way.
+ROUNDINGS = {"rn": round, "rz": math.trunc, "rm": math.floor,
+             "rp": math.ceil}
+
+
+def cvt_source(opcode: str) -> tuple[str, str]:
+    """``(source type, rounding)`` of a ``cvt``: its last type suffix
+    (the first is the destination) and its :data:`ROUNDINGS` key,
+    ``"rz"`` (a C cast) when it names none."""
+    parts = opcode.split(".")
+    return ([part for part in parts if part in isa.TYPE_WIDTHS][-1],
+            next((part[:2] for part in parts
+                  if part.rstrip("i") in ROUNDINGS), "rz"))
+
+
+def int_range(dtype: str) -> tuple[int, int]:
+    """The least and greatest value of an integer type."""
+    high = _INT_MASKS[dtype] >> isa.is_signed(dtype)
+    return (~high if isa.is_signed(dtype) else 0), high
+
+
+def float_to_int(value, rounding: str, low: int, high: int) -> int:
+    """PTX's float-to-integer ``cvt``: NaN gives 0, anything else is
+    rounded and clamped to ``[low, high]``."""
+    if value != value:
+        return 0
+    if value <= low:
+        return low
+    if value >= high:
+        return high
+    return ROUNDINGS[rounding](value)
+
+
 def ieee_div(a, b):
     """``a / b`` in IEEE arithmetic, where Python raises: ``x / ±0`` is
     infinity signed by both operands, ``0 / 0`` and ``NaN / 0`` NaN."""
@@ -326,6 +361,7 @@ _BASE_ENV = {
     "_truncdiv": _truncdiv,
     "_truncrem": _truncrem,
     "_ieee_div": ieee_div,
+    "_f2i": float_to_int,
     **NONFINITE_ENV,
     "_sv8": _make_signed_view(8),
     "_sv16": _make_signed_view(16),
@@ -587,7 +623,6 @@ class KernelCodegen:
 
     #: Helper names where a builtin only works on scalars.
     FLOAT = "float"
-    INT = "int"
     MIN = "min"
     MAX = "max"
 
@@ -734,11 +769,24 @@ class KernelCodegen:
             )
 
     def _emit_cvt(self, ins) -> None:
-        src = self._expr(ins.operands[1])
-        if ins.dtype and isa.is_float(ins.dtype):
-            self._assign(ins.operands[0], f"{self.FLOAT}({src})", ins.dtype)
+        """Convert to the destination type (``ins.dtype``) from the
+        source read as its own type."""
+        dtype = ins.dtype
+        source, rounding = cvt_source(ins.opcode)
+        value = self._expr(ins.operands[1])
+        if isa.is_float(source) and not isa.is_float(dtype):
+            low, high = int_range(dtype)
+            value = f"_f2i({value}, {rounding!r}, {low}, {high})"
+        elif isa.is_float(dtype):
+            value = f"{self.FLOAT}({self._compare_view(value, source)})"
         else:
-            self._assign(ins.operands[0], f"{self.INT}({src})", ins.dtype)
+            # Extend from the source's width; the destination's wrap
+            # truncates (a signed narrow destination has none).
+            if isa.type_width(source) < isa.type_width(dtype):
+                value = self._int_view(value, source)
+            if isa.is_signed(dtype) and dtype not in _WIDE:
+                value = self._int_view(value, dtype)
+        self._assign(ins.operands[0], value, dtype)
 
     def _emit_mul(self, ins) -> None:
         e = self._expr
@@ -823,6 +871,11 @@ class KernelCodegen:
         if isa.is_signed(dtype):
             return f"_sv{isa.type_width(dtype) * 8}({expr})"
         return self._wrap_int(expr, dtype)
+
+    def _int_view(self, expr: str, dtype: str) -> str:
+        """``expr`` read as an integer of ``dtype``, as a register
+        value."""
+        return self._compare_view(expr, dtype)
 
     def _emit_setp(self, ins) -> None:
         dtype = ins.dtype or "u32"

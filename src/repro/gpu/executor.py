@@ -113,6 +113,8 @@ class DecodedInstr:
 
     op: str
     opcode: str
+    #: The type the instruction computes in: its last type suffix, a
+    #: ``cvt``'s first (the destination).
     dtype: Optional[str]
     route: Optional[str]
     operands: tuple
@@ -230,11 +232,18 @@ def _decode(instruction: Instruction, label_index: dict[str, int],
     route = instruction.route
     if route is None and isa.opcode_info(op).address is not None:
         raise ExecutionError(f"{instruction.opcode} has no route")
+    dtype = instruction.dtype
+    if op == "cvt":
+        # What a cvt computes is its destination, the first type.
+        dtype = next((suffix for suffix in instruction.suffixes
+                      if suffix in isa.TYPE_WIDTHS), None)
+        if dtype is None:
+            raise ExecutionError(f"{instruction.opcode} names no type")
 
     return DecodedInstr(
         op=op,
         opcode=instruction.opcode,
-        dtype=instruction.dtype,
+        dtype=dtype,
         route=route,
         operands=instruction.operands,
         guard_reg=instruction.guard.register if guarded else None,
@@ -739,15 +748,12 @@ class KernelExecutor:
             self._store(compiled, ins, thread, params)
         elif op == "mov":
             self._set_reg(thread, operands[0], ins.dtype, value(operands[1]))
-        elif op in ("cvta", "cvt"):
-            # cvta is an address-space no-op in the flat simulator; cvt
-            # converts via the destination type's wrap/round.
-            result = value(operands[1])
-            if ins.op == "cvt" and ins.dtype and isa.is_float(ins.dtype):
-                result = float(result)
-            elif ins.op == "cvt" and ins.dtype:
-                result = int(result)
-            self._set_reg(thread, operands[0], ins.dtype, result)
+        elif op == "cvta":
+            # An address-space no-op in the flat simulator.
+            self._set_reg(thread, operands[0], ins.dtype, value(operands[1]))
+        elif op == "cvt":
+            self._set_reg(thread, operands[0], ins.dtype,
+                          _convert(value(operands[1]), ins))
         elif op == "add":
             self._set_reg(thread, operands[0], ins.dtype,
                           value(operands[1]) + value(operands[2]))
@@ -985,6 +991,25 @@ class KernelExecutor:
 # --------------------------------------------------------------------------
 # Helpers
 # --------------------------------------------------------------------------
+
+
+def _convert(value, ins: DecodedInstr):
+    """A ``cvt``'s result, as ``codegen.KernelCodegen._emit_cvt``
+    computes it."""
+    dtype = ins.dtype
+    source, rounding = codegen.cvt_source(ins.opcode)
+    if isa.is_float(source) and not isa.is_float(dtype):
+        return codegen.float_to_int(value, rounding,
+                                    *codegen.int_range(dtype))
+    if not isa.is_float(source) and (isa.is_float(dtype) or isa.type_width(
+            source) < isa.type_width(dtype)):
+        value = wrap_int(value, isa.type_width(source),
+                         isa.is_signed(source))
+    if isa.is_float(dtype):
+        return float(value)
+    if isa.is_signed(dtype) and isa.type_width(dtype) < 8:
+        value = wrap_int(value, isa.type_width(dtype), True)
+    return value
 
 
 def _select_blocks(total: int, max_blocks: Optional[int]) -> list[int]:

@@ -419,8 +419,8 @@ _INTEGER_DIVISION = """\tmov.u32 %r2, 7;
 \tst.global.u32 [%rd1], %r3;"""
 
 #: What nvcc and hand-written PTX put in float registers that Python's
-#: ``repr`` cannot spell back, and division by zero; each with the
-#: bytes it stores.
+#: ``repr`` cannot spell back, division by zero, and a float converted
+#: to an integer; each with the bytes it stores.
 _FLOAT_CASES = {
     # max(-inf, out[0]) back to out[0], the seed itself to out[1].
     "neg_inf_immediate": ("""\tld.global.f32 %f1, [%rd1];
@@ -444,6 +444,10 @@ _FLOAT_CASES = {
 \tst.global.f32 [%rd1+8], %f3;""",
                                struct.pack("<fff", math.inf, -math.inf,
                                            math.nan)),
+    # cvt writes its destination type: an s32 the store packs.
+    "float_to_int": ("""\tld.global.f32 %f1, [%rd1];
+\tcvt.rzi.s32.f32 %r2, %f1;
+\tst.global.s32 [%rd1], %r2;""", struct.pack("<i", 2)),
 }
 
 

@@ -3,7 +3,7 @@
 ``random_straightline_kernel`` (tests/ptx) only draws straight-line
 arithmetic. The block engine's risk is elsewhere: divergence nested in
 loops, lanes retiring early, predicated instructions, barriers, signed
-and 64-bit integer conventions, integer values in float registers.
+and 64-bit integer conventions, conversions between the register banks.
 :func:`structured_kernel` draws from all of that, driven by any object
 with the ``random.Random`` interface (hypothesis' ``st.randoms()``).
 
@@ -222,7 +222,7 @@ class _Draw:
             result = b.reg("u64")
             b.emit("selp.b64", result, a, rng.choice(wides), pred)
             return result
-        # An integer in a float register, used with a float at once.
+        # A 64-bit integer converted to float, used with a float.
         low = b.and_("b64", a, Immediate(0xFFFF))
         floats.append(b.mul("f32", b.cvt("f32", "u64", low),
                             Immediate(0.5)))

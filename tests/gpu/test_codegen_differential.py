@@ -2066,3 +2066,210 @@ class TestShiftsAndUnsignedDivision:
             assert list(stored) == [value // 2 for value in unsigned]
         else:
             assert list(stored) == [value % 2 for value in unsigned]
+
+
+# --------------------------------------------------------------------------
+# Conversions: cvt writes its destination type
+# --------------------------------------------------------------------------
+
+
+def conversion_kernel(opcode):
+    """out[tid] = cvt(inp[tid]), one 8-byte cell per thread (a narrow
+    source is the cell's low bytes)."""
+    dest, source = [part for part in opcode.split(".")
+                    if part in isa.TYPE_WIDTHS]
+    b = KernelBuilder("convert_" + opcode.replace(".", "_"),
+                      params=[("out", "u64"), ("inp", "u64")])
+    out = b.load_param_ptr("out")
+    inp = b.load_param_ptr("inp")
+    tid = b.special("%tid.x")
+    value = b.reg(dest)
+    b.emit(opcode, value, b.ld_global(source, b.element_addr(inp, tid, 8)))
+    b.st_global(dest, b.element_addr(out, tid, 8), value)
+    return b.build()
+
+
+def negated_conversion_kernel():
+    """n = -(tid + 1) written by an s32 op; out[2t] = cvt.u64.u32 n,
+    out[2t+1] = cvt.rn.f64.u32 n."""
+    b = KernelBuilder("negated_conversion", params=[("out", "u64")])
+    out = b.load_param_ptr("out")
+    tid = b.special("%tid.x")
+    negative = b.unary("neg", "s32", b.add("u32", tid, Immediate(1)))
+    cell = b.mul("u32", tid, Immediate(2))
+    b.st_global("u64", b.element_addr(out, cell, 8),
+                b.cvt("u64", "u32", negative))
+    b.st_global("f64", b.element_addr(out, cell, 8),
+                b.cvt("f64", "u32", negative), offset=8)
+    return b.build()
+
+
+FLOAT_INPUTS = [2.5, -2.5, 3.5, -0.5, 0.5, 1.7, -1.7, 1e10, -1e10,
+                2147483647.5, -2147483648.5, 4294967295.5, 65535.5,
+                -32768.5, 2.0 ** 63, -(2.0 ** 63), 2.0 ** 64,
+                -(2.0 ** 64), math.nan, math.inf, -math.inf]
+
+WIDE_INPUTS = [0, 1, 12345, (1 << 53) + 1, 0x7FFFFFFF, 0x80000000,
+               0xFFFFFFFF, (1 << 32) + 5, (1 << 63) - 1, 1 << 63,
+               (1 << 63) + 1, (1 << 64) - 2048, (1 << 64) - 1,
+               0xFFFFFFFF80000000]
+
+_ROUNDINGS = {"rni": np.rint, "rzi": np.trunc, "rmi": np.floor,
+              "rpi": np.ceil}
+
+
+def type_range(dtype):
+    bits = isa.type_width(dtype) * 8
+    if isa.is_signed(dtype):
+        return -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    return 0, (1 << bits) - 1
+
+
+def ptx_float_to_int(value, mode, dtype):
+    """PTX: NaN converts to 0, the rest is rounded and saturated."""
+    low, high = type_range(dtype)
+    if math.isnan(value):
+        return 0
+    if math.isinf(value):
+        return low if value < 0 else high
+    return min(max(int(_ROUNDINGS[mode](value)), low), high)
+
+
+def as_type(value, dtype):
+    """``value``'s low bits read as ``dtype``."""
+    bits = isa.type_width(dtype) * 8
+    value &= (1 << bits) - 1
+    if isa.is_signed(dtype) and value >> (bits - 1):
+        value -= 1 << bits
+    return value
+
+
+def float_inputs(memory):
+    memory.write_array(F1, np.array(FLOAT_INPUTS), dtype="f64")
+
+
+def wide_inputs(memory):
+    memory.write_array(F1, np.array(WIDE_INPUTS, dtype=np.uint64),
+                       dtype="u64")
+
+
+def cells(outcome, count, dtype):
+    memory = outcome.memory
+    return [memory.load_scalar(BASE + 8 * index, dtype)
+            for index in range(count)]
+
+
+#: Why the block engine refuses a library or Rodinia kernel; it admits
+#: every other one.
+BLOCK_REFUSALS = {
+    "rodinia_fan2": "register %f2 may be read before it is written",
+}
+
+
+def block_refusal(kernel):
+    from repro.gpu.blockgen import BlockCodegen, Unsupported
+
+    try:
+        BlockCodegen(compile_kernel(kernel, SPEC), CostModel(SPEC)).generate()
+    except Unsupported as reason:
+        return str(reason)
+    return None
+
+
+def rodinia_kernels():
+    from repro.ptx.parser import parse_module
+    from repro.workloads.rodinia import rodinia_fatbin
+
+    kernels = {}
+    for entry in rodinia_fatbin().ptx_entries():
+        kernels.update(parse_module(entry.ptx_text()).kernels)
+    return kernels
+
+
+class TestConversions:
+    """``cvt`` converts to its destination type from the source read as
+    its own type, on every engine: PTX's rounding modifiers, NaN to 0
+    and saturation from a float; extension and truncation between
+    integers."""
+
+    @pytest.mark.parametrize("dtype", ["s16", "u16", "s32", "u32", "s64",
+                                       "u64"])
+    @pytest.mark.parametrize("mode", sorted(_ROUNDINGS))
+    def test_float_to_int(self, mode, dtype):
+        count = len(FLOAT_INPUTS)
+        outcomes = run_engines(conversion_kernel(f"cvt.{mode}.{dtype}.f64"),
+                               (1, 1, 1), (count, 1, 1), [BASE, F1],
+                               float_inputs)
+        assert_one_outcome(outcomes)
+        assert vectorised(outcomes["block"])
+        assert cells(outcomes["jit"], count, dtype) == [
+            ptx_float_to_int(value, mode, dtype) for value in FLOAT_INPUTS]
+
+    @pytest.mark.parametrize("opcode", ["cvt.rn.f32.u64", "cvt.rn.f32.s64",
+                                        "cvt.rn.f64.u64", "cvt.rn.f64.s64"])
+    def test_64_bit_integer_to_float(self, opcode):
+        dest, source = opcode.split(".")[2:]
+        count = len(WIDE_INPUTS)
+        outcomes = run_engines(conversion_kernel(opcode), (1, 1, 1),
+                               (count, 1, 1), [BASE, F1], wide_inputs)
+        assert_one_outcome(outcomes)
+        assert vectorised(outcomes["block"])
+        width = isa.type_width(dest)
+        stored = [outcomes["jit"].memory.read(BASE + 8 * index, width)
+                  for index in range(count)]
+        # A double first, rounded to f32 by the store (section 9).
+        assert stored == [
+            struct.pack("<f" if width == 4 else "<d",
+                        float(as_type(value, source)))
+            for value in WIDE_INPUTS]
+
+    @pytest.mark.parametrize("opcode", [
+        "cvt.u32.u64", "cvt.s32.s64", "cvt.s32.u64", "cvt.u16.u64",
+        "cvt.s16.s32", "cvt.s64.s32", "cvt.u64.s32", "cvt.u64.u32",
+        "cvt.s32.u32", "cvt.u32.s16"])
+    def test_integer_to_integer(self, opcode):
+        dest, source = opcode.split(".")[1:]
+        count = len(WIDE_INPUTS)
+        outcomes = run_engines(conversion_kernel(opcode), (1, 1, 1),
+                               (count, 1, 1), [BASE, F1], wide_inputs)
+        assert_one_outcome(outcomes)
+        assert vectorised(outcomes["block"])
+        assert cells(outcomes["jit"], count, dest) == [
+            as_type(as_type(value, source), dest) for value in WIDE_INPUTS]
+
+    def test_a_source_an_s32_op_wrote_negative(self):
+        """A u32 source is read as u32 whichever op wrote it."""
+        outcomes = run_engines(negated_conversion_kernel(), (1, 1, 1),
+                               (32, 1, 1), [BASE])
+        assert_one_outcome(outcomes)
+        assert vectorised(outcomes["block"])
+        memory = outcomes["jit"].memory
+        for tid in range(32):
+            unsigned = (1 << 32) - tid - 1
+            assert memory.load_scalar(BASE + 16 * tid, "u64") == unsigned
+            assert memory.load_scalar(BASE + 16 * tid + 8, "f64") == unsigned
+
+    def test_block_engine_admission(self):
+        """Every library and Rodinia kernel but ``fan2`` runs on the
+        block engine: no analysis of where a float register's value
+        came from refuses any."""
+        kernels = {**LIBRARY, **rodinia_kernels()}
+        assert {name: block_refusal(kernel)
+                for name, kernel in kernels.items()} == {
+            name: BLOCK_REFUSALS.get(name) for name in kernels}
+
+    def test_pf_resample_on_the_block_engine(self):
+        """Rodinia's resampling kernel divides two converted integers;
+        it runs vectorised, a tail of idle lanes included."""
+        kernel = rodinia_kernels()["rodinia_pf_resample"]
+
+        def setup(memory):
+            memory.write_array(F1, np.cumsum(np.full(50, 0.02)))
+            memory.write_array(F2, np.arange(50, dtype=np.float32))
+
+        outcomes = run_engines(kernel, (1, 1, 1), (64, 1, 1),
+                               [BASE, F1, F2, 0.01, 50], setup)
+        assert_one_outcome(outcomes)
+        assert vectorised(outcomes["block"])
+        chosen = outcomes["jit"].memory.read_array(BASE, 50)
+        assert list(chosen[:3]) == [0.0, 1.0, 2.0]
