@@ -380,28 +380,22 @@ class BlockCodegen(KernelCodegen):
             emit_narrow(ins)
         self._divisor = None
 
-    def _emit_shl(self, ins) -> None:
-        e = self._expr
-        self._assign(
-            ins.operands[0],
-            f"({e(ins.operands[1])}) << _sh({e(ins.operands[2])})",
-            ins.dtype)
+    def _shift_amount(self, ins) -> str:
+        return f"_sh({self._expr(ins.operands[2])})"
 
     def _emit_shr(self, ins) -> None:
-        e = self._expr
         dtype = ins.dtype
-        a, b = e(ins.operands[1]), e(ins.operands[2])
+        a, b = self._expr(ins.operands[1]), self._shift_amount(ins)
         if dtype in ("u64", "b64"):
             self._set(ins.operands[0], f"_shr64({a}, {b})")
         elif dtype == "s64":
-            self._set(ins.operands[0], f"_sar64({a}, {b})")
+            self._set(ins.operands[0], f"_sv64({a}) >> {b}")
         elif isa.is_signed(dtype):
             bits = isa.type_width(dtype) * 8
-            self._assign(ins.operands[0], f"_sx{bits}({a}) >> _sh({b})",
-                         dtype)
+            self._assign(ins.operands[0], f"_sx{bits}({a}) >> {b}", dtype)
         else:
             self._assign(ins.operands[0],
-                         f"({self._wrap_int(a, dtype)}) >> _sh({b})", dtype)
+                         f"({self._wrap_int(a, dtype)}) >> {b}", dtype)
 
     def _compare_view(self, expr: str, dtype: str) -> str:
         if dtype in ("u64", "b64"):

@@ -215,19 +215,13 @@ def _truncrem(a, b):
 
 
 def _sh(b):
-    """A shift amount both worlds agree on (Python raises on a
-    negative count and grows past 64 bits; numpy does neither)."""
-    if type(b) is _nd:
-        if int(b.min()) < 0 or int(b.max()) > 63:
-            raise Bail("shift amount out of range")
-        return b
-    if type(b) is int and 0 <= b <= 63:
-        return b
-    raise Bail("shift amount out of range")
+    """A shift amount as PTX reads it, u32. numpy shifts past the
+    width fill as PTX does; a scalar is clamped to 64 so that Python
+    builds no huge integer."""
+    return b & MASK32 if type(b) is _nd else min(b & MASK32, 64)
 
 
 def _shr64(a, b):
-    b = _sh(b)
     if type(a) is _nd:
         if type(b) is _nd:
             raise Bail("lane-varying 64-bit shift amount")
@@ -235,10 +229,6 @@ def _shr64(a, b):
     if type(b) is _nd:
         raise Bail("lane-varying 64-bit shift amount")
     return _w64((a & MASK64) >> b)
-
-
-def _sar64(a, b):
-    return _sv64(a) >> _sh(b)  # already two's complement
 
 
 def _unsigned_pair(a, b):
@@ -347,7 +337,6 @@ VALUE_ENV = {
     "_truncrem": _truncrem,
     "_sh": _sh,
     "_shr64": _shr64,
-    "_sar64": _sar64,
     "_udiv64": _udiv64,
     "_urem64": _urem64,
     "_mulhi64": _mulhi64,

@@ -841,11 +841,18 @@ class KernelCodegen:
         else:
             self._assign(ins.operands[0], f"({a}) % ({b})", ins.dtype)
 
+    def _shift_amount(self, ins) -> str:
+        """PTX reads a shift amount as u32 and clamps it to the width:
+        a longer shift fills (and builds no huge Python integer)."""
+        amount = ins.operands[2]
+        bits = isa.type_width(ins.dtype or "u32") * 8
+        if isinstance(amount, Immediate) and type(amount.value) is int:
+            return str(min(amount.value & _MASK32, bits))
+        return f"min({self._expr(amount)} & {_MASK32}, {bits})"
+
     def _emit_shl(self, ins) -> None:
-        e = self._expr
-        self._assign(ins.operands[0],
-                     f"({e(ins.operands[1])}) << ({e(ins.operands[2])})",
-                     ins.dtype)
+        self._assign(ins.operands[0], f"({self._expr(ins.operands[1])}) << "
+                     f"({self._shift_amount(ins)})", ins.dtype)
 
     def _emit_shr(self, ins) -> None:
         e = self._expr
@@ -859,7 +866,7 @@ class KernelCodegen:
             source = (f"(({source}) - {full} "
                       f"if ({source}) >= {half} else ({source}))")
         self._assign(ins.operands[0],
-                     f"({source}) >> ({e(ins.operands[2])})", dtype)
+                     f"({source}) >> ({self._shift_amount(ins)})", dtype)
 
     _COMPARES = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=",
                  "gt": ">", "ge": ">="}

@@ -793,13 +793,13 @@ class KernelExecutor:
                           ~int(value(operands[1])))
         elif op == "shl":
             self._set_reg(thread, operands[0], ins.dtype,
-                          int(value(operands[1])) << int(value(operands[2])))
+                          int(value(operands[1])) << _shift_amount(ins, value))
         elif op == "shr":
-            width = isa.type_width(ins.dtype or "u32") * 8
-            raw = wrap_int(int(value(operands[1])), width // 8,
+            width = isa.type_width(ins.dtype or "u32")
+            raw = wrap_int(int(value(operands[1])), width,
                            isa.is_signed(ins.dtype or "u32"))
             self._set_reg(thread, operands[0], ins.dtype,
-                          raw >> int(value(operands[2])))
+                          raw >> _shift_amount(ins, value))
         elif op == "min":
             self._set_reg(thread, operands[0], ins.dtype,
                           min(value(operands[1]), value(operands[2])))
@@ -1010,6 +1010,13 @@ def _convert(value, ins: DecodedInstr):
     if isa.is_signed(dtype) and isa.type_width(dtype) < 8:
         value = wrap_int(value, isa.type_width(dtype), True)
     return value
+
+
+def _shift_amount(ins: DecodedInstr, value) -> int:
+    """As ``codegen.KernelCodegen._shift_amount``: read as u32, clamped
+    to the width."""
+    bits = isa.type_width(ins.dtype or "u32") * 8
+    return min(value(ins.operands[2]) & 0xFFFFFFFF, bits)
 
 
 def _select_blocks(total: int, max_blocks: Optional[int]) -> list[int]:

@@ -1500,12 +1500,15 @@ def special_entry_kernel(name):
     return b.build()
 
 
-def shift_prefix_kernel():
-    """out[tid] = 1 << k: a negative ``k`` raises inside the prefix."""
-    b = KernelBuilder("shift_prefix", params=[("out", "u64"), ("k", "s32")])
+def division_prefix_kernel():
+    """out[tid] = 7 / k: a zero ``k`` kills the kernel inside the
+    prefix."""
+    b = KernelBuilder("division_prefix",
+                      params=[("out", "u64"), ("k", "u32")])
     out = b.load_param_ptr("out")
-    shifted = b.shl("b32", Immediate(1), b.load_param("k", "s32"))
-    b.st_global("u32", b.element_addr(out, b.special("%tid.x"), 4), shifted)
+    quotient = b.div("u32", Immediate(7), b.load_param("k", "u32"))
+    b.st_global("u32", b.element_addr(out, b.special("%tid.x"), 4),
+                quotient)
     return b.build()
 
 
@@ -1565,11 +1568,13 @@ class TestInvariantPrefix:
         assert outcomes["jit"].result.instructions == 4 * 5 * 6
 
     def test_a_prefix_that_raises(self):
-        assert prefix_of(shift_prefix_kernel()) == 4
-        outcomes = run_engines(shift_prefix_kernel(), (2, 1, 1), (16, 1, 1),
-                               [BASE, -1], copy_setup,
+        assert prefix_of(division_prefix_kernel()) == 4
+        outcomes = run_engines(division_prefix_kernel(), (2, 1, 1),
+                               (16, 1, 1), [BASE, 0], copy_setup,
                                engines=("interpreter", "jit"))
-        assert isinstance(outcomes["interpreter"].error, ValueError)
+        error = outcomes["interpreter"].error
+        assert isinstance(error, ExecutionError)
+        assert str(error) == "integer division by zero"
         assert_one_outcome(outcomes)
 
     def test_two_l1_geometries_share_one_kernel_code(self):
