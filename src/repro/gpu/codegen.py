@@ -821,10 +821,17 @@ class KernelCodegen:
         self._assign(ins.operands[0], f"({a}) * ({b}) + ({c})",
                      ins.dtype)
 
+    def _quotient_operands(self, ins, dtype: str) -> tuple[str, str]:
+        """The operands of a ``div``/``rem``: an unsigned one reads
+        them as unsigned."""
+        a, b = self._expr(ins.operands[1]), self._expr(ins.operands[2])
+        if isa.is_float(dtype) or isa.is_signed(dtype):
+            return a, b
+        return self._wrap_int(a, dtype), self._wrap_int(b, dtype)
+
     def _emit_div(self, ins) -> None:
-        e = self._expr
         dtype = ins.dtype or "u32"
-        a, b = e(ins.operands[1]), e(ins.operands[2])
+        a, b = self._quotient_operands(ins, dtype)
         if isa.is_float(dtype):
             self._assign(ins.operands[0], f"({a}) / ({b})", dtype)
         elif isa.is_signed(dtype):
@@ -833,8 +840,7 @@ class KernelCodegen:
             self._assign(ins.operands[0], f"({a}) // ({b})", dtype)
 
     def _emit_rem(self, ins) -> None:
-        e = self._expr
-        a, b = e(ins.operands[1]), e(ins.operands[2])
+        a, b = self._quotient_operands(ins, ins.dtype or "u32")
         if ins.dtype and isa.is_signed(ins.dtype):
             self._assign(ins.operands[0], f"_truncrem({a}, {b})",
                          ins.dtype)

@@ -765,7 +765,7 @@ class KernelExecutor:
         elif op in ("mad", "fma"):
             self._mad(ins, thread, value)
         elif op == "div":
-            numerator, denominator = value(operands[1]), value(operands[2])
+            numerator, denominator = _quotient_operands(ins, value)
             if isa.is_float(ins.dtype or "u32"):
                 result = codegen.ieee_div(numerator, denominator)
             elif denominator == 0:
@@ -774,10 +774,10 @@ class KernelExecutor:
                 result = codegen._truncdiv(numerator, denominator)
             self._set_reg(thread, operands[0], ins.dtype, result)
         elif op == "rem":
-            denominator = value(operands[2])
+            numerator, denominator = _quotient_operands(ins, value)
             if denominator == 0:
                 raise ExecutionError("integer remainder by zero")
-            result = codegen._truncrem(value(operands[1]), denominator)
+            result = codegen._truncrem(numerator, denominator)
             self._set_reg(thread, operands[0], ins.dtype, result)
         elif op == "and":
             self._set_reg(thread, operands[0], ins.dtype,
@@ -1010,6 +1010,17 @@ def _convert(value, ins: DecodedInstr):
     if isa.is_signed(dtype) and isa.type_width(dtype) < 8:
         value = wrap_int(value, isa.type_width(dtype), True)
     return value
+
+
+def _quotient_operands(ins: DecodedInstr, value) -> tuple:
+    """As ``codegen.KernelCodegen._quotient_operands``: an unsigned
+    ``div``/``rem`` reads its operands as unsigned."""
+    a, b = value(ins.operands[1]), value(ins.operands[2])
+    dtype = ins.dtype or "u32"
+    if isa.is_float(dtype) or isa.is_signed(dtype):
+        return a, b
+    width = isa.type_width(dtype)
+    return wrap_int(a, width, False), wrap_int(b, width, False)
 
 
 def _shift_amount(ins: DecodedInstr, value) -> int:

@@ -85,7 +85,7 @@ class _Draw:
 
     # -- one instruction of each family --------------------------------------
 
-    def int_op(self, ints):
+    def int_op(self, ints, signed):
         b, rng = self.b, self.rng
         kind = rng.choice(["add", "sub", "mul", "and", "or", "xor", "shl",
                            "shr", "div", "rem", "min", "max", "mad", "not"])
@@ -108,6 +108,12 @@ class _Draw:
         if kind in ("div", "rem"):
             if isinstance(c, Immediate):
                 c = b.mov("u32", c)
+            # Half the time an operand an s32 op wrote, maybe negative:
+            # read as unsigned.
+            if rng.random() < 0.5:
+                a = rng.choice(signed)
+            elif rng.random() < 0.5:
+                c = rng.choice(signed)
             return b._binary(f"{kind}.u32", "u32", a,
                              self.divisor("u32", c))
         if kind == "mad":
@@ -240,7 +246,7 @@ class _Draw:
         for _ in range(rng.randrange(1, budget)):
             kind = rng.choice(kinds)
             if kind == "i":
-                ints.append(self.int_op(ints))
+                ints.append(self.int_op(ints, signed))
             elif kind == "f":
                 floats.append(self.float_op(floats, ints))
             elif kind == "s":
