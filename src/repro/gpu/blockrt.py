@@ -71,9 +71,9 @@ _B1 = np.dtype(np.bool_)
 _or_reduce = np.bitwise_or.reduce
 
 #: numpy floating-point events that the per-thread engine either
-#: raises for (division by zero, f32 pack overflow) or that Python
-#: floats treat differently (silent inf/nan): all of them end the
-#: vectorised attempt. Underflow is silent in both worlds.
+#: raises for (division by zero) or that Python floats treat
+#: differently (silent inf/nan): all of them end the vectorised
+#: attempt. Underflow is silent in both worlds.
 ERRSTATE = dict(over="raise", divide="raise", invalid="raise",
                 under="ignore")
 
@@ -589,13 +589,15 @@ def _raw_store_values(value, width: int, store_type, is_float: bool,
                       int_mask: int):
     """Register value -> the elements a store writes, full width."""
     if is_float:
-        # float() then the f32 pack of the JIT: two casts, the second
-        # raising on overflow exactly where struct.pack does.
-        if type(value) is _nd:
-            return value.astype(_F8, copy=False).astype(store_type,
-                                                        copy=False)
-        return np.full(width, float(value), dtype=_F8).astype(
-            store_type, copy=False)
+        # float(), then the store's rounding: beyond the f32 range that
+        # is infinity, as the per-thread engines pack it.
+        value = (value.astype(_F8, copy=False) if type(value) is _nd
+                 else np.full(width, float(value), dtype=_F8))
+        try:
+            return value.astype(store_type, copy=False)
+        except FloatingPointError:
+            with np.errstate(over="ignore"):
+                return value.astype(store_type)
     if type(value) is _nd:
         if store_type is np.uint64:
             return value.view(_U8)

@@ -45,7 +45,7 @@ from typing import Optional
 
 from repro.errors import ExecutionError, MemoryFault
 from repro.gpu.latency import SHARED_ACCESS_CYCLES, CostModel
-from repro.gpu.memory import PAGE_SIZE, GlobalMemory
+from repro.gpu.memory import PAGE_SIZE, GlobalMemory, f32_overflow
 from repro.ptx import isa
 from repro.ptx.ast import (
     Immediate,
@@ -273,7 +273,10 @@ def make_memory_helpers(memory: GlobalMemory, hierarchy,
                     page = bytearray(PAGE_SIZE)
                     pages[page_index] = page
                 if is_float:
-                    pack(page, in_page, value)
+                    try:
+                        pack(page, in_page, value)
+                    except OverflowError:
+                        pack(page, in_page, f32_overflow(value))
                 else:
                     value &= mask
                     if signed and value >= 1 << (bits - 1):
@@ -362,6 +365,7 @@ _BASE_ENV = {
     "_truncrem": _truncrem,
     "_ieee_div": ieee_div,
     "_f2i": float_to_int,
+    "_f32inf": f32_overflow,
     **NONFINITE_ENV,
     "_sv8": _make_signed_view(8),
     "_sv16": _make_signed_view(16),
@@ -606,6 +610,16 @@ if not _a % {{width}} and _GB <= _a <= _GL{{width}}:
 else:
     {{helper}}"""
 _FOLD_HITS = '_l1_stats.hits += _hits; _level_counts["l1"] += _hits'
+
+
+def _packs(call: str, value: str, dtype: str) -> list:
+    """Source lines of ``call`` (a format string) packing ``value``.
+    An f32 beyond its range packs as f32 rounding gives, infinity,
+    where ``struct`` raises: a handler that costs nothing until then."""
+    if dtype != "f32":
+        return [call.format(value)]
+    return ["try:", "    " + call.format(value), "except OverflowError:",
+            "    " + call.format(f"_f32inf({value})")]
 
 
 class KernelCodegen:
@@ -1121,8 +1135,8 @@ class ThreadCodegen(KernelCodegen):
                     bits = isa.type_width(dtype) * 8
                     access.append(f"if _v >= {1 << (bits - 1)}: "
                                   f"_v -= {1 << bits}")
-            access.append(f"_p{_SHARED_STRUCTS[dtype][2:]}(_pg, _o % "
-                          f"{PAGE_SIZE}, _v)")
+            access += _packs(f"_p{_SHARED_STRUCTS[dtype][2:]}(_pg, _o % "
+                             f"{PAGE_SIZE}, {{}})", "_v", dtype)
             self._emit_global(dtype, address, access,
                               f"_cycles += _stg_{dtype}(_a, {value})")
 
@@ -1147,8 +1161,10 @@ class ThreadCodegen(KernelCodegen):
                          f"if ({value}) >= {1 << (bits - 1)} "
                          f"else ({value}))")
         with self._buffer_access(buffer, memref, dtype):
-            self.gen.emit(f"{packer}.pack_into({buffer}, "
-                          f"{self._address(memref)}, {value})")
+            for line in _packs(f"{packer}.pack_into({buffer}, "
+                               f"{self._address(memref)}, {{}})", value,
+                               dtype):
+                self.gen.emit(line)
 
     @contextlib.contextmanager
     def _buffer_access(self, buffer: str, memref: MemRef, dtype: str):

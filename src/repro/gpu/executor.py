@@ -60,7 +60,7 @@ from repro.errors import ExecutionError, LaunchError, MemoryFault
 from repro.gpu import codegen
 from repro.gpu.cache import MemoryHierarchy
 from repro.gpu.latency import SHARED_ACCESS_CYCLES, CostModel
-from repro.gpu.memory import GlobalMemory, wrap_int
+from repro.gpu.memory import GlobalMemory, f32_overflow, wrap_int
 from repro.gpu.registers import RegisterAllocation, allocate
 from repro.gpu.specs import DeviceSpec
 from repro.ptx import isa
@@ -1084,7 +1084,11 @@ def _buffer_store(buffer: bytearray, offset: int, dtype: str, value) -> None:
     width = isa.type_width(dtype)
     codegen.buffer_fault(buffer, offset, width)
     if isa.is_float(dtype):
-        struct.pack_into(_BUFFER_FORMATS[dtype], buffer, offset, float(value))
+        value = float(value)
+        try:
+            struct.pack_into(_BUFFER_FORMATS[dtype], buffer, offset, value)
+        except OverflowError:
+            struct.pack_into("<f", buffer, offset, f32_overflow(value))
     else:
         struct.pack_into(
             _BUFFER_FORMATS[dtype], buffer, offset,

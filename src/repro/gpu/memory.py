@@ -21,6 +21,7 @@ bytes of the victim partition are provably untouched.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -230,7 +231,11 @@ class GlobalMemory:
         width = isa.type_width(dtype)
         self._check(address, width, "write")
         if isa.is_float(dtype):
-            raw = struct.pack("<f" if width == 4 else "<d", float(value))
+            value = float(value)
+            try:
+                raw = struct.pack("<f" if width == 4 else "<d", value)
+            except OverflowError:
+                raw = struct.pack("<f", f32_overflow(value))
         else:
             fmt = _int_format(width, isa.is_signed(dtype))
             raw = struct.pack(
@@ -247,6 +252,12 @@ NUMPY_DTYPES = {
     "u32": np.uint32, "s32": np.int32, "b32": np.uint32,
     "u64": np.uint64, "s64": np.int64, "b64": np.uint64,
 }
+
+
+def f32_overflow(value: float) -> float:
+    """What f32 rounding makes of a double beyond the f32 range, which
+    ``struct`` refuses to pack: infinity of its sign."""
+    return math.copysign(math.inf, value)
 
 
 def wrap_int(value: int, width: int, signed: bool) -> int:

@@ -419,8 +419,9 @@ _INTEGER_DIVISION = """\tmov.u32 %r2, 7;
 \tst.global.u32 [%rd1], %r3;"""
 
 #: What nvcc and hand-written PTX put in float registers that Python's
-#: ``repr`` cannot spell back, division by zero, and a float converted
-#: to an integer; each with the bytes it stores.
+#: ``repr`` cannot spell back, division by zero, a double beyond the
+#: f32 range stored as f32, and a float converted to an integer; each
+#: with the bytes it stores.
 _FLOAT_CASES = {
     # max(-inf, out[0]) back to out[0], the seed itself to out[1].
     "neg_inf_immediate": ("""\tld.global.f32 %f1, [%rd1];
@@ -444,6 +445,10 @@ _FLOAT_CASES = {
 \tst.global.f32 [%rd1+8], %f3;""",
                                struct.pack("<fff", math.inf, -math.inf,
                                            math.nan)),
+    # 2**129 narrowed to f32 and stored: f32 rounding gives infinity.
+    "f32_store_overflow": ("""\tmov.f64 %fd1, 0d4800000000000000;
+\tcvt.rn.f32.f64 %f1, %fd1;
+\tst.global.f32 [%rd1], %f1;""", struct.pack("<f", math.inf)),
     # cvt writes its destination type: an s32 the store packs.
     "float_to_int": ("""\tld.global.f32 %f1, [%rd1];
 \tcvt.rzi.s32.f32 %r2, %f1;

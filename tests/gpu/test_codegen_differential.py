@@ -518,6 +518,23 @@ def neighbour_kernel():
     return b.build()
 
 
+def overflow_kernel(shared):
+    """out[tid] = (tid - 32) * 1e41 as f32, through shared memory if
+    ``shared``."""
+    b = KernelBuilder("overflow", params=[("out", "u64")])
+    out = b.load_param_ptr("out")
+    tid = b.special("%tid.x")
+    big = b.mul("f32", b.cvt("f32", "s32", b.sub("s32", tid, Immediate(32))),
+                Immediate(1e38))
+    big = b.mul("f32", big, Immediate(1e3))
+    if shared:
+        tile = b.mov("u64", b.shared_array("tile", "f32", 64))
+        b.st_shared("f32", b.element_addr(tile, tid, 4), big)
+        big = b.ld_shared("f32", b.element_addr(tile, tid, 4))
+    b.st_global("f32", b.element_addr(out, tid, 4), big)
+    return b.build()
+
+
 class TestFaultsAndFallback:
     """What the block engine cannot reproduce, it must not attempt to:
     the per-thread JIT re-runs the block and owns the outcome."""
@@ -576,17 +593,21 @@ class TestFaultsAndFallback:
         assert outcomes["block"].memory.load_scalar(BASE, "u32") == 2
 
     def test_f32_store_overflow(self):
-        """A double too large for f32: struct.pack raises in the JIT."""
-        b = KernelBuilder("overflow", params=[("out", "u64")])
-        out = b.load_param_ptr("out")
-        tid = b.special("%tid.x")
-        big = b.mul("f32", b.cvt("f32", "u32", tid), Immediate(1e38))
-        b.st_global("f32", b.element_addr(out, tid, 4),
-                    b.mul("f32", big, Immediate(1e3)))
-        outcomes = run_engines(b.build(), (1, 1, 1), (64, 1, 1), [BASE],
-                               engines=("jit", "block"))
-        assert isinstance(outcomes["jit"].error, OverflowError)
-        assert_identical(outcomes["jit"], outcomes["block"])
+        """A double too large for f32 stores what f32 rounding gives,
+        infinity of its sign (struct.pack refuses it)."""
+        self.assert_stores_infinities(overflow_kernel(shared=False))
+
+    def test_f32_shared_store_overflow(self):
+        self.assert_stores_infinities(overflow_kernel(shared=True))
+
+    @staticmethod
+    def assert_stores_infinities(kernel):
+        outcomes = run_engines(kernel, (1, 1, 1), (64, 1, 1), [BASE])
+        assert_one_outcome(outcomes)
+        assert outcomes["jit"].error is None
+        assert vectorised(outcomes["block"])
+        stored = outcomes["jit"].memory.read_array(BASE, 64)
+        assert list(stored) == [-math.inf] * 32 + [0.0] + [math.inf] * 31
 
     def test_engine_bugs_propagate(self):
         """Only the expected ways out of an attempt fall back; a
@@ -728,7 +749,7 @@ def stamp_kernel():
 def trouble_kernel(kind):
     """out[gid] = gid + 1, with block 2 doing what ``kind`` says: its
     lanes from 40 on store past the mapping (``bad`` is the distance
-    to it), store two bytes off, or store a double f32 cannot hold."""
+    to it), store two bytes off, or its lanes divide by zero."""
     b = KernelBuilder(f"trouble_{kind}", params=[("out", "u64"),
                                                  ("bad", "u32")])
     out = b.load_param_ptr("out")
@@ -736,10 +757,11 @@ def trouble_kernel(kind):
     gid = b.global_thread_id()
     in_block_2 = b.setp("eq", "u32", b.special("%ctaid.x"), Immediate(2))
     address = b.element_addr(out, gid, 4)
-    if kind == "overflow":
-        huge = b.reg("f32")
-        b.emit("selp.f32", huge, Immediate(1e38), Immediate(1.0), in_block_2)
-        b.st_global("f32", address, b.mul("f32", huge, Immediate(1e3)))
+    if kind == "division":
+        divisor = b.reg("u32")
+        b.emit("selp.b32", divisor, Immediate(0), Immediate(1), in_block_2)
+        b.st_global("u32", address,
+                    b.div("u32", b.add("u32", gid, Immediate(1)), divisor))
         return b.build()
     late = b.setp("ge", "u32", b.special("%tid.x"), Immediate(40))
     hit = b.reg("pred")
@@ -927,12 +949,12 @@ class TestGridSpans:
 
     @pytest.mark.parametrize("kind,error", [
         ("fault", MemoryFault), ("misaligned", MemoryFault),
-        ("overflow", OverflowError)])
+        ("division", ExecutionError)])
     def test_trouble_in_block_2_of_5(self, kind, error):
         """Same exception, same partial memory: blocks 0 and 1
         committed, block 2 up to the offending thread, nothing of
         blocks 3 and 4."""
-        bad = {"fault": MEMORY_BYTES, "misaligned": 2, "overflow": 0}[kind]
+        bad = {"fault": MEMORY_BYTES, "misaligned": 2, "division": 0}[kind]
         outcomes = run_engines(trouble_kernel(kind), (5, 1, 1), (64, 1, 1),
                                [BASE, bad])
         assert isinstance(outcomes["interpreter"].error, error)
@@ -941,10 +963,12 @@ class TestGridSpans:
         assert block.executor.engine_blocks == {
             "block": 2, "thread": 1, "fallback": 1}
         assert spans(block) == (4, 1)
-        if kind != "overflow":
-            out = block.memory.read_array(BASE, 320, dtype="u32")
-            assert list(out[:168]) == list(range(1, 169))
-            assert not out[168:].any()
+        # Block 2's lanes below 40 store before the fault; a division by
+        # zero kills its first thread before any store.
+        stored = 128 if kind == "division" else 168
+        out = block.memory.read_array(BASE, 320, dtype="u32")
+        assert list(out[:stored]) == list(range(1, stored + 1))
+        assert not out[stored:].any()
 
     def test_span_over_the_log_cap(self):
         """Budgets are per attempt: four blocks together log more
