@@ -7,6 +7,11 @@ and 64-bit integer conventions, conversions between the register banks.
 :func:`structured_kernel` draws from all of that, driven by any object
 with the ``random.Random`` interface (hypothesis' ``st.randoms()``).
 
+Conversions go every way between the banks: float to integer with
+each rounding modifier on NaN, infinities and out-of-range values,
+64-bit integers to f32 from 2**63 up, narrowing, and integers
+converted to float meeting in one f32 op.
+
 Every register is written before it is read on every path (values made
 inside an ``if`` or loop body leave it only through the accumulators
 declared up front), which is what the block engine admits. Now and then
@@ -100,11 +105,18 @@ class _Draw:
             return b.mul("u32", a, c)
         if kind in ("and", "or", "xor"):
             return b._binary(f"{kind}.b32", "b32", a, c)
-        if kind == "shl":
-            return b.shl("b32", a, Immediate(rng.randrange(0, 20)))
-        if kind == "shr":
-            return b.shr(rng.choice(["u32", "s32"]), a,
-                         Immediate(rng.randrange(0, 20)))
+        if kind in ("shl", "shr"):
+            # Now and then an amount of the width or more, or one a
+            # register holds (from an s32 op, maybe negative): read as
+            # u32 and clamped.
+            amount = rng.choice([
+                Immediate(rng.randrange(0, 20)),
+                Immediate(rng.randrange(0, 20)),
+                Immediate(rng.choice([32, 33, 0xFFFFFFFF])),
+                rng.choice(ints), rng.choice(signed)])
+            if kind == "shl":
+                return b.shl("b32", a, amount)
+            return b.shr(rng.choice(["u32", "s32"]), a, amount)
         if kind in ("div", "rem"):
             if isinstance(c, Immediate):
                 c = b.mov("u32", c)
@@ -192,11 +204,11 @@ class _Draw:
             return b.mul("u64", a, c)
         if kind in ("xor", "and", "or"):
             return b._binary(f"{kind}.b64", "b64", a, c)
-        if kind in ("shr", "sar"):
-            return b.shr("u64" if kind == "shr" else "s64", a,
-                         Immediate(rng.randrange(0, 64)))
-        if kind == "shl":
-            return b.shl("b64", a, Immediate(rng.randrange(0, 64)))
+        if kind in ("shr", "sar", "shl"):
+            amount = Immediate(rng.choice([rng.randrange(0, 64), 64, 100]))
+            if kind == "shl":  # a lane-varying amount too
+                return b.shl("b64", a, rng.choice([amount, rng.choice(ints)]))
+            return b.shr("u64" if kind == "shr" else "s64", a, amount)
         if kind == "wide":
             return b.mul_wide(
                 rng.choice(["u32", "s32"]), rng.choice(ints),
@@ -234,13 +246,44 @@ class _Draw:
                             Immediate(0.5)))
         return a
 
+    def conversion(self, ints, floats, signed, wides):
+        """One ``cvt`` between register banks; its result joins the
+        values of its bank."""
+        b, rng = self.b, self.rng
+        kind = rng.choice(["f2i", "f2i", "narrow", "wide2f", "meet"])
+        if kind == "f2i":
+            # Every rounding modifier; now and then NaN or an infinity,
+            # often beyond the destination's range.
+            value = b.mul("f32", self.float_operand(floats), Immediate(
+                rng.choice([1.0, 3e9, -3e9, 2.0 ** 40, -(2.0 ** 70)])))
+            dest = rng.choice(["s32", "u32", "s64", "u64"])
+            result = b.reg(dest)
+            b.emit(f"cvt.{rng.choice(['rni', 'rzi', 'rmi', 'rpi'])}.{dest}"
+                   ".f32", result, value)
+            {"s32": signed, "u32": ints}.get(dest, wides).append(result)
+        elif kind == "narrow":
+            dest = rng.choice(["u32", "s32"])
+            narrowed = b.cvt(dest, dest[0] + "64", rng.choice(wides))
+            (ints if dest == "u32" else signed).append(narrowed)
+        elif kind == "wide2f":
+            high = b.or_("b64", rng.choice(wides), Immediate(1 << 63))
+            value = b.cvt("f32", rng.choice(["s64", "u64"]), high)
+            floats.append(b.mul("f32", value, Immediate(2.0 ** -62)))
+        else:
+            # Two integers converted to float meet in one f32 op.
+            a = b.cvt("f32", "u32", rng.choice(ints))
+            c = b.cvt("f32", "s32", rng.choice(signed))
+            met = b._binary(f"{rng.choice(['add', 'sub', 'mul'])}.f32",
+                            "f32", a, c)
+            floats.append(b.mul("f32", met, Immediate(2.0 ** -32)))
+
     # -- structure --------------------------------------------------------------
 
     def body(self, depth, ints, floats, signed, wides, budget):
         b, rng = self.b, self.rng
         ints, floats = list(ints), list(floats)
         signed, wides = list(signed), list(wides)
-        kinds = ["i", "i", "f", "f", "s", "w", "w", "acc", "pred"]
+        kinds = ["i", "i", "f", "f", "s", "w", "w", "acc", "pred", "cvt"]
         if depth < 2:
             kinds += ["if", "loop", "shared"]
         for _ in range(rng.randrange(1, budget)):
@@ -253,6 +296,8 @@ class _Draw:
                 signed.append(self.signed_op(ints, signed))
             elif kind == "w":
                 wides.append(self.wide_op(wides, ints, floats))
+            elif kind == "cvt":
+                self.conversion(ints, floats, signed, wides)
             elif kind == "acc":
                 which = rng.choice("ifsw")
                 if which == "i":
