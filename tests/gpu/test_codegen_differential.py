@@ -32,6 +32,7 @@ from repro.core.patcher import PTXPatcher
 from repro.core.policy import FencingMode
 from repro.errors import ExecutionError, MemoryFault
 from repro.gpu import blockrt, codegen
+from repro.gpu.blockgen import BlockCodegen, Unsupported
 from repro.gpu import executor as gpu_executor
 from repro.gpu.cache import MemoryHierarchy
 from repro.gpu.executor import SPAN_LANES, compile_kernel
@@ -49,6 +50,8 @@ from repro.ptx.ast import (
     TargetList,
 )
 from repro.ptx.builder import KernelBuilder, build_module
+from repro.ptx.parser import parse_module
+from repro.workloads.rodinia import rodinia_fatbin
 
 from tests.conftest import (
     ENGINES,
@@ -2196,8 +2199,6 @@ BLOCK_REFUSALS = {
 
 
 def block_refusal(kernel):
-    from repro.gpu.blockgen import BlockCodegen, Unsupported
-
     try:
         BlockCodegen(compile_kernel(kernel, SPEC), CostModel(SPEC)).generate()
     except Unsupported as reason:
@@ -2206,9 +2207,6 @@ def block_refusal(kernel):
 
 
 def rodinia_kernels():
-    from repro.ptx.parser import parse_module
-    from repro.workloads.rodinia import rodinia_fatbin
-
     kernels = {}
     for entry in rodinia_fatbin().ptx_entries():
         kernels.update(parse_module(entry.ptx_text()).kernels)
