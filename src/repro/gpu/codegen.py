@@ -16,9 +16,10 @@ kernel with ``bar``, whose threads must meet at the barrier):
   a fault or any other cache outcome calls a pre-bound helper.
 
 Semantics are the interpreter's: f32 is held in double and rounded
-only by a store's pack, a never-written register reads 0, float
-division by zero gives IEEE's infinity or NaN and integer division by
-zero kills the kernel. Memory effects, errors, counters, warp cycles
+only by a store's pack (infinity beyond the f32 range), a
+never-written register reads 0, ``cvt`` writes its destination type,
+a shift amount is read as u32, float division by zero gives IEEE's
+infinity or NaN and integer division by zero kills the kernel. Memory effects, errors, counters, warp cycles
 and cache lines are identical, which the differential tests
 (``tests/gpu/test_codegen_differential.py``) assert byte for byte.
 

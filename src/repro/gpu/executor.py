@@ -1001,12 +1001,13 @@ def _convert(value, ins: DecodedInstr):
     if isa.is_float(source) and not isa.is_float(dtype):
         return codegen.float_to_int(value, rounding,
                                     *codegen.int_range(dtype))
-    if not isa.is_float(source) and (isa.is_float(dtype) or isa.type_width(
-            source) < isa.type_width(dtype)):
-        value = wrap_int(value, isa.type_width(source),
-                         isa.is_signed(source))
+    width = isa.type_width(source)
     if isa.is_float(dtype):
+        if not isa.is_float(source):
+            value = wrap_int(value, width, isa.is_signed(source))
         return float(value)
+    if width < isa.type_width(dtype):
+        value = wrap_int(value, width, isa.is_signed(source))
     if isa.is_signed(dtype) and isa.type_width(dtype) < 8:
         value = wrap_int(value, isa.type_width(dtype), True)
     return value
