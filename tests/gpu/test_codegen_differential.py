@@ -2276,6 +2276,12 @@ class TestConversions:
             assert memory.load_scalar(BASE + 16 * tid, "u64") == unsigned
             assert memory.load_scalar(BASE + 16 * tid + 8, "f64") == unsigned
 
+    def test_a_cvt_naming_no_type_is_refused_at_load(self):
+        b = KernelBuilder("untyped", params=[("out", "u64")])
+        b.emit("cvt.rn", b.reg("u32"), b.special("%tid.x"))
+        with pytest.raises(ExecutionError, match="cvt.rn names no type"):
+            compile_kernel(b.build(), SPEC)
+
     def test_block_engine_admission(self):
         """Every library and Rodinia kernel but ``fan2`` runs on the
         block engine: no analysis of where a float register's value
