@@ -2059,8 +2059,9 @@ class TestShiftsAndUnsignedDivision:
         finally:
             tracemalloc.stop()
         assert_one_outcome(outcomes)
-        # A 2**32-bit integer is 512 MiB; the launches need a few.
-        assert peak < 32 << 20
+        # A 2**32-bit integer is 512 MiB; the three outcomes hold a
+        # 4 MiB copy of device memory each.
+        assert peak < 64 << 20
         assert outcomes["jit"].error is None
         assert vectorised(outcomes["block"])
         stored = outcomes["jit"].memory.read_array(BASE, 96, dtype="u32")
