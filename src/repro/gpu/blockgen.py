@@ -28,6 +28,7 @@ from repro.gpu.codegen import (
     KernelCodegen,
     _Gen,
     _mangle,
+    _written,
     basic_blocks,
     cvt_source,
 )
@@ -72,6 +73,25 @@ _PLAIN_OPS = {
 }
 
 
+#: Ops a counted loop's body may hold and still run along the trip axis
+#: (besides ``ld.global``): those whose helpers broadcast over a
+#: (trips x lanes) matrix. ``cvt`` and the SFU ops go lane by lane.
+_TRIP_OPS = frozenset(_PLAIN_OPS) | {
+    "mul", "mad", "fma", "div", "rem", "shl", "shr", "setp", "selp"}
+
+#: Counter types of a counted loop.
+_TRIP_COUNTERS = ("u32", "s32", "u64", "s64")
+
+
+def _reads(ins) -> list:
+    """Names of the registers a data instruction or ``ld`` reads."""
+    if ins.op == "ld":
+        base = ins.operands[1].base
+        return [base.name] if isinstance(base, Register) else []
+    return [operand.name for operand in ins.operands[1:]
+            if isinstance(operand, Register)]
+
+
 class BlockCodegen(KernelCodegen):
     """Generates the block function of one kernel.
 
@@ -105,6 +125,8 @@ class BlockCodegen(KernelCodegen):
         self._divisor = None
         self.global_widths: set[int] = set()
         self.shared_widths: set[int] = set()
+        #: Counted loops that run along the trip axis, by header block.
+        self.trip_loops: dict[int, tuple] = {}
 
     # -- static admission --------------------------------------------------------
 
@@ -524,6 +546,155 @@ class BlockCodegen(KernelCodegen):
             gen.emit("_R.retire(_lanes, _m, _cu, _cv); _keep = ~_m; "
                      "continue")
 
+    # -- counted loops along the trip axis -------------------------------------------
+
+    def _trip_loop(self, instructions, ordered, block_id: int):
+        """The loop whose header is ``block_id``, if it can run along
+        the trip axis: ``setp.ge p, i, N; @p bra`` then one straight-line
+        body of global loads and arithmetic ending ``add t, i, 1; mov i,
+        t; bra header``, where only ``i`` and float reductions (``a = x
+        + a``, ``a = x*y + a``, directly or through one ``mov``) carry
+        from one trip to the next. Returns ``(counter, bound, type,
+        body, reductions, cycles, instructions, loads, written)``."""
+        if block_id + 2 >= len(ordered):
+            return None
+        start, end = ordered[block_id], ordered[block_id + 1]
+        header = instructions[start:end]
+        body = instructions[end:ordered[block_id + 2]]
+        if len(header) != 2 or len(body) < 3:
+            return None
+        test, leave = header
+        *work, step, move, back = body
+        dtype = test.dtype
+        if (test.op != "setp" or test.compare != "ge"
+                or dtype not in _TRIP_COUNTERS or test.guard_reg is not None
+                or len(test.operands) != 3 or leave.op != "bra"
+                or leave.guard_negated
+                or leave.guard_reg != test.operands[0].name
+                or back.op != "bra" or back.guard_reg is not None
+                or back.branch_target != start):
+            return None
+        _, counter, bound = test.operands
+        one = step.operands[2] if len(step.operands) == 3 else None
+        if (not isinstance(counter, Register)
+                or step.opcode != f"add.{dtype}" or move.opcode != f"mov.{dtype}"
+                or step.guard_reg is not None or move.guard_reg is not None
+                or step.operands[1] != counter
+                or not isinstance(one, Immediate) or type(one.value) is not int
+                or one.value != 1 or move.operands[0] != counter
+                or move.operands[1] != step.operands[0]
+                or step.operands[0] == counter):
+            return None
+        for ins in work:
+            if ins.guard_reg is not None or not (
+                    ins.op in _TRIP_OPS
+                    or ins.op == "ld" and ins.route == isa.DEVICE):
+                return None
+        loop = [test, *work, step, move]
+        writes: dict[str, int] = {}
+        readers: dict[str, list] = {}
+        carried = set()
+        for ins in loop:
+            for name in _reads(ins):
+                readers.setdefault(name, []).append(ins)
+                if name not in writes:
+                    carried.add(name)  # upward-exposed, if written below
+            writes[_written(ins)] = writes.get(_written(ins), 0) + 1
+        carried &= set(writes)
+        reductions = []
+        for acc in sorted(carried - {counter.name}):
+            reduction = self._reduction(acc, writes, readers)
+            if reduction is None:
+                return None
+            reductions.append(reduction)
+        return (counter, bound, dtype, work + [step, move], reductions,
+                sum(ins.compute_cycles for ins in header + body),
+                len(header) + len(body),
+                sum(ins.op == "ld" for ins in work),
+                sorted({_written(ins) for ins in loop[1:]}))
+
+    def _reduction(self, acc: str, writes: dict, readers: dict):
+        """``(accumulator, register the sum is written to, whether the
+        accumulator is the first addend)`` if ``acc`` carries a float
+        reduction, else None."""
+        if self.classes.get(acc) != "f" or len(readers[acc]) != 1:
+            return None
+        (ins,) = readers[acc]
+        names = [getattr(operand, "name", None) for operand in ins.operands]
+        if ins.op == "add" and names[1:].count(acc) == 1:
+            first = names[1] == acc
+        elif ins.op == "fma" and names.index(acc) == 3:
+            first = False
+        else:
+            return None
+        total = names[0]
+        if total == acc:
+            return (acc, total, first) if writes[acc] == 1 else None
+        moves = readers.get(total, [])
+        if (writes[acc] != 1 or writes[total] != 1 or len(moves) != 1
+                or moves[0].op != "mov" or _written(moves[0]) != acc):
+            return None
+        return acc, total, first
+
+    def _emit_trip_arm(self, loop) -> None:
+        """Run the loop's remaining trips as one matrix, a chunk of trips
+        at a time, when the whole group reaches the header with a uniform
+        counter and bound and the trips fit the attempt's budgets; the
+        header then runs as usual and leaves the loop. The counter is a
+        (trips x 1) column; each reduction's addends are computed with
+        the accumulator read as -0.0 (x + -0.0 is x, bit for bit) and
+        added trip by trip (``_fold``); every other register leaves with
+        its last trip's value. Cycles, instructions and steps are the
+        per-trip path's, times the trips."""
+        (counter, bound, dtype, body, reductions, cycles, count, loads,
+         written) = loop
+        gen = self.gen
+        i = self._expr(counter)
+        limit = self._expr(bound)
+        uniform = [f"type({i}) is not _nd"]
+        if isinstance(bound, Register):
+            uniform.append(f"type({limit}) is not _nd")
+        gen.emit(f"if {' and '.join(uniform)} and "
+                 f"{i} == {self._compare_view(i, dtype)}:")
+        gen.indent += 1
+        gen.emit(f"_k = {self._compare_view(limit, dtype)} - {i}")
+        gen.emit(f"if _k >= 4 and _steps + 2 * _k <= {ATTEMPT_STEPS} and "
+                 f"_tfits(_R, {loads} * _k * _n):")
+        gen.indent += 1
+        gen.emit(f"_steps += 2 * _k; _cu += {cycles} * _k; "
+                 f"_instr += {count} * _k * _n; _loads += {loads} * _k * _n")
+        gen.emit("_tc = _tchunk(_n)")
+        gen.emit("while _k:")
+        gen.indent += 1
+        gen.emit("_c = min(_k, _tc); _k -= _c")
+        gen.emit(f"{i} = {i} + _tcol(_c)")
+        for index, (acc, _, _) in enumerate(reductions):
+            name = _mangle(acc)
+            gen.emit(f"_a{index} = {name}; {name} = -0.0")
+        addresses = []
+        for ins in body:
+            if ins.op != "ld":
+                self._emit_body(ins)
+                continue
+            address = f"_ta{len(addresses)}"
+            addresses.append(address)
+            gen.emit(f"{address} = {self._address(ins.operands[1])}")
+            gen.emit(f"{self._expr(ins.operands[0])} = "
+                     f"_tldg_{ins.dtype or 'b32'}(_R, {address})")
+        if addresses:
+            gen.emit(f"_tlog(_R, _lanes, _c, {', '.join(addresses)})")
+        folded = set()
+        for index, (acc, total, first) in enumerate(reductions):
+            acc, total = _mangle(acc), _mangle(total)
+            gen.emit(f"{acc} = _fold(_a{index}, {total}, {first}, _c)")
+            if total != acc:
+                gen.emit(f"{total} = {acc}")
+            folded.update((acc, total))
+        for name in map(_mangle, written):
+            if name not in folded:
+                gen.emit(f"{name} = _last({name})")
+        gen.indent -= 3
+
     # -- whole-kernel generation -------------------------------------------------------
 
     def generate(self) -> tuple[str, frozenset]:
@@ -537,11 +708,16 @@ class BlockCodegen(KernelCodegen):
             end = ordered[block_id + 1]
             self._fall_through = block_of[end] if end < len(
                 instructions) else -1
+            loop = self._trip_loop(instructions, ordered, block_id)
+            if loop is not None:
+                self.trip_loops[block_id] = loop
             variants = []
             for mask in (None, "_m"):
                 self._mask = mask
                 self.gen = _Gen()
                 self.gen.indent = 4
+                if loop is not None and mask is None:
+                    self._emit_trip_arm(loop)
                 self._emit_block(instructions, leader, end, block_of)
                 variants.append(self.gen.lines)
             arms.append(variants)

@@ -51,6 +51,7 @@ exception and the partial memory state of a faulting kernel.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -293,6 +294,65 @@ def _compact(keep, *values):
     )
 
 
+# --------------------------------------------------------------------------
+# The trip axis: a counted loop's trips as the rows of a matrix
+# --------------------------------------------------------------------------
+
+#: Lane-trips one chunk of a counted loop runs at once (see
+#: :meth:`repro.gpu.blockgen.BlockCodegen._emit_trip_arm`): a chunk's
+#: matrices have about this many elements, whatever the loop's length.
+TRIP_CELLS = 1 << 14
+
+
+def _tchunk(width: int) -> int:
+    """Trips per chunk at ``width`` live lanes."""
+    return max(1, TRIP_CELLS // width)
+
+
+def _tcol(trips: int):
+    """The counter's offsets over a chunk, a (trips x 1) column."""
+    return np.arange(trips, dtype=_I8)[:, None]
+
+
+def _tfits(run, accesses: int) -> bool:
+    """Whether ``accesses`` more lane accesses fit the access log."""
+    return run.logged + accesses <= LOG_CAP
+
+
+def _last(x):
+    """A register after a chunk: its last trip's value, a (trips x 1)
+    column's as a Python scalar (uniform, as the per-trip path holds
+    it). Scalars and lane vectors did not vary with the trip."""
+    if type(x) is not _nd or x.ndim == 1:
+        return x
+    row = x[-1]
+    return row[0].item() if len(row) == 1 else row
+
+
+def _fold(acc, addends, acc_first: bool, trips: int):
+    """A reduction's accumulator after a chunk: one double addition per
+    trip, ``acc + addend`` or ``addend + acc`` as the body wrote it.
+    ``np.add.accumulate`` adds in trip order; with no NaN the operand
+    order cannot show (addition commutes), and NaN is sticky, so a
+    NaN-free result proves there was none. Otherwise, or for an addend
+    the trips share, the rows are added one by one."""
+    if type(addends) is _nd and addends.ndim == 2:
+        width = len(acc) if type(acc) is _nd else addends.shape[1]
+        sums = np.empty((trips + 1, width))
+        sums[0] = acc
+        sums[1:] = addends
+        total = np.add.accumulate(sums, axis=0)[-1]
+        if not np.isnan(total).any():
+            return total if type(acc) is _nd or width > 1 else total.item()
+        if type(acc) is not _nd and width == 1:
+            addends = addends[:, 0].tolist()  # the per-trip scalars
+    else:
+        addends = repeat(addends, trips)
+    for row in addends:
+        acc = acc + row if acc_first else row + acc
+    return acc
+
+
 def _make_sfu(formula: str):
     scalar = eval(  # noqa: S307 - fixed table above, no outside input
         "lambda _s: " + formula.format("_s"), {"_math": math}
@@ -346,6 +406,11 @@ VALUE_ENV = {
     "_compact": _compact,
     "_zeros": lambda width: np.zeros(width, dtype=_I8),
     "_Bail": Bail,
+    "_tchunk": _tchunk,
+    "_tcol": _tcol,
+    "_tfits": _tfits,
+    "_last": _last,
+    "_fold": _fold,
     **NONFINITE_ENV,
     **{f"_sfu_{name}": _make_sfu(formula)
        for name, formula in SFU_FORMULAS.items()},
@@ -634,6 +699,24 @@ def _log(run, log: list, lanes, addresses, is_store: bool) -> None:
     log.append((lanes, addresses, is_store))
 
 
+def log_trips(run, lanes, trips: int, *addresses) -> None:
+    """Log a chunk's global loads trip by trip, in program order within
+    a trip: the entries the per-trip path logs, so the commit replays
+    the same sequence through the caches."""
+    width = len(lanes)
+    rows = [
+        repeat(np.full(width, address), trips) if type(address) is not _nd
+        else repeat(address, trips) if address.ndim == 1
+        else np.broadcast_to(address, (trips, width))
+        for address in addresses
+    ]
+    run.logged += trips * width * len(addresses)
+    if run.logged > LOG_CAP:
+        raise Bail("access log full")
+    run.glog.extend((lanes, row, False)
+                    for trip in zip(*rows) for row in trip)
+
+
 def _logged(entries: list):
     """``(threads, addresses)`` of some log entries, flat, in log
     order."""
@@ -749,6 +832,31 @@ def make_block_memory_helpers(memory) -> tuple:
         run.shared_view(dtype)[address >> shift] = values
         _log(run, run.slog, lanes, address, True)
 
+    def trip_load(name: str):
+        """A global load of every trip of a chunk at once. The address
+        is a scalar or lane vector the trips share, a (trips x 1)
+        column or a (trips x lanes) matrix; the value has its shape.
+        All of it is checked before anything is read; the generated
+        code logs it with :func:`log_trips`."""
+        load_type, _, is_float = _MEMORY_TYPES[name]
+        load_type = np.dtype(load_type)
+        width = load_type.itemsize
+        shift = width.bit_length() - 1
+
+        def load(run, address):
+            uniform = type(address) is not _nd
+            flat = np.full(1, address) if uniform else address.reshape(-1)
+            values = gather_one_page(run, flat, load_type, width, shift)
+            if values is None:
+                lo, hi = _span(flat, width, base, limit)
+                values = gather(run, flat, lo, hi, load_type, shift)
+            if uniform:
+                value = values[0].item()
+                return _w64(value) if width == 8 and not is_float else value
+            return _loaded(values, is_float).reshape(address.shape)
+
+        return load
+
     def make_accessors(name: str, read, write):
         """``(load, store)`` of one PTX type in one state space; the
         generated code calls them with the group's lanes and mask."""
@@ -795,6 +903,8 @@ def make_block_memory_helpers(memory) -> tuple:
             name, read_global, write_global)
         env[f"_vlds_{name}"], env[f"_vsts_{name}"] = make_accessors(
             name, read_shared, write_shared)
+        env[f"_tldg_{name}"] = trip_load(name)
+    env["_tlog"] = log_trips
 
     def rollback(run) -> None:
         """Undo every global scatter of ``run`` (newest first) and
@@ -920,7 +1030,8 @@ def make_commit(hierarchy, resolve, cost_l1: int):
     l1 = hierarchy.l1
     line_bytes = l1.line_bytes
     num_sets = l1.num_sets
-    set_type = np.uint16 if num_sets <= 1 << 16 else np.int64
+    set_type = (np.uint8 if num_sets <= 1 << 8 else
+                np.uint16 if num_sets <= 1 << 16 else np.int64)
     l1_stats = l1.stats
     counts = hierarchy.level_counts
 
@@ -974,9 +1085,8 @@ def make_commit(hierarchy, resolve, cost_l1: int):
         l1_stats.hits += hits
         counts["l1"] += hits
         for threads, addresses in rest:
-            for thread, address in zip(threads.tolist(),
-                                       addresses.tolist()):
-                cycles[thread] += resolve(address)
+            np.add.at(cycles, threads,
+                      [resolve(address) for address in addresses.tolist()])
         # A warp runs in lockstep: it costs its slowest lane.
         return float(int(np.maximum.reduceat(cycles, run.warp_starts).sum()))
 
