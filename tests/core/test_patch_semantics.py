@@ -453,12 +453,63 @@ _FLOAT_CASES = {
     "float_to_int": ("""\tld.global.f32 %f1, [%rd1];
 \tcvt.rzi.s32.f32 %r2, %f1;
 \tst.global.s32 [%rd1], %r2;""", struct.pack("<i", 2)),
+    # ex2 of 2000 overflows, rcp and lg2 of 0 and rcp of -0 are poles:
+    # IEEE gives +inf, +inf, -inf, -inf.
+    "sfu_overflow_and_poles": ("""\tmov.f32 %f1, 0f44FA0000;
+\tex2.approx.f32 %f2, %f1;
+\tst.global.f32 [%rd1], %f2;
+\tmov.f32 %f1, 0f00000000;
+\trcp.approx.f32 %f2, %f1;
+\tst.global.f32 [%rd1+4], %f2;
+\tlg2.approx.f32 %f2, %f1;
+\tst.global.f32 [%rd1+8], %f2;
+\tneg.f32 %f1, %f1;
+\trcp.approx.f32 %f2, %f1;
+\tst.global.f32 [%rd1+12], %f2;""",
+                               struct.pack("<ffff", math.inf, math.inf,
+                                           -math.inf, -math.inf)),
+    # A float min/max with one NaN operand gives the other, in either
+    # order: min(NaN, 1.5), min(1.5, NaN), max(NaN, 1.5), max(1.5, NaN).
+    "min_max_of_a_nan": ("""\tmov.f32 %f1, 0f7FC00000;
+\tmov.f32 %f2, 0f3FC00000;
+\tmin.f32 %f3, %f1, %f2;
+\tst.global.f32 [%rd1], %f3;
+\tmin.f32 %f3, %f2, %f1;
+\tst.global.f32 [%rd1+4], %f3;
+\tmax.f32 %f3, %f1, %f2;
+\tst.global.f32 [%rd1+8], %f3;
+\tmax.f32 %f3, %f2, %f1;
+\tst.global.f32 [%rd1+12], %f3;""", struct.pack("<ffff", 1.5, 1.5, 1.5,
+                                                  1.5)),
 }
+
+#: Integer div/rem/min/max read their operands as their own type:
+#: 0x7FFFFFFF + 1 is -2**31 to an s32 op (div by 2, rem by 3), -5 is
+#: 0xFFFFFFFB to a u32 one (min and max with 7), 0xFFFFFFFB is -5 to
+#: an s32 one (min with 7).
+_INTEGER_VIEWS = ("""\tmov.u32 %r2, 2147483647;
+\tadd.s32 %r2, %r2, 1;
+\tdiv.s32 %r3, %r2, 2;
+\tst.global.s32 [%rd1], %r3;
+\trem.s32 %r3, %r2, 3;
+\tst.global.s32 [%rd1+4], %r3;
+\tmov.u32 %r2, 0;
+\tsub.s32 %r2, %r2, 5;
+\tmin.u32 %r3, %r2, 7;
+\tst.global.u32 [%rd1+8], %r3;
+\tmax.u32 %r3, %r2, 7;
+\tst.global.u32 [%rd1+12], %r3;
+\tmov.u32 %r2, 4294967291;
+\tmin.s32 %r3, %r2, 7;
+\tst.global.s32 [%rd1+16], %r3;""",
+                  struct.pack("<iiIIi", -1073741824, -2, 7, 0xFFFFFFFB, -5))
 
 
 class TestArithmeticOutcomes:
-    """Division by zero and non-finite or f32-overflowing immediates
-    through the server's load path: one outcome on every engine."""
+    """Division by zero, non-finite or f32-overflowing immediates,
+    special-function overflows and poles, and operands read through
+    their type, through the server's load path: one outcome on every
+    engine."""
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("opcode", ["div.u32", "rem.u32", "div.s32"])
@@ -488,12 +539,19 @@ class TestArithmeticOutcomes:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("case", sorted(_FLOAT_CASES))
     def test_float_bytes(self, case, engine):
-        body, stored = _FLOAT_CASES[case]
+        self.assert_stores(*_FLOAT_CASES[case], engine)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_integer_operand_views(self, engine):
+        self.assert_stores(*_INTEGER_VIEWS, engine)
+
+    @staticmethod
+    def assert_stores(body, stored, engine):
         text = _ARITHMETIC_TEXT.format(body=body)
         with forced_engine(engine) as make:
             server = served(FencingMode.BITWISE, make)
             client = GuardianClient(server, "alice", 1 << 20)
-            out = client.malloc(16)
+            out = client.malloc(32)
             client.memcpy_h2d(out, struct.pack("<f", 2.5))
             handle = client.load_module_ptx(text)["arith"]
             client.launch_kernel(handle, (1, 1, 1), (1, 1, 1), [out, 0])
