@@ -55,7 +55,12 @@ from itertools import repeat
 
 import numpy as np
 
-from repro.gpu.codegen import NONFINITE_ENV, SFU_FORMULAS, float_to_int
+from repro.gpu.codegen import (
+    NONFINITE_ENV,
+    SFU_FORMULAS,
+    float_to_int,
+    sfu_limit,
+)
 from repro.gpu.memory import PAGE_SIZE
 
 MASK32 = (1 << 32) - 1
@@ -353,16 +358,17 @@ def _fold(acc, addends, acc_first: bool, trips: int):
     return acc
 
 
-def _make_sfu(formula: str):
+def _make_sfu(op: str, formula: str):
     scalar = eval(  # noqa: S307 - fixed table above, no outside input
         "lambda _s: " + formula.format("_s"), {"_math": math}
     )
 
     def lane(value):
+        value = float(value)
         try:
-            return scalar(float(value))
+            return scalar(value)
         except (ValueError, ZeroDivisionError, OverflowError):
-            return math.nan
+            return sfu_limit(op, value)
 
     def sfu(x):
         # numpy's SIMD transcendentals differ from libm in the last
@@ -412,7 +418,7 @@ VALUE_ENV = {
     "_last": _last,
     "_fold": _fold,
     **NONFINITE_ENV,
-    **{f"_sfu_{name}": _make_sfu(formula)
+    **{f"_sfu_{name}": _make_sfu(name, formula)
        for name, formula in SFU_FORMULAS.items()},
 }
 

@@ -18,8 +18,9 @@ kernel with ``bar``, whose threads must meet at the barrier):
 Semantics are the interpreter's: f32 is held in double and rounded
 only by a store's pack (infinity beyond the f32 range), a
 never-written register reads 0, ``cvt`` writes its destination type,
-a shift amount is read as u32, float division by zero gives IEEE's
-infinity or NaN and integer division by zero kills the kernel. Memory effects, errors, counters, warp cycles
+a shift amount is read as u32, float division by zero and a special
+function's overflow or pole give IEEE's infinity or NaN and integer
+division by zero kills the kernel. Memory effects, errors, counters, warp cycles
 and cache lines are identical, which the differential tests
 (``tests/gpu/test_codegen_differential.py``) assert byte for byte.
 
@@ -443,6 +444,23 @@ SFU_FORMULAS = {
 }
 
 _SFU_OPS = tuple(SFU_FORMULAS)
+
+
+def sfu_limit(op: str, x: float) -> float:
+    """What the special-function op ``op`` gives at ``x`` where its
+    formula raises: IEEE's infinity at an overflow (``ex2``) or a pole
+    (``rcp``/``rsqrt`` of a signed zero, ``lg2`` of zero), NaN outside
+    the domain."""
+    if op == "lg2" and x == 0:
+        return -math.inf
+    if op in ("rcp", "rsqrt") and x == 0:
+        return math.copysign(math.inf, x)
+    if op == "ex2" and x > 0:
+        return math.inf
+    return math.nan
+
+
+_BASE_ENV["_sfu_limit"] = sfu_limit
 
 
 def basic_blocks(instructions) -> tuple[list[int], dict[int, int]]:
@@ -1063,7 +1081,7 @@ class ThreadCodegen(KernelCodegen):
         self.gen.emit("except (ValueError, ZeroDivisionError, "
                       "OverflowError):")
         self.gen.indent += 1
-        self.gen.emit(f"{name} = _math.nan")
+        self.gen.emit(f"{name} = _sfu_limit({ins.op!r}, {source})")
         self.gen.indent -= 1
 
     # -- memory ---------------------------------------------------------------------

@@ -895,7 +895,7 @@ class KernelExecutor:
             else:  # tanh
                 result = math.tanh(operand)
         except (ValueError, ZeroDivisionError, OverflowError):
-            result = math.nan
+            result = codegen.sfu_limit(op, operand)
         self._set_reg(thread, ins.operands[0], ins.dtype, result)
 
     # -- memory operations ------------------------------------------------------
