@@ -58,6 +58,8 @@ import numpy as np
 from repro.gpu.codegen import (
     NONFINITE_ENV,
     SFU_FORMULAS,
+    float_max,
+    float_min,
     float_to_int,
     sfu_limit,
 )
@@ -185,7 +187,7 @@ def _f2i(x, rounding: str, low: int, high: int):
 
 def _min(a, b):
     if type(a) is _nd or type(b) is _nd:
-        return np.where(b < a, b, a)  # Python's min(a, b), NaN and all
+        return np.where(b < a, b, a)  # Python's min(a, b)
     return min(a, b)
 
 
@@ -193,6 +195,19 @@ def _max(a, b):
     if type(a) is _nd or type(b) is _nd:
         return np.where(b > a, b, a)
     return max(a, b)
+
+
+def _fmin(a, b):
+    """``codegen.float_min`` on lanes: a NaN operand gives the other."""
+    if type(a) is _nd or type(b) is _nd:
+        return np.where((b < a) | (a != a), b, a)
+    return float_min(a, b)
+
+
+def _fmax(a, b):
+    if type(a) is _nd or type(b) is _nd:
+        return np.where((b > a) | (a != a), b, a)
+    return float_max(a, b)
 
 
 def _sel(a, b, p):
@@ -397,6 +412,8 @@ VALUE_ENV = {
     "_f2i": _f2i,
     "_min": _min,
     "_max": _max,
+    "_fmin": _fmin,
+    "_fmax": _fmax,
     "_sel": _sel,
     "_asp": _asp,
     "_truncdiv": _truncdiv,

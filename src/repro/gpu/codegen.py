@@ -142,6 +142,21 @@ def ieee_div(a, b):
         return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
+def float_min(a, b):
+    """PTX ``min.f32``/``min.f64``: a NaN operand gives the other one
+    (NaN only when both are)."""
+    if a != a:
+        return b
+    return a if b != b else min(a, b)
+
+
+def float_max(a, b):
+    """PTX ``max.f32``/``max.f64``, NaN as :func:`float_min`."""
+    if a != a:
+        return b
+    return a if b != b else max(a, b)
+
+
 def _f64(bits: int) -> float:
     """The double with these bits (a NaN keeps its sign and payload)."""
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
@@ -366,6 +381,8 @@ _BASE_ENV = {
     "_truncdiv": _truncdiv,
     "_truncrem": _truncrem,
     "_ieee_div": ieee_div,
+    "_fmin": float_min,
+    "_fmax": float_max,
     "_f2i": float_to_int,
     "_f32inf": f32_overflow,
     **NONFINITE_ENV,
@@ -774,14 +791,8 @@ class KernelCodegen:
             self._emit_shl(ins)
         elif op == "shr":
             self._emit_shr(ins)
-        elif op == "min":
-            self._assign(
-                operands[0],
-                f"{self.MIN}({e(operands[1])}, {e(operands[2])})", dtype)
-        elif op == "max":
-            self._assign(
-                operands[0],
-                f"{self.MAX}({e(operands[1])}, {e(operands[2])})", dtype)
+        elif op in ("min", "max"):
+            self._emit_min_max(ins)
         elif op == "neg":
             self._assign(operands[0], f"-({e(operands[1])})", dtype)
         elif op == "abs":
@@ -800,6 +811,18 @@ class KernelCodegen:
             raise ExecutionError(
                 f"codegen: unimplemented opcode {ins.opcode!r}"
             )
+
+    def _emit_min_max(self, ins) -> None:
+        """Integers compare as their type; a float NaN operand gives the
+        other one (``_fmin``/``_fmax``)."""
+        dtype = ins.dtype
+        a, b = self._expr(ins.operands[1]), self._expr(ins.operands[2])
+        if isa.is_float(dtype):
+            helper = f"_f{ins.op}"
+        else:
+            helper = self.MIN if ins.op == "min" else self.MAX
+            a, b = self._int_view(a, dtype), self._int_view(b, dtype)
+        self._assign(ins.operands[0], f"{helper}({a}, {b})", dtype)
 
     def _emit_cvt(self, ins) -> None:
         """Convert to the destination type (``ins.dtype``) from the
@@ -855,12 +878,12 @@ class KernelCodegen:
                      ins.dtype)
 
     def _quotient_operands(self, ins, dtype: str) -> tuple[str, str]:
-        """The operands of a ``div``/``rem``: an unsigned one reads
-        them as unsigned."""
+        """The operands of a ``div``/``rem``: an integer one reads them
+        as its type."""
         a, b = self._expr(ins.operands[1]), self._expr(ins.operands[2])
-        if isa.is_float(dtype) or isa.is_signed(dtype):
+        if isa.is_float(dtype):
             return a, b
-        return self._wrap_int(a, dtype), self._wrap_int(b, dtype)
+        return self._int_view(a, dtype), self._int_view(b, dtype)
 
     def _emit_div(self, ins) -> None:
         dtype = ins.dtype or "u32"

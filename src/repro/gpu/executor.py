@@ -765,7 +765,7 @@ class KernelExecutor:
         elif op in ("mad", "fma"):
             self._mad(ins, thread, value)
         elif op == "div":
-            numerator, denominator = _quotient_operands(ins, value)
+            numerator, denominator = _typed_operands(ins, value)
             if isa.is_float(ins.dtype or "u32"):
                 result = codegen.ieee_div(numerator, denominator)
             elif denominator == 0:
@@ -774,7 +774,7 @@ class KernelExecutor:
                 result = codegen._truncdiv(numerator, denominator)
             self._set_reg(thread, operands[0], ins.dtype, result)
         elif op == "rem":
-            numerator, denominator = _quotient_operands(ins, value)
+            numerator, denominator = _typed_operands(ins, value)
             if denominator == 0:
                 raise ExecutionError("integer remainder by zero")
             result = codegen._truncrem(numerator, denominator)
@@ -800,12 +800,13 @@ class KernelExecutor:
                            isa.is_signed(ins.dtype or "u32"))
             self._set_reg(thread, operands[0], ins.dtype,
                           raw >> _shift_amount(ins, value))
-        elif op == "min":
-            self._set_reg(thread, operands[0], ins.dtype,
-                          min(value(operands[1]), value(operands[2])))
-        elif op == "max":
-            self._set_reg(thread, operands[0], ins.dtype,
-                          max(value(operands[1]), value(operands[2])))
+        elif op in ("min", "max"):
+            a, b = _typed_operands(ins, value)
+            if isa.is_float(ins.dtype or "u32"):
+                pick = codegen.float_min if op == "min" else codegen.float_max
+            else:
+                pick = min if op == "min" else max
+            self._set_reg(thread, operands[0], ins.dtype, pick(a, b))
         elif op == "neg":
             self._set_reg(thread, operands[0], ins.dtype,
                           -value(operands[1]))
@@ -1013,15 +1014,17 @@ def _convert(value, ins: DecodedInstr):
     return value
 
 
-def _quotient_operands(ins: DecodedInstr, value) -> tuple:
-    """As ``codegen.KernelCodegen._quotient_operands``: an unsigned
-    ``div``/``rem`` reads its operands as unsigned."""
+def _typed_operands(ins: DecodedInstr, value) -> tuple:
+    """The two source operands of a ``div``/``rem``/``min``/``max``,
+    an integer one's read as its type (as
+    ``codegen.KernelCodegen._quotient_operands``)."""
     a, b = value(ins.operands[1]), value(ins.operands[2])
     dtype = ins.dtype or "u32"
-    if isa.is_float(dtype) or isa.is_signed(dtype):
+    if isa.is_float(dtype):
         return a, b
     width = isa.type_width(dtype)
-    return wrap_int(a, width, False), wrap_int(b, width, False)
+    signed = isa.is_signed(dtype)
+    return wrap_int(a, width, signed), wrap_int(b, width, signed)
 
 
 def _shift_amount(ins: DecodedInstr, value) -> int:
