@@ -1433,6 +1433,10 @@ class KernelCode:
         #: block is ``%ctaid``, so the block engine may run several
         #: blocks of a launch in one pass.
         self.spannable = spannable
+        #: Counted loops the block function may run along the trip
+        #: axis (``BlockCodegen.trip_loops``); None until it is built
+        #: or when the kernel stays on the per-thread engine.
+        self.trip_loops: Optional[int] = None
 
     def bind_thread(self, compiled, cost_model: CostModel, env: dict):
         if self._thread is None:
@@ -1460,6 +1464,7 @@ class KernelCode:
                 code = _function_code(
                     source, f"<guardian-block:{compiled.name}>", "_block")
                 self._block = (code, exits, generator.access_shifts)
+                self.trip_loops = len(generator.trip_loops)
         if isinstance(self._block, str):
             return None
         code, exits, shifts = self._block

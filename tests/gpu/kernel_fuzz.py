@@ -12,6 +12,10 @@ each rounding modifier on NaN, infinities and out-of-range values,
 64-bit integers to f32 from 2**63 up, narrowing, and integers
 converted to float meeting in one f32 op.
 
+Counted loops that sum f32 values (``acc + x``, ``x + acc`` or an
+``fma`` into the accumulator, 0-70 trips, a uniform or lane-varying
+count) are the form the block engine runs along its trip axis.
+
 Every register is written before it is read on every path (values made
 inside an ``if`` or loop body leave it only through the accumulators
 declared up front), which is what the block engine admits. Now and then
@@ -285,7 +289,7 @@ class _Draw:
         signed, wides = list(signed), list(wides)
         kinds = ["i", "i", "f", "f", "s", "w", "w", "acc", "pred", "cvt"]
         if depth < 2:
-            kinds += ["if", "loop", "shared"]
+            kinds += ["if", "loop", "shared", "sum"]
         for _ in range(rng.randrange(1, budget)):
             kind = rng.choice(kinds)
             if kind == "i":
@@ -314,6 +318,8 @@ class _Draw:
                            rng.choice(wides))
             elif kind == "pred":
                 self.predicated(ints, floats, wides)
+            elif kind == "sum":
+                floats.append(self.reduction(ints, floats))
             elif kind == "if":
                 skip = b.fresh_label("fi")
                 b.bra(skip, guard_reg=self.condition(ints, floats, signed),
@@ -329,6 +335,32 @@ class _Draw:
                               wides, 5)
             elif self.shared is not None and depth == 0:
                 floats.append(self.exchange(rng.choice(floats)))
+
+    def reduction(self, ints, floats):
+        """A counted loop summing loaded f32 values, 0-70 trips, the
+        count uniform or lane-varying; returns the sum."""
+        b, rng = self.b, self.rng
+        if rng.random() < 0.5:
+            count = b.mov("u32", Immediate(rng.randrange(0, 71)))
+        else:
+            count = b.add("u32", b.and_("b32", rng.choice(ints),
+                                        Immediate(7)),
+                          Immediate(rng.randrange(0, 64)))
+        total = b.mov("f32", _f32(rng, -2, 2))
+        scale = rng.choice(floats)
+        form = rng.choice(["add", "add_second", "fma"])
+        with b.loop(count) as counter:
+            index = b.rem("u32", b.add("u32", counter, rng.choice(ints)),
+                          Immediate(512))
+            value = b.ld_global("f32", b.element_addr(self.inp, index, 4))
+            if form == "fma":
+                summed = b.fma("f32", value, scale, total)
+            elif form == "add":
+                summed = b.add("f32", total, value)
+            else:
+                summed = b.add("f32", value, total)
+            b.emit("mov.f32", total, summed)
+        return total
 
     def condition(self, ints, floats, signed):
         b, rng = self.b, self.rng

@@ -31,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.patcher import PTXPatcher
 from repro.core.policy import FencingMode
 from repro.errors import ExecutionError, MemoryFault
-from repro.gpu import blockrt, codegen
+from repro.gpu import blockgen, blockrt, codegen
 from repro.gpu.blockgen import BlockCodegen, Unsupported
 from repro.gpu import executor as gpu_executor
 from repro.gpu.cache import MemoryHierarchy
@@ -2307,3 +2307,336 @@ class TestConversions:
         assert vectorised(outcomes["block"])
         chosen = outcomes["jit"].memory.read_array(BASE, 50)
         assert list(chosen[:3]) == [0.0, 1.0, 2.0]
+
+
+# --------------------------------------------------------------------------
+# Counted loops along the trip axis
+# --------------------------------------------------------------------------
+
+#: Elements between two lanes' rows in the trip-axis kernels' input.
+ROW = 16
+
+
+def trip_address(b, base, index, counter):
+    """``base + 4 * index``, ``index`` of the counter's type."""
+    if isa.type_width(counter) == 8:
+        return b.add("s64", base, b.mul("u64", index, Immediate(4)))
+    return b.element_addr(base, index, 4)
+
+
+def lane_row(b, gid, counter):
+    """``gid * ROW`` in the counter's type."""
+    if isa.type_width(counter) == 8:
+        gid = b.cvt(counter, "u32", gid)
+    return b.mul(counter, gid, Immediate(ROW))
+
+
+def reduction_kernel(form, counter="u32", acc=0.0, lane_count=False):
+    """out[gid] = acc plus, for j < n, x[gid*ROW + j] (``add`` as
+    ``acc + x``, ``add_second`` as ``x + acc``, ``direct`` into the
+    accumulator itself) or x[...] * y[...] (``fma``); with
+    ``lane_count`` lane gid runs n + gid % 4 trips."""
+    b = KernelBuilder(f"reduce_{form}_{counter}", params=[
+        ("out", "u64"), ("x", "u64"), ("y", "u64"), ("n", counter)])
+    out = b.load_param_ptr("out")
+    x = b.load_param_ptr("x")
+    y = b.load_param_ptr("y")
+    n = b.load_param("n", counter)
+    gid = b.global_thread_id()
+    if lane_count:
+        n = b.add(counter, n, b.and_("b32", gid, Immediate(3)))
+    row = lane_row(b, gid, counter)
+    total = b.mov("f32", Immediate(acc))
+    with b.loop(n, counter) as j:
+        index = b.add(counter, row, j)
+        value = b.ld_global("f32", trip_address(b, x, index, counter))
+        if form == "fma":
+            other = b.ld_global("f32", trip_address(b, y, index, counter))
+            b.emit("mov.f32", total, b.fma("f32", value, other, total))
+        elif form == "add":
+            b.emit("mov.f32", total, b.add("f32", total, value))
+        elif form == "add_second":
+            b.emit("mov.f32", total, b.add("f32", value, total))
+        else:
+            b.emit("add.f32", total, total, value)
+    b.st_global("f32", b.element_addr(out, gid, 4), total)
+    return b.build()
+
+
+def mixed_trip_kernel(counter):
+    """Per lane, for j < n: total += min(x[j], x[row + j]) *
+    max(x[row + j], x[0]); shared += x[j] (a uniform accumulator); and
+    an integer min/max (and for a 64-bit counter) of j and gid. The
+    three land in out[3*gid..3*gid+2]."""
+    b = KernelBuilder(f"mixed_trips_{counter}", params=[
+        ("out", "u64"), ("x", "u64"), ("n", counter)])
+    out = b.load_param_ptr("out")
+    x = b.load_param_ptr("x")
+    n = b.load_param("n", counter)
+    gid = b.global_thread_id()
+    row = lane_row(b, gid, counter)
+    wide = isa.type_width(counter) == 8
+    lane = b.cvt(counter, "u32", gid) if wide else gid
+    total = b.mov("f32", Immediate(0.0))
+    shared = b.mov("f32", Immediate(0.0))
+    mixed = b.mov(counter, Immediate(0))
+    with b.loop(n, counter) as j:
+        column = b.ld_global("f32", trip_address(b, x, j, counter))
+        cell = b.ld_global(
+            "f32", trip_address(b, x, b.add(counter, row, j), counter))
+        first = b.ld_global("f32", x)
+        low = b.min_("f32", column, cell)
+        high = b.max_("f32", cell, first)
+        b.emit("mov.f32", total, b.fma("f32", low, high, total))
+        b.emit("mov.f32", shared, b.add("f32", shared, column))
+        if wide:
+            last = b.and_("b64", j, b.or_("b64", lane, Immediate(1)))
+        else:
+            last = b.max_(counter, b.min_(counter, j, lane), Immediate(1))
+        b.emit(f"mov.{counter}", mixed, last)
+    cell = b.mul("u32", gid, Immediate(3))
+    b.st_global("f32", b.element_addr(out, cell, 4), total)
+    b.st_global("f32", b.element_addr(out, cell, 4), shared, offset=4)
+    if wide:
+        mixed = b.cvt("u32", counter, mixed)
+    b.st_global("u32", b.element_addr(out, cell, 4), mixed, offset=8)
+    return b.build()
+
+
+def compacting_kernel():
+    """out[2*gid] = sum of x[row + j]; then the lanes with gid % 3 == 0
+    leave, and the others add x[row + j + 1] into out[2*gid + 1] over
+    their compacted registers."""
+    b = KernelBuilder("compacting_trips", params=[
+        ("out", "u64"), ("x", "u64"), ("n", "u32")])
+    out = b.load_param_ptr("out")
+    x = b.load_param_ptr("x")
+    n = b.load_param("n", "u32")
+    gid = b.global_thread_id()
+    row = lane_row(b, gid, "u32")
+    cell = b.mul("u32", gid, Immediate(2))
+    for pass_ in range(2):
+        total = b.mov("f32", Immediate(0.0))
+        with b.loop(n) as j:
+            index = b.add("u32", b.add("u32", row, j), Immediate(pass_))
+            value = b.ld_global("f32", b.element_addr(x, index, 4))
+            b.emit("mov.f32", total, b.add("f32", total, value))
+        b.st_global("f32", b.element_addr(out, cell, 4), total,
+                    offset=4 * pass_)
+        if not pass_:
+            leave = b.fresh_label("leave")
+            third = b.rem("u32", gid, Immediate(3))
+            b.bra(leave, guard_reg=b.setp("eq", "u32", third, Immediate(0)))
+    b.ret()
+    b.label(leave)
+    b.ret()
+    return b.build()
+
+
+def carried_kernel(kind):
+    """A loop whose carried register is not a sum: ``max`` keeps the
+    largest x, ``previous`` multiplies each x by the one before it."""
+    b = KernelBuilder(f"carried_{kind}", params=[
+        ("out", "u64"), ("x", "u64"), ("n", "u32")])
+    out = b.load_param_ptr("out")
+    x = b.load_param_ptr("x")
+    n = b.load_param("n", "u32")
+    gid = b.global_thread_id()
+    row = lane_row(b, gid, "u32")
+    total = b.mov("f32", Immediate(0.0))
+    previous = b.mov("f32", Immediate(1.0))
+    with b.loop(n) as j:
+        value = b.ld_global("f32",
+                            b.element_addr(x, b.add("u32", row, j), 4))
+        if kind == "max":
+            b.emit("max.f32", total, total, value)
+        else:
+            b.emit("mov.f32", total, b.fma("f32", previous, value, total))
+            b.emit("mov.f32", previous, value)
+    b.st_global("f32", b.element_addr(out, gid, 4), total)
+    return b.build()
+
+
+def endless_sum_kernel():
+    """acc += x[gid] for j < n: with n = 2**32 - 1 a runaway."""
+    b = KernelBuilder("endless_sum", params=[
+        ("out", "u64"), ("x", "u64"), ("n", "u32")])
+    out = b.load_param_ptr("out")
+    x = b.load_param_ptr("x")
+    n = b.load_param("n", "u32")
+    gid = b.global_thread_id()
+    value = b.ld_global("f32", b.element_addr(x, gid, 4))
+    total = b.mov("f32", Immediate(0.0))
+    with b.loop(n):
+        b.emit("mov.f32", total, b.add("f32", total, value))
+    b.st_global("f32", b.element_addr(out, gid, 4), total)
+    return b.build()
+
+
+def special_rows(memory):
+    """x and y rows of 64 lanes: lane 0 all -0.0, lanes 1-3 a NaN, +inf
+    and -inf, lane 4 f32 subnormals, lane 5 a sum beyond the f32 range
+    (and y = 1 there); the rest normal."""
+    rng = np.random.RandomState(11)
+    x = rng.randn(64, ROW).astype(np.float32)
+    y = rng.randn(64, ROW).astype(np.float32)
+    x[0] = -0.0
+    x[1, 5] = np.nan
+    x[2, 3] = np.inf
+    x[3, 7] = -np.inf
+    x[4] = np.float32(1e-40) * np.arange(1, ROW + 1, dtype=np.float32)
+    x[5] = 3e38
+    y[5] = 1.0
+    memory.write_array(F1, x.reshape(-1))
+    memory.write_array(F2, y.reshape(-1))
+
+
+class TripChunks(list):
+    """The trip counts of the chunks the trip axis ran, in order."""
+
+
+def trip_chunks():
+    """Record every chunk of trips the block engine runs at once (in
+    a :class:`TripChunks`) while executors are made."""
+    chunks = TripChunks()
+
+    def column(trips):
+        chunks.append(trips)
+        return blockrt._tcol(trips)
+
+    patch = mock.patch.dict(blockrt.VALUE_ENV, {"_tcol": column})
+    patch.chunks = chunks
+    return patch
+
+
+#: Counted loops each library and Rodinia kernel may run along the trip
+#: axis (``KernelCode.trip_loops``; None: no block function). The other
+#: kernels have none: a store, a branch, an SFU op or a carried maximum
+#: in the body keeps theirs per trip.
+TRIP_LOOPS = {
+    "cublas_sgemm": 1, "cudnn_bias_grad": 1, "cudnn_conv2d_bwd_filter": 1,
+    "cudnn_conv2d_fwd": 1, "rodinia_fan1": 1, "rodinia_fan2": None,
+}
+
+
+class TestTripAxis:
+    """A counted loop whose body is straight-line loads and arithmetic,
+    with only the counter and float sums carried, runs a chunk of trips
+    at once when the whole group reaches it with a uniform count. The
+    outcome is the other engines', byte for byte; what does not qualify
+    runs trip by trip."""
+
+    @pytest.mark.parametrize("acc", [0.0, -0.0], ids=["+0", "-0"])
+    @pytest.mark.parametrize("form", ["add", "add_second", "direct", "fma"])
+    def test_reductions_over_special_values(self, form, acc):
+        patch = trip_chunks()
+        with patch:
+            outcomes = run_engines(reduction_kernel(form, acc=acc),
+                                   (1, 1, 1), (64, 1, 1),
+                                   [OUT, F1, F2, ROW], special_rows)
+        assert_one_outcome(outcomes)
+        block = outcomes["block"]
+        assert vectorised(block) and spans(block) == (1, 0)
+        assert patch.chunks == [ROW]
+        stored = block.memory.read_array(OUT, 64)
+        assert math.isnan(stored[1]) and stored[5] == math.inf
+        assert stored[2] == (math.inf if form != "fma" else stored[2])
+        if form != "fma":
+            assert math.copysign(1.0, stored[0]) == math.copysign(1.0, acc)
+
+    @pytest.mark.parametrize("trips", [0, 1, 2, 3, 4, "chunk", "chunk+1"])
+    def test_trip_counts_and_chunks(self, trips):
+        chunk = blockrt.TRIP_CELLS // 32
+        count = {"chunk": chunk, "chunk+1": chunk + 1}.get(trips, trips)
+        patch = trip_chunks()
+        with patch:
+            outcomes = run_engines(reduction_kernel("fma"), (1, 1, 1),
+                                   (32, 1, 1), [OUT, F1, F2, count],
+                                   library_setup)
+        assert_one_outcome(outcomes)
+        assert vectorised(outcomes["block"])
+        assert spans(outcomes["block"]) == (1, 0)
+        expected = {0: [], 1: [], 2: [], 3: [], 4: [4], chunk: [chunk],
+                    chunk + 1: [chunk, 1]}[count]
+        assert patch.chunks == expected
+
+    @pytest.mark.parametrize("counter", ["u32", "s32", "u64"])
+    def test_uniform_loads_min_max_and_counter_types(self, counter):
+        patch = trip_chunks()
+        with patch:
+            outcomes = run_engines(mixed_trip_kernel(counter), (2, 1, 1),
+                                   (32, 1, 1), [OUT, F1, 12],
+                                   library_setup)
+        assert_one_outcome(outcomes)
+        assert vectorised(outcomes["block"])
+        assert spans(outcomes["block"]) == (1, 0)
+        assert patch.chunks == [12]
+
+    def test_lanes_leaving_after_a_loop_are_compacted(self):
+        """Registers leave the trip axis as lane vectors or scalars:
+        the compaction that follows indexes them by lane."""
+        patch = trip_chunks()
+        with patch:
+            outcomes = run_engines(compacting_kernel(), (1, 1, 1),
+                                   (64, 1, 1), [OUT, F1, 9], library_setup)
+        assert_one_outcome(outcomes)
+        assert vectorised(outcomes["block"])
+        assert patch.chunks == [9, 9]
+
+    def test_a_lane_varying_count_runs_per_trip(self):
+        patch = trip_chunks()
+        with patch:
+            outcomes = run_engines(reduction_kernel("add", lane_count=True),
+                                   (1, 1, 1), (64, 1, 1),
+                                   [OUT, F1, F2, 10], library_setup)
+        assert_one_outcome(outcomes)
+        assert vectorised(outcomes["block"])
+        assert patch.chunks == []
+
+    @pytest.mark.parametrize("kind", ["max", "previous"])
+    def test_a_carried_register_that_is_not_a_sum(self, kind):
+        kernel = carried_kernel(kind)
+        generator = BlockCodegen(compile_kernel(kernel, SPEC), CostModel(SPEC))
+        generator.generate()
+        assert generator.trip_loops == {}
+        outcomes = run_engines(kernel, (1, 1, 1), (64, 1, 1),
+                               [OUT, F1, 10], library_setup)
+        assert_one_outcome(outcomes)
+        assert vectorised(outcomes["block"])
+
+    def test_a_loop_beyond_the_step_budget(self):
+        """2**32 - 1 trips: never a matrix of them. The attempt spends
+        its step budget trip by trip and the per-thread watchdog ends
+        the kernel (both lowered 100-fold, which the generated code
+        embeds, to keep the test short)."""
+        patch = trip_chunks()
+        watchdog = codegen.MAX_BLOCK_STEPS // 100
+        tracemalloc.start()
+        try:
+            with patch, mock.patch.object(
+                    codegen, "MAX_BLOCK_STEPS", watchdog), mock.patch.object(
+                    blockgen, "ATTEMPT_STEPS", watchdog >> 4):
+                outcomes = run_engines(endless_sum_kernel(), (1, 1, 1),
+                                       (32, 1, 1), [OUT, F1, 0xFFFFFFFF],
+                                       library_setup,
+                                       engines=("jit", "block"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_one_outcome(outcomes)
+        block = outcomes["block"]
+        assert "runaway" in str(block.error)
+        assert block.executor.engine_blocks == {
+            "block": 0, "thread": 1, "fallback": 1}
+        assert patch.chunks == []
+        assert peak < 64 << 20
+
+    def test_trip_loops_of_every_library_and_rodinia_kernel(self):
+        kernels = {**LIBRARY, **rodinia_kernels()}
+        found = {}
+        for name, kernel in kernels.items():
+            compiled = compile_kernel(kernel, SPEC)
+            code = codegen.kernel_code(compiled, CostModel(SPEC))
+            code.bind_block(compiled, CostModel(SPEC), {})
+            found[name] = code.trip_loops
+        assert found == {name: TRIP_LOOPS.get(name, 0) for name in kernels}
