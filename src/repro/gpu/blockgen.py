@@ -28,7 +28,6 @@ from repro.gpu.codegen import (
     KernelCodegen,
     _Gen,
     _mangle,
-    _written,
     basic_blocks,
     cvt_source,
 )
@@ -74,22 +73,10 @@ _PLAIN_OPS = {
 
 
 #: Ops a counted loop's body may hold and still run along the trip axis
-#: (besides ``ld.global``): those whose helpers broadcast over a
-#: (trips x lanes) matrix. ``cvt`` and the SFU ops go lane by lane.
+#: (besides ``ld.global``): their helpers broadcast over a (trips x
+#: lanes) matrix, where ``cvt`` and the SFU ops go lane by lane.
 _TRIP_OPS = frozenset(_PLAIN_OPS) | {
     "mul", "mad", "fma", "div", "rem", "shl", "shr", "setp", "selp"}
-
-#: Counter types of a counted loop.
-_TRIP_COUNTERS = ("u32", "s32", "u64", "s64")
-
-
-def _reads(ins) -> list:
-    """Names of the registers a data instruction or ``ld`` reads."""
-    if ins.op == "ld":
-        base = ins.operands[1].base
-        return [base.name] if isinstance(base, Register) else []
-    return [operand.name for operand in ins.operands[1:]
-            if isinstance(operand, Register)]
 
 
 class BlockCodegen(KernelCodegen):
@@ -103,8 +90,6 @@ class BlockCodegen(KernelCodegen):
     """
 
     FLOAT = "_flt"
-    MIN = "_min"
-    MAX = "_max"
 
     def __init__(self, compiled, cost_model: CostModel):
         super().__init__(compiled, cost_model)
@@ -279,6 +264,7 @@ class BlockCodegen(KernelCodegen):
                 written = dest.name
             effects.append(
                 (reads, written if ins.guard_reg is None else None))
+        self._effects = effects
         self._check_assigned(ordered, block_of, effects)
         exits = set()
         for block_id, leader in enumerate(ordered[:-1]):
@@ -549,121 +535,101 @@ class BlockCodegen(KernelCodegen):
     # -- counted loops along the trip axis -------------------------------------------
 
     def _trip_loop(self, instructions, ordered, block_id: int):
-        """The loop whose header is ``block_id``, if it can run along
-        the trip axis: ``setp.ge p, i, N; @p bra`` then one straight-line
-        body of global loads and arithmetic ending ``add t, i, 1; mov i,
-        t; bra header``, where only ``i`` and float reductions (``a = x
-        + a``, ``a = x*y + a``, directly or through one ``mov``) carry
-        from one trip to the next. Returns ``(counter, bound, type,
-        body, reductions, cycles, instructions, loads, written)``."""
+        """The loop headed by ``block_id`` if it can run along the trip
+        axis: ``setp.ge p, i, N; @p bra``, then one straight-line body
+        of global loads and arithmetic ending ``add t, i, 1; mov i, t;
+        bra header``, in which only ``i`` and float sums (see
+        :meth:`_reduction`) carry from one trip to the next."""
         if block_id + 2 >= len(ordered):
             return None
-        start, end = ordered[block_id], ordered[block_id + 1]
-        header = instructions[start:end]
-        body = instructions[end:ordered[block_id + 2]]
-        if len(header) != 2 or len(body) < 3:
-            return None
-        test, leave = header
-        *work, step, move, back = body
+        start, end, stop = ordered[block_id:block_id + 3]
+        test, leave, *body = instructions[start:stop]
         dtype = test.dtype
-        if (test.op != "setp" or test.compare != "ge"
-                or dtype not in _TRIP_COUNTERS or test.guard_reg is not None
+        if (end - start != 2 or len(body) < 3 or test.op != "setp"
+                or test.compare != "ge" or test.guard_reg is not None
+                or dtype not in ("u32", "s32", "u64", "s64")
                 or len(test.operands) != 3 or leave.op != "bra"
                 or leave.guard_negated
-                or leave.guard_reg != test.operands[0].name
-                or back.op != "bra" or back.guard_reg is not None
-                or back.branch_target != start):
+                or leave.guard_reg != test.operands[0].name):
             return None
-        _, counter, bound = test.operands
-        one = step.operands[2] if len(step.operands) == 3 else None
-        if (not isinstance(counter, Register)
-                or step.opcode != f"add.{dtype}" or move.opcode != f"mov.{dtype}"
-                or step.guard_reg is not None or move.guard_reg is not None
-                or step.operands[1] != counter
-                or not isinstance(one, Immediate) or type(one.value) is not int
-                or one.value != 1 or move.operands[0] != counter
-                or move.operands[1] != step.operands[0]
-                or step.operands[0] == counter):
+        *work, step, move, back = body
+        counter, bound = test.operands[1:]
+        if (back.op != "bra" or back.branch_target != start
+                or step.opcode != f"add.{dtype}"
+                or step.operands[1:] != (counter, Immediate(1))
+                or move.opcode != f"mov.{dtype}"
+                or move.operands != (counter, step.operands[0])
+                or step.operands[0] == counter
+                or any(ins.guard_reg is not None for ins in body)
+                or not all(ins.op in _TRIP_OPS or ins.op == "ld"
+                           and ins.route == isa.DEVICE for ins in work)):
             return None
-        for ins in work:
-            if ins.guard_reg is not None or not (
-                    ins.op in _TRIP_OPS
-                    or ins.op == "ld" and ins.route == isa.DEVICE):
-                return None
-        loop = [test, *work, step, move]
-        writes: dict[str, int] = {}
-        readers: dict[str, list] = {}
+        effects = self._effects[start:stop - 1]
+        writes: dict = {}
+        readers: dict = {}
         carried = set()
-        for ins in loop:
-            for name in _reads(ins):
+        for ins, (reads, written) in zip(instructions[start:stop], effects):
+            for name in reads:
                 readers.setdefault(name, []).append(ins)
                 if name not in writes:
-                    carried.add(name)  # upward-exposed, if written below
-            writes[_written(ins)] = writes.get(_written(ins), 0) + 1
-        carried &= set(writes)
-        reductions = []
-        for acc in sorted(carried - {counter.name}):
-            reduction = self._reduction(acc, writes, readers)
-            if reduction is None:
-                return None
-            reductions.append(reduction)
-        return (counter, bound, dtype, work + [step, move], reductions,
-                sum(ins.compute_cycles for ins in header + body),
-                len(header) + len(body),
-                sum(ins.op == "ld" for ins in work),
-                sorted({_written(ins) for ins in loop[1:]}))
+                    carried.add(name)  # read before this trip writes it
+            writes[written] = writes.get(written, 0) + 1
+        reductions = [self._reduction(name, writes, readers)
+                      for name in sorted(carried & set(writes))
+                      if name != counter.name]
+        if None in reductions:
+            return None
+        return (counter, bound, dtype, body[:-1], reductions,
+                sum(ins.compute_cycles for ins in instructions[start:stop]),
+                stop - start, sum(ins.op == "ld" for ins in work),
+                sorted({written for _, written in effects[2:]} - {None}))
 
     def _reduction(self, acc: str, writes: dict, readers: dict):
-        """``(accumulator, register the sum is written to, whether the
-        accumulator is the first addend)`` if ``acc`` carries a float
-        reduction, else None."""
+        """``(accumulator, register the sum goes to, whether the
+        accumulator is the first addend)`` when ``acc`` carries a float
+        sum, ``a = x + a`` (either order) or ``a = x*y + a``, written
+        to ``a`` itself or through one ``mov``; else None."""
         if self.classes.get(acc) != "f" or len(readers[acc]) != 1:
             return None
         (ins,) = readers[acc]
         names = [getattr(operand, "name", None) for operand in ins.operands]
-        if ins.op == "add" and names[1:].count(acc) == 1:
-            first = names[1] == acc
-        elif ins.op == "fma" and names.index(acc) == 3:
-            first = False
-        else:
+        if not (ins.op == "add" or ins.op == "fma" and names[3] == acc):
             return None
         total = names[0]
-        if total == acc:
-            return (acc, total, first) if writes[acc] == 1 else None
         moves = readers.get(total, [])
-        if (writes[acc] != 1 or writes[total] != 1 or len(moves) != 1
-                or moves[0].op != "mov" or _written(moves[0]) != acc):
+        if writes[acc] != 1 or total != acc and (
+                writes[total] != 1 or len(moves) != 1
+                or moves[0].op != "mov" or moves[0].operands[0].name != acc):
             return None
-        return acc, total, first
+        return acc, total, names[1] == acc
 
     def _emit_trip_arm(self, loop) -> None:
-        """Run the loop's remaining trips as one matrix, a chunk of trips
-        at a time, when the whole group reaches the header with a uniform
-        counter and bound and the trips fit the attempt's budgets; the
-        header then runs as usual and leaves the loop. The counter is a
-        (trips x 1) column; each reduction's addends are computed with
-        the accumulator read as -0.0 (x + -0.0 is x, bit for bit) and
-        added trip by trip (``_fold``); every other register leaves with
-        its last trip's value. Cycles, instructions and steps are the
-        per-trip path's, times the trips."""
+        """Run the loop's remaining trips a chunk at a time when the
+        whole group reaches the header with a uniform counter (already
+        in its type's view) and bound, at least 4 trips to go and room
+        for all of them in the budgets; the header then runs as usual
+        and leaves the loop. The counter is a (trips x 1) column; a
+        sum's addends are computed with the accumulator read as -0.0
+        (``x + -0.0`` is ``x``, bit for bit) and folded trip by trip;
+        every other register leaves with its last trip's value."""
         (counter, bound, dtype, body, reductions, cycles, count, loads,
          written) = loop
         gen = self.gen
         i = self._expr(counter)
         limit = self._expr(bound)
         uniform = [f"type({i}) is not _nd"]
-        if isinstance(bound, Register):
+        if not isinstance(bound, Immediate):  # %ctaid varies in a span
             uniform.append(f"type({limit}) is not _nd")
         gen.emit(f"if {' and '.join(uniform)} and "
                  f"{i} == {self._compare_view(i, dtype)}:")
         gen.indent += 1
         gen.emit(f"_k = {self._compare_view(limit, dtype)} - {i}")
-        gen.emit(f"if _k >= 4 and _steps + 2 * _k <= {ATTEMPT_STEPS} and "
-                 f"_tfits(_R, {loads} * _k * _n):")
+        gen.emit(f"_tc = _k >= 4 and _steps + 2 * _k <= {ATTEMPT_STEPS} "
+                 f"and _tchunk(_R, {loads} * _k * _n)")
+        gen.emit("if _tc:")
         gen.indent += 1
         gen.emit(f"_steps += 2 * _k; _cu += {cycles} * _k; "
                  f"_instr += {count} * _k * _n; _loads += {loads} * _k * _n")
-        gen.emit("_tc = _tchunk(_n)")
         gen.emit("while _k:")
         gen.indent += 1
         gen.emit("_c = min(_k, _tc); _k -= _c")

@@ -58,9 +58,9 @@ import numpy as np
 from repro.gpu.codegen import (
     NONFINITE_ENV,
     SFU_FORMULAS,
-    float_max,
-    float_min,
     float_to_int,
+    ptx_max,
+    ptx_min,
     sfu_limit,
 )
 from repro.gpu.memory import PAGE_SIZE
@@ -186,28 +186,16 @@ def _f2i(x, rounding: str, low: int, high: int):
 
 
 def _min(a, b):
+    """``codegen.ptx_min`` on lanes."""
     if type(a) is _nd or type(b) is _nd:
-        return np.where(b < a, b, a)  # Python's min(a, b)
-    return min(a, b)
+        return np.where((b < a) | (a != a), b, a)
+    return ptx_min(a, b)
 
 
 def _max(a, b):
     if type(a) is _nd or type(b) is _nd:
-        return np.where(b > a, b, a)
-    return max(a, b)
-
-
-def _fmin(a, b):
-    """``codegen.float_min`` on lanes: a NaN operand gives the other."""
-    if type(a) is _nd or type(b) is _nd:
-        return np.where((b < a) | (a != a), b, a)
-    return float_min(a, b)
-
-
-def _fmax(a, b):
-    if type(a) is _nd or type(b) is _nd:
         return np.where((b > a) | (a != a), b, a)
-    return float_max(a, b)
+    return ptx_max(a, b)
 
 
 def _sel(a, b, p):
@@ -324,19 +312,17 @@ def _compact(keep, *values):
 TRIP_CELLS = 1 << 14
 
 
-def _tchunk(width: int) -> int:
-    """Trips per chunk at ``width`` live lanes."""
-    return max(1, TRIP_CELLS // width)
+def _tchunk(run, accesses: int) -> int:
+    """Trips per chunk at the run's width; 0 when ``accesses`` more
+    lane accesses would not fit the access log."""
+    if run.logged + accesses > LOG_CAP:
+        return 0
+    return max(1, TRIP_CELLS // run.width)
 
 
 def _tcol(trips: int):
     """The counter's offsets over a chunk, a (trips x 1) column."""
     return np.arange(trips, dtype=_I8)[:, None]
-
-
-def _tfits(run, accesses: int) -> bool:
-    """Whether ``accesses`` more lane accesses fit the access log."""
-    return run.logged + accesses <= LOG_CAP
 
 
 def _last(x):
@@ -412,8 +398,6 @@ VALUE_ENV = {
     "_f2i": _f2i,
     "_min": _min,
     "_max": _max,
-    "_fmin": _fmin,
-    "_fmax": _fmax,
     "_sel": _sel,
     "_asp": _asp,
     "_truncdiv": _truncdiv,
@@ -431,7 +415,6 @@ VALUE_ENV = {
     "_Bail": Bail,
     "_tchunk": _tchunk,
     "_tcol": _tcol,
-    "_tfits": _tfits,
     "_last": _last,
     "_fold": _fold,
     **NONFINITE_ENV,

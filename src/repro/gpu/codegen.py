@@ -142,16 +142,16 @@ def ieee_div(a, b):
         return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
-def float_min(a, b):
-    """PTX ``min.f32``/``min.f64``: a NaN operand gives the other one
-    (NaN only when both are)."""
+def ptx_min(a, b):
+    """PTX ``min`` of two operands already read as their type: a float
+    NaN operand gives the other one (NaN only when both are)."""
     if a != a:
         return b
     return a if b != b else min(a, b)
 
 
-def float_max(a, b):
-    """PTX ``max.f32``/``max.f64``, NaN as :func:`float_min`."""
+def ptx_max(a, b):
+    """PTX ``max``, NaN as :func:`ptx_min`."""
     if a != a:
         return b
     return a if b != b else max(a, b)
@@ -381,8 +381,8 @@ _BASE_ENV = {
     "_truncdiv": _truncdiv,
     "_truncrem": _truncrem,
     "_ieee_div": ieee_div,
-    "_fmin": float_min,
-    "_fmax": float_max,
+    "_min": ptx_min,
+    "_max": ptx_max,
     "_f2i": float_to_int,
     "_f32inf": f32_overflow,
     **NONFINITE_ENV,
@@ -671,10 +671,8 @@ class KernelCodegen:
     and in memory access and control flow.
     """
 
-    #: Helper names where a builtin only works on scalars.
+    #: Helper name where a builtin only works on scalars.
     FLOAT = "float"
-    MIN = "min"
-    MAX = "max"
 
     def __init__(self, compiled, cost_model: CostModel):
         self.ck = compiled
@@ -792,7 +790,8 @@ class KernelCodegen:
         elif op == "shr":
             self._emit_shr(ins)
         elif op in ("min", "max"):
-            self._emit_min_max(ins)
+            a, b = self._typed_operands(ins, dtype)
+            self._assign(operands[0], f"_{op}({a}, {b})", dtype)
         elif op == "neg":
             self._assign(operands[0], f"-({e(operands[1])})", dtype)
         elif op == "abs":
@@ -811,18 +810,6 @@ class KernelCodegen:
             raise ExecutionError(
                 f"codegen: unimplemented opcode {ins.opcode!r}"
             )
-
-    def _emit_min_max(self, ins) -> None:
-        """Integers compare as their type; a float NaN operand gives the
-        other one (``_fmin``/``_fmax``)."""
-        dtype = ins.dtype
-        a, b = self._expr(ins.operands[1]), self._expr(ins.operands[2])
-        if isa.is_float(dtype):
-            helper = f"_f{ins.op}"
-        else:
-            helper = self.MIN if ins.op == "min" else self.MAX
-            a, b = self._int_view(a, dtype), self._int_view(b, dtype)
-        self._assign(ins.operands[0], f"{helper}({a}, {b})", dtype)
 
     def _emit_cvt(self, ins) -> None:
         """Convert to the destination type (``ins.dtype``) from the
@@ -877,9 +864,9 @@ class KernelCodegen:
         self._assign(ins.operands[0], f"({a}) * ({b}) + ({c})",
                      ins.dtype)
 
-    def _quotient_operands(self, ins, dtype: str) -> tuple[str, str]:
-        """The operands of a ``div``/``rem``: an integer one reads them
-        as its type."""
+    def _typed_operands(self, ins, dtype: str) -> tuple[str, str]:
+        """The operands of a ``div``/``rem``/``min``/``max``: an integer
+        one reads them as its type."""
         a, b = self._expr(ins.operands[1]), self._expr(ins.operands[2])
         if isa.is_float(dtype):
             return a, b
@@ -887,7 +874,7 @@ class KernelCodegen:
 
     def _emit_div(self, ins) -> None:
         dtype = ins.dtype or "u32"
-        a, b = self._quotient_operands(ins, dtype)
+        a, b = self._typed_operands(ins, dtype)
         if isa.is_float(dtype):
             self._assign(ins.operands[0], f"({a}) / ({b})", dtype)
         elif isa.is_signed(dtype):
@@ -896,7 +883,7 @@ class KernelCodegen:
             self._assign(ins.operands[0], f"({a}) // ({b})", dtype)
 
     def _emit_rem(self, ins) -> None:
-        a, b = self._quotient_operands(ins, ins.dtype or "u32")
+        a, b = self._typed_operands(ins, ins.dtype or "u32")
         if ins.dtype and isa.is_signed(ins.dtype):
             self._assign(ins.operands[0], f"_truncrem({a}, {b})",
                          ins.dtype)

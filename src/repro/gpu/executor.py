@@ -801,12 +801,9 @@ class KernelExecutor:
             self._set_reg(thread, operands[0], ins.dtype,
                           raw >> _shift_amount(ins, value))
         elif op in ("min", "max"):
-            a, b = _typed_operands(ins, value)
-            if isa.is_float(ins.dtype or "u32"):
-                pick = codegen.float_min if op == "min" else codegen.float_max
-            else:
-                pick = min if op == "min" else max
-            self._set_reg(thread, operands[0], ins.dtype, pick(a, b))
+            pick = codegen.ptx_min if op == "min" else codegen.ptx_max
+            self._set_reg(thread, operands[0], ins.dtype,
+                          pick(*_typed_operands(ins, value)))
         elif op == "neg":
             self._set_reg(thread, operands[0], ins.dtype,
                           -value(operands[1]))
@@ -1015,16 +1012,15 @@ def _convert(value, ins: DecodedInstr):
 
 
 def _typed_operands(ins: DecodedInstr, value) -> tuple:
-    """The two source operands of a ``div``/``rem``/``min``/``max``,
-    an integer one's read as its type (as
-    ``codegen.KernelCodegen._quotient_operands``)."""
+    """As ``codegen.KernelCodegen._typed_operands``: the operands of a
+    ``div``/``rem``/``min``/``max``, an integer one's read as its type."""
     a, b = value(ins.operands[1]), value(ins.operands[2])
     dtype = ins.dtype or "u32"
     if isa.is_float(dtype):
         return a, b
     width = isa.type_width(dtype)
-    signed = isa.is_signed(dtype)
-    return wrap_int(a, width, signed), wrap_int(b, width, signed)
+    return (wrap_int(a, width, isa.is_signed(dtype)),
+            wrap_int(b, width, isa.is_signed(dtype)))
 
 
 def _shift_amount(ins: DecodedInstr, value) -> int:

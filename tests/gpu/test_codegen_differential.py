@@ -47,6 +47,7 @@ from repro.ptx.ast import (
     Instruction,
     MemRef,
     SharedDecl,
+    SpecialReg,
     TargetList,
 )
 from repro.ptx.builder import KernelBuilder, build_module
@@ -2331,11 +2332,12 @@ def lane_row(b, gid, counter):
     return b.mul(counter, gid, Immediate(ROW))
 
 
-def reduction_kernel(form, counter="u32", acc=0.0, lane_count=False):
+def reduction_kernel(form, counter="u32", acc=0.0, lane_count=None):
     """out[gid] = acc plus, for j < n, x[gid*ROW + j] (``add`` as
     ``acc + x``, ``add_second`` as ``x + acc``, ``direct`` into the
     accumulator itself) or x[...] * y[...] (``fma``); with
-    ``lane_count`` lane gid runs n + gid % 4 trips."""
+    ``lane_count="register"`` lane gid runs n + gid % 4 trips, with
+    ``"ctaid"`` %ctaid.x trips, a lane value across a span."""
     b = KernelBuilder(f"reduce_{form}_{counter}", params=[
         ("out", "u64"), ("x", "u64"), ("y", "u64"), ("n", counter)])
     out = b.load_param_ptr("out")
@@ -2343,8 +2345,10 @@ def reduction_kernel(form, counter="u32", acc=0.0, lane_count=False):
     y = b.load_param_ptr("y")
     n = b.load_param("n", counter)
     gid = b.global_thread_id()
-    if lane_count:
+    if lane_count == "register":
         n = b.add(counter, n, b.and_("b32", gid, Immediate(3)))
+    elif lane_count == "ctaid":
+        n = SpecialReg("%ctaid.x")
     row = lane_row(b, gid, counter)
     total = b.mov("f32", Immediate(acc))
     with b.loop(n, counter) as j:
@@ -2583,14 +2587,16 @@ class TestTripAxis:
         assert vectorised(outcomes["block"])
         assert patch.chunks == [9, 9]
 
-    def test_a_lane_varying_count_runs_per_trip(self):
+    @pytest.mark.parametrize("count", ["register", "ctaid"])
+    def test_a_lane_varying_count_runs_per_trip(self, count):
         patch = trip_chunks()
         with patch:
-            outcomes = run_engines(reduction_kernel("add", lane_count=True),
-                                   (1, 1, 1), (64, 1, 1),
-                                   [OUT, F1, F2, 10], library_setup)
+            outcomes = run_engines(
+                reduction_kernel("add", lane_count=count), (6, 1, 1),
+                (32, 1, 1), [OUT, F1, F2, 10], library_setup)
         assert_one_outcome(outcomes)
         assert vectorised(outcomes["block"])
+        assert spans(outcomes["block"]) == (1, 0)
         assert patch.chunks == []
 
     @pytest.mark.parametrize("kind", ["max", "previous"])
