@@ -309,7 +309,9 @@ def _compact(keep, *values):
 #: Lane-trips one chunk of a counted loop runs at once (see
 #: :meth:`repro.gpu.blockgen.BlockCodegen._emit_trip_arm`): a chunk's
 #: matrices have about this many elements, whatever the loop's length.
-TRIP_CELLS = 1 << 14
+#: At 1 << 14 `mix_train` ran no faster and its peak RSS read 0.4 MB
+#: higher.
+TRIP_CELLS = 1 << 12
 
 
 def _tchunk(run, accesses: int) -> int:
@@ -328,11 +330,12 @@ def _tcol(trips: int):
 def _last(x):
     """A register after a chunk: its last trip's value, a (trips x 1)
     column's as a Python scalar (uniform, as the per-trip path holds
-    it). Scalars and lane vectors did not vary with the trip."""
+    it), a row as a copy that does not keep the chunk's matrix alive.
+    Scalars and lane vectors did not vary with the trip."""
     if type(x) is not _nd or x.ndim == 1:
         return x
     row = x[-1]
-    return row[0].item() if len(row) == 1 else row
+    return row[0].item() if len(row) == 1 else row.copy()
 
 
 def _fold(acc, addends, acc_first: bool, trips: int):
@@ -347,7 +350,7 @@ def _fold(acc, addends, acc_first: bool, trips: int):
         sums = np.empty((trips + 1, width))
         sums[0] = acc
         sums[1:] = addends
-        total = np.add.accumulate(sums, axis=0)[-1]
+        total = np.add.accumulate(sums, axis=0)[-1].copy()
         if not np.isnan(total).any():
             return total if type(acc) is _nd or width > 1 else total.item()
         if type(acc) is not _nd and width == 1:
