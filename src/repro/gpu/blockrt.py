@@ -15,7 +15,8 @@ against:
   a basic block or at ``bar.sync``, lowest block first, merged when
   they meet;
 - checked gathers/scatters over the sparse global memory and the
-  block's shared memory, with an undo log;
+  block's shared memory, with an undo log, and the chunked helpers of
+  a counted loop run along its trip axis;
 - the commit step: conflict detection, then the replay of the span's
   global accesses through the L1/L2 tag lists *in the per-thread
   engine's order*;
