@@ -2477,6 +2477,29 @@ def endless_sum_kernel():
     return b.build()
 
 
+def set_conflict_kernel():
+    """acc += x[j * SET] * y[(j & 1) * SET] for j < n, addresses uniform
+    and all in one L1 set, so the set's LRU order depends on the
+    access order within each trip."""
+    stride = 8192  # floats: 32 KiB, the L1's sets x line
+    b = KernelBuilder("set_conflict", params=[
+        ("out", "u64"), ("x", "u64"), ("y", "u64"), ("n", "u32")])
+    out = b.load_param_ptr("out")
+    x = b.load_param_ptr("x")
+    y = b.load_param_ptr("y")
+    n = b.load_param("n", "u32")
+    total = b.mov("f32", Immediate(0.0))
+    with b.loop(n) as j:
+        first = b.ld_global("f32", b.element_addr(
+            x, b.mul("u32", j, Immediate(stride)), 4))
+        parity = b.and_("b32", j, Immediate(1))
+        second = b.ld_global("f32", b.element_addr(
+            y, b.mul("u32", parity, Immediate(stride)), 4))
+        b.emit("mov.f32", total, b.fma("f32", first, second, total))
+    b.st_global("f32", b.element_addr(out, b.global_thread_id(), 4), total)
+    return b.build()
+
+
 def special_rows(memory):
     """x and y rows of 64 lanes: lane 0 all -0.0, lanes 1-3 a NaN, +inf
     and -inf, lane 4 f32 subnormals, lane 5 a sum beyond the f32 range
@@ -2571,6 +2594,18 @@ class TestTripAxis:
         assert vectorised(outcomes["block"])
         assert spans(outcomes["block"]) == (1, 0)
         assert patch.chunks == [12]
+
+    def test_replay_order_within_a_trip(self):
+        """Each trip's loads are logged in program order, trip after
+        trip: one L1 set's LRU order (compared line for line) tells."""
+        patch = trip_chunks()
+        with patch:
+            outcomes = run_engines(set_conflict_kernel(), (1, 1, 1),
+                                   (32, 1, 1), [OUT, F1, F1 + (1 << 20), 8],
+                                   library_setup)
+        assert_one_outcome(outcomes)
+        assert vectorised(outcomes["block"])
+        assert patch.chunks == [8]
 
     def test_lanes_leaving_after_a_loop_are_compacted(self):
         """Registers leave the trip axis as lane vectors or scalars:
