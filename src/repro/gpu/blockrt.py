@@ -307,22 +307,6 @@ def _compact(keep, *values):
 # The trip axis: a counted loop's trips as the rows of a matrix
 # --------------------------------------------------------------------------
 
-#: Lane-trips one chunk of a counted loop runs at once (see
-#: :meth:`repro.gpu.blockgen.BlockCodegen._emit_trip_arm`): a chunk's
-#: matrices have about this many elements, whatever the loop's length.
-#: At 1 << 14 `mix_train` ran no faster and its peak RSS read 0.4 MB
-#: higher.
-TRIP_CELLS = 1 << 12
-
-
-def _tchunk(run, accesses: int) -> int:
-    """Trips per chunk at the run's width; 0 when ``accesses`` more
-    lane accesses would not fit the access log."""
-    if run.logged + accesses > LOG_CAP:
-        return 0
-    return max(1, TRIP_CELLS // run.width)
-
-
 def _tcol(trips: int):
     """The counter's offsets over a chunk, a (trips x 1) column."""
     return np.arange(trips, dtype=_I8)[:, None]
@@ -417,7 +401,6 @@ VALUE_ENV = {
     "_compact": _compact,
     "_zeros": lambda width: np.zeros(width, dtype=_I8),
     "_Bail": Bail,
-    "_tchunk": _tchunk,
     "_tcol": _tcol,
     "_last": _last,
     "_fold": _fold,

@@ -2500,6 +2500,83 @@ def set_conflict_kernel():
     return b.build()
 
 
+def unrolled_kernel():
+    """out[2*gid] and out[2*gid + 1] = the sums of x[row + j] over even
+    and odd j < n: the body advances j itself between the two."""
+    b = KernelBuilder("unrolled_sums", params=[
+        ("out", "u64"), ("x", "u64"), ("n", "u32")])
+    out = b.load_param_ptr("out")
+    x = b.load_param_ptr("x")
+    n = b.load_param("n", "u32")
+    gid = b.global_thread_id()
+    row = lane_row(b, gid, "u32")
+    sums = [b.mov("f32", Immediate(0.0)) for _ in range(2)]
+    with b.loop(n) as j:
+        for half, total in enumerate(sums):
+            value = b.ld_global("f32",
+                                b.element_addr(x, b.add("u32", row, j), 4))
+            b.emit("add.f32", total, total, value)
+            if not half:
+                b.emit("add.u32", j, j, Immediate(1))
+    cell = b.mul("u32", gid, Immediate(2))
+    for half, total in enumerate(sums):
+        b.st_global("f32", b.element_addr(out, cell, 4), total,
+                    offset=4 * half)
+    return b.build()
+
+
+def predicate_reading_kernel():
+    """out[gid] = the sum over j < n of selp(1.0, x[row + j], p), where p
+    is the loop header's own predicate, true before the loop: false on
+    every trip the body runs."""
+    b = KernelBuilder("predicate_trips", params=[
+        ("out", "u64"), ("x", "u64"), ("n", "u32")])
+    out = b.load_param_ptr("out")
+    x = b.load_param_ptr("x")
+    n = b.load_param("n", "u32")
+    gid = b.global_thread_id()
+    row = lane_row(b, gid, "u32")
+    total = b.mov("f32", Immediate(0.0))
+    done = b.setp("eq", "u32", n, n)
+    j = b.mov("u32", Immediate(0))
+    head, leave = b.fresh_label("loop"), b.fresh_label("done")
+    b.label(head)
+    b.emit("setp.ge.u32", done, j, n)
+    b.bra(leave, guard_reg=done)
+    value = b.ld_global("f32", b.element_addr(x, b.add("u32", row, j), 4))
+    picked = b.reg("f32")
+    b.emit("selp.f32", picked, Immediate(1.0), value, done)
+    b.emit("add.f32", total, total, picked)
+    b.emit("mov.u32", j, b.add("u32", j, Immediate(1)))
+    b.bra(head)
+    b.label(leave)
+    b.st_global("f32", b.element_addr(out, gid, 4), total)
+    return b.build()
+
+
+def uniform_nan_kernel():
+    """s = x[j] + y[j] and total += s for j < n, both loads at uniform
+    addresses; out[2*gid] = total, out[2*gid + 1] = the last s."""
+    b = KernelBuilder("uniform_nans", params=[
+        ("out", "u64"), ("x", "u64"), ("y", "u64"), ("n", "u32")])
+    out = b.load_param_ptr("out")
+    x = b.load_param_ptr("x")
+    y = b.load_param_ptr("y")
+    n = b.load_param("n", "u32")
+    gid = b.global_thread_id()
+    total = b.mov("f32", Immediate(0.0))
+    last = b.mov("f32", Immediate(0.0))
+    with b.loop(n) as j:
+        both = b.add("f32", b.ld_global("f32", b.element_addr(x, j, 4)),
+                     b.ld_global("f32", b.element_addr(y, j, 4)))
+        b.emit("mov.f32", last, both)
+        b.emit("mov.f32", total, b.add("f32", total, both))
+    cell = b.mul("u32", gid, Immediate(2))
+    b.st_global("f32", b.element_addr(out, cell, 4), total)
+    b.st_global("f32", b.element_addr(out, cell, 4), last, offset=4)
+    return b.build()
+
+
 def special_rows(memory):
     """x and y rows of 64 lanes: lane 0 all -0.0, lanes 1-3 a NaN, +inf
     and -inf, lane 4 f32 subnormals, lane 5 a sum beyond the f32 range
@@ -2569,7 +2646,7 @@ class TestTripAxis:
 
     @pytest.mark.parametrize("trips", [0, 1, 2, 3, 4, "chunk", "chunk+1"])
     def test_trip_counts_and_chunks(self, trips):
-        chunk = blockrt.TRIP_CELLS // 32
+        chunk = blockgen.TRIP_CELLS // 32
         count = {"chunk": chunk, "chunk+1": chunk + 1}.get(trips, trips)
         patch = trip_chunks()
         with patch:
@@ -2641,11 +2718,50 @@ class TestTripAxis:
         assert_one_outcome(outcomes)
         assert vectorised(outcomes["block"])
 
+    @pytest.mark.parametrize("kernel", [unrolled_kernel,
+                                        predicate_reading_kernel])
+    def test_a_body_the_header_does_not_describe(self, kernel):
+        """A body that advances the counter itself, or reads the
+        predicate the header's test writes, runs per trip: the arm runs
+        before that test and steps the counter once per trip."""
+        generator = BlockCodegen(compile_kernel(kernel(), SPEC),
+                                 CostModel(SPEC))
+        generator.generate()
+        assert generator.trip_loops == {}
+        outcomes = run_engines(kernel(), (1, 1, 1), (32, 1, 1),
+                               [OUT, F1, 8], library_setup)
+        assert_one_outcome(outcomes)
+        assert vectorised(outcomes["block"])
+
+    def test_two_uniform_nans_meeting(self):
+        """Of two NaNs an f32 add meets, numpy and CPython's specialised
+        float add keep the first operand's, its generic add the second's:
+        a per-thread function's first adds in a process differ from its
+        later ones. The trip axis keeps the first, as a warm JIT does,
+        byte for byte."""
+        def setup(memory):
+            library_setup(memory)
+            signs = np.array([0xFFC00000, 0x7FC00000], dtype=np.uint32)
+            x, y = signs.view(np.float32)
+            memory.write_array(F1 + 4 * 15, np.array([x], np.float32))
+            memory.write_array(F2 + 4 * 15, np.array([y], np.float32))
+
+        launch = (uniform_nan_kernel(), (1, 1, 1), (32, 1, 1),
+                  [OUT, F1, F2, 16], setup)
+        patch = trip_chunks()
+        with patch:
+            block = Outcome("block", *launch)
+        warm = [Outcome("jit", *launch) for _ in range(2)][-1]
+        assert_identical(warm, block)
+        assert vectorised(block) and patch.chunks == [16]
+        stored = block.memory.read_array(OUT, 64, dtype="u32")
+        assert set(stored.tolist()) == {0xFFC00000}
+
     def test_a_loop_beyond_the_step_budget(self):
-        """2**32 - 1 trips: never a matrix of them. The attempt spends
-        its step budget trip by trip and the per-thread watchdog ends
-        the kernel (both lowered 100-fold, which the generated code
-        embeds, to keep the test short)."""
+        """2**32 - 1 trips: never a matrix of them. The attempt gives
+        up at the header, as the trips cannot fit its step budget, and
+        the per-thread watchdog ends the kernel (both lowered 100-fold,
+        which the generated code embeds, to keep the test short)."""
         patch = trip_chunks()
         watchdog = codegen.MAX_BLOCK_STEPS // 100
         tracemalloc.start()
