@@ -26,6 +26,7 @@ from repro.core.server import GuardianServer
 from repro.errors import (
     ExecutionError,
     GuardianError,
+    MemoryFault,
     PTXValidationError,
     ReproError,
 )
@@ -391,6 +392,71 @@ class TestWildBufferAddress:
             client.launch_kernel(handle, (1, 1, 1), (1, 1, 1), [buffer, 0])
             client.synchronize()
             assert server.stats.kernels_killed == 1
+
+
+_FAULT_TEXT = """.version 7.5
+.target sm_86
+.address_size 64
+
+.visible .entry fault(
+\t.param .u64 fault_param_out
+)
+{{
+\t.reg .b32 \t%r<2>;
+\t.reg .b64 \t%rd<2>;
+\tld.param.u64 %rd1, [fault_param_out];
+\tmov.u32 %r1, 7;
+\tst.global.u32 [%rd1{offset}], %r1;
+\tret;
+}}
+"""
+
+#: ``(scheme, unmapped, offset)`` by case: a store one byte past the
+#: tenant's buffer (misaligned) under every scheme, and an aligned one
+#: to an unmapped address under none (the schemes keep any address
+#: inside the partition).
+_MEMORY_FAULTS = {
+    **{f"misaligned-{mode.name.lower()}": (mode, False, "+1")
+       for mode in MODES},
+    "unmapped-none": (FencingMode.NONE, True, ""),
+}
+
+
+class TestMemoryFaultKill:
+    """A device-memory fault in a launch is the same counted kill as an
+    ``ExecutionError`` on every engine: a ``GuardianError`` naming the
+    tenant, ``kernels_killed`` + 1, the tenant's next launch runs and
+    the neighbour's bytes do not move."""
+
+    SECRET = b"\x5e" * 64
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("case", sorted(_MEMORY_FAULTS))
+    def test_counted_kill(self, case, engine):
+        mode, unmapped, offset = _MEMORY_FAULTS[case]
+        with forced_engine(engine) as make:
+            server = served(mode, make)
+            victim = GuardianClient(server, "alice", 1 << 20)
+            secret = victim.malloc(256)
+            victim.memcpy_h2d(secret, self.SECRET)
+            victim.synchronize()
+            client = GuardianClient(server, "mallory", 1 << 20)
+            buffer = client.malloc(256)
+            target = 8 if unmapped else buffer
+            handle = client.load_module_ptx(
+                _FAULT_TEXT.format(offset=offset))["fault"]
+            with pytest.raises(GuardianError, match="mallory") as killed:
+                client.launch_kernel(handle, (1, 1, 1), (1, 1, 1), [target])
+                client.synchronize()
+            assert isinstance(killed.value.__cause__, MemoryFault)
+            assert server.stats.kernels_killed == 1
+            aligned = client.load_module_ptx(
+                _FAULT_TEXT.format(offset=""))["fault"]
+            client.launch_kernel(aligned, (1, 1, 1), (1, 1, 1), [buffer])
+            client.synchronize()
+            assert server.stats.kernels_killed == 1
+            assert client.memcpy_d2h(buffer, 4) == (7).to_bytes(4, "little")
+            assert victim.memcpy_d2h(secret, 64) == self.SECRET
 
 
 _ARITHMETIC_TEXT = """.version 7.5
