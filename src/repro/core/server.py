@@ -52,8 +52,8 @@ from typing import Optional
 from repro.errors import (
     AdmissionRejected,
     BoundsViolation,
-    ExecutionError,
     GuardianError,
+    KERNEL_FAULTS,
     LaunchError,
     MigrationError,
     PartitionError,
@@ -1058,7 +1058,7 @@ class GuardianServer:
                 function, grid, block, launch_params, tenant.stream,
                 tag=app_id, release_cycles=self._release(),
             )
-        except ExecutionError as failure:
+        except KERNEL_FAULTS as failure:
             # TReM-style revocation (§4.3, [53]): a runaway or faulting
             # kernel is terminated and reported to its *own* tenant;
             # other tenants' partitions and streams are untouched.

@@ -76,7 +76,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import BoundsViolation, ExecutionError, GuardianError
+from repro.errors import BoundsViolation, GuardianError, KERNEL_FAULTS
 from repro.core.policy import FencingMode
 from repro.telemetry.trace import CALL_ATTRS, ERROR_ATTRS, SERVER_TRACK
 
@@ -597,7 +597,7 @@ class TraceEngine:
                     list(plan.launch_params), tenant.stream,
                     tag=app_id, release_cycles=server._release(),
                 )
-            except ExecutionError as failure:
+            except KERNEL_FAULTS as failure:
                 stats.kernels_killed += 1
                 raise GuardianError(
                     f"tenant {app_id!r}: kernel terminated by the "

@@ -59,6 +59,11 @@ class ExecutionError(GPUError):
     """A kernel failed while executing (bad opcode, missing register...)."""
 
 
+#: What a kernel can raise while it runs; the server's kill path turns
+#: each into a counted ``GuardianError`` for the launching tenant.
+KERNEL_FAULTS = (ExecutionError, MemoryFault)
+
+
 class StreamFault(GPUError):
     """An asynchronous fault surfaced on a stream.
 
