@@ -547,6 +547,40 @@ _FLOAT_CASES = {
 \tmax.f32 %f3, %f2, %f1;
 \tst.global.f32 [%rd1+12], %f3;""", struct.pack("<ffff", 1.5, 1.5, 1.5,
                                                   1.5)),
+    # A float-to-float cvt with .rmi/.rni/.rpi/.rzi rounds to an
+    # integral value, keeping the sign of a zero: 2.5 down, to even
+    # and up, -2.5 toward zero, -0.4 to even; plain .rn keeps 2.5.
+    "float_to_float_rounding": ("""\tld.global.f32 %f1, [%rd1];
+\tcvt.rmi.f32.f32 %f2, %f1;
+\tst.global.f32 [%rd1], %f2;
+\tcvt.rni.f32.f32 %f2, %f1;
+\tst.global.f32 [%rd1+4], %f2;
+\tcvt.rpi.f32.f32 %f2, %f1;
+\tst.global.f32 [%rd1+8], %f2;
+\tneg.f32 %f3, %f1;
+\tcvt.rzi.f32.f32 %f2, %f3;
+\tst.global.f32 [%rd1+12], %f2;
+\tmov.f32 %f4, 0fBECCCCCD;
+\tcvt.rni.f32.f32 %f2, %f4;
+\tst.global.f32 [%rd1+16], %f2;
+\tcvt.rn.f32.f32 %f2, %f1;
+\tst.global.f32 [%rd1+20], %f2;""",
+                                struct.pack("<ffffff", 2.0, 2.0, 3.0, -2.0,
+                                            -0.0, 2.5)),
+    # .sat clamps to [0, 1] and sends NaN to +0.0: 2.5, -2.5, NaN, 0.25.
+    "float_to_float_sat": ("""\tld.global.f32 %f1, [%rd1];
+\tcvt.sat.f32.f32 %f2, %f1;
+\tst.global.f32 [%rd1], %f2;
+\tneg.f32 %f3, %f1;
+\tcvt.sat.f32.f32 %f2, %f3;
+\tst.global.f32 [%rd1+4], %f2;
+\tmov.f32 %f4, 0f7FC00000;
+\tcvt.sat.f32.f32 %f2, %f4;
+\tst.global.f32 [%rd1+8], %f2;
+\tmov.f32 %f4, 0f3E800000;
+\tcvt.sat.f32.f32 %f2, %f4;
+\tst.global.f32 [%rd1+12], %f2;""",
+                           struct.pack("<ffff", 1.0, 0.0, 0.0, 0.25)),
 }
 
 #: Integer div/rem/min/max read their operands as their own type:
