@@ -59,6 +59,7 @@ import numpy as np
 from repro.gpu.codegen import (
     NONFINITE_ENV,
     SFU_FORMULAS,
+    float_cvt,
     float_to_int,
     ptx_max,
     ptx_min,
@@ -184,6 +185,14 @@ def _f2i(x, rounding: str, low: int, high: int):
         return float_to_int(x, rounding, low, high)
     return np.array([_w64(float_to_int(v, rounding, low, high))
                      for v in x.tolist()], dtype=_I8)
+
+
+def _f2f(x, integral, saturate: bool):
+    """``codegen.float_cvt``, lane by lane."""
+    if type(x) is not _nd:
+        return float_cvt(x, integral, saturate)
+    return np.array([float_cvt(v, integral, saturate) for v in x.tolist()],
+                    dtype=_F8)
 
 
 def _min(a, b):
@@ -384,6 +393,7 @@ VALUE_ENV = {
     "_uv64": _uv64,
     "_flt": _flt,
     "_f2i": _f2i,
+    "_f2f": _f2f,
     "_min": _min,
     "_max": _max,
     "_sel": _sel,

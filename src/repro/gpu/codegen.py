@@ -113,6 +113,28 @@ def cvt_source(opcode: str) -> tuple[str, str]:
                   if part.rstrip("i") in ROUNDINGS), "rz"))
 
 
+def cvt_float_rule(opcode: str) -> tuple:
+    """``(integral rounding, saturate)`` of a ``cvt`` to a float type:
+    the :data:`ROUNDINGS` key of its ``.rni``/``.rzi``/``.rmi``/``.rpi``
+    (None for a plain float rounding mode, which changes nothing here)
+    and whether it has ``.sat``."""
+    parts = opcode.split(".")
+    return (next((part[:2] for part in parts
+                  if part[-1:] == "i" and part[:2] in ROUNDINGS), None),
+            "sat" in parts)
+
+
+def float_cvt(value: float, integral, saturate: bool) -> float:
+    """PTX's float-to-float ``cvt``: rounded to an integral value in
+    the direction ``integral`` names (the sign of a zero kept), then,
+    with ``.sat``, clamped to [0, 1] with NaN to +0.0."""
+    if integral is not None and math.isfinite(value):
+        value = math.copysign(float(ROUNDINGS[integral](value)), value)
+    if saturate:
+        return min(value, 1.0) if value > 0.0 else 0.0
+    return value
+
+
 def int_range(dtype: str) -> tuple[int, int]:
     """The least and greatest value of an integer type."""
     high = _INT_MASKS[dtype] >> isa.is_signed(dtype)
@@ -384,6 +406,7 @@ _BASE_ENV = {
     "_min": ptx_min,
     "_max": ptx_max,
     "_f2i": float_to_int,
+    "_f2f": float_cvt,
     "_f32inf": f32_overflow,
     **NONFINITE_ENV,
     "_sv8": _make_signed_view(8),
@@ -822,6 +845,9 @@ class KernelCodegen:
             value = f"_f2i({value}, {rounding!r}, {low}, {high})"
         elif isa.is_float(dtype):
             value = f"{self.FLOAT}({self._compare_view(value, source)})"
+            integral, saturate = cvt_float_rule(ins.opcode)
+            if integral is not None or saturate:
+                value = f"_f2f({value}, {integral!r}, {saturate})"
         else:
             # Extend from the source's width; the destination's wrap
             # truncates (a signed narrow destination has none).

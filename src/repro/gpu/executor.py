@@ -1003,7 +1003,8 @@ def _convert(value, ins: DecodedInstr):
     if isa.is_float(dtype):
         if not isa.is_float(source):
             value = wrap_int(value, width, isa.is_signed(source))
-        return float(value)
+        return codegen.float_cvt(float(value),
+                                 *codegen.cvt_float_rule(ins.opcode))
     if width < isa.type_width(dtype):
         value = wrap_int(value, width, isa.is_signed(source))
     if isa.is_signed(dtype) and isa.type_width(dtype) < 8:
