@@ -32,7 +32,7 @@ from repro.core import ipc
 from repro.core.tracecache import TraceEngine
 from repro.driver.fatbin import build_fatbin
 from repro.driver.jit import clear_images
-from repro.errors import BoundsViolation, MemoryFault
+from repro.errors import BoundsViolation, GuardianError, MemoryFault
 from repro.gpu.device import Device
 from repro.gpu.specs import QUADRO_RTX_A4000
 from repro.ptx.builder import KernelBuilder, build_module
@@ -506,7 +506,8 @@ def replay_run(config):
                     if op == 20:
                         client.memcpy_d2h(buffer, 16)
                 client.synchronize()
-            except MemoryFault as failure:
+            except GuardianError as failure:  # a counted kill
+                assert isinstance(failure.__cause__, MemoryFault)
                 failures.append(str(failure))
     reads = [client.memcpy_d2h(buffer, 4096) for client, _, buffer in clients]
     device.synchronize(spatial=True)
