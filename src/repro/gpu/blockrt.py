@@ -78,6 +78,7 @@ _I8 = np.dtype(np.int64)
 _U8 = np.dtype(np.uint64)
 _F8 = np.dtype(np.float64)
 _B1 = np.dtype(np.bool_)
+_and_reduce = np.bitwise_and.reduce
 _or_reduce = np.bitwise_or.reduce
 
 #: numpy floating-point events that the per-thread engine either
@@ -476,7 +477,8 @@ class BlockRun:
         "warp_starts", "block_bounds",
         "ntid", "ctaid", "nctaid", "threads", "exits", "out",
         "pend", "parked", "shared", "_shared_views",
-        "glog", "gphases", "slog", "sphases", "logged", "undo", "created",
+        "glog", "gphases", "slog", "sphases", "logged", "tspan", "undo",
+        "created",
     )
 
     def __init__(self, geometry: tuple, ctaid, grid, block,
@@ -504,6 +506,9 @@ class BlockRun:
         self.slog: list = []
         self.sphases: list = []
         self.logged = 0
+        #: ``[lo, hi]`` of the trip loads since the last
+        #: :func:`log_trips`.
+        self.tspan = [_NO_SPAN, -1]
         #: ``(view, index, old values)`` of every global scatter.
         self.undo: list = []
         self.created: list = []
@@ -691,40 +696,46 @@ def _span(addresses, width: int, low: int, high: int):
 #: per-thread engine, whose memory use is constant. Five times the
 #: largest block of the bench suite (410 k).
 LOG_CAP = 1 << 21
+#: :attr:`BlockRun.tspan`'s low end before any trip load.
+_NO_SPAN = 1 << 64
 
 
-def _log(run, log: list, lanes, addresses, is_store: bool) -> None:
+def _log(run, log: list, lanes, addresses, is_store: bool, lo: int,
+         hi: int) -> None:
     """Log one access of the lanes ``lanes``: entries are
-    ``(thread ids, addresses, is_store)``."""
-    run.logged += len(lanes)
+    ``(thread ids, addresses, is_store, lo, hi)``, the addresses one
+    per lane or a (trips x loads x lanes) block of them in program
+    order, and ``[lo, hi]`` a range holding them all."""
+    run.logged += addresses.size
     if run.logged > LOG_CAP:
         raise Bail("access log full")
-    log.append((lanes, addresses, is_store))
+    log.append((lanes, addresses, is_store, lo, hi))
 
 
 def log_trips(run, lanes, trips: int, *addresses) -> None:
-    """Log a chunk's global loads trip by trip, in program order within
-    a trip: the entries the per-trip path logs, so the commit replays
-    the same sequence through the caches."""
-    width = len(lanes)
-    rows = [
-        repeat(np.full(width, address), trips) if type(address) is not _nd
-        else repeat(address, trips) if address.ndim == 1
-        else np.broadcast_to(address, (trips, width))
-        for address in addresses
-    ]
-    run.logged += trips * width * len(addresses)
-    if run.logged > LOG_CAP:
-        raise Bail("access log full")
-    run.glog.extend((lanes, row, False)
-                    for trip in zip(*rows) for row in trip)
+    """Log a chunk's global loads as one (trips x loads x lanes) entry:
+    trip by trip, a trip's loads in order, the sequence the per-trip
+    path logs, so the commit replays the same accesses through the
+    caches. The bounds are the ones the chunk's loads checked
+    (:attr:`BlockRun.tspan`)."""
+    block = np.empty((trips, len(addresses), len(lanes)), dtype=_I8)
+    for load, address in enumerate(addresses):
+        block[:, load] = address
+    lo, hi = run.tspan
+    run.tspan = [_NO_SPAN, -1]
+    _log(run, run.glog, lanes, block, False, lo, hi)
 
 
 def _logged(entries: list):
     """``(threads, addresses)`` of some log entries, flat, in log
-    order."""
-    return (np.concatenate([entry[0] for entry in entries]),
-            np.concatenate([entry[1] for entry in entries]))
+    order (a trip entry access by access)."""
+    if len(entries) == 1 and entries[0][1].ndim == 1:
+        return entries[0][0], entries[0][1]
+    return (np.concatenate([entry[0] if entry[1].ndim == 1
+                            else np.tile(entry[0],
+                                         entry[1].size // len(entry[0]))
+                            for entry in entries]),
+            np.concatenate([entry[1].reshape(-1) for entry in entries]))
 
 
 def make_block_memory_helpers(memory) -> tuple:
@@ -754,22 +765,34 @@ def make_block_memory_helpers(memory) -> tuple:
 
     def gather_one_page(run, addresses, dtype, width: int, shift: int):
         """The common load: every lane aligned and inside the (fully
-        mapped) page of lane 0 - one reduction proves all of it. None
-        sends the access through the general path."""
+        mapped) page of lane 0 - one reduction proves all of it.
+        ``(values, lo, hi)``, bounds from the page and the reduction,
+        or None to send the access through :func:`checked_gather`'s
+        general path."""
         first = int(addresses[0])
         if not base <= first < whole_pages_end:
             return None
         page = (first - base) >> _PAGE_SHIFT
-        offsets = addresses - (base + (page << _PAGE_SHIFT))
+        origin = base + (page << _PAGE_SHIFT)
+        offsets = addresses - origin
         # A negative lane sets the sign bit, a lane past the page a bit
         # above it, a misaligned one a bit below the width.
         union = int(_or_reduce(offsets))
         if not 0 <= union < PAGE_SIZE or union & (width - 1):
             return None
         view = page_view(page, dtype, run, False)
-        if view is None:
-            return np.zeros(len(addresses), dtype=dtype)
-        return view[offsets >> shift]
+        values = (np.zeros(len(addresses), dtype=dtype) if view is None
+                  else view[offsets >> shift])
+        return values, origin + int(_and_reduce(offsets)), origin + union
+
+    def checked_gather(run, addresses, dtype, width: int, shift: int):
+        """``(values, lo, hi)`` of a load: checked, gathered and
+        bounded."""
+        found = gather_one_page(run, addresses, dtype, width, shift)
+        if found is not None:
+            return found
+        lo, hi = _span(addresses, width, base, limit)
+        return gather(run, addresses, lo, hi, dtype, shift), lo, hi
 
     def gather(run, addresses, lo: int, hi: int, dtype, shift: int):
         first = (lo - base) >> _PAGE_SHIFT
@@ -811,36 +834,34 @@ def make_block_memory_helpers(memory) -> tuple:
             view[index] = values[here]
 
     def read_global(run, lanes, address, dtype, width: int, shift: int):
-        values = gather_one_page(run, address, dtype, width, shift)
-        if values is None:
-            lo, hi = _span(address, width, base, limit)
-            values = gather(run, address, lo, hi, dtype, shift)
-        _log(run, run.glog, lanes, address, False)
+        values, lo, hi = checked_gather(run, address, dtype, width, shift)
+        _log(run, run.glog, lanes, address, False, lo, hi)
         return values
 
     def write_global(run, lanes, address, dtype, width: int, shift: int,
                      values) -> None:
         lo, hi = _span(address, width, base, limit)
-        _log(run, run.glog, lanes, address, True)
+        _log(run, run.glog, lanes, address, True, lo, hi)
         scatter(run, address, lo, hi, dtype, shift, values)
 
     def read_shared(run, lanes, address, dtype, width: int, shift: int):
-        _span(address, width, 0, len(run.shared))
-        _log(run, run.slog, lanes, address, False)
+        lo, hi = _span(address, width, 0, len(run.shared))
+        _log(run, run.slog, lanes, address, False, lo, hi)
         return run.shared_view(dtype)[address >> shift]
 
     def write_shared(run, lanes, address, dtype, width: int, shift: int,
                      values) -> None:
-        _span(address, width, 0, len(run.shared))
+        lo, hi = _span(address, width, 0, len(run.shared))
         run.shared_view(dtype)[address >> shift] = values
-        _log(run, run.slog, lanes, address, True)
+        _log(run, run.slog, lanes, address, True, lo, hi)
 
     def trip_load(name: str):
         """A global load of every trip of a chunk at once. The address
         is a scalar or lane vector the trips share, a (trips x 1)
         column or a (trips x lanes) matrix; the value has its shape.
         All of it is checked before anything is read; the generated
-        code logs it with :func:`log_trips`."""
+        code logs it with :func:`log_trips`, which takes the bounds
+        from :attr:`BlockRun.tspan`."""
         load_type, _, is_float = _MEMORY_TYPES[name]
         load_type = np.dtype(load_type)
         width = load_type.itemsize
@@ -849,10 +870,11 @@ def make_block_memory_helpers(memory) -> tuple:
         def load(run, address):
             uniform = type(address) is not _nd
             flat = np.full(1, address) if uniform else address.reshape(-1)
-            values = gather_one_page(run, flat, load_type, width, shift)
-            if values is None:
-                lo, hi = _span(flat, width, base, limit)
-                values = gather(run, flat, lo, hi, load_type, shift)
+            values, lo, hi = checked_gather(run, flat, load_type, width,
+                                            shift)
+            span = run.tspan
+            span[0] = min(span[0], lo)
+            span[1] = max(span[1], hi)
             if uniform:
                 value = values[0].item()
                 return _w64(value) if width == 8 and not is_float else value
@@ -926,12 +948,49 @@ def make_block_memory_helpers(memory) -> tuple:
 # Commit: conflict detection and the cache replay
 # --------------------------------------------------------------------------
 
-#: Accesses ordered, checked and filtered at a time. Bounds the commit's
-#: working memory: an attempt may log up to ``LOG_CAP`` of them. (A
-#: divergent phase is sorted in pieces of about this many, cut between
-#: blocks: one block's accesses are sorted at once whatever their
-#: number, so a span's commit needs the memory one block's did.)
+#: Accesses flattened, checked and filtered at a time. Bounds the
+#: commit's working memory: an attempt may log up to ``LOG_CAP`` of
+#: them. (A divergent phase the walk replays is sorted in pieces of
+#: about this many, cut between blocks: one block's accesses are
+#: sorted at once whatever their number, so a span's commit needs the
+#: memory one block's did.)
 COMMIT_CHUNK = 1 << 14
+
+
+def _chunks(entries: list):
+    """One phase's log in log order, about ``COMMIT_CHUNK`` accesses at
+    a time: ``(entries, threads, addresses)``, flat, except that trip
+    entries (:func:`log_trips`) of one group and shape come stacked
+    along their trip axis, ``threads`` their lanes."""
+    start, count = 0, len(entries)
+    while start < count:
+        entry = entries[start]
+        stop = start + 1
+        if entry[1].ndim > 1:
+            lanes, shape = entry[0], entry[1].shape[1:]
+            size = entry[1].size
+            while (stop < count and entries[stop][0] is lanes
+                   and entries[stop][1].shape[1:] == shape
+                   and size + entries[stop][1].size <= COMMIT_CHUNK):
+                size += entries[stop][1].size
+                stop += 1
+            part = entries[start:stop]
+            yield part, lanes, (entry[1] if len(part) == 1 else
+                                np.concatenate([e[1] for e in part]))
+        else:
+            size = len(entry[0])
+            while (stop < count and entries[stop][1].ndim == 1
+                   and size + len(entries[stop][0]) <= COMMIT_CHUNK):
+                size += len(entries[stop][0])
+                stop += 1
+            yield (entries[start:stop], *_logged(entries[start:stop]))
+        start = stop
+
+
+def _rows(entries: list) -> list:
+    """Log entries with one access per lane: a trip entry's rows."""
+    return [(entry[0], row) for entry in entries
+            for row in entry[1].reshape(-1, len(entry[0]))]
 
 
 def _thread_major(entries: list, block_bounds):
@@ -940,7 +999,8 @@ def _thread_major(entries: list, block_bounds):
     within a block, program order within a thread (log order *is*
     program order for any one thread, and lanes are numbered
     block-major, so for a barrier-free span that is a sort by lane).
-    Chunks are whole threads, ascending."""
+    ``entries`` hold one access per lane (:func:`_rows`). Chunks are
+    whole threads, ascending."""
     lanes = entries[0][0]
     if all(entry[0] is lanes for entry in entries):
         # Every access was made by the same full group: the log is an
@@ -986,27 +1046,55 @@ class _Stores:
 
     def __init__(self, entries: list, shift: int):
         self.shift = shift
+        self.entries = entries
         threads, cells = _logged(entries)
         cells = cells >> shift
         order = np.argsort(cells, kind="stable")
         self.cells = cells[order]
         self.owners = threads[order]
+        self.first = int(self.cells[0])
+        self.last = int(self.cells[-1])
 
     def shared_between_threads(self) -> bool:
         cells, owners = self.cells, self.owners
         return bool(((cells[1:] == cells[:-1])
                      & (owners[1:] != owners[:-1])).any())
 
+    def near(self, entries: list) -> list:
+        """The loads whose bounds meet the stored cells' range. A store
+        touches only cells its own thread stored (else
+        :meth:`shared_between_threads` would have said so), and so
+        does a load of the very cells a store of the phase stored, lane
+        for lane."""
+        shift, first, last = self.shift, self.first, self.last
+        return [entry for entry in entries if not entry[2]
+                and entry[3] >> shift <= last and entry[4] >> shift >= first
+                and not any(_same_access(entry, store)
+                            for store in self.entries)]
+
     def touched_by_others(self, threads, addresses) -> bool:
+        """Whether a thread touched a cell another one stored; a trip
+        entry's ``threads`` are its lanes."""
         cells = addresses >> self.shift if self.shift else addresses
-        near = (cells >= self.cells[0]) & (cells <= self.cells[-1])
+        near = (cells >= self.first) & (cells <= self.last)
         if not near.any():
             return False
         cells = cells[near]
         slot = np.searchsorted(self.cells, cells)
         slot[slot == len(self.cells)] = 0
         hit = self.cells[slot] == cells
-        return bool((hit & (self.owners[slot] != threads[near])).any())
+        threads = np.broadcast_to(threads, near.shape)[near]
+        return bool((hit & (self.owners[slot] != threads)).any())
+
+
+def _same_access(one, other) -> bool:
+    """Whether two log entries are the same lanes at the same
+    addresses."""
+    if one[1] is other[1] and one[0] is other[0]:
+        return True
+    return (one[1].shape == other[1].shape
+            and np.array_equal(one[0], other[0])
+            and np.array_equal(one[1], other[1]))
 
 
 def _phase_stores(entries: list, shift: int):
@@ -1023,16 +1111,121 @@ def _phase_stores(entries: list, shift: int):
     return stores
 
 
-def make_commit(hierarchy, resolve, cost_l1: int):
+_START = np.zeros(1, dtype=np.intp)
+
+
+class _Touches:
+    """The lines a span touches, each with the thread-major keys of its
+    first and last touch, gathered a chunk at a time. A key orders
+    accesses as the per-thread engine makes them: by phase, lane, then
+    position in the phase's log (program order within a thread). Once
+    more lines arrive than ``capacity`` (every line the L1 holds), the
+    span cannot fit and nothing more is kept."""
+
+    def __init__(self, capacity: int, scale: int):
+        self.capacity = capacity
+        self.scale = scale
+        self.lines: list = []
+        self.first: list = []
+        self.last: list = []
+        self.pending = 0
+        self.full = False
+
+    def add(self, threads, lines, lane_base: int, position: int) -> None:
+        """A chunk's lines as :func:`_chunks` gives its addresses:
+        ``lane_base`` is the phase's (phase number x lanes),
+        ``position`` the chunk's first access's place in the phase's
+        log."""
+        if self.full or not lines.size:
+            return
+        scale = self.scale
+        if lines.ndim > 1:
+            # Along a row of a trip entry the lanes ascend, so an access
+            # whose left neighbour touched its line is not the line's
+            # first touch, nor, mirrored, the last; nor is one whose
+            # lane touched the line one trip earlier (later).
+            later = np.zeros(lines.shape, dtype=_B1)
+            earlier = np.zeros(lines.shape, dtype=_B1)
+            across = lines[..., 1:] == lines[..., :-1]
+            later[..., 1:] = across
+            earlier[..., :-1] = across
+            along = lines[1:] == lines[:-1]
+            later[1:] |= along
+            earlier[:-1] |= along
+            at = np.flatnonzero(~(later & earlier))
+            keys = ((threads[at % len(threads)].astype(_I8) + lane_base)
+                    * scale + (at + position))
+            self._keep(lines.reshape(-1)[at], keys, keys)
+            return
+        # An access whose left neighbour is the same line from a lower
+        # lane is not the line's first touch (that neighbour comes
+        # earlier in thread-major order), nor, mirrored, the last: of a
+        # run of them only the ends count.
+        joins = (lines[1:] == lines[:-1]) & (threads[1:] > threads[:-1])
+        edges = np.ones(len(lines) + 1, dtype=_B1)
+        np.logical_not(joins, out=edges[1:-1])
+        cuts = np.flatnonzero(edges)
+        starts, ends = cuts[:-1], cuts[1:] - 1
+        self._keep(lines[starts],
+                   (threads[starts].astype(_I8) + lane_base) * scale
+                   + (starts + position),
+                   (threads[ends].astype(_I8) + lane_base) * scale
+                   + (ends + position))
+
+    def _keep(self, lines, first, last) -> None:
+        self.lines.append(lines)
+        self.first.append(first)
+        self.last.append(last)
+        self.pending += len(lines)
+        if self.pending > COMMIT_CHUNK:
+            self._reduce()
+
+    def _reduce(self) -> None:
+        lines = np.concatenate(self.lines)
+        order = lines.argsort()
+        lines = lines[order]
+        starts = np.flatnonzero(lines[1:] != lines[:-1]) + 1
+        if len(starts) >= self.capacity:
+            self.full = True
+            self.lines = self.first = self.last = []
+            return
+        starts = np.concatenate((_START, starts))
+        self.lines = [lines[starts]]
+        self.first = [np.minimum.reduceat(
+            np.concatenate(self.first)[order], starts)]
+        self.last = [np.maximum.reduceat(
+            np.concatenate(self.last)[order], starts)]
+        self.pending = len(starts)
+
+    def result(self):
+        """``(lines, first keys, last keys)``, lines ascending, or None
+        when they cannot all fit."""
+        if self.lines:
+            self._reduce()
+        if self.full:
+            return None
+        if not self.lines:
+            return _EMPTY, _EMPTY, _EMPTY
+        return self.lines[0], self.first[0], self.last[0]
+
+
+_EMPTY = np.zeros(0, dtype=_I8)
+
+
+def make_commit(hierarchy, resolve, resolve_l2, cost_l1: int):
     """Bind the commit step to one device's cache hierarchy.
 
-    ``resolve`` is the per-thread JIT's own tag-list walk
-    (:func:`repro.gpu.codegen.make_memory_helpers`), so every access
-    that can change cache state goes through the same code.
+    ``resolve`` and ``resolve_l2`` are the per-thread JIT's own
+    tag-list walks (:func:`repro.gpu.codegen.make_memory_helpers`),
+    whole and from an L1 miss on, so every access that can change L2
+    state, and every L1 access the bulk replay cannot prove, goes
+    through the same code.
     """
     l1 = hierarchy.l1
     line_bytes = l1.line_bytes
     num_sets = l1.num_sets
+    ways_per_set = l1.associativity
+    l1_sets = l1._sets
     set_type = (np.uint8 if num_sets <= 1 << 8 else
                 np.uint16 if num_sets <= 1 << 16 else np.int64)
     l1_stats = l1.stats
@@ -1054,6 +1247,61 @@ def make_commit(hierarchy, resolve, cost_l1: int):
         mask[order] = repeat
         return mask
 
+    def fitted(lines, last):
+        """The span in bulk: ``(sets, tags, residents)``, the touched
+        lines by set, the last touched first, each set's untouched
+        residents in their old order, and ``missed``, the indices of
+        the lines no set held; None when some set cannot hold its
+        residents and its new lines at once."""
+        order = np.lexsort((-last, lines % num_sets))
+        lines = lines[order]
+        sets = lines % num_sets
+        if (sets[ways_per_set:] == sets[:-ways_per_set]).any():
+            return None  # a set is touched at more lines than it has ways
+        set_ids = sets.tolist()
+        tags = (lines // num_sets).tolist()
+        held = []  # positions of the lines a set already held
+        residents = []  # (tag list, residents the span does not touch)
+        if any([l1_sets[index] for index in set_ids]):
+            start = 0
+            for stop in range(1, len(tags) + 1):
+                if stop < len(tags) and set_ids[stop] == set_ids[start]:
+                    continue
+                ways = l1_sets[set_ids[start]]
+                if ways:
+                    new = tags[start:stop]
+                    held += [at for at in range(start, stop)
+                             if tags[at] in ways]
+                    kept = [tag for tag in ways if tag not in new]
+                    if len(new) + len(kept) > ways_per_set:
+                        return None
+                    residents.append((ways, kept))
+                start = stop
+        return (set_ids, tags, residents), (np.delete(order, held) if held
+                                            else order)
+
+    def walk(run, phases: list) -> None:
+        """Replay the span access by access: way-0 hits (proven by a
+        sort) in bulk, the rest through ``resolve`` in thread-major
+        order."""
+        cycles = run.out
+        hits = 0
+        rest = []  # (threads, addresses) that must walk the tag lists
+        for entries in phases:
+            for threads, addresses in _thread_major(_rows(entries),
+                                                    run.block_bounds):
+                mru = way0_hits(addresses)
+                hits += _cnz(mru)
+                cycles += np.bincount(
+                    threads[mru], minlength=len(cycles)) * cost_l1
+                np.logical_not(mru, out=mru)
+                rest.append((threads[mru], addresses[mru]))
+        l1_stats.hits += hits
+        counts["l1"] += hits
+        for threads, addresses in rest:
+            np.add.at(cycles, threads,
+                      [resolve(address) for address in addresses.tolist()])
+
     def commit(run: BlockRun, global_shift: int, shared_shift: int) -> float:
         """Validate the finished span, replay its global accesses
         through the caches and return its summed warp cycles.
@@ -1061,35 +1309,60 @@ def make_commit(hierarchy, resolve, cost_l1: int):
         Raises :class:`Bail` before touching any cache state."""
         run.phase()
         cycles = run.out
-        hits = 0
-        rest = []  # (threads, addresses) that must walk the tag lists
+        width = len(cycles)
         for entries in run.sphases:
             stores = _phase_stores(entries, shared_shift)
             if stores is not None and stores.touched_by_others(
                     *_logged(entries)):
                 raise Bail("cross-thread shared access in one phase")
-        for entries in run.gphases:
-            if not entries:
-                continue
+        phases = [entries for entries in run.gphases if entries]
+        accesses = np.zeros(width, dtype=_I8)
+        seen = _Touches(num_sets * ways_per_set, run.logged + 1)
+        for number, entries in enumerate(phases):
             stores = _phase_stores(entries, global_shift)
-            for threads, addresses in _thread_major(
-                    entries, run.block_bounds):
-                if stores is not None and stores.touched_by_others(
-                        threads, addresses):
-                    raise Bail("cross-thread global access in one phase")
-                mru = way0_hits(addresses)
-                hits += _cnz(mru)
-                cycles += np.bincount(
-                    threads[mru], minlength=len(cycles)) * cost_l1
-                np.logical_not(mru, out=mru)
-                rest.append((threads[mru], addresses[mru]))
-            entries.clear()
+            position = 0
+            for part, threads, addresses in _chunks(entries):
+                if stores is not None:
+                    near = stores.near(part)
+                    if near and stores.touched_by_others(
+                            *((threads, addresses) if len(near) == len(part)
+                              else _logged(near))):
+                        raise Bail("cross-thread global access in one phase")
+                if addresses.ndim > 1:
+                    accesses[threads] += addresses.size // len(threads)
+                else:
+                    accesses += np.bincount(threads, minlength=width)
+                seen.add(threads, addresses // line_bytes, number * width,
+                         position)
+                position += addresses.size
+        touched = seen.result()
+        plan = None if touched is None else fitted(touched[0], touched[2])
         # Nothing can fail from here on: the caches may change.
-        l1_stats.hits += hits
-        counts["l1"] += hits
-        for threads, addresses in rest:
-            np.add.at(cycles, threads,
-                      [resolve(address) for address in addresses.tolist()])
+        if plan is None:
+            walk(run, phases)
+        else:
+            # No set overflows, so nothing is evicted: a line's first
+            # touch misses if no set held it, every other access hits,
+            # and the L2 sees those misses in thread-major order.
+            lines, first, _ = touched
+            ways_after, missed = plan
+            missed = missed[np.argsort(first[missed])]
+            hits = int(accesses.sum()) - len(missed)
+            l1_stats.hits += hits
+            l1_stats.misses += len(missed)
+            counts["l1"] += hits
+            cycles += accesses * cost_l1
+            if len(missed):
+                np.add.at(cycles, first[missed] // seen.scale % width,
+                          [resolve_l2(line) - cost_l1
+                           for line in lines[missed].tolist()])
+            set_ids, tags, residents = ways_after
+            for ways, _ in residents:
+                ways.clear()
+            for index, tag in zip(set_ids, tags):
+                l1_sets[index].append(tag)
+            for ways, kept in residents:
+                ways += kept
         # A warp runs in lockstep: it costs its slowest lane.
         return float(int(np.maximum.reduceat(cycles, run.warp_starts).sum()))
 
@@ -1113,12 +1386,12 @@ class BlockRuntime:
     (bound to its memory), the commit step (bound to its caches) and
     the rollback."""
 
-    def __init__(self, memory, hierarchy, resolve, cost_l1: int,
-                 warp_size: int):
+    def __init__(self, memory, hierarchy, resolve, resolve_l2,
+                 cost_l1: int, warp_size: int):
         helpers, self._rollback = make_block_memory_helpers(memory)
         #: Globals of this device's block functions.
         self.env = {**VALUE_ENV, **helpers}
-        self._commit = make_commit(hierarchy, resolve, cost_l1)
+        self._commit = make_commit(hierarchy, resolve, resolve_l2, cost_l1)
         self._warp_size = warp_size
         self._geometry: dict[tuple, tuple] = {}
 

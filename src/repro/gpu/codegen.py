@@ -243,6 +243,11 @@ def make_memory_helpers(memory: GlobalMemory, hierarchy,
         ways.insert(0, tag)
         if len(ways) > l1_assoc:
             ways.pop()
+        return resolve_l2(line)
+
+    def resolve_l2(line):
+        """The L2 half of :func:`resolve`, for a line the L1 missed:
+        touch the L2; return the access latency."""
         ways2 = l2_sets[line % l2_num]
         tag2 = line // l2_num
         if ways2:
@@ -366,6 +371,7 @@ def make_memory_helpers(memory: GlobalMemory, hierarchy,
     env["_atom"] = atom
     # The block engine replays its access log through the same walk.
     env["_resolve"] = resolve
+    env["_resolve_l2"] = resolve_l2
     # What _INLINE_ACCESS reads. An aligned access cannot straddle a page
     # unless the base is not 8-aligned; such a memory gets no window.
     top = limit if base % 8 == 0 else base

@@ -618,10 +618,11 @@ class KernelExecutor:
             if self._block_runtime is None:
                 from repro.gpu import blockrt
 
+                env = self._memory_env()
                 self._block_runtime = blockrt.BlockRuntime(
-                    self.memory, self.hierarchy,
-                    self._memory_env()["_resolve"],
-                    self.cost_model.memory_cost("l1"), self.spec.warp_size)
+                    self.memory, self.hierarchy, env["_resolve"],
+                    env["_resolve_l2"], self.cost_model.memory_cost("l1"),
+                    self.spec.warp_size)
             engines.block = compiled.code.bind_block(
                 compiled, self.cost_model, self._block_runtime.env)
         return engines.block

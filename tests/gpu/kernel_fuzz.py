@@ -14,7 +14,10 @@ converted to float meeting in one f32 op.
 
 Counted loops that sum f32 values (``acc + x``, ``x + acc`` or an
 ``fma`` into the accumulator, 0-70 trips, a uniform or lane-varying
-count) are the form the block engine runs along its trip axis.
+count) are the form the block engine runs along its trip axis. One
+time in three their loads lie :data:`SET_STRIDE` apart, so that every
+line they touch maps to one L1 set: a span touching more lines of a
+set than it has ways is replayed access by access, the rest in bulk.
 
 Every register is written before it is read on every path (values made
 inside an ``if`` or loop body leave it only through the accumulators
@@ -37,6 +40,10 @@ WIDE_IMMEDIATES = [0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9,
 #: to ``out + 32 KiB + 32 * gid``.
 WORDS_PER_THREAD = 8
 
+
+#: Bytes between the lines of one L1 set (sets x line size of the
+#: simulated GPUs' L1); strided loads index 60 elements of it, 960 KiB.
+SET_STRIDE = 16 * 1024
 
 #: f32 immediates no Python literal spells: -inf seeds nvcc's max
 #: reductions, and a NaN keeps its sign bit through a store.
@@ -349,10 +356,12 @@ class _Draw:
         total = b.mov("f32", _f32(rng, -2, 2))
         scale = rng.choice(floats)
         form = rng.choice(["add", "add_second", "fma"])
+        stride, elements = rng.choice([(4, 512), (4, 512), (SET_STRIDE, 60)])
         with b.loop(count) as counter:
             index = b.rem("u32", b.add("u32", counter, rng.choice(ints)),
-                          Immediate(512))
-            value = b.ld_global("f32", b.element_addr(self.inp, index, 4))
+                          Immediate(elements))
+            value = b.ld_global("f32", b.element_addr(self.inp, index,
+                                                      stride))
             if form == "fma":
                 summed = b.fma("f32", value, scale, total)
             elif form == "add":

@@ -846,14 +846,17 @@ class TestGridSpans:
     def test_divergent_commit_is_sorted_a_few_blocks_at_a_time(
             self, chunk, sorts):
         """Accesses made under a mask are put in thread order by a
-        sort; a span sorts about ``COMMIT_CHUNK`` of them at once, cut
-        between blocks, so its commit needs the memory a block's did."""
+        sort when the span is replayed access by access; a span sorts
+        about ``COMMIT_CHUNK`` of them at once, cut between blocks, so
+        its commit needs the memory a block's did. The loads lie 16 KiB
+        apart, so all 240 lines map to one L1 set and the commit walks
+        the tag lists."""
         b = KernelBuilder("odd_store", params=[("out", "u64"),
                                                ("inp", "u64")])
         out = b.load_param_ptr("out")
         inp = b.load_param_ptr("inp")
         gid = b.global_thread_id()
-        value = b.ld_global("u32", b.element_addr(inp, gid, 4))
+        value = b.ld_global("u32", b.element_addr(inp, gid, 16384))
         odd = b.setp("eq", "u32", b.and_("b32", gid, Immediate(1)),
                      Immediate(1))
         b.emit("st.global.u32", MemRef(b.element_addr(out, gid, 4)), value,
@@ -1058,6 +1061,193 @@ class TestGridSpans:
         if finite_run(kernel, jit):
             assert vectorised(block)
             assert spans(block) == (1, 0)
+
+
+#: Bytes between two lines of one L1 set: sets x line size.
+SET_STRIDE = QUADRO_RTX_A4000.l1_kb * 1024 // 8
+#: ``F1`` moved to the L1 set after the one ``OUT``'s first line is in.
+SET_1 = F1 + 128
+
+
+def walked_phases():
+    """Patch in a counter of the phases the commit replays access by
+    access (the bulk replay walks none): ``(patch, counts)``."""
+    counts = []
+    real = blockrt._thread_major
+
+    def spy(entries, block_bounds):
+        counts.append(len(entries))
+        return real(entries, block_bounds)
+
+    return mock.patch.object(blockrt, "_thread_major", spy), counts
+
+
+def run_counting_walks(*args, **kwargs):
+    patch, walked = walked_phases()
+    with patch:
+        outcomes = run_engines(*args, **kwargs)
+    assert_one_outcome(outcomes)
+    assert vectorised(outcomes["block"])
+    return outcomes, walked
+
+
+def ring_kernel():
+    """Thread t < n loads ``inp + SET_STRIDE * t`` and then the next
+    thread's line (the last thread's is thread 0's), one L1 set, and
+    stores their sum at ``out + 4 t``: the last touch of line 0 is the
+    span's last access."""
+    b = KernelBuilder("ring", params=[("out", "u64"), ("inp", "u64"),
+                                      ("n", "u32")])
+    out = b.load_param_ptr("out")
+    inp = b.load_param_ptr("inp")
+    n = b.load_param("n", "u32")
+    tid = b.special("%tid.x")
+    mine = b.ld_global("u32", b.element_addr(inp, tid, SET_STRIDE))
+    following = b.rem("u32", b.add("u32", tid, Immediate(1)), n)
+    theirs = b.ld_global("u32", b.element_addr(inp, following, SET_STRIDE))
+    b.st_global("u32", b.element_addr(out, tid, 4),
+                b.add("u32", mine, theirs))
+    return b.build()
+
+
+def banded_kernel():
+    """Thread g loads line ``g / 410`` of ``inp``'s set and stores it
+    at ``out + 4 g``."""
+    b = KernelBuilder("banded", params=[("out", "u64"), ("inp", "u64")])
+    out = b.load_param_ptr("out")
+    inp = b.load_param_ptr("inp")
+    gid = b.global_thread_id()
+    line = b.div("u32", gid, Immediate(410))
+    b.st_global("u32", b.element_addr(out, gid, 4),
+                b.ld_global("u32", b.element_addr(inp, line, SET_STRIDE)))
+    return b.build()
+
+
+def two_phase_kernel():
+    """Phase 1: thread t loads line ``t % 4`` of ``inp``'s set into
+    shared memory; after ``bar.sync`` it loads line ``(63 - t) % 4``
+    again, so the phases leave the set's lines in opposite orders."""
+    b = KernelBuilder("two_phase", params=[("out", "u64"), ("inp", "u64")])
+    out = b.load_param_ptr("out")
+    inp = b.load_param_ptr("inp")
+    buf = b.shared_array("buf", "u32", 64)
+    tid = b.special("%tid.x")
+    slot = b.add("u64", b.mov("u64", buf),
+                 b.mul_wide("u32", tid, Immediate(4)))
+    first = b.and_("b32", tid, Immediate(3))
+    b.st_shared("u32", slot,
+                b.ld_global("u32", b.element_addr(inp, first, SET_STRIDE)))
+    b.barrier()
+    second = b.and_("b32", b.sub("u32", Immediate(63), tid), Immediate(3))
+    again = b.ld_global("u32", b.element_addr(inp, second, SET_STRIDE))
+    b.st_global("u32", b.element_addr(out, tid, 4),
+                b.add("u32", again, b.ld_shared("u32", slot)))
+    return b.build()
+
+
+def divergent_loads_kernel():
+    """Odd threads load line ``3 t % 7`` of ``inp``'s set under a
+    guard, even ones line ``t % 5`` of the next set; then, in a branch
+    only threads below 40 take, every one of them loads line ``t % 3``
+    of the first."""
+    b = KernelBuilder("divergent_loads", params=[("out", "u64"),
+                                                 ("inp", "u64")])
+    out = b.load_param_ptr("out")
+    inp = b.load_param_ptr("inp")
+    gid = b.global_thread_id()
+    odd = b.setp("eq", "u32", b.and_("b32", gid, Immediate(1)),
+                 Immediate(1))
+    value = b.mov("u32", Immediate(0))
+    odd_line = b.rem("u32", b.mul("u32", gid, Immediate(3)), Immediate(7))
+    b.emit("ld.global.u32", value,
+           MemRef(b.element_addr(inp, odd_line, SET_STRIDE)),
+           guard=Guard(odd.name))
+    even_line = b.add("u64", b.element_addr(
+        inp, b.rem("u32", gid, Immediate(5)), SET_STRIDE), Immediate(128))
+    b.emit("ld.global.u32", value, MemRef(even_line),
+           guard=Guard(odd.name, negated=True))
+    total = b.mov("u32", value)
+    with b.if_less_than(gid, Immediate(40)):
+        extra = b.ld_global("u32", b.element_addr(
+            inp, b.rem("u32", gid, Immediate(3)), SET_STRIDE))
+        b.emit("add.u32", total, total, extra)
+    b.st_global("u32", b.element_addr(out, gid, 4), total)
+    return b.build()
+
+
+def high_lanes_first_kernel():
+    """Threads 32-63 load ``inp`` under a guard, then threads 0-31 do:
+    the log holds thread 63's access right before thread 0's, and
+    thread 0's, later in the log, is the line's first touch, so warp 0
+    pays the miss. Thread 63 then misses on another line, so warp 1
+    costs as much whichever of its lanes the first miss went to."""
+    b = KernelBuilder("high_lanes_first", params=[("out", "u64"),
+                                                  ("inp", "u64")])
+    out = b.load_param_ptr("out")
+    inp = b.load_param_ptr("inp")
+    tid = b.special("%tid.x")
+    high = b.setp("ge", "u32", tid, Immediate(32))
+    value = b.mov("u32", Immediate(0))
+    b.emit("ld.global.u32", value, MemRef(inp), guard=Guard(high.name))
+    b.emit("ld.global.u32", value, MemRef(inp),
+           guard=Guard(high.name, negated=True))
+    last = b.setp("eq", "u32", tid, Immediate(63))
+    b.emit("ld.global.u32", value, MemRef(inp, 256), guard=Guard(last.name))
+    b.st_global("u32", b.element_addr(out, tid, 4), value)
+    return b.build()
+
+
+class TestCommitPaths:
+    """The commit replays a span in bulk when every L1 set it touches
+    can hold its residents and its new lines at once, and access by
+    access otherwise. Either way the cache lines in recency order, the
+    hit and miss counts and the level counts are the per-thread
+    JIT's."""
+
+    def test_eight_lines_in_one_set_go_in_bulk(self):
+        outcomes, walked = run_counting_walks(
+            ring_kernel(), (1, 1, 1), (8, 1, 1), [OUT, SET_1, 8],
+            library_setup)
+        assert walked == []
+        l1 = outcomes["block"].executor.hierarchy.l1
+        # Line 0 was touched last (by thread 7), line 7 before it.
+        assert l1._sets[1] == [SET_1 // SET_STRIDE + k
+                               for k in (0, 7, 6, 5, 4, 3, 2, 1)]
+
+    def test_nine_lines_in_one_set_are_walked(self):
+        _, walked = run_counting_walks(
+            ring_kernel(), (1, 1, 1), (9, 1, 1), [OUT, SET_1, 9],
+            library_setup)
+        assert walked == [3]  # the phase's two loads and a store
+
+    def test_residents_of_the_first_span_overflow_the_second(self):
+        """Span 1 (blocks 0-1) leaves lines 0-4 of the set, span 2
+        (blocks 2-3) touches lines 4-9: 6 lines fit a set, 10 do not."""
+        outcomes, walked = run_counting_walks(
+            banded_kernel(), (4, 1, 1), (1024, 1, 1), [OUT, SET_1],
+            library_setup)
+        assert spans(outcomes["block"]) == (2, 0)
+        assert walked == [2]
+
+    def test_a_second_phase_touches_the_first_phases_lines(self):
+        outcomes, walked = run_counting_walks(
+            two_phase_kernel(), (2, 1, 1), (64, 1, 1), [OUT, SET_1],
+            library_setup)
+        assert walked == []
+        assert spans(outcomes["block"]) == (2, 0)
+
+    def test_log_neighbours_from_a_higher_lane(self):
+        _, walked = run_counting_walks(
+            high_lanes_first_kernel(), (1, 1, 1), (64, 1, 1), [OUT, SET_1],
+            library_setup)
+        assert walked == []
+
+    @pytest.mark.parametrize("grid", [(1, 1, 1), (3, 1, 1)])
+    def test_guarded_and_divergent_loads(self, grid):
+        _, walked = run_counting_walks(
+            divergent_loads_kernel(), grid, (64, 1, 1), [OUT, SET_1],
+            library_setup)
+        assert walked == []
 
 
 class TestLaneGeometryIsBounded:
