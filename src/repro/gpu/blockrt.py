@@ -506,9 +506,9 @@ class BlockRun:
         self.slog: list = []
         self.sphases: list = []
         self.logged = 0
-        #: ``[lo, hi]`` of the trip loads since the last
+        #: ``(lo, hi)`` of each trip load since the last
         #: :func:`log_trips`.
-        self.tspan = [_NO_SPAN, -1]
+        self.tspan: list = []
         #: ``(view, index, old values)`` of every global scatter.
         self.undo: list = []
         self.created: list = []
@@ -696,20 +696,18 @@ def _span(addresses, width: int, low: int, high: int):
 #: per-thread engine, whose memory use is constant. Five times the
 #: largest block of the bench suite (410 k).
 LOG_CAP = 1 << 21
-#: :attr:`BlockRun.tspan`'s low end before any trip load.
-_NO_SPAN = 1 << 64
 
 
-def _log(run, log: list, lanes, addresses, is_store: bool, lo: int,
-         hi: int) -> None:
+def _log(run, log: list, entry: tuple) -> None:
     """Log one access of the lanes ``lanes``: entries are
     ``(thread ids, addresses, is_store, lo, hi)``, the addresses one
     per lane or a (trips x loads x lanes) block of them in program
-    order, and ``[lo, hi]`` a range holding them all."""
-    run.logged += addresses.size
+    order (then with each load's ``(lo, hi)`` last), and ``[lo, hi]``
+    a range holding them all."""
+    run.logged += entry[1].size
     if run.logged > LOG_CAP:
         raise Bail("access log full")
-    log.append((lanes, addresses, is_store, lo, hi))
+    log.append(entry)
 
 
 def log_trips(run, lanes, trips: int, *addresses) -> None:
@@ -721,9 +719,10 @@ def log_trips(run, lanes, trips: int, *addresses) -> None:
     block = np.empty((trips, len(addresses), len(lanes)), dtype=_I8)
     for load, address in enumerate(addresses):
         block[:, load] = address
-    lo, hi = run.tspan
-    run.tspan = [_NO_SPAN, -1]
-    _log(run, run.glog, lanes, block, False, lo, hi)
+    spans = run.tspan
+    run.tspan = []
+    _log(run, run.glog, (lanes, block, False, min(lo for lo, _ in spans),
+                         max(hi for _, hi in spans), spans))
 
 
 def _logged(entries: list):
@@ -835,25 +834,25 @@ def make_block_memory_helpers(memory) -> tuple:
 
     def read_global(run, lanes, address, dtype, width: int, shift: int):
         values, lo, hi = checked_gather(run, address, dtype, width, shift)
-        _log(run, run.glog, lanes, address, False, lo, hi)
+        _log(run, run.glog, (lanes, address, False, lo, hi))
         return values
 
     def write_global(run, lanes, address, dtype, width: int, shift: int,
                      values) -> None:
         lo, hi = _span(address, width, base, limit)
-        _log(run, run.glog, lanes, address, True, lo, hi)
+        _log(run, run.glog, (lanes, address, True, lo, hi))
         scatter(run, address, lo, hi, dtype, shift, values)
 
     def read_shared(run, lanes, address, dtype, width: int, shift: int):
         lo, hi = _span(address, width, 0, len(run.shared))
-        _log(run, run.slog, lanes, address, False, lo, hi)
+        _log(run, run.slog, (lanes, address, False, lo, hi))
         return run.shared_view(dtype)[address >> shift]
 
     def write_shared(run, lanes, address, dtype, width: int, shift: int,
                      values) -> None:
         lo, hi = _span(address, width, 0, len(run.shared))
         run.shared_view(dtype)[address >> shift] = values
-        _log(run, run.slog, lanes, address, True, lo, hi)
+        _log(run, run.slog, (lanes, address, True, lo, hi))
 
     def trip_load(name: str):
         """A global load of every trip of a chunk at once. The address
@@ -872,9 +871,7 @@ def make_block_memory_helpers(memory) -> tuple:
             flat = np.full(1, address) if uniform else address.reshape(-1)
             values, lo, hi = checked_gather(run, flat, load_type, width,
                                             shift)
-            span = run.tspan
-            span[0] = min(span[0], lo)
-            span[1] = max(span[1], hi)
+            run.tspan.append((lo, hi))
             if uniform:
                 value = values[0].item()
                 return _w64(value) if width == 8 and not is_float else value
@@ -1049,9 +1046,11 @@ class _Stores:
         self.entries = entries
         threads, cells = _logged(entries)
         cells = cells >> shift
-        order = np.argsort(cells, kind="stable")
-        self.cells = cells[order]
-        self.owners = threads[order]
+        if not (cells[1:] >= cells[:-1]).all():
+            order = np.argsort(cells, kind="stable")
+            cells, threads = cells[order], threads[order]
+        self.cells = cells
+        self.owners = threads
         self.first = int(self.cells[0])
         self.last = int(self.cells[-1])
 
@@ -1060,15 +1059,18 @@ class _Stores:
         return bool(((cells[1:] == cells[:-1])
                      & (owners[1:] != owners[:-1])).any())
 
+    def meets(self, lo: int, hi: int) -> bool:
+        """Whether addresses in ``[lo, hi]`` may be stored cells."""
+        return lo >> self.shift <= self.last and hi >> self.shift >= self.first
+
     def near(self, entries: list) -> list:
         """The loads whose bounds meet the stored cells' range. A store
         touches only cells its own thread stored (else
         :meth:`shared_between_threads` would have said so), and so
         does a load of the very cells a store of the phase stored, lane
         for lane."""
-        shift, first, last = self.shift, self.first, self.last
         return [entry for entry in entries if not entry[2]
-                and entry[3] >> shift <= last and entry[4] >> shift >= first
+                and self.meets(entry[3], entry[4])
                 and not any(_same_access(entry, store)
                             for store in self.entries)]
 
@@ -1090,11 +1092,12 @@ class _Stores:
 def _same_access(one, other) -> bool:
     """Whether two log entries are the same lanes at the same
     addresses."""
-    if one[1] is other[1] and one[0] is other[0]:
-        return True
-    return (one[1].shape == other[1].shape
-            and np.array_equal(one[0], other[0])
-            and np.array_equal(one[1], other[1]))
+    ours, theirs = one[1], other[1]
+    if ours is not theirs and not (
+            ours.shape == theirs.shape and ours[0] == theirs[0]
+            and ours[-1] == theirs[-1] and np.array_equal(ours, theirs)):
+        return False
+    return one[0] is other[0] or np.array_equal(one[0], other[0])
 
 
 def _phase_stores(entries: list, shift: int):
@@ -1144,18 +1147,21 @@ class _Touches:
             # whose left neighbour touched its line is not the line's
             # first touch, nor, mirrored, the last; nor is one whose
             # lane touched the line one trip earlier (later).
-            later = np.zeros(lines.shape, dtype=_B1)
-            earlier = np.zeros(lines.shape, dtype=_B1)
-            across = lines[..., 1:] == lines[..., :-1]
-            later[..., 1:] = across
-            earlier[..., :-1] = across
-            along = lines[1:] == lines[:-1]
-            later[1:] |= along
-            earlier[:-1] |= along
+            width, trip = len(threads), lines[0].size
+            lines = lines.reshape(-1)
+            across = lines[1:] == lines[:-1]
+            across[width - 1::width] = False  # a row's first lane
+            later = np.zeros(len(lines), dtype=_B1)
+            earlier = np.zeros(len(lines), dtype=_B1)
+            later[1:] = across
+            earlier[:-1] = across
+            along = lines[trip:] == lines[:-trip]
+            later[trip:] |= along
+            earlier[:-trip] |= along
             at = np.flatnonzero(~(later & earlier))
-            keys = ((threads[at % len(threads)].astype(_I8) + lane_base)
-                    * scale + (at + position))
-            self._keep(lines.reshape(-1)[at], keys, keys)
+            keys = ((threads[at % width].astype(_I8) + lane_base) * scale
+                    + (at + position))
+            self._keep(lines[at], keys, keys)
             return
         # An access whose left neighbour is the same line from a lower
         # lane is not the line's first touch (that neighbour comes
@@ -1223,6 +1229,9 @@ def make_commit(hierarchy, resolve, resolve_l2, cost_l1: int):
     """
     l1 = hierarchy.l1
     line_bytes = l1.line_bytes
+    line_shift = line_bytes.bit_length() - 1
+    if 1 << line_shift != line_bytes:
+        line_shift = None
     num_sets = l1.num_sets
     ways_per_set = l1.associativity
     l1_sets = l1._sets
@@ -1322,17 +1331,24 @@ def make_commit(hierarchy, resolve, resolve_l2, cost_l1: int):
             stores = _phase_stores(entries, global_shift)
             position = 0
             for part, threads, addresses in _chunks(entries):
-                if stores is not None:
-                    near = stores.near(part)
-                    if near and stores.touched_by_others(
-                            *((threads, addresses) if len(near) == len(part)
-                              else _logged(near))):
-                        raise Bail("cross-thread global access in one phase")
+                near = stores and stores.near(part)
+                if near and addresses.ndim > 1:
+                    # Trip entries: the loads whose own bounds meet.
+                    near = [load for load in range(addresses.shape[1])
+                            if any(stores.meets(*entry[5][load])
+                                   for entry in near)]
+                    near = near and (threads, addresses[:, near])
+                elif near:
+                    near = ((threads, addresses) if len(near) == len(part)
+                            else _logged(near))
+                if near and stores.touched_by_others(*near):
+                    raise Bail("cross-thread global access in one phase")
                 if addresses.ndim > 1:
                     accesses[threads] += addresses.size // len(threads)
                 else:
                     accesses += np.bincount(threads, minlength=width)
-                seen.add(threads, addresses // line_bytes, number * width,
+                seen.add(threads, addresses // line_bytes if line_shift is None
+                         else addresses >> line_shift, number * width,
                          position)
                 position += addresses.size
         touched = seen.result()
