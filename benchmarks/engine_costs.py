@@ -1,5 +1,6 @@
 """``python -m benchmarks.engine_costs``: host costs of the kernel
-engines on two kernels the benchmark workloads do not launch.
+engines on kernels the benchmark workloads do not launch, and of the
+block engine's commit.
 
     python -m benchmarks.engine_costs [--repeat N] [--watchdog STEPS]
 
@@ -16,6 +17,13 @@ engines on two kernels the benchmark workloads do not launch.
    route, best of N: the stock executor (a block engine attempt, then
    the per-thread JIT's generator form), the JIT alone and the
    interpreter.
+3. The block engine's commit (the conflict test and the replay of a
+   launch's logged accesses through the caches) in ns per logged
+   access, best of N launches, on ``cublas_sgemm`` and the three
+   convolutions at the shapes of ``mix_train``'s LeNet, and on a span
+   whose loads lie 16 KiB apart (more lines of one L1 set than it has
+   ways); with the commits that replayed in bulk and those that walked
+   the tag lists access by access.
 
 Times are ``time.process_time`` and read only relative to each other
 on one machine.
@@ -31,11 +39,12 @@ from unittest import mock
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.gpu import blockgen, codegen
+from repro.gpu import blockgen, blockrt, codegen
 from repro.gpu.executor import KernelExecutor, compile_kernel
 from repro.gpu.latency import CostModel
 from repro.gpu.memory import DEVICE_BASE, GlobalMemory
 from repro.gpu.specs import QUADRO_RTX_A4000 as SPEC
+from repro.libs.kernels import blas, dnn
 from repro.ptx.ast import Immediate
 from repro.ptx.builder import KernelBuilder
 from repro.ptx.parser import parse_module
@@ -117,6 +126,103 @@ def runaway(route: str, watchdog: int, repeat: int) -> float:
     return round(best * 1e3, 1)
 
 
+#: The first convolution of the LeNet ``mix_train`` trains, batch 8:
+#: n, cin, h, w, cout, kh, kw.
+N, CIN, H, W, COUT, KH, KW = 8, 1, 12, 12, 4, 3, 3
+OH, OW = H - KH + 1, W - KW + 1
+#: Bytes between two lines of one L1 set: sets x line size.
+SET_STRIDE = SPEC.l1_kb * 1024 // 8
+#: Inputs, weights, outputs and the strided span's 16 lines.
+X, WEIGHTS, Y, STRIDED = (DEVICE_BASE + (offset << 16)
+                          for offset in range(4))
+
+
+def set_stride_kernel():
+    """out[gid] = inp[SET_STRIDE * (tid % 16)]: 16 lines of one L1
+    set."""
+    b = KernelBuilder("set_stride", params=[("out", "u64"), ("inp", "u64")])
+    out = b.load_param_ptr("out")
+    line = b.and_("b32", b.special("%tid.x"), Immediate(15))
+    value = b.ld_global("f32", b.element_addr(b.load_param_ptr("inp"), line,
+                                              SET_STRIDE))
+    b.st_global("f32", b.element_addr(out, b.global_thread_id(), 4), value)
+    return b.build()
+
+
+def commit_launches() -> dict:
+    """``name: (kernel, grid, block, params)``, as the libraries launch
+    them (one thread per output element)."""
+    def grid(threads, block):
+        return (-(-threads // block), 1, 1), (block, 1, 1)
+
+    conv = [N, CIN, H, W, COUT, KH, KW, OH, OW]
+    m, n, k = N, 32, 128  # its first fully connected layer
+    return {
+        "cublas_sgemm": (blas.sgemm_strided_kernel(), *grid(m * n, 64),
+                         [Y, X, WEIGHTS, m, n, k, k, 1, n, 1, 1.0, 0.0]),
+        "cudnn_conv2d_fwd": (dnn.conv2d_forward_kernel(),
+                             *grid(N * COUT * OH * OW, 128),
+                             [Y, X, WEIGHTS, WEIGHTS + 8192] + conv),
+        "cudnn_conv2d_bwd_data": (dnn.conv2d_bwd_data_kernel(),
+                                  *grid(N * CIN * H * W, 128),
+                                  [X, WEIGHTS, Y] + conv),
+        "cudnn_conv2d_bwd_filter": (dnn.conv2d_bwd_filter_kernel(),
+                                    *grid(COUT * CIN * KH * KW, 128),
+                                    [WEIGHTS, X, Y] + conv),
+        "set_overflow": (set_stride_kernel(), (4, 1, 1), (128, 1, 1),
+                         [Y, STRIDED]),
+    }
+
+
+def commit_costs(repeat: int) -> dict:
+    """Per launch of :func:`commit_launches`: the commit's best ns per
+    logged access and how many commits replayed in bulk or walked (a
+    span given up is not counted)."""
+    costs = {}
+    for name, (kernel, grid, block, params) in commit_launches().items():
+        memory = GlobalMemory(1 << 20)
+        rng = np.random.RandomState(48)
+        memory.write_array(X, rng.randn(1 << 14).astype(np.float32))
+        memory.write_array(WEIGHTS, rng.randn(1 << 14).astype(np.float32))
+        memory.write_array(Y, rng.randn(1 << 14).astype(np.float32))
+        spent = {"ns": 0, "logged": 0, "bulk": 0, "walk": 0}
+        walks = []
+        make_commit, thread_major = blockrt.make_commit, blockrt._thread_major
+
+        def walked(*args):
+            walks.append(1)
+            return thread_major(*args)
+
+        def timed_commit(*args):
+            commit = make_commit(*args)
+
+            def timed(run, *rest):
+                before = len(walks)
+                started = time.perf_counter_ns()
+                cycles = commit(run, *rest)
+                spent["ns"] += time.perf_counter_ns() - started
+                spent["logged"] += run.logged
+                spent["walk" if len(walks) > before else "bulk"] += 1
+                return cycles
+
+            return timed
+
+        with mock.patch.object(blockrt, "make_commit", timed_commit), \
+                mock.patch.object(blockrt, "_thread_major", walked):
+            runner = KernelExecutor(SPEC, memory)
+            compiled = compile_kernel(kernel, SPEC)
+            runner.launch(compiled, grid, block, params)  # code built
+            best = float("inf")
+            for _ in range(repeat):
+                spent.update(ns=0, logged=0, bulk=0, walk=0)
+                runner.launch(compiled, grid, block, params)
+                best = min(best, spent["ns"] / spent["logged"])
+        costs[name] = {"ns_per_access": round(best, 1),
+                       "logged": spent["logged"], "bulk": spent["bulk"],
+                       "walk": spent["walk"]}
+    return costs
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeat", type=int, default=5)
@@ -127,6 +233,12 @@ def main(argv=None) -> None:
              for route in ("stock", "jit", "interpreter")}
     print(f"bar runaway at {args.watchdog} steps (ms):", times,
           f"interpreter/jit {times['interpreter'] / times['jit']:.1f}x")
+    print(f"commit, best of {args.repeat} launches:")
+    print(f"  {'kernel':24} {'ns/access':>9} {'accesses':>9} "
+          f"{'bulk':>5} {'walk':>5}")
+    for name, row in commit_costs(args.repeat).items():
+        print(f"  {name:24} {row['ns_per_access']:9.1f} "
+              f"{row['logged']:9d} {row['bulk']:5d} {row['walk']:5d}")
 
 
 if __name__ == "__main__":
